@@ -62,10 +62,11 @@ func TestDistributedChaos(t *testing.T) {
 	}
 	waitAlive(2, 15*time.Second, "startup")
 
-	// Long enough that the partition window lands mid-screen on two
-	// sequential-docking workers.
+	// Long enough that the partition window (2 s into the screen) lands
+	// mid-screen on two sequential-docking workers: a worker docks ~15 of
+	// these ligands a second, so each shard is ~4 s of work.
 	chaosScreen := distScreen
-	chaosScreen.Library = 24
+	chaosScreen.Library = 128
 	chaosScreen.Scale = 0.35
 
 	// Single-node baseline on the worker that will stay healthy.

@@ -57,9 +57,8 @@ func TestImproveZeroAllocSteadyState(t *testing.T) {
 	var lane rng.Source
 	rng.New(3).SplitInto(1, &lane)
 	item := ImproveItem{Conf: confs[0], Sampler: sampler, RNG: &lane}
-	buf := b.scratch[0].buf
 	if allocs := testing.AllocsPerRun(20, func() {
-		b.comp.improve(item, 4, conformation.DefaultMoveScale, buf)
+		b.comp.improve(item, 4, conformation.DefaultMoveScale, &arena)
 	}); allocs != 0 {
 		t.Errorf("improve allocates %.1f per item, want 0", allocs)
 	}
@@ -134,12 +133,12 @@ func TestHostBackendScratchPersists(t *testing.T) {
 	}
 	confs := makeConfs(p, 16, 31)
 	b.ScoreBatch(confs)
-	if len(b.scratch) != 1 || len(b.scratch[0].arena.flat) == 0 {
+	if len(b.scratch) != 1 || len(b.scratch[0].flat) == 0 {
 		t.Fatal("no warmed worker arena after ScoreBatch")
 	}
-	ptr := &b.scratch[0].arena.flat[0]
+	ptr := &b.scratch[0].flat[0]
 	b.ScoreBatch(confs)
-	if &b.scratch[0].arena.flat[0] != ptr {
+	if &b.scratch[0].flat[0] != ptr {
 		t.Error("second generation reallocated the worker arena")
 	}
 }

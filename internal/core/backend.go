@@ -72,13 +72,25 @@ func newCompute(p *Problem, real bool, scorerKind, improver string) (compute, er
 	return nil, fmt.Errorf("core: unknown improver %q (want stochastic or gradient)", improver)
 }
 
-// poseArena is a worker-owned scoring workspace: one flat coordinate array
-// sliced into per-conformation pose buffers, plus the batched score output.
-// resize reuses capacity, so steady-state generations allocate nothing.
+// poseArena is one worker goroutine's persistent scoring workspace: a flat
+// coordinate array sliced into per-conformation pose buffers plus the
+// batched score output (scoreBatch), a single-pose buffer (score, improve),
+// and the neighbor list's candidate scratch. Everything reuses capacity, so
+// steady-state generations allocate nothing.
 type poseArena struct {
 	flat  []vec.V3
 	poses [][]vec.V3
 	out   []float64
+	one   []vec.V3
+	nl    forcefield.NeighborScratch
+}
+
+// single returns the single-pose buffer, sized to the ligand.
+func (a *poseArena) single(atoms int) []vec.V3 {
+	if cap(a.one) < atoms {
+		a.one = make([]vec.V3, atoms)
+	}
+	return a.one[:atoms]
 }
 
 func (a *poseArena) resize(n, atoms int) {
@@ -103,16 +115,13 @@ func (a *poseArena) resize(n, atoms int) {
 // compute is the scoring strategy shared by backends: real force-field
 // evaluation or the modeled surrogate.
 type compute interface {
-	// score evaluates c in place. buf is a caller-owned scratch pose
-	// buffer of ligand size.
-	score(c *conformation.Conformation, buf []vec.V3)
+	// score evaluates c in place using the calling worker's arena.
+	score(c *conformation.Conformation, a *poseArena)
 	// scoreBatch evaluates every conformation of the slice using a's
 	// pooled pose buffers. It assigns exactly the scores score would.
 	scoreBatch(confs []*conformation.Conformation, a *poseArena)
 	// improve runs moves hill-climbing steps on c in place.
-	improve(it ImproveItem, moves int, scale conformation.MoveScale, buf []vec.V3)
-	// ligandAtoms returns the pose buffer size.
-	ligandAtoms() int
+	improve(it ImproveItem, moves int, scale conformation.MoveScale, a *poseArena)
 }
 
 // scoreChunk scores one worker's span of a generation batch, chunkSize
@@ -145,25 +154,24 @@ type realCompute struct {
 	ts     *molecule.TorsionSet
 }
 
-func (rc *realCompute) ligandAtoms() int { return len(rc.ligand) }
-
 // scorePose picks the cheapest exact scorer for a posed ligand: the spot's
 // neighbor list when the pose stays inside its covered region, the full
 // scorer otherwise (flexible poses can swing atoms out of the region).
-// Both score and scoreBatch go through it, so batched and unbatched runs
-// produce byte-identical scores.
-func (rc *realCompute) scorePose(spot int, pose []vec.V3) float64 {
+// score, scoreBatch and improve all go through it, so batched and
+// unbatched runs produce byte-identical scores.
+func (rc *realCompute) scorePose(spot int, pose []vec.V3, s *forcefield.NeighborScratch) float64 {
 	if spot >= 0 && spot < len(rc.nl) {
-		if nl := rc.nl[spot]; nl != nil && nl.Covers(pose) {
-			return nl.Score(pose)
+		if e, covered := rc.nl[spot].ScorePose(pose, s); covered {
+			return e
 		}
 	}
 	return rc.scorer.Score(pose)
 }
 
-func (rc *realCompute) score(c *conformation.Conformation, buf []vec.V3) {
+func (rc *realCompute) score(c *conformation.Conformation, a *poseArena) {
+	buf := a.single(len(rc.ligand))
 	c.ApplyFlex(rc.ts, rc.ligand, buf)
-	c.Score = rc.scorePose(c.Spot, buf)
+	c.Score = rc.scorePose(c.Spot, buf, &a.nl)
 }
 
 func (rc *realCompute) scoreBatch(confs []*conformation.Conformation, a *poseArena) {
@@ -173,7 +181,7 @@ func (rc *realCompute) scoreBatch(confs []*conformation.Conformation, a *poseAre
 	}
 	if rc.nl != nil || rc.batch == nil {
 		for i, c := range confs {
-			c.Score = rc.scorePose(c.Spot, a.poses[i])
+			c.Score = rc.scorePose(c.Spot, a.poses[i], &a.nl)
 		}
 		return
 	}
@@ -183,14 +191,14 @@ func (rc *realCompute) scoreBatch(confs []*conformation.Conformation, a *poseAre
 	}
 }
 
-func (rc *realCompute) improve(it ImproveItem, moves int, scale conformation.MoveScale, buf []vec.V3) {
+func (rc *realCompute) improve(it ImproveItem, moves int, scale conformation.MoveScale, a *poseArena) {
 	cur := *it.Conf
 	if !cur.Evaluated() {
-		rc.score(&cur, buf)
+		rc.score(&cur, a)
 	}
 	for m := 0; m < moves; m++ {
 		cand := it.Sampler.Perturb(it.RNG, cur, scale)
-		rc.score(&cand, buf)
+		rc.score(&cand, a)
 		if cand.Better(cur) {
 			cur = cand
 		}
@@ -234,9 +242,8 @@ func (gc *gradientCompute) torsionGradients(c conformation.Conformation, posed, 
 	return out
 }
 
-func (gc *gradientCompute) ligandAtoms() int { return len(gc.ligand) }
-
-func (gc *gradientCompute) score(c *conformation.Conformation, buf []vec.V3) {
+func (gc *gradientCompute) score(c *conformation.Conformation, a *poseArena) {
+	buf := a.single(len(gc.ligand))
 	c.ApplyFlex(gc.ts, gc.ligand, buf)
 	c.Score = gc.scorer.Score(buf)
 }
@@ -249,7 +256,8 @@ func (gc *gradientCompute) scoreBatch(confs []*conformation.Conformation, a *pos
 	}
 }
 
-func (gc *gradientCompute) improve(it ImproveItem, moves int, _ conformation.MoveScale, buf []vec.V3) {
+func (gc *gradientCompute) improve(it ImproveItem, moves int, _ conformation.MoveScale, a *poseArena) {
+	buf := a.single(len(gc.ligand))
 	cur := *it.Conf
 	forces := make([]vec.V3, len(gc.ligand))
 	step := 0.25 // angstroms along the unit force
@@ -330,16 +338,12 @@ func clampPose(s *conformation.Sampler, c conformation.Conformation) conformatio
 // evaluating atom pairs, so full paper-scale workloads replay quickly.
 type modeledCompute struct {
 	targets []vec.V3 // per spot
-	nligand int
 }
 
 // newModeledCompute derives one hidden target per spot, placed inside the
 // spot's search region.
 func newModeledCompute(p *Problem) *modeledCompute {
-	mc := &modeledCompute{
-		targets: make([]vec.V3, len(p.Spots)),
-		nligand: p.Ligand.NumAtoms(),
-	}
+	mc := &modeledCompute{targets: make([]vec.V3, len(p.Spots))}
 	standoff := p.LigandRadius() + 1.5
 	for i, s := range p.Spots {
 		base := s.Center.Add(s.Normal.Scale(standoff))
@@ -350,8 +354,6 @@ func newModeledCompute(p *Problem) *modeledCompute {
 	return mc
 }
 
-func (mc *modeledCompute) ligandAtoms() int { return mc.nligand }
-
 func (mc *modeledCompute) surrogate(c conformation.Conformation) float64 {
 	t := mc.targets[c.Spot]
 	d2 := c.Translation.Dist2(t)
@@ -360,7 +362,7 @@ func (mc *modeledCompute) surrogate(c conformation.Conformation) float64 {
 	return d2 + ripple - 25 // offset so good poses go negative like energies
 }
 
-func (mc *modeledCompute) score(c *conformation.Conformation, _ []vec.V3) {
+func (mc *modeledCompute) score(c *conformation.Conformation, _ *poseArena) {
 	c.Score = mc.surrogate(*c)
 }
 
@@ -373,7 +375,7 @@ func (mc *modeledCompute) scoreBatch(confs []*conformation.Conformation, _ *pose
 // improve models the outcome of `moves` hill-climbing steps: the pose
 // moves toward the hidden target with diminishing returns in the move
 // count, matching the qualitative convergence of real local search.
-func (mc *modeledCompute) improve(it ImproveItem, moves int, _ conformation.MoveScale, _ []vec.V3) {
+func (mc *modeledCompute) improve(it ImproveItem, moves int, _ conformation.MoveScale, _ *poseArena) {
 	c := *it.Conf
 	t := mc.targets[c.Spot]
 	frac := 1 - math.Exp(-float64(moves)/16)

@@ -7,7 +7,6 @@ import (
 	"github.com/metascreen/metascreen/internal/conformation"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
 	"github.com/metascreen/metascreen/internal/rng"
-	"github.com/metascreen/metascreen/internal/vec"
 )
 
 func TestNewComputeKinds(t *testing.T) {
@@ -43,13 +42,13 @@ func TestGradientImproveLowersEnergy(t *testing.T) {
 	}
 	r := rng.New(81)
 	sampler := conformation.NewSampler(p.Spots[0], p.LigandRadius())
-	buf := make([]vec.V3, p.Ligand.NumAtoms())
+	arena := new(poseArena)
 	improvedCount := 0
 	for trial := 0; trial < 20; trial++ {
 		c := sampler.Random(r)
-		comp.score(&c, buf)
+		comp.score(&c, arena)
 		before := c.Score
-		comp.improve(ImproveItem{Conf: &c, Sampler: sampler, RNG: r.Split(uint64(trial))}, 10, conformation.DefaultMoveScale, buf)
+		comp.improve(ImproveItem{Conf: &c, Sampler: sampler, RNG: r.Split(uint64(trial))}, 10, conformation.DefaultMoveScale, arena)
 		if c.Score > before {
 			t.Errorf("trial %d: gradient improve worsened %v -> %v", trial, before, c.Score)
 		}
@@ -72,12 +71,12 @@ func TestGradientImproveDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	sampler := conformation.NewSampler(p.Spots[0], p.LigandRadius())
-	buf := make([]vec.V3, p.Ligand.NumAtoms())
+	arena := new(poseArena)
 	start := sampler.Random(rng.New(7))
 	run := func() float64 {
 		c := start
-		comp.score(&c, buf)
-		comp.improve(ImproveItem{Conf: &c, Sampler: sampler, RNG: rng.New(1)}, 8, conformation.DefaultMoveScale, buf)
+		comp.score(&c, arena)
+		comp.improve(ImproveItem{Conf: &c, Sampler: sampler, RNG: rng.New(1)}, 8, conformation.DefaultMoveScale, arena)
 		return c.Score
 	}
 	if run() != run() {
@@ -160,14 +159,14 @@ func TestGradientImproveFlexible(t *testing.T) {
 	}
 	sampler := conformation.NewSampler(p.Spots[0], p.LigandRadius())
 	sampler.SetTorsions(p.TorsionSet())
-	buf := make([]vec.V3, p.Ligand.NumAtoms())
+	arena := new(poseArena)
 	r := rng.New(91)
 	bentCount := 0
 	for trial := 0; trial < 20; trial++ {
 		c := sampler.Random(r)
-		comp.score(&c, buf)
+		comp.score(&c, arena)
 		before := c
-		comp.improve(ImproveItem{Conf: &c, Sampler: sampler, RNG: r.Split(uint64(trial))}, 12, conformation.DefaultMoveScale, buf)
+		comp.improve(ImproveItem{Conf: &c, Sampler: sampler, RNG: r.Split(uint64(trial))}, 12, conformation.DefaultMoveScale, arena)
 		if c.Score > before.Score {
 			t.Errorf("trial %d: flexible gradient improve worsened %v -> %v", trial, before.Score, c.Score)
 		}

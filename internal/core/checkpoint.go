@@ -183,6 +183,10 @@ func ScreenResumableCtx(ctx context.Context, receptor *molecule.Molecule, librar
 		if workers > len(pending) {
 			workers = len(pending)
 		}
+		rec, err := prepareReceptor(receptor, spotOpts)
+		if err != nil {
+			return nil, err
+		}
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 
@@ -208,7 +212,7 @@ func ScreenResumableCtx(ctx context.Context, receptor *molecule.Molecule, librar
 				defer wg.Done()
 				for i := range jobs {
 					lig := library[i]
-					res, err := screenLigand(ctx, receptor, lig, spotOpts, ff, algf, backf, seed)
+					res, err := screenLigand(ctx, rec, lig, ff, algf, backf, seed)
 					if err != nil {
 						fail(err)
 						return

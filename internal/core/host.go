@@ -7,7 +7,6 @@ import (
 	"github.com/metascreen/metascreen/internal/conformation"
 	"github.com/metascreen/metascreen/internal/cudasim"
 	"github.com/metascreen/metascreen/internal/hostpar"
-	"github.com/metascreen/metascreen/internal/vec"
 )
 
 // HostConfig configures the multicore baseline backend (the paper's
@@ -16,8 +15,12 @@ type HostConfig struct {
 	// Real selects actual force-field evaluation; false selects the
 	// modeled surrogate.
 	Real bool
-	// Scorer picks the force-field implementation for Real mode
-	// ("direct", "tiled", "celllist", "grid"); empty means "celllist".
+	// Scorer picks the full-receptor force-field implementation for Real
+	// mode ("direct", "tiled", "celllist", "grid"); empty means "celllist".
+	// With "celllist" and the stochastic improver — the default — poses
+	// are scored against their spot's forcefield.NeighborList, one
+	// ScorePose call per pose in batched and single-pose paths alike, and
+	// the cell list only serves poses that leave the spot's region.
 	Scorer string
 	// Improver selects the local-search strategy for Real mode:
 	// "stochastic" (default, the paper's random perturbation moves) or
@@ -68,26 +71,10 @@ type HostBackend struct {
 	pairs int
 	// scratch holds one persistent workspace per team worker; reusing it
 	// across generations keeps the scoring hot path allocation-free.
-	scratch []workerScratch
+	scratch []poseArena
 
 	simTime float64
 	evals   atomic.Int64
-}
-
-// workerScratch is one worker goroutine's persistent buffers: a single-pose
-// buffer for the improve path and a pose arena for batched scoring.
-type workerScratch struct {
-	buf   []vec.V3
-	arena poseArena
-}
-
-// newScratch sizes one workspace per team worker.
-func newScratch(team *hostpar.Team, comp compute) []workerScratch {
-	scratch := make([]workerScratch, team.Size())
-	for t := range scratch {
-		scratch[t].buf = make([]vec.V3, comp.ligandAtoms())
-	}
-	return scratch
 }
 
 // NewHostBackend builds the multicore backend for a problem.
@@ -103,7 +90,7 @@ func NewHostBackend(p *Problem, cfg HostConfig) (*HostBackend, error) {
 		return nil, err
 	}
 	b.comp = comp
-	b.scratch = newScratch(b.team, comp)
+	b.scratch = make([]poseArena, b.team.Size())
 	return b, nil
 }
 
@@ -122,12 +109,12 @@ func (b *HostBackend) ScoreBatch(confs []*conformation.Conformation) {
 		return
 	}
 	if b.cfg.DisableBatch {
-		b.runParallel(len(confs), func(i int, buf []vec.V3) {
-			b.comp.score(confs[i], buf)
+		b.runParallel(len(confs), func(i int, a *poseArena) {
+			b.comp.score(confs[i], a)
 		})
 	} else {
 		b.team.ForChunk(len(confs), hostpar.Static, 0, func(lo, hi, tid int) {
-			scoreChunk(b.comp, confs[lo:hi], &b.scratch[tid].arena, b.cfg.BatchChunk)
+			scoreChunk(b.comp, confs[lo:hi], &b.scratch[tid], b.cfg.BatchChunk)
 		})
 	}
 	b.evals.Add(int64(len(confs)))
@@ -143,8 +130,8 @@ func (b *HostBackend) ImproveBatch(items []ImproveItem, moves int, scale conform
 	if len(items) == 0 || moves <= 0 {
 		return
 	}
-	b.runParallel(len(items), func(i int, buf []vec.V3) {
-		b.comp.improve(items[i], moves, scale, buf)
+	b.runParallel(len(items), func(i int, a *poseArena) {
+		b.comp.improve(items[i], moves, scale, a)
 	})
 	b.evals.Add(int64(len(items)) * int64(moves))
 	b.simTime += b.cfg.Model.CPUTime(b.cfg.ModelCores, b.cfg.ModelClockMHz, cudasim.ScoringLaunch{
@@ -173,12 +160,11 @@ func (b *HostBackend) EnergyJoules() float64 {
 func (b *HostBackend) Evaluations() int64 { return b.evals.Load() }
 
 // runParallel executes body over [0, n) with each worker goroutine's
-// persistent scratch pose buffer.
-func (b *HostBackend) runParallel(n int, body func(i int, buf []vec.V3)) {
+// persistent arena.
+func (b *HostBackend) runParallel(n int, body func(i int, a *poseArena)) {
 	b.team.ForChunk(n, hostpar.Static, 0, func(lo, hi, tid int) {
-		buf := b.scratch[tid].buf
 		for i := lo; i < hi; i++ {
-			body(i, buf)
+			body(i, &b.scratch[tid])
 		}
 	})
 }

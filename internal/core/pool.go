@@ -98,8 +98,8 @@ type PoolBackend struct {
 	team  *hostpar.Team
 	pairs int
 	// scratch holds one persistent workspace per team worker (see
-	// workerScratch); steady-state generations allocate nothing.
-	scratch []workerScratch
+	// poseArena); steady-state generations allocate nothing.
+	scratch []poseArena
 
 	// weights holds the warm-up throughput shares per kernel kind
 	// (Heterogeneous mode only). The paper's warm-up runs iterations of
@@ -166,7 +166,7 @@ func NewPoolBackend(p *Problem, cfg PoolConfig) (*PoolBackend, error) {
 		return nil, err
 	}
 	b.comp = comp
-	b.scratch = newScratch(b.team, comp)
+	b.scratch = make([]poseArena, b.team.Size())
 	if cfg.Mode == sched.Heterogeneous {
 		b.weights = make(map[cudasim.KernelKind][]float64)
 		b.percent = make(map[cudasim.KernelKind][]float64)
@@ -333,7 +333,7 @@ func (b *PoolBackend) ScoreBatch(confs []*conformation.Conformation) {
 	}
 	b.dispatch(len(confs), cudasim.KernelScoring, 1)
 	b.team.ForChunk(len(confs), hostpar.Static, 0, func(lo, hi, tid int) {
-		scoreChunk(b.comp, confs[lo:hi], &b.scratch[tid].arena, 0)
+		scoreChunk(b.comp, confs[lo:hi], &b.scratch[tid], 0)
 	})
 	b.evals.Add(int64(len(confs)))
 }
@@ -345,9 +345,8 @@ func (b *PoolBackend) ImproveBatch(items []ImproveItem, moves int, scale conform
 	}
 	b.dispatch(len(items), cudasim.KernelImprove, moves)
 	b.team.ForChunk(len(items), hostpar.Static, 0, func(lo, hi, tid int) {
-		buf := b.scratch[tid].buf
 		for i := lo; i < hi; i++ {
-			b.comp.improve(items[i], moves, scale, buf)
+			b.comp.improve(items[i], moves, scale, &b.scratch[tid])
 		}
 	})
 	b.evals.Add(int64(len(items)) * int64(moves))

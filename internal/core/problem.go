@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/molecule"
@@ -42,32 +43,69 @@ type Problem struct {
 	// FF selects the scoring terms.
 	FF forcefield.Options
 
-	recTopo  *forcefield.Topology
+	rec      *preparedReceptor
 	ligTopo  *forcefield.Topology
 	ligPos   []vec.V3
 	torsions *molecule.TorsionSet
 }
 
-// NewProblem validates the molecules, detects surface spots and prepares
-// scoring topologies.
-func NewProblem(receptor, ligand *molecule.Molecule, spotOpts surface.Options, ff forcefield.Options) (*Problem, error) {
+// preparedReceptor is the ligand-independent half of a problem: the
+// validated receptor, its surface spots, its scoring topology and (on first
+// use) its cell binning. It is immutable once built, so a library screen
+// prepares its receptor once and every ligand's problem shares it.
+type preparedReceptor struct {
+	mol   *molecule.Molecule
+	spots []surface.Spot
+	topo  *forcefield.Topology
+
+	cellsOnce sync.Once
+	cells     *forcefield.CellList // ligand-less; see CellList.ForLigand
+}
+
+// prepareReceptor validates the receptor, detects its surface spots and
+// flattens its scoring topology.
+func prepareReceptor(receptor *molecule.Molecule, spotOpts surface.Options) (*preparedReceptor, error) {
 	if err := receptor.Validate(); err != nil {
 		return nil, fmt.Errorf("core: receptor: %w", err)
-	}
-	if err := ligand.Validate(); err != nil {
-		return nil, fmt.Errorf("core: ligand: %w", err)
 	}
 	spots, err := surface.FindSpots(receptor, spotOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	return &preparedReceptor{mol: receptor, spots: spots, topo: forcefield.NewTopology(receptor)}, nil
+}
+
+// cellList returns the receptor's cell binning, built on first use (Modeled
+// runs and the other scorers never need it).
+func (r *preparedReceptor) cellList() *forcefield.CellList {
+	r.cellsOnce.Do(func() {
+		r.cells = forcefield.NewCellList(r.topo, nil, forcefield.Options{})
+	})
+	return r.cells
+}
+
+// NewProblem validates the molecules, detects surface spots and prepares
+// scoring topologies.
+func NewProblem(receptor, ligand *molecule.Molecule, spotOpts surface.Options, ff forcefield.Options) (*Problem, error) {
+	rec, err := prepareReceptor(receptor, spotOpts)
+	if err != nil {
+		return nil, err
+	}
+	return rec.newProblem(ligand, ff)
+}
+
+// newProblem pairs the prepared receptor with one ligand.
+func (r *preparedReceptor) newProblem(ligand *molecule.Molecule, ff forcefield.Options) (*Problem, error) {
+	if err := ligand.Validate(); err != nil {
+		return nil, fmt.Errorf("core: ligand: %w", err)
+	}
 	lig := ligand.Centered()
 	p := &Problem{
-		Receptor: receptor,
+		Receptor: r.mol,
 		Ligand:   lig,
-		Spots:    spots,
+		Spots:    r.spots,
 		FF:       ff,
-		recTopo:  forcefield.NewTopology(receptor),
+		rec:      r,
 		ligTopo:  forcefield.NewTopology(lig),
 	}
 	p.ligPos = p.ligTopo.Pos
@@ -91,13 +129,13 @@ func (p *Problem) LigandRadius() float64 { return p.Ligand.Radius() }
 func (p *Problem) NewScorer(kind string) (forcefield.Scorer, error) {
 	switch kind {
 	case "direct":
-		return forcefield.NewDirect(p.recTopo, p.ligTopo, p.FF), nil
+		return forcefield.NewDirect(p.rec.topo, p.ligTopo, p.FF), nil
 	case "tiled":
-		return forcefield.NewTiled(p.recTopo, p.ligTopo, p.FF), nil
+		return forcefield.NewTiled(p.rec.topo, p.ligTopo, p.FF), nil
 	case "celllist", "":
-		return forcefield.NewCellList(p.recTopo, p.ligTopo, p.FF), nil
+		return p.rec.cellList().ForLigand(p.ligTopo, p.FF), nil
 	case "grid":
-		return forcefield.NewGrid(p.recTopo, p.ligTopo, p.FF, 0)
+		return forcefield.NewGrid(p.rec.topo, p.ligTopo, p.FF, 0)
 	}
 	return nil, fmt.Errorf("core: unknown scorer %q", kind)
 }
@@ -121,7 +159,7 @@ func (p *Problem) SpotNeighborLists(cells *forcefield.CellList) []*forcefield.Ne
 		base := s.Center.Add(s.Normal.Scale(standoff))
 		half := vec.V3{X: 1, Y: 1, Z: 1}.Scale(s.Radius + reach + 1e-6)
 		region := vec.NewAABB(base.Sub(half), base.Add(half))
-		out[i] = forcefield.NewNeighborList(cells, p.recTopo, region)
+		out[i] = forcefield.NewNeighborList(cells, p.rec.topo, region)
 	}
 	return out
 }
@@ -129,7 +167,7 @@ func (p *Problem) SpotNeighborLists(cells *forcefield.CellList) []*forcefield.Ne
 // NewGradientScorer builds a scorer with analytic forces (the tiled
 // kernel), for gradient-descent local search.
 func (p *Problem) NewGradientScorer() forcefield.GradientScorer {
-	return forcefield.NewTiled(p.recTopo, p.ligTopo, p.FF)
+	return forcefield.NewTiled(p.rec.topo, p.ligTopo, p.FF)
 }
 
 // LigandPositions returns the centered ligand coordinates the scorers and
@@ -150,8 +188,8 @@ func (p *Problem) EnableFlexibility() int {
 func (p *Problem) TorsionSet() *molecule.TorsionSet { return p.torsions }
 
 // SubsetSpots returns a problem over a subset of the receptor's spots,
-// re-identified densely from 0. Topologies are shared with the parent (they
-// are immutable). This is how multi-node runs partition the spot set: spots
+// re-identified densely from 0. The prepared receptor and the ligand
+// topology are shared with the parent (they are immutable). This is how multi-node runs partition the spot set: spots
 // are independent sub-problems, so any partition preserves results.
 func (p *Problem) SubsetSpots(indices []int) (*Problem, error) {
 	if len(indices) == 0 {
@@ -171,7 +209,7 @@ func (p *Problem) SubsetSpots(indices []int) (*Problem, error) {
 		Ligand:   p.Ligand,
 		Spots:    spots,
 		FF:       p.FF,
-		recTopo:  p.recTopo,
+		rec:      p.rec,
 		ligTopo:  p.ligTopo,
 		ligPos:   p.ligPos,
 		torsions: p.torsions,

@@ -115,6 +115,10 @@ func ScreenCtx(ctx context.Context, receptor *molecule.Molecule, library []*mole
 	if workers > len(library) {
 		workers = len(library)
 	}
+	rec, err := prepareReceptor(receptor, spotOpts)
+	if err != nil {
+		return nil, err
+	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -140,7 +144,7 @@ func ScreenCtx(ctx context.Context, receptor *molecule.Molecule, library []*mole
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				res, err := screenLigand(ctx, receptor, library[i], spotOpts, ff, algf, backf, seed)
+				res, err := screenLigand(ctx, rec, library[i], ff, algf, backf, seed)
 				if err != nil {
 					fail(err)
 					return
@@ -176,20 +180,20 @@ feed:
 	return out, nil
 }
 
-// screenLigand runs one ligand job on its own seed lane. The lane is keyed
-// by a stable hash of the ligand's name, not by library index or execution
-// order: the parallel screen reproduces the sequential one exactly, and
-// resuming a checkpointed screen with a reordered or extended library
-// preserves the seeds of the unfinished ligands.
+// screenLigand runs one ligand job against the screen's prepared receptor,
+// on its own seed lane. The lane is keyed by a stable hash of the ligand's
+// name, not by library index or execution order: the parallel screen
+// reproduces the sequential one exactly, and resuming a checkpointed screen
+// with a reordered or extended library preserves the seeds of the
+// unfinished ligands.
 //
 // When the context carries a trace recorder, the ligand's run gets its own
 // child recorder — so concurrently screened ligands don't interleave their
 // simulated device timelines — which is merged into the parent afterwards
 // under the "lig:<name>/" track prefix, alongside a wall-clock ligand span.
-func screenLigand(ctx context.Context, receptor, lig *molecule.Molecule,
-	spotOpts surface.Options, ff forcefield.Options,
-	algf AlgorithmFactory, backf BackendFactory, seed uint64) (*Result, error) {
-	problem, err := NewProblem(receptor, lig, spotOpts, ff)
+func screenLigand(ctx context.Context, rec *preparedReceptor, lig *molecule.Molecule,
+	ff forcefield.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64) (*Result, error) {
+	problem, err := rec.newProblem(lig, ff)
 	if err != nil {
 		return nil, fmt.Errorf("core: ligand %q: %w", lig.Name, err)
 	}

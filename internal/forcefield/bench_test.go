@@ -83,3 +83,55 @@ func BenchmarkScoreForces2BSM(b *testing.B) {
 		s.ScoreForces(pose, forces)
 	}
 }
+
+// nlBenchFixtures builds what the engine's default Real-mode hot path
+// scores: the first 2BSM spot's neighbour list and a batch of poses from
+// that spot's sampler. It also returns the two work counts of the batch,
+// both per ligand atom and both exact (they repeat run to run): the
+// candidates the pair loop scans after the gather, and the pairs inside the
+// cutoff — their ratio is the pruning left on the table.
+func nlBenchFixtures(b *testing.B) (nl *NeighborList, poses [][]vec.V3, scanned, inRange float64) {
+	b.Helper()
+	f := newSpotFixture(b, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 4, Options{})
+	spot := f.spots[0]
+	nl = f.spotList(spot, f.ligRadius)
+	poses = f.samplerPoses(spot, nil, rng.New(1), 64)
+	var s NeighborScratch
+	for _, pose := range poses {
+		n, _ := nl.gather(pose, &s)
+		scanned += float64(n)
+		inRange += float64(nl.pairsInRange(pose)) / float64(len(pose))
+	}
+	return nl, poses, scanned / float64(len(poses)), inRange / float64(len(poses))
+}
+
+// reportNL reports a neighbour-list benchmark's rate and work counts.
+func reportNL(b *testing.B, evals int, scanned, inRange float64) {
+	b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
+	b.ReportMetric(scanned, "candidates/lig-atom")
+	b.ReportMetric(inRange, "in-cutoff/lig-atom")
+}
+
+func BenchmarkNeighborList2BSM(b *testing.B) {
+	nl, poses, scanned, inRange := nlBenchFixtures(b)
+	var s NeighborScratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = nl.ScorePose(poses[i%len(poses)], &s)
+	}
+	reportNL(b, b.N, scanned, inRange)
+}
+
+func BenchmarkNeighborListBatch2BSM(b *testing.B) {
+	nl, poses, scanned, inRange := nlBenchFixtures(b)
+	out := make([]float64, len(poses))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nl.ScoreBatch(poses, out)
+	}
+	benchSink = out[0]
+	reportNL(b, b.N*len(poses), scanned, inRange)
+}
+
+// benchSink keeps the compiler from discarding benchmarked scores.
+var benchSink float64

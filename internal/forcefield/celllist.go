@@ -83,6 +83,15 @@ func NewCellList(rec, lig *Topology, opts Options) *CellList {
 	return c
 }
 
+// ForLigand returns a scorer for another ligand over the same receptor: the
+// binned receptor arrays are immutable and shared, so a screen bins its
+// receptor once and every ligand's scorer is a header copy.
+func (c *CellList) ForLigand(lig *Topology, opts Options) *CellList {
+	d := *c
+	d.lig, d.opts = lig, opts
+	return &d
+}
+
 // cellIndex maps a position to its (clamped) flat cell index.
 func (c *CellList) cellIndex(p vec.V3) int32 {
 	ix := clamp(int((p.X-c.origin.X)/c.cellSize), 0, c.nx-1)
@@ -106,6 +115,7 @@ func (c *CellList) Name() string { return "celllist" }
 
 // Score implements Scorer.
 func (c *CellList) Score(ligPos []vec.V3) float64 {
+	checkPose(ligPos, c.lig)
 	const cutoff2 = Cutoff * Cutoff
 	e := 0.0
 	for j, lp := range ligPos {

@@ -1,7 +1,9 @@
 package forcefield
 
 import (
-	"sort"
+	"math"
+	"slices"
+	"sync/atomic"
 
 	"github.com/metascreen/metascreen/internal/vec"
 )
@@ -13,10 +15,13 @@ import (
 //
 // Metaheuristic search confines every pose of a spot to a fixed region, so
 // the list is built once per (receptor, ligand, spot) and reused across all
-// generations — each scoring call then streams a compact candidate array
-// instead of re-walking the receptor's spatial grid per ligand atom. This
-// is the host analogue of staging a binding-site neighbourhood once in GPU
-// shared memory and reusing it for the whole population.
+// generations. The region is several times wider than one pose, though, so
+// most of the list is out of range of any single pose: scoring first
+// gathers the pose-local candidates — the list atoms within the cutoff of
+// the pose's own bounding box — into a compact scratch, and only those are
+// visited per ligand atom. This is the host analogue of staging a
+// binding-site neighbourhood once in GPU shared memory and reusing it for
+// every atom of the pose.
 type NeighborList struct {
 	lig    *Topology
 	table  *PairTable
@@ -29,11 +34,56 @@ type NeighborList struct {
 	x, y, z []float64
 	typ     []uint8
 	chg     []float64
+	// runs[r] bounds list atoms [r*runLen, (r+1)*runLen): consecutive
+	// receptor atoms follow the chain, so a run is spatially compact and a
+	// pose rejects most of the list one box test per run.
+	runs []runBox
+
+	// spare parks one scratch between calls of the scratch-less Score and
+	// ScoreBatch, so a single caller allocates nothing in steady state;
+	// concurrent callers that find it taken make their own.
+	spare atomic.Pointer[NeighborScratch]
+}
+
+// runLen is the number of list atoms per bounding-boxed run. Shorter runs
+// cull more atoms but spend more box tests; 32 measured fastest on the
+// paper's receptors (see EXPERIMENTS.md).
+const runLen = 32
+
+// runBox is the bounding box of one run of list atoms.
+type runBox struct{ lo, hi [3]float64 }
+
+// NeighborScratch is the caller-owned workspace NeighborList.ScorePose
+// gathers a pose's candidates into. The zero value is ready to use; it
+// grows to the longest list it has served and is then reused without
+// allocating. A scratch must not be shared between concurrent calls.
+type NeighborScratch struct {
+	// The pose's candidates, in list order.
+	x, y, z, chg []float64
+	typ          []uint8
+	// The candidates in range of the current ligand atom: index into the
+	// arrays above and squared distance.
+	hit []int32
+	r2  []float64
+}
+
+// reserve makes room for n candidates.
+func (s *NeighborScratch) reserve(n int) {
+	if cap(s.x) >= n {
+		return
+	}
+	s.x = make([]float64, n)
+	s.y = make([]float64, n)
+	s.z = make([]float64, n)
+	s.chg = make([]float64, n)
+	s.typ = make([]uint8, n)
+	s.hit = make([]int32, n)
+	s.r2 = make([]float64, n)
 }
 
 // NewNeighborList gathers the receptor atoms within Cutoff of region using
 // cell-list bins (O(region volume), not O(receptor)). The region must
-// contain every ligand atom of every pose the list will score; Covers
+// contain every ligand atom of every pose the list will score; ScorePose
 // checks a pose at runtime so callers can fall back to a full scorer for
 // out-of-region poses.
 func NewNeighborList(cells *CellList, rec *Topology, region vec.AABB) *NeighborList {
@@ -68,18 +118,28 @@ func NewNeighborList(cells *CellList, rec *Topology, region vec.AABB) *NeighborL
 	}
 	// Cell traversal order is not atom order; restore ascending indices so
 	// the summation order is deterministic and matches Direct's.
-	sort.Slice(nl.idx, func(a, b int) bool { return nl.idx[a] < nl.idx[b] })
+	slices.Sort(nl.idx)
 	n := len(nl.idx)
 	nl.x = make([]float64, n)
 	nl.y = make([]float64, n)
 	nl.z = make([]float64, n)
 	nl.typ = make([]uint8, n)
 	nl.chg = make([]float64, n)
+	nl.runs = make([]runBox, (n+runLen-1)/runLen)
 	for i, ai := range nl.idx {
 		p := rec.Pos[ai]
 		nl.x[i], nl.y[i], nl.z[i] = p.X, p.Y, p.Z
 		nl.typ[i] = rec.Type[ai]
 		nl.chg[i] = rec.Charge[ai]
+		c := [3]float64{p.X, p.Y, p.Z}
+		b := &nl.runs[i/runLen]
+		if i%runLen == 0 {
+			b.lo, b.hi = c, c
+		}
+		for a := range c {
+			b.lo[a] = min(b.lo[a], c[a])
+			b.hi[a] = max(b.hi[a], c[a])
+		}
 	}
 	return nl
 }
@@ -108,43 +168,158 @@ func (nl *NeighborList) Covers(pose []vec.V3) bool {
 // Name implements Scorer.
 func (nl *NeighborList) Name() string { return "neighborlist" }
 
-// Score implements Scorer over the gathered candidate atoms. The caller
-// must ensure the pose is covered (see Covers); atoms outside the region
-// would silently miss interactions.
+// takeScratch returns the list's spare scratch, or a new one.
+func (nl *NeighborList) takeScratch() *NeighborScratch {
+	if s := nl.spare.Swap(nil); s != nil {
+		return s
+	}
+	return new(NeighborScratch)
+}
+
+// Score implements Scorer with the list's spare scratch. The caller must
+// ensure the pose is covered (see Covers); atoms outside the region would
+// silently miss interactions.
 func (nl *NeighborList) Score(ligPos []vec.V3) float64 {
+	s := nl.takeScratch()
+	e, _ := nl.ScorePose(ligPos, s)
+	nl.spare.Store(s)
+	return e
+}
+
+// ScoreBatch implements BatchScorer: one scratch serves the whole batch,
+// each pose scored exactly as Score would.
+func (nl *NeighborList) ScoreBatch(poses [][]vec.V3, out []float64) {
+	checkBatch(poses, out)
+	s := nl.takeScratch()
+	for i, pose := range poses {
+		out[i], _ = nl.ScorePose(pose, s)
+	}
+	nl.spare.Store(s)
+}
+
+// ScorePose scores a pose against its pose-local candidates, gathered into
+// s, and reports whether the list covers the pose (see Covers). The energy
+// of an uncovered pose may miss interactions; callers fall back to a full
+// scorer for it.
+//
+// The gather only removes atoms out of range of every ligand atom, and the
+// survivors keep their ascending order, arithmetic and single accumulator,
+// so the score has exactly the bits a pair loop over the whole list
+// produces for any pose with finite coordinates.
+func (nl *NeighborList) ScorePose(ligPos []vec.V3, s *NeighborScratch) (e float64, covered bool) {
+	checkPose(ligPos, nl.lig)
+	n, covered := nl.gather(ligPos, s)
 	const cutoff2 = Cutoff * Cutoff
-	e := 0.0
+	cx, cy, cz, ctyp, cchg := s.x[:n], s.y[:n], s.z[:n], s.typ[:n], s.chg[:n]
+	hit, r2s := s.hit[:n], s.r2[:n]
 	for j, lp := range ligPos {
 		lt := int32(nl.lig.Type[j])
 		lq := nl.lig.Charge[j]
-		for k := range nl.x {
-			dx := nl.x[k] - lp.X
-			dy := nl.y[k] - lp.Y
-			dz := nl.z[k] - lp.Z
+		// Range test first, energies after: writing every candidate to
+		// slot m and advancing m only for a hit compiles to a conditional
+		// move, so the three-in-four candidates that miss cost no branch
+		// misprediction and the energy loop runs over hits alone. (The test
+		// is the full scan's skip test negated, so a NaN r2 still counts.)
+		m := 0
+		for k := range cx {
+			dx := cx[k] - lp.X
+			dy := cy[k] - lp.Y
+			dz := cz[k] - lp.Z
 			r2 := dx*dx + dy*dy + dz*dz
-			if r2 > cutoff2 {
-				continue
+			hit[m], r2s[m] = int32(k), r2
+			if !(r2 > cutoff2) {
+				m++
 			}
+		}
+		for i, k := range hit[:m] {
+			r2 := r2s[i]
 			if r2 < minDist2 {
 				r2 = minDist2
 			}
-			p := nl.table[int32(nl.typ[k])*int32(numTypes)+lt]
+			p := nl.table[int32(ctyp[k])*int32(numTypes)+lt]
 			inv2 := 1 / r2
 			inv6 := inv2 * inv2 * inv2
 			e += inv6 * (p.A*inv6 - p.B)
 			if nl.opts.Coulomb {
-				e += coulombK * nl.chg[k] * lq * inv2 / 4
+				e += coulombK * cchg[k] * lq * inv2 / 4
 			}
 		}
 	}
-	return e
+	return e, covered
 }
 
-// ScoreBatch implements BatchScorer: one pass per pose over the compact
-// candidate arrays, bit-identical to looped Score.
-func (nl *NeighborList) ScoreBatch(poses [][]vec.V3, out []float64) {
-	checkBatch(poses, out)
-	for i, pose := range poses {
-		out[i] = nl.Score(pose)
+// gather copies the list atoms within the cutoff of the pose's bounding box
+// into s, in list order, and returns their count. The same pass over the
+// pose answers Covers.
+func (nl *NeighborList) gather(ligPos []vec.V3, s *NeighborScratch) (n int, covered bool) {
+	if len(ligPos) == 0 {
+		return 0, true
 	}
+	first := ligPos[0]
+	lo := [3]float64{first.X, first.Y, first.Z}
+	hi := lo
+	covered = true
+	for _, p := range ligPos {
+		lo[0], hi[0] = min(lo[0], p.X), max(hi[0], p.X)
+		lo[1], hi[1] = min(lo[1], p.Y), max(hi[1], p.Y)
+		lo[2], hi[2] = min(lo[2], p.Z), max(hi[2], p.Z)
+		covered = covered && nl.region.Contains(p)
+	}
+	// An atom may only be dropped if the pair loop would have skipped it
+	// for every ligand atom. The box tests below round differently from
+	// the pair loop's r2, so the box is first padded by 2^-30 of the
+	// coordinates' magnitude — a million times their rounding error, and
+	// far too little to let a useful number of extra atoms in. c and h
+	// are the padded box as center and half-width.
+	var c, h [3]float64
+	for a := range c {
+		pad := 0x1p-30 * (max(math.Abs(lo[a]), math.Abs(hi[a])) + Cutoff)
+		lo[a] -= pad
+		hi[a] += pad
+		c[a], h[a] = (lo[a]+hi[a])/2, (hi[a]-lo[a])/2
+	}
+	const cutoff2 = Cutoff * Cutoff
+	s.reserve(len(nl.x))
+	for r := range nl.runs {
+		// A run beyond the cutoff of the pose box goes as a whole.
+		b := &nl.runs[r]
+		if boxGap2(b.lo[0], b.hi[0], lo[0], hi[0])+
+			boxGap2(b.lo[1], b.hi[1], lo[1], hi[1])+
+			boxGap2(b.lo[2], b.hi[2], lo[2], hi[2]) > cutoff2 {
+			continue
+		}
+		end := min((r+1)*runLen, len(nl.x))
+		for k := r * runLen; k < end; k++ {
+			// The atom's gap to the box on one axis is |x-c| - h clamped
+			// at 0, and g + |g| is twice that without a branch.
+			x, y, z := nl.x[k], nl.y[k], nl.z[k]
+			gx := math.Abs(x-c[0]) - h[0]
+			gy := math.Abs(y-c[1]) - h[1]
+			gz := math.Abs(z-c[2]) - h[2]
+			gx += math.Abs(gx)
+			gy += math.Abs(gy)
+			gz += math.Abs(gz)
+			// Copy first, keep after: advancing n only for an atom in
+			// range compiles to a conditional move, where a skip would be
+			// a branch mispredicted for every third atom.
+			s.x[n], s.y[n], s.z[n] = x, y, z
+			s.typ[n], s.chg[n] = nl.typ[k], nl.chg[k]
+			if !(gx*gx+gy*gy+gz*gz > 4*cutoff2) {
+				n++
+			}
+		}
+	}
+	return n, covered
+}
+
+// boxGap2 returns the squared gap between intervals [alo, ahi] and
+// [blo, bhi] on one axis, 0 where they overlap.
+func boxGap2(alo, ahi, blo, bhi float64) float64 {
+	if d := alo - bhi; d > 0 {
+		return d * d
+	}
+	if d := blo - ahi; d > 0 {
+		return d * d
+	}
+	return 0
 }

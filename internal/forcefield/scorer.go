@@ -94,6 +94,13 @@ func checkBatch(poses [][]vec.V3, out []float64) {
 	}
 }
 
+// checkPose validates that a pose has one position per ligand atom.
+func checkPose(ligPos []vec.V3, lig *Topology) {
+	if len(ligPos) != lig.Len() {
+		panic(fmt.Sprintf("forcefield: ligand pose has %d atoms, topology has %d", len(ligPos), lig.Len()))
+	}
+}
+
 // Direct is the reference scorer: the full O(R*L) double loop over atom
 // pairs. It defines the semantics the other scorers must reproduce.
 type Direct struct {
@@ -114,9 +121,7 @@ func (d *Direct) Name() string { return "direct" }
 
 // Score implements Scorer.
 func (d *Direct) Score(ligPos []vec.V3) float64 {
-	if len(ligPos) != d.lig.Len() {
-		panic(fmt.Sprintf("forcefield: ligand pose has %d atoms, topology has %d", len(ligPos), d.lig.Len()))
-	}
+	checkPose(ligPos, d.lig)
 	const cutoff2 = Cutoff * Cutoff
 	e := 0.0
 	for i, rp := range d.rec.Pos {

@@ -1,6 +1,7 @@
 package forcefield
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -98,16 +99,31 @@ func TestCoulombTermSigns(t *testing.T) {
 	}
 }
 
+// TestScorePanicsOnWrongPoseLength pins the shared pose-length contract:
+// a pose that is not parallel to the ligand topology is a programming
+// error reported the same way by every exact scorer, never a partial score
+// or an index-out-of-range.
 func TestScorePanicsOnWrongPoseLength(t *testing.T) {
-	rec := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	lig := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	s := NewDirect(rec, lig, Options{})
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for wrong pose length")
+	rec := NewTopology(molecule.SyntheticProtein("rec", 100, 3))
+	lig := NewTopology(molecule.SyntheticLigand("lig", 5, 4))
+	cells := NewCellList(rec, lig, Options{})
+	center := vec.Centroid(rec.Pos)
+	half := vec.New(30, 30, 30)
+	nl := NewNeighborList(cells, rec, vec.NewAABB(center.Sub(half), center.Add(half)))
+	for _, s := range []Scorer{NewDirect(rec, lig, Options{}), cells, nl} {
+		for _, n := range []int{lig.Len() - 1, lig.Len() + 1} {
+			pose := randomPose(rng.New(2), n, center, 5)
+			want := fmt.Sprintf("forcefield: ligand pose has %d atoms, topology has %d", n, lig.Len())
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("%s with %d atoms: panic %v, want %q", s.Name(), n, got, want)
+					}
+				}()
+				s.Score(pose)
+			}()
 		}
-	}()
-	s.Score([]vec.V3{vec.Zero, vec.Zero})
+	}
 }
 
 func randomPose(r *rng.Source, n int, around vec.V3, spread float64) []vec.V3 {
