@@ -69,6 +69,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -195,6 +196,7 @@ func main() {
 			fatal(err)
 		}
 		server := &http.Server{Addr: *addr, Handler: coord.Handler()}
+		stopDebug := serveDebug(*debugAddr, coord.DebugHandler(), logger)
 		errCh := make(chan error, 1)
 		go func() { errCh <- server.ListenAndServe() }()
 		logger.Info("coordinator listening", "addr", *addr)
@@ -209,6 +211,7 @@ func main() {
 		if err := server.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			logger.Error("http shutdown failed", "err", err)
 		}
+		stopDebug()
 		if err := coord.Shutdown(drainCtx); err != nil {
 			logger.Error("coordinator drain deadline exceeded", "err", err)
 			os.Exit(1)
@@ -254,16 +257,7 @@ func main() {
 	}
 	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
 
-	var debugServer *http.Server
-	if *debugAddr != "" {
-		debugServer = &http.Server{Addr: *debugAddr, Handler: svc.DebugHandler()}
-		go func() {
-			if err := debugServer.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug listener failed", "err", err)
-			}
-		}()
-		logger.Info("debug listener up", "addr", *debugAddr)
-	}
+	stopDebug := serveDebug(*debugAddr, svc.DebugHandler(), logger)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
@@ -312,9 +306,7 @@ func main() {
 	if err := server.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Error("http shutdown failed", "err", err)
 	}
-	if debugServer != nil {
-		debugServer.Close()
-	}
+	stopDebug()
 	if err := svc.Shutdown(drainCtx); err != nil {
 		logger.Error("drain deadline exceeded, running jobs force-cancelled", "err", err)
 		os.Exit(1)
@@ -325,6 +317,23 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("drained cleanly")
+}
+
+// serveDebug starts the debug listener (pprof, expvar, /debug/snapshot)
+// for either role and returns its stop function; an empty addr disables
+// it.
+func serveDebug(addr string, h http.Handler, logger *slog.Logger) (stop func()) {
+	if addr == "" {
+		return func() {}
+	}
+	srv := &http.Server{Addr: addr, Handler: h}
+	go func() {
+		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			logger.Error("debug listener failed", "err", err)
+		}
+	}()
+	logger.Info("debug listener up", "addr", addr)
+	return func() { srv.Close() }
 }
 
 // advertiseFromAddr derives a worker's advertised URL from its listen

@@ -17,6 +17,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/metascreen/metascreen/internal/metrics/metricstest"
 )
 
 // distRankRow carries every ranking field the wire exposes, so the
@@ -204,8 +206,9 @@ func TestDistributedScreening(t *testing.T) {
 		t.Skip("builds and launches real server binaries")
 	}
 	bin := buildServer(t)
+	coordDebug := freeAddr(t)
 	coordURL, _, workerURLs := startCluster(t, bin, 3,
-		[]string{"-worker-timeout", "2s", "-poll-interval", "50ms"},
+		[]string{"-worker-timeout", "2s", "-poll-interval", "50ms", "-debug-addr", coordDebug},
 		[]string{"-workers", "1", "-screen-workers", "1"})
 
 	// Readiness: every process reports ready before work is routed.
@@ -250,6 +253,25 @@ func TestDistributedScreening(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("coordinator metrics missing %q", want)
 		}
+	}
+	if err := metricstest.Lint(metrics); err != nil {
+		t.Errorf("coordinator /metrics lint: %v", err)
+	}
+
+	// -debug-addr works under -role coordinator too: pprof + expvar, and
+	// the coordinator's own snapshot on that listener.
+	checkProfiling(t, "http://"+coordDebug)
+	var snap struct {
+		Stats struct {
+			WorkersAlive int `json:"workers_alive"`
+		} `json:"stats"`
+		Workers []workerRow       `json:"workers"`
+		Jobs    []json.RawMessage `json:"jobs"`
+	}
+	getJSON(t, "http://"+coordDebug+"/debug/snapshot", &snap)
+	if snap.Stats.WorkersAlive != 3 || len(snap.Workers) != 3 || len(snap.Jobs) != 1 {
+		t.Errorf("coordinator debug snapshot: %d alive, %d workers, %d jobs; want 3, 3, 1",
+			snap.Stats.WorkersAlive, len(snap.Workers), len(snap.Jobs))
 	}
 }
 
@@ -306,6 +328,9 @@ func TestDistributedWorkerLoss(t *testing.T) {
 	if !strings.Contains(metrics, "metascreen_dist_reshards_total") ||
 		strings.Contains(metrics, "metascreen_dist_reshards_total 0\n") {
 		t.Errorf("reshard counter did not move:\n%s", metrics)
+	}
+	if err := metricstest.Lint(metrics); err != nil {
+		t.Errorf("coordinator /metrics lint after a worker loss: %v", err)
 	}
 	if final.Resplits < 1 {
 		t.Errorf("job view reports %d resplits, want >= 1", final.Resplits)

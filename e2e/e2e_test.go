@@ -2,8 +2,10 @@
 // the Go toolchain, launched as a separate process with both the API and
 // debug listeners up, and driven purely over HTTP — submit, poll,
 // rankings, per-job Chrome trace, Prometheus metrics, pprof and the debug
-// snapshot. Nothing here imports internal packages: if the test passes,
-// an operator following the README gets the same behaviour.
+// snapshot. Nothing here imports the program's internal packages (only
+// metricstest, the exposition lint, which knows none of its types): if
+// the test passes, an operator following the README gets the same
+// behaviour.
 package e2e
 
 import (
@@ -17,6 +19,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/metascreen/metascreen/internal/metrics/metricstest"
 )
 
 // screenRequest mirrors the service's ScreenRequest wire format. Kept
@@ -355,11 +359,15 @@ func checkMetrics(t *testing.T, apiURL string) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
+	if err := metricstest.Lint(metrics); err != nil {
+		t.Errorf("node /metrics lint: %v", err)
+	}
 }
 
-// checkDebug asserts the -debug-addr listener serves pprof, expvar and
-// the operational snapshot with device utilization and warm-up factors.
-func checkDebug(t *testing.T, debugURL string) {
+// checkProfiling asserts a -debug-addr listener, of either role, serves
+// pprof and expvar.
+func checkProfiling(t *testing.T, debugURL string) {
+	t.Helper()
 	if body := getText(t, debugURL+"/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("pprof index does not list profiles")
 	}
@@ -368,6 +376,12 @@ func checkDebug(t *testing.T, debugURL string) {
 	if _, ok := vars["memstats"]; !ok {
 		t.Errorf("/debug/vars has no memstats")
 	}
+}
+
+// checkDebug asserts the node's -debug-addr listener serves pprof, expvar
+// and the operational snapshot with device utilization and warm-up factors.
+func checkDebug(t *testing.T, debugURL string) {
+	checkProfiling(t, debugURL)
 
 	var snap struct {
 		Stats struct {

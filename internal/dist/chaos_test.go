@@ -37,12 +37,6 @@ func hostOf(t *testing.T, url string) string {
 	return host
 }
 
-func counterValue(m *Metrics, f func(*Metrics) int64) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return f(m)
-}
-
 // TestChaosPartitionHealByteIdentical is the acceptance drill: partition
 // one of two workers mid-screen, let the coordinator declare it dead and
 // re-split, heal the partition so heartbeats revive it under a fresh
@@ -80,7 +74,7 @@ func TestChaosPartitionHealByteIdentical(t *testing.T) {
 
 	clock.Store(int64(600 * time.Millisecond)) // inside the partition window
 	deadline := time.Now().Add(30 * time.Second)
-	for counterValue(c.metrics, func(m *Metrics) int64 { return m.workerDeaths }) == 0 {
+	for c.metrics.workerDeaths.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("partitioned worker never declared dead")
 		}
@@ -105,7 +99,7 @@ func TestChaosPartitionHealByteIdentical(t *testing.T) {
 			final.Result.SimulatedSeconds, want.SimulatedSeconds)
 	}
 	// The double-merge check: 24 target ligands, exactly 24 merges ever.
-	if merged := counterValue(c.metrics, func(m *Metrics) int64 { return m.merged }); merged != int64(req.Library) {
+	if merged := c.metrics.merged.Value(); merged != int64(req.Library) {
 		t.Errorf("%d ligand merges for a %d-ligand screen (double merge?)", merged, req.Library)
 	}
 
@@ -164,7 +158,7 @@ func TestZombieEpochFencing(t *testing.T) {
 	if final.State != service.StateDone {
 		t.Fatalf("screen ended %s after zombie revival: %s", final.State, final.Error)
 	}
-	if fenced := counterValue(c.metrics, func(m *Metrics) int64 { return m.shardsFenced }); fenced < 1 {
+	if fenced := c.metrics.shardsFenced.Value(); fenced < 1 {
 		t.Error("revived worker's stale shard was not fenced")
 	}
 	if final.Resplits < 1 {
@@ -179,7 +173,7 @@ func TestZombieEpochFencing(t *testing.T) {
 	if got, exp := rankingJSON(t, final.Result.Ranking), rankingJSON(t, want.Ranking); got != exp {
 		t.Fatalf("post-fence ranking differs from single-node:\n got %s\nwant %s", got, exp)
 	}
-	if merged := counterValue(c.metrics, func(m *Metrics) int64 { return m.merged }); merged != int64(req.Library) {
+	if merged := c.metrics.merged.Value(); merged != int64(req.Library) {
 		t.Errorf("%d ligand merges for a %d-ligand screen (double merge?)", merged, req.Library)
 	}
 }
@@ -219,7 +213,7 @@ func TestStalePartialRejected(t *testing.T) {
 	if len(j.merged) != 0 {
 		t.Fatalf("stale partial merged %d ligands", len(j.merged))
 	}
-	if n := counterValue(c.metrics, func(m *Metrics) int64 { return m.staleRejected }); n != 1 {
+	if n := c.metrics.staleRejected.Value(); n != 1 {
 		t.Fatalf("stale rejections counter %d, want 1", n)
 	}
 

@@ -254,13 +254,13 @@ type Coordinator struct {
 	cl      *client
 	metrics *Metrics
 
-	mu        sync.Mutex
-	workers   map[string]*worker
-	jobs      map[string]*job
-	order     []string
-	idem      map[string]string // idempotency key -> job ID
-	nextID    uint64
-	nextEpoch uint64      // monotonic fencing-epoch counter, journaled
+	mu         sync.Mutex
+	workers    map[string]*worker
+	jobs       map[string]*job
+	order      []string
+	idem       map[string]string // idempotency key -> job ID
+	nextID     uint64
+	nextEpoch  uint64      // monotonic fencing-epoch counter, journaled
 	fenced     []remoteRef // zombie worker-side jobs awaiting best-effort cancel
 	journal    *wal.Journal
 	draining   bool
@@ -290,7 +290,7 @@ func New(cfg Config) (*Coordinator, error) {
 			attempts:  cfg.RequestAttempts,
 			backoff:   cfg.RetryBaseDelay,
 			respLimit: cfg.MaxResponseBytes,
-			onRetry:   metrics.RequestRetried,
+			onRetry:   metrics.retries.Inc,
 		},
 		metrics: metrics,
 		workers: make(map[string]*worker),
@@ -317,13 +317,13 @@ func New(cfg Config) (*Coordinator, error) {
 
 // Stats is the coordinator's /healthz snapshot.
 type Stats struct {
-	Workers             int  `json:"workers"`
-	WorkersAlive        int  `json:"workers_alive"`
-	WorkersQuarantined  int  `json:"workers_quarantined,omitempty"`
-	Jobs                int  `json:"jobs"`
-	Queued              int  `json:"queued"`
-	Running             int  `json:"running"`
-	Draining            bool `json:"draining"`
+	Workers            int  `json:"workers"`
+	WorkersAlive       int  `json:"workers_alive"`
+	WorkersQuarantined int  `json:"workers_quarantined,omitempty"`
+	Jobs               int  `json:"jobs"`
+	Queued             int  `json:"queued"`
+	Running            int  `json:"running"`
+	Draining           bool `json:"draining"`
 }
 
 // Stats snapshots coordinator-level gauges.
@@ -387,7 +387,7 @@ func (c *Coordinator) Register(rawURL string) (int, error) {
 		w.slowStreak = 0
 		c.nextEpoch++
 		w.epoch = c.nextEpoch
-		c.metrics.WorkerJoined()
+		c.metrics.workersJoined.Inc()
 		c.appendEvent(event{Type: evWorker, Worker: base, Alive: true, Epoch: w.epoch})
 		c.log.Info("worker joined", "worker", base, "epoch", w.epoch, "members", len(c.workers))
 	}
@@ -508,7 +508,7 @@ func (c *Coordinator) Submit(req service.ScreenRequest, idemKey string) (JobView
 	if idemKey != "" {
 		c.idem[idemKey] = j.id
 	}
-	c.metrics.JobSubmitted()
+	c.metrics.submitted.Inc()
 	c.appendEvent(event{Type: evJob, Job: j.id, IdemKey: idemKey, Request: &j.req, Time: j.submitted})
 	c.superviseLocked(j)
 	c.log.Info("distributed screen submitted", "job", j.id, "ligands", len(j.names))

@@ -102,10 +102,14 @@ func beat(t *testing.T, c *Coordinator, url string) (stop func()) {
 	}
 }
 
-// waitJob polls the coordinator until the predicate holds.
+// waitJob polls the coordinator until the predicate holds. timeout bounds
+// a stall, not the whole wait: the deadline restarts whenever the job's
+// State or Completed count moves, so a slow box (-race on two cores)
+// passes and only a screen that stopped progressing is "stuck".
 func waitJob(t *testing.T, c *Coordinator, id string, timeout time.Duration, pred func(JobView) bool) JobView {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
+	var last JobView
 	for {
 		v, err := c.Get(id)
 		if err != nil {
@@ -114,9 +118,12 @@ func waitJob(t *testing.T, c *Coordinator, id string, timeout time.Duration, pre
 		if pred(v) {
 			return v
 		}
+		if v.State != last.State || v.Completed != last.Completed {
+			last, deadline = v, time.Now().Add(timeout)
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck: state=%s completed=%d/%d err=%q",
-				id, v.State, v.Completed, v.Total, v.Error)
+			t.Fatalf("job %s stuck (no progress for %s): state=%s completed=%d/%d err=%q",
+				id, timeout, v.State, v.Completed, v.Total, v.Error)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -69,7 +69,7 @@ func (c *Coordinator) appendEvent(ev event) {
 		err = c.journal.Append(b)
 	}
 	if err != nil {
-		c.metrics.JournalError()
+		c.metrics.journalErrors.Inc()
 		c.log.Error("dist journal append failed", "job", ev.Job, "err", err)
 		return
 	}
@@ -87,7 +87,7 @@ func (c *Coordinator) compactLocked() {
 	add := func(ev event) bool {
 		b, err := json.Marshal(ev)
 		if err != nil {
-			c.metrics.JournalError()
+			c.metrics.journalErrors.Inc()
 			return false
 		}
 		live = append(live, b)
@@ -140,7 +140,7 @@ func (c *Coordinator) compactLocked() {
 		}
 	}
 	if err := c.journal.Compact(live); err != nil {
-		c.metrics.JournalError()
+		c.metrics.journalErrors.Inc()
 		c.log.Error("dist journal compact failed", "err", err)
 	}
 }
@@ -154,7 +154,7 @@ func (c *Coordinator) openJournal() error {
 		Logf:   func(format string, args ...any) { c.log.Warn(fmt.Sprintf(format, args...)) },
 		FS:     c.cfg.FS,
 		OnIOError: func(op string, err error) {
-			c.metrics.JournalError()
+			c.metrics.journalErrors.Inc()
 			c.log.Warn("dist journal io error", "op", op, "err", err)
 		},
 	})
@@ -166,7 +166,7 @@ func (c *Coordinator) openJournal() error {
 	err = j.Replay(func(rec []byte) error {
 		var ev event
 		if uerr := json.Unmarshal(rec, &ev); uerr != nil {
-			c.metrics.JournalError()
+			c.metrics.journalErrors.Inc()
 			return nil
 		}
 		c.applyEvent(ev, boot)

@@ -42,12 +42,14 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// DebugHandler returns the coordinator's debug mux for vsserved
+// -debug-addr: the node's pprof + expvar routes around the coordinator's
+// own /debug/snapshot (which stays on the API port too).
+func (c *Coordinator) DebugHandler() http.Handler { return service.DebugMux(c.handleSnapshot) }
+
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req service.ScreenRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !service.DecodeJSON(w, r, &req) {
 		return
 	}
 	view, existing, err := c.Submit(req, r.Header.Get("Idempotency-Key"))
@@ -112,10 +114,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		URL string `json:"url"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !service.DecodeJSON(w, r, &body) {
 		return
 	}
 	n, err := c.Register(body.URL)

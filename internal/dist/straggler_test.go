@@ -73,13 +73,15 @@ func (sw *stalledWorker) cancelCount() int {
 	return len(sw.cancels)
 }
 
-// counterValue reads one Metrics counter through the exposition text, the
+// expositionCounter reads one Metrics counter through the exposition text, the
 // same surface operators scrape — so the test also pins the metric names
 // the runbooks grep for.
 func expositionCounter(t *testing.T, c *Coordinator, name string) int {
 	t.Helper()
 	var buf strings.Builder
-	c.metrics.WriteTo(&buf, c.Stats())
+	if err := c.metrics.WriteTo(&buf, c.Stats()); err != nil {
+		t.Fatal(err)
+	}
 	for _, line := range strings.Split(buf.String(), "\n") {
 		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
 			n, err := strconv.Atoi(f[1])

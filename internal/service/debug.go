@@ -21,10 +21,14 @@ import (
 //	                   workers, per-device busy seconds aggregated over all
 //	                   job traces, and the latest warm-up Percent factors
 
-// DebugHandler returns the debug mux. Mount it on its own listener; the
-// pprof endpoints can stall a request for seconds (CPU profiles) and must
-// not share the API's connection budget.
-func (s *Service) DebugHandler() http.Handler {
+// DebugHandler returns the node's debug mux.
+func (s *Service) DebugHandler() http.Handler { return DebugMux(s.handleDebugSnapshot) }
+
+// DebugMux builds the debug surface around one role's /debug/snapshot
+// handler (the coordinator mounts its own). Mount it on its own listener;
+// the pprof endpoints can stall a request for seconds (CPU profiles) and
+// must not share the API's connection budget.
+func DebugMux(snapshot http.HandlerFunc) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -32,7 +36,7 @@ func (s *Service) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/snapshot", s.handleDebugSnapshot)
+	mux.HandleFunc("/debug/snapshot", snapshot)
 	return mux
 }
 

@@ -36,6 +36,15 @@ func (s JobState) Terminal() bool {
 // TerminalStates lists every terminal state in exposition order.
 var TerminalStates = []JobState{StateDone, StateFailed, StateCancelled, StateShed}
 
+// TerminalStateNames is TerminalStates as `state` label values.
+func TerminalStateNames() []string {
+	names := make([]string, len(TerminalStates))
+	for i, st := range TerminalStates {
+		names[i] = string(st)
+	}
+	return names
+}
+
 // ScreenRequest describes one screening job: which benchmark receptor,
 // how large a synthetic ligand library, which metaheuristic, and which
 // (simulated) machine runs it. The zero value of every optional field
@@ -252,14 +261,14 @@ type Job struct {
 	restored  *ResultView // result replayed from the journal after a restart
 
 	// Admission state.
-	class          admission.Class // parsed from req.Priority
-	deadline       time.Time       // submitted + DeadlineSeconds; zero when none
-	probe          bool            // this job is the breaker's half-open probe
-	deviceLost     bool            // the final attempt lost every device
-	degraded       bool            // ran with reduced effort under pressure
-	effortFactor   float64         // multiplier applied to the search budget
-	effectiveScale float64         // req.Scale after degradation
-	cancelRequested bool           // a cancel was issued while running (journaled)
+	class           admission.Class // parsed from req.Priority
+	deadline        time.Time       // submitted + DeadlineSeconds; zero when none
+	probe           bool            // this job is the breaker's half-open probe
+	deviceLost      bool            // the final attempt lost every device
+	degraded        bool            // ran with reduced effort under pressure
+	effortFactor    float64         // multiplier applied to the search budget
+	effectiveScale  float64         // req.Scale after degradation
+	cancelRequested bool            // a cancel was issued while running (journaled)
 
 	// rec is the job's span recorder, epoch-pinned to submission time;
 	// the whole screening stack appends to it (the recorder has its own

@@ -84,7 +84,7 @@ func (s *Service) openJournal() error {
 		SyncInterval: s.cfg.FsyncInterval,
 		Logf:         func(format string, args ...any) { s.log.Warn(fmt.Sprintf(format, args...)) },
 		FS:           s.fs,
-		OnIOError:    func(op string, err error) { s.metrics.WALIOError(op) },
+		OnIOError:    func(op string, err error) { s.metrics.walIOErrors.With(op).Inc() },
 	})
 	if err != nil {
 		return err
@@ -96,7 +96,7 @@ func (s *Service) openJournal() error {
 		if uerr := json.Unmarshal(rec, &ev); uerr != nil {
 			// A record that framed correctly but no longer parses is
 			// skipped, not fatal: replay keeps every applicable event.
-			s.metrics.JournalError()
+			s.metrics.journalErrors.Inc()
 			return nil
 		}
 		s.applyEvent(ev)
@@ -144,7 +144,9 @@ func (s *Service) openJournal() error {
 		}
 		s.recovery.RecoveredJobs++
 	}
-	s.metrics.Recovered(s.recovery.ReplayedRecords, s.recovery.RecoveredJobs, s.recovery.TruncatedBytes)
+	s.metrics.replayedRecords.Add(int64(s.recovery.ReplayedRecords))
+	s.metrics.recoveredJobs.Add(int64(s.recovery.RecoveredJobs))
+	s.metrics.truncatedBytes.Add(s.recovery.TruncatedBytes)
 	s.journal = j
 	// Cancelled-but-not-terminal jobs finish now, with the journal open so
 	// the terminal record survives the next restart too.
@@ -263,7 +265,7 @@ func (s *Service) appendEvent(ev jobEvent) bool {
 		return true
 	}
 	if s.storageDegraded {
-		s.metrics.JournalSkipped()
+		s.metrics.journalSkipped.Inc()
 		return false
 	}
 	b, err := json.Marshal(ev)
@@ -271,14 +273,14 @@ func (s *Service) appendEvent(ev jobEvent) bool {
 		err = s.journal.Append(b)
 	}
 	if err != nil {
-		s.metrics.JournalError()
+		s.metrics.journalErrors.Inc()
 		s.log.Error("journal append failed", "job", ev.Job, "err", err)
 		// One shot at recovery for transient I/O faults. A full disk is
 		// not transient — retrying the same bytes cannot help.
 		if !errors.Is(err, syscall.ENOSPC) {
 			if rerr := s.journal.Recover(); rerr == nil {
 				if err2 := s.journal.Append(b); err2 == nil {
-					s.metrics.StorageRecovered()
+					s.metrics.storageRecoveries.Inc()
 					s.log.Info("journal append recovered after transient failure", "job", ev.Job)
 					return s.afterAppendLocked(b)
 				}
@@ -293,7 +295,8 @@ func (s *Service) appendEvent(ev jobEvent) bool {
 // afterAppendLocked finishes a successful append: counters and size-based
 // compaction. Caller holds s.mu.
 func (s *Service) afterAppendLocked(b []byte) bool {
-	s.metrics.JournalAppend(len(b))
+	s.metrics.journalRecords.Inc()
+	s.metrics.journalBytes.Add(int64(len(b)))
 	if s.journal.Size() > s.cfg.CompactBytes {
 		s.compactLocked()
 	}
@@ -308,17 +311,17 @@ func (s *Service) compactLocked() bool {
 		v := s.jobs[id].view()
 		b, err := json.Marshal(jobEvent{Type: evSnapshot, Job: id, View: &v})
 		if err != nil {
-			s.metrics.JournalError()
+			s.metrics.journalErrors.Inc()
 			return false
 		}
 		live = append(live, b)
 	}
 	if err := s.journal.Compact(live); err != nil {
-		s.metrics.JournalError()
+		s.metrics.journalErrors.Inc()
 		s.log.Error("journal compact failed", "err", err)
 		return false
 	}
-	s.metrics.JournalCompaction()
+	s.metrics.journalCompactions.Inc()
 	return true
 }
 
@@ -371,7 +374,7 @@ func (s *Service) tryRecoverStorageLocked() bool {
 	}
 	s.storageDegraded = false
 	s.storageReason = ""
-	s.metrics.StorageRecovered()
+	s.metrics.storageRecoveries.Inc()
 	s.log.Info("storage recovered, journaling re-enabled",
 		"degraded_seconds", now.Sub(s.storageSince).Seconds())
 	return true
@@ -419,15 +422,15 @@ func verifyCheckpointTrailer(data []byte) ([]byte, bool) {
 func (s *Service) quarantineCheckpoint(id string, reason string) {
 	qdir := filepath.Join(s.cfg.DataDir, "quarantine")
 	if err := s.fs.MkdirAll(qdir, 0o755); err != nil {
-		s.metrics.WALIOError("quarantine")
+		s.metrics.walIOErrors.With("quarantine").Inc()
 		return
 	}
 	if err := s.fs.Rename(s.checkpointPath(id), filepath.Join(qdir, id+".json")); err != nil {
-		s.metrics.WALIOError("quarantine")
+		s.metrics.walIOErrors.With("quarantine").Inc()
 		s.log.Warn("could not quarantine corrupt checkpoint", "job", id, "err", err)
 		return
 	}
-	s.metrics.CheckpointQuarantined()
+	s.metrics.checkpointsQuar.Inc()
 	s.log.Warn("corrupt checkpoint quarantined, re-docking from WAL state",
 		"job", id, "reason", reason, "quarantine", filepath.Join(qdir, id+".json"))
 }
@@ -493,7 +496,7 @@ func (s *Service) writeJobCheckpoint(id string, cp *core.Checkpoint) error {
 		return err
 	}
 	if err := s.fs.SyncDir(s.checkpointDir()); err != nil {
-		s.metrics.WALIOError("dirsync")
+		s.metrics.walIOErrors.With("dirsync").Inc()
 		return err
 	}
 	return nil

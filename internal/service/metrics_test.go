@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/metascreen/metascreen/internal/admission"
+	"github.com/metascreen/metascreen/internal/metrics/metricstest"
 )
 
 // TestMetricsExpositionGolden pins the exact Prometheus text exposition
@@ -14,45 +15,51 @@ import (
 // alerts depend on these names and label sets.
 func TestMetricsExpositionGolden(t *testing.T) {
 	m := NewMetrics(2)
-	m.Submitted()
-	m.Submitted()
-	m.Submitted()
-	m.Rejected()
-	m.WorkerBusy(1)
-	m.Finished(StateDone, 40*time.Millisecond)
-	m.Finished(StateDone, 700*time.Millisecond)
-	m.Finished(StateCancelled, 2*time.Second)
-	m.JobTimes(250*time.Millisecond, 500*time.Millisecond)
-	m.JobTimes(500*time.Millisecond, 2*time.Second)
-	m.GenerationSim(0.25)
-	m.GenerationSim(0.5)
-	m.GenerationSim(4)
-	m.Work(1500, 12.5, 2, 1)
-	m.Work(500, 2.5, 1, 0)
-	m.JobRetried()
-	m.JobRetried()
-	m.JobRetried()
-	m.WorkerPanic()
-	m.JournalAppend(120)
-	m.JournalAppend(80)
-	m.JournalError()
-	m.JournalCompaction()
-	m.CheckpointWritten()
-	m.CheckpointWritten()
-	m.Recovered(7, 2, 13)
-	m.Shed("queue_full")
-	m.Shed("breaker_open")
-	m.Shed("storage_full")
-	m.Degraded()
-	m.WALIOError("sync")
-	m.WALIOError("sync")
-	m.WALIOError("dirsync")
-	m.JournalSkipped()
-	m.CheckpointQuarantined()
-	m.CheckpointError()
-	m.StorageRecovered()
-	m.ClassQueueWait(admission.ClassHigh, 20*time.Millisecond)
-	m.ClassQueueWait(admission.ClassNormal, 300*time.Millisecond)
+	m.submitted.Add(3)
+	m.rejected.Inc()
+	m.busy.Add(1)
+	for _, d := range []time.Duration{40 * time.Millisecond, 700 * time.Millisecond} {
+		m.finished.With(string(StateDone)).Inc()
+		m.latency.Observe(d.Seconds())
+	}
+	m.finished.With(string(StateCancelled)).Inc()
+	m.latency.Observe(2)
+	m.queueWait.Observe(0.25)
+	m.runTime.Observe(0.5)
+	m.queueWait.Observe(0.5)
+	m.runTime.Observe(2)
+	m.genSim.Observe(0.25)
+	m.genSim.Observe(0.5)
+	m.genSim.Observe(4)
+	m.evaluations.Add(1500)
+	m.evaluations.Add(500)
+	m.simulatedSeconds.Add(12.5)
+	m.simulatedSeconds.Add(2.5)
+	m.deviceFaults.Add(3)
+	m.resplits.Add(1)
+	m.jobRetries.Add(3)
+	m.workerPanics.Inc()
+	m.journalRecords.Add(2)
+	m.journalBytes.Add(120)
+	m.journalBytes.Add(80)
+	m.journalErrors.Inc()
+	m.journalCompactions.Inc()
+	m.checkpointsWritten.Add(2)
+	m.replayedRecords.Add(7)
+	m.recoveredJobs.Add(2)
+	m.truncatedBytes.Add(13)
+	m.shed.With("queue_full").Inc()
+	m.shed.With("breaker_open").Inc()
+	m.shed.With("storage_full").Inc()
+	m.degraded.Inc()
+	m.walIOErrors.With("sync").Add(2)
+	m.walIOErrors.With("dirsync").Inc()
+	m.journalSkipped.Inc()
+	m.checkpointsQuar.Inc()
+	m.checkpointErrors.Inc()
+	m.storageRecoveries.Inc()
+	m.classQueue.With(admission.ClassHigh.String()).Observe(0.02)
+	m.classQueue.With(admission.ClassNormal.String()).Observe(0.3)
 
 	var b strings.Builder
 	st := Stats{
@@ -279,8 +286,54 @@ metascreen_job_class_queue_seconds_bucket{class="low",le="+Inf"} 0
 metascreen_job_class_queue_seconds_sum{class="low"} 0
 metascreen_job_class_queue_seconds_count{class="low"} 0
 `
-	if got := b.String(); got != want {
+	got := b.String()
+	if got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if err := metricstest.Lint(got); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestParkedScrapeDoesNotStallAdmission: Submit increments counters while
+// holding the service lock, so a scrape stuck in its writer must share no
+// lock with an increment. With one scrape parked, a Submit still returns,
+// its counter moves, and a second scrape sees it.
+func TestParkedScrapeDoesNotStallAdmission(t *testing.T) {
+	run, release := blockingRunner()
+	defer release()
+	s := newTestService(t, Config{Workers: 1}, run)
+	w := metricstest.NewParkedWriter(nil)
+	parked := make(chan error, 1)
+	go func() { parked <- s.metrics.WriteTo(w, s.Stats()) }()
+	<-w.Entered
+
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(ScreenRequest{Dataset: "2BSM", Library: 1, Spots: 1, Metaheuristic: "M3", Scale: 0.02})
+		submitted <- err
+	}()
+	select {
+	case err := <-submitted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit blocked behind a parked /metrics scrape")
+	}
+	if n := s.metrics.submitted.Value(); n != 1 {
+		t.Errorf("submitted counter %d while a scrape is parked, want 1", n)
+	}
+	var b strings.Builder
+	if err := s.metrics.WriteTo(&b, s.Stats()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "metascreen_jobs_submitted_total 1\n") {
+		t.Error("second scrape does not show the submission")
+	}
+	close(w.Release)
+	if err := <-parked; err != nil {
+		t.Errorf("parked scrape: %v", err)
 	}
 }
 

@@ -65,7 +65,7 @@ func (s *Service) runJob(j *Job) {
 	if !j.deadline.IsZero() && s.ctrl.ShouldCull(s.now(), j.deadline) {
 		// The deadline can no longer be met even if the job starts right
 		// now: shed it instead of burning a worker on a doomed run.
-		s.metrics.Shed("deadline_dequeue")
+		s.metrics.shed.With("deadline_dequeue").Inc()
 		s.finishLocked(j, StateShed, nil, "shed: deadline unmeetable at dequeue")
 		s.mu.Unlock()
 		return
@@ -77,7 +77,7 @@ func (s *Service) runJob(j *Job) {
 	j.started = s.now()
 	j.cancel = cancel
 	s.ctrl.ObserveQueueWait(j.started.Sub(j.submitted))
-	s.metrics.ClassQueueWait(j.class, j.started.Sub(j.submitted))
+	s.metrics.classQueue.With(j.class.String()).Observe(j.started.Sub(j.submitted).Seconds())
 	// A job recovered from the journal resumes its attempt numbering where
 	// the dead process left off, with a fresh retry budget for this boot.
 	first := j.attempts + 1
@@ -91,7 +91,7 @@ func (s *Service) runJob(j *Job) {
 		j.effortFactor = f
 		j.effectiveScale = req.Scale * f
 		req.Scale = j.effectiveScale
-		s.metrics.Degraded()
+		s.metrics.degraded.Inc()
 		s.log.Info("job degraded under pressure", "job", id,
 			"fill", fill, "effort_factor", f, "effective_scale", req.Scale)
 	}
@@ -115,8 +115,8 @@ func (s *Service) runJob(j *Job) {
 	// job-correlated logger in its context; the engine picks both up.
 	base = trace.NewContext(obs.NewContext(base, logger), rec)
 
-	s.metrics.WorkerBusy(1)
-	defer s.metrics.WorkerBusy(-1)
+	s.metrics.busy.Add(1)
+	defer s.metrics.busy.Add(-1)
 
 	var (
 		res *core.ScreenResult
@@ -164,12 +164,12 @@ func (s *Service) runJob(j *Job) {
 		if !jobDeadline.IsZero() && s.now().Add(delay).After(jobDeadline) {
 			// The backoff would outlive the job's deadline; failing now is
 			// strictly better than sleeping only to fail on wake.
-			s.metrics.Shed("deadline_backoff")
+			s.metrics.shed.With("deadline_backoff").Inc()
 			err = fmt.Errorf("service: job deadline would expire during retry backoff (%v sleep, %v remaining): %w",
 				delay.Round(time.Millisecond), jobDeadline.Sub(s.now()).Round(time.Millisecond), err)
 			break
 		}
-		s.metrics.JobRetried()
+		s.metrics.jobRetries.Inc()
 		logger.Warn("attempt failed, retrying", "attempt", attempt, "err", err,
 			"backoff", delay)
 		if !s.sleepRetry(base, delay) {
@@ -211,7 +211,7 @@ func (s *Service) runJob(j *Job) {
 func (s *Service) safeRun(run runnerFunc, ctx context.Context, id string, req ScreenRequest) (res *core.ScreenResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.WorkerPanic()
+			s.metrics.workerPanics.Inc()
 			res = nil
 			err = fmt.Errorf("service: worker panic: %v", r)
 		}
@@ -319,7 +319,7 @@ func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (
 			// its previous checkpoint and the WAL still replays its
 			// lifecycle. A full disk flips degraded mode so the service
 			// stops promising durability it cannot deliver.
-			s.metrics.CheckpointError()
+			s.metrics.checkpointErrors.Inc()
 			s.log.Warn("checkpoint write failed, screen continues", "job", id, "err", err)
 			if errors.Is(err, syscall.ENOSPC) {
 				s.mu.Lock()
@@ -335,7 +335,7 @@ func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (
 		s.appendEvent(jobEvent{Type: evCheckpoint, Job: id, Ligands: len(cp.Ligands)})
 		hook := s.checkpointHook
 		s.mu.Unlock()
-		s.metrics.CheckpointWritten()
+		s.metrics.checkpointsWritten.Inc()
 		if hook != nil {
 			hook(id, newly)
 		}

@@ -35,9 +35,10 @@ import (
 //
 // Errors are {"error": "..."} with ErrQueueFull / ErrDeadlineUnmeetable
 // -> 429, ErrDraining / ErrBreakerOpen -> 503, ErrNotFound -> 404,
-// ErrTerminal -> 409, bad requests -> 400. Overload rejections (ShedError)
-// additionally carry a Retry-After header and a structured body with
-// reason, retry_after_seconds, queue_depth and limit.
+// ErrTerminal -> 409, bad requests -> 400, a body over MaxBodyBytes -> 413.
+// Overload rejections (ShedError) additionally carry a Retry-After header
+// and a structured body with reason, retry_after_seconds, queue_depth and
+// limit.
 
 // EpochHeader carries the distributed coordinator's fencing epoch on
 // shard requests. Workers echo it verbatim so the coordinator's client
@@ -74,12 +75,32 @@ func echoEpoch(next http.Handler) http.Handler {
 	})
 }
 
+// MaxBodyBytes caps a JSON request body on every role. The largest valid
+// request is a 10 000-name `ligands` shard, about 200 KB.
+const MaxBodyBytes = 1 << 20
+
+// DecodeJSON reads one strict, size-capped JSON request body into v. On
+// failure it has already answered — 413 past MaxBodyBytes, otherwise 400,
+// with the usual {"error": ...} body — and returns false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, err)
+	return false
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req ScreenRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.ClientID == "" {

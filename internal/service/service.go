@@ -325,7 +325,7 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 		if probe {
 			s.ctrl.Breaker.ReleaseProbe()
 		}
-		s.metrics.Rejected()
+		s.metrics.rejected.Inc()
 		return JobView{}, false, s.shedLocked(err, "queue_full", s.ctrl.RetryAfterFull())
 	}
 	s.jobs[j.id] = j
@@ -333,7 +333,7 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 	if key != "" {
 		s.idem[key] = j.id
 	}
-	s.metrics.Submitted()
+	s.metrics.submitted.Inc()
 	if !s.appendEvent(jobEvent{
 		Type: evSubmitted, Job: j.id, Time: j.submitted,
 		Request: &j.req, IdemKey: key,
@@ -357,7 +357,7 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 // shedLocked counts and logs one overload rejection and wraps it as a
 // ShedError carrying the Retry-After and queue state. Caller holds s.mu.
 func (s *Service) shedLocked(err error, reason string, retryAfter time.Duration) error {
-	s.metrics.Shed(reason)
+	s.metrics.shed.With(reason).Inc()
 	depth := s.queue.depth()
 	s.log.Warn("request shed", "reason", reason, "err", err,
 		"retry_after_seconds", retryAfter.Seconds(), "queue_depth", depth)
@@ -466,12 +466,18 @@ func (s *Service) finishLocked(j *Job, state JobState, res *core.ScreenResult, e
 			s.ctrl.Breaker.ReleaseProbe()
 		}
 	}
-	s.metrics.Finished(state, j.finished.Sub(j.submitted))
+	m := s.metrics
+	m.finished.With(string(state)).Inc()
+	m.latency.Observe(j.finished.Sub(j.submitted).Seconds())
 	if !j.started.IsZero() {
-		s.metrics.JobTimes(j.started.Sub(j.submitted), j.finished.Sub(j.started))
+		m.queueWait.Observe(j.started.Sub(j.submitted).Seconds())
+		m.runTime.Observe(j.finished.Sub(j.started).Seconds())
 	}
 	if res != nil {
-		s.metrics.Work(res.Evaluations, res.SimulatedSeconds, res.DeviceFaults, res.Resplits)
+		m.evaluations.Add(res.Evaluations)
+		m.simulatedSeconds.Add(res.SimulatedSeconds)
+		m.deviceFaults.Add(res.DeviceFaults)
+		m.resplits.Add(res.Resplits)
 		s.observeGenerations(res)
 		if res.WarmupFactors != nil {
 			s.lastWarmup = res.WarmupFactors
@@ -482,7 +488,7 @@ func (s *Service) finishLocked(j *Job, state JobState, res *core.ScreenResult, e
 		v := j.view()
 		s.appendEvent(jobEvent{Type: evTerminal, Job: j.id, Time: j.finished, View: &v})
 		if err := s.fs.Remove(s.checkpointPath(j.id)); err != nil && !os.IsNotExist(err) {
-			s.metrics.WALIOError("remove")
+			s.metrics.walIOErrors.With("remove").Inc()
 		}
 	}
 	s.log.Info("job finished", "job", j.id, "state", string(state),
@@ -498,7 +504,7 @@ func (s *Service) observeGenerations(res *core.ScreenResult) {
 		}
 		prev := 0.0
 		for _, gp := range e.Result.History {
-			s.metrics.GenerationSim(gp.SimSeconds - prev)
+			s.metrics.genSim.Observe(gp.SimSeconds - prev)
 			prev = gp.SimSeconds
 		}
 	}
