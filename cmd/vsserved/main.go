@@ -113,7 +113,7 @@ func main() {
 	advertise := flag.String("advertise", "", "URL the coordinator should reach this worker at (default derived from -addr)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "worker registration/heartbeat cadence")
 	workerTimeout := flag.Duration("worker-timeout", 5*time.Second, "coordinator declares a worker dead after this heartbeat silence")
-	pollInterval := flag.Duration("poll-interval", 100*time.Millisecond, "coordinator shard dispatch/merge cadence")
+	pollInterval := flag.Duration("poll-interval", 100*time.Millisecond, "longest the coordinator holds one shard poll on a worker, and its idle supervision cadence (not a latency floor: a finished shard answers at once)")
 	requestTimeout := flag.Duration("request-timeout", 0, "coordinator per-request deadline against a worker (0 = 15s)")
 	workerAttempts := flag.Int("worker-attempts", 0, "tries per coordinator->worker request (0 = 3, 1 disables retries)")
 	workerRetryDelay := flag.Duration("worker-retry-delay", 0, "base backoff between coordinator request retries, doubled and jittered (0 = 50ms)")
@@ -256,6 +256,9 @@ func main() {
 			"jobs", rec.RecoveredJobs, "records", rec.ReplayedRecords)
 	}
 	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	// A coordinator's held /partial poll must not stretch the HTTP
+	// shutdown by its wait: start the service drain with it.
+	server.RegisterOnShutdown(svc.Drain)
 
 	stopDebug := serveDebug(*debugAddr, svc.DebugHandler(), logger)
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -244,13 +245,18 @@ func (c *client) submit(ctx context.Context, base string, req service.ScreenRequ
 	return view, err
 }
 
-// partial fetches the completed-ligand ranking of a worker-side job. The
-// limit is pinned to the service's maximum so one poll always sees the
-// whole shard (shards are bounded by the library cap, which equals it).
-func (c *client) partial(ctx context.Context, base, id string, epoch uint64) (service.PartialView, error) {
-	url := base + "/v1/screens/" + id + "/partial?limit=" + strconv.Itoa(service.MaxRankingLimit)
+// partial long-polls a worker-side job: the worker holds the request up
+// to wait, answers the moment the job is complete or terminal, and sends
+// only the completed ligands past the since cursor ("" = from the start).
+// A worker that ignores both parameters answers at once with everything,
+// which the caller's merge absorbs. The limit is pinned to the service's
+// maximum so one poll always drains the shard (shards are bounded by the
+// library cap, which equals it).
+func (c *client) partial(ctx context.Context, base, id string, epoch uint64, since string, wait time.Duration) (service.PartialView, error) {
+	u := base + "/v1/screens/" + id + "/partial?limit=" + strconv.Itoa(service.MaxRankingLimit) +
+		"&since=" + url.QueryEscape(since) + "&wait=" + wait.String()
 	var pv service.PartialView
-	err := c.do(ctx, http.MethodGet, url, nil, "", epoch, &pv)
+	err := c.do(ctx, http.MethodGet, u, nil, "", epoch, &pv)
 	return pv, err
 }
 

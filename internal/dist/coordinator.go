@@ -54,8 +54,11 @@ type Config struct {
 	// HeartbeatTimeout declares a worker dead when no heartbeat (or
 	// successful request) has been seen for this long; default 5s.
 	HeartbeatTimeout time.Duration
-	// PollInterval paces the per-job supervision loop (dispatch, partial
-	// polls, merge, death checks); default 100ms.
+	// PollInterval is the longest one shard poll is held on its worker
+	// and the cadence of an idle supervision loop (dispatch, partial polls,
+	// merge, death checks); default 100ms. It is not a latency floor: a
+	// worker answers a held poll the moment its shard completes, and the
+	// loop steps again at once after a step that made progress.
 	PollInterval time.Duration
 	// RequestTimeout bounds each HTTP request to a worker; default 15s.
 	// With RequestAttempts retries, one logical call takes at most about
@@ -79,7 +82,8 @@ type Config struct {
 	MaxResponseBytes int64
 	// Transport overrides the HTTP transport for worker requests —
 	// netsim fault injection in tests and chaos drills, proxies in odd
-	// deployments. nil = http.DefaultTransport.
+	// deployments. nil = a clone of http.DefaultTransport that keeps
+	// maxIdleConnsPerWorker idle connections per worker.
 	Transport http.RoundTripper
 	// CompactBytes triggers journal compaction; default 4 MiB.
 	CompactBytes int64
@@ -111,6 +115,12 @@ type Config struct {
 // response cap: one JSON partial entry with headroom for long ligand
 // names and large counters.
 const maxPartialEntryBytes = 512
+
+// maxIdleConnsPerWorker sizes the default transport's idle pool: every
+// running shard pins one connection to its worker for the length of a
+// held poll, with dispatches and cancels on top, and the stock two idle
+// connections per host would re-dial for most of them.
+const maxIdleConnsPerWorker = 64
 
 // validate rejects nonsensical tuning before any of it journals.
 func (c Config) validate() error {
@@ -216,11 +226,27 @@ type shard struct {
 	hedgeOf  string
 	hedgedBy string
 
+	// steals counts the steals behind this shard (0 unless stealLocked
+	// created it); it doubles the shard's own steal grace per generation.
+	// Not journaled — a restarted coordinator relearns it like the rates.
+	steals int
+
+	// cursor is the worker's position token from the last accepted poll,
+	// sent back so the next poll carries only newer entries. In-memory
+	// only and reset whenever remote is set: a cursor belongs to one
+	// worker-side job in one worker process.
+	cursor string
+
 	dispatched time.Time
 	doneAt     time.Time // completion time, for straggler reference durations
 	lastPoll   time.Time
 	lastSeen   int // merged count at the previous poll
 	errs       int // consecutive failed requests for this shard
+
+	// waitFrom and waitPolls describe the poll span in progress: where it
+	// starts on the job recorder's clock and how many polls it covers.
+	waitFrom  float64
+	waitPolls int
 }
 
 // job is one distributed screen. Guarded by the coordinator's mutex.
@@ -266,10 +292,8 @@ type Coordinator struct {
 	draining   bool
 	lastAssess time.Time // last quarantine assessment, rate-limited to PollInterval
 
-	reqCtx    context.Context // lifetime context for all worker requests
+	reqCtx    context.Context // lifetime of the supervisors and of all worker requests
 	reqCancel context.CancelFunc
-	done      chan struct{}
-	stopOnce  sync.Once
 	wg        sync.WaitGroup
 }
 
@@ -281,11 +305,17 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	cfg = cfg.withDefaults()
 	metrics := NewMetrics()
+	transport := cfg.Transport
+	if transport == nil {
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = maxIdleConnsPerWorker
+		transport = t
+	}
 	c := &Coordinator{
 		cfg: cfg,
 		log: cfg.Logger,
 		cl: &client{
-			hc:        &http.Client{Transport: cfg.Transport},
+			hc:        &http.Client{Transport: transport},
 			timeout:   cfg.RequestTimeout,
 			attempts:  cfg.RequestAttempts,
 			backoff:   cfg.RetryBaseDelay,
@@ -296,7 +326,6 @@ func New(cfg Config) (*Coordinator, error) {
 		workers: make(map[string]*worker),
 		jobs:    make(map[string]*job),
 		idem:    make(map[string]string),
-		done:    make(chan struct{}),
 	}
 	c.reqCtx, c.reqCancel = context.WithCancel(context.Background())
 	if cfg.DataDir != "" {
@@ -611,12 +640,10 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.mu.Lock()
 	c.draining = true
 	c.mu.Unlock()
-	c.stopOnce.Do(func() {
-		close(c.done)
-		// Cancel in-flight worker requests so supervisors blocked in a
-		// retry or against a blackholed worker exit promptly.
-		c.reqCancel()
-	})
+	// Stop the supervisors and cancel in-flight worker requests, so one
+	// blocked in a held poll, a retry or against a blackholed worker exits
+	// promptly.
+	c.reqCancel()
 	done := make(chan struct{})
 	go func() { c.wg.Wait(); close(done) }()
 	var err error
@@ -631,27 +658,43 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		c.journal = nil
 	}
 	c.mu.Unlock()
+	// Held polls kept one connection per running shard warm; none is
+	// needed again.
+	c.cl.hc.CloseIdleConnections()
 	return err
 }
 
-// superviseLocked starts the job's supervision loop. Caller holds c.mu.
+// superviseLocked starts the job's supervision loop. The next step starts
+// at once when this one made progress (a dispatch was acknowledged, a
+// shard completed) or already lasted a PollInterval because its polls
+// were held; otherwise the loop sleeps out the rest of the interval, so a
+// worker that answers polls without holding them is asked no more often
+// than once per PollInterval. Caller holds c.mu.
 func (c *Coordinator) superviseLocked(j *job) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		t := time.NewTicker(c.cfg.PollInterval)
-		defer t.Stop()
 		for {
-			if c.step(j) {
+			start := time.Now()
+			finished, progressed := c.step(j)
+			if finished {
 				return
 			}
-			select {
-			case <-t.C:
-			case <-c.done:
+			if c.reqCtx.Err() != nil {
+				return
+			}
+			if !progressed && !sleepCtx(c.reqCtx, c.cfg.PollInterval-time.Since(start)) {
 				return
 			}
 		}
 	}()
+}
+
+// pollWait is how long a worker is asked to hold a shard poll:
+// PollInterval, kept well inside RequestTimeout so a held poll is never
+// mistaken for a blackholed worker.
+func (c *Coordinator) pollWait() time.Duration {
+	return min(c.cfg.PollInterval, c.cfg.RequestTimeout/2)
 }
 
 // viewLocked snapshots a job. Caller holds c.mu.

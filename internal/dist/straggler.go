@@ -17,10 +17,12 @@ import (
 // under the coordinator's mutex from the supervision step:
 //
 //   - Work-stealing: a shard whose projected finish (remaining ligands /
-//     owner's observed rate) exceeds StealThreshold × the reference ETA
-//     is fenced exactly like a zombie's shard — marked moved, its late
-//     partials rejected by the same locked re-check, its worker-side job
-//     best-effort cancelled — and the unfinished remainder is re-
+//     owner's observed rate) exceeds StealThreshold × the reference ETA,
+//     and which has run for its steal grace (HeartbeatTimeout, doubled
+//     for every steal already behind the shard), is fenced exactly like
+//     a zombie's shard — marked moved, its late partials rejected by the
+//     same locked re-check, its worker-side job best-effort cancelled —
+//     and the unfinished remainder is re-
 //     dispatched across the idle workers under fresh shard IDs (hence
 //     fresh idempotency keys). Ligands already merged stay merged; the
 //     merged-set dedup keeps rankings byte-identical no matter how the
@@ -37,6 +39,10 @@ import (
 //     splits — instead of being declared dead. It keeps its current
 //     shards; recovery (or a steal of its last shard) is decided by the
 //     same rate signal that demoted it.
+
+// maxStealGraceShift caps the doubling of a stolen shard's steal grace
+// (HeartbeatTimeout << steals): 2^10 graces outlasts any ligand.
+const maxStealGraceShift = 10
 
 // quarantineStreak is how many consecutive below-bar assessments demote a
 // worker — hysteresis against one noisy rate sample.
@@ -110,7 +116,11 @@ func (c *Coordinator) stealHedgeLocked(j *job) {
 			if a.sh.moved || a.sh.hedgedBy != "" || a.sh.hedgeOf != "" {
 				continue // hedged pairs already have a backup racing
 			}
-			if now.Sub(a.sh.dispatched) < grace {
+			// A shard made by a steal waits twice as long as its victim did
+			// before it can be stolen in turn, so a steal chain cannot outrun
+			// the ligand it chases: once the grace exceeds the ligand's run
+			// time the ligand completes and the chain ends.
+			if now.Sub(a.sh.dispatched) < grace<<min(a.sh.steals, maxStealGraceShift) {
 				continue // too young for its rate estimate to mean anything
 			}
 			if ref <= 0 || a.eta <= c.cfg.StealThreshold*ref {
@@ -223,7 +233,7 @@ func (c *Coordinator) stealLocked(j *job, victim *shard, remaining []string, idl
 		if len(chunk) == 0 {
 			continue
 		}
-		ns := &shard{id: "s" + strconv.Itoa(j.nextShard), worker: idle[i].url, epoch: idle[i].epoch, ligands: chunk}
+		ns := &shard{id: "s" + strconv.Itoa(j.nextShard), worker: idle[i].url, epoch: idle[i].epoch, ligands: chunk, steals: victim.steals + 1}
 		j.nextShard++
 		j.shards = append(j.shards, ns)
 		idle[i].shards++

@@ -7,13 +7,16 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/metascreen/metascreen/internal/service"
 	"github.com/metascreen/metascreen/internal/trace"
 )
 
 // The supervision loop. Each distributed job runs one supervisor
-// goroutine that ticks every PollInterval through the same step:
+// goroutine that repeats the same step — back to back while steps make
+// progress or spend a PollInterval in held polls, at most once per
+// PollInterval otherwise (superviseLocked):
 //
 //  1. reap workers whose heartbeat expired and reassess quarantine;
 //  2. under the lock — honour a pending cancel, move unfinished ligands
@@ -21,9 +24,11 @@ import (
 //     shards, then run the straggler pass (steal remainders from shards
 //     projected to blow the median ETA, hedge the tail — straggler.go);
 //  3. off the lock — cancel fenced zombie jobs (best effort), dispatch
-//     undispatched shards and poll dispatched ones for partial rankings,
-//     all concurrently so one slow or blackholed worker never delays the
-//     others past its own request timeout;
+//     undispatched shards and long-poll dispatched ones for the entries
+//     past their cursors (each worker holds the poll until its shard is
+//     complete or PollInterval passed), all concurrently so one slow or
+//     blackholed worker never delays the others past its own request
+//     timeout;
 //  4. under the lock — merge fresh entries (journaled), update worker
 //     throughput estimates, and finish the job when every target ligand
 //     has merged.
@@ -36,15 +41,18 @@ import (
 // remoteRef names a worker-side job for cancellation fan-out.
 type remoteRef struct{ worker, remote string }
 
-// step runs one supervision round. It reports true when the job reached
-// a terminal state and the supervisor should exit.
-func (c *Coordinator) step(j *job) bool {
+// step runs one supervision round. finished means the job reached a
+// terminal state and the supervisor should exit; progressed means a
+// dispatch was acknowledged or a shard completed, so the next step has
+// something to do right away. An attempted dispatch is not progress: a
+// worker that refuses them must not be asked in a loop.
+func (c *Coordinator) step(j *job) (finished, progressed bool) {
 	c.reapWorkers()
 
 	c.mu.Lock()
 	if j.state.Terminal() {
 		c.mu.Unlock()
-		return true
+		return true, false
 	}
 	if j.cancelRequested {
 		refs := append(j.remoteRefsLocked(), c.fenced...)
@@ -52,7 +60,7 @@ func (c *Coordinator) step(j *job) bool {
 		c.finishLocked(j, service.StateCancelled, "cancelled by client")
 		c.mu.Unlock()
 		c.cancelRemotes(refs)
-		return true
+		return true, false
 	}
 	c.assignLocked(j)
 	c.stealHedgeLocked(j)
@@ -90,11 +98,14 @@ func (c *Coordinator) step(j *job) bool {
 	var failMu sync.Mutex
 	var failMsg string
 	var failed bool
+	var advanced atomic.Bool
 	for _, sh := range dispatches {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			c.dispatch(j, sh)
+			if c.dispatch(j, sh) {
+				advanced.Store(true)
+			}
 		}(sh)
 	}
 	for _, sh := range polls {
@@ -115,7 +126,7 @@ func (c *Coordinator) step(j *job) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if j.state.Terminal() {
-		return true
+		return true, false
 	}
 	if failed {
 		refs := append(j.remoteRefsLocked(), c.fenced...)
@@ -124,7 +135,7 @@ func (c *Coordinator) step(j *job) bool {
 		c.mu.Unlock()
 		c.cancelRemotes(refs)
 		c.mu.Lock()
-		return true
+		return true, false
 	}
 	if len(j.merged) == len(j.names) {
 		c.finishLocked(j, service.StateDone, "")
@@ -139,9 +150,15 @@ func (c *Coordinator) step(j *job) bool {
 				c.cancelRemotes(fenced)
 			}()
 		}
-		return true
+		return true, false
 	}
-	return false
+	progressed = advanced.Load()
+	for _, sh := range polls {
+		if sh.done {
+			progressed = true
+		}
+	}
+	return false, progressed
 }
 
 // epochValidLocked reports whether a shard's owner is alive in the same
@@ -344,16 +361,18 @@ func (c *Coordinator) aliveWorkersLocked() []*worker {
 // dispatch submits one shard to its worker as a Ligands-restricted
 // screen under the shard's stable idempotency key, so a re-dispatch
 // (after a coordinator restart or a lost response) maps onto the
-// worker's existing job.
-func (c *Coordinator) dispatch(j *job, sh *shard) {
+// worker's existing job. It reports whether the worker acknowledged the
+// shard.
+func (c *Coordinator) dispatch(j *job, sh *shard) bool {
 	req := j.req
 	req.Ligands = sh.ligands
+	start := j.rec.Now()
 	view, err := c.cl.submit(c.reqCtx, sh.worker, req, j.id+"/"+sh.id, sh.epoch)
 	now := c.cfg.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if sh.moved || j.state.Terminal() || !c.epochValidLocked(sh) {
-		return
+	if sh.moved || j.state.Terminal() || !c.epochValidLocked(sh) || c.reqCtx.Err() != nil {
+		return false
 	}
 	if err != nil {
 		c.metrics.pollErrors.Inc()
@@ -363,29 +382,42 @@ func (c *Coordinator) dispatch(j *job, sh *shard) {
 		if sh.errs >= c.cfg.FailThreshold {
 			c.markWorkerDeadLocked(sh.worker, "dispatch failures")
 		}
-		return
+		return false
 	}
 	sh.errs = 0
 	sh.remote = view.ID
+	sh.cursor = ""
 	sh.dispatched = now
 	sh.lastPoll = now
 	sh.lastSeen = 0
 	if w := c.workers[sh.worker]; w != nil {
 		w.lastBeat = now
 	}
+	sh.waitFrom, sh.waitPolls = j.rec.Now(), 0
+	j.rec.AddSpan(trace.Span{
+		Track: sh.worker, Name: "dispatch " + sh.id, Cat: trace.CatShard,
+		Start: start, End: sh.waitFrom,
+		Args: map[string]string{"remote": view.ID, "ligands": strconv.Itoa(len(sh.ligands))},
+	})
 	c.log.Info("shard dispatched",
 		"job", j.id, "shard", sh.id, "worker", sh.worker, "remote", view.ID, "ligands", len(sh.ligands))
+	return true
 }
 
-// poll fetches one shard's partial ranking and merges what's new. It
-// returns fatal=true with a message when the worker-side job reached a
-// terminal state that cannot produce the shard's ligands (failed, shed,
-// or cancelled out from under us) — a deterministic failure re-running
-// elsewhere would only repeat.
+// poll long-polls one shard's worker for the entries past the shard's
+// cursor and merges what's new. It returns fatal=true with a message
+// when the worker-side job reached a terminal state that cannot produce
+// the shard's ligands (failed, shed, or cancelled out from under us) — a
+// deterministic failure re-running elsewhere would only repeat.
 func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
-	pv, err := c.cl.partial(c.reqCtx, sh.worker, sh.remote, sh.epoch)
+	pv, err := c.cl.partial(c.reqCtx, sh.worker, sh.remote, sh.epoch, sh.cursor, c.pollWait())
 	now := c.cfg.now()
 	if err != nil {
+		if c.reqCtx.Err() != nil {
+			// Shutdown aborted the held poll: that says nothing about the
+			// worker, so it must not count toward its death threshold.
+			return "", false
+		}
 		var ae *apiError
 		if errors.As(err, &ae) && ae.status == http.StatusNotFound {
 			// The worker restarted without durability and forgot the job.
@@ -424,6 +456,7 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 		return "", false
 	}
 	sh.errs = 0
+	sh.cursor = pv.Cursor
 	w := c.workers[sh.worker]
 	if w != nil {
 		w.lastBeat = now
@@ -475,6 +508,22 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 	}
 	sh.lastPoll = now
 	sh.lastSeen = completed
+
+	// One span per stretch of polling that delivered something (or ended
+	// the shard), so the trace shows where the job waited without growing
+	// while a shard is silent.
+	sh.waitPolls++
+	if len(fresh) > 0 || completed == len(sh.ligands) || pv.State.Terminal() {
+		end := j.rec.Now()
+		j.rec.AddSpan(trace.Span{
+			Track: sh.worker, Name: "poll " + sh.id, Cat: trace.CatShard,
+			Start: sh.waitFrom, End: end,
+			Args: map[string]string{
+				"entries": strconv.Itoa(len(pv.Entries)), "polls": strconv.Itoa(sh.waitPolls), "cursor": pv.Cursor,
+			},
+		})
+		sh.waitFrom, sh.waitPolls = end, 0
+	}
 
 	if completed == len(sh.ligands) {
 		sh.done = true

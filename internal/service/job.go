@@ -281,6 +281,14 @@ type Job struct {
 	// name. The /partial endpoint serves it so the distributed
 	// coordinator can stream a shard's ranking before the shard is done.
 	partial map[string]core.LigandRecord
+	// log names the partial set's ligands in completion order — the order
+	// a cursored /partial request pages through. It lives and dies with
+	// the process: a restart rebuilds it from the checkpoint in map order,
+	// which is why cursors carry the service's incarnation.
+	log []string
+	// wake is closed once the job is settled; non-nil only while a held
+	// /partial request waits on it.
+	wake chan struct{}
 
 	// rate tracks the job's own completion rate (ligands/second) over
 	// checkpoint deltas, reported to coordinators via PartialView so a
@@ -306,7 +314,8 @@ func (j *Job) observeRate(fresh int, now time.Time) {
 }
 
 // addPartial folds newly completed ligand records into the job's partial
-// result set. Caller holds the service mutex.
+// result set and completion log, releasing held /partial requests when
+// the last requested ligand lands. Caller holds the service mutex.
 func (j *Job) addPartial(recs map[string]core.LigandRecord) {
 	if j.partial == nil {
 		j.partial = make(map[string]core.LigandRecord, len(recs))
@@ -314,7 +323,36 @@ func (j *Job) addPartial(recs map[string]core.LigandRecord) {
 	for name, rec := range recs {
 		if _, ok := j.partial[name]; !ok {
 			j.partial[name] = rec
+			j.log = append(j.log, name)
 		}
+	}
+	if j.settled() {
+		j.wakeWaiters()
+	}
+}
+
+// total is the number of ligands the job was asked to screen.
+func (j *Job) total() int {
+	if len(j.req.Ligands) > 0 {
+		return len(j.req.Ligands)
+	}
+	return j.req.Library
+}
+
+// settled reports that the job has nothing more to say: it is terminal,
+// or every requested ligand is recorded — known at the last checkpoint
+// callback, before the terminal journal record is written. Both are
+// permanent. Caller holds the service mutex.
+func (j *Job) settled() bool {
+	return j.state.Terminal() || len(j.log) >= j.total()
+}
+
+// wakeWaiters releases the /partial requests held on the job. Caller
+// holds the service mutex.
+func (j *Job) wakeWaiters() {
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
 }
 

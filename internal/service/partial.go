@@ -1,10 +1,12 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/metascreen/metascreen/internal/core"
@@ -87,7 +89,9 @@ type PartialEntry struct {
 
 // PartialView is a point-in-time ranking of the ligands a job has
 // completed so far, sorted by the same score-then-name rule as the final
-// ranking. For a terminal job it holds the complete ranking.
+// ranking. For a terminal job it holds the complete ranking. A cursored
+// request (PartialQuery.Delta) instead gets the entries past its cursor
+// in completion order, unranked, plus the cursor to send next.
 type PartialView struct {
 	ID        string         `json:"id"`
 	State     JobState       `json:"state"`
@@ -103,45 +107,162 @@ type PartialView struct {
 	// polling shards folds it into its per-worker straggler estimates —
 	// finer-grained than what it can infer from poll-to-poll deltas.
 	RateLPS float64 `json:"rate_lps,omitempty"`
+	// Cursor is the position after the last entry of a cursored response;
+	// the caller sends it back verbatim as the next `since`.
+	Cursor string `json:"cursor,omitempty"`
 }
 
-// Partial snapshots the per-ligand results a job has produced so far.
-// The entries come from the in-memory mirror of the screen's checkpoint,
-// so they exist for every running job (durable or not); a job that
-// finished in this process serves its full set.
-func (s *Service) Partial(id string) (PartialView, error) {
+// MaxPartialWait caps how long one /partial request is held, whatever
+// `wait` asked for.
+const MaxPartialWait = 10 * time.Second
+
+// cursor is a position in one incarnation of a job's completion log. On
+// the wire it is the opaque string "<incarnation>-<offset>"; the empty
+// string is the from-zero cursor a caller starts with.
+type cursor struct {
+	inc uint64
+	off int
+}
+
+func (c cursor) String() string {
+	return strconv.FormatUint(c.inc, 16) + "-" + strconv.Itoa(c.off)
+}
+
+func parseCursor(v string) (cursor, error) {
+	if v == "" {
+		return cursor{}, nil
+	}
+	a, b, _ := strings.Cut(v, "-")
+	inc, err := strconv.ParseUint(a, 16, 64)
+	if err != nil {
+		return cursor{}, fmt.Errorf("service: since %q is not a cursor", v)
+	}
+	off, err := strconv.Atoi(b)
+	if err != nil || off < 0 {
+		return cursor{}, fmt.Errorf("service: since %q is not a cursor", v)
+	}
+	return cursor{inc: inc, off: off}, nil
+}
+
+// PartialQuery is a /partial request's parsed query. The zero value plus
+// a Page is the classic request: answered at once, sorted and ranked.
+type PartialQuery struct {
+	Page Page
+	// Delta selects the cursored response: the entries past Since, in
+	// completion order, at most Page.Limit of them (Page.Offset does not
+	// apply — the cursor is the offset).
+	Delta bool
+	Since cursor
+	// Wait holds the request until the job is settled (complete or
+	// terminal), Wait elapses, the caller goes away or the service starts
+	// draining; 0 answers at once.
+	Wait time.Duration
+}
+
+// ParsePartialQuery reads limit, offset, since and wait. Malformed or
+// negative values are client errors; a wait above MaxPartialWait is clamped.
+func ParsePartialQuery(q url.Values) (PartialQuery, error) {
+	page, err := ParsePage(q)
+	if err != nil {
+		return PartialQuery{}, err
+	}
+	pq := PartialQuery{Page: page, Delta: q.Has("since")}
+	if pq.Since, err = parseCursor(q.Get("since")); err != nil {
+		return PartialQuery{}, err
+	}
+	if v := q.Get("wait"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			return PartialQuery{}, fmt.Errorf("service: wait %q must be a non-negative duration", v)
+		}
+		pq.Wait = min(d, MaxPartialWait)
+	}
+	return pq, nil
+}
+
+// Partial snapshots the per-ligand results a job has produced so far,
+// after holding for q.Wait if asked to. The entries come from the
+// in-memory mirror of the screen's checkpoint, so they exist for every
+// running job (durable or not); a job that finished in this process
+// serves its full set.
+//
+// A cursor this process did not issue, or one past the end of the log, is
+// served from zero: the log it pointed into died with a previous process
+// (the new one was rebuilt from a checkpoint in another order, or the job
+// was restored from the journal with its ranking only), and a caller that
+// merges by ligand name loses nothing by seeing entries twice.
+func (s *Service) Partial(ctx context.Context, id string, q PartialQuery) (PartialView, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		s.mu.Unlock()
 		return PartialView{}, ErrNotFound
 	}
-	total := j.req.Library
-	if len(j.req.Ligands) > 0 {
-		total = len(j.req.Ligands)
-	}
-	pv := PartialView{ID: j.id, State: j.state, Total: total}
-	switch {
-	case len(j.partial) > 0:
-		for _, rec := range j.partial {
-			pv.Entries = append(pv.Entries, PartialEntry{
-				Ligand:      rec.Name,
-				Atoms:       rec.Atoms,
-				Score:       rec.Best.Score,
-				Spot:        rec.Best.Spot,
-				SimSeconds:  rec.SimulatedSeconds,
-				Evaluations: rec.Evaluations,
-			})
+	if q.Wait > 0 && !j.settled() && !s.draining {
+		if j.wake == nil {
+			j.wake = make(chan struct{})
 		}
-	case j.state == StateDone && j.restored != nil:
-		// A job restored from the journal lost its per-ligand work
-		// counters with the previous process; the ranking itself is
-		// intact, so serve it with zero sim/evaluation detail.
-		for _, e := range j.restored.Ranking {
+		wake := j.wake
+		s.mu.Unlock()
+		t := time.NewTimer(q.Wait)
+		select {
+		case <-wake:
+		case <-t.C:
+		case <-ctx.Done():
+		case <-s.drain:
+		}
+		t.Stop()
+		s.mu.Lock()
+	}
+	// A done job restored from the journal lost its per-ligand work
+	// counters with the previous process; the ranking itself is intact, so
+	// it stands in for the log with zero sim/evaluation detail.
+	restored := len(j.log) == 0 && j.state == StateDone && j.restored != nil
+	n := len(j.log)
+	if restored {
+		n = len(j.restored.Ranking)
+	}
+	lo, hi := 0, n
+	if q.Delta {
+		if q.Since.inc == s.incarnation && q.Since.off <= n {
+			lo = q.Since.off
+		}
+		_, hi = Page{Limit: q.Page.Limit, Offset: lo}.clip(n)
+	}
+	pv := PartialView{
+		ID: j.id, State: j.state, Completed: n, Total: j.total(),
+		EntriesTotal: n, RateLPS: j.rate.Value(),
+	}
+	if hi > lo {
+		pv.Entries = make([]PartialEntry, 0, hi-lo)
+	}
+	for i := lo; i < hi; i++ {
+		if restored {
+			e := j.restored.Ranking[i]
 			pv.Entries = append(pv.Entries, PartialEntry{
 				Ligand: e.Ligand, Atoms: e.Atoms, Score: e.Score, Spot: e.Spot,
 			})
+			continue
 		}
+		rec := j.partial[j.log[i]]
+		pv.Entries = append(pv.Entries, PartialEntry{
+			Ligand:      rec.Name,
+			Atoms:       rec.Atoms,
+			Score:       rec.Best.Score,
+			Spot:        rec.Best.Spot,
+			SimSeconds:  rec.SimulatedSeconds,
+			Evaluations: rec.Evaluations,
+		})
+	}
+	s.mu.Unlock()
+
+	// Sorting and ranking up to MaxRankingLimit entries happens off the
+	// service lock: submits, status reads and checkpoint callbacks must
+	// not queue behind a poll.
+	if q.Delta {
+		pv.EntriesOffset = lo
+		pv.Cursor = cursor{inc: s.incarnation, off: hi}.String()
+		return pv, nil
 	}
 	sort.Slice(pv.Entries, func(a, b int) bool {
 		if pv.Entries[a].Score != pv.Entries[b].Score {
@@ -152,17 +273,10 @@ func (s *Service) Partial(id string) (PartialView, error) {
 	for i := range pv.Entries {
 		pv.Entries[i].Rank = i + 1
 	}
-	pv.Completed = len(pv.Entries)
-	pv.EntriesTotal = len(pv.Entries)
-	pv.RateLPS = j.rate.Value()
-	return pv, nil
-}
-
-// Paginate clips the entries to the page window.
-func (pv *PartialView) Paginate(p Page) {
-	lo, hi := p.clip(len(pv.Entries))
+	lo, hi = q.Page.clip(n)
 	pv.Entries = pv.Entries[lo:hi]
 	pv.EntriesOffset = lo
+	return pv, nil
 }
 
 // mirrorPartial copies a screen's completed-ligand records into the

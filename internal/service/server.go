@@ -20,8 +20,12 @@ import (
 //	                              ranking_total reports the full length)
 //	GET    /v1/screens/{id}/partial  completed-ligand ranking so far
 //	                              -> 200 PartialView (same limit/offset
-//	                              params; the distributed coordinator
-//	                              streams shard merges from it)
+//	                              params; ?since=<cursor> returns only the
+//	                              entries past the cursor, in completion
+//	                              order, with the next cursor; ?wait=<dur>
+//	                              holds the request until the job is
+//	                              complete or terminal — the distributed
+//	                              coordinator streams shard merges from it)
 //	GET    /v1/screens/{id}/trace Chrome-trace-format job timeline -> 200
 //	                              (also served as GET /jobs/{id}/trace;
 //	                              load the payload in Perfetto or
@@ -159,18 +163,18 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 // handlePartial serves the ranking of the ligands a job has completed so
 // far — the coordinator's streaming-merge source. Terminal jobs serve
 // their full set, so one polling loop covers a shard's whole lifecycle.
+// The query is validated before the job is looked at.
 func (s *Service) handlePartial(w http.ResponseWriter, r *http.Request) {
-	pv, err := s.Partial(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	page, err := ParsePage(r.URL.Query())
+	q, err := ParsePartialQuery(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pv.Paginate(page)
+	pv, err := s.Partial(r.Context(), r.PathValue("id"), q)
+	if err != nil {
+		writeError(w, http.StatusNotFound, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, pv)
 }
 

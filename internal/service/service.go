@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"os"
 	"runtime"
 	"sync"
@@ -138,6 +139,12 @@ type Service struct {
 	order    []string // submission order, for List
 	nextID   uint64
 	draining bool
+	// drain is closed when draining flips, releasing held /partial
+	// requests so an HTTP server shutdown never waits out their hold.
+	drain chan struct{}
+	// incarnation stamps the /partial cursors this process issues; a
+	// cursor from another process's completion log is served from zero.
+	incarnation uint64
 
 	queue   *jobQueue
 	ctrl    *admission.Controller
@@ -205,6 +212,9 @@ func New(cfg Config) (*Service, error) {
 		ctrl:    admission.NewController(acfg),
 		now:     now,
 		fs:      cfg.FS,
+		drain:   make(chan struct{}),
+
+		incarnation: rand.Uint64() | 1, // never the zero cursor's
 
 		storageNotify: make(chan struct{}),
 	}
@@ -452,6 +462,7 @@ func (s *Service) finishLocked(j *Job, state JobState, res *core.ScreenResult, e
 	j.err = errMsg
 	j.result = res
 	j.cancel = nil
+	j.wakeWaiters()
 	// Resolve the breaker's view of this job exactly once: a finished
 	// machine job is the health signal. Success closes/keeps-closed, an
 	// all-devices-lost failure counts toward tripping, and anything else
@@ -530,26 +541,45 @@ func (s *Service) recordJobSpans(j *Job) {
 	})
 }
 
+// Drain starts the drain without waiting for it: intake stops, queued
+// jobs are cancelled and held /partial requests are answered. Shutdown
+// calls it first; a server registers it with http.Server.RegisterOnShutdown
+// so that closing the listener does not wait out a held poll. Idempotent.
+func (s *Service) Drain() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.startDrainLocked() {
+		return
+	}
+	for _, id := range s.order {
+		if j := s.jobs[id]; j.state == StateQueued {
+			s.finishLocked(j, StateCancelled, nil, "cancelled at shutdown")
+		}
+	}
+	s.queue.close()
+	// Wake workers blocked in the concurrency limiter; their remaining
+	// queued jobs were just cancelled above.
+	s.ctrl.Close()
+}
+
+// startDrainLocked flips the service to draining and releases the held
+// /partial requests; false means it already was. Caller holds s.mu.
+func (s *Service) startDrainLocked() bool {
+	if s.draining {
+		return false
+	}
+	s.draining = true
+	close(s.drain)
+	return true
+}
+
 // Shutdown drains the service: intake stops (further Submits return
 // ErrDraining), still-queued jobs are cancelled, and running jobs get to
 // finish. When ctx expires first, running jobs are force-cancelled and
 // Shutdown still waits for the workers to wind down before returning
 // ctx's error. Shutdown is idempotent.
 func (s *Service) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		for _, id := range s.order {
-			if j := s.jobs[id]; j.state == StateQueued {
-				s.finishLocked(j, StateCancelled, nil, "cancelled at shutdown")
-			}
-		}
-		s.queue.close()
-		// Wake workers blocked in the concurrency limiter; their remaining
-		// queued jobs were just cancelled above.
-		s.ctrl.Close()
-	}
-	s.mu.Unlock()
+	s.Drain()
 
 	done := make(chan struct{})
 	go func() {
@@ -589,7 +619,7 @@ func (s *Service) crashForTest() {
 	s.mu.Lock()
 	s.crashed = true
 	s.journal = nil // drop without Close: no final sync, like SIGKILL
-	s.draining = true
+	s.startDrainLocked()
 	s.queue.close()
 	s.ctrl.Close()
 	for _, id := range s.order {
