@@ -53,8 +53,8 @@
 //
 // Storage faults get the same treatment: a -disk-chaos plan (with
 // -disk-chaos-seed) injects deterministic disk faults — EIO, ENOSPC,
-// fsync failures, torn writes, bit rot — into journal and checkpoint
-// I/O; see internal/fsim. When the disk fills or fail-stops, the node
+// fsync failures, torn writes, bit rot — into journal I/O; see
+// internal/fsim. When the disk fills or fail-stops, the node
 // degrades to read-only (submissions get 507 + Retry-After) and
 // recovers in place once space frees; -on-full stop drains and exits
 // non-zero instead, for supervised deployments that prefer rescheduling.
@@ -95,10 +95,10 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs")
 	maxAttempts := flag.Int("max-attempts", 0, "executions per job with transient failures (0 = 3, 1 disables retries)")
 	retryDelay := flag.Duration("retry-delay", 0, "base backoff before the first retry, doubled per retry (0 = 100ms)")
-	dataDir := flag.String("data-dir", "", "durability directory (journal + checkpoints); empty = in-memory only")
+	dataDir := flag.String("data-dir", "", "durability directory (the journal); empty = in-memory only")
 	fsync := flag.String("fsync", "always", "journal fsync policy: always, interval or never")
-	fsyncInterval := flag.Duration("fsync-interval", 0, "sync cadence for -fsync interval (0 = 100ms)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "snapshot a running job's checkpoint every N completed ligands (0 = 1)")
+	fsyncInterval := flag.Duration("fsync-interval", 0, "under -fsync interval, the longest a journal record stays unsynced: appends sync past it and an idle journal is flushed in the background (0 = 100ms)")
+	checkpointEvery := flag.Int("checkpoint-every", 0, "journal a running job's completed ligands as one checkpoint record every N ligands; a crash re-docks up to N-1 already completed ligands (0 = 1)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	targetLatency := flag.Duration("target-latency", 0, "attempt latency the adaptive concurrency limiter steers toward (0 = disabled)")
@@ -124,7 +124,7 @@ func main() {
 	quarantineFactor := flag.Float64("quarantine-factor", 0, "quarantine workers slower than the median by this factor and shrink their split weight by it (0 = 4, negative disables)")
 	chaos := flag.String("chaos", "", "netsim fault plan injected into coordinator->worker requests, e.g. '127.0.0.1:8081:partition@3s+4s' (empty = disabled)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the -chaos plan's probabilistic faults")
-	diskChaos := flag.String("disk-chaos", "", "fsim fault plan injected into journal/checkpoint I/O, e.g. '*.wal:fsync-fail@0.01,*:enospc@1048576' (empty = disabled)")
+	diskChaos := flag.String("disk-chaos", "", "fsim fault plan injected into journal I/O (checkpoint records included), e.g. '*.wal:fsync-fail@0.01,*:enospc@1048576' (empty = disabled)")
 	diskChaosSeed := flag.Uint64("disk-chaos-seed", 1, "seed for the -disk-chaos plan's probabilistic faults")
 	onFull := flag.String("on-full", "degrade", "reaction to a full or failing disk: degrade (serve reads, 507 writes) or stop (drain and exit)")
 	flag.Parse()

@@ -8,9 +8,9 @@ import (
 // fakeClock is a manually-advanced clock for deterministic breaker tests.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                   { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+func (c *fakeClock) now() time.Time               { return c.t }
+func (c *fakeClock) advance(d time.Duration)      { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock                    { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 func newTestBreaker(c *fakeClock, n int) *Breaker { return NewBreaker(n, 5*time.Second, c.now) }
 
 func TestBreakerOpensAfterThreshold(t *testing.T) {

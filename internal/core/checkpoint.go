@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"github.com/metascreen/metascreen/internal/conformation"
 	"github.com/metascreen/metascreen/internal/forcefield"
@@ -113,12 +111,12 @@ func recordResult(rec LigandRecord) *Result {
 
 // CheckpointFunc observes checkpoint growth during a resumable screen. It
 // is called with the screen's checkpoint mutex held — cp is consistent and
-// must not be retained past the call — and newlyCompleted counts the
-// ligands this run has finished so far (resumed ligands excluded). The
-// screening service snapshots cp to disk from this hook every N calls. A
-// non-nil error aborts the screen; the checkpoint keeps everything
-// completed so far.
-type CheckpointFunc func(cp *Checkpoint, newlyCompleted int) error
+// must not be retained past the call — with the record just added, and
+// newlyCompleted counts the ligands this run has finished so far (resumed
+// ligands excluded). The screening service journals the records every N
+// calls. A non-nil error aborts the screen; the checkpoint keeps
+// everything completed so far.
+type CheckpointFunc func(cp *Checkpoint, rec LigandRecord, newlyCompleted int) error
 
 // ScreenResumable is Screen with checkpointing: ligands already present in
 // cp are skipped (their recorded results are used), and every newly
@@ -134,15 +132,11 @@ func ScreenResumable(receptor *molecule.Molecule, library []*molecule.Molecule,
 }
 
 // ScreenResumableCtx is the context-aware, ligand-parallel resumable
-// screen (parity with ScreenCtx): ligands recorded in cp are skipped, the
-// rest run on a bounded pool of `workers` goroutines (0 means one per
-// CPU), and each completion is added to cp and reported to onUpdate before
-// the next ligand of that worker starts. Seed lanes are keyed by ligand
-// name, so the final ranking is byte-identical to an uninterrupted
-// Screen/ScreenCtx run with the same seed, for every worker count and
-// every split of the library across interrupted attempts. Cancelling ctx
-// aborts in-flight ligands between metaheuristic generations; the
-// checkpoint keeps everything completed before the abort.
+// screen (parity with ScreenCtx): it prepares the receptor and runs
+// ScreenReceptorCtx over cp. Seed lanes are keyed by ligand name, so the
+// final ranking is byte-identical to an uninterrupted Screen/ScreenCtx run
+// with the same seed, for every worker count and every split of the
+// library across interrupted attempts.
 func ScreenResumableCtx(ctx context.Context, receptor *molecule.Molecule, library []*molecule.Molecule,
 	spotOpts surface.Options, ff forcefield.Options,
 	algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int,
@@ -150,121 +144,9 @@ func ScreenResumableCtx(ctx context.Context, receptor *molecule.Molecule, librar
 	if cp == nil {
 		return nil, fmt.Errorf("core: nil checkpoint (use Screen for one-shot runs)")
 	}
-	if cp.Ligands == nil {
-		cp.Ligands = map[string]LigandRecord{}
-		cp.Seed = seed
-	}
-	if cp.Seed != seed {
-		return nil, fmt.Errorf("core: checkpoint seed %d does not match run seed %d", cp.Seed, seed)
-	}
-	if len(library) == 0 {
-		return nil, fmt.Errorf("core: empty ligand library")
-	}
-	if err := ctx.Err(); err != nil {
+	rec, err := PrepareReceptor(receptor, spotOpts)
+	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	var pending []int
-	for i, lig := range library {
-		if seen[lig.Name] {
-			return nil, fmt.Errorf("core: duplicate ligand name %q (checkpoints key by name)", lig.Name)
-		}
-		seen[lig.Name] = true
-		if _, done := cp.Ligands[lig.Name]; !done {
-			pending = append(pending, i)
-		}
-	}
-
-	results := make([]*Result, len(library))
-	if len(pending) > 0 {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(pending) {
-			workers = len(pending)
-		}
-		rec, err := prepareReceptor(receptor, spotOpts)
-		if err != nil {
-			return nil, err
-		}
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
-		var (
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			firstErr error
-			cpMu     sync.Mutex
-			newly    int
-		)
-		fail := func(err error) {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-				cancel()
-			}
-			errMu.Unlock()
-		}
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					lig := library[i]
-					res, err := screenLigand(ctx, rec, lig, ff, algf, backf, seed)
-					if err != nil {
-						fail(err)
-						return
-					}
-					results[i] = res
-					cpMu.Lock()
-					cp.Ligands[lig.Name] = ligandRecord(lig, res)
-					newly++
-					if onUpdate != nil {
-						err = onUpdate(cp, newly)
-					}
-					cpMu.Unlock()
-					if err != nil {
-						fail(fmt.Errorf("core: checkpoint update after %q: %w", lig.Name, err))
-						return
-					}
-				}
-			}()
-		}
-	feed:
-		for _, i := range pending {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Aggregate in library order so floating-point sums are deterministic
-	// and identical to an uninterrupted ScreenCtx run.
-	out := &ScreenResult{}
-	for i, lig := range library {
-		if res := results[i]; res != nil {
-			out.Ranking = append(out.Ranking, ScreenEntry{Ligand: lig, Result: res})
-			out.addRun(res)
-			continue
-		}
-		rec := cp.Ligands[lig.Name]
-		res := recordResult(rec)
-		out.Ranking = append(out.Ranking, ScreenEntry{Ligand: lig, Result: res})
-		out.SimulatedSeconds += rec.SimulatedSeconds
-		out.Evaluations += rec.Evaluations
-	}
-	sortRanking(out)
-	return out, nil
+	return ScreenReceptorCtx(ctx, rec, library, ff, algf, backf, seed, workers, cp, onUpdate)
 }

@@ -167,7 +167,7 @@ func TestScreenResumableCtxMatchesScreenCtx(t *testing.T) {
 }
 
 // TestScreenResumableCtxCallback: the checkpoint hook sees every newly
-// completed ligand exactly once with a monotonically growing count, and a
+// completed ligand's record exactly once with a monotonically growing count, and a
 // hook error aborts the screen while keeping the checkpoint.
 func TestScreenResumableCtxCallback(t *testing.T) {
 	rec, lib := checkpointFixtures()
@@ -175,9 +175,12 @@ func TestScreenResumableCtxCallback(t *testing.T) {
 	cp := &Checkpoint{}
 	_, err := ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
 		forcefield.Options{}, screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2, cp,
-		func(cp *Checkpoint, newly int) error {
+		func(cp *Checkpoint, rec LigandRecord, newly int) error {
 			if len(cp.Ligands) != newly {
 				t.Errorf("hook sees %d recorded ligands at newly=%d", len(cp.Ligands), newly)
+			}
+			if got, ok := cp.Ligands[rec.Name]; !ok || got.Best.Score != rec.Best.Score {
+				t.Errorf("hook's record %q is not the one added to the checkpoint", rec.Name)
 			}
 			counts = append(counts, newly)
 			return nil
@@ -198,7 +201,7 @@ func TestScreenResumableCtxCallback(t *testing.T) {
 	cp2 := &Checkpoint{}
 	_, err = ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
 		forcefield.Options{}, screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 1, cp2,
-		func(cp *Checkpoint, newly int) error {
+		func(cp *Checkpoint, _ LigandRecord, newly int) error {
 			if newly == 2 {
 				return errors.New("disk full")
 			}

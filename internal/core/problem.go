@@ -43,51 +43,67 @@ type Problem struct {
 	// FF selects the scoring terms.
 	FF forcefield.Options
 
-	rec      *preparedReceptor
+	rec      *PreparedReceptor
 	ligTopo  *forcefield.Topology
 	ligPos   []vec.V3
 	torsions *molecule.TorsionSet
 }
 
-// preparedReceptor is the ligand-independent half of a problem: the
+// PreparedReceptor is the ligand-independent half of a problem: the
 // validated receptor, its surface spots, its scoring topology and (on first
-// use) its cell binning. It is immutable once built, so a library screen
-// prepares its receptor once and every ligand's problem shares it.
-type preparedReceptor struct {
+// use) its cell binning. It is immutable once built and safe for concurrent
+// use, so a library screen prepares its receptor once and every ligand's
+// problem shares it — and a long-lived caller such as the screening service
+// keeps it across screens.
+type PreparedReceptor struct {
 	mol   *molecule.Molecule
-	spots []surface.Spot
 	topo  *forcefield.Topology
-
-	cellsOnce sync.Once
-	cells     *forcefield.CellList // ligand-less; see CellList.ForLigand
+	cells *lazyCells // shared by every WithSpots copy
+	spots []surface.Spot
 }
 
-// prepareReceptor validates the receptor, detects its surface spots and
-// flattens its scoring topology.
-func prepareReceptor(receptor *molecule.Molecule, spotOpts surface.Options) (*preparedReceptor, error) {
+// lazyCells is a receptor's cell binning, built on first use (Modeled runs
+// and the other scorers never need it).
+type lazyCells struct {
+	once sync.Once
+	list *forcefield.CellList // ligand-less; see CellList.ForLigand
+}
+
+// PrepareReceptor validates the receptor, flattens its scoring topology
+// and detects its surface spots.
+func PrepareReceptor(receptor *molecule.Molecule, spotOpts surface.Options) (*PreparedReceptor, error) {
 	if err := receptor.Validate(); err != nil {
 		return nil, fmt.Errorf("core: receptor: %w", err)
 	}
-	spots, err := surface.FindSpots(receptor, spotOpts)
+	r := &PreparedReceptor{mol: receptor, topo: forcefield.NewTopology(receptor), cells: &lazyCells{}}
+	return r.WithSpots(spotOpts)
+}
+
+// WithSpots returns the same receptor with its spots detected under
+// spotOpts. The molecule, topology and cell binning are shared, not
+// rebuilt.
+func (r *PreparedReceptor) WithSpots(spotOpts surface.Options) (*PreparedReceptor, error) {
+	spots, err := surface.FindSpots(r.mol, spotOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &preparedReceptor{mol: receptor, spots: spots, topo: forcefield.NewTopology(receptor)}, nil
+	out := *r
+	out.spots = spots
+	return &out, nil
 }
 
-// cellList returns the receptor's cell binning, built on first use (Modeled
-// runs and the other scorers never need it).
-func (r *preparedReceptor) cellList() *forcefield.CellList {
-	r.cellsOnce.Do(func() {
-		r.cells = forcefield.NewCellList(r.topo, nil, forcefield.Options{})
+// CellList returns the receptor's cell binning, built on first use.
+func (r *PreparedReceptor) CellList() *forcefield.CellList {
+	r.cells.once.Do(func() {
+		r.cells.list = forcefield.NewCellList(r.topo, nil, forcefield.Options{})
 	})
-	return r.cells
+	return r.cells.list
 }
 
 // NewProblem validates the molecules, detects surface spots and prepares
 // scoring topologies.
 func NewProblem(receptor, ligand *molecule.Molecule, spotOpts surface.Options, ff forcefield.Options) (*Problem, error) {
-	rec, err := prepareReceptor(receptor, spotOpts)
+	rec, err := PrepareReceptor(receptor, spotOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +111,7 @@ func NewProblem(receptor, ligand *molecule.Molecule, spotOpts surface.Options, f
 }
 
 // newProblem pairs the prepared receptor with one ligand.
-func (r *preparedReceptor) newProblem(ligand *molecule.Molecule, ff forcefield.Options) (*Problem, error) {
+func (r *PreparedReceptor) newProblem(ligand *molecule.Molecule, ff forcefield.Options) (*Problem, error) {
 	if err := ligand.Validate(); err != nil {
 		return nil, fmt.Errorf("core: ligand: %w", err)
 	}
@@ -133,7 +149,7 @@ func (p *Problem) NewScorer(kind string) (forcefield.Scorer, error) {
 	case "tiled":
 		return forcefield.NewTiled(p.rec.topo, p.ligTopo, p.FF), nil
 	case "celllist", "":
-		return p.rec.cellList().ForLigand(p.ligTopo, p.FF), nil
+		return p.rec.CellList().ForLigand(p.ligTopo, p.FF), nil
 	case "grid":
 		return forcefield.NewGrid(p.rec.topo, p.ligTopo, p.FF, 0)
 	}
@@ -244,15 +260,24 @@ func Dataset2BXG() Dataset {
 	}
 }
 
+// datasets builds each benchmark dataset by name.
+var datasets = map[string]func() Dataset{"2BSM": Dataset2BSM, "2BXG": Dataset2BXG}
+
+// CheckDatasetName reports whether DatasetByName knows name, without
+// building its molecules.
+func CheckDatasetName(name string) error {
+	if _, ok := datasets[name]; !ok {
+		return fmt.Errorf("core: unknown dataset %q (want 2BSM or 2BXG)", name)
+	}
+	return nil
+}
+
 // DatasetByName returns one of the paper's two benchmark datasets.
 func DatasetByName(name string) (Dataset, error) {
-	switch name {
-	case "2BSM":
-		return Dataset2BSM(), nil
-	case "2BXG":
-		return Dataset2BXG(), nil
+	if err := CheckDatasetName(name); err != nil {
+		return Dataset{}, err
 	}
-	return Dataset{}, fmt.Errorf("core: unknown dataset %q (want 2BSM or 2BXG)", name)
+	return datasets[name](), nil
 }
 
 // NewProblemFromDataset builds the problem for a benchmark dataset with

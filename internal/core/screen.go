@@ -96,84 +96,148 @@ func Screen(receptor *molecule.Molecule, library []*molecule.Molecule,
 	return ScreenCtx(context.Background(), receptor, library, spotOpts, ff, algf, backf, seed, 0)
 }
 
-// ScreenCtx docks every ligand of a library with a bounded pool of
-// `workers` goroutines (0 means runtime.GOMAXPROCS(0)). Each ligand is an
-// independent job with its own problem, backend and seed lane, so the
-// ranking is byte-identical for every worker count — including the
-// sequential workers=1 path — and independent of completion order.
-// Cancelling ctx aborts in-flight runs between generations and returns
-// ctx's error.
+// ScreenCtx prepares the receptor and docks every ligand of a library with
+// a bounded pool of `workers` goroutines (0 means runtime.GOMAXPROCS(0));
+// see ScreenReceptorCtx.
 func ScreenCtx(ctx context.Context, receptor *molecule.Molecule, library []*molecule.Molecule,
 	spotOpts surface.Options, ff forcefield.Options,
 	algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int) (*ScreenResult, error) {
-	if len(library) == 0 {
-		return nil, fmt.Errorf("core: empty ligand library")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(library) {
-		workers = len(library)
-	}
-	rec, err := prepareReceptor(receptor, spotOpts)
+	rec, err := PrepareReceptor(receptor, spotOpts)
 	if err != nil {
 		return nil, err
 	}
+	return ScreenReceptorCtx(ctx, rec, library, ff, algf, backf, seed, workers, nil, nil)
+}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make([]*Result, len(library))
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel() // abort the other workers promptly
+// ScreenReceptorCtx is the one library-screening implementation behind
+// ScreenCtx and ScreenResumableCtx, against a receptor the caller prepared
+// — once per screen there, once per process in the screening service.
+// Ligands run on a bounded pool of `workers` goroutines (0 means one per
+// CPU), each an independent job with its own problem, backend and seed
+// lane, so the ranking is byte-identical for every worker count and
+// independent of completion order. Cancelling ctx aborts in-flight ligands
+// between metaheuristic generations and returns ctx's error.
+//
+// A nil cp is a plain screen. Otherwise ligand names must be unique
+// (checkpoints key by name), ligands recorded in cp are skipped — their
+// records stand in for their runs — and each newly completed ligand is
+// added to cp and reported to onUpdate before that worker's next ligand
+// starts; on error cp keeps everything completed so far.
+func ScreenReceptorCtx(ctx context.Context, rec *PreparedReceptor, library []*molecule.Molecule,
+	ff forcefield.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int,
+	cp *Checkpoint, onUpdate CheckpointFunc) (*ScreenResult, error) {
+	if cp != nil {
+		if cp.Ligands == nil {
+			cp.Ligands = map[string]LigandRecord{}
+			cp.Seed = seed
 		}
-		errMu.Unlock()
-	}
-
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res, err := screenLigand(ctx, rec, library[i], ff, algf, backf, seed)
-				if err != nil {
-					fail(err)
-					return
-				}
-				results[i] = res
-			}
-		}()
-	}
-feed:
-	for i := range library {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+		if cp.Seed != seed {
+			return nil, fmt.Errorf("core: checkpoint seed %d does not match run seed %d", cp.Seed, seed)
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if len(library) == 0 {
+		return nil, fmt.Errorf("core: empty ligand library")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var pending []int
+	seen := map[string]bool{}
+	for i, lig := range library {
+		if cp != nil {
+			if seen[lig.Name] {
+				return nil, fmt.Errorf("core: duplicate ligand name %q (checkpoints key by name)", lig.Name)
+			}
+			seen[lig.Name] = true
+			if _, done := cp.Ligands[lig.Name]; done {
+				continue
+			}
+		}
+		pending = append(pending, i)
+	}
 
-	// Aggregate in library order so floating-point sums are deterministic.
+	results := make([]*Result, len(library))
+	if len(pending) > 0 {
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		workers = min(workers, len(pending))
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+
+		var (
+			wg       sync.WaitGroup
+			errMu    sync.Mutex
+			firstErr error
+			cpMu     sync.Mutex
+			newly    int
+		)
+		fail := func(err error) {
+			errMu.Lock()
+			if firstErr == nil {
+				firstErr = err
+				cancel() // abort the other workers promptly
+			}
+			errMu.Unlock()
+		}
+		jobs := make(chan int)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range jobs {
+					lig := library[i]
+					res, err := screenLigand(ctx, rec, lig, ff, algf, backf, seed)
+					if err != nil {
+						fail(err)
+						return
+					}
+					results[i] = res
+					if cp == nil {
+						continue
+					}
+					cpMu.Lock()
+					lr := ligandRecord(lig, res)
+					cp.Ligands[lig.Name] = lr
+					newly++
+					if onUpdate != nil {
+						err = onUpdate(cp, lr, newly)
+					}
+					cpMu.Unlock()
+					if err != nil {
+						fail(fmt.Errorf("core: checkpoint update after %q: %w", lig.Name, err))
+						return
+					}
+				}
+			}()
+		}
+	feed:
+		for _, i := range pending {
+			select {
+			case jobs <- i:
+			case <-ctx.Done():
+				break feed
+			}
+		}
+		close(jobs)
+		wg.Wait()
+		if firstErr != nil {
+			return nil, firstErr
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+
+	// Aggregate in library order so floating-point sums are deterministic
+	// and a resumed screen's equal an uninterrupted one's.
 	out := &ScreenResult{}
-	for i, res := range results {
-		out.Ranking = append(out.Ranking, ScreenEntry{Ligand: library[i], Result: res})
+	for i, lig := range library {
+		res := results[i]
+		if res == nil {
+			res = recordResult(cp.Ligands[lig.Name])
+		}
+		out.Ranking = append(out.Ranking, ScreenEntry{Ligand: lig, Result: res})
 		out.addRun(res)
 	}
 	sortRanking(out)
@@ -191,7 +255,7 @@ feed:
 // child recorder — so concurrently screened ligands don't interleave their
 // simulated device timelines — which is merged into the parent afterwards
 // under the "lig:<name>/" track prefix, alongside a wall-clock ligand span.
-func screenLigand(ctx context.Context, rec *preparedReceptor, lig *molecule.Molecule,
+func screenLigand(ctx context.Context, rec *PreparedReceptor, lig *molecule.Molecule,
 	ff forcefield.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64) (*Result, error) {
 	problem, err := rec.newProblem(lig, ff)
 	if err != nil {

@@ -82,10 +82,10 @@ func TestScoreBatchSingleAtomDegenerate(t *testing.T) {
 	half := vec.New(20, 20, 20)
 	nl := NewNeighborList(cells, rec, vec.NewAABB(half.Scale(-1), half))
 	poses := [][]vec.V3{
-		{vec.Zero},                     // clamped clash
-		{vec.New(3.5, 0, 0)},           // near the LJ well
-		{vec.New(Cutoff - 0.01, 0, 0)}, // just inside the cutoff
-		{vec.New(Cutoff + 5, 0, 0)},    // beyond the cutoff
+		{vec.Zero},                   // clamped clash
+		{vec.New(3.5, 0, 0)},         // near the LJ well
+		{vec.New(Cutoff-0.01, 0, 0)}, // just inside the cutoff
+		{vec.New(Cutoff+5, 0, 0)},    // beyond the cutoff
 	}
 	out := make([]float64, len(poses))
 	for _, s := range []BatchScorer{

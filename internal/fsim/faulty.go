@@ -12,9 +12,9 @@ import (
 )
 
 // ErrCrashed is the sentinel a crash@opN rule injects: the simulated
-// machine lost power — every byte already on disk stays, nothing further
-// lands. errors.Is(err, ErrCrashed) identifies it through the wrapping
-// InjectedError.
+// machine lost power — every file keeps what it held at its last
+// successful Sync, nothing further lands. errors.Is(err, ErrCrashed)
+// identifies it through the wrapping InjectedError.
 var ErrCrashed = fmt.Errorf("fsim: simulated power loss (writes halted)")
 
 // InjectedError is one fault delivered instead of a successful
@@ -77,6 +77,10 @@ type Faulty struct {
 	crashed   bool              // a crash rule fired; all mutation halted
 	decisions []Decision
 	dropped   int64
+	// synced is, per file opened for writing, its length at its last
+	// successful Sync (at open, until then): what a crash keeps. It
+	// follows the file across a Rename.
+	synced map[string]int64
 }
 
 // New builds a Faulty applying plan over cfg.Base.
@@ -91,6 +95,7 @@ func New(plan Plan, cfg Config) *Faulty {
 		base:    base,
 		ord:     make(map[string]uint64),
 		written: make(map[int]int64),
+		synced:  make(map[string]int64),
 	}
 }
 
@@ -171,10 +176,35 @@ func (f *Faulty) admit(op, path string, mutating bool) (ord uint64, err error) {
 	for _, r := range f.plan.Rules {
 		if r.Kind == KindCrash && r.matches(path) && f.ops >= r.Op {
 			f.crashed = true
+			f.dropUnsyncedLocked()
 			return ord, f.inject(KindCrash, op, path, f.ops, ErrCrashed)
 		}
 	}
 	return ord, nil
+}
+
+// dropUnsyncedLocked is the power loss itself: every file loses the bytes
+// it received after its last successful Sync, so a record whose fsync
+// never happened is gone after the crash, as on a real disk. Caller holds
+// f.mu.
+func (f *Faulty) dropUnsyncedLocked() {
+	for path, n := range f.synced {
+		data, err := f.base.ReadFile(path)
+		if err != nil || int64(len(data)) <= n {
+			continue
+		}
+		if err := f.base.Truncate(path, n); err != nil && f.cfg.Logf != nil {
+			f.cfg.Logf("fsim: dropping unsynced bytes of %s: %v", path, err)
+		}
+	}
+}
+
+// syncedShrinkLocked records a truncation: bytes cut off are not kept by
+// a crash either. Caller holds f.mu.
+func (f *Faulty) syncedShrinkLocked(path string, size int64) {
+	if n, ok := f.synced[path]; ok && size < n {
+		f.synced[path] = size
+	}
 }
 
 // roll evaluates the probabilistic rules of one kind against an
@@ -227,14 +257,18 @@ func (f *Faulty) MkdirAll(path string, perm os.FileMode) error {
 
 func (f *Faulty) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
 	f.mu.Lock()
-	_, err := f.admit("open", path, writeFlags(flag))
-	f.mu.Unlock()
-	if err != nil {
+	defer f.mu.Unlock()
+	if _, err := f.admit("open", path, writeFlags(flag)); err != nil {
 		return nil, err
 	}
 	file, err := f.base.OpenFile(path, flag, perm)
 	if err != nil {
 		return nil, err
+	}
+	if _, tracked := f.synced[path]; writeFlags(flag) && !tracked {
+		if st, err := file.Stat(); err == nil {
+			f.synced[path] = st.Size()
+		}
 	}
 	return &faultyFile{fs: f, path: path, f: file}, nil
 }
@@ -267,47 +301,64 @@ func (f *Faulty) Glob(pattern string) ([]string, error)      { return f.base.Glo
 
 func (f *Faulty) Rename(oldpath, newpath string) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	ord, err := f.admit("rename", newpath, true)
 	if err == nil {
 		if _, hit := f.roll(KindEIO, newpath, ord); hit {
 			err = f.inject(KindEIO, "rename", newpath, ord, syscall.EIO)
 		}
 	}
-	f.mu.Unlock()
+	if err == nil {
+		err = f.base.Rename(oldpath, newpath)
+	}
 	if err != nil {
 		return err
 	}
-	return f.base.Rename(oldpath, newpath)
+	if n, ok := f.synced[oldpath]; ok {
+		f.synced[newpath] = n
+	} else {
+		delete(f.synced, newpath)
+	}
+	delete(f.synced, oldpath)
+	return nil
 }
 
 func (f *Faulty) Remove(path string) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	ord, err := f.admit("remove", path, true)
 	if err == nil {
 		if _, hit := f.roll(KindEIO, path, ord); hit {
 			err = f.inject(KindEIO, "remove", path, ord, syscall.EIO)
 		}
 	}
-	f.mu.Unlock()
+	if err == nil {
+		err = f.base.Remove(path)
+	}
 	if err != nil {
 		return err
 	}
-	return f.base.Remove(path)
+	delete(f.synced, path)
+	return nil
 }
 
 func (f *Faulty) Truncate(path string, size int64) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	ord, err := f.admit("truncate", path, true)
 	if err == nil {
 		if _, hit := f.roll(KindEIO, path, ord); hit {
 			err = f.inject(KindEIO, "truncate", path, ord, syscall.EIO)
 		}
 	}
-	f.mu.Unlock()
+	if err == nil {
+		err = f.base.Truncate(path, size)
+	}
 	if err != nil {
 		return err
 	}
-	return f.base.Truncate(path, size)
+	f.syncedShrinkLocked(path, size)
+	return nil
 }
 
 func (f *Faulty) SyncDir(dir string) error {
@@ -335,65 +386,71 @@ type faultyFile struct {
 func (ff *faultyFile) Write(p []byte) (int, error) {
 	fs := ff.fs
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	ord, err := fs.admit("write", ff.path, true)
 	if err != nil {
-		fs.mu.Unlock()
 		return 0, err
 	}
 	if err := fs.chargeENOSPC("write", ff.path, ord, len(p)); err != nil {
-		fs.mu.Unlock()
 		return 0, err
 	}
 	if _, hit := fs.roll(KindEIO, ff.path, ord); hit {
-		err := fs.inject(KindEIO, "write", ff.path, ord, syscall.EIO)
-		fs.mu.Unlock()
-		return 0, err
+		return 0, fs.inject(KindEIO, "write", ff.path, ord, syscall.EIO)
 	}
-	torn := -1
 	if lane, hit := fs.roll(KindTornWrite, ff.path, ord); hit && len(p) > 0 {
 		// Persist a deterministic prefix — the on-disk tail a real torn
 		// write leaves — and report the write failed.
-		torn = int(lane.Uint64() % uint64(len(p)))
+		torn := int(lane.Uint64() % uint64(len(p)))
 		fs.record(Decision{Op: "write", Path: ff.path, Kind: KindTornWrite, Seq: ord})
-	}
-	fs.mu.Unlock()
-	if torn >= 0 {
 		n, _ := ff.f.Write(p[:torn])
 		return n, &InjectedError{Kind: KindTornWrite, Op: "write", Path: ff.path, Err: syscall.EIO}
 	}
+	// The bytes land under the lock, so a crash never misses them.
 	return ff.f.Write(p)
 }
 
+// Sync holds the filesystem's lock across the real fsync, so a crash
+// cannot land between the fsync and the synced length it records.
 func (ff *faultyFile) Sync() error {
 	fs := ff.fs
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	ord, err := fs.admit("sync", ff.path, true)
 	if err == nil {
 		if _, hit := fs.roll(KindFsyncFail, ff.path, ord); hit {
 			err = fs.inject(KindFsyncFail, "sync", ff.path, ord, syscall.EIO)
 		}
 	}
-	fs.mu.Unlock()
+	if err == nil {
+		err = ff.f.Sync()
+	}
 	if err != nil {
 		return err
 	}
-	return ff.f.Sync()
+	if st, err := ff.f.Stat(); err == nil {
+		fs.synced[ff.path] = st.Size()
+	}
+	return nil
 }
 
 func (ff *faultyFile) Truncate(size int64) error {
 	fs := ff.fs
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	ord, err := fs.admit("truncate", ff.path, true)
 	if err == nil {
 		if _, hit := fs.roll(KindEIO, ff.path, ord); hit {
 			err = fs.inject(KindEIO, "truncate", ff.path, ord, syscall.EIO)
 		}
 	}
-	fs.mu.Unlock()
+	if err == nil {
+		err = ff.f.Truncate(size)
+	}
 	if err != nil {
 		return err
 	}
-	return ff.f.Truncate(size)
+	fs.syncedShrinkLocked(ff.path, size)
+	return nil
 }
 
 func (ff *faultyFile) Stat() (os.FileInfo, error) { return ff.f.Stat() }

@@ -204,7 +204,7 @@ func TestBitrotFlipsOneBit(t *testing.T) {
 func TestCrashHaltsAllWrites(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f")
-	fs := New(mustPlan(t, "*:crash@op3"), Config{Seed: 1})
+	fs := New(mustPlan(t, "*:crash@op4"), Config{Seed: 1})
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644) // op 1
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -212,11 +212,14 @@ func TestCrashHaltsAllWrites(t *testing.T) {
 	if _, err := f.Write([]byte("before")); err != nil { // op 2
 		t.Fatalf("pre-crash write: %v", err)
 	}
-	if err := f.Sync(); !errors.Is(err, ErrCrashed) { // op 3: power loss
-		t.Fatalf("op 3 err = %v, want ErrCrashed", err)
+	if err := f.Sync(); err != nil { // op 3
+		t.Fatalf("pre-crash sync: %v", err)
 	}
-	if _, err := f.Write([]byte("after")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("post-crash write err = %v, want ErrCrashed", err)
+	if _, err := f.Write([]byte("after")); !errors.Is(err, ErrCrashed) { // op 4: power loss
+		t.Fatalf("op 4 err = %v, want ErrCrashed", err)
+	}
+	if err := f.Sync(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("post-crash sync err = %v, want ErrCrashed", err)
 	}
 	if err := fs.Rename(path, path+".x"); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash rename err = %v, want ErrCrashed", err)
@@ -224,12 +227,53 @@ func TestCrashHaltsAllWrites(t *testing.T) {
 	if !fs.Crashed() {
 		t.Fatal("Crashed() = false after crash fired")
 	}
-	// Reads still work: the disk contents up to the crash are intact.
+	// Reads still work: the synced contents survive the crash.
 	got, err := fs.ReadFile(path)
 	if err != nil || string(got) != "before" {
 		t.Fatalf("post-crash read = %q, %v; want \"before\"", got, err)
 	}
-	if fs.MutatingOps() < 3 {
-		t.Fatalf("MutatingOps() = %d, want >= 3", fs.MutatingOps())
+	if fs.MutatingOps() < 4 {
+		t.Fatalf("MutatingOps() = %d, want >= 4", fs.MutatingOps())
+	}
+}
+
+// TestCrashDropsUnsyncedBytes is the power-loss model: at the crash every
+// file keeps exactly what it held at its last successful Sync — that
+// length follows it across a Rename — and a file never synced is empty.
+func TestCrashDropsUnsyncedBytes(t *testing.T) {
+	dir := t.TempDir()
+	tmp, snap, never := filepath.Join(dir, "snap.tmp"), filepath.Join(dir, "snap"), filepath.Join(dir, "never")
+	fs := New(mustPlan(t, "*:crash@op8"), Config{Seed: 1})
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY, 0o644) // op 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	g, err := fs.OpenFile(never, os.O_CREATE|os.O_WRONLY, 0o644) // op 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for i, op := range []func() error{
+		func() error { _, err := f.Write([]byte("synced")); return err }, // op 3
+		f.Sync, // op 4
+		func() error { _, err := f.Write([]byte("+lost")); return err },        // op 5
+		func() error { return fs.Rename(tmp, snap) },                           // op 6
+		func() error { _, err := g.Write([]byte("never synced")); return err }, // op 7
+	} {
+		if err := op(); err != nil {
+			t.Fatalf("op %d: %v", i+3, err)
+		}
+	}
+	if got, _ := os.ReadFile(snap); string(got) != "synced+lost" {
+		t.Fatalf("before the crash %s holds %q", snap, got)
+	}
+	if err := g.Sync(); !errors.Is(err, ErrCrashed) { // op 8: power loss
+		t.Fatalf("op 8 err = %v, want ErrCrashed", err)
+	}
+	for path, want := range map[string]string{snap: "synced", never: ""} {
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("after the crash %s holds %q (%v), want %q", path, got, err, want)
+		}
 	}
 }

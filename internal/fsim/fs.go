@@ -16,7 +16,7 @@ type File interface {
 	Close() error
 }
 
-// FS is the filesystem surface the WAL, the service checkpoints and the
+// FS is the filesystem surface the WAL — the service's journal — and the
 // dist coordinator journal write through. Production uses OSFS; tests
 // and chaos drills swap in a Faulty built from a Plan. Every call maps
 // 1:1 onto the os package function of the same name, plus SyncDir — the

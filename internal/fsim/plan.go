@@ -3,7 +3,7 @@
 // FaultPlan and netsim's network plan — the third leg of the fault
 // tripod: where cudasim makes simulated GPUs fail and netsim makes the
 // coordinator↔worker path drop and partition, fsim makes the bytes under
-// the WAL, the job checkpoints and the dist coordinator journal fail the
+// the service's WAL and the dist coordinator journal fail the
 // way real disks do — fsync errors, disk-full, torn writes, bit rot and
 // power loss — on a replayable schedule, from a seed and a one-line plan.
 //
@@ -32,8 +32,10 @@
 //	               in (0,1]
 //	crash@opN      power loss: the N-th mutating operation (1-based,
 //	               counted across all paths) and every one after it
-//	               fail with ErrCrashed — everything already written
-//	               stays on disk, nothing further lands
+//	               fail with ErrCrashed, and every file loses the bytes
+//	               it received after its last successful Sync (the
+//	               synced length follows a file across Rename) —
+//	               nothing further lands
 //
 // Every probabilistic decision is a pure function of the seed, the path,
 // the per-path operation ordinal and the rule's plan position, so a

@@ -47,25 +47,25 @@ func TestParsePlanClauses(t *testing.T) {
 func TestParsePlanRejects(t *testing.T) {
 	bad := []string{
 		"nonsense",
-		"w1:zap@1",          // unknown kind
-		"w1:error",          // missing @value
-		"w1:error@0",        // rate lower bound
-		"w1:error@1.5",      // rate upper bound
-		"w1:error@-0.1",     // negative rate
-		"w1:error@x",        // non-numeric rate
-		"w1:dup@0",          // dup rate bound
-		"w1:dup@2",          // dup rate bound
-		"w1:latency@0s",     // latency must be positive
-		"w1:latency@-5ms",   // negative latency
+		"w1:zap@1",            // unknown kind
+		"w1:error",            // missing @value
+		"w1:error@0",          // rate lower bound
+		"w1:error@1.5",        // rate upper bound
+		"w1:error@-0.1",       // negative rate
+		"w1:error@x",          // non-numeric rate
+		"w1:dup@0",            // dup rate bound
+		"w1:dup@2",            // dup rate bound
+		"w1:latency@0s",       // latency must be positive
+		"w1:latency@-5ms",     // negative latency
 		"w1:latency@5ms±-1ms", // negative jitter
-		"w1:latency@abc",    // non-duration
-		"w1:hang@-1s",       // negative start
-		"w1:hang@7",         // bare number is not a duration
-		"w1:partition@-1s",  // negative start
-		"w1:partition@1s+0s", // window must be positive
+		"w1:latency@abc",      // non-duration
+		"w1:hang@-1s",         // negative start
+		"w1:hang@7",           // bare number is not a duration
+		"w1:partition@-1s",    // negative start
+		"w1:partition@1s+0s",  // window must be positive
 		"w1:partition@1s+-2s",
-		":error@0.5",  // empty target
-		"error@0.5",   // no target separator
+		":error@0.5",         // empty target
+		"error@0.5",          // no target separator
 		"w1:error@0.5,bogus", // one bad clause poisons the plan
 	}
 	for _, spec := range bad {

@@ -15,8 +15,10 @@ import (
 // mutating filesystem operations (writes, syncs, renames, removes) it
 // performs, then replay it once per operation with a deterministic
 // crash@opK plan — simulating a power loss at every write/sync/rename
-// boundary — recover each frozen data dir into a fresh Server, and assert
-// the durability invariants:
+// boundary, which also drops every byte a file received after its last
+// successful fsync, so a missing fsync shows up as a lost record —
+// recover each frozen data dir into a fresh Server, and assert the
+// durability invariants:
 //
 //   - no acknowledged job is lost: every submission that returned nil
 //     error in the crashed run exists after recovery;
@@ -28,11 +30,14 @@ import (
 // therefore every crashed disk image) is a pure function of it.
 const explorerSeed = 424242
 
-// explorerRequests is the workload: three distinct screens, each with an
+// explorerRequests is the workload: nine distinct screens, each with an
 // idempotency key, submitted sequentially (each waits for the previous to
-// finish, so the mutating-op sequence is deterministic).
+// finish, so the mutating-op sequence is deterministic). A job costs two
+// operations (write, fsync) per journal record — submitted, started, one
+// checkpoint record per ligand, terminal — so nine of them keep the sweep
+// above its 100-point floor.
 func explorerRequests() []ScreenRequest {
-	reqs := make([]ScreenRequest, 3)
+	reqs := make([]ScreenRequest, 9)
 	for i := range reqs {
 		reqs[i] = recoveryRequest
 		reqs[i].Seed = uint64(7 + i)
@@ -91,8 +96,8 @@ func TestCrashPointExplorer(t *testing.T) {
 		t.Fatal(err)
 	}
 	acked := runExplorerWorkload(s)
-	if len(acked) != 3 {
-		t.Fatalf("clean run acknowledged %d jobs, want 3", len(acked))
+	if want := len(explorerRequests()); len(acked) != want {
+		t.Fatalf("clean run acknowledged %d jobs, want %d", len(acked), want)
 	}
 	reference := make(map[string][]byte) // idempotency key -> ranking bytes
 	for key, id := range acked {
@@ -198,8 +203,8 @@ func TestExplorerWorkloadDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := runExplorerWorkload(s); len(got) != 3 {
-			t.Fatalf("acknowledged %d jobs, want 3", len(got))
+		if got, want := len(runExplorerWorkload(s)), len(explorerRequests()); got != want {
+			t.Fatalf("acknowledged %d jobs, want %d", got, want)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -138,7 +138,7 @@ func (r ScreenRequest) Normalized() ScreenRequest { return r.withDefaults() }
 // admission so a bad request fails with 400 at submit time, not with a
 // failed job minutes later.
 func (r ScreenRequest) Validate() error {
-	if _, err := core.DatasetByName(r.Dataset); err != nil {
+	if err := core.CheckDatasetName(r.Dataset); err != nil {
 		return err
 	}
 	if r.Library < 1 || r.Library > 10000 {
@@ -257,7 +257,7 @@ type Job struct {
 	attempts  int         // executions so far, retries included
 	lastErr   string      // most recent attempt error; kept on eventual success
 	idemKey   string      // client idempotency key, "" when none was sent
-	cpLigands int         // ligands recorded in the job's last checkpoint snapshot
+	cpLigands int         // log[:cpLigands] is in the job's checkpoint records
 	restored  *ResultView // result replayed from the journal after a restart
 
 	// Admission state.
@@ -277,14 +277,16 @@ type Job struct {
 	rec *trace.Recorder
 
 	// partial accumulates per-ligand results as the running screen
-	// completes them (fed from the checkpoint callback), keyed by ligand
-	// name. The /partial endpoint serves it so the distributed
-	// coordinator can stream a shard's ranking before the shard is done.
+	// completes them (fed from the checkpoint callback, and at boot from
+	// the journaled checkpoint records), keyed by ligand name. The
+	// /partial endpoint serves it so the distributed coordinator can
+	// stream a shard's ranking before the shard is done.
 	partial map[string]core.LigandRecord
 	// log names the partial set's ligands in completion order — the order
-	// a cursored /partial request pages through. It lives and dies with
-	// the process: a restart rebuilds it from the checkpoint in map order,
-	// which is why cursors carry the service's incarnation.
+	// a cursored /partial request pages through and checkpoint records are
+	// cut from. A restart rebuilds it from the records, without the
+	// ligands completed after the last one, which is why cursors carry the
+	// service's incarnation.
 	log []string
 	// wake is closed once the job is settled; non-nil only while a held
 	// /partial request waits on it.
@@ -313,22 +315,33 @@ func (j *Job) observeRate(fresh int, now time.Time) {
 	j.rateAt = now
 }
 
-// addPartial folds newly completed ligand records into the job's partial
-// result set and completion log, releasing held /partial requests when
-// the last requested ligand lands. Caller holds the service mutex.
-func (j *Job) addPartial(recs map[string]core.LigandRecord) {
+// addPartial folds newly completed ligand records, in completion order,
+// into the job's partial result set and completion log, releasing held
+// /partial requests when the last requested ligand lands. Caller holds
+// the service mutex.
+func (j *Job) addPartial(recs ...core.LigandRecord) {
 	if j.partial == nil {
 		j.partial = make(map[string]core.LigandRecord, len(recs))
 	}
-	for name, rec := range recs {
-		if _, ok := j.partial[name]; !ok {
-			j.partial[name] = rec
-			j.log = append(j.log, name)
+	for _, rec := range recs {
+		if _, ok := j.partial[rec.Name]; !ok {
+			j.partial[rec.Name] = rec
+			j.log = append(j.log, rec.Name)
 		}
 	}
 	if j.settled() {
 		j.wakeWaiters()
 	}
+}
+
+// records returns the partial records of log[lo:hi]. Caller holds the
+// service mutex.
+func (j *Job) records(lo, hi int) []core.LigandRecord {
+	out := make([]core.LigandRecord, 0, hi-lo)
+	for _, name := range j.log[lo:hi] {
+		out = append(out, j.partial[name])
+	}
+	return out
 }
 
 // total is the number of ligands the job was asked to screen.

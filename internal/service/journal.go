@@ -2,30 +2,33 @@ package service
 
 // The durability layer: when Config.DataDir is set, every job lifecycle
 // transition is journaled to an append-only WAL (internal/wal) before the
-// response leaves the service, and each running screen's core.Checkpoint
-// is snapshotted atomically (temp file + rename) every CheckpointEvery
-// completed ligands. On the next boot over the same data dir the journal
-// is replayed: the job table is rebuilt, terminal jobs keep their results,
-// and jobs that were queued or running at the crash are re-enqueued — a
-// re-run resumes from its checkpoint, re-docking only unfinished ligands,
-// with a final ranking byte-identical to an uninterrupted run.
+// response leaves the service, and every CheckpointEvery completed ligands
+// a running screen journals a checkpoint record carrying the ligands it
+// completed since its previous one. On the next boot over the same data
+// dir the journal is replayed: the job table is rebuilt, terminal jobs keep
+// their results, and jobs that were queued or running at the crash are
+// re-enqueued — a re-run resumes from its checkpoint records, re-docking
+// only the ligands after the last one, with a final ranking byte-identical
+// to an uninterrupted run.
 //
 // Layout under DataDir:
 //
 //	journal/seg-%08d.wal   framed JSONL job events (see jobEvent)
-//	checkpoints/<id>.json  per-job core.Checkpoint snapshots
+//
+// A data dir written by an older binary may also hold checkpoints/: those
+// per-job snapshot files are ignored, so its interrupted jobs re-dock from
+// scratch (with unchanged rankings).
 //
 // Event records are last-write-wins per job, which is what makes journal
 // compaction (full-snapshot records replacing history) crash-safe: a
-// replay of old events followed by a snapshot converges on the snapshot.
+// replay of old events followed by a snapshot converges on the snapshot. A
+// snapshot or terminal view drops the job's checkpoint records, so
+// compaction writes a non-terminal job's records again after its snapshot.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 	"syscall"
 	"time"
@@ -41,7 +44,7 @@ const (
 	evSubmitted  = "submitted"  // job admitted: request + idempotency key
 	evStarted    = "started"    // a worker claimed the job
 	evAttempt    = "attempt"    // one execution attempt finished (with error, if any)
-	evCheckpoint = "checkpoint" // the job's checkpoint snapshot was written
+	evCheckpoint = "checkpoint" // ligands completed since the job's previous checkpoint record
 	evCancel     = "cancel"     // a cancel was requested for a running job
 	evTerminal   = "terminal"   // the job reached a terminal state (full snapshot)
 	evSnapshot   = "snapshot"   // compaction record: full job snapshot
@@ -51,15 +54,15 @@ const (
 // terminal and snapshot events carry the whole JobView so replay needs no
 // other source of truth.
 type jobEvent struct {
-	Type    string         `json:"type"`
-	Job     string         `json:"job,omitempty"`
-	Time    time.Time      `json:"time,omitempty"`
-	Request *ScreenRequest `json:"request,omitempty"`
-	IdemKey string         `json:"idem_key,omitempty"`
-	Attempt int            `json:"attempt,omitempty"`
-	Error   string         `json:"error,omitempty"`
-	Ligands int            `json:"ligands,omitempty"`
-	View    *JobView       `json:"view,omitempty"`
+	Type    string              `json:"type"`
+	Job     string              `json:"job,omitempty"`
+	Time    time.Time           `json:"time,omitempty"`
+	Request *ScreenRequest      `json:"request,omitempty"`
+	IdemKey string              `json:"idem_key,omitempty"`
+	Attempt int                 `json:"attempt,omitempty"`
+	Error   string              `json:"error,omitempty"`
+	Records []core.LigandRecord `json:"records,omitempty"`
+	View    *JobView            `json:"view,omitempty"`
 }
 
 // RecoveryStats reports what a boot over an existing data dir recovered.
@@ -76,9 +79,6 @@ type RecoveryStats struct {
 // every job that was queued or running when the previous process died.
 // Called from New before the workers start, so no lock is needed.
 func (s *Service) openJournal() error {
-	if err := s.fs.MkdirAll(s.checkpointDir(), 0o755); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
 	j, info, err := wal.Open(filepath.Join(s.cfg.DataDir, "journal"), wal.Options{
 		Policy:       s.cfg.Fsync,
 		SyncInterval: s.cfg.FsyncInterval,
@@ -181,7 +181,11 @@ func (s *Service) applyEvent(ev jobEvent) {
 		j.attempts = ev.Attempt
 		j.lastErr = ev.Error
 	case evCheckpoint:
-		s.jobFor(ev.Job).cpLigands = ev.Ligands
+		// A record from an older binary carries no ligands: its job
+		// re-docks from scratch.
+		j := s.jobFor(ev.Job)
+		j.addPartial(ev.Records...)
+		j.cpLigands = len(j.log)
 	case evCancel:
 		// The cancel may not have produced a terminal record before the
 		// crash; remember the intent so recovery finishes the job as
@@ -208,7 +212,9 @@ func (s *Service) jobFor(id string) *Job {
 }
 
 // applyView overwrites a job from a full snapshot (terminal or compaction
-// record).
+// record). The view supersedes the job's checkpoint records: a terminal
+// job serves its journaled ranking, and compaction writes a live job's
+// records again after its snapshot.
 func (s *Service) applyView(v *JobView) {
 	j := s.jobFor(v.ID)
 	j.state = v.State
@@ -225,7 +231,10 @@ func (s *Service) applyView(v *JobView) {
 	j.err = v.Error
 	j.attempts = v.Attempts
 	j.lastErr = v.LastError
-	j.cpLigands = v.CheckpointLigands
+	j.partial, j.log, j.cpLigands = nil, nil, 0
+	if v.State.Terminal() {
+		j.cpLigands = v.CheckpointLigands // reported only; the job never runs again
+	}
 	j.idemKey = v.IdempotencyKey
 	j.degraded = v.Degraded
 	j.effortFactor = v.EffortFactor
@@ -304,17 +313,25 @@ func (s *Service) afterAppendLocked(b []byte) bool {
 }
 
 // compactLocked rewrites the journal as one snapshot record per job,
-// reporting success. Caller holds s.mu.
+// followed for a job that is not terminal by one checkpoint record holding
+// its journaled ligands, reporting success. Caller holds s.mu.
 func (s *Service) compactLocked() bool {
 	live := make([][]byte, 0, len(s.order))
 	for _, id := range s.order {
-		v := s.jobs[id].view()
-		b, err := json.Marshal(jobEvent{Type: evSnapshot, Job: id, View: &v})
-		if err != nil {
-			s.metrics.journalErrors.Inc()
-			return false
+		j := s.jobs[id]
+		v := j.view()
+		evs := []jobEvent{{Type: evSnapshot, Job: id, View: &v}}
+		if !j.state.Terminal() && j.cpLigands > 0 {
+			evs = append(evs, jobEvent{Type: evCheckpoint, Job: id, Records: j.records(0, j.cpLigands)})
 		}
-		live = append(live, b)
+		for _, ev := range evs {
+			b, err := json.Marshal(ev)
+			if err != nil {
+				s.metrics.journalErrors.Inc()
+				return false
+			}
+			live = append(live, b)
+		}
 	}
 	if err := s.journal.Compact(live); err != nil {
 		s.metrics.journalErrors.Inc()
@@ -380,124 +397,50 @@ func (s *Service) tryRecoverStorageLocked() bool {
 	return true
 }
 
-// checkpointDir and checkpointPath locate per-job checkpoint snapshots.
-func (s *Service) checkpointDir() string { return filepath.Join(s.cfg.DataDir, "checkpoints") }
-func (s *Service) checkpointPath(id string) string {
-	return filepath.Join(s.checkpointDir(), id+".json")
-}
-
-// Checkpoint files end with a CRC32 trailer line over the JSON payload:
-// "#crc32 xxxxxxxx\n". A snapshot that fails verification (truncated,
-// bit-flipped, zero-length) is quarantined under <DataDir>/quarantine and
-// the job re-docks from its WAL state instead of failing the boot or
-// silently resuming from rot.
-const checkpointTrailerLen = len("#crc32 ") + 8 + 1
-
-// appendCheckpointTrailer appends the CRC trailer for payload.
-func appendCheckpointTrailer(payload []byte) []byte {
-	return append(payload, fmt.Sprintf("#crc32 %08x\n", crc32.ChecksumIEEE(payload))...)
-}
-
-// verifyCheckpointTrailer checks and strips the CRC trailer, returning
-// the JSON payload and whether the file verified.
-func verifyCheckpointTrailer(data []byte) ([]byte, bool) {
-	if len(data) < checkpointTrailerLen {
-		return nil, false
-	}
-	payload := data[:len(data)-checkpointTrailerLen]
-	trailer := data[len(data)-checkpointTrailerLen:]
-	var sum uint32
-	if _, err := fmt.Sscanf(string(trailer), "#crc32 %08x\n", &sum); err != nil {
-		return nil, false
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, false
-	}
-	return payload, true
-}
-
-// quarantineCheckpoint preserves a corrupt checkpoint file under
-// <DataDir>/quarantine/<id>.json for post-mortem. Best effort — recovery
-// proceeds on a fresh checkpoint either way.
-func (s *Service) quarantineCheckpoint(id string, reason string) {
-	qdir := filepath.Join(s.cfg.DataDir, "quarantine")
-	if err := s.fs.MkdirAll(qdir, 0o755); err != nil {
-		s.metrics.walIOErrors.With("quarantine").Inc()
-		return
-	}
-	if err := s.fs.Rename(s.checkpointPath(id), filepath.Join(qdir, id+".json")); err != nil {
-		s.metrics.walIOErrors.With("quarantine").Inc()
-		s.log.Warn("could not quarantine corrupt checkpoint", "job", id, "err", err)
-		return
-	}
-	s.metrics.checkpointsQuar.Inc()
-	s.log.Warn("corrupt checkpoint quarantined, re-docking from WAL state",
-		"job", id, "reason", reason, "quarantine", filepath.Join(qdir, id+".json"))
-}
-
-// loadJobCheckpoint reads a job's checkpoint snapshot, returning a fresh
-// checkpoint when none exists, quarantining it first when it is corrupt
-// (bad CRC trailer or undecodable JSON), and ignoring it when its seed
-// does not match the request — resuming would silently mix runs.
-func (s *Service) loadJobCheckpoint(id string, seed uint64) *core.Checkpoint {
-	data, err := s.fs.ReadFile(s.checkpointPath(id))
-	if err != nil {
-		return &core.Checkpoint{}
-	}
-	payload, ok := verifyCheckpointTrailer(data)
-	if !ok {
-		s.quarantineCheckpoint(id, "crc mismatch or truncated")
-		return &core.Checkpoint{}
-	}
-	cp, err := core.LoadCheckpoint(bytes.NewReader(payload))
-	if err != nil {
-		s.quarantineCheckpoint(id, err.Error())
-		return &core.Checkpoint{}
-	}
-	if cp.Seed != seed {
-		s.log.Warn("checkpoint seed mismatch, re-docking from scratch", "job", id)
-		return &core.Checkpoint{}
+// loadJobCheckpoint rebuilds a job's resume point from its journaled
+// checkpoint records, so the screen re-docks only the ligands after the
+// last one. Caller holds s.mu.
+func (s *Service) loadJobCheckpoint(j *Job) *core.Checkpoint {
+	cp := &core.Checkpoint{Seed: j.req.Seed, Ligands: make(map[string]core.LigandRecord, j.cpLigands)}
+	for _, rec := range j.records(0, j.cpLigands) {
+		cp.Ligands[rec.Name] = rec
 	}
 	return cp
 }
 
-// writeJobCheckpoint snapshots a checkpoint atomically: temp file, fsync,
-// rename, directory fsync. A crash leaves either the old snapshot or the
-// new one, never a torn file — and the directory fsync makes sure the
-// rename itself survives a power loss, not just the temp file's bytes.
-func (s *Service) writeJobCheckpoint(id string, cp *core.Checkpoint) error {
-	path := s.checkpointPath(id)
-	tmp := path + ".tmp"
-	var buf bytes.Buffer
-	if err := core.SaveCheckpoint(&buf, cp); err != nil {
-		return err
+// checkpointLigand folds one completed ligand into the job's partial set
+// and, when asked to, journals the ligands completed since the job's
+// previous checkpoint record as the next one, reporting whether it did.
+// A failed append does not abort the screen: appendEvent's failure policy
+// applies, the job keeps its previous records, and the next checkpoint
+// record carries the missed ligands too. Storage-degraded mode skips the
+// record.
+func (s *Service) checkpointLigand(id string, rec core.LigandRecord, checkpoint bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return false
 	}
-	framed := appendCheckpointTrailer(buf.Bytes())
-	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
+	before := len(j.log)
+	j.addPartial(rec)
+	j.observeRate(len(j.log)-before, time.Now())
+	if !checkpoint || s.journal == nil {
+		return false
 	}
-	if _, err := f.Write(framed); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
+	degraded, prev := s.storageDegraded, j.cpLigands
+	ev := jobEvent{Type: evCheckpoint, Job: id, Records: j.records(prev, len(j.log))}
+	// Advance before appending: a compaction this append triggers must
+	// rewrite the new records too.
+	j.cpLigands = len(j.log)
+	if !s.appendEvent(ev) {
+		j.cpLigands = prev
+		if !degraded {
+			s.metrics.checkpointErrors.Inc()
+			s.log.Warn("checkpoint record append failed, screen continues", "job", id)
+		}
+		return false
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := s.fs.SyncDir(s.checkpointDir()); err != nil {
-		s.metrics.walIOErrors.With("dirsync").Inc()
-		return err
-	}
-	return nil
+	s.metrics.checkpointsWritten.Inc()
+	return true
 }

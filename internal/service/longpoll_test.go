@@ -48,7 +48,7 @@ func startScripted(t *testing.T, library int) *scriptedJob {
 		for {
 			select {
 			case name := <-sj.ligand:
-				sj.s.mirrorPartial(id, map[string]core.LigandRecord{name: {Name: name, Atoms: 3, Evaluations: 7}})
+				sj.s.checkpointLigand(id, core.LigandRecord{Name: name, Atoms: 3, Evaluations: 7}, false)
 				sj.done <- struct{}{}
 			case err := <-sj.end:
 				if err != nil {

@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"github.com/metascreen/metascreen/internal/core"
 )
 
 // Pagination and partial rankings. Both exist for the same consumer: a
@@ -181,15 +179,15 @@ func ParsePartialQuery(q url.Values) (PartialQuery, error) {
 }
 
 // Partial snapshots the per-ligand results a job has produced so far,
-// after holding for q.Wait if asked to. The entries come from the
-// in-memory mirror of the screen's checkpoint, so they exist for every
-// running job (durable or not); a job that finished in this process
-// serves its full set.
+// after holding for q.Wait if asked to. The entries come from the job's
+// partial set, so they exist for every running job (durable or not); a
+// job that finished in this process serves its full set.
 //
 // A cursor this process did not issue, or one past the end of the log, is
 // served from zero: the log it pointed into died with a previous process
-// (the new one was rebuilt from a checkpoint in another order, or the job
-// was restored from the journal with its ranking only), and a caller that
+// (the new one was rebuilt from checkpoint records without the ligands
+// completed after the last one, or the job was restored from the journal
+// with its ranking only), and a caller that
 // merges by ligand name loses nothing by seeing entries twice.
 func (s *Service) Partial(ctx context.Context, id string, q PartialQuery) (PartialView, error) {
 	s.mu.Lock()
@@ -277,19 +275,6 @@ func (s *Service) Partial(ctx context.Context, id string, q PartialQuery) (Parti
 	pv.Entries = pv.Entries[lo:hi]
 	pv.EntriesOffset = lo
 	return pv, nil
-}
-
-// mirrorPartial copies a screen's completed-ligand records into the
-// job's in-memory partial set, from the checkpoint callback or a loaded
-// checkpoint snapshot.
-func (s *Service) mirrorPartial(id string, recs map[string]core.LigandRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		before := len(j.partial)
-		j.addPartial(recs)
-		j.observeRate(len(j.partial)-before, time.Now())
-	}
 }
 
 // Ready reports readiness: the journal (if any) has been replayed, the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"syscall"
 	"time"
 
 	"github.com/metascreen/metascreen/internal/core"
@@ -260,18 +259,18 @@ func (s *Service) sleepRetry(ctx context.Context, delay time.Duration) bool {
 }
 
 // runScreen is the production runner: it materializes the request into
-// the exact same core screen call a library user would write, so a
-// service job and a library screen with equal parameters and seed return
-// identical rankings. A request naming specific Ligands screens just that
-// shard of the library, in library order. With durability enabled, the
-// screen resumes from the job's checkpoint snapshot and re-snapshots it
-// every CheckpointEvery completed ligands — since seed lanes are keyed by
-// ligand name, the resumed ranking is byte-identical to an uninterrupted
-// run. Every run goes through the resumable path so each completed ligand
-// also lands in the job's in-memory partial mirror, which the /partial
-// endpoint streams to the distributed coordinator.
+// the same core screen a library user would run, so a service job and a
+// library screen with equal parameters and seed return identical
+// rankings. A request naming specific Ligands screens just that shard of
+// the library, in library order, against the process's prepared receptor.
+// With durability enabled, the screen resumes from the job's checkpoint
+// records and journals a new one every CheckpointEvery completed ligands —
+// since seed lanes are keyed by ligand name, the resumed ranking is
+// byte-identical to an uninterrupted run. Every completed ligand also
+// lands in the job's partial set, which the /partial endpoint streams to
+// the distributed coordinator.
 func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
-	ds, err := core.DatasetByName(req.Dataset)
+	rec, err := s.receptor(req.Dataset, req.Spots)
 	if err != nil {
 		return nil, err
 	}
@@ -286,63 +285,65 @@ func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (
 	if len(req.Ligands) > 0 {
 		lib = filterLibrary(lib, req.Ligands)
 	}
-	spotOpts := surface.Options{MaxSpots: req.Spots}
 
 	s.mu.Lock()
-	durable := s.journal != nil
-	s.mu.Unlock()
-
 	cp := &core.Checkpoint{}
-	if durable {
-		cp = s.loadJobCheckpoint(id, req.Seed)
-		if len(cp.Ligands) > 0 {
-			// A resumed job's already-completed ligands are partial
-			// results too.
-			s.mirrorPartial(id, cp.Ligands)
-		}
+	if j, ok := s.jobs[id]; ok && s.journal != nil {
+		cp = s.loadJobCheckpoint(j)
 	}
-	onCp := func(cp *core.Checkpoint, newly int) error {
-		s.mirrorPartial(id, cp.Ligands)
-		if !durable || newly%s.cfg.CheckpointEvery != 0 {
-			return nil
-		}
-		s.mu.Lock()
-		degraded := s.storageDegraded
-		s.mu.Unlock()
-		if degraded {
-			// Read-only mode: in-flight jobs finish un-journaled; the job
-			// keeps its last good snapshot.
-			return nil
-		}
-		if err := s.writeJobCheckpoint(id, cp); err != nil {
-			// A failed snapshot must not abort the screen: the job keeps
-			// its previous checkpoint and the WAL still replays its
-			// lifecycle. A full disk flips degraded mode so the service
-			// stops promising durability it cannot deliver.
-			s.metrics.checkpointErrors.Inc()
-			s.log.Warn("checkpoint write failed, screen continues", "job", id, "err", err)
-			if errors.Is(err, syscall.ENOSPC) {
-				s.mu.Lock()
-				s.enterDegradedLocked(err)
-				s.mu.Unlock()
+	s.mu.Unlock()
+	onLigand := func(_ *core.Checkpoint, lr core.LigandRecord, newly int) error {
+		if s.checkpointLigand(id, lr, newly%s.cfg.CheckpointEvery == 0) {
+			s.mu.Lock()
+			hook := s.checkpointHook
+			s.mu.Unlock()
+			if hook != nil {
+				hook(id, newly)
 			}
-			return nil
-		}
-		s.mu.Lock()
-		if j, ok := s.jobs[id]; ok {
-			j.cpLigands = len(cp.Ligands)
-		}
-		s.appendEvent(jobEvent{Type: evCheckpoint, Job: id, Ligands: len(cp.Ligands)})
-		hook := s.checkpointHook
-		s.mu.Unlock()
-		s.metrics.checkpointsWritten.Inc()
-		if hook != nil {
-			hook(id, newly)
 		}
 		return nil
 	}
-	return core.ScreenResumableCtx(ctx, ds.Receptor, lib, spotOpts, forcefield.Options{},
-		algf, backf, req.Seed, s.cfg.ScreenWorkers, cp, onCp)
+	return core.ScreenReceptorCtx(ctx, rec, lib, forcefield.Options{}, algf, backf, req.Seed,
+		s.cfg.ScreenWorkers, cp, onLigand)
+}
+
+// receptorKey names one prepared receptor of the service's cache.
+type receptorKey struct {
+	dataset string
+	spots   int
+}
+
+// receptor returns the prepared receptor for a dataset and spot cap,
+// preparing it on first use. The molecule, topology and cell list are
+// built once per dataset and shared by every spot count, so the cache
+// holds at most two receptors plus one small spot list per validated
+// (dataset, spots) pair and needs no eviction.
+func (s *Service) receptor(dataset string, spots int) (*core.PreparedReceptor, error) {
+	s.recMu.Lock()
+	defer s.recMu.Unlock()
+	key := receptorKey{dataset, spots}
+	if r, ok := s.receptors[key]; ok {
+		return r, nil
+	}
+	opts := surface.Options{MaxSpots: spots}
+	var r *core.PreparedReceptor
+	if base, ok := s.molecules[dataset]; ok {
+		var err error
+		if r, err = base.WithSpots(opts); err != nil {
+			return nil, err
+		}
+	} else {
+		ds, err := core.DatasetByName(dataset)
+		if err != nil {
+			return nil, err
+		}
+		if r, err = core.PrepareReceptor(ds.Receptor, opts); err != nil {
+			return nil, err
+		}
+		s.molecules[dataset] = r
+	}
+	s.receptors[key] = r
+	return r, nil
 }
 
 // filterLibrary keeps the named ligands, preserving library order so

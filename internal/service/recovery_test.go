@@ -8,8 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,17 +60,25 @@ func durableConfig(dir string) Config {
 // ranking every (resumed or not) service run must reproduce exactly.
 func referenceResult(t *testing.T) *core.ScreenResult {
 	t.Helper()
-	ds, err := core.DatasetByName(recoveryRequest.Dataset)
+	return referenceFor(t, recoveryRequest)
+}
+
+// referenceFor runs a host-backend request through the library API, with
+// a freshly prepared receptor.
+func referenceFor(t *testing.T, req ScreenRequest) *core.ScreenResult {
+	t.Helper()
+	req = req.withDefaults()
+	ds, err := core.DatasetByName(req.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
 	algf := func() (metaheuristic.Algorithm, error) {
-		return metaheuristic.NewPaper(recoveryRequest.Metaheuristic, recoveryRequest.Scale)
+		return metaheuristic.NewPaper(req.Metaheuristic, req.Scale)
 	}
 	res, err := core.ScreenCtx(context.Background(), ds.Receptor,
-		core.SyntheticLibrary(recoveryRequest.Library),
-		surface.Options{MaxSpots: recoveryRequest.Spots}, forcefield.Options{},
-		algf, core.HostBackendFactory(core.HostConfig{Real: true}), recoveryRequest.Seed, 1)
+		core.SyntheticLibrary(req.Library),
+		surface.Options{MaxSpots: req.Spots}, forcefield.Options{},
+		algf, core.HostBackendFactory(core.HostConfig{Real: true}), req.Seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +113,14 @@ func assertMatchesReference(t *testing.T, got *ResultView, want *core.ScreenResu
 // returning the interrupted job's ID.
 func crashAfterCheckpoints(t *testing.T, dir string, n int) string {
 	t.Helper()
-	s, err := New(durableConfig(dir))
+	return crashAt(t, durableConfig(dir), n)
+}
+
+// crashAt is crashAfterCheckpoints under cfg: the crash lands right after
+// the checkpoint record that covers the n-th completed ligand.
+func crashAt(t *testing.T, cfg Config, n int) string {
+	t.Helper()
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,60 +155,31 @@ func TestCrashRecoveryResumesByteIdentical(t *testing.T) {
 	want := referenceResult(t)
 	id := crashAfterCheckpoints(t, dir, 2)
 
-	// The dead process left a checkpoint with exactly the 2 completed
-	// ligands and no terminal record.
-	cp, err := os.Open(dir + "/checkpoints/" + id + ".json")
-	if err != nil {
-		t.Fatalf("no checkpoint survived the crash: %v", err)
-	}
-	saved, err := core.LoadCheckpoint(cp)
-	cp.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(saved.Ligands) != 2 || saved.Seed != recoveryRequest.Seed {
-		t.Fatalf("checkpoint holds %d ligands (seed %d), want 2 (seed %d)",
-			len(saved.Ligands), saved.Seed, recoveryRequest.Seed)
+	// The dead process journaled two checkpoint records of one ligand each
+	// and no terminal record.
+	records := journaledCheckpoints(t, dir, id)
+	if len(records) != 2 || len(records[0]) != 1 || len(records[1]) != 1 {
+		t.Fatalf("journal holds checkpoint records %v, want two of one ligand each", records)
 	}
 
 	// Boot a fresh service over the same data dir: the job comes back
-	// queued and re-runs, docking only the 4 unfinished ligands.
-	s2, err := New(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s2.Shutdown(ctx)
-	}()
-	var redocked atomic.Int64
-	s2.mu.Lock()
-	s2.checkpointHook = func(string, int) { redocked.Add(1) }
-	s2.mu.Unlock()
-
+	// queued and re-runs, docking only the 4 ligands after the last record.
+	s2 := newTestService(t, durableConfig(dir), nil)
 	rec := s2.Recovery()
 	if rec.RecoveredJobs != 1 || rec.ReplayedRecords == 0 {
 		t.Fatalf("recovery stats %+v, want 1 recovered job", rec)
 	}
-	waitFor(t, func() bool {
-		v, err := s2.Get(id)
-		return err == nil && v.State.Terminal()
-	})
-	v, err := s2.Get(id)
-	if err != nil || v.State != StateDone {
-		t.Fatalf("recovered job finished as %+v (%v)", v, err)
-	}
+	v := waitDone(t, s2, id)
 	assertMatchesReference(t, v.Result, want)
-	if got := int(redocked.Load()); got != recoveryRequest.Library-2 {
-		t.Errorf("resume re-docked %d ligands, want %d", got, recoveryRequest.Library-2)
+	if got, want := dockedLigands(t, s2, id), unrecorded(recoveryRequest.Library, records); !slices.Equal(got, want) {
+		t.Errorf("resume re-docked %v, want exactly the ligands after the last checkpoint record %v", got, want)
 	}
 	if v.Attempts < 2 {
 		t.Errorf("attempts = %d; the resumed execution should count past the crashed one", v.Attempts)
 	}
-	// The finished job retired its checkpoint file.
-	if _, err := os.Stat(dir + "/checkpoints/" + id + ".json"); !os.IsNotExist(err) {
-		t.Errorf("checkpoint file still present after completion: %v", err)
+	// Checkpoints live in the journal: nothing else was written.
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !os.IsNotExist(err) {
+		t.Errorf("the service created a checkpoints/ directory: %v", err)
 	}
 }
 

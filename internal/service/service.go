@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -60,26 +59,27 @@ type Config struct {
 	// per retry (jittered, capped at 5s). 0 means 100ms.
 	RetryBaseDelay time.Duration
 
-	// DataDir enables durability: job lifecycle events are journaled to
-	// <DataDir>/journal and per-job checkpoints snapshotted under
-	// <DataDir>/checkpoints, so a crashed process resumes its jobs on the
-	// next boot over the same directory. Empty keeps everything in memory
-	// (the pre-durability behaviour).
+	// DataDir enables durability: job lifecycle events and per-job
+	// checkpoint records are journaled to <DataDir>/journal, so a crashed
+	// process resumes its jobs on the next boot over the same directory.
+	// Empty keeps everything in memory (the pre-durability behaviour).
 	DataDir string
 	// Fsync is the journal's fsync policy; the zero value is
 	// wal.SyncAlways. Only meaningful with DataDir.
 	Fsync wal.SyncPolicy
-	// FsyncInterval is the wal.SyncInterval cadence; 0 means 100ms.
+	// FsyncInterval is the wal.SyncInterval cadence: the longest a
+	// journaled record stays unsynced; 0 means 100ms.
 	FsyncInterval time.Duration
-	// CheckpointEvery snapshots a running job's checkpoint after every N
-	// newly completed ligands; 0 means 1 (snapshot after each ligand).
+	// CheckpointEvery journals a running job's newly completed ligands as
+	// one checkpoint record after every N of them; 0 means 1 (a record
+	// per ligand).
 	CheckpointEvery int
 	// CompactBytes compacts the journal into per-job snapshots when it
 	// grows past this size; 0 means 4 MiB.
 	CompactBytes int64
-	// FS is the filesystem the journal and checkpoints write through; nil
-	// means the real one. The -disk-chaos flag and the crash-point
-	// explorer inject a fsim.Faulty here.
+	// FS is the filesystem the journal writes through; nil means the real
+	// one. The -disk-chaos flag and the crash-point explorer inject a
+	// fsim.Faulty here.
 	FS fsim.FS
 
 	// Admission tunes overload protection (adaptive concurrency limiter,
@@ -168,9 +168,17 @@ type Service struct {
 	storageNotify    chan struct{}
 	storageOnce      sync.Once
 
-	// checkpointHook observes checkpoint snapshots; recovery tests use it
-	// to crash at a deterministic mid-screen point.
+	// checkpointHook observes journaled checkpoint records; recovery tests
+	// use it to crash at a deterministic mid-screen point.
 	checkpointHook func(jobID string, newly int)
+
+	// The prepared receptors, by (dataset, spots), and per dataset the
+	// one whose molecule, topology and cell list every spot count shares;
+	// see receptor. Guarded by recMu, not mu: preparing one takes
+	// milliseconds.
+	recMu     sync.Mutex
+	receptors map[receptorKey]*core.PreparedReceptor
+	molecules map[string]*core.PreparedReceptor
 
 	// lastWarmup holds the most recent warm-up Percent factors reported
 	// by a finished job's backend, for the debug snapshot.
@@ -217,6 +225,8 @@ func New(cfg Config) (*Service, error) {
 		incarnation: rand.Uint64() | 1, // never the zero cursor's
 
 		storageNotify: make(chan struct{}),
+		receptors:     make(map[receptorKey]*core.PreparedReceptor),
+		molecules:     make(map[string]*core.PreparedReceptor),
 	}
 	if s.fs == nil {
 		s.fs = fsim.OSFS()
@@ -452,10 +462,9 @@ func (s *Service) Cancel(id string) (JobView, error) {
 	return j.view(), nil
 }
 
-// finishLocked moves a job to a terminal state, records it in the metrics,
-// journals the full final snapshot, and retires the job's checkpoint file
-// (the terminal event carries the result, so the checkpoint has nothing
-// left to add). Caller holds s.mu.
+// finishLocked moves a job to a terminal state, records it in the metrics
+// and journals the full final snapshot, which supersedes the job's
+// checkpoint records. Caller holds s.mu.
 func (s *Service) finishLocked(j *Job, state JobState, res *core.ScreenResult, errMsg string) {
 	j.state = state
 	j.finished = s.now()
@@ -498,9 +507,6 @@ func (s *Service) finishLocked(j *Job, state JobState, res *core.ScreenResult, e
 	if s.journal != nil {
 		v := j.view()
 		s.appendEvent(jobEvent{Type: evTerminal, Job: j.id, Time: j.finished, View: &v})
-		if err := s.fs.Remove(s.checkpointPath(j.id)); err != nil && !os.IsNotExist(err) {
-			s.metrics.walIOErrors.With("remove").Inc()
-		}
 	}
 	s.log.Info("job finished", "job", j.id, "state", string(state),
 		"latency_seconds", j.finished.Sub(j.submitted).Seconds(), "err", errMsg)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,80 +14,57 @@ import (
 	"time"
 
 	"github.com/metascreen/metascreen/internal/fsim"
+	"github.com/metascreen/metascreen/internal/wal"
 )
 
-// corruptCheckpoint rewrites the interrupted job's checkpoint file with
-// mutate applied to its current bytes.
-func corruptCheckpoint(t *testing.T, dir, id string, mutate func([]byte) []byte) {
-	t.Helper()
-	path := filepath.Join(dir, "checkpoints", id+".json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCheckpointCorruptionFallback: a damaged checkpoint must never stop
-// a job from finishing. The service quarantines the corrupt file (for
-// post-mortem, under <DataDir>/quarantine/) and falls back to WAL-only
-// replay — the job restarts from scratch and still produces the
-// reference ranking.
+// TestCheckpointCorruptionFallback: a damaged last checkpoint record must
+// never stop a job from finishing. wal.Open truncates a torn or
+// bit-flipped tail (preserving its bytes under journal/quarantine/ for
+// post-mortem), a record that never reached the disk is simply absent,
+// and either way the job resumes from the record before — re-docking the
+// ligands after it — with the reference ranking.
 func TestCheckpointCorruptionFallback(t *testing.T) {
-	want := referenceResult(t)
 	cases := []struct {
-		name       string
-		mutate     func([]byte) []byte
-		quarantine bool
+		name string
+		// mutate damages the segment's last frame, which starts at last.
+		mutate func(seg []byte, last int) []byte
+		torn   bool
 	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, true},
-		{"bit_flipped", func(b []byte) []byte {
+		{"truncated", func(b []byte, last int) []byte { return b[:last+(len(b)-last)/2] }, true},
+		{"bit_flipped", func(b []byte, last int) []byte {
 			c := append([]byte(nil), b...)
-			c[len(c)/3] ^= 0x10
+			c[last+(len(c)-last)/2] ^= 0x10
 			return c
 		}, true},
-		{"zero_length", func(b []byte) []byte { return nil }, true},
+		{"zero_length", func(b []byte, last int) []byte { return b[:last] }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			id := crashAfterCheckpoints(t, dir, 2)
-			corruptCheckpoint(t, dir, id, tc.mutate)
-
-			s, err := New(durableConfig(dir))
+			seg := filepath.Join(dir, "journal", "seg-00000001.wal")
+			data, err := os.ReadFile(seg)
 			if err != nil {
-				t.Fatalf("boot with corrupt checkpoint failed: %v", err)
-			}
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				s.Shutdown(ctx)
-			}()
-
-			waitFor(t, func() bool {
-				v, err := s.Get(id)
-				return err == nil && v.State.Terminal()
-			})
-			v, err := s.Get(id)
-			if err != nil || v.State != StateDone {
-				t.Fatalf("job %s after corrupt-checkpoint reboot: state %q err %v, want done", id, v.State, err)
-			}
-			assertMatchesReference(t, v.Result, want)
-
-			if tc.quarantine {
-				qpath := filepath.Join(dir, "quarantine", id+".json")
-				if _, err := os.Stat(qpath); err != nil {
-					t.Errorf("corrupt checkpoint not preserved under quarantine/: %v", err)
-				}
-			}
-			var buf strings.Builder
-			if err := s.metrics.WriteTo(&buf, s.Stats()); err != nil {
 				t.Fatal(err)
 			}
-			if strings.Contains(buf.String(), "metascreen_checkpoints_quarantined_total 0\n") {
-				t.Errorf("checkpoints_quarantined_total = 0, want >= 1")
+			recs, valid := wal.ScanRecords(data)
+			var ev jobEvent
+			if len(recs) == 0 || json.Unmarshal(recs[len(recs)-1], &ev) != nil || ev.Type != evCheckpoint {
+				t.Fatalf("the crashed journal does not end with a checkpoint record: %+v", ev)
+			}
+			last := valid - len(wal.AppendFrame(nil, recs[len(recs)-1]))
+			if err := os.WriteFile(seg, tc.mutate(data, last), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s := resumeAndCheck(t, durableConfig(dir), id)
+			if got := s.Recovery().TruncatedBytes > 0; got != tc.torn {
+				t.Errorf("recovery truncated a tail: %v, want %v", got, tc.torn)
+			}
+			if tc.torn {
+				if _, err := os.Stat(filepath.Join(dir, "journal", "quarantine", "seg-00000001.wal.tail")); err != nil {
+					t.Errorf("damaged tail not preserved under journal/quarantine/: %v", err)
+				}
 			}
 		})
 	}

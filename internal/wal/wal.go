@@ -71,8 +71,11 @@ const (
 	// SyncAlways fsyncs after every append: no acknowledged record is ever
 	// lost to a crash. The default, and the slowest.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per Options.SyncInterval; a crash
-	// loses at most that window of acknowledged records.
+	// SyncInterval fsyncs at most once per Options.SyncInterval: an append
+	// syncs when the last sync is older than that, and a one-shot
+	// background flush syncs what an idle journal still holds one interval
+	// after its first unsynced append. A crash loses at most that window
+	// of acknowledged records.
 	SyncInterval
 	// SyncNever leaves flushing to the OS; a crash can lose everything
 	// since the last kernel writeback. For tests and throwaway runs.
@@ -177,6 +180,11 @@ type Journal struct {
 	lastSync time.Time
 	failed   error // sticky fail-stop cause; nil when healthy
 	closed   bool
+	// Under SyncInterval: dirty marks acknowledged bytes not yet synced,
+	// and flush is the pending one-shot timer that syncs them (nil when
+	// none is armed).
+	dirty bool
+	flush *time.Timer
 }
 
 // segmentName formats a segment file name; indices are dense but need not
@@ -473,7 +481,7 @@ func (j *Journal) Recover() error {
 	}
 	j.f = f
 	j.failed = nil
-	j.lastSync = time.Now()
+	j.lastSync, j.dirty = time.Now(), false
 	j.opts.Logf("wal: recovered segment %s at %d bytes", segmentName(j.seg), j.segSize)
 	return nil
 }
@@ -484,6 +492,7 @@ func (j *Journal) rotateLocked() error {
 		j.failStopLocked("sync", err)
 		return fmt.Errorf("wal: rotate sync: %w", err)
 	}
+	j.dirty = false
 	if err := j.f.Close(); err != nil {
 		j.failStopLocked("close", err)
 		return fmt.Errorf("wal: rotate close: %w", err)
@@ -517,8 +526,23 @@ func (j *Journal) maybeSyncLocked() error {
 		if time.Since(j.lastSync) >= j.opts.SyncInterval {
 			return j.syncLocked()
 		}
+		j.dirty = true
+		if j.flush == nil {
+			j.flush = time.AfterFunc(j.opts.SyncInterval, j.flushDirty)
+		}
 	}
 	return nil
+}
+
+// flushDirty is the SyncInterval background flush: it syncs what no later
+// append has. A failure fail-stops the journal like any other sync.
+func (j *Journal) flushDirty() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.flush = nil
+	if j.dirty && !j.closed && j.failed == nil {
+		j.syncLocked()
+	}
 }
 
 func (j *Journal) syncLocked() error {
@@ -530,6 +554,7 @@ func (j *Journal) syncLocked() error {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	j.lastSync = time.Now()
+	j.dirty = false
 	return nil
 }
 
@@ -673,10 +698,11 @@ func (j *Journal) Compact(live [][]byte) error {
 	j.seg = newIdx
 	j.segSize = int64(len(buf))
 	j.total = int64(len(buf))
+	j.dirty = false
 	return nil
 }
 
-// Close syncs and closes the journal.
+// Close stops a pending interval flush, syncs and closes the journal.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -684,6 +710,10 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
+	if j.flush != nil {
+		j.flush.Stop()
+		j.flush = nil
+	}
 	if j.f == nil {
 		return nil
 	}

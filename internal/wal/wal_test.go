@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,6 +326,90 @@ func TestSyncPolicies(t *testing.T) {
 		j.Close()
 		if info.Records != 5 {
 			t.Errorf("policy %v: %d records after reopen", p, info.Records)
+		}
+	}
+}
+
+// syncCounter counts successful file fsyncs through an fsim.FS.
+type syncCounter struct {
+	fsim.FS
+	syncs atomic.Int64
+}
+
+func (c *syncCounter) OpenFile(path string, flag int, perm os.FileMode) (fsim.File, error) {
+	f, err := c.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countedFile{File: f, syncs: &c.syncs}, nil
+}
+
+type countedFile struct {
+	fsim.File
+	syncs *atomic.Int64
+}
+
+func (f countedFile) Sync() error {
+	err := f.File.Sync()
+	if err == nil {
+		f.syncs.Add(1)
+	}
+	return err
+}
+
+// TestIntervalFlushSyncsIdleJournal: under SyncInterval an append inside
+// the interval is left unsynced, and a one-shot background flush syncs it
+// one interval later although no other append arrives; Close stops a
+// pending flush and leaves no goroutine behind.
+func TestIntervalFlushSyncsIdleJournal(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fs := &syncCounter{FS: fsim.OSFS()}
+	j, _, err := Open(t.TempDir(), Options{Policy: SyncInterval, SyncInterval: 200 * time.Millisecond, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := fs.syncs.Load()
+	if err := j.Append([]byte("idle")); err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.syncs.Load(); n != base {
+		t.Fatalf("append right after Open synced (%d syncs)", n-base)
+	}
+	for deadline := time.Now().Add(10 * time.Second); fs.syncs.Load() == base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("idle journal never synced its last append")
+		}
+	}
+	j.mu.Lock()
+	dirty := j.dirty
+	j.mu.Unlock()
+	if dirty {
+		t.Error("journal still dirty after the background flush")
+	}
+
+	// The next append finds the flush's sync recent and arms a new one,
+	// which Close stops.
+	if err := j.Append([]byte("pending")); err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	armed := j.flush != nil
+	j.mu.Unlock()
+	if !armed {
+		t.Fatal("unsynced append armed no flush")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	armed = j.flush != nil
+	j.mu.Unlock()
+	if armed {
+		t.Error("Close left the flush armed")
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), before)
 		}
 	}
 }

@@ -37,7 +37,7 @@ jsonfield() {
     sed -n "s/.*\"$2\": \"\([^\"]*\)\".*/\1/p" "$1" | head -1
 }
 
-REQ='{"dataset":"2BSM","library":400,"spots":2,"metaheuristic":"M3","scale":0.05,"seed":7}'
+REQ='{"dataset":"2BSM","library":4000,"spots":2,"metaheuristic":"M3","scale":0.05,"seed":7}'
 
 start
 curl -fsS -X POST "$BASE/v1/screens" -H 'Idempotency-Key: chaos-1' -d "$REQ" >"$WORK/submit.json"
@@ -45,9 +45,20 @@ JOB="$(jsonfield "$WORK/submit.json" id)"
 [ -n "$JOB" ] || { echo "chaos_restart: no job id in submit response" >&2; exit 1; }
 echo "chaos_restart: submitted $JOB"
 
-# Give the screen time to checkpoint some ligands, then kill -9: no drain,
-# no final fsync beyond the per-record policy.
-sleep 1
+# Wait until the screen has journaled some checkpoint records, then kill
+# -9 while it is still running: no drain, no final fsync beyond the
+# per-record policy.
+for _ in $(seq 1 100); do
+    curl -fsS "$BASE/v1/screens/$JOB" >"$WORK/job.json"
+    CP="$(sed -n 's/.*"checkpoint_ligands": \([0-9]*\).*/\1/p' "$WORK/job.json" | head -1)"
+    [ "${CP:-0}" -ge 10 ] && break
+    sleep 0.1
+done
+[ "$(jsonfield "$WORK/job.json" state)" = "running" ] && [ "${CP:-0}" -ge 10 ] || {
+    echo "chaos_restart: $JOB is not running with checkpointed ligands before the kill:" >&2
+    cat "$WORK/job.json" >&2
+    exit 1
+}
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""

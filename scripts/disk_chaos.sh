@@ -3,10 +3,11 @@
 # twin of chaos_restart.sh (clean kills) and overload_soak.sh (client
 # pressure). Two legs:
 #
-#   1. torn-write + EIO chaos on journal and checkpoint I/O (-disk-chaos,
-#      deterministic under -disk-chaos-seed), then kill -9 mid-screen and
-#      a restart over the same data dir with a healthy disk: every job
-#      acknowledged with a 202 must still exist and reach "done".
+#   1. torn-write + EIO chaos on the journal segments, where checkpoint
+#      records live (-disk-chaos, deterministic under -disk-chaos-seed):
+#      the submission is acknowledged, checkpoint appends fault, then kill
+#      -9 mid-screen and a restart over the same data dir with a healthy
+#      disk: the acknowledged job must still exist and reach "done".
 #   2. a filling disk (enospc): submissions must degrade to 507 +
 #      Retry-After while rankings and /metrics stay served and the
 #      metascreen_storage_degraded gauge reads 1; a restart with a
@@ -71,22 +72,49 @@ wait_done() {
 
 REQ='{"dataset":"2BSM","library":64,"spots":2,"metaheuristic":"M3","scale":0.05,"seed":7}'
 # Leg 1 screens a larger library so the kill -9 lands mid-run and the
-# restart genuinely resumes an interrupted job.
-LONGREQ='{"dataset":"2BSM","library":400,"spots":2,"metaheuristic":"M3","scale":0.05,"seed":7}'
+# restart genuinely resumes an interrupted job (the drill checks it is
+# still running when the power goes).
+LONGREQ='{"dataset":"2BSM","library":4000,"spots":2,"metaheuristic":"M3","scale":0.05,"seed":7}'
 
-# ---- Leg 1: torn writes + EIO on checkpoint I/O, kill -9, recover ----
+# counter METRICS_FILE NAME: the summed value of a counter family.
+counter() {
+    awk -v name="$2" '$1 == name || index($1, name "{") == 1 { sum += $2 } END { print sum + 0 }' "$1"
+}
+
+# ---- Leg 1: torn writes + EIO on journal segments, kill -9, recover ----
 
 DATA1="$WORK/data1"
-start "$DATA1" -disk-chaos '*.tmp:torn-write@0.4,*.tmp:eio@0.3' -disk-chaos-seed 7
-echo "disk_chaos: leg 1 up (torn-write + eio on checkpoint writes)"
+# Seed 3 leaves the submitted record intact (the 202 is real) and tears
+# or fails a later append, i.e. a checkpoint record of the running screen.
+start "$DATA1" -disk-chaos 'journal/*.wal:torn-write@0.02,journal/*.wal:eio@0.02' -disk-chaos-seed 3
+echo "disk_chaos: leg 1 up (torn-write + eio on journal segments)"
 
 curl -fsS -X POST "$BASE/v1/screens" -H 'Idempotency-Key: disk-1' -d "$LONGREQ" >"$WORK/submit.json"
 JOB="$(jsonfield "$WORK/submit.json" id)"
 [ -n "$JOB" ] || { echo "disk_chaos: no job id in submit response" >&2; exit 1; }
 echo "disk_chaos: submitted $JOB under disk chaos"
 
-# Let it run (and eat checkpoint faults), then pull the power.
-sleep 1
+# Let it run until a checkpoint-record append has faulted, then pull the
+# power while the screen is still running.
+FAULTS=0
+for _ in $(seq 1 100); do
+    curl -fsS "$BASE/metrics" >"$WORK/metrics"
+    FAULTS=$(($(counter "$WORK/metrics" metascreen_journal_errors_total) + $(counter "$WORK/metrics" metascreen_wal_io_errors_total)))
+    [ "$FAULTS" -gt 0 ] && break
+    sleep 0.1
+done
+[ "$FAULTS" -gt 0 ] || {
+    echo "disk_chaos: no journal append faulted under leg 1's plan" >&2
+    grep -E 'metascreen_(journal|wal|checkpoint)' "$WORK/metrics" >&2 || true
+    exit 1
+}
+curl -fsS "$BASE/v1/screens/$JOB" >"$WORK/job.json"
+[ "$(jsonfield "$WORK/job.json" state)" = "running" ] || {
+    echo "disk_chaos: $JOB is not running when the power goes:" >&2
+    cat "$WORK/job.json" >&2
+    exit 1
+}
+echo "disk_chaos: $FAULTS journal faults absorbed mid-screen"
 stop
 echo "disk_chaos: killed vsserved mid-screen"
 
@@ -94,7 +122,7 @@ start "$DATA1"
 echo "disk_chaos: restarted over $DATA1 with a healthy disk"
 wait_done "$JOB"
 echo "disk_chaos: $JOB recovered to done after torn-write/eio chaos + kill -9"
-curl -fsS "$BASE/metrics" | grep -E 'metascreen_(replayed_records|recovered_jobs|checkpoint_errors|checkpoints_quarantined)_total' || true
+curl -fsS "$BASE/metrics" | grep -E 'metascreen_(replayed_records|recovered_jobs|journal_truncated_bytes)_total' || true
 stop
 
 # ---- Leg 2: disk fills; degrade to read-only, never fall over ----
