@@ -63,10 +63,13 @@ func TestDistributedChaos(t *testing.T) {
 	waitAlive(2, 15*time.Second, "startup")
 
 	// Long enough that the partition window (2 s into the screen) lands
-	// mid-screen on two sequential-docking workers: a worker docks ~15 of
-	// these ligands a second, so each shard is ~4 s of work.
+	// before the first shard is half done on two sequential-docking
+	// workers: a worker on an AVX2 CPU docks ~24 of these ligands a second,
+	// so each 160-ligand shard is ~6.7 s of work and the partition lands
+	// about 30 % in. The portable kernel is slower, which only moves the
+	// partition earlier.
 	chaosScreen := distScreen
-	chaosScreen.Library = 128
+	chaosScreen.Library = 320
 	chaosScreen.Scale = 0.35
 
 	// Single-node baseline on the worker that will stay healthy.

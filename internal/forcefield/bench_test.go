@@ -133,5 +133,12 @@ func BenchmarkNeighborListBatch2BSM(b *testing.B) {
 	reportNL(b, b.N*len(poses), scanned, inRange)
 }
 
+// BenchmarkNeighborListBatch2BSMPortable runs the batch benchmark on the
+// portable loops, the only kernel off amd64 or without AVX2.
+func BenchmarkNeighborListBatch2BSMPortable(b *testing.B) {
+	defer kernels[0].use()()
+	BenchmarkNeighborListBatch2BSM(b)
+}
+
 // benchSink keeps the compiler from discarding benchmarked scores.
 var benchSink float64

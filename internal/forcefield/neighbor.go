@@ -58,9 +58,10 @@ type runBox struct{ lo, hi [3]float64 }
 // grows to the longest list it has served and is then reused without
 // allocating. A scratch must not be shared between concurrent calls.
 type NeighborScratch struct {
-	// The pose's candidates, in list order.
+	// The pose's candidates, in list order, and their list indices.
 	x, y, z, chg []float64
 	typ          []uint8
+	idx          []int32
 	// The candidates in range of the current ligand atom: index into the
 	// arrays above and squared distance.
 	hit []int32
@@ -77,6 +78,7 @@ func (s *NeighborScratch) reserve(n int) {
 	s.z = make([]float64, n)
 	s.chg = make([]float64, n)
 	s.typ = make([]uint8, n)
+	s.idx = make([]int32, n)
 	s.hit = make([]int32, n)
 	s.r2 = make([]float64, n)
 }
@@ -209,43 +211,75 @@ func (nl *NeighborList) ScoreBatch(poses [][]vec.V3, out []float64) {
 func (nl *NeighborList) ScorePose(ligPos []vec.V3, s *NeighborScratch) (e float64, covered bool) {
 	checkPose(ligPos, nl.lig)
 	n, covered := nl.gather(ligPos, s)
-	const cutoff2 = Cutoff * Cutoff
 	cx, cy, cz, ctyp, cchg := s.x[:n], s.y[:n], s.z[:n], s.typ[:n], s.chg[:n]
-	hit, r2s := s.hit[:n], s.r2[:n]
 	for j, lp := range ligPos {
-		lt := int32(nl.lig.Type[j])
-		lq := nl.lig.Charge[j]
-		// Range test first, energies after: writing every candidate to
-		// slot m and advancing m only for a hit compiles to a conditional
-		// move, so the three-in-four candidates that miss cost no branch
-		// misprediction and the energy loop runs over hits alone. (The test
-		// is the full scan's skip test negated, so a NaN r2 still counts.)
-		m := 0
-		for k := range cx {
-			dx := cx[k] - lp.X
-			dy := cy[k] - lp.Y
-			dz := cz[k] - lp.Z
-			r2 := dx*dx + dy*dy + dz*dz
-			hit[m], r2s[m] = int32(k), r2
-			if !(r2 > cutoff2) {
-				m++
+		// Range test first, energies after: the energy loop runs over the
+		// candidates in range alone.
+		m := rangePass(cx, cy, cz, lp, s.hit, s.r2)
+		hit, r2s := s.hit[:m], s.r2[:m]
+		// The ligand type's row of the table: NewPairTable's mixing
+		// commutes, so entry (lt, t) has the bits of entry (t, lt).
+		row := nl.table[int(nl.lig.Type[j])*numTypes:][:numTypes]
+		if !nl.opts.Coulomb {
+			for i, k := range hit {
+				lj, _ := pairLJ(r2s[i], row[ctyp[k]])
+				e += lj
 			}
+			continue
 		}
-		for i, k := range hit[:m] {
-			r2 := r2s[i]
-			if r2 < minDist2 {
-				r2 = minDist2
-			}
-			p := nl.table[int32(ctyp[k])*int32(numTypes)+lt]
-			inv2 := 1 / r2
-			inv6 := inv2 * inv2 * inv2
-			e += inv6 * (p.A*inv6 - p.B)
-			if nl.opts.Coulomb {
-				e += coulombK * cchg[k] * lq * inv2 / 4
-			}
+		lq := nl.lig.Charge[j]
+		for i, k := range hit {
+			lj, inv2 := pairLJ(r2s[i], row[ctyp[k]])
+			e += lj
+			e += coulombK * cchg[k] * lq * inv2 / 4
 		}
 	}
 	return e, covered
+}
+
+// pairLJ returns the Lennard-Jones energy of a pair at squared distance r2,
+// clamped at minDist2, and the clamped 1/r2 the Coulomb term reuses.
+func pairLJ(r2 float64, p PairParam) (lj, inv2 float64) {
+	if r2 < minDist2 {
+		r2 = minDist2
+	}
+	inv2 = 1 / r2
+	inv6 := inv2 * inv2 * inv2
+	return inv6 * (p.A*inv6 - p.B), inv2
+}
+
+// rangePass stores the index k and squared distance r2 of every candidate
+// (cx[k], cy[k], cz[k]) in range of p into hit and r2s, in ascending k, and
+// returns their count. In range is !(r2 > cutoff²): the full scan's skip
+// test negated, so a NaN r2 counts. hit and r2s must hold len(cx) entries.
+// It is rangePassGo, or on a CPU that runs it the AVX2 kernel of
+// kernel_amd64.s, which stores the same bits; init picks once.
+var rangePass = rangePassGo
+
+// rangePassGo is the portable rangePass.
+func rangePassGo(cx, cy, cz []float64, p vec.V3, hit []int32, r2s []float64) int {
+	return rangeFrom(cx, cy, cz, p, hit, r2s, 0, 0)
+}
+
+// rangeFrom runs the portable range pass over candidates k0 onwards,
+// storing from slot m, and returns the new count.
+func rangeFrom(cx, cy, cz []float64, p vec.V3, hit []int32, r2s []float64, k0, m int) int {
+	const cutoff2 = Cutoff * Cutoff
+	cy, cz = cy[:len(cx)], cz[:len(cx)]
+	for k := k0; k < len(cx); k++ {
+		dx := cx[k] - p.X
+		dy := cy[k] - p.Y
+		dz := cz[k] - p.Z
+		r2 := dx*dx + dy*dy + dz*dz
+		// Store every candidate at slot m, advance m only for a hit: this
+		// compiles to a conditional move, so the three-in-four candidates
+		// that miss cost no branch misprediction.
+		hit[m], r2s[m] = int32(k), r2
+		if !(r2 > cutoff2) {
+			m++
+		}
+	}
+	return m
 }
 
 // gather copies the list atoms within the cutoff of the pose's bounding box
@@ -288,28 +322,47 @@ func (nl *NeighborList) gather(ligPos []vec.V3, s *NeighborScratch) (n int, cove
 			boxGap2(b.lo[2], b.hi[2], lo[2], hi[2]) > cutoff2 {
 			continue
 		}
-		end := min((r+1)*runLen, len(nl.x))
-		for k := r * runLen; k < end; k++ {
-			// The atom's gap to the box on one axis is |x-c| - h clamped
-			// at 0, and g + |g| is twice that without a branch.
-			x, y, z := nl.x[k], nl.y[k], nl.z[k]
-			gx := math.Abs(x-c[0]) - h[0]
-			gy := math.Abs(y-c[1]) - h[1]
-			gz := math.Abs(z-c[2]) - h[2]
-			gx += math.Abs(gx)
-			gy += math.Abs(gy)
-			gz += math.Abs(gz)
-			// Copy first, keep after: advancing n only for an atom in
-			// range compiles to a conditional move, where a skip would be
-			// a branch mispredicted for every third atom.
-			s.x[n], s.y[n], s.z[n] = x, y, z
-			s.typ[n], s.chg[n] = nl.typ[k], nl.chg[k]
-			if !(gx*gx+gy*gy+gz*gz > 4*cutoff2) {
-				n++
-			}
-		}
+		n = gatherSpan(nl.x, nl.y, nl.z, r*runLen, min((r+1)*runLen, len(nl.x)), c, h, s, n)
+	}
+	// Types and charges follow by index, so the kernels move only the
+	// float64 coordinates and the int32 indices.
+	for i, k := range s.idx[:n] {
+		s.typ[i], s.chg[i] = nl.typ[k], nl.chg[k]
 	}
 	return n, covered
+}
+
+// gatherSpan stores x, y, z and index k of every atom k0 <= k < k1 that may
+// lie within the cutoff of the box with center c and half-width h into s
+// from slot n, in ascending k, and returns the new count. It keeps an atom
+// unless its squared gap to the box exceeds cutoff², tested as twice the gap
+// against 4*cutoff². n must not exceed k0, and s must hold k1 entries. It is
+// gatherSpanGo, or on a CPU that runs it the AVX2 kernel of kernel_amd64.s,
+// which stores the same bits; init picks once.
+var gatherSpan = gatherSpanGo
+
+// gatherSpanGo is the portable gatherSpan.
+func gatherSpanGo(x, y, z []float64, k0, k1 int, c, h [3]float64, s *NeighborScratch, n int) int {
+	const cutoff2 = Cutoff * Cutoff
+	x, y, z = x[:k1], y[:k1], z[:k1]
+	for k := k0; k < k1; k++ {
+		// The atom's gap to the box on one axis is |x-c| - h clamped at
+		// 0, and g + |g| is twice that without a branch.
+		gx := math.Abs(x[k]-c[0]) - h[0]
+		gy := math.Abs(y[k]-c[1]) - h[1]
+		gz := math.Abs(z[k]-c[2]) - h[2]
+		gx += math.Abs(gx)
+		gy += math.Abs(gy)
+		gz += math.Abs(gz)
+		// Copy first, keep after: advancing n only for an atom in range
+		// compiles to a conditional move, where a skip would be a branch
+		// mispredicted for every third atom.
+		s.x[n], s.y[n], s.z[n], s.idx[n] = x[k], y[k], z[k], int32(k)
+		if !(gx*gx+gy*gy+gz*gz > 4*cutoff2) {
+			n++
+		}
+	}
+	return n
 }
 
 // boxGap2 returns the squared gap between intervals [alo, ahi] and

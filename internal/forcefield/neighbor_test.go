@@ -117,7 +117,8 @@ func (f *spotFixture) samplerPoses(s surface.Spot, ts *molecule.TorsionSet, r *r
 	return poses
 }
 
-// checkBits asserts ScorePose reproduces the reference scan's bits.
+// checkBits asserts ScorePose reproduces the reference scan's bits. The
+// tests below run once per kernel (see eachKernel).
 func checkBits(t *testing.T, nl *NeighborList, pose []vec.V3, s *NeighborScratch, what string) (covered bool) {
 	t.Helper()
 	got, covered := nl.ScorePose(pose, s)
@@ -137,6 +138,10 @@ func checkBits(t *testing.T, nl *NeighborList, pose []vec.V3, s *NeighborScratch
 // the Coulomb term, sampler-produced poses score to exactly the bits of the
 // full ascending scan, and agree with the cell-list scorer.
 func TestNeighborListBitIdenticalOnDatasets(t *testing.T) {
+	eachKernel(t, testNeighborListBitIdenticalOnDatasets)
+}
+
+func testNeighborListBitIdenticalOnDatasets(t *testing.T) {
 	for _, ds := range []struct {
 		name     string
 		rec, lig *molecule.Molecule
@@ -169,6 +174,10 @@ func TestNeighborListBitIdenticalOnDatasets(t *testing.T) {
 // lists are built with doubled reach and whose torsioned branches stretch
 // the pose box.
 func TestNeighborListBitIdenticalFlexible(t *testing.T) {
+	eachKernel(t, testNeighborListBitIdenticalFlexible)
+}
+
+func testNeighborListBitIdenticalFlexible(t *testing.T) {
 	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 8, Options{Coulomb: true})
 	ts := molecule.NewTorsionSet(f.ligMol)
 	if ts.Len() == 0 {
@@ -189,6 +198,10 @@ func TestNeighborListBitIdenticalFlexible(t *testing.T) {
 // uncovered (the engine then falls back to the full scorer) while its
 // energy over the list still has the full scan's bits.
 func TestNeighborListBoundaryAndOutside(t *testing.T) {
+	eachKernel(t, testNeighborListBoundaryAndOutside)
+}
+
+func testNeighborListBoundaryAndOutside(t *testing.T) {
 	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 4, Options{})
 	var s NeighborScratch
 	for _, spot := range f.spots {
@@ -222,7 +235,9 @@ func TestNeighborListBoundaryAndOutside(t *testing.T) {
 
 // TestNeighborListEmpty scores against lists with no atoms: a region beyond
 // the cutoff of the receptor, and the empty region.
-func TestNeighborListEmpty(t *testing.T) {
+func TestNeighborListEmpty(t *testing.T) { eachKernel(t, testNeighborListEmpty) }
+
+func testNeighborListEmpty(t *testing.T) {
 	rec := NewTopology(molecule.SyntheticProtein("rec", 200, 3))
 	lig := NewTopology(molecule.SyntheticLigand("lig", 6, 4))
 	cells := NewCellList(rec, lig, Options{Coulomb: true})
@@ -250,7 +265,9 @@ func TestNeighborListEmpty(t *testing.T) {
 // TestNeighborScratchGrows reuses one scratch across lists of growing
 // length: a gather larger than the scratch's capacity must grow it, not
 // truncate the candidate set.
-func TestNeighborScratchGrows(t *testing.T) {
+func TestNeighborScratchGrows(t *testing.T) { eachKernel(t, testNeighborScratchGrows) }
+
+func testNeighborScratchGrows(t *testing.T) {
 	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1, Options{})
 	spot := f.spots[0]
 	pose := f.samplerPoses(spot, nil, rng.New(9), 1)[0]
@@ -275,6 +292,10 @@ func TestNeighborScratchGrows(t *testing.T) {
 // scratch-less Score and ScoreBatch, each checking the reference bits. Run
 // under -race it is the data-race check of the shared list.
 func TestNeighborListSharedAcrossWorkers(t *testing.T) {
+	eachKernel(t, testNeighborListSharedAcrossWorkers)
+}
+
+func testNeighborListSharedAcrossWorkers(t *testing.T) {
 	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1, Options{Coulomb: true})
 	spot := f.spots[0]
 	nl := f.spotList(spot, f.ligRadius)
