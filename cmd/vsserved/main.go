@@ -54,9 +54,9 @@
 // Storage faults get the same treatment: a -disk-chaos plan (with
 // -disk-chaos-seed) injects deterministic disk faults — EIO, ENOSPC,
 // fsync failures, torn writes, bit rot — into journal I/O; see
-// internal/fsim. When the disk fills or fail-stops, the node
-// degrades to read-only (submissions get 507 + Retry-After) and
-// recovers in place once space frees; -on-full stop drains and exits
+// internal/fsim. When the disk fills or fail-stops, a node or a
+// coordinator degrades to read-only (submissions get 507 + Retry-After)
+// and recovers in place once space frees; -on-full stop drains and exits
 // non-zero instead, for supervised deployments that prefer rescheduling.
 //
 // SIGINT/SIGTERM drain gracefully: intake stops, queued jobs are
@@ -126,7 +126,7 @@ func main() {
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the -chaos plan's probabilistic faults")
 	diskChaos := flag.String("disk-chaos", "", "fsim fault plan injected into journal I/O (checkpoint records included), e.g. '*.wal:fsync-fail@0.01,*:enospc@1048576' (empty = disabled)")
 	diskChaosSeed := flag.Uint64("disk-chaos-seed", 1, "seed for the -disk-chaos plan's probabilistic faults")
-	onFull := flag.String("on-full", "degrade", "reaction to a full or failing disk: degrade (serve reads, 507 writes) or stop (drain and exit)")
+	onFull := flag.String("on-full", "degrade", "reaction to a full or failing journal disk, on every role: degrade (serve reads, 507 submissions) or stop (drain and exit 1)")
 	flag.Parse()
 
 	logger, err := obs.NewLogger(*logLevel, *logFormat, os.Stderr)
@@ -200,9 +200,13 @@ func main() {
 		errCh := make(chan error, 1)
 		go func() { errCh <- server.ListenAndServe() }()
 		logger.Info("coordinator listening", "addr", *addr)
+		stoppedOnFull := false
 		select {
 		case <-ctx.Done():
 			logger.Info("draining")
+		case <-fullStop(*onFull, coord.StorageFull()):
+			logger.Error("storage degraded and -on-full=stop, draining")
+			stoppedOnFull = true
 		case err := <-errCh:
 			fatal(err)
 		}
@@ -214,6 +218,10 @@ func main() {
 		stopDebug()
 		if err := coord.Shutdown(drainCtx); err != nil {
 			logger.Error("coordinator drain deadline exceeded", "err", err)
+			os.Exit(1)
+		}
+		if stoppedOnFull {
+			logger.Info("drained after storage failure")
 			os.Exit(1)
 		}
 		logger.Info("drained cleanly")
@@ -280,24 +288,12 @@ func main() {
 		logger.Info("registering with coordinator", "coordinator", *coordinator, "advertise", adv)
 	}
 
-	// -on-full stop turns storage degradation into a drain: operators who
-	// prefer a crashed node over a read-only one (e.g. under an external
-	// supervisor that reschedules elsewhere) get a clean exit instead of
-	// serving 507s indefinitely. The default keeps serving reads.
-	storageFull := make(chan struct{})
-	if *onFull == "stop" {
-		go func() {
-			<-svc.StorageFull()
-			logger.Error("storage degraded and -on-full=stop, draining")
-			close(storageFull)
-		}()
-	}
-
 	stoppedOnFull := false
 	select {
 	case <-ctx.Done():
 		logger.Info("draining")
-	case <-storageFull:
+	case <-fullStop(*onFull, svc.StorageFull()):
+		logger.Error("storage degraded and -on-full=stop, draining")
 		stoppedOnFull = true
 	case err := <-errCh:
 		fatal(err)
@@ -320,6 +316,18 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("drained cleanly")
+}
+
+// fullStop is the channel a role's main loop drains on under -on-full
+// stop: its journal's StorageFull. Operators who prefer a stopped process
+// over a read-only one (e.g. under an external supervisor that reschedules
+// elsewhere) get a clean exit instead of 507s indefinitely. Under the
+// default, degrade, it is nil and never fires.
+func fullStop(onFull string, full <-chan struct{}) <-chan struct{} {
+	if onFull != "stop" {
+		return nil
+	}
+	return full
 }
 
 // serveDebug starts the debug listener (pprof, expvar, /debug/snapshot)

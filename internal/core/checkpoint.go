@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"github.com/metascreen/metascreen/internal/conformation"
 	"github.com/metascreen/metascreen/internal/forcefield"
@@ -65,25 +63,6 @@ type Checkpoint struct {
 	Seed uint64 `json:"seed"`
 	// Ligands holds completed jobs keyed by ligand name.
 	Ligands map[string]LigandRecord `json:"ligands"`
-}
-
-// SaveCheckpoint serializes the checkpoint as JSON.
-func SaveCheckpoint(w io.Writer, cp *Checkpoint) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cp)
-}
-
-// LoadCheckpoint deserializes a checkpoint.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if cp.Ligands == nil {
-		cp.Ligands = map[string]LigandRecord{}
-	}
-	return &cp, nil
 }
 
 // ligandRecord captures one completed run in checkpoint form.

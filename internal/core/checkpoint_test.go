@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -56,13 +56,13 @@ func TestScreenResumableSkipsCompleted(t *testing.T) {
 	}
 	firstA := cp.Ligands["cp-a"]
 
-	// Save and reload the checkpoint (exercise the JSON round trip).
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, cp); err != nil {
+	// Round-trip the checkpoint through JSON, as its records travel.
+	buf, err := json.Marshal(cp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(&buf)
-	if err != nil {
+	loaded := &Checkpoint{}
+	if err := json.Unmarshal(buf, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded.Ligands) != 2 || loaded.Seed != 5 {
@@ -246,18 +246,5 @@ func TestPoseRecordRoundTrip(t *testing.T) {
 	}
 	if len(back.Torsions) != len(res.Best.Torsions) {
 		t.Error("torsions lost in round trip")
-	}
-}
-
-func TestLoadCheckpointErrors(t *testing.T) {
-	if _, err := LoadCheckpoint(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Error("garbage checkpoint accepted")
-	}
-	cp, err := LoadCheckpoint(bytes.NewReader([]byte("{}")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Ligands == nil {
-		t.Error("empty checkpoint has nil map")
 	}
 }

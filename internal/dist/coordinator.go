@@ -85,7 +85,8 @@ type Config struct {
 	// deployments. nil = a clone of http.DefaultTransport that keeps
 	// maxIdleConnsPerWorker idle connections per worker.
 	Transport http.RoundTripper
-	// CompactBytes triggers journal compaction; default 4 MiB.
+	// CompactBytes is the journal's compaction floor, as on a node
+	// (service.Config.CompactBytes); default 4 MiB.
 	CompactBytes int64
 	// StealThreshold flags a shard as a straggler when its projected
 	// finish time (unfinished ligands / owner's observed rate) exceeds
@@ -170,9 +171,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxResponseBytes == 0 {
 		// Sized to the library cap: the biggest partial one poll can see.
 		c.MaxResponseBytes = int64(service.MaxRankingLimit)*maxPartialEntryBytes + 64<<10
-	}
-	if c.CompactBytes <= 0 {
-		c.CompactBytes = 4 << 20
 	}
 	if c.StealThreshold == 0 {
 		c.StealThreshold = 3
@@ -286,9 +284,9 @@ type Coordinator struct {
 	order      []string
 	idem       map[string]string // idempotency key -> job ID
 	nextID     uint64
-	nextEpoch  uint64      // monotonic fencing-epoch counter, journaled
-	fenced     []remoteRef // zombie worker-side jobs awaiting best-effort cancel
-	journal    *wal.Journal
+	nextEpoch  uint64          // monotonic fencing-epoch counter, journaled
+	fenced     []remoteRef     // zombie worker-side jobs awaiting best-effort cancel
+	journal    *wal.Log[event] // nil without a DataDir
 	draining   bool
 	lastAssess time.Time // last quarantine assessment, rate-limited to PollInterval
 
@@ -353,13 +351,15 @@ type Stats struct {
 	Queued             int  `json:"queued"`
 	Running            int  `json:"running"`
 	Draining           bool `json:"draining"`
+	// Storage is the journal's degraded-mode state, as a node reports it.
+	Storage service.StorageStatus `json:"storage"`
 }
 
 // Stats snapshots coordinator-level gauges.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{Workers: len(c.workers), Jobs: len(c.jobs), Draining: c.draining}
+	st := Stats{Workers: len(c.workers), Jobs: len(c.jobs), Draining: c.draining, Storage: c.journal.Status()}
 	for _, w := range c.workers {
 		if w.alive {
 			st.WorkersAlive++
@@ -417,7 +417,7 @@ func (c *Coordinator) Register(rawURL string) (int, error) {
 		c.nextEpoch++
 		w.epoch = c.nextEpoch
 		c.metrics.workersJoined.Inc()
-		c.appendEvent(event{Type: evWorker, Worker: base, Alive: true, Epoch: w.epoch})
+		c.journal.Append(event{Type: evWorker, Worker: base, Alive: true, Epoch: w.epoch})
 		c.log.Info("worker joined", "worker", base, "epoch", w.epoch, "members", len(c.workers))
 	}
 	w.lastBeat = now
@@ -465,7 +465,8 @@ func (c *Coordinator) Workers() []WorkerView {
 
 // DebugSnapshot is the coordinator's one-call operational dump, served at
 // /debug/snapshot: membership with per-worker rates and quarantine state,
-// coordinator gauges, and every job with its shard table.
+// coordinator gauges (storage state included), and every job with its
+// shard table.
 type DebugSnapshot struct {
 	Stats   Stats        `json:"stats"`
 	Workers []WorkerView `json:"workers"`
@@ -475,6 +476,20 @@ type DebugSnapshot struct {
 // Snapshot assembles the debug dump.
 func (c *Coordinator) Snapshot() DebugSnapshot {
 	return DebugSnapshot{Stats: c.Stats(), Workers: c.Workers(), Jobs: c.List()}
+}
+
+// StorageFull is closed the first time the coordinator's journal enters
+// degraded read-only mode; vsserved -on-full stop drains on it.
+func (c *Coordinator) StorageFull() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.journal.Full()
+}
+
+// errStorageFull refuses a submit or cancel the journal cannot take, as
+// on a node: 507 + Retry-After.
+var errStorageFull = &service.ShedError{
+	Err: service.ErrStorageFull, Reason: "storage_full", RetryAfter: service.StorageRetryAfter,
 }
 
 // ShardView is one shard's status on the wire.
@@ -530,6 +545,11 @@ func (c *Coordinator) Submit(req service.ScreenRequest, idemKey string) (JobView
 			return c.viewLocked(c.jobs[id]), true, nil
 		}
 	}
+	// A 202 means journaled, which a degraded journal cannot promise; each
+	// refused submit is also a (rate-limited) recovery probe.
+	if !c.journal.Probe() {
+		return JobView{}, false, errStorageFull
+	}
 	c.nextID++
 	j := newJob(fmt.Sprintf("dscreen-%06d", c.nextID), req, idemKey, c.cfg.now())
 	c.jobs[j.id] = j
@@ -537,8 +557,16 @@ func (c *Coordinator) Submit(req service.ScreenRequest, idemKey string) (JobView
 	if idemKey != "" {
 		c.idem[idemKey] = j.id
 	}
+	if !c.journal.Append(event{Type: evJob, Job: j.id, IdemKey: idemKey, Request: &j.req, Time: j.submitted}) {
+		// Registered before the append only so that a compaction it
+		// triggered would keep it; none ran, and nothing was exposed.
+		delete(c.jobs, j.id)
+		delete(c.idem, idemKey)
+		c.order = c.order[:len(c.order)-1]
+		c.nextID--
+		return JobView{}, false, errStorageFull
+	}
 	c.metrics.submitted.Inc()
-	c.appendEvent(event{Type: evJob, Job: j.id, IdemKey: idemKey, Request: &j.req, Time: j.submitted})
 	c.superviseLocked(j)
 	c.log.Info("distributed screen submitted", "job", j.id, "ligands", len(j.names))
 	return c.viewLocked(j), false, nil
@@ -615,7 +643,8 @@ func (c *Coordinator) Trace(id string) (*trace.Recorder, error) {
 }
 
 // Cancel requests cancellation. The supervisor propagates it to every
-// dispatched shard and finishes the job.
+// dispatched shard and finishes the job. A cancel is acknowledged only
+// once its record is journaled, so a restart cannot resurrect the screen.
 func (c *Coordinator) Cancel(id string) (JobView, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -627,8 +656,12 @@ func (c *Coordinator) Cancel(id string) (JobView, error) {
 		return c.viewLocked(j), service.ErrTerminal
 	}
 	if !j.cancelRequested {
+		// Set before the append: a compaction it triggers must keep it.
 		j.cancelRequested = true
-		c.appendEvent(event{Type: evCancel, Job: j.id})
+		if !c.journal.Probe() || !c.journal.Append(event{Type: evCancel, Job: j.id}) {
+			j.cancelRequested = false
+			return c.viewLocked(j), errStorageFull
+		}
 	}
 	return c.viewLocked(j), nil
 }
@@ -653,10 +686,8 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	c.mu.Lock()
-	if c.journal != nil {
-		c.journal.Close()
-		c.journal = nil
-	}
+	c.journal.Close()
+	c.journal = nil
 	c.mu.Unlock()
 	// Held polls kept one connection per running shard warm; none is
 	// needed again.

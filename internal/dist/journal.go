@@ -1,21 +1,21 @@
 package dist
 
-// The coordinator's durability layer. Every piece of distributed state
-// that cannot be re-derived from the workers is journaled through the
-// same WAL the service uses: job admissions (with idempotency keys),
-// membership changes, shard assignments, merged partial entries, and
-// terminal snapshots. A coordinator restarted over the same data dir
-// replays the journal, rebuilds its job table mid-screen, and
-// re-dispatches unfinished shards under their original idempotency keys
-// — workers that kept running simply hand back the same jobs, so no
-// ligand is docked twice and the final ranking is unchanged.
+// The coordinator's role table over the shared event log (wal.Log, the
+// same append, compaction, replay and degraded-mode policy the node
+// journals through). Every piece of distributed state that cannot be
+// re-derived from the workers is journaled: job admissions (with
+// idempotency keys), membership changes, shard assignments, merged
+// partial entries, and terminal snapshots. A coordinator restarted over
+// the same data dir replays the journal, rebuilds its job table
+// mid-screen, and re-dispatches unfinished shards under their original
+// idempotency keys — workers that kept running simply hand back the same
+// jobs, so no ligand is docked twice and the final ranking is unchanged.
 //
 // Worker liveness is deliberately NOT trusted across a restart: replayed
 // workers get a fresh heartbeat grace window and must re-heartbeat
 // within HeartbeatTimeout or be declared dead and re-split around.
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -58,126 +58,29 @@ type event struct {
 	View    *JobView               `json:"view,omitempty"`
 }
 
-// appendEvent journals one event. Callers hold c.mu. Append failures
-// degrade durability, not correctness, mirroring the service's policy.
-func (c *Coordinator) appendEvent(ev event) {
-	if c.journal == nil {
-		return
-	}
-	b, err := json.Marshal(ev)
-	if err == nil {
-		err = c.journal.Append(b)
-	}
-	if err != nil {
-		c.metrics.journalErrors.Inc()
-		c.log.Error("dist journal append failed", "job", ev.Job, "err", err)
-		return
-	}
-	if c.journal.Size() > c.cfg.CompactBytes {
-		c.compactLocked()
-	}
-}
-
-// compactLocked rewrites the journal as the minimal record set that
-// reproduces current state: membership, then per job either its terminal
-// snapshot or its admission + live assignments + merged entries (+
-// pending cancel). Caller holds c.mu.
-func (c *Coordinator) compactLocked() {
-	var live [][]byte
-	add := func(ev event) bool {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			c.metrics.journalErrors.Inc()
-			return false
-		}
-		live = append(live, b)
-		return true
-	}
-	urls := make([]string, 0, len(c.workers))
-	for u := range c.workers {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	for _, u := range urls {
-		if !add(event{Type: evWorker, Worker: u, Alive: c.workers[u].alive, Epoch: c.workers[u].epoch}) {
-			return
-		}
-	}
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.final != nil {
-			ok := add(event{Type: evJob, Job: j.id, IdemKey: j.idemKey, Request: &j.req, Time: j.submitted}) &&
-				add(event{Type: evTerminal, Job: j.id, View: j.final})
-			if !ok {
-				return
-			}
-			continue
-		}
-		if !add(event{Type: evJob, Job: j.id, IdemKey: j.idemKey, Request: &j.req, Time: j.submitted}) {
-			return
-		}
-		for _, sh := range j.shards {
-			if sh.moved {
-				continue
-			}
-			if !add(event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: sh.ligands, HedgeOf: sh.hedgeOf}) {
-				return
-			}
-		}
-		if len(j.merged) > 0 {
-			entries := make([]service.PartialEntry, 0, len(j.merged))
-			for _, n := range j.names {
-				if e, ok := j.merged[n]; ok {
-					entries = append(entries, e)
-				}
-			}
-			if !add(event{Type: evEntries, Job: j.id, Entries: entries}) {
-				return
-			}
-		}
-		if j.cancelRequested && !add(event{Type: evCancel, Job: j.id}) {
-			return
-		}
-	}
-	if err := c.journal.Compact(live); err != nil {
-		c.metrics.journalErrors.Inc()
-		c.log.Error("dist journal compact failed", "err", err)
-	}
-}
-
-// openJournal opens the coordinator WAL and replays it into the job and
-// membership tables. Called from New before any supervisor starts, so no
-// lock is needed.
+// openJournal opens the coordinator's journal and replays it into the job
+// and membership tables. Called from New before any supervisor starts, so
+// no lock is needed.
 func (c *Coordinator) openJournal() error {
-	j, info, err := wal.Open(filepath.Join(c.cfg.DataDir, "dist-journal"), wal.Options{
-		Policy: c.cfg.SyncPolicy,
-		Logf:   func(format string, args ...any) { c.log.Warn(fmt.Sprintf(format, args...)) },
-		FS:     c.cfg.FS,
-		OnIOError: func(op string, err error) {
-			c.metrics.journalErrors.Inc()
-			c.log.Warn("dist journal io error", "op", op, "err", err)
-		},
-	})
-	if err != nil {
-		return err
-	}
 	boot := c.cfg.now()
-	replayed := 0
-	err = j.Replay(func(rec []byte) error {
-		var ev event
-		if uerr := json.Unmarshal(rec, &ev); uerr != nil {
-			c.metrics.journalErrors.Inc()
-			return nil
-		}
-		c.applyEvent(ev, boot)
-		replayed++
-		return nil
+	l, info, err := wal.OpenLog(filepath.Join(c.cfg.DataDir, "dist-journal"), wal.LogConfig[event]{
+		Options: wal.Options{
+			Policy: c.cfg.SyncPolicy,
+			Logf:   func(format string, args ...any) { c.log.Warn(fmt.Sprintf(format, args...)) },
+			FS:     c.cfg.FS,
+			// The journal logs each failure through Logf too.
+			OnIOError: func(string, error) { c.metrics.journalErrors.Inc() },
+		},
+		CompactBytes: c.cfg.CompactBytes,
+		Apply:        func(ev event) { c.applyEvent(ev, boot) },
+		Snapshot:     c.snapshot,
+		Now:          c.cfg.now,
+		OnError:      c.metrics.journalErrors.Inc,
 	})
 	if err != nil {
-		j.Close()
 		return err
 	}
-	c.journal = j
+	c.journal = l
 
 	// A replayed job may hold ligands that were never assigned before the
 	// crash (or were assigned to a worker whose death was journaled);
@@ -188,35 +91,71 @@ func (c *Coordinator) openJournal() error {
 		if jb.state.Terminal() {
 			continue
 		}
+		// A fenced shard covers nothing: if the crash landed between the
+		// steal's moved record and the thief's assignment, its remainder
+		// must land back in unassigned, not vanish.
 		covered := make(map[string]bool, len(jb.names))
 		for _, sh := range jb.shards {
-			if sh.moved {
-				// A fenced shard covers nothing: if the crash landed between
-				// the steal's moved record and the thief's assignment, its
-				// remainder must land back in unassigned, not vanish.
-				continue
-			}
 			for _, n := range sh.ligands {
-				covered[n] = true
+				covered[n] = covered[n] || !sh.moved
 			}
 		}
 		jb.unassigned = nil
 		for _, n := range jb.names {
-			if _, ok := jb.merged[n]; ok {
-				continue
-			}
-			if !covered[n] {
+			if _, ok := jb.merged[n]; !ok && !covered[n] {
 				jb.unassigned = append(jb.unassigned, n)
 			}
 		}
 		resumed++
 	}
-	if replayed > 0 {
+	if info.Records > 0 {
 		c.log.Info("dist journal replayed",
-			"records", replayed, "jobs", len(c.jobs), "resumed", resumed,
+			"records", info.Records, "jobs", len(c.jobs), "resumed", resumed,
 			"workers", len(c.workers), "truncated_bytes", info.TruncatedBytes)
 	}
 	return nil
+}
+
+// snapshot is the journal's compaction record set, the minimal one that
+// reproduces current state: membership, then per job either its terminal
+// snapshot or its admission + live assignments + merged entries (+
+// pending cancel). It runs inside a journal append or probe, under c.mu.
+func (c *Coordinator) snapshot() []event {
+	urls := make([]string, 0, len(c.workers))
+	for u := range c.workers {
+		urls = append(urls, u)
+	}
+	sort.Strings(urls)
+	evs := make([]event, 0, len(urls)+2*len(c.order))
+	for _, u := range urls {
+		evs = append(evs, event{Type: evWorker, Worker: u, Alive: c.workers[u].alive, Epoch: c.workers[u].epoch})
+	}
+	for _, id := range c.order {
+		j := c.jobs[id]
+		evs = append(evs, event{Type: evJob, Job: j.id, IdemKey: j.idemKey, Request: &j.req, Time: j.submitted})
+		if j.final != nil {
+			evs = append(evs, event{Type: evTerminal, Job: j.id, View: j.final})
+			continue
+		}
+		for _, sh := range j.shards {
+			if !sh.moved {
+				evs = append(evs, event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: sh.ligands, HedgeOf: sh.hedgeOf})
+			}
+		}
+		if len(j.merged) > 0 {
+			entries := make([]service.PartialEntry, 0, len(j.merged))
+			for _, n := range j.names {
+				if e, ok := j.merged[n]; ok {
+					entries = append(entries, e)
+				}
+			}
+			evs = append(evs, event{Type: evEntries, Job: j.id, Entries: entries})
+		}
+		if j.cancelRequested {
+			evs = append(evs, event{Type: evCancel, Job: j.id})
+		}
+	}
+	return evs
 }
 
 // applyEvent folds one journal record into coordinator state. Replay

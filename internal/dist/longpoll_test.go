@@ -46,6 +46,7 @@ type scriptWorker struct {
 
 // scriptShard is one shard as the fake worker received it.
 type scriptShard struct {
+	key       string // the dispatch's idempotency key: "<coordinator job>/<shard>"
 	ligands   []string
 	submitted time.Time
 }
@@ -63,27 +64,34 @@ func startScriptWorker(t *testing.T) *scriptWorker {
 		sw.mu.Lock()
 		sw.submits++
 		id, refuse := "script-"+strconv.Itoa(sw.submits), sw.refuse
-		sw.shards[id] = scriptShard{ligands: req.Ligands, submitted: sw.now()}
+		sw.shards[id] = scriptShard{key: r.Header.Get("Idempotency-Key"), ligands: req.Ligands, submitted: sw.now()}
 		sw.mu.Unlock()
 		if refuse {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "refused by the script"})
+			service.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "refused by the script"})
 			return
 		}
-		writeJSON(w, http.StatusAccepted, service.JobView{ID: id, State: service.StateRunning})
+		service.WriteJSON(w, http.StatusAccepted, service.JobView{ID: id, State: service.StateRunning})
 	})
 	mux.HandleFunc("GET /v1/screens/{id}/partial", func(w http.ResponseWriter, r *http.Request) {
 		sw.mu.Lock()
 		sw.polls++
 		partial, sh := sw.partial, sw.shards[r.PathValue("id")]
+		known := sh.ligands != nil
 		sw.mu.Unlock()
+		if !known {
+			// A sub-screen this worker never admitted, as after a restart
+			// without durability: the coordinator re-dispatches on a 404.
+			service.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "no such job"})
+			return
+		}
 		pv := service.PartialView{ID: r.PathValue("id"), State: service.StateRunning, Total: len(sh.ligands)}
 		if partial != nil {
 			pv = partial(r, sh)
 		}
-		writeJSON(w, http.StatusOK, pv)
+		service.WriteJSON(w, http.StatusOK, pv)
 	})
 	mux.HandleFunc("DELETE /v1/screens/{id}", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, map[string]string{})
+		service.WriteJSON(w, http.StatusAccepted, map[string]string{})
 	})
 	sw.srv = httptest.NewUnstartedServer(mux)
 	sw.srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {

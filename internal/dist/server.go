@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
 
 	"github.com/metascreen/metascreen/internal/service"
@@ -14,12 +12,15 @@ import (
 // cluster. The additions are membership:
 //
 //	POST   /v1/screens            submit a distributed screen -> 202 JobView
+//	                              (507 + Retry-After while the journal
+//	                              cannot take the screen's record)
 //	GET    /v1/screens            list jobs                   -> 200 [JobView]
 //	GET    /v1/screens/{id}       status + merged ranking     -> 200 JobView
 //	                              (?limit=&offset= window the ranking; a
 //	                              running job serves the partial merge)
 //	GET    /v1/screens/{id}/trace shard timeline (Chrome trace) -> 200
 //	DELETE /v1/screens/{id}       cancel (fans out to workers) -> 202
+//	                              (507 while the journal cannot take it)
 //	POST   /v1/workers            register/heartbeat {"url": ...} -> 200
 //	GET    /v1/workers            membership                  -> 200 [WorkerView]
 //	GET    /healthz               liveness                    -> 200 Stats
@@ -54,44 +55,40 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	view, existing, err := c.Submit(req, r.Header.Get("Idempotency-Key"))
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, service.ErrDraining) {
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, err)
+		service.WriteError(w, service.SubmitStatus(err), err)
 		return
 	}
 	if existing {
-		writeJSON(w, http.StatusOK, view)
+		service.WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	w.Header().Set("Location", "/v1/screens/"+view.ID)
-	writeJSON(w, http.StatusAccepted, view)
+	service.WriteJSON(w, http.StatusAccepted, view)
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.List())
+	service.WriteJSON(w, http.StatusOK, c.List())
 }
 
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	view, err := c.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	page, err := service.ParsePage(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	view.Result = view.Result.Paged(page)
-	writeJSON(w, http.StatusOK, view)
+	service.WriteJSON(w, http.StatusOK, view)
 }
 
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec, err := c.Trace(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -100,14 +97,11 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	view, err := c.Cancel(r.PathValue("id"))
-	switch {
-	case errors.Is(err, service.ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, service.ErrTerminal):
-		writeError(w, http.StatusConflict, err)
-	default:
-		writeJSON(w, http.StatusAccepted, view)
+	if err != nil {
+		service.WriteError(w, service.SubmitStatus(err), err)
+		return
 	}
+	service.WriteJSON(w, http.StatusAccepted, view)
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -119,14 +113,14 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := c.Register(body.URL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"workers": n})
+	service.WriteJSON(w, http.StatusOK, map[string]int{"workers": n})
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Workers())
+	service.WriteJSON(w, http.StatusOK, c.Workers())
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -135,7 +129,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if st.Draining {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, st)
+	service.WriteJSON(w, code, st)
 }
 
 func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -144,26 +138,14 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]bool{"ready": ready})
+	service.WriteJSON(w, code, map[string]bool{"ready": ready})
 }
 
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Snapshot())
+	service.WriteJSON(w, http.StatusOK, c.Snapshot())
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	c.metrics.WriteTo(w, c.Stats())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

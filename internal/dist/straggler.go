@@ -215,7 +215,7 @@ func (c *Coordinator) stealLocked(j *job, victim *shard, remaining []string, idl
 	if victim.remote != "" {
 		c.fenced = append(c.fenced, remoteRef{worker: victim.worker, remote: victim.remote})
 	}
-	c.appendEvent(event{Type: evMoved, Job: j.id, Shard: victim.id})
+	c.journal.Append(event{Type: evMoved, Job: j.id, Shard: victim.id})
 	c.metrics.shardsStolen.Inc()
 	if w := c.workers[victim.worker]; w != nil {
 		w.stolenFrom++
@@ -238,7 +238,7 @@ func (c *Coordinator) stealLocked(j *job, victim *shard, remaining []string, idl
 		j.shards = append(j.shards, ns)
 		idle[i].shards++
 		c.metrics.shards.Inc()
-		c.appendEvent(event{Type: evAssign, Job: j.id, Shard: ns.id, Worker: ns.worker, Epoch: ns.epoch, Ligands: chunk})
+		c.journal.Append(event{Type: evAssign, Job: j.id, Shard: ns.id, Worker: ns.worker, Epoch: ns.epoch, Ligands: chunk})
 		c.log.Info("shard remainder stolen",
 			"job", j.id, "victimShard", victim.id, "victim", victim.worker,
 			"thiefShard", ns.id, "thief", ns.worker, "ligands", len(chunk))
@@ -269,7 +269,7 @@ func (c *Coordinator) hedgeLocked(j *job, primary *shard, remaining []string, w 
 	w.shards++
 	c.metrics.hedgesIssued.Inc()
 	c.metrics.shards.Inc()
-	c.appendEvent(event{Type: evAssign, Job: j.id, Shard: hs.id, Worker: hs.worker, Epoch: hs.epoch, Ligands: hs.ligands, HedgeOf: primary.id})
+	c.journal.Append(event{Type: evAssign, Job: j.id, Shard: hs.id, Worker: hs.worker, Epoch: hs.epoch, Ligands: hs.ligands, HedgeOf: primary.id})
 	t := j.rec.Now()
 	j.rec.AddSpan(trace.Span{
 		Track: "membership", Name: "hedge " + primary.id + " on " + w.url,
@@ -317,7 +317,7 @@ func (c *Coordinator) resolveHedgeLocked(j *job, winner *shard) {
 	if loser.remote != "" {
 		c.fenced = append(c.fenced, remoteRef{worker: loser.worker, remote: loser.remote})
 	}
-	c.appendEvent(event{Type: evMoved, Job: j.id, Shard: loser.id})
+	c.journal.Append(event{Type: evMoved, Job: j.id, Shard: loser.id})
 	t := j.rec.Now()
 	j.rec.AddSpan(trace.Span{
 		Track: "membership", Name: "hedge won by " + winner.id + " over " + loser.id,

@@ -46,13 +46,13 @@ func startStalledWorker(t *testing.T) *stalledWorker {
 		sw.submits++
 		sw.total = len(req.Ligands)
 		sw.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, service.JobView{ID: "stall-1", State: service.StateRunning})
+		service.WriteJSON(w, http.StatusAccepted, service.JobView{ID: "stall-1", State: service.StateRunning})
 	})
 	mux.HandleFunc("GET /v1/screens/{id}/partial", func(w http.ResponseWriter, r *http.Request) {
 		sw.mu.Lock()
 		total := sw.total
 		sw.mu.Unlock()
-		writeJSON(w, http.StatusOK, service.PartialView{
+		service.WriteJSON(w, http.StatusOK, service.PartialView{
 			ID: r.PathValue("id"), State: service.StateRunning, Completed: 0, Total: total,
 		})
 	})
@@ -60,7 +60,7 @@ func startStalledWorker(t *testing.T) *stalledWorker {
 		sw.mu.Lock()
 		sw.cancels = append(sw.cancels, r.PathValue("id"))
 		sw.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, map[string]string{})
+		service.WriteJSON(w, http.StatusAccepted, map[string]string{})
 	})
 	sw.srv = httptest.NewServer(mux)
 	t.Cleanup(sw.srv.Close)

@@ -197,7 +197,7 @@ func (c *Coordinator) markWorkerDeadLocked(url, reason string) {
 	}
 	w.alive = false
 	c.metrics.workerDeaths.Inc()
-	c.appendEvent(event{Type: evWorker, Worker: url})
+	c.journal.Append(event{Type: evWorker, Worker: url})
 	c.log.Warn("worker declared dead", "worker", url, "reason", reason)
 }
 
@@ -309,7 +309,7 @@ func (c *Coordinator) assignLocked(j *job) {
 		j.shards = append(j.shards, sh)
 		alive[i].shards++
 		c.metrics.shards.Inc()
-		c.appendEvent(event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: chunk})
+		c.journal.Append(event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: chunk})
 		c.log.Info("shard assigned",
 			"job", j.id, "shard", sh.id, "worker", sh.worker, "ligands", len(chunk))
 	}
@@ -476,7 +476,7 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 	}
 	if len(fresh) > 0 {
 		c.metrics.merged.Add(int64(len(fresh)))
-		c.appendEvent(event{Type: evEntries, Job: j.id, Entries: fresh})
+		c.journal.Append(event{Type: evEntries, Job: j.id, Entries: fresh})
 	}
 
 	completed := 0
@@ -545,7 +545,7 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 			// and let the race finish instead of failing the whole job.
 			sh.moved = true
 			partner.hedgeOf, partner.hedgedBy = "", ""
-			c.appendEvent(event{Type: evMoved, Job: j.id, Shard: sh.id})
+			c.journal.Append(event{Type: evMoved, Job: j.id, Shard: sh.id})
 			c.log.Warn("hedge leg ended terminally; twin carries on",
 				"job", j.id, "shard", sh.id, "state", pv.State, "twin", partner.id)
 			return "", false
@@ -569,7 +569,7 @@ func (c *Coordinator) finishLocked(j *job, state service.JobState, errMsg string
 	v := c.viewLocked(j)
 	j.final = &v
 	c.metrics.finished.With(string(state)).Inc()
-	c.appendEvent(event{Type: evTerminal, Job: j.id, View: &v})
+	c.journal.Append(event{Type: evTerminal, Job: j.id, View: &v})
 	j.rec.AddSpan(trace.Span{
 		Track: "job", Name: j.id, Cat: trace.CatJob,
 		Start: 0, End: j.rec.Now(),

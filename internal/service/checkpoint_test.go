@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
 	"github.com/metascreen/metascreen/internal/core"
+	"github.com/metascreen/metascreen/internal/fsim"
 	"github.com/metascreen/metascreen/internal/trace"
 	"github.com/metascreen/metascreen/internal/wal"
 )
@@ -134,16 +137,93 @@ func TestCheckpointEveryBatchesRecords(t *testing.T) {
 }
 
 // TestCompactionKeepsCheckpointRecords: compaction rewrites a running
-// job's checkpoint records after its snapshot, so a crash right after a
+// job's checkpoint records after its snapshot, so a crash after a
 // compaction keeps the job's progress.
 func TestCompactionKeepsCheckpointRecords(t *testing.T) {
 	cfg := durableConfig(t.TempDir())
-	cfg.CompactBytes = 1 // compact after every append
+	cfg.CompactBytes = 1 // compact whenever the journal doubles
 	id := crashAt(t, cfg, 3)
-	if got := journaledCheckpoints(t, cfg.DataDir, id); len(got) != 1 || len(got[0]) != 3 {
-		t.Fatalf("compacted journal holds checkpoint records %v, want one of three ligands", got)
+	// The journal's last snapshot of the job was taken after its first
+	// checkpoint record, and the checkpoint records that follow it — the
+	// only ones replay keeps — hold all three ligands.
+	segs, err := filepath.Glob(filepath.Join(cfg.DataDir, "journal", "seg-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshotted int
+	var after []string
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := wal.ScanRecords(data)
+		for _, rec := range recs {
+			var ev jobEvent
+			if json.Unmarshal(rec, &ev) != nil || ev.Job != id {
+				continue
+			}
+			switch ev.Type {
+			case evSnapshot:
+				snapshotted, after = ev.View.CheckpointLigands, nil
+			case evCheckpoint:
+				for _, r := range ev.Records {
+					after = append(after, r.Name)
+				}
+			}
+		}
+	}
+	if snapshotted == 0 || len(after) != 3 {
+		t.Fatalf("the last snapshot holds %d checkpointed ligands and is followed by %v; want a snapshot after a checkpoint, then all three ligands",
+			snapshotted, after)
 	}
 	resumeAndCheck(t, durableConfig(cfg.DataDir), id)
+}
+
+// TestCompactionStaysLogarithmic: with a 64 KiB compaction floor, a few
+// thousand small jobs grow the compacted job table far past the floor,
+// and compactions stay logarithmic in the journal's size instead of
+// following every record once the table alone is past the floor.
+func TestCompactionStaysLogarithmic(t *testing.T) {
+	const jobs, floor = 2000, 64 << 10
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, QueueDepth: jobs, DataDir: dir, Fsync: wal.SyncNever, CompactBytes: floor}
+	s := newTestService(t, cfg, func(context.Context, string, ScreenRequest) (*core.ScreenResult, error) {
+		return stubResult(), nil
+	})
+	ids := make([]string, jobs)
+	for i := range ids {
+		v, err := s.Submit(ScreenRequest{Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = v.ID
+	}
+	for _, id := range ids {
+		waitFor(t, func() bool {
+			v, err := s.Get(id)
+			return err == nil && v.State.Terminal()
+		})
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "journal", "seg-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for _, seg := range segs {
+		st, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += st.Size()
+	}
+	records, compactions := s.metrics.journalRecords.Value(), s.metrics.journalCompactions.Value()
+	bound := int64(math.Log2(float64(size)/floor)) + 2
+	t.Logf("%d jobs: %d records, %d compactions (%.4f per record), journal %d B, log2 bound %d",
+		jobs, records, compactions, float64(compactions)/float64(records), size, bound)
+	if compactions < 1 || compactions > bound {
+		t.Fatalf("%d compactions for %d records into a %d B journal, want 1..%d", compactions, records, size, bound)
+	}
 }
 
 // TestTerminalViewSupersedesCheckpointRecords: replay drops a job's
@@ -188,19 +268,47 @@ func TestTerminalViewSupersedesCheckpointRecords(t *testing.T) {
 	}
 }
 
-// TestDegradedModeSkipsCheckpointRecords: once the service is
-// storage-degraded a running job's checkpoint records are skipped, not
-// failed — the job finishes, nothing more is journaled, and only the skip
-// counter moves.
+// fillableFS is the real filesystem on a disk a test fills at will: once
+// full is set, every write fails with ENOSPC.
+type fillableFS struct {
+	fsim.FS
+	full atomic.Bool
+}
+
+func (f *fillableFS) OpenFile(path string, flag int, perm os.FileMode) (fsim.File, error) {
+	file, err := f.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return fillableFile{file, &f.full}, nil
+}
+
+type fillableFile struct {
+	fsim.File
+	full *atomic.Bool
+}
+
+func (f fillableFile) Write(p []byte) (int, error) {
+	if f.full.Load() {
+		return 0, syscall.ENOSPC
+	}
+	return f.File.Write(p)
+}
+
+// TestDegradedModeSkipsCheckpointRecords: the checkpoint record that finds
+// the disk full counts one error and degrades the journal; the job's
+// later records are skipped, not failed — the job finishes, nothing more
+// is journaled, and only the skip counter moves.
 func TestDegradedModeSkipsCheckpointRecords(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestService(t, durableConfig(dir), nil)
+	disk := &fillableFS{FS: fsim.OSFS()}
+	cfg := durableConfig(dir)
+	cfg.FS = disk
+	s := newTestService(t, cfg, nil)
 	s.mu.Lock()
 	s.checkpointHook = func(_ string, newly int) {
 		if newly == 1 {
-			s.mu.Lock()
-			s.enterDegradedLocked(syscall.EIO)
-			s.mu.Unlock()
+			disk.full.Store(true)
 		}
 	}
 	s.mu.Unlock()
@@ -210,12 +318,16 @@ func TestDegradedModeSkipsCheckpointRecords(t *testing.T) {
 	}
 	waitDone(t, s, v.ID)
 	if got := journaledCheckpoints(t, dir, v.ID); len(got) != 1 {
-		t.Errorf("journal holds checkpoint records %v, want only the one before degraded mode", got)
+		t.Errorf("journal holds checkpoint records %v, want only the one before the disk filled", got)
+	}
+	if st := s.Stats(); !st.StorageDegraded || st.StorageReason != "disk_full" {
+		t.Errorf("Stats() = degraded=%v reason=%q, want degraded with reason disk_full", st.StorageDegraded, st.StorageReason)
 	}
 	m := s.metrics
-	// Five checkpoint records and the terminal record were skipped.
-	if w, e, sk := m.checkpointsWritten.Value(), m.checkpointErrors.Value(), m.journalSkipped.Value(); w != 1 || e != 0 || sk != 6 {
-		t.Errorf("checkpoints written %d, errors %d, journal skips %d; want 1, 0, 6", w, e, sk)
+	// The second checkpoint record failed; four more and the terminal
+	// record were skipped.
+	if w, e, sk := m.checkpointsWritten.Value(), m.checkpointErrors.Value(), m.journalSkipped.Value(); w != 1 || e != 1 || sk != 5 {
+		t.Errorf("checkpoints written %d, errors %d, journal skips %d; want 1, 1, 5", w, e, sk)
 	}
 }
 

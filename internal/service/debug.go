@@ -9,6 +9,7 @@ import (
 
 	"github.com/metascreen/metascreen/internal/admission"
 	"github.com/metascreen/metascreen/internal/trace"
+	"github.com/metascreen/metascreen/internal/wal"
 )
 
 // The debug surface: profiling and operational introspection, served on a
@@ -68,12 +69,9 @@ type DebugSnapshot struct {
 	Storage StorageStatus `json:"storage"`
 }
 
-// StorageStatus is the /debug/snapshot view of storage-degraded mode.
-type StorageStatus struct {
-	Degraded     bool    `json:"degraded"`
-	Reason       string  `json:"reason,omitempty"`
-	SinceSeconds float64 `json:"since_seconds,omitempty"`
-}
+// StorageStatus is the /debug/snapshot view of storage-degraded mode, the
+// same on both roles.
+type StorageStatus = wal.Status
 
 // Snapshot builds the debug snapshot.
 func (s *Service) DebugSnapshot() DebugSnapshot {
@@ -88,10 +86,7 @@ func (s *Service) DebugSnapshot() DebugSnapshot {
 	warm := s.lastWarmup
 	started := s.started
 	jobs := len(s.jobs)
-	storage := StorageStatus{Degraded: s.storageDegraded, Reason: s.storageReason}
-	if s.storageDegraded {
-		storage.SinceSeconds = s.now().Sub(s.storageSince).Seconds()
-	}
+	storage := s.journal.Status()
 	s.mu.Unlock()
 
 	busy := map[string]float64{}
@@ -120,5 +115,5 @@ func (s *Service) DebugSnapshot() DebugSnapshot {
 }
 
 func (s *Service) handleDebugSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.DebugSnapshot())
+	WriteJSON(w, http.StatusOK, s.DebugSnapshot())
 }

@@ -1,15 +1,16 @@
 package service
 
-// The durability layer: when Config.DataDir is set, every job lifecycle
-// transition is journaled to an append-only WAL (internal/wal) before the
-// response leaves the service, and every CheckpointEvery completed ligands
-// a running screen journals a checkpoint record carrying the ligands it
+// The node's role table over the shared event log (wal.Log, which owns
+// append, compaction, replay and degraded mode): when Config.DataDir is
+// set, every job lifecycle transition is journaled before the response
+// leaves the service, and every CheckpointEvery completed ligands a
+// running screen journals a checkpoint record carrying the ligands it
 // completed since its previous one. On the next boot over the same data
-// dir the journal is replayed: the job table is rebuilt, terminal jobs keep
-// their results, and jobs that were queued or running at the crash are
-// re-enqueued — a re-run resumes from its checkpoint records, re-docking
-// only the ligands after the last one, with a final ranking byte-identical
-// to an uninterrupted run.
+// dir the journal is replayed: the job table is rebuilt, terminal jobs
+// keep their results, and jobs that were queued or running at the crash
+// are re-enqueued — a re-run resumes from its checkpoint records,
+// re-docking only the ligands after the last one, with a final ranking
+// byte-identical to an uninterrupted run.
 //
 // Layout under DataDir:
 //
@@ -26,11 +27,8 @@ package service
 // compaction writes a non-terminal job's records again after its snapshot.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"github.com/metascreen/metascreen/internal/admission"
@@ -67,7 +65,7 @@ type jobEvent struct {
 
 // RecoveryStats reports what a boot over an existing data dir recovered.
 type RecoveryStats struct {
-	// ReplayedRecords is the number of journal records applied.
+	// ReplayedRecords is the number of journal records replayed.
 	ReplayedRecords int `json:"replayed_records"`
 	// RecoveredJobs is the number of non-terminal jobs re-enqueued.
 	RecoveredJobs int `json:"recovered_jobs"`
@@ -75,38 +73,34 @@ type RecoveryStats struct {
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 }
 
-// openJournal opens the WAL, replays it into the job table, and re-enqueues
-// every job that was queued or running when the previous process died.
-// Called from New before the workers start, so no lock is needed.
+// openJournal opens the journal, replays it into the job table, and
+// re-enqueues every job that was queued or running when the previous
+// process died. Called from New before the workers start, so no lock is
+// needed.
 func (s *Service) openJournal() error {
-	j, info, err := wal.Open(filepath.Join(s.cfg.DataDir, "journal"), wal.Options{
-		Policy:       s.cfg.Fsync,
-		SyncInterval: s.cfg.FsyncInterval,
-		Logf:         func(format string, args ...any) { s.log.Warn(fmt.Sprintf(format, args...)) },
-		FS:           s.fs,
-		OnIOError:    func(op string, err error) { s.metrics.walIOErrors.With(op).Inc() },
+	m := s.metrics
+	l, info, err := wal.OpenLog(filepath.Join(s.cfg.DataDir, "journal"), wal.LogConfig[jobEvent]{
+		Options: wal.Options{
+			Policy:       s.cfg.Fsync,
+			SyncInterval: s.cfg.FsyncInterval,
+			Logf:         func(format string, args ...any) { s.log.Warn(fmt.Sprintf(format, args...)) },
+			FS:           s.cfg.FS,
+			OnIOError:    func(op string, err error) { m.walIOErrors.With(op).Inc() },
+		},
+		CompactBytes: s.cfg.CompactBytes,
+		Apply:        s.applyEvent,
+		Snapshot:     s.snapshot,
+		Now:          s.now,
+		OnAppend:     func(n int) { m.journalRecords.Inc(); m.journalBytes.Add(int64(n)) },
+		OnSkip:       m.journalSkipped.Inc,
+		OnError:      m.journalErrors.Inc,
+		OnCompact:    m.journalCompactions.Inc,
+		OnRecover:    m.storageRecoveries.Inc,
 	})
 	if err != nil {
 		return err
 	}
-	s.recovery.TruncatedBytes = info.TruncatedBytes
-
-	err = j.Replay(func(rec []byte) error {
-		var ev jobEvent
-		if uerr := json.Unmarshal(rec, &ev); uerr != nil {
-			// A record that framed correctly but no longer parses is
-			// skipped, not fatal: replay keeps every applicable event.
-			s.metrics.journalErrors.Inc()
-			return nil
-		}
-		s.applyEvent(ev)
-		s.recovery.ReplayedRecords++
-		return nil
-	})
-	if err != nil {
-		j.Close()
-		return err
-	}
+	s.recovery = RecoveryStats{ReplayedRecords: info.Records, TruncatedBytes: info.TruncatedBytes}
 
 	// Re-enqueue interrupted jobs in submission order, honouring cancels
 	// journaled before the crash. The queue must admit all of them
@@ -139,15 +133,15 @@ func (s *Service) openJournal() error {
 				time.Duration(job.req.DeadlineSeconds * float64(time.Second)))
 		}
 		if err := s.queue.tryPush(job); err != nil {
-			j.Close()
+			l.Close()
 			return fmt.Errorf("service: re-enqueue %s: %w", job.id, err)
 		}
 		s.recovery.RecoveredJobs++
 	}
-	s.metrics.replayedRecords.Add(int64(s.recovery.ReplayedRecords))
-	s.metrics.recoveredJobs.Add(int64(s.recovery.RecoveredJobs))
-	s.metrics.truncatedBytes.Add(s.recovery.TruncatedBytes)
-	s.journal = j
+	m.replayedRecords.Add(int64(s.recovery.ReplayedRecords))
+	m.recoveredJobs.Add(int64(s.recovery.RecoveredJobs))
+	m.truncatedBytes.Add(s.recovery.TruncatedBytes)
+	s.journal = l
 	// Cancelled-but-not-terminal jobs finish now, with the journal open so
 	// the terminal record survives the next restart too.
 	for _, job := range cancelled {
@@ -258,160 +252,27 @@ func (s *Service) bumpNextID(id string) {
 	}
 }
 
-// appendEvent journals one event, reporting whether the record is in the
-// journal. Callers hold s.mu.
-//
-// Failure policy: while the service is storage-degraded the append is
-// skipped outright (counted as skipped — in-flight jobs finish
-// un-journaled by design). A fresh failure gets exactly one
-// Recover-and-retry for transient causes; ENOSPC, or a retry that also
-// fails, flips the service into degraded read-only mode. The in-memory
-// service stays correct either way — only durability degrades — but
-// SubmitIdem refuses to acknowledge a submission whose record did not
-// land, so a 202 always means "journaled".
-func (s *Service) appendEvent(ev jobEvent) bool {
-	if s.journal == nil {
-		return true
-	}
-	if s.storageDegraded {
-		s.metrics.journalSkipped.Inc()
-		return false
-	}
-	b, err := json.Marshal(ev)
-	if err == nil {
-		err = s.journal.Append(b)
-	}
-	if err != nil {
-		s.metrics.journalErrors.Inc()
-		s.log.Error("journal append failed", "job", ev.Job, "err", err)
-		// One shot at recovery for transient I/O faults. A full disk is
-		// not transient — retrying the same bytes cannot help.
-		if !errors.Is(err, syscall.ENOSPC) {
-			if rerr := s.journal.Recover(); rerr == nil {
-				if err2 := s.journal.Append(b); err2 == nil {
-					s.metrics.storageRecoveries.Inc()
-					s.log.Info("journal append recovered after transient failure", "job", ev.Job)
-					return s.afterAppendLocked(b)
-				}
-			}
-		}
-		s.enterDegradedLocked(err)
-		return false
-	}
-	return s.afterAppendLocked(b)
-}
-
-// afterAppendLocked finishes a successful append: counters and size-based
-// compaction. Caller holds s.mu.
-func (s *Service) afterAppendLocked(b []byte) bool {
-	s.metrics.journalRecords.Inc()
-	s.metrics.journalBytes.Add(int64(len(b)))
-	if s.journal.Size() > s.cfg.CompactBytes {
-		s.compactLocked()
-	}
-	return true
-}
-
-// compactLocked rewrites the journal as one snapshot record per job,
-// followed for a job that is not terminal by one checkpoint record holding
-// its journaled ligands, reporting success. Caller holds s.mu.
-func (s *Service) compactLocked() bool {
-	live := make([][]byte, 0, len(s.order))
+// snapshot is the journal's compaction record set: one snapshot record
+// per job, followed for a job that is not terminal by one checkpoint
+// record holding its journaled ligands. It runs inside a journal append
+// or probe, under s.mu.
+func (s *Service) snapshot() []jobEvent {
+	evs := make([]jobEvent, 0, len(s.order))
 	for _, id := range s.order {
 		j := s.jobs[id]
 		v := j.view()
-		evs := []jobEvent{{Type: evSnapshot, Job: id, View: &v}}
+		evs = append(evs, jobEvent{Type: evSnapshot, Job: id, View: &v})
 		if !j.state.Terminal() && j.cpLigands > 0 {
 			evs = append(evs, jobEvent{Type: evCheckpoint, Job: id, Records: j.records(0, j.cpLigands)})
 		}
-		for _, ev := range evs {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				s.metrics.journalErrors.Inc()
-				return false
-			}
-			live = append(live, b)
-		}
 	}
-	if err := s.journal.Compact(live); err != nil {
-		s.metrics.journalErrors.Inc()
-		s.log.Error("journal compact failed", "err", err)
-		return false
-	}
-	s.metrics.journalCompactions.Inc()
-	return true
-}
-
-// enterDegradedLocked flips the service into storage-degraded read-only
-// mode: new submissions are shed with ErrStorageFull (HTTP 507 +
-// Retry-After), reads keep serving, in-flight jobs finish un-journaled.
-// tryRecoverStorageLocked probes the way back out. Caller holds s.mu.
-func (s *Service) enterDegradedLocked(cause error) {
-	if s.storageDegraded {
-		return
-	}
-	s.storageDegraded = true
-	s.storageReason = "io_error"
-	if errors.Is(cause, syscall.ENOSPC) {
-		s.storageReason = "disk_full"
-	}
-	s.storageSince = s.now()
-	s.storageOnce.Do(func() { close(s.storageNotify) })
-	s.log.Error("entering storage-degraded read-only mode",
-		"reason", s.storageReason, "err", cause)
-}
-
-// storageProbeInterval rate-limits degraded-mode recovery probes (each
-// probe attempts a journal Recover plus a full compaction). Package var so
-// tests can zero it.
-var storageProbeInterval = time.Second
-
-// tryRecoverStorageLocked probes whether degraded mode can end: the WAL
-// must Recover, and a full compaction — which writes a snapshot of every
-// job, closing the un-journaled gap AND proving the disk takes writes
-// again — must succeed. True means the service is (back) in journaling
-// mode. Caller holds s.mu.
-func (s *Service) tryRecoverStorageLocked() bool {
-	if !s.storageDegraded {
-		return true
-	}
-	if s.journal == nil {
-		return false
-	}
-	now := s.now()
-	if storageProbeInterval > 0 && now.Sub(s.lastStorageProbe) < storageProbeInterval {
-		return false
-	}
-	s.lastStorageProbe = now
-	if err := s.journal.Recover(); err != nil {
-		return false
-	}
-	if !s.compactLocked() || s.journal.Failed() != nil {
-		return false
-	}
-	s.storageDegraded = false
-	s.storageReason = ""
-	s.metrics.storageRecoveries.Inc()
-	s.log.Info("storage recovered, journaling re-enabled",
-		"degraded_seconds", now.Sub(s.storageSince).Seconds())
-	return true
-}
-
-// loadJobCheckpoint rebuilds a job's resume point from its journaled
-// checkpoint records, so the screen re-docks only the ligands after the
-// last one. Caller holds s.mu.
-func (s *Service) loadJobCheckpoint(j *Job) *core.Checkpoint {
-	cp := &core.Checkpoint{Seed: j.req.Seed, Ligands: make(map[string]core.LigandRecord, j.cpLigands)}
-	for _, rec := range j.records(0, j.cpLigands) {
-		cp.Ligands[rec.Name] = rec
-	}
-	return cp
+	return evs
 }
 
 // checkpointLigand folds one completed ligand into the job's partial set
 // and, when asked to, journals the ligands completed since the job's
 // previous checkpoint record as the next one, reporting whether it did.
-// A failed append does not abort the screen: appendEvent's failure policy
+// A failed append does not abort the screen: the journal's failure policy
 // applies, the job keeps its previous records, and the next checkpoint
 // record carries the missed ligands too. Storage-degraded mode skips the
 // record.
@@ -428,12 +289,12 @@ func (s *Service) checkpointLigand(id string, rec core.LigandRecord, checkpoint 
 	if !checkpoint || s.journal == nil {
 		return false
 	}
-	degraded, prev := s.storageDegraded, j.cpLigands
+	degraded, prev := s.journal.Status().Degraded, j.cpLigands
 	ev := jobEvent{Type: evCheckpoint, Job: id, Records: j.records(prev, len(j.log))}
 	// Advance before appending: a compaction this append triggers must
 	// rewrite the new records too.
 	j.cpLigands = len(j.log)
-	if !s.appendEvent(ev) {
+	if !s.journal.Append(ev) {
 		j.cpLigands = prev
 		if !degraded {
 			s.metrics.checkpointErrors.Inc()

@@ -30,7 +30,7 @@ type Metrics struct {
 
 	// Durability layer.
 	journalRecords, journalBytes, journalErrors, journalCompactions, journalSkipped *metrics.Int
-	checkpointsWritten, checkpointsQuar, checkpointErrors, storageRecoveries        *metrics.Int
+	checkpointsWritten, checkpointErrors, storageRecoveries                         *metrics.Int
 	replayedRecords, recoveredJobs, truncatedBytes                                  *metrics.Int               // boot-time replay
 	walIOErrors                                                                     *metrics.Vec[*metrics.Int] // by op
 
@@ -95,8 +95,7 @@ func NewMetrics(workers int) *Metrics {
 		truncatedBytes:     r.Counter("metascreen_journal_truncated_bytes_total", "Torn-tail journal bytes dropped during recovery."),
 		walIOErrors:        r.CounterVec("metascreen_wal_io_errors_total", "Storage I/O failures absorbed or surfaced by the durability layer, by operation.", "op"),
 		journalSkipped:     r.Counter("metascreen_journal_skipped_total", "Journal appends skipped while storage-degraded."),
-		checkpointsQuar:    r.Counter("metascreen_checkpoints_quarantined_total", "Corrupt checkpoint snapshots quarantined during recovery."),
-		checkpointErrors:   r.Counter("metascreen_checkpoint_errors_total", "Checkpoint snapshot write failures (screen continued)."),
+		checkpointErrors:   r.Counter("metascreen_checkpoint_errors_total", "Checkpoint record append failures (screen continued)."),
 		storageRecoveries:  r.Counter("metascreen_storage_recoveries_total", "Successful storage recoveries (journaling re-enabled)."),
 		storageDegraded:    r.Gauge("metascreen_storage_degraded", "Whether the service is in storage-degraded read-only mode."),
 		shed:               r.CounterVec("metascreen_jobs_shed_total", "Overload rejections and culls by reason.", "reason", shedReasons...),

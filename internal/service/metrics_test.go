@@ -55,7 +55,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	m.walIOErrors.With("sync").Add(2)
 	m.walIOErrors.With("dirsync").Inc()
 	m.journalSkipped.Inc()
-	m.checkpointsQuar.Inc()
 	m.checkpointErrors.Inc()
 	m.storageRecoveries.Inc()
 	m.classQueue.With(admission.ClassHigh.String()).Observe(0.02)
@@ -207,10 +206,7 @@ metascreen_wal_io_errors_total{op="sync"} 2
 # HELP metascreen_journal_skipped_total Journal appends skipped while storage-degraded.
 # TYPE metascreen_journal_skipped_total counter
 metascreen_journal_skipped_total 1
-# HELP metascreen_checkpoints_quarantined_total Corrupt checkpoint snapshots quarantined during recovery.
-# TYPE metascreen_checkpoints_quarantined_total counter
-metascreen_checkpoints_quarantined_total 1
-# HELP metascreen_checkpoint_errors_total Checkpoint snapshot write failures (screen continued).
+# HELP metascreen_checkpoint_errors_total Checkpoint record append failures (screen continued).
 # TYPE metascreen_checkpoint_errors_total counter
 metascreen_checkpoint_errors_total 1
 # HELP metascreen_storage_recoveries_total Successful storage recoveries (journaling re-enabled).

@@ -103,7 +103,7 @@ func (s *Service) runJob(j *Job) {
 		}
 	}
 	rec, submitted, startedAt := j.rec, j.submitted, j.started
-	s.appendEvent(jobEvent{Type: evStarted, Job: id, Time: j.started, Attempt: first})
+	s.journal.Append(jobEvent{Type: evStarted, Job: id, Time: j.started, Attempt: first})
 	s.mu.Unlock()
 	defer cancel()
 
@@ -150,7 +150,7 @@ func (s *Service) runJob(j *Job) {
 		j.attempts = attempt
 		if err != nil {
 			j.lastErr = err.Error()
-			s.appendEvent(jobEvent{Type: evAttempt, Job: id, Attempt: attempt, Error: j.lastErr})
+			s.journal.Append(jobEvent{Type: evAttempt, Job: id, Attempt: attempt, Error: j.lastErr})
 		}
 		s.mu.Unlock()
 
@@ -287,9 +287,14 @@ func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (
 	}
 
 	s.mu.Lock()
+	// A durable job resumes from its journaled checkpoint records,
+	// re-docking only the ligands after the last one.
 	cp := &core.Checkpoint{}
 	if j, ok := s.jobs[id]; ok && s.journal != nil {
-		cp = s.loadJobCheckpoint(j)
+		cp = &core.Checkpoint{Seed: j.req.Seed, Ligands: make(map[string]core.LigandRecord, j.cpLigands)}
+		for _, rec := range j.records(0, j.cpLigands) {
+			cp.Ligands[rec.Name] = rec
+		}
 	}
 	s.mu.Unlock()
 	onLigand := func(_ *core.Checkpoint, lr core.LigandRecord, newly int) error {

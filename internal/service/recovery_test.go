@@ -108,6 +108,28 @@ func assertMatchesReference(t *testing.T, got *ResultView, want *core.ScreenResu
 	}
 }
 
+// crashForTest simulates kill -9 for the crash-recovery tests: from this
+// point nothing further reaches the journal or triggers terminal side
+// effects — exactly as if the process died — while the goroutines are
+// still wound down so the test can reopen the data dir race-free. The
+// journal bytes already written (synced per policy) are what the next boot
+// sees.
+func (s *Service) crashForTest() {
+	s.mu.Lock()
+	s.crashed = true
+	s.journal = nil // drop without Close: no final sync, like SIGKILL
+	s.startDrainLocked()
+	s.queue.close()
+	s.ctrl.Close()
+	for _, id := range s.order {
+		if j := s.jobs[id]; j.state == StateRunning && j.cancel != nil {
+			j.cancel()
+		}
+	}
+	s.mu.Unlock()
+	s.workers.Wait()
+}
+
 // crashAfterCheckpoints runs recoveryRequest on a fresh durable service
 // and simulates process death once exactly n ligands are checkpointed,
 // returning the interrupted job's ID.

@@ -38,8 +38,9 @@ import (
 //	GET    /metrics               Prometheus text exposition -> 200
 //
 // Errors are {"error": "..."} with ErrQueueFull / ErrDeadlineUnmeetable
-// -> 429, ErrDraining / ErrBreakerOpen -> 503, ErrNotFound -> 404,
-// ErrTerminal -> 409, bad requests -> 400, a body over MaxBodyBytes -> 413.
+// -> 429, ErrDraining / ErrBreakerOpen -> 503, ErrStorageFull -> 507,
+// ErrNotFound -> 404, ErrTerminal -> 409, bad requests -> 400, a body over
+// MaxBodyBytes -> 413.
 // Overload rejections (ShedError) additionally carry a Retry-After header
 // and a structured body with reason, retry_after_seconds, queue_depth and
 // limit.
@@ -98,7 +99,7 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	writeError(w, code, err)
+	WriteError(w, code, err)
 	return false
 }
 
@@ -112,25 +113,29 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	view, existing, err := s.SubmitIdem(req, r.Header.Get("Idempotency-Key"))
 	if err != nil {
-		writeError(w, submitStatus(err), err)
+		WriteError(w, SubmitStatus(err), err)
 		return
 	}
 	if existing {
 		// A duplicate submission (client retry across a timeout or server
 		// restart) maps onto the already-admitted job.
-		writeJSON(w, http.StatusOK, view)
+		WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	w.Header().Set("Location", "/v1/screens/"+view.ID)
-	writeJSON(w, http.StatusAccepted, view)
+	WriteJSON(w, http.StatusAccepted, view)
 }
 
-// submitStatus maps an admission error to its HTTP status: retryable
-// backpressure is 429, outright unavailability 503, and a full or failing
-// journal disk 507 (Insufficient Storage) — the client's request is fine,
-// the server cannot durably accept it right now.
-func submitStatus(err error) int {
+// SubmitStatus maps a submit or cancel error to its HTTP status on either
+// role: retryable backpressure is 429, outright unavailability 503, and a
+// full or failing journal disk 507 (Insufficient Storage) — the client's
+// request is fine, the server cannot durably accept it right now.
+func SubmitStatus(err error) int {
 	switch {
+	case errors.Is(err, ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, ErrTerminal):
+		return http.StatusConflict
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDeadlineUnmeetable):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrBreakerOpen):
@@ -142,22 +147,22 @@ func submitStatus(err error) int {
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.List())
+	WriteJSON(w, http.StatusOK, s.List())
 }
 
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	view, err := s.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	page, err := ParsePage(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	view.Result = view.Result.Paged(page)
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 // handlePartial serves the ranking of the ligands a job has completed so
@@ -167,15 +172,15 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handlePartial(w http.ResponseWriter, r *http.Request) {
 	q, err := ParsePartialQuery(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	pv, err := s.Partial(r.Context(), r.PathValue("id"), q)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, pv)
+	WriteJSON(w, http.StatusOK, pv)
 }
 
 // handleTrace streams a job's timeline in Chrome trace format. The export
@@ -184,7 +189,7 @@ func (s *Service) handlePartial(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rec, err := s.Trace(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -193,14 +198,11 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	view, err := s.Cancel(r.PathValue("id"))
-	switch {
-	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, ErrTerminal):
-		writeError(w, http.StatusConflict, err)
-	default:
-		writeJSON(w, http.StatusAccepted, view)
+	if err != nil {
+		WriteError(w, SubmitStatus(err), err)
+		return
 	}
+	WriteJSON(w, http.StatusAccepted, view)
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -211,7 +213,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// routing to them while running jobs finish.
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, st)
+	WriteJSON(w, code, st)
 }
 
 // handleReady is the readiness probe: 200 once the journal is replayed
@@ -223,7 +225,7 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"ready":    ready,
 		"recovery": s.Recovery(),
 	})
@@ -234,7 +236,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteTo(w, s.Stats())
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as indented JSON under the given status, the
+// response shape of every role.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -242,7 +246,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
+// WriteError answers {"error": ...} under the given status. A ShedError
+// also carries a Retry-After header and its reason, queue depth and limit.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	var shed *ShedError
 	if errors.As(err, &shed) {
 		// Overload rejections tell the client when to come back and how
@@ -252,7 +258,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, code, map[string]any{
+		WriteJSON(w, code, map[string]any{
 			"error":               err.Error(),
 			"reason":              shed.Reason,
 			"retry_after_seconds": secs,
@@ -261,5 +267,5 @@ func writeError(w http.ResponseWriter, code int, err error) {
 		})
 		return
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

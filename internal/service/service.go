@@ -74,8 +74,9 @@ type Config struct {
 	// one checkpoint record after every N of them; 0 means 1 (a record
 	// per ligand).
 	CheckpointEvery int
-	// CompactBytes compacts the journal into per-job snapshots when it
-	// grows past this size; 0 means 4 MiB.
+	// CompactBytes is the compaction floor: the journal is compacted into
+	// per-job snapshots once it is past both this size and twice its size
+	// after the last compaction; 0 means 4 MiB.
 	CompactBytes int64
 	// FS is the filesystem the journal writes through; nil means the real
 	// one. The -disk-chaos flag and the crash-point explorer inject a
@@ -114,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
 	}
-	if c.CompactBytes <= 0 {
-		c.CompactBytes = 4 << 20
-	}
 	return c
 }
 
@@ -152,21 +150,10 @@ type Service struct {
 	run     runnerFunc
 
 	// Durability (nil journal when DataDir is unset).
-	journal  *wal.Journal
-	fs       fsim.FS
+	journal  *wal.Log[jobEvent]
 	idem     map[string]string // idempotency key -> job ID
 	recovery RecoveryStats
 	crashed  bool // crashForTest: suppress terminal side effects
-
-	// Storage-degraded read-only mode (see enterDegradedLocked): new
-	// submissions shed with 507 while reads keep serving; probes flip the
-	// service back once the disk takes writes again.
-	storageDegraded  bool
-	storageReason    string // "disk_full" or "io_error"
-	storageSince     time.Time
-	lastStorageProbe time.Time
-	storageNotify    chan struct{}
-	storageOnce      sync.Once
 
 	// checkpointHook observes journaled checkpoint records; recovery tests
 	// use it to crash at a deterministic mid-screen point.
@@ -219,17 +206,12 @@ func New(cfg Config) (*Service, error) {
 		queue:   newJobQueue(cfg.QueueDepth),
 		ctrl:    admission.NewController(acfg),
 		now:     now,
-		fs:      cfg.FS,
 		drain:   make(chan struct{}),
 
 		incarnation: rand.Uint64() | 1, // never the zero cursor's
 
-		storageNotify: make(chan struct{}),
-		receptors:     make(map[receptorKey]*core.PreparedReceptor),
-		molecules:     make(map[string]*core.PreparedReceptor),
-	}
-	if s.fs == nil {
-		s.fs = fsim.OSFS()
+		receptors: make(map[receptorKey]*core.PreparedReceptor),
+		molecules: make(map[string]*core.PreparedReceptor),
 	}
 	if s.log == nil {
 		s.log = obs.Nop()
@@ -258,15 +240,19 @@ func (s *Service) Recovery() RecoveryStats {
 	return s.recovery
 }
 
-// storageRetryAfter is the Retry-After handed to submissions shed in
-// storage-degraded mode: long enough that clients do not hammer a full
-// disk, short enough to notice space being freed promptly.
-const storageRetryAfter = 5 * time.Second
+// StorageRetryAfter is the Retry-After handed to submissions shed in
+// storage-degraded mode, on either role: long enough that clients do not
+// hammer a full disk, short enough to notice space being freed promptly.
+const StorageRetryAfter = 5 * time.Second
 
 // StorageFull is closed the first time the service enters
 // storage-degraded mode. vsserved's -on-full=stop policy drains on it;
 // the default -on-full=degrade keeps serving reads.
-func (s *Service) StorageFull() <-chan struct{} { return s.storageNotify }
+func (s *Service) StorageFull() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.journal.Full()
+}
 
 // Submit validates and enqueues a screen, returning the queued job's
 // snapshot. It fails fast with ErrQueueFull or ErrDraining.
@@ -299,8 +285,8 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 	// journaled, which a failed disk cannot promise. Each rejected submit
 	// is also a (rate-limited) recovery probe, so journaling resumes
 	// without a restart once space is freed.
-	if s.storageDegraded && !s.tryRecoverStorageLocked() {
-		return JobView{}, false, s.shedLocked(ErrStorageFull, "storage_full", storageRetryAfter)
+	if !s.journal.Probe() {
+		return JobView{}, false, s.shedLocked(ErrStorageFull, "storage_full", StorageRetryAfter)
 	}
 
 	// Admission pipeline: breaker gate (machine jobs only), deadline
@@ -354,10 +340,10 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 		s.idem[key] = j.id
 	}
 	s.metrics.submitted.Inc()
-	if !s.appendEvent(jobEvent{
+	if !s.journal.Append(jobEvent{
 		Type: evSubmitted, Job: j.id, Time: j.submitted,
 		Request: &j.req, IdemKey: key,
-	}) && s.journal != nil {
+	}) {
 		// The ack oracle: a 202 promises the submission survives a crash,
 		// and this one's record never reached the journal. Shed the job
 		// (the queued entry is skipped when popped) instead of acking.
@@ -366,7 +352,7 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 		}
 		j.idemKey = ""
 		s.finishLocked(j, StateShed, nil, "shed: journal unavailable at admission")
-		return JobView{}, false, s.shedLocked(ErrStorageFull, "storage_full", storageRetryAfter)
+		return JobView{}, false, s.shedLocked(ErrStorageFull, "storage_full", StorageRetryAfter)
 	}
 	s.log.Info("job submitted", "job", j.id,
 		"dataset", req.Dataset, "library", req.Library,
@@ -454,7 +440,7 @@ func (s *Service) Cancel(id string) (JobView, error) {
 		// the job finishes, replay sees the cancel and does not resurrect
 		// the job.
 		j.cancelRequested = true
-		s.appendEvent(jobEvent{Type: evCancel, Job: j.id, Time: s.now()})
+		s.journal.Append(jobEvent{Type: evCancel, Job: j.id, Time: s.now()})
 		j.cancel()
 	default:
 		return j.view(), ErrTerminal
@@ -506,7 +492,7 @@ func (s *Service) finishLocked(j *Job, state JobState, res *core.ScreenResult, e
 	s.recordJobSpans(j)
 	if s.journal != nil {
 		v := j.view()
-		s.appendEvent(jobEvent{Type: evTerminal, Job: j.id, Time: j.finished, View: &v})
+		s.journal.Append(jobEvent{Type: evTerminal, Job: j.id, Time: j.finished, View: &v})
 	}
 	s.log.Info("job finished", "job", j.id, "state", string(state),
 		"latency_seconds", j.finished.Sub(j.submitted).Seconds(), "err", errMsg)
@@ -607,34 +593,10 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.mu.Lock()
-	if s.journal != nil {
-		s.journal.Close()
-		s.journal = nil
-	}
+	s.journal.Close()
+	s.journal = nil
 	s.mu.Unlock()
 	return err
-}
-
-// crashForTest simulates kill -9 for the crash-recovery tests: from this
-// point nothing further reaches the journal or triggers terminal side
-// effects — exactly as if the process died — while the goroutines are
-// still wound down so the test can reopen the data dir race-free. The
-// journal bytes already written (synced per policy) are what the next boot
-// sees.
-func (s *Service) crashForTest() {
-	s.mu.Lock()
-	s.crashed = true
-	s.journal = nil // drop without Close: no final sync, like SIGKILL
-	s.startDrainLocked()
-	s.queue.close()
-	s.ctrl.Close()
-	for _, id := range s.order {
-		if j := s.jobs[id]; j.state == StateRunning && j.cancel != nil {
-			j.cancel()
-		}
-	}
-	s.mu.Unlock()
-	s.workers.Wait()
 }
 
 // Stats is a point-in-time operational snapshot (also the source of the
@@ -662,7 +624,7 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.ctrl.Snapshot()
+	snap, storage := s.ctrl.Snapshot(), s.journal.Status()
 	st := Stats{
 		QueueDepth:      s.queue.depth(),
 		Workers:         s.cfg.Workers,
@@ -671,8 +633,8 @@ func (s *Service) Stats() Stats {
 		Limit:           snap.Limit,
 		InFlight:        snap.InFlight,
 		Breaker:         snap.Breaker,
-		StorageDegraded: s.storageDegraded,
-		StorageReason:   s.storageReason,
+		StorageDegraded: storage.Degraded,
+		StorageReason:   storage.Reason,
 	}
 	for _, c := range admission.Classes() {
 		st.QueueByClass[c.String()] = s.queue.depthClass(c)

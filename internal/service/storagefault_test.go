@@ -76,9 +76,9 @@ func TestCheckpointCorruptionFallback(t *testing.T) {
 // restart) once space frees, re-enabling journaling. A restart over the
 // same dir must still know every job that was acknowledged with a 202.
 func TestStorageFullDegradedMode(t *testing.T) {
-	saved := storageProbeInterval
-	storageProbeInterval = 0
-	defer func() { storageProbeInterval = saved }()
+	saved := wal.StorageProbeInterval
+	wal.StorageProbeInterval = 0
+	defer func() { wal.StorageProbeInterval = saved }()
 
 	dir := t.TempDir()
 	// Roomy enough to boot, admit a few jobs and (after the operator

