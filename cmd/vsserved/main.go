@@ -32,21 +32,21 @@
 //	node         the default single-node service above
 //	worker       a node that also registers with and heartbeats to a
 //	             coordinator (-coordinator, -advertise, -heartbeat)
-//	coordinator  no local screening: shards each submitted screen across
-//	             the registered workers by ligand-name hash, streams the
+//	coordinator  no local screening: the registered workers pull each
+//	             submitted screen in chunks, costliest ligands first and
+//	             shrinking toward the tail; the coordinator streams the
 //	             partial rankings back and merges them deterministically;
-//	             worker death re-splits unfinished ligands over the
-//	             survivors, and -data-dir journals distributed state so a
-//	             restarted coordinator resumes mid-screen
+//	             worker death returns unfinished ligands to the pool, and
+//	             -data-dir journals distributed state so a restarted
+//	             coordinator resumes mid-screen
 //
 // Coordinator→worker requests run under per-request timeouts with
 // bounded, jittered retries and epoch fencing against zombie workers
 // (-request-timeout, -worker-attempts, -worker-retry-delay,
-// -worker-fail-threshold, -worker-response-limit). Slowness is treated
-// as a fault too: the coordinator steals straggling shards onto idle
-// workers, hedge-dispatches the tail of each screen, and quarantines
-// persistently slow workers (-steal-threshold, -hedge-tail,
-// -quarantine-factor). A -chaos plan (with
+// -worker-fail-threshold, -worker-response-limit). A slow worker simply
+// pulls fewer chunks; once a screen's pool is dry, an idle worker backs up
+// a chunk that has run for -worker-timeout, first copy to complete wins.
+// A -chaos plan (with
 // -chaos-seed) injects deterministic network faults — partitions,
 // blackholes, latency, request duplication — into those requests for
 // replayable chaos drills; see internal/netsim.
@@ -113,15 +113,12 @@ func main() {
 	advertise := flag.String("advertise", "", "URL the coordinator should reach this worker at (default derived from -addr)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "worker registration/heartbeat cadence")
 	workerTimeout := flag.Duration("worker-timeout", 5*time.Second, "coordinator declares a worker dead after this heartbeat silence")
-	pollInterval := flag.Duration("poll-interval", 100*time.Millisecond, "longest the coordinator holds one shard poll on a worker, and its idle supervision cadence (not a latency floor: a finished shard answers at once)")
+	pollInterval := flag.Duration("poll-interval", 100*time.Millisecond, "longest the coordinator holds one chunk poll on a worker, and its idle supervision cadence (not a latency floor: a finished chunk answers at once)")
 	requestTimeout := flag.Duration("request-timeout", 0, "coordinator per-request deadline against a worker (0 = 15s)")
 	workerAttempts := flag.Int("worker-attempts", 0, "tries per coordinator->worker request (0 = 3, 1 disables retries)")
 	workerRetryDelay := flag.Duration("worker-retry-delay", 0, "base backoff between coordinator request retries, doubled and jittered (0 = 50ms)")
 	workerFailThreshold := flag.Int("worker-fail-threshold", 0, "consecutive failed requests before a worker is declared dead (0 = 2)")
 	workerResponseLimit := flag.Int64("worker-response-limit", 0, "byte cap on worker responses (0 = sized to the library limit)")
-	stealThreshold := flag.Float64("steal-threshold", 0, "steal a shard when its ETA exceeds this multiple of the median (0 = 3, negative disables)")
-	hedgeTail := flag.Int("hedge-tail", 0, "hedge-dispatch duplicates for the last N unfinished shards of a screen (0 = disabled)")
-	quarantineFactor := flag.Float64("quarantine-factor", 0, "quarantine workers slower than the median by this factor and shrink their split weight by it (0 = 4, negative disables)")
 	chaos := flag.String("chaos", "", "netsim fault plan injected into coordinator->worker requests, e.g. '127.0.0.1:8081:partition@3s+4s' (empty = disabled)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the -chaos plan's probabilistic faults")
 	diskChaos := flag.String("disk-chaos", "", "fsim fault plan injected into journal I/O (checkpoint records included), e.g. '*.wal:fsync-fail@0.01,*:enospc@1048576' (empty = disabled)")
@@ -186,9 +183,6 @@ func main() {
 			RetryBaseDelay:   *workerRetryDelay,
 			FailThreshold:    *workerFailThreshold,
 			MaxResponseBytes: *workerResponseLimit,
-			StealThreshold:   *stealThreshold,
-			HedgeTail:        *hedgeTail,
-			QuarantineFactor: *quarantineFactor,
 			Transport:        transport,
 			Logger:           logger,
 		})

@@ -344,10 +344,15 @@ func sortRanking(out *ScreenResult) {
 func SyntheticLibrary(n int) []*molecule.Molecule {
 	lib := make([]*molecule.Molecule, n)
 	for i := range lib {
-		atoms := 18 + (i*5)%27
-		lib[i] = molecule.SyntheticLigand(SyntheticName(i), atoms, 5000+uint64(i))
+		lib[i] = SyntheticLigand(i)
 	}
 	return lib
+}
+
+// SyntheticLigand returns the i-th ligand of SyntheticLibrary alone, for a
+// screen of a few named ligands that must not pay for the whole library.
+func SyntheticLigand(i int) *molecule.Molecule {
+	return molecule.SyntheticLigand(SyntheticName(i), SyntheticAtoms(i), 5000+uint64(i))
 }
 
 // SyntheticName returns the name of the i-th ligand of SyntheticLibrary,
@@ -355,6 +360,11 @@ func SyntheticLibrary(n int) []*molecule.Molecule {
 // a library by these names and the service validates shard requests
 // against them, so the naming scheme is part of the library's contract.
 func SyntheticName(i int) string { return fmt.Sprintf("LIG-%03d", i) }
+
+// SyntheticAtoms returns the atom count of the i-th ligand of
+// SyntheticLibrary (18–44), the cost the distributed coordinator sizes
+// chunks by.
+func SyntheticAtoms(i int) int { return 18 + (i*5)%27 }
 
 // MultiStartResult aggregates independent executions of the same problem.
 type MultiStartResult struct {

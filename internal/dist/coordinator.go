@@ -1,7 +1,7 @@
 // Package dist scales a screening service out across nodes: a
-// coordinator accepts ordinary screen requests, shards the ligand
-// library across registered worker replicas by FNV-1a name hash, and
-// dispatches each shard to a worker over the normal HTTP JSON API as a
+// coordinator accepts ordinary screen requests, keeps each screen's
+// ligands in a pool, and lets registered worker replicas pull chunks of
+// it (pool.go), each dispatched over the normal HTTP JSON API as a
 // Ligands-restricted ScreenRequest. Per-ligand seed lanes are keyed by
 // ligand name, so placement never changes a ligand's result: the merged
 // ranking of a 3-node screen is byte-identical to the same screen run on
@@ -9,13 +9,11 @@
 //
 // Workers are stock vsserved nodes — registration and heartbeating are
 // the only coordinator-specific traffic they emit. The coordinator
-// streams each shard's completed-ligand ranking from the worker's
+// streams each chunk's completed-ligand ranking from the worker's
 // /partial endpoint as the screen checkpoints, merging entries as they
 // arrive; when a worker dies (heartbeat timeout or repeated request
-// failures) only its unfinished ligands move, re-split over the
-// survivors proportionally to their observed throughput (the device
-// pool's warm-up-weighted re-split, lifted one level up). All
-// distributed state — membership, shard assignments, merged entries,
+// failures) only its unfinished ligands go back to the pool. All
+// distributed state — membership, chunk assignments, merged entries,
 // terminal results — is journaled through the WAL, so a restarted
 // coordinator resumes mid-screen and re-dispatches under the same
 // idempotency keys, mapping onto the workers' still-running jobs instead
@@ -35,7 +33,6 @@ import (
 
 	"github.com/metascreen/metascreen/internal/core"
 	"github.com/metascreen/metascreen/internal/fsim"
-	"github.com/metascreen/metascreen/internal/sched"
 	"github.com/metascreen/metascreen/internal/service"
 	"github.com/metascreen/metascreen/internal/trace"
 	"github.com/metascreen/metascreen/internal/wal"
@@ -52,7 +49,8 @@ type Config struct {
 	// one. Storage chaos plans (-disk-chaos) inject a fsim.Faulty here.
 	FS fsim.FS
 	// HeartbeatTimeout declares a worker dead when no heartbeat (or
-	// successful request) has been seen for this long; default 5s.
+	// successful request) has been seen for this long; default 5s. It is
+	// also how long a chunk runs before the tail rule may back it up.
 	HeartbeatTimeout time.Duration
 	// PollInterval is the longest one shard poll is held on its worker
 	// and the cadence of an idle supervision loop (dispatch, partial polls,
@@ -88,24 +86,6 @@ type Config struct {
 	// CompactBytes is the journal's compaction floor, as on a node
 	// (service.Config.CompactBytes); default 4 MiB.
 	CompactBytes int64
-	// StealThreshold flags a shard as a straggler when its projected
-	// finish time (unfinished ligands / owner's observed rate) exceeds
-	// this multiple of the reference ETA — the median over the job's
-	// active shards, falling back to the median completed-shard duration.
-	// An idle worker then steals the unfinished remainder. 0 means 3;
-	// negative disables stealing.
-	StealThreshold float64
-	// HedgeTail speculatively re-dispatches the remaining ligands of the
-	// job's last K unfinished shards to idle workers; the first complete
-	// result wins and the loser is cancelled. 0 disables hedging.
-	HedgeTail int
-	// QuarantineFactor demotes persistently slow workers to a brownout:
-	// a worker whose observed rate stays below the alive-fleet median
-	// divided by this factor is quarantined — its weight in re-splits is
-	// divided by the same factor and it stops receiving steals, hedges,
-	// and initial equal-split shards — until its rate recovers. 0 means
-	// 4; negative disables quarantine.
-	QuarantineFactor float64
 	// Logger receives coordinator events; default slog text to stderr.
 	Logger *slog.Logger
 
@@ -140,12 +120,6 @@ func (c Config) validate() error {
 	if c.RetryBaseDelay < 0 {
 		return fmt.Errorf("dist: RetryBaseDelay %v must be >= 0", c.RetryBaseDelay)
 	}
-	if c.HedgeTail < 0 {
-		return fmt.Errorf("dist: HedgeTail %d must be >= 0", c.HedgeTail)
-	}
-	if c.QuarantineFactor > 0 && c.QuarantineFactor <= 1 {
-		return fmt.Errorf("dist: QuarantineFactor %v must exceed 1 (or be 0 for the default, negative to disable)", c.QuarantineFactor)
-	}
 	return nil
 }
 
@@ -172,12 +146,6 @@ func (c Config) withDefaults() Config {
 		// Sized to the library cap: the biggest partial one poll can see.
 		c.MaxResponseBytes = int64(service.MaxRankingLimit)*maxPartialEntryBytes + 64<<10
 	}
-	if c.StealThreshold == 0 {
-		c.StealThreshold = 3
-	}
-	if c.QuarantineFactor == 0 {
-		c.QuarantineFactor = 4
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
@@ -193,41 +161,27 @@ type worker struct {
 	alive    bool
 	epoch    uint64 // fencing epoch, bumped on every dead→alive transition
 	lastBeat time.Time
-	rate     sched.RateEWMA // observed completed ligands/second across its shards
-	selfRate float64        // last rate the worker reported about itself (PartialView.RateLPS)
-	shards   int64          // shards ever assigned here
-
-	// Straggler quarantine. A quarantined worker stays alive and keeps
-	// its shards, but its split weight is browned out and it receives no
-	// stolen or hedged work until its rate recovers.
-	quarantined bool
-	slowStreak  int   // consecutive assessments below the quarantine bar
-	stolenFrom  int64 // shards stolen away from this worker, ever
+	shards   int64 // chunks ever assigned here
+	merged   int64 // ligands merged first from this worker's polls
 }
 
-// shard is one contiguous slice of a distributed job's ligands, owned by
-// one worker. Guarded by the coordinator's mutex.
+// shard is one chunk of a distributed job's ligands, owned by one worker
+// (pool.go sizes and hands them out). Guarded by the coordinator's mutex.
 type shard struct {
 	id      string   // "s0", "s1", ... unique within the job, stable across restarts
 	worker  string   // owning worker URL
 	epoch   uint64   // owner's registration epoch at assignment; immutable after creation
-	ligands []string // assigned ligand names, library order
+	ligands []string // assigned ligand names
 	remote  string   // worker-side job ID; "" until the dispatch is acknowledged
 	done    bool     // every assigned ligand merged
-	moved   bool     // fenced out: worker died, remainder stolen, or hedge race lost
-	stolen  bool     // moved because an idle worker stole the unfinished remainder
+	moved   bool     // fenced out: worker died or revived, or backup race lost
 
-	// Hedge linkage: a hedge shard carries hedgeOf = the primary shard it
-	// backs; a hedged primary carries hedgedBy = its twin's ID. The two
-	// cover the same unfinished ligands — first complete wins, the loser
-	// is fenced (moved) and cancelled.
+	// Backup linkage: a backup carries hedgeOf = the chunk it backs; a
+	// backed-up chunk carries hedgedBy = its twin's ID. The two cover the
+	// same unfinished ligands — first complete wins, the loser is fenced
+	// (moved) and cancelled.
 	hedgeOf  string
 	hedgedBy string
-
-	// steals counts the steals behind this shard (0 unless stealLocked
-	// created it); it doubles the shard's own steal grace per generation.
-	// Not journaled — a restarted coordinator relearns it like the rates.
-	steals int
 
 	// cursor is the worker's position token from the last accepted poll,
 	// sent back so the next poll carries only newer entries. In-memory
@@ -236,9 +190,6 @@ type shard struct {
 	cursor string
 
 	dispatched time.Time
-	doneAt     time.Time // completion time, for straggler reference durations
-	lastPoll   time.Time
-	lastSeen   int // merged count at the previous poll
 	errs       int // consecutive failed requests for this shard
 
 	// waitFrom and waitPolls describe the poll span in progress: where it
@@ -258,13 +209,14 @@ type job struct {
 	finished  time.Time
 	errMsg    string
 
-	names      []string        // target ligand names, library order
-	nameSet    map[string]bool // membership of names
-	merged     map[string]service.PartialEntry
-	shards     []*shard
-	nextShard  int
-	unassigned []string // ligands awaiting (re-)assignment, library order
-	resplits   int
+	names     []string       // target ligand names, library order
+	atoms     map[string]int // membership of names, and each one's cost
+	merged    map[string]service.PartialEntry
+	shards    []*shard
+	nextShard int
+	pool      []string   // ligands awaiting (re-)assignment, costliest first
+	ready     [][]string // the current factoring batch's chunks not yet handed out
+	resplits  int
 
 	cancelRequested bool
 	final           *JobView        // terminal snapshot (journal round-trip)
@@ -278,17 +230,16 @@ type Coordinator struct {
 	cl      *client
 	metrics *Metrics
 
-	mu         sync.Mutex
-	workers    map[string]*worker
-	jobs       map[string]*job
-	order      []string
-	idem       map[string]string // idempotency key -> job ID
-	nextID     uint64
-	nextEpoch  uint64          // monotonic fencing-epoch counter, journaled
-	fenced     []remoteRef     // zombie worker-side jobs awaiting best-effort cancel
-	journal    *wal.Log[event] // nil without a DataDir
-	draining   bool
-	lastAssess time.Time // last quarantine assessment, rate-limited to PollInterval
+	mu        sync.Mutex
+	workers   map[string]*worker
+	jobs      map[string]*job
+	order     []string
+	idem      map[string]string // idempotency key -> job ID
+	nextID    uint64
+	nextEpoch uint64          // monotonic fencing-epoch counter, journaled
+	fenced    []remoteRef     // zombie worker-side jobs awaiting best-effort cancel
+	journal   *wal.Log[event] // nil without a DataDir
+	draining  bool
 
 	reqCtx    context.Context // lifetime of the supervisors and of all worker requests
 	reqCancel context.CancelFunc
@@ -344,13 +295,12 @@ func New(cfg Config) (*Coordinator, error) {
 
 // Stats is the coordinator's /healthz snapshot.
 type Stats struct {
-	Workers            int  `json:"workers"`
-	WorkersAlive       int  `json:"workers_alive"`
-	WorkersQuarantined int  `json:"workers_quarantined,omitempty"`
-	Jobs               int  `json:"jobs"`
-	Queued             int  `json:"queued"`
-	Running            int  `json:"running"`
-	Draining           bool `json:"draining"`
+	Workers      int  `json:"workers"`
+	WorkersAlive int  `json:"workers_alive"`
+	Jobs         int  `json:"jobs"`
+	Queued       int  `json:"queued"`
+	Running      int  `json:"running"`
+	Draining     bool `json:"draining"`
 	// Storage is the journal's degraded-mode state, as a node reports it.
 	Storage service.StorageStatus `json:"storage"`
 }
@@ -363,9 +313,6 @@ func (c *Coordinator) Stats() Stats {
 	for _, w := range c.workers {
 		if w.alive {
 			st.WorkersAlive++
-			if w.quarantined {
-				st.WorkersQuarantined++
-			}
 		}
 	}
 	for _, j := range c.jobs {
@@ -392,8 +339,10 @@ func (c *Coordinator) Ready() bool {
 // worker owned under its previous epoch are thereby invalidated — a node
 // that was declared dead and comes back (a zombie, in the partition
 // sense) cannot have its stale results merged, because every dispatch
-// and poll compares the shard's epoch against this one. Returns the
-// current membership size.
+// and poll compares the chunk's epoch against this one. A new epoch is
+// used only once its record is journaled — else a crash could hand the
+// same epoch out twice — so a join the journal cannot take is refused
+// like a submit. Returns the current membership size.
 func (c *Coordinator) Register(rawURL string) (int, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
@@ -409,35 +358,36 @@ func (c *Coordinator) Register(rawURL string) (int, error) {
 		c.workers[base] = w
 	}
 	if !w.alive {
-		w.alive = true
-		w.rate.Reset()
-		w.selfRate = 0
-		w.quarantined = false
-		w.slowStreak = 0
+		// Set before the append: a compaction it triggers must keep it.
+		prev := w.epoch
 		c.nextEpoch++
-		w.epoch = c.nextEpoch
+		w.alive, w.epoch = true, c.nextEpoch
+		if !c.journal.Probe() || !c.journal.Append(event{Type: evWorker, Worker: base, Alive: true, Epoch: w.epoch}) {
+			w.alive, w.epoch = false, prev
+			c.nextEpoch--
+			if !ok {
+				delete(c.workers, base)
+			}
+			return len(c.workers), errStorageFull
+		}
 		c.metrics.workersJoined.Inc()
-		c.journal.Append(event{Type: evWorker, Worker: base, Alive: true, Epoch: w.epoch})
 		c.log.Info("worker joined", "worker", base, "epoch", w.epoch, "members", len(c.workers))
 	}
 	w.lastBeat = now
 	return len(c.workers), nil
 }
 
-// WorkerView is one membership row on the wire. ThroughputLPS is the
-// coordinator's own poll-delta estimate; SelfRateLPS is what the worker
-// last reported about itself via PartialView — comparing the two is the
-// first diagnostic when a shard looks slow.
+// WorkerView is one membership row on the wire. Merged counts the
+// ligands this worker delivered first — under self-scheduling a slow
+// worker simply merges fewer, which makes this the first diagnostic
+// when a worker looks slow.
 type WorkerView struct {
 	URL                 string  `json:"url"`
 	Alive               bool    `json:"alive"`
 	Epoch               uint64  `json:"epoch,omitempty"`
 	HeartbeatAgeSeconds float64 `json:"heartbeat_age_seconds"`
-	ThroughputLPS       float64 `json:"throughput_lps,omitempty"`
-	SelfRateLPS         float64 `json:"self_rate_lps,omitempty"`
 	Shards              int64   `json:"shards,omitempty"`
-	Quarantined         bool    `json:"quarantined,omitempty"`
-	StolenFrom          int64   `json:"stolen_from,omitempty"`
+	Merged              int64   `json:"merged"`
 }
 
 // Workers lists membership sorted by URL.
@@ -452,11 +402,8 @@ func (c *Coordinator) Workers() []WorkerView {
 			Alive:               w.alive,
 			Epoch:               w.epoch,
 			HeartbeatAgeSeconds: now.Sub(w.lastBeat).Seconds(),
-			ThroughputLPS:       w.rate.Value(),
-			SelfRateLPS:         w.selfRate,
 			Shards:              w.shards,
-			Quarantined:         w.quarantined,
-			StolenFrom:          w.stolenFrom,
+			Merged:              w.merged,
 		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].URL < out[b].URL })
@@ -464,9 +411,8 @@ func (c *Coordinator) Workers() []WorkerView {
 }
 
 // DebugSnapshot is the coordinator's one-call operational dump, served at
-// /debug/snapshot: membership with per-worker rates and quarantine state,
-// coordinator gauges (storage state included), and every job with its
-// shard table.
+// /debug/snapshot: membership with per-worker merged counts, coordinator
+// gauges (storage state included), and every job with its chunk table.
 type DebugSnapshot struct {
 	Stats   Stats        `json:"stats"`
 	Workers []WorkerView `json:"workers"`
@@ -492,7 +438,7 @@ var errStorageFull = &service.ShedError{
 	Err: service.ErrStorageFull, Reason: "storage_full", RetryAfter: service.StorageRetryAfter,
 }
 
-// ShardView is one shard's status on the wire.
+// ShardView is one chunk's status on the wire.
 type ShardView struct {
 	ID      string `json:"id"`
 	Worker  string `json:"worker"`
@@ -502,7 +448,6 @@ type ShardView struct {
 	Remote  string `json:"remote,omitempty"`
 	Done    bool   `json:"done,omitempty"`
 	Moved   bool   `json:"moved,omitempty"`
-	Stolen  bool   `json:"stolen,omitempty"`
 	HedgeOf string `json:"hedge_of,omitempty"`
 }
 
@@ -527,8 +472,8 @@ type JobView struct {
 }
 
 // Submit admits a distributed screen. The request is validated exactly
-// like a single-node submission; sharding happens in the supervisor as
-// workers are available, so submitting before any worker registers is
+// like a single-node submission; chunks are handed out by the supervisor
+// as workers are available, so submitting before any worker registers is
 // legal — the job waits in queued.
 func (c *Coordinator) Submit(req service.ScreenRequest, idemKey string) (JobView, bool, error) {
 	req = req.Normalized()
@@ -574,7 +519,7 @@ func (c *Coordinator) Submit(req service.ScreenRequest, idemKey string) (JobView
 
 // newJob builds the in-memory job for a normalized request. Target
 // ligands are materialized in library order — the order every
-// deterministic aggregate sums in.
+// deterministic aggregate sums in — and all of them start in the pool.
 func newJob(id string, req service.ScreenRequest, idemKey string, now time.Time) *job {
 	j := &job{
 		id:        id,
@@ -583,29 +528,24 @@ func newJob(id string, req service.ScreenRequest, idemKey string, now time.Time)
 		state:     service.StateQueued,
 		submitted: now,
 		merged:    make(map[string]service.PartialEntry),
-		nameSet:   make(map[string]bool),
+		atoms:     make(map[string]int),
 		rec:       &trace.Recorder{},
 	}
 	j.rec.SetEpoch(now)
+	var want map[string]bool
 	if len(req.Ligands) > 0 {
-		want := make(map[string]bool, len(req.Ligands))
+		want = make(map[string]bool, len(req.Ligands))
 		for _, n := range req.Ligands {
 			want[n] = true
 		}
-		for i := 0; i < req.Library; i++ {
-			if n := core.SyntheticName(i); want[n] {
-				j.names = append(j.names, n)
-			}
-		}
-	} else {
-		for i := 0; i < req.Library; i++ {
-			j.names = append(j.names, core.SyntheticName(i))
+	}
+	for i := 0; i < req.Library; i++ {
+		if n := core.SyntheticName(i); want == nil || want[n] {
+			j.names = append(j.names, n)
+			j.atoms[n] = core.SyntheticAtoms(i)
 		}
 	}
-	for _, n := range j.names {
-		j.nameSet[n] = true
-	}
-	j.unassigned = append([]string(nil), j.names...)
+	j.returnToPool(j.names)
 	return j
 }
 
@@ -631,7 +571,7 @@ func (c *Coordinator) List() []JobView {
 	return out
 }
 
-// Trace returns a job's span recorder (shard lifetimes, re-splits).
+// Trace returns a job's span recorder (chunk lifetimes, re-splits).
 func (c *Coordinator) Trace(id string) (*trace.Recorder, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -760,8 +700,7 @@ func (c *Coordinator) viewLocked(j *job) JobView {
 		}
 		v.Shards = append(v.Shards, ShardView{
 			ID: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: len(sh.ligands),
-			Merged: mv, Remote: sh.remote, Done: sh.done, Moved: sh.moved,
-			Stolen: sh.stolen, HedgeOf: sh.hedgeOf,
+			Merged: mv, Remote: sh.remote, Done: sh.done, Moved: sh.moved, HedgeOf: sh.hedgeOf,
 		})
 	}
 	if len(j.merged) > 0 {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,28 +36,29 @@ import (
 //     library, and recovery merges only the ligands the journal did not
 //     hold as merged;
 //   - worker epochs never go backwards;
-//   - a fenced shard stays fenced.
+//   - a fenced chunk stays fenced.
 //
 // The workload runs on the virtual clock, so every journaled timestamp —
 // and with it every record's size and so the compaction points — is the
 // same run to run, against two scriptWorker fakes reached through an
 // in-process transport under fixed host names. The test releases the
-// fakes' ligands one at a time and waits for each merge, which fixes the
-// order of the journal's records.
+// fakes' ligands one chunk and one ligand at a time and waits for each
+// merge, and for the pulls it triggers, which fixes the order of the
+// journal's records.
 
 // coordExplorerSeed keys every fsim in the explorer.
 const coordExplorerSeed = 737373
 
-// The fake workers' URLs; "a" sorts first, so it gets the first hash bucket.
+// The fake workers' URLs; "a" sorts first, so it pulls first.
 const (
 	explorerA = "http://wa.test"
 	explorerB = "http://wb.test"
 )
 
 var (
-	// exploreScreen is the screen that runs to completion: a dispatch, a
-	// held poll that delivers entries, worker b's death and the re-split
-	// of its remainder onto a.
+	// exploreScreen is the screen that runs to completion: chunks pulled
+	// by both workers, held polls that deliver entries, worker b's death
+	// and its revival under a new epoch, and a backup of the last chunk.
 	exploreScreen = service.ScreenRequest{
 		Dataset: "2BSM", Library: 32, Spots: 2, Metaheuristic: "M3", Scale: 0.02, Seed: 7,
 	}
@@ -141,7 +141,7 @@ type explorerCluster struct {
 	ws    map[string]*scriptWorker
 
 	mu       sync.Mutex
-	released map[string]bool // "<coordinator job>/<ligand>" completed on the fakes
+	released map[string]bool // "<coordinator job>/<chunk>/<ligand>" completed on the fakes
 	all      bool            // every ligand is complete (the recovery run)
 	changed  chan struct{}   // closed and replaced on every release
 }
@@ -167,24 +167,25 @@ func newExplorerCluster(t *testing.T) *explorerCluster {
 	return ec
 }
 
-// config is the coordinator under test: stealing, hedging and quarantine
-// off (their decisions follow measured rates, not the script), one try per
-// request so a dead worker is declared dead by its first refused request,
-// and a compaction floor the workload's journal passes mid-screen.
+// exploreHeartbeat is the explorer's HeartbeatTimeout on the virtual
+// clock, which moves only when the workload moves it: to back up a chunk.
+const exploreHeartbeat = 10 * time.Second
+
+// config is the coordinator under test: one try per request so a dead
+// worker is declared dead by its first refused request, and a compaction
+// floor the workload's journal passes mid-screen.
 func (ec *explorerCluster) config(dir string, fs fsim.FS) Config {
 	return Config{
 		DataDir: dir, FS: fs, Transport: ec.net, Logger: quiet, now: ec.clock.now,
-		PollInterval: 2 * time.Millisecond, HeartbeatTimeout: time.Hour,
-		RequestAttempts: 1, FailThreshold: 1, StealThreshold: -1, QuarantineFactor: -1,
-		CompactBytes: 4 << 10,
+		PollInterval: 2 * time.Millisecond, HeartbeatTimeout: exploreHeartbeat,
+		RequestAttempts: 1, FailThreshold: 1, CompactBytes: 4 << 10,
 	}
 }
 
-// partial answers a shard poll with every completed ligand of the shard.
+// partial answers a chunk poll with every completed ligand of the chunk.
 // A poll whose cursor already covers them is held until a release or the
 // requested wait, like a real worker's.
 func (ec *explorerCluster) partial(r *http.Request, sh scriptShard) service.PartialView {
-	job, _, _ := strings.Cut(sh.key, "/")
 	since := -1
 	if n, err := strconv.Atoi(r.URL.Query().Get("since")); err == nil {
 		since = n
@@ -196,7 +197,7 @@ func (ec *explorerCluster) partial(r *http.Request, sh scriptShard) service.Part
 		ec.mu.Lock()
 		pv := service.PartialView{ID: r.PathValue("id"), State: service.StateRunning, Total: len(sh.ligands)}
 		for _, n := range sh.ligands {
-			if ec.all || ec.released[job+"/"+n] {
+			if ec.all || ec.released[sh.key+"/"+n] {
 				pv.Entries = append(pv.Entries, exploreEntry(n))
 			}
 		}
@@ -220,37 +221,22 @@ func (ec *explorerCluster) partial(r *http.Request, sh scriptShard) service.Part
 	}
 }
 
-// release completes one ligand of a coordinator job on the fakes.
-func (ec *explorerCluster) release(job, ligand string) {
+// release completes one ligand of a coordinator job's chunk on the fakes.
+func (ec *explorerCluster) release(job, chunk, ligand string) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	ec.released[job+"/"+ligand] = true
+	ec.released[job+"/"+chunk+"/"+ligand] = true
 	close(ec.changed)
 	ec.changed = make(chan struct{})
 }
 
-// completeAll makes every ligand of every shard complete.
+// completeAll makes every ligand of every chunk complete.
 func (ec *explorerCluster) completeAll() {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	ec.all = true
 	close(ec.changed)
 	ec.changed = make(chan struct{})
-}
-
-// shardLigands returns the ligands of every shard of a coordinator job a
-// fake worker admitted, in admission order.
-func (ec *explorerCluster) shardLigands(url, job string) [][]string {
-	sw := ec.ws[url]
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	var out [][]string
-	for i := 1; i <= sw.submits; i++ {
-		if sh, ok := sw.shards["script-"+strconv.Itoa(i)]; ok && strings.HasPrefix(sh.key, job+"/") {
-			out = append(out, sh.ligands)
-		}
-	}
-	return out
 }
 
 // exploreOutcome is what one run of the workload was acknowledged.
@@ -277,19 +263,49 @@ func waitView(t *testing.T, c *Coordinator, id, what string, pred func(JobView) 
 	}
 }
 
-// dispatched reports whether a view's live shards on the given worker
-// number n and are all acknowledged by it.
-func dispatched(v JobView, worker string, n int) bool {
-	live := 0
-	for _, sh := range v.Shards {
-		if sh.Worker == worker && !sh.Moved && !sh.Done {
-			if sh.Remote == "" {
-				return false
-			}
-			live++
+// settled reports whether job id is quiet until the fakes' next release:
+// terminal, or every live chunk acknowledged and every alive worker
+// holding chunksPerWorker of them unless nothing is left to hand out.
+func settled(c *Coordinator, id string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j := c.jobs[id]
+	if j.state.Terminal() {
+		return true
+	}
+	held := map[string]int{}
+	for _, sh := range j.shards {
+		if sh.done || sh.moved {
+			continue
+		}
+		if sh.remote == "" || !c.epochValidLocked(sh) {
+			return false
+		}
+		held[sh.worker]++
+	}
+	if len(j.pool) == 0 && len(j.ready) == 0 {
+		return true
+	}
+	for _, w := range c.workers {
+		if w.alive && held[w.url] < chunksPerWorker {
+			return false
 		}
 	}
-	return live == n
+	return true
+}
+
+// liveChunks lists job id's live chunks, in assignment order, with their
+// ligands.
+func liveChunks(c *Coordinator, id string) (ids []string, ligands [][]string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sh := range c.jobs[id].shards {
+		if !sh.done && !sh.moved {
+			ids = append(ids, sh.id)
+			ligands = append(ligands, sh.ligands)
+		}
+	}
+	return ids, ligands
 }
 
 // runExploreWorkload drives the workload against c and reports what it
@@ -306,37 +322,41 @@ func runExploreWorkload(t *testing.T, ec *explorerCluster, c *Coordinator, ops f
 		return out
 	}
 	out.acked[exploreScreenKey] = v.ID
-	waitView(t, c, v.ID, "both shards dispatched", func(v JobView) bool {
-		return dispatched(v, explorerA, 1) && dispatched(v, explorerB, 1)
-	})
-	onA, onB := ec.shardLigands(explorerA, v.ID)[0], ec.shardLigands(explorerB, v.ID)[0]
+	settle := func(what string) {
+		waitView(t, c, v.ID, what, func(JobView) bool { return settled(c, v.ID) })
+	}
+	settle("both workers' chunks dispatched")
 	merged := 0
-	complete := func(names ...string) {
-		for _, n := range names {
-			ec.release(v.ID, n)
+	complete := func(chunk string, ligands []string) {
+		for _, n := range ligands {
+			ec.release(v.ID, chunk, n)
 			merged++
 			waitView(t, c, v.ID, "a merge", func(v JobView) bool { return v.Completed >= merged })
 		}
+		settle("the pulls a merge triggers")
 	}
-	// Held polls on both workers deliver entries one at a time.
-	complete(onA[:len(onA)/2]...)
-	complete(onB[:3]...)
+	// Held polls deliver entries one at a time: all of a's first chunk,
+	// whose last poll pulls a's next chunk, and part of b's.
+	ids, ligands := liveChunks(c, v.ID)
+	complete(ids[0], ligands[0])
+	complete(ids[1], ligands[1][:3])
+	withheld := ids[2] // a's second chunk, backed up at the end
 
-	// Worker b dies; its unfinished ligands re-split onto a.
+	// Worker b dies; its unmerged ligands go back to the pool.
+	out.marks["death"] = ops()
 	ec.net.mu.Lock()
 	ec.net.down[explorerB] = true
 	ec.net.mu.Unlock()
 	out.bDown = true
-	waitView(t, c, v.ID, "the re-split dispatched", func(v JobView) bool {
-		return v.Resplits >= 1 && dispatched(v, explorerA, 2)
-	})
+	waitView(t, c, v.ID, "b's chunks returned to the pool", func(v JobView) bool { return v.Resplits >= 2 })
+	settle("a's pulls")
 
 	// A second screen is admitted, dispatched and cancelled.
 	out.marks["submit-cancelled"] = ops()
 	v2, _, err := c.Submit(exploreCancelled, exploreCancelledKey)
 	if err == nil {
 		out.acked[exploreCancelledKey] = v2.ID
-		waitView(t, c, v2.ID, "its shard dispatched", func(v JobView) bool { return dispatched(v, explorerA, 1) })
+		waitView(t, c, v2.ID, "its chunks dispatched", func(JobView) bool { return settled(c, v2.ID) })
 		out.marks["cancel"] = ops()
 		if _, err := c.Cancel(v2.ID); err == nil {
 			out.cancelAcked = true
@@ -344,9 +364,66 @@ func runExploreWorkload(t *testing.T, ec *explorerCluster, c *Coordinator, ops f
 		}
 	}
 
-	// The screen finishes on a: its own shard, then b's remainder.
-	complete(onA[len(onA)/2:]...)
-	complete(ec.shardLigands(explorerA, v.ID)[1]...)
+	// Worker b comes back under a new epoch and pulls from the pool —
+	// unless the journal cannot take its revival, which is then refused.
+	ec.net.mu.Lock()
+	ec.net.down[explorerB] = false
+	ec.net.mu.Unlock()
+	if _, err := c.Register(explorerB); err == nil {
+		out.bDown = false
+	}
+	settle("b's pulls")
+
+	// Every chunk but the withheld one completes, in assignment order,
+	// each completion pulling its worker's next chunk, until the pool is
+	// dry.
+	for {
+		ids, ligands := liveChunks(c, v.ID)
+		i := 0
+		for i < len(ids) && ids[i] == withheld {
+			i++
+		}
+		if i == len(ids) {
+			break
+		}
+		complete(ids[i], ligands[i])
+	}
+
+	if out.bDown {
+		// Nobody to back the withheld chunk up: it completes on a.
+		ids, ligands := liveChunks(c, v.ID)
+		complete(ids[0], ligands[0])
+		waitView(t, c, v.ID, "the screen to finish", func(v JobView) bool { return v.State.Terminal() })
+		return out
+	}
+
+	// The tail rule: b holds nothing, a's withheld chunk has run for the
+	// heartbeat timeout, so b backs it up, and the backup wins. The clock
+	// moves in two steps, each heartbeating both workers, so nobody is
+	// reaped on the way.
+	out.marks["backup"] = ops()
+	for i := 0; i < 2; i++ {
+		ec.clock.advance(exploreHeartbeat * 6 / 10)
+		c.Register(explorerA)
+		c.Register(explorerB)
+	}
+	var backup string
+	var rest []string
+	waitView(t, c, v.ID, "the backup dispatched", func(v JobView) bool {
+		for _, sh := range v.Shards {
+			if sh.HedgeOf == withheld && sh.Remote != "" {
+				backup = sh.ID
+			}
+		}
+		return backup != ""
+	})
+	ids, ligands = liveChunks(c, v.ID)
+	for i, id := range ids {
+		if id == backup {
+			rest = ligands[i]
+		}
+	}
+	complete(backup, rest)
 	waitView(t, c, v.ID, "the screen to finish", func(v JobView) bool { return v.State.Terminal() })
 	return out
 }
@@ -355,11 +432,11 @@ func runExploreWorkload(t *testing.T, ec *explorerCluster, c *Coordinator, ops f
 type journaled struct {
 	merged   map[string]bool // ligands held as merged
 	terminal bool            // the job's terminal record landed
-	fenced   []string        // shards the journal holds as fenced
+	fenced   []string        // chunks the journal holds as fenced
 }
 
 // readJournal reads a frozen journal's records, without replaying them
-// through a coordinator, and returns what it holds for job id. A shard is
+// through a coordinator, and returns what it holds for job id. A chunk is
 // fenced when its assignment landed and so did either its move or a
 // membership record that outdates its worker epoch.
 func readJournal(t *testing.T, dir, id string) journaled {
@@ -478,7 +555,7 @@ func exploreCrashPoint(t *testing.T, k uint64, ref *service.ResultView) {
 			for _, id := range held.fenced {
 				for _, sh := range v.Shards {
 					if sh.ID == id && !sh.Moved {
-						t.Errorf("crash at op %d: the journal holds shard %s as fenced and recovery revived it", k, id)
+						t.Errorf("crash at op %d: the journal holds chunk %s as fenced and recovery revived it", k, id)
 					}
 				}
 			}
@@ -559,7 +636,10 @@ func TestCoordinatorCrashPointExplorer(t *testing.T) {
 	// Regression cases for acknowledgements that once ignored whether their
 	// record landed: a power loss at the fsync of a screen's admission
 	// record, or of a cancel's record, must not leave a 202 behind that
-	// recovery forgets.
+	// recovery forgets. A power loss at the fsync of a worker's death
+	// record must not let its later revival be sent an epoch recovery does
+	// not know, and so sends again lower. And one at the fsync of the
+	// backup's assignment must not revive the race half-linked.
 	for _, tc := range []struct {
 		name string
 		op   uint64
@@ -567,6 +647,8 @@ func TestCoordinatorCrashPointExplorer(t *testing.T) {
 		{"unjournaled_submit", marks["submit"] + 2},
 		{"unjournaled_second_submit", marks["submit-cancelled"] + 2},
 		{"unjournaled_cancel", marks["cancel"] + 2},
+		{"revival_after_unjournaled_death", marks["death"] + 2},
+		{"unjournaled_backup", marks["backup"] + 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) { exploreCrashPoint(t, tc.op, ref) })
 	}

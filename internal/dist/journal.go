@@ -4,16 +4,17 @@ package dist
 // same append, compaction, replay and degraded-mode policy the node
 // journals through). Every piece of distributed state that cannot be
 // re-derived from the workers is journaled: job admissions (with
-// idempotency keys), membership changes, shard assignments, merged
+// idempotency keys), membership changes, chunk assignments, merged
 // partial entries, and terminal snapshots. A coordinator restarted over
 // the same data dir replays the journal, rebuilds its job table
-// mid-screen, and re-dispatches unfinished shards under their original
+// mid-screen, and re-dispatches unfinished chunks under their original
 // idempotency keys — workers that kept running simply hand back the same
 // jobs, so no ligand is docked twice and the final ranking is unchanged.
 //
 // Worker liveness is deliberately NOT trusted across a restart: replayed
 // workers get a fresh heartbeat grace window and must re-heartbeat
-// within HeartbeatTimeout or be declared dead and re-split around.
+// within HeartbeatTimeout or be declared dead and have their chunks
+// returned to the pool.
 
 import (
 	"fmt"
@@ -32,8 +33,8 @@ import (
 const (
 	evJob      = "job"      // distributed screen admitted
 	evWorker   = "worker"   // membership change (alive flag is the new state)
-	evAssign   = "assign"   // shard assigned to a worker
-	evMoved    = "moved"    // shard fenced mid-run (remainder stolen, hedge race lost)
+	evAssign   = "assign"   // chunk assigned to a worker (a backup carries hedge_of)
+	evMoved    = "moved"    // chunk fenced mid-run (backup race lost; older journals: remainder stolen)
 	evEntries  = "entries"  // per-ligand results merged from a worker partial
 	evCancel   = "cancel"   // cancellation requested
 	evTerminal = "terminal" // job reached a terminal state (full snapshot)
@@ -82,30 +83,30 @@ func (c *Coordinator) openJournal() error {
 	}
 	c.journal = l
 
-	// A replayed job may hold ligands that were never assigned before the
-	// crash (or were assigned to a worker whose death was journaled);
-	// recompute the unassigned remainder so the supervisor re-splits it.
+	// A replayed job's pool is every ligand neither merged nor covered by
+	// a live chunk: never handed out before the crash, or on a chunk the
+	// journal holds as fenced. Chunks of a worker whose death was
+	// journaled go back to the pool in the supervisor's first step.
 	resumed := 0
 	for _, id := range c.order {
 		jb := c.jobs[id]
 		if jb.state.Terminal() {
 			continue
 		}
-		// A fenced shard covers nothing: if the crash landed between the
-		// steal's moved record and the thief's assignment, its remainder
-		// must land back in unassigned, not vanish.
 		covered := make(map[string]bool, len(jb.names))
 		for _, sh := range jb.shards {
 			for _, n := range sh.ligands {
 				covered[n] = covered[n] || !sh.moved
 			}
 		}
-		jb.unassigned = nil
+		var pool []string
 		for _, n := range jb.names {
 			if _, ok := jb.merged[n]; !ok && !covered[n] {
-				jb.unassigned = append(jb.unassigned, n)
+				pool = append(pool, n)
 			}
 		}
+		jb.pool = nil
+		jb.returnToPool(pool)
 		resumed++
 	}
 	if info.Records > 0 {
@@ -206,8 +207,8 @@ func (c *Coordinator) applyEvent(ev event, boot time.Time) {
 		sh := &shard{id: ev.Shard, worker: ev.Worker, epoch: ev.Epoch, ligands: ev.Ligands, hedgeOf: ev.HedgeOf}
 		jb.shards = append(jb.shards, sh)
 		if sh.hedgeOf != "" {
-			// Reconnect the twin link so the race still resolves after a
-			// restart (first completion fences the other leg).
+			// Reconnect the backup link so the race still resolves after
+			// a restart (first completion fences the other leg).
 			for _, p := range jb.shards {
 				if p.id == sh.hedgeOf {
 					p.hedgedBy = sh.id
@@ -233,7 +234,7 @@ func (c *Coordinator) applyEvent(ev event, boot time.Time) {
 			return
 		}
 		for _, e := range ev.Entries {
-			if jb.nameSet[e.Ligand] {
+			if _, ok := jb.atoms[e.Ligand]; ok {
 				jb.merged[e.Ligand] = e
 			}
 		}

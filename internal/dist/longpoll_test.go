@@ -19,7 +19,7 @@ import (
 )
 
 // Tests for the coordinator side of the long-poll contract: it holds one
-// poll per running shard and merges deltas, it never asks a worker that
+// poll per running chunk and merges deltas, it never asks a worker that
 // does not hold polls more often than once per PollInterval, and a
 // replayed, reordered or late response cannot merge a ligand twice.
 
@@ -31,6 +31,8 @@ type scriptWorker struct {
 	mu      sync.Mutex
 	submits int
 	polls   int
+	// cancelled stamps each worker-side job the coordinator cancelled.
+	cancelled map[string]time.Time
 	// now stamps shard submissions; time.Now unless the test runs the
 	// cluster on a virtual clock.
 	now func() time.Time
@@ -53,7 +55,7 @@ type scriptShard struct {
 
 func startScriptWorker(t *testing.T) *scriptWorker {
 	t.Helper()
-	sw := &scriptWorker{now: time.Now, shards: map[string]scriptShard{}}
+	sw := &scriptWorker{now: time.Now, shards: map[string]scriptShard{}, cancelled: map[string]time.Time{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/screens", func(w http.ResponseWriter, r *http.Request) {
 		var req service.ScreenRequest
@@ -91,6 +93,11 @@ func startScriptWorker(t *testing.T) *scriptWorker {
 		service.WriteJSON(w, http.StatusOK, pv)
 	})
 	mux.HandleFunc("DELETE /v1/screens/{id}", func(w http.ResponseWriter, r *http.Request) {
+		sw.mu.Lock()
+		if _, ok := sw.cancelled[r.PathValue("id")]; !ok {
+			sw.cancelled[r.PathValue("id")] = sw.now()
+		}
+		sw.mu.Unlock()
 		service.WriteJSON(w, http.StatusAccepted, map[string]string{})
 	})
 	sw.srv = httptest.NewUnstartedServer(mux)
@@ -130,8 +137,9 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 }
 
 // TestNoSpinAgainstWorkerThatIgnoresWait: a worker that answers every
-// poll at once with nothing new (an older binary, the fakes) is polled at
-// the PollInterval cadence, exactly as before long-polling.
+// poll at once with nothing new (an older binary, the fakes) has each of
+// its chunks polled at the PollInterval cadence, exactly as before
+// long-polling.
 func TestNoSpinAgainstWorkerThatIgnoresWait(t *testing.T) {
 	const interval = 25 * time.Millisecond
 	sw := startScriptWorker(t)
@@ -144,15 +152,15 @@ func TestNoSpinAgainstWorkerThatIgnoresWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "20 polls", func() bool { _, p := sw.counts(); return p >= 20 })
-	_, polls := sw.counts()
-	if limit := int(time.Since(start)/interval) + 2; polls > limit {
-		t.Fatalf("%d polls of one shard in %v: more than one per %v (limit %d)", polls, time.Since(start), interval, limit)
+	submits, polls := sw.counts()
+	if limit := submits * (int(time.Since(start)/interval) + 2); polls > limit {
+		t.Fatalf("%d polls of %d chunks in %v: more than one per chunk per %v (limit %d)", polls, submits, time.Since(start), interval, limit)
 	}
 }
 
 // TestNoSpinAgainstWorkerThatRefusesDispatch: an attempted dispatch is
-// not progress. A worker that stays registered but refuses every shard
-// sees at most one attempt per PollInterval, as at the parent.
+// not progress. A worker that stays registered but refuses every chunk
+// sees at most one attempt per chunk it holds per PollInterval.
 func TestNoSpinAgainstWorkerThatRefusesDispatch(t *testing.T) {
 	const interval = 25 * time.Millisecond
 	sw := startScriptWorker(t)
@@ -167,13 +175,13 @@ func TestNoSpinAgainstWorkerThatRefusesDispatch(t *testing.T) {
 	}
 	waitCond(t, "20 dispatch attempts", func() bool { s, _ := sw.counts(); return s >= 20 })
 	submits, _ := sw.counts()
-	if limit := int(time.Since(start)/interval) + 2; submits > limit {
-		t.Fatalf("%d dispatch attempts in %v: more than one per %v (limit %d)", submits, time.Since(start), interval, limit)
+	if limit := chunksPerWorker * (int(time.Since(start)/interval) + 2); submits > limit {
+		t.Fatalf("%d dispatch attempts in %v: more than %d per %v (limit %d)", submits, time.Since(start), chunksPerWorker, interval, limit)
 	}
 }
 
 // TestWorkerRestartMidShardMergesOnce: the worker's process restarts
-// mid-shard, so its completion log is a new incarnation — rebuilt from a
+// mid-chunk, so its completion log is a new incarnation — rebuilt from a
 // checkpoint with fewer entries in another order. The coordinator's old
 // cursor means nothing to it and is served from zero; every ligand still
 // merges exactly once.
@@ -205,41 +213,47 @@ func TestWorkerRestartMidShardMergesOnce(t *testing.T) {
 		polled[inc]++
 		return pv
 	}
-	sw.script(func(sw *scriptWorker) { sw.partial = answer })
-	c := startCoordinator(t, Config{PollInterval: 5 * time.Millisecond, HeartbeatTimeout: time.Hour})
+	c := startCoordinator(t, Config{HeartbeatTimeout: time.Hour})
 	if _, err := c.Register(sw.srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := c.Submit(distRequest, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitCond(t, "the shard's dispatch", func() bool { s, _ := sw.counts(); return s >= 1 })
-	sw.mu.Lock()
-	names := sw.shards["script-1"].ligands
-	sw.mu.Unlock()
-	if len(names) != distRequest.Library {
-		t.Fatalf("single worker got %d of %d ligands", len(names), distRequest.Library)
+	// One chunk holding the whole screen, polled by hand.
+	j := newJob("restart-job", distRequest.Normalized(), "", time.Now())
+	names := j.names
+	sh := &shard{id: "s0", worker: sw.srv.URL, epoch: 1, ligands: names, remote: "script-1"}
+	sw.script(func(sw *scriptWorker) {
+		sw.partial = answer
+		sw.shards[sh.remote] = scriptShard{ligands: names}
+	})
+	poll := func(wantMerged int) {
+		t.Helper()
+		if msg, fatal := c.poll(j, sh); fatal {
+			t.Fatal(msg)
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if len(j.merged) != wantMerged {
+			t.Fatalf("%d ligands merged, want %d", len(j.merged), wantMerged)
+		}
 	}
 
 	// First incarnation: five ligands complete and are merged.
 	mu.Lock()
 	log = append(log, names[:5]...)
 	mu.Unlock()
-	waitJob(t, c, v.ID, 30*time.Second, func(v JobView) bool { return v.Completed == 5 })
+	poll(5)
 
 	// Restart: the checkpoint held three of them and comes back in map
 	// order; one ligand the coordinator never saw completes before the
-	// next poll.
+	// next poll. The stale cursor is served from zero, then cursored.
 	mu.Lock()
 	inc, log = "b", []string{names[3], names[0], names[2], names[7]}
 	mu.Unlock()
-	waitJob(t, c, v.ID, 30*time.Second, func(v JobView) bool { return v.Completed == 6 })
-	waitCond(t, "a cursored poll of the new incarnation", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return polled["b"] >= 3
-	})
+	poll(6)
+	poll(6)
+	if polled["b"] != 2 || !strings.HasPrefix(sh.cursor, "b-") {
+		t.Fatalf("new incarnation polled %d times, cursor %q", polled["b"], sh.cursor)
+	}
 
 	// The rest completes, re-docking the two ligands the checkpoint lost.
 	mu.Lock()
@@ -253,27 +267,20 @@ func TestWorkerRestartMidShardMergesOnce(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	final := waitJob(t, c, v.ID, 30*time.Second, func(v JobView) bool { return v.State.Terminal() })
-	if final.State != service.StateDone || final.Completed != distRequest.Library {
-		t.Fatalf("screen ended %s with %d/%d: %s", final.State, final.Completed, distRequest.Library, final.Error)
+	poll(len(names))
+	if !sh.done {
+		t.Fatal("chunk not done once every ligand merged")
 	}
-	if got := expositionCounter(t, c, "metascreen_dist_ligands_merged_total"); got != distRequest.Library {
-		t.Errorf("ligands_merged_total = %d, want exactly %d", got, distRequest.Library)
+	if got := expositionCounter(t, c, "metascreen_dist_ligands_merged_total"); got != len(names) {
+		t.Errorf("ligands_merged_total = %d, want exactly %d", got, len(names))
 	}
-	seen := map[string]bool{}
-	for _, e := range final.Result.Ranking {
-		if seen[e.Ligand] {
-			t.Errorf("ligand %s ranked twice", e.Ligand)
-		}
-		seen[e.Ligand] = true
-	}
-	if len(seen) != distRequest.Library {
-		t.Errorf("ranking names %d distinct ligands, want %d", len(seen), distRequest.Library)
+	if got := workerView(t, c, sw.srv.URL).Merged; got != int64(len(names)) {
+		t.Errorf("worker credited with %d merged ligands, want %d", got, len(names))
 	}
 }
 
-// TestLateResponseAfterHoldDropped: a shard is fenced (stolen, hedged
-// out, its worker revived) while its poll is held on the worker. The
+// TestLateResponseAfterHoldDropped: a chunk is fenced (backup race lost,
+// its worker revived) while its poll is held on the worker. The
 // response that eventually arrives carries every ligand, and none of
 // them may merge.
 func TestLateResponseAfterHoldDropped(t *testing.T) {
@@ -384,7 +391,7 @@ func TestRankingIndependentOfPollInterval(t *testing.T) {
 	}
 }
 
-// TestHeldPollsReuseConnections: with the default transport, N shards
+// TestHeldPollsReuseConnections: with the default transport, N chunks
 // polled concurrently against one worker keep N connections warm instead
 // of re-dialling all but http.DefaultTransport's two on every round.
 func TestHeldPollsReuseConnections(t *testing.T) {
@@ -407,8 +414,8 @@ func TestHeldPollsReuseConnections(t *testing.T) {
 		}
 	}
 	waitCond(t, "50 polls per job", func() bool { _, p := sw.counts(); return p >= jobs*rounds })
-	if got := int(sw.conns.Load()); got > jobs+4 {
-		t.Fatalf("%d connections opened for %d concurrently polled shards over %d rounds", got, jobs, rounds)
+	if got := int(sw.conns.Load()); got > jobs*chunksPerWorker+4 {
+		t.Fatalf("%d connections opened for %d concurrently polled chunks over %d rounds", got, jobs*chunksPerWorker, rounds)
 	}
 }
 
@@ -444,7 +451,7 @@ func TestShutdownAbortsHeldPoll(t *testing.T) {
 	if _, _, err := c.Submit(slow, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "a held poll", func() bool { return held.Load() == 1 })
+	waitCond(t, "a held poll", func() bool { return held.Load() >= 1 })
 
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -25,17 +25,15 @@ func TestDistMetricsExpositionGolden(t *testing.T) {
 	m.retries.Inc()
 	m.staleRejected.Inc()
 	m.shardsFenced.Inc()
-	m.shardsStolen.Add(2)
 	m.hedgesIssued.Add(2)
 	m.hedgeWins.Inc()
-	m.quarantines.Inc()
 	m.journalErrors.Inc()
 	m.submitted.Add(4)
 	m.finished.With(string(service.StateDone)).Add(2)
 	m.finished.With(string(service.StateFailed)).Inc()
 
 	var b strings.Builder
-	st := Stats{Workers: 3, WorkersAlive: 2, WorkersQuarantined: 1, Jobs: 4, Running: 1}
+	st := Stats{Workers: 3, WorkersAlive: 2, Jobs: 4, Running: 1}
 	if err := m.WriteTo(&b, st); err != nil {
 		t.Fatal(err)
 	}
@@ -72,21 +70,12 @@ metascreen_dist_stale_partials_rejected_total 1
 # HELP metascreen_dist_shards_fenced_total Shards re-split because their worker revived under a newer epoch.
 # TYPE metascreen_dist_shards_fenced_total counter
 metascreen_dist_shards_fenced_total 1
-# HELP metascreen_dist_shards_stolen_total Straggling shards fenced and re-dispatched to faster workers.
-# TYPE metascreen_dist_shards_stolen_total counter
-metascreen_dist_shards_stolen_total 2
 # HELP metascreen_dist_hedges_issued_total Duplicate dispatches raced against tail shards.
 # TYPE metascreen_dist_hedges_issued_total counter
 metascreen_dist_hedges_issued_total 2
 # HELP metascreen_dist_hedge_wins_total Hedge twins that finished before their primary.
 # TYPE metascreen_dist_hedge_wins_total counter
 metascreen_dist_hedge_wins_total 1
-# HELP metascreen_dist_quarantines_total Slow-worker quarantine entries.
-# TYPE metascreen_dist_quarantines_total counter
-metascreen_dist_quarantines_total 1
-# HELP metascreen_dist_workers_quarantined Alive workers currently quarantined.
-# TYPE metascreen_dist_workers_quarantined gauge
-metascreen_dist_workers_quarantined 1
 # HELP metascreen_dist_journal_errors_total Coordinator journal append/compact failures.
 # TYPE metascreen_dist_journal_errors_total counter
 metascreen_dist_journal_errors_total 1

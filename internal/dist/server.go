@@ -113,7 +113,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := c.Register(body.URL)
 	if err != nil {
-		service.WriteError(w, http.StatusBadRequest, err)
+		service.WriteError(w, service.SubmitStatus(err), err)
 		return
 	}
 	service.WriteJSON(w, http.StatusOK, map[string]int{"workers": n})

@@ -18,32 +18,31 @@ import (
 // progress or spend a PollInterval in held polls, at most once per
 // PollInterval otherwise (superviseLocked):
 //
-//  1. reap workers whose heartbeat expired and reassess quarantine;
-//  2. under the lock — honour a pending cancel, move unfinished ligands
-//     off dead or fenced workers, (re-)assign unassigned ligands to
-//     shards, then run the straggler pass (steal remainders from shards
-//     projected to blow the median ETA, hedge the tail — straggler.go);
+//  1. reap workers whose heartbeat expired;
+//  2. under the lock — honour a pending cancel, return the unfinished
+//     ligands of chunks on dead or fenced workers to the pool, and let
+//     every alive worker pull chunks (pool.go);
 //  3. off the lock — cancel fenced zombie jobs (best effort), dispatch
-//     undispatched shards and long-poll dispatched ones for the entries
-//     past their cursors (each worker holds the poll until its shard is
+//     undispatched chunks and long-poll dispatched ones for the entries
+//     past their cursors (each worker holds the poll until its chunk is
 //     complete or PollInterval passed), all concurrently so one slow or
 //     blackholed worker never delays the others past its own request
-//     timeout;
-//  4. under the lock — merge fresh entries (journaled), update worker
-//     throughput estimates, and finish the job when every target ligand
-//     has merged.
+//     timeout; a poll that completes its chunk merges it (journaled) and
+//     at once pulls and dispatches the worker's next chunk;
+//  4. under the lock — finish the job when every target ligand has
+//     merged.
 //
 // All HTTP happens between the two locked sections, so a slow worker
 // never stalls the coordinator's API; the locked re-checks — including
 // the epoch fence — make the HTTP results safe to apply even if the
-// worker died, revived or was re-split around in the meantime.
+// worker died, revived or lost a backup race in the meantime.
 
 // remoteRef names a worker-side job for cancellation fan-out.
 type remoteRef struct{ worker, remote string }
 
 // step runs one supervision round. finished means the job reached a
 // terminal state and the supervisor should exit; progressed means a
-// dispatch was acknowledged or a shard completed, so the next step has
+// dispatch was acknowledged or a chunk completed, so the next step has
 // something to do right away. An attempted dispatch is not progress: a
 // worker that refuses them must not be asked in a loop.
 func (c *Coordinator) step(j *job) (finished, progressed bool) {
@@ -62,8 +61,8 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 		c.cancelRemotes(refs)
 		return true, false
 	}
+	c.reclaimLocked(j)
 	c.assignLocked(j)
-	c.stealHedgeLocked(j)
 	var dispatches, polls []*shard
 	for _, sh := range j.shards {
 		switch {
@@ -83,7 +82,7 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 	if len(fenced) > 0 {
 		// Zombie worker-side jobs: the worker revived under a new epoch
 		// while its old job kept running. Cancel them so revenants stop
-		// burning device time on ligands that were re-split elsewhere.
+		// burning device time on ligands handed out again.
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
@@ -92,20 +91,23 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 	}
 
 	// Dispatches and polls run concurrently: each request is bounded by
-	// the client's timeout × attempts, and no shard waits behind another
-	// shard's blackholed worker.
+	// the client's timeout × attempts, and no chunk waits behind another
+	// chunk's blackholed worker.
 	var wg sync.WaitGroup
 	var failMu sync.Mutex
 	var failMsg string
 	var failed bool
 	var advanced atomic.Bool
+	dispatch := func(sh *shard) {
+		if c.dispatch(j, sh) {
+			advanced.Store(true)
+		}
+	}
 	for _, sh := range dispatches {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			if c.dispatch(j, sh) {
-				advanced.Store(true)
-			}
+			dispatch(sh)
 		}(sh)
 	}
 	for _, sh := range polls {
@@ -118,6 +120,18 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 					failed, failMsg = true, msg
 				}
 				failMu.Unlock()
+				return
+			}
+			// The poll that completed a chunk is its worker's request for
+			// the next one, dispatched now rather than next step.
+			var next []*shard
+			c.mu.Lock()
+			if sh.done {
+				next = c.refillLocked(j, sh.worker)
+			}
+			c.mu.Unlock()
+			for _, n := range next {
+				dispatch(n)
 			}
 		}(sh)
 	}
@@ -139,7 +153,7 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 	}
 	if len(j.merged) == len(j.names) {
 		c.finishLocked(j, service.StateDone, "")
-		// A hedge race resolved by this very step's merge leaves its loser
+		// A backup race resolved by this very step's merge leaves its loser
 		// on the fenced queue — and no later step to drain it. Cancel now,
 		// off the lock, so the slow worker stops burning device time.
 		if fenced := c.fenced; len(fenced) > 0 {
@@ -161,12 +175,12 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 	return false, progressed
 }
 
-// epochValidLocked reports whether a shard's owner is alive in the same
-// registration epoch the shard was assigned under. A worker that was
+// epochValidLocked reports whether a chunk's owner is alive in the same
+// registration epoch the chunk was assigned under. A worker that was
 // declared dead and re-registered carries a newer epoch, so its old
-// shards fail this fence even though the URL is reachable again — the
-// stale revenant's results are rejected and its ligands re-split, never
-// double-merged. Caller holds c.mu.
+// chunks fail this fence even though the URL is reachable again — the
+// stale revenant's results are rejected and its ligands go back to the
+// pool, never double-merged. Caller holds c.mu.
 func (c *Coordinator) epochValidLocked(sh *shard) bool {
 	w := c.workers[sh.worker]
 	return w != nil && w.alive && w.epoch == sh.epoch
@@ -184,11 +198,10 @@ func (c *Coordinator) reapWorkers() {
 			c.markWorkerDeadLocked(w.url, "heartbeat timeout")
 		}
 	}
-	c.assessQuarantineLocked()
 }
 
 // markWorkerDeadLocked flips a worker to dead (idempotent). The actual
-// ligand movement happens in each job's next assignLocked pass. Caller
+// ligand movement happens in each job's next reclaimLocked pass. Caller
 // holds c.mu.
 func (c *Coordinator) markWorkerDeadLocked(url, reason string) {
 	w := c.workers[url]
@@ -201,33 +214,27 @@ func (c *Coordinator) markWorkerDeadLocked(url, reason string) {
 	c.log.Warn("worker declared dead", "worker", url, "reason", reason)
 }
 
-// assignLocked moves unfinished ligands off dead workers and splits
-// everything unassigned across the currently alive workers: the initial
-// assignment hashes ligand names (deterministic), recovery assignments
-// split by observed throughput so fast survivors absorb more of the dead
-// node's backlog. Caller holds c.mu.
-func (c *Coordinator) assignLocked(j *job) {
-	now := c.cfg.now()
+// reclaimLocked returns the unmerged ligands of every live chunk whose
+// worker died, or revived under a newer epoch, to the pool; merged
+// ligands stay merged. Caller holds c.mu.
+func (c *Coordinator) reclaimLocked(j *job) {
 	for _, sh := range j.shards {
-		if sh.done || sh.moved {
-			continue
-		}
-		if c.epochValidLocked(sh) {
+		if sh.done || sh.moved || c.epochValidLocked(sh) {
 			continue
 		}
 		sh.moved = true
 		if w := c.workers[sh.worker]; w != nil && w.alive && w.epoch != sh.epoch {
-			// The owner died and came back: the shard is fenced, not just
+			// The owner died and came back: the chunk is fenced, not just
 			// orphaned. Its old worker-side job may still be running as a
 			// zombie — queue a best-effort cancel so it stops burning time
-			// on ligands about to be re-split.
+			// on ligands about to be handed out again.
 			c.metrics.shardsFenced.Inc()
 			if sh.remote != "" {
 				c.fenced = append(c.fenced, remoteRef{worker: sh.worker, remote: sh.remote})
 			}
-			c.log.Warn("fencing shard from revived worker",
-				"job", j.id, "shard", sh.id, "worker", sh.worker,
-				"shardEpoch", sh.epoch, "workerEpoch", w.epoch)
+			c.log.Warn("fencing chunk from revived worker",
+				"job", j.id, "chunk", sh.id, "worker", sh.worker,
+				"chunkEpoch", sh.epoch, "workerEpoch", w.epoch)
 		}
 		var remaining []string
 		for _, n := range sh.ligands {
@@ -240,15 +247,15 @@ func (c *Coordinator) assignLocked(j *job) {
 			continue
 		}
 		if partner := j.livePartnerLocked(sh); partner != nil {
-			// The shard's hedge twin is still racing and covers every
-			// unfinished ligand here; re-splitting would triple the work.
-			// Unlink the survivor so it becomes a plain shard again.
+			// The chunk's backup twin is still racing and covers every
+			// unfinished ligand here; pooling them would triple the work.
+			// Unlink the survivor so it becomes a plain chunk again.
 			partner.hedgeOf, partner.hedgedBy = "", ""
-			c.log.Warn("hedged shard lost its worker; twin carries on",
-				"job", j.id, "shard", sh.id, "twin", partner.id, "worker", sh.worker)
+			c.log.Warn("backed-up chunk lost its worker; twin carries on",
+				"job", j.id, "chunk", sh.id, "twin", partner.id, "worker", sh.worker)
 			continue
 		}
-		j.unassigned = append(j.unassigned, remaining...)
+		j.returnToPool(remaining)
 		j.resplits++
 		c.metrics.reshards.Inc()
 		t := j.rec.Now()
@@ -257,92 +264,13 @@ func (c *Coordinator) assignLocked(j *job) {
 			Cat: trace.CatShard, Start: t, End: t,
 			Args: map[string]string{"ligands": strconv.Itoa(len(remaining))},
 		})
-		c.log.Warn("re-splitting shard off dead worker",
-			"job", j.id, "shard", sh.id, "worker", sh.worker, "ligands", len(remaining))
-	}
-
-	pending := j.orderedUnassigned()
-	j.unassigned = nil
-	if len(pending) == 0 {
-		return
-	}
-	alive := c.aliveWorkersLocked()
-	if len(alive) == 0 {
-		j.unassigned = pending // wait for a worker to (re-)join
-		return
-	}
-	var chunks [][]string
-	if j.nextShard == 0 {
-		// Initial equal split: leave quarantined workers out entirely when
-		// anyone healthy is available — an equal share is exactly what a
-		// known-slow worker must not get.
-		var healthy []*worker
-		for _, w := range alive {
-			if !w.quarantined {
-				healthy = append(healthy, w)
-			}
-		}
-		if len(healthy) > 0 {
-			alive = healthy
-		}
-		chunks = ShardByHash(pending, len(alive))
-	} else {
-		weights := make([]float64, len(alive))
-		mask := make([]bool, len(alive))
-		for i, w := range alive {
-			weights[i] = w.rate.Value()
-			if w.quarantined && c.cfg.QuarantineFactor > 0 {
-				// Brownout: a quarantined worker still contributes, at a
-				// fraction of the weight its raw rate would earn.
-				weights[i] /= c.cfg.QuarantineFactor
-			}
-			mask[i] = true
-		}
-		chunks = SplitWeighted(pending, weights, mask)
-	}
-	for i, chunk := range chunks {
-		if len(chunk) == 0 {
-			continue
-		}
-		sh := &shard{id: "s" + strconv.Itoa(j.nextShard), worker: alive[i].url, epoch: alive[i].epoch, ligands: chunk}
-		j.nextShard++
-		j.shards = append(j.shards, sh)
-		alive[i].shards++
-		c.metrics.shards.Inc()
-		c.journal.Append(event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: chunk})
-		c.log.Info("shard assigned",
-			"job", j.id, "shard", sh.id, "worker", sh.worker, "ligands", len(chunk))
-	}
-	if j.state == service.StateQueued {
-		j.state = service.StateRunning
-		j.started = now
+		c.log.Warn("returning chunk off dead worker to the pool",
+			"job", j.id, "chunk", sh.id, "worker", sh.worker, "ligands", len(remaining))
 	}
 }
 
-// orderedUnassigned returns the job's unassigned ligands in library
-// order, dropping any that merged in the meantime.
-func (j *job) orderedUnassigned() []string {
-	if len(j.unassigned) == 0 {
-		return nil
-	}
-	pend := make(map[string]bool, len(j.unassigned))
-	for _, n := range j.unassigned {
-		pend[n] = true
-	}
-	var out []string
-	for _, n := range j.names {
-		if !pend[n] {
-			continue
-		}
-		if _, ok := j.merged[n]; !ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// aliveWorkersLocked returns alive workers sorted by URL (the stable
-// order shard-by-hash indexes into). Caller holds c.mu.
+// aliveWorkersLocked returns alive workers sorted by URL, the order they
+// pull chunks in. Caller holds c.mu.
 func (c *Coordinator) aliveWorkersLocked() []*worker {
 	urls := make([]string, 0, len(c.workers))
 	for u, w := range c.workers {
@@ -358,11 +286,11 @@ func (c *Coordinator) aliveWorkersLocked() []*worker {
 	return out
 }
 
-// dispatch submits one shard to its worker as a Ligands-restricted
-// screen under the shard's stable idempotency key, so a re-dispatch
+// dispatch submits one chunk to its worker as a Ligands-restricted
+// screen under the chunk's stable idempotency key, so a re-dispatch
 // (after a coordinator restart or a lost response) maps onto the
 // worker's existing job. It reports whether the worker acknowledged the
-// shard.
+// chunk.
 func (c *Coordinator) dispatch(j *job, sh *shard) bool {
 	req := j.req
 	req.Ligands = sh.ligands
@@ -388,8 +316,6 @@ func (c *Coordinator) dispatch(j *job, sh *shard) bool {
 	sh.remote = view.ID
 	sh.cursor = ""
 	sh.dispatched = now
-	sh.lastPoll = now
-	sh.lastSeen = 0
 	if w := c.workers[sh.worker]; w != nil {
 		w.lastBeat = now
 	}
@@ -399,19 +325,19 @@ func (c *Coordinator) dispatch(j *job, sh *shard) bool {
 		Start: start, End: sh.waitFrom,
 		Args: map[string]string{"remote": view.ID, "ligands": strconv.Itoa(len(sh.ligands))},
 	})
-	c.log.Info("shard dispatched",
+	c.log.Info("chunk dispatched",
 		"job", j.id, "shard", sh.id, "worker", sh.worker, "remote", view.ID, "ligands", len(sh.ligands))
 	return true
 }
 
-// poll long-polls one shard's worker for the entries past the shard's
-// cursor and merges what's new. It returns fatal=true with a message
-// when the worker-side job reached a terminal state that cannot produce
-// the shard's ligands (failed, shed, or cancelled out from under us) — a
+// poll long-polls one chunk's worker for the entries past the chunk's
+// cursor and merges what's new, crediting the worker with the ligands it
+// delivered first. It returns fatal=true with a message when the
+// worker-side job reached a terminal state that cannot produce the
+// chunk's ligands (failed, shed, or cancelled out from under us) — a
 // deterministic failure re-running elsewhere would only repeat.
 func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 	pv, err := c.cl.partial(c.reqCtx, sh.worker, sh.remote, sh.epoch, sh.cursor, c.pollWait())
-	now := c.cfg.now()
 	if err != nil {
 		if c.reqCtx.Err() != nil {
 			// Shutdown aborted the held poll: that says nothing about the
@@ -446,9 +372,9 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 	}
 	if !c.epochValidLocked(sh) {
 		// The response is from a shard whose owner died or revived under a
-		// newer epoch while the poll was in flight: its ligands were (or
-		// are about to be) re-split, so merging this body could double-
-		// count. Drop it — the byte-identical-ranking invariant depends on
+		// newer epoch while the poll was in flight: its ligands went (or
+		// are about to go) back to the pool, so merging this body could
+		// double-count. Drop it — the byte-identical-ranking invariant depends on
 		// every ligand merging exactly once.
 		c.metrics.staleRejected.Inc()
 		c.log.Warn("rejecting stale partial from fenced shard",
@@ -458,13 +384,11 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 	sh.errs = 0
 	sh.cursor = pv.Cursor
 	w := c.workers[sh.worker]
-	if w != nil {
-		w.lastBeat = now
-	}
+	w.lastBeat = c.cfg.now()
 
 	var fresh []service.PartialEntry
 	for _, e := range pv.Entries {
-		if !j.nameSet[e.Ligand] {
+		if _, ok := j.atoms[e.Ligand]; !ok {
 			continue
 		}
 		if _, ok := j.merged[e.Ligand]; ok {
@@ -475,6 +399,7 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 		fresh = append(fresh, e)
 	}
 	if len(fresh) > 0 {
+		w.merged += int64(len(fresh))
 		c.metrics.merged.Add(int64(len(fresh)))
 		c.journal.Append(event{Type: evEntries, Job: j.id, Entries: fresh})
 	}
@@ -485,30 +410,6 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 			completed++
 		}
 	}
-	if w != nil && !sh.lastPoll.IsZero() {
-		if dt := now.Sub(sh.lastPoll).Seconds(); dt > 0 {
-			// Credit the worker only with ligands its own poll delivered
-			// first — in a hedge race both twins' counters move when either
-			// side merges, and the loser must not inherit the winner's rate.
-			freshOwn := 0
-			if len(fresh) > 0 {
-				freshSet := make(map[string]bool, len(fresh))
-				for _, e := range fresh {
-					freshSet[e.Ligand] = true
-				}
-				for _, n := range sh.ligands {
-					if freshSet[n] {
-						freshOwn++
-					}
-				}
-			}
-			w.rate.Observe(float64(freshOwn) / dt)
-		}
-		w.selfRate = pv.RateLPS
-	}
-	sh.lastPoll = now
-	sh.lastSeen = completed
-
 	// One span per stretch of polling that delivered something (or ended
 	// the shard), so the trace shows where the job waited without growing
 	// while a shard is silent.
@@ -527,7 +428,6 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 
 	if completed == len(sh.ligands) {
 		sh.done = true
-		sh.doneAt = now
 		j.rec.AddSpan(trace.Span{
 			Track: sh.worker, Name: "shard " + sh.id, Cat: trace.CatShard,
 			Start: sh.dispatched.Sub(j.rec.Epoch()).Seconds(), End: j.rec.Now(),
@@ -540,13 +440,13 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 	}
 	if pv.State.Terminal() {
 		if partner := j.livePartnerLocked(sh); partner != nil {
-			// One leg of a hedge pair died (shed, external cancel, …) but
+			// One leg of a backup pair died (shed, external cancel, …) but
 			// its twin still covers every unfinished ligand: fence this leg
 			// and let the race finish instead of failing the whole job.
 			sh.moved = true
 			partner.hedgeOf, partner.hedgedBy = "", ""
 			c.journal.Append(event{Type: evMoved, Job: j.id, Shard: sh.id})
-			c.log.Warn("hedge leg ended terminally; twin carries on",
+			c.log.Warn("backup leg ended terminally; twin carries on",
 				"job", j.id, "shard", sh.id, "state", pv.State, "twin", partner.id)
 			return "", false
 		}
@@ -554,7 +454,7 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 		// ligand: a real failure (bad run, shed deadline, external
 		// cancel), not a liveness problem. Retrying the same request on
 		// another node would deterministically repeat it.
-		return fmt.Sprintf("dist: shard %s on %s ended %s with %d/%d ligands",
+		return fmt.Sprintf("dist: chunk %s on %s ended %s with %d/%d ligands",
 			sh.id, sh.worker, pv.State, completed, len(sh.ligands)), true
 	}
 	return "", false

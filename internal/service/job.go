@@ -291,28 +291,6 @@ type Job struct {
 	// wake is closed once the job is settled; non-nil only while a held
 	// /partial request waits on it.
 	wake chan struct{}
-
-	// rate tracks the job's own completion rate (ligands/second) over
-	// checkpoint deltas, reported to coordinators via PartialView so a
-	// shard's slowness is visible before poll-to-poll deltas resolve it.
-	rate   sched.RateEWMA
-	rateAt time.Time
-}
-
-// observeRate folds one checkpoint's newly completed ligand count into
-// the job's self-reported rate. The first call only anchors the clock —
-// a rate needs two checkpoints. Caller holds the service mutex.
-func (j *Job) observeRate(fresh int, now time.Time) {
-	if j.rateAt.IsZero() {
-		j.rateAt = now
-		return
-	}
-	dt := now.Sub(j.rateAt).Seconds()
-	if dt <= 0 {
-		return
-	}
-	j.rate.Observe(float64(fresh) / dt)
-	j.rateAt = now
 }
 
 // addPartial folds newly completed ligand records, in completion order,

@@ -283,9 +283,7 @@ func (s *Service) checkpointLigand(id string, rec core.LigandRecord, checkpoint 
 	if !ok {
 		return false
 	}
-	before := len(j.log)
 	j.addPartial(rec)
-	j.observeRate(len(j.log)-before, time.Now())
 	if !checkpoint || s.journal == nil {
 		return false
 	}

@@ -100,11 +100,6 @@ type PartialView struct {
 	// ranking; EntriesTotal always counts every completed ligand.
 	EntriesTotal  int `json:"entries_total,omitempty"`
 	EntriesOffset int `json:"entries_offset,omitempty"`
-	// RateLPS is the job's self-reported completion rate in
-	// ligands/second, smoothed over checkpoint deltas. A coordinator
-	// polling shards folds it into its per-worker straggler estimates —
-	// finer-grained than what it can infer from poll-to-poll deltas.
-	RateLPS float64 `json:"rate_lps,omitempty"`
 	// Cursor is the position after the last entry of a cursored response;
 	// the caller sends it back verbatim as the next `since`.
 	Cursor string `json:"cursor,omitempty"`
@@ -229,7 +224,7 @@ func (s *Service) Partial(ctx context.Context, id string, q PartialQuery) (Parti
 	}
 	pv := PartialView{
 		ID: j.id, State: j.state, Completed: n, Total: j.total(),
-		EntriesTotal: n, RateLPS: j.rate.Value(),
+		EntriesTotal: n,
 	}
 	if hi > lo {
 		pv.Entries = make([]PartialEntry, 0, hi-lo)

@@ -281,10 +281,7 @@ func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (
 	algf := func() (metaheuristic.Algorithm, error) {
 		return metaheuristic.NewPaper(req.Metaheuristic, req.Scale)
 	}
-	lib := core.SyntheticLibrary(req.Library)
-	if len(req.Ligands) > 0 {
-		lib = filterLibrary(lib, req.Ligands)
-	}
+	lib := libraryOf(req)
 
 	s.mu.Lock()
 	// A durable job resumes from its journaled checkpoint records,
@@ -351,18 +348,23 @@ func (s *Service) receptor(dataset string, spots int) (*core.PreparedReceptor, e
 	return r, nil
 }
 
-// filterLibrary keeps the named ligands, preserving library order so
-// aggregate sums stay deterministic. Validation already guaranteed every
-// name exists.
-func filterLibrary(lib []*molecule.Molecule, names []string) []*molecule.Molecule {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
+// libraryOf materializes a request's ligands: the whole synthetic
+// library, or only its named ligands, in library order so aggregate sums
+// stay deterministic. A distributed chunk names a few ligands of a large
+// library, and building the rest would cost it about one ligand's docking
+// time. Validation already guaranteed every name exists.
+func libraryOf(req ScreenRequest) []*molecule.Molecule {
+	if len(req.Ligands) == 0 {
+		return core.SyntheticLibrary(req.Library)
+	}
+	want := make(map[string]bool, len(req.Ligands))
+	for _, n := range req.Ligands {
 		want[n] = true
 	}
-	out := lib[:0:0]
-	for _, lig := range lib {
-		if want[lig.Name] {
-			out = append(out, lig)
+	var out []*molecule.Molecule
+	for i := 0; i < req.Library; i++ {
+		if want[core.SyntheticName(i)] {
+			out = append(out, core.SyntheticLigand(i))
 		}
 	}
 	return out

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Straggler drill for distributed screening: a coordinator with straggler
-# mitigation enabled, one worker that is both lagged (netsim latency on
-# every coordinator->victim request) and genuinely stalled (a soak screen
-# hogging its single worker slot), and two healthy workers. Verify that
+# Straggler drill for distributed screening: a coordinator, one worker
+# that is both lagged (netsim latency on every coordinator->victim
+# request) and genuinely stalled (a soak screen hogging its single worker
+# slot), and two healthy workers. Verify that
 #
-#   - the stalled shard is stolen (shards_stolen_total >= 1),
-#   - the victim lands in quarantine (visible in /debug/snapshot),
+#   - the stalled chunks are backed up (hedges_issued_total >= 1),
 #   - the screen still finishes "done" with every ligand merged exactly
-#     once (ligands_merged_total == library size).
+#     once (ligands_merged_total == library size),
+#   - the victim merged fewer ligands than each healthy worker (visible
+#     in /debug/snapshot).
 #
 # Run from the repo root: scripts/straggler_chaos.sh
 set -euo pipefail
@@ -38,7 +39,6 @@ wait_healthy() {
 "$WORK/vsserved" -addr ":$COORD_PORT" -role coordinator \
     -chaos "127.0.0.1:$VICTIM_PORT:latency@500ms±100ms" -chaos-seed 7 \
     -worker-timeout 2s -poll-interval 50ms -request-timeout 3s \
-    -steal-threshold 2 -hedge-tail 1 -quarantine-factor 4 \
     >"$WORK/coord.log" 2>&1 &
 PIDS+=($!)
 wait_healthy "$COORD"
@@ -68,7 +68,7 @@ jsonfield() {
 }
 
 # Stall the victim: one worker slot, so this soak serializes the
-# coordinator's shard behind it at zero progress.
+# coordinator's chunks behind it at zero progress.
 SOAK='{"dataset":"2BSM","library":60,"spots":2,"metaheuristic":"M3","scale":1.0,"seed":3}'
 curl -fsS -X POST "$VICTIM/v1/screens" -d "$SOAK" >/dev/null
 echo "straggler_chaos: victim soaked at $VICTIM"
@@ -96,10 +96,10 @@ done
 echo "straggler_chaos: $JOB done"
 
 curl -fsS "$COORD/metrics" >"$WORK/metrics"
-STOLEN="$(awk '$1 == "metascreen_dist_shards_stolen_total" {print $2}' "$WORK/metrics")"
+HEDGES="$(awk '$1 == "metascreen_dist_hedges_issued_total" {print $2}' "$WORK/metrics")"
 MERGED="$(awk '$1 == "metascreen_dist_ligands_merged_total" {print $2}' "$WORK/metrics")"
-if [ -z "$STOLEN" ] || [ "$STOLEN" -lt 1 ]; then
-    echo "straggler_chaos: shards_stolen_total=$STOLEN, want >= 1" >&2
+if [ -z "$HEDGES" ] || [ "$HEDGES" -lt 1 ]; then
+    echo "straggler_chaos: hedges_issued_total=$HEDGES, want >= 1" >&2
     cat "$WORK/coord.log" >&2
     exit 1
 fi
@@ -107,13 +107,23 @@ if [ "$MERGED" != "$LIBRARY" ]; then
     echo "straggler_chaos: ligands_merged_total=$MERGED, want exactly $LIBRARY" >&2
     exit 1
 fi
-echo "straggler_chaos: $STOLEN shard(s) stolen, $MERGED/$LIBRARY ligands merged exactly once"
+echo "straggler_chaos: $HEDGES chunk(s) backed up, $MERGED/$LIBRARY ligands merged exactly once"
 
+# Per-worker merged counts, in URL order: "<url> <merged>" per line.
 curl -fsS "$COORD/debug/snapshot" >"$WORK/snapshot.json"
-if ! grep -q '"quarantined": true' "$WORK/snapshot.json"; then
-    echo "straggler_chaos: no quarantined worker in /debug/snapshot" >&2
+sed -n '/"workers": \[/,/^  \]/p' "$WORK/snapshot.json" |
+    awk -F'"' '/"url":/ {url = $4} /"merged":/ {gsub(/[^0-9]/, "", $3); print url, $3}' >"$WORK/merged.txt"
+# Workers register under their advertised 127.0.0.1 URLs: match by port.
+VICTIM_MERGED="$(awk -v p=":$VICTIM_PORT" '$1 ~ p "$" {print $2}' "$WORK/merged.txt")"
+if [ -z "$VICTIM_MERGED" ] || [ "$(wc -l <"$WORK/merged.txt")" != 3 ]; then
+    echo "straggler_chaos: no merged counts for all three workers in /debug/snapshot" >&2
     cat "$WORK/snapshot.json" >&2
     exit 1
 fi
-echo "straggler_chaos: victim visible as quarantined in /debug/snapshot"
-grep -E 'metascreen_dist_(shards_stolen|hedges_issued|hedge_wins|quarantines)_total|metascreen_dist_workers_quarantined' "$WORK/metrics"
+if awk -v p=":$VICTIM_PORT" -v m="$VICTIM_MERGED" '$1 !~ p "$" && $2 <= m {bad = 1} END {exit !bad}' "$WORK/merged.txt"; then
+    echo "straggler_chaos: a healthy worker merged no more than the victim ($VICTIM_MERGED):" >&2
+    cat "$WORK/merged.txt" >&2
+    exit 1
+fi
+echo "straggler_chaos: victim merged $VICTIM_MERGED ligands, fewer than each healthy worker"
+grep -E 'metascreen_dist_(hedges_issued|hedge_wins)_total' "$WORK/metrics"
