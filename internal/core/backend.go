@@ -74,15 +74,16 @@ func newCompute(p *Problem, real bool, scorerKind, improver string) (compute, er
 
 // poseArena is one worker goroutine's persistent scoring workspace: a flat
 // coordinate array sliced into per-conformation pose buffers plus the
-// batched score output (scoreBatch), a single-pose buffer (score, improve),
-// and the neighbor list's candidate scratch. Everything reuses capacity, so
-// steady-state generations allocate nothing.
+// batched score output and coverage (scoreBatch), a single-pose buffer
+// (score, improve), and the neighbor list's candidate scratch. Everything
+// reuses capacity, so steady-state generations allocate nothing.
 type poseArena struct {
-	flat  []vec.V3
-	poses [][]vec.V3
-	out   []float64
-	one   []vec.V3
-	nl    forcefield.NeighborScratch
+	flat    []vec.V3
+	poses   [][]vec.V3
+	out     []float64
+	covered []bool
+	one     []vec.V3
+	nl      forcefield.NeighborScratch
 }
 
 // single returns the single-pose buffer, sized to the ligand.
@@ -108,8 +109,9 @@ func (a *poseArena) resize(n, atoms int) {
 	}
 	if cap(a.out) < n {
 		a.out = make([]float64, n)
+		a.covered = make([]bool, n)
 	}
-	a.out = a.out[:n]
+	a.out, a.covered = a.out[:n], a.covered[:n]
 }
 
 // compute is the scoring strategy shared by backends: real force-field
@@ -179,15 +181,45 @@ func (rc *realCompute) scoreBatch(confs []*conformation.Conformation, a *poseAre
 	for i, c := range confs {
 		c.ApplyFlex(rc.ts, rc.ligand, a.poses[i])
 	}
-	if rc.nl != nil || rc.batch == nil {
+	if rc.nl != nil {
+		rc.scoreRuns(confs, a)
+		return
+	}
+	if rc.batch == nil {
 		for i, c := range confs {
-			c.Score = rc.scorePose(c.Spot, a.poses[i], &a.nl)
+			c.Score = rc.scorer.Score(a.poses[i])
 		}
 		return
 	}
 	rc.batch.ScoreBatch(a.poses, a.out)
 	for i, c := range confs {
 		c.Score = a.out[i]
+	}
+}
+
+// scoreRuns scores a posed batch through the spots' neighbor lists: each
+// run of consecutive conformations on one spot goes to its list in one
+// ScorePoses call, which scores the run two poses at a time; a pose the
+// list does not cover goes to the full scorer, as in scorePose. Engine
+// batches are contiguous by spot, so the runs are long.
+func (rc *realCompute) scoreRuns(confs []*conformation.Conformation, a *poseArena) {
+	for lo := 0; lo < len(confs); {
+		spot, hi := confs[lo].Spot, lo+1
+		for hi < len(confs) && confs[hi].Spot == spot {
+			hi++
+		}
+		if spot >= 0 && spot < len(rc.nl) {
+			rc.nl[spot].ScorePoses(a.poses[lo:hi], a.out[lo:hi], a.covered[lo:hi], &a.nl)
+		} else {
+			clear(a.covered[lo:hi])
+		}
+		for i := lo; i < hi; i++ {
+			if !a.covered[i] {
+				a.out[i] = rc.scorer.Score(a.poses[i])
+			}
+			confs[i].Score = a.out[i]
+		}
+		lo = hi
 	}
 }
 

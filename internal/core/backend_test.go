@@ -7,6 +7,7 @@ import (
 	"github.com/metascreen/metascreen/internal/conformation"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
 	"github.com/metascreen/metascreen/internal/rng"
+	"github.com/metascreen/metascreen/internal/vec"
 )
 
 func TestNewComputeKinds(t *testing.T) {
@@ -286,5 +287,44 @@ func TestModeledComputeSurrogateProperties(t *testing.T) {
 	}
 	if !many.Better(c1) {
 		t.Error("improve did not improve the surrogate score")
+	}
+}
+
+// TestScoreBatchLockstepMatchesSingle scores batches of 1, 2, 3 and 63
+// conformations whose spot changes every three entries, so runs split
+// pairs, with one conformation moved out of its spot's region, and
+// requires scoreBatch to assign each the bits the single-pose path gives
+// it.
+func TestScoreBatchLockstepMatchesSingle(t *testing.T) {
+	p := smallProblem(t)
+	comp, err := newCompute(p, true, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samplers := make([]*conformation.Sampler, len(p.Spots))
+	for i, s := range p.Spots {
+		samplers[i] = conformation.NewSampler(s, p.LigandRadius())
+	}
+	r := rng.New(71)
+	var batch, single poseArena
+	for _, n := range []int{1, 2, 3, 63} {
+		backing := make([]conformation.Conformation, n)
+		confs := make([]*conformation.Conformation, n)
+		for i := range backing {
+			backing[i] = samplers[(i/3)%len(samplers)].Random(r)
+			confs[i] = &backing[i]
+		}
+		if n > 1 {
+			backing[1].Translation = backing[1].Translation.Add(vec.New(0, 0, 100))
+		}
+		comp.scoreBatch(confs, &batch)
+		for i, c := range confs {
+			alone := *c
+			alone.Score = conformation.Unscored
+			comp.score(&alone, &single)
+			if math.Float64bits(c.Score) != math.Float64bits(alone.Score) {
+				t.Errorf("batch %d conformation %d (spot %d): batched %v, alone %v", n, i, c.Spot, c.Score, alone.Score)
+			}
+		}
 	}
 }

@@ -132,49 +132,6 @@ func TestScoreBatchPanicsOnLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestLattice32RankConcordant checks the float32 lattice-sampling path: its
-// scores track the float64 path within a small relative tolerance, and any
-// pair of poses clearly separated in float64 orders identically in float32 —
-// the rank-concordance guarantee the Lattice32 option documents.
-func TestLattice32RankConcordant(t *testing.T) {
-	rec := NewTopology(molecule.SyntheticProtein("rec", 400, 21))
-	lig := NewTopology(molecule.SyntheticLigand("lig", 15, 22))
-	g64, err := NewGrid(rec, lig, Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g32, err := NewGrid(rec, lig, Options{Lattice32: true}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(5)
-	center := vec.Centroid(rec.Pos)
-	type scored struct{ s64, s32 float64 }
-	var pts []scored
-	for trial := 0; trial < 60; trial++ {
-		pose := randomPose(r, lig.Len(), center.Add(r.InSphere(25)), 3)
-		pts = append(pts, scored{g64.Score(pose), g32.Score(pose)})
-	}
-	for _, p := range pts {
-		if math.Abs(p.s64-p.s32) > 1e-3*(1+math.Abs(p.s64)) {
-			t.Errorf("float32 path diverged: %v vs %v", p.s32, p.s64)
-		}
-	}
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			d := pts[i].s64 - pts[j].s64
-			tol := 1e-3 * (1 + math.Abs(pts[i].s64) + math.Abs(pts[j].s64))
-			if math.Abs(d) <= tol {
-				continue // too close in float64 to demand an order
-			}
-			if (d < 0) != (pts[i].s32-pts[j].s32 < 0) {
-				t.Errorf("rank flip: f64 %v vs %v, f32 %v vs %v",
-					pts[i].s64, pts[j].s64, pts[i].s32, pts[j].s32)
-			}
-		}
-	}
-}
-
 // TestScoreBatchAllocFree pins the BatchScorer contract that implementations
 // allocate nothing per call: steady-state batched scoring with reused
 // buffers must be alloc-free.

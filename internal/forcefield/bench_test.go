@@ -96,7 +96,7 @@ func nlBenchFixtures(b *testing.B) (nl *NeighborList, poses [][]vec.V3, scanned,
 	spot := f.spots[0]
 	nl = f.spotList(spot, f.ligRadius)
 	poses = f.samplerPoses(spot, nil, rng.New(1), 64)
-	var s NeighborScratch
+	var s poseScratch
 	for _, pose := range poses {
 		n, _ := nl.gather(pose, &s)
 		scanned += float64(n)
@@ -136,7 +136,17 @@ func BenchmarkNeighborListBatch2BSM(b *testing.B) {
 // BenchmarkNeighborListBatch2BSMPortable runs the batch benchmark on the
 // portable loops, the only kernel off amd64 or without AVX2.
 func BenchmarkNeighborListBatch2BSMPortable(b *testing.B) {
-	defer kernels[0].use()()
+	defer useForTest(tierPortable)()
+	BenchmarkNeighborListBatch2BSM(b)
+}
+
+// BenchmarkNeighborListBatch2BSMAVX2 runs the batch benchmark on the AVX2
+// tier.
+func BenchmarkNeighborListBatch2BSMAVX2(b *testing.B) {
+	if hostTier < tierAVX2 {
+		b.Skipf("CPU runs %s, not avx2", hostTier)
+	}
+	defer useForTest(tierAVX2)()
 	BenchmarkNeighborListBatch2BSM(b)
 }
 

@@ -18,7 +18,6 @@ import (
 // receptor atom by construction of the padding).
 type Grid struct {
 	lig        *Topology
-	opts       Options
 	origin     vec.V3
 	spacing    float64
 	nx, ny, nz int
@@ -43,7 +42,7 @@ func NewGrid(rec, lig *Topology, opts Options, spacing float64) (*Grid, error) {
 	if len(rec.Pos) == 0 {
 		return nil, fmt.Errorf("forcefield: grid over empty receptor")
 	}
-	g := &Grid{lig: lig, opts: opts, spacing: spacing}
+	g := &Grid{lig: lig, spacing: spacing}
 	box := vec.BoundPoints(rec.Pos).Pad(Cutoff + spacing)
 	g.origin = box.Lo
 	size := box.Size()
@@ -135,12 +134,8 @@ func (c *CellList) visitNear(p vec.V3, fn func(i int32)) {
 func (g *Grid) Name() string { return "grid" }
 
 // Score implements Scorer by trilinear interpolation of the tabulated
-// field at each ligand atom. With Options.Lattice32 the interpolation
-// arithmetic runs in float32 (the lattice itself is float32 either way).
+// field at each ligand atom.
 func (g *Grid) Score(ligPos []vec.V3) float64 {
-	if g.opts.Lattice32 {
-		return g.score32(ligPos)
-	}
 	e := 0.0
 	for j, p := range ligPos {
 		t := g.lig.Type[j]
@@ -154,25 +149,6 @@ func (g *Grid) Score(ligPos []vec.V3) float64 {
 		}
 	}
 	return e
-}
-
-// score32 is the float32 lattice path: blend weights, interpolation and the
-// per-pose accumulator all stay in float32, which keeps the working set in
-// single precision exactly as the paper's GPU kernels do.
-func (g *Grid) score32(ligPos []vec.V3) float64 {
-	var e float32
-	for j, p := range ligPos {
-		t := g.lig.Type[j]
-		vals := g.values[t]
-		if vals == nil {
-			continue
-		}
-		e += g.sample32(vals, p)
-		if g.charge != nil {
-			e += g.sample32(g.charge, p) * float32(g.lig.Charge[j])
-		}
-	}
-	return float64(e)
 }
 
 // ScoreBatch implements BatchScorer: grid scoring has no receptor pass to
@@ -200,30 +176,6 @@ func (g *Grid) sample(field []float32, p vec.V3) float64 {
 		return float64(field[((ix+dx)*g.ny+(iy+dy))*g.nz+(iz+dz)])
 	}
 	// Interpolate along z, then y, then x.
-	c00 := at(0, 0, 0)*(1-tz) + at(0, 0, 1)*tz
-	c01 := at(0, 1, 0)*(1-tz) + at(0, 1, 1)*tz
-	c10 := at(1, 0, 0)*(1-tz) + at(1, 0, 1)*tz
-	c11 := at(1, 1, 0)*(1-tz) + at(1, 1, 1)*tz
-	c0 := c00*(1-ty) + c01*ty
-	c1 := c10*(1-ty) + c11*ty
-	return c0*(1-tx) + c1*tx
-}
-
-// sample32 is sample with the interpolation arithmetic in float32.
-func (g *Grid) sample32(field []float32, p vec.V3) float32 {
-	fx := (p.X - g.origin.X) / g.spacing
-	fy := (p.Y - g.origin.Y) / g.spacing
-	fz := (p.Z - g.origin.Z) / g.spacing
-	ix, iy, iz := int(fx), int(fy), int(fz)
-	if fx < 0 || fy < 0 || fz < 0 || ix >= g.nx-1 || iy >= g.ny-1 || iz >= g.nz-1 {
-		return 0
-	}
-	tx := float32(fx - float64(ix))
-	ty := float32(fy - float64(iy))
-	tz := float32(fz - float64(iz))
-	at := func(dx, dy, dz int) float32 {
-		return field[((ix+dx)*g.ny+(iy+dy))*g.nz+(iz+dz)]
-	}
 	c00 := at(0, 0, 0)*(1-tz) + at(0, 0, 1)*tz
 	c01 := at(0, 1, 0)*(1-tz) + at(0, 1, 1)*tz
 	c10 := at(1, 0, 0)*(1-tz) + at(1, 0, 1)*tz

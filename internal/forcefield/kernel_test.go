@@ -9,38 +9,22 @@ import (
 	"github.com/metascreen/metascreen/internal/vec"
 )
 
-// kernel is one implementation of the two candidate loops.
-type kernel struct {
-	name   string
-	vector bool
-	rng    func(cx, cy, cz []float64, p vec.V3, hit []int32, r2s []float64) int
-	gather func(x, y, z []float64, k0, k1 int, c, h [3]float64, s *NeighborScratch, n int) int
+// useForTest points the kernel variables at tier t until the returned
+// function restores the host tier's.
+func useForTest(t tier) (restore func()) {
+	useTier(t)
+	return func() { useTier(hostTier) }
 }
 
-// kernels are the portable Go loops, which are also the oracle, and the
-// AVX2 loops.
-var kernels = []kernel{
-	{"portable", false, rangePassGo, gatherSpanGo},
-	{"avx2", true, rangePassAVX2, gatherSpanAVX2},
-}
-
-// use points rangePass and gatherSpan at k until the returned function
-// restores them.
-func (k kernel) use() (restore func()) {
-	savedRange, savedGather := rangePass, gatherSpan
-	rangePass, gatherSpan = k.rng, k.gather
-	return func() { rangePass, gatherSpan = savedRange, savedGather }
-}
-
-// eachKernel runs test once per kernel, skipping the vector kernel on a CPU
-// without AVX2.
+// eachKernel runs test once per tier, as a subtest named after it, and
+// skips a tier the CPU lacks with a named SKIP.
 func eachKernel(t *testing.T, test func(t *testing.T)) {
-	for _, k := range kernels {
-		t.Run(k.name, func(t *testing.T) {
-			if k.vector && !haveAVX2 {
-				t.Skip("CPU without AVX2")
+	for k := tierPortable; k < numTiers; k++ {
+		t.Run(k.String(), func(t *testing.T) {
+			if k > hostTier {
+				t.Skipf("CPU runs %s, not %s", hostTier, k)
 			}
-			defer k.use()()
+			defer useForTest(k)()
 			test(t)
 		})
 	}
@@ -53,28 +37,32 @@ var specials = []float64{
 	5e-324, -5e-324, 0x1p-1022 / 3, 1e300, -1e300, Cutoff, -Cutoff,
 }
 
-// kernelInput builds n candidates around p, within twice the cutoff, then
-// overwrites coordinates with specials: each byte pair of special picks a
-// coordinate slot and a special. One candidate sits at exactly
-// r2 == cutoff² from p when p is finite and small.
-func kernelInput(seed uint64, n int, special []byte, p vec.V3) (x, y, z []float64) {
+// kernelInput builds n candidates around p, within twice the cutoff,
+// with seeded types and charges, then overwrites coordinates with
+// specials: each byte pair of special picks a coordinate slot and a
+// special. One candidate sits at exactly r2 == cutoff² from p when p is
+// finite and small.
+func kernelInput(seed uint64, n int, special []byte, p vec.V3) *poseScratch {
 	r := rng.New(seed)
-	x, y, z = make([]float64, n), make([]float64, n), make([]float64, n)
-	for k := range x {
+	s := new(poseScratch)
+	s.reserve(n)
+	for k := 0; k < n; k++ {
 		d := r.InSphere(2 * Cutoff)
-		x[k], y[k], z[k] = p.X+d.X, p.Y+d.Y, p.Z+d.Z
+		s.x[k], s.y[k], s.z[k] = p.X+d.X, p.Y+d.Y, p.Z+d.Z
+		s.typ[k] = int32(r.Intn(numTypes))
+		s.chg[k] = r.Float64() - 0.5
 	}
 	if n == 0 {
-		return x, y, z
+		return s
 	}
 	on := int(seed % uint64(n))
-	x[on], y[on], z[on] = p.X+Cutoff, p.Y, p.Z
-	axes := [3][]float64{x, y, z}
+	s.x[on], s.y[on], s.z[on] = p.X+Cutoff, p.Y, p.Z
+	axes := [3][]float64{s.x, s.y, s.z}
 	for i := 0; i+1 < len(special); i += 2 {
 		slot := int(special[i]) % (3 * n)
 		axes[slot%3][slot/3] = specials[int(special[i+1])%len(specials)]
 	}
-	return x, y, z
+	return s
 }
 
 // sameBits reports whether two float64 sequences are equal bit for bit.
@@ -90,19 +78,49 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// checkKernelsAgree runs both candidate loops of both kernels over the same
-// raw candidates and requires equal counts and bitwise-equal (index, r2)
-// and (x, y, z, index) sequences.
-func checkKernelsAgree(t *testing.T, seed uint64, n int, special []byte, p vec.V3, half float64) {
+// checkKernelsAgree runs the range pass, with and without charges, and the
+// gather of tier k and of the portable loops over the same raw candidates
+// and requires equal counts, bitwise-equal (r2, column, charge) and
+// (x, y, z, index) sequences, and no store past the slack a kernel may
+// use.
+func checkKernelsAgree(t *testing.T, k tier, seed uint64, n int, special []byte, p vec.V3, half float64) {
 	t.Helper()
-	x, y, z := kernelInput(seed, n, special, p)
-	var (
-		hit [2][]int32
-		r2  [2][]float64
-		m   [2]int
-		s   [2]NeighborScratch
-		g   [2]int
-	)
+	in := kernelInput(seed, n, special, p)
+	tiers := [2]tier{tierPortable, k}
+	const guard = -7 // in slots the kernels may not store to
+	for _, coulomb := range []bool{false, true} {
+		var out [2]poseScratch
+		var m [2]int
+		for i, kt := range tiers {
+			out[i] = *in
+			out[i].r2, out[i].col, out[i].q = make([]float64, n+2*slack), make([]int32, n+2*slack), make([]float64, n+2*slack)
+			for h := n + slack - 1; h < n+2*slack; h++ {
+				out[i].r2[h], out[i].col[h], out[i].q[h] = guard, guard, guard
+			}
+			m[i] = tierKernels(kt).rangePass(&out[i], n, p, coulomb)
+			for h := n + slack - 1; h < n+2*slack; h++ {
+				if out[i].r2[h] != guard || out[i].col[h] != guard || out[i].q[h] != guard {
+					t.Fatalf("n=%d coulomb=%v: %s range pass stored hit slot %d", n, coulomb, kt, h)
+				}
+			}
+		}
+		if m[0] != m[1] {
+			t.Fatalf("n=%d coulomb=%v: range pass counts %d portable, %d %s", n, coulomb, m[0], m[1], k)
+		}
+		a, b := &out[0], &out[1]
+		for h := 0; h < m[0]; h++ {
+			if a.col[h] != b.col[h] {
+				t.Fatalf("n=%d: hit %d has column %d portable, %d %s", n, h, a.col[h], b.col[h], k)
+			}
+		}
+		if !sameBits(a.r2[:m[0]], b.r2[:m[0]]) {
+			t.Fatalf("n=%d: r2 portable %v, %s %v", n, a.r2[:m[0]], k, b.r2[:m[0]])
+		}
+		if coulomb && !sameBits(a.q[:m[0]], b.q[:m[0]]) {
+			t.Fatalf("n=%d: charges portable %v, %s %v", n, a.q[:m[0]], k, b.q[:m[0]])
+		}
+	}
+
 	// The pose box is centered at p; the span starts at list atom k0 and
 	// stores from slot out0 <= k0, as a gather after earlier spans does.
 	c := [3]float64{p.X, p.Y, p.Z}
@@ -112,30 +130,30 @@ func checkKernelsAgree(t *testing.T, seed uint64, n int, special []byte, p vec.V
 		k0 = n
 	}
 	out0 := k0 / 2
-	for i, kern := range kernels {
-		hit[i], r2[i] = make([]int32, n), make([]float64, n)
-		m[i] = kern.rng(x, y, z, p, hit[i], r2[i])
-		s[i].reserve(n)
-		g[i] = kern.gather(x, y, z, k0, n, c, h, &s[i], out0)
-	}
-	if m[0] != m[1] {
-		t.Fatalf("n=%d: range pass counts %d portable, %d avx2", n, m[0], m[1])
-	}
-	for k := 0; k < m[0]; k++ {
-		if hit[0][k] != hit[1][k] {
-			t.Fatalf("n=%d: hit %d is candidate %d portable, %d avx2", n, k, hit[0][k], hit[1][k])
+	var s [2]poseScratch
+	var g [2]int
+	// The span stores from slot out0, so slots from out0 + (n-k0) +
+	// slack - 1 on are out of bounds for it.
+	end := out0 + n - k0 + slack - 1
+	for i, kt := range tiers {
+		s[i].reserve(n + slack)
+		for j := end; j < len(s[i].x); j++ {
+			s[i].x[j], s[i].y[j], s[i].z[j], s[i].idx[j] = guard, guard, guard, guard
+		}
+		g[i] = tierKernels(kt).gatherSpan(in.x[:n], in.y[:n], in.z[:n], k0, n, c, h, &s[i], out0)
+		for j := end; j < len(s[i].x); j++ {
+			if s[i].x[j] != guard || s[i].y[j] != guard || s[i].z[j] != guard || s[i].idx[j] != guard {
+				t.Fatalf("n=%d k0=%d: %s gather stored slot %d", n, k0, kt, j)
+			}
 		}
 	}
-	if !sameBits(r2[0][:m[0]], r2[1][:m[1]]) {
-		t.Fatalf("n=%d: r2 portable %v, avx2 %v", n, r2[0][:m[0]], r2[1][:m[1]])
-	}
 	if g[0] != g[1] {
-		t.Fatalf("n=%d k0=%d: gather counts %d portable, %d avx2", n, k0, g[0], g[1])
+		t.Fatalf("n=%d k0=%d: gather counts %d portable, %d %s", n, k0, g[0], g[1], k)
 	}
 	a, b := &s[0], &s[1]
-	for k := out0; k < g[0]; k++ {
-		if a.idx[k] != b.idx[k] {
-			t.Fatalf("n=%d: gathered slot %d is atom %d portable, %d avx2", n, k, a.idx[k], b.idx[k])
+	for i := out0; i < g[0]; i++ {
+		if a.idx[i] != b.idx[i] {
+			t.Fatalf("n=%d: gathered slot %d is atom %d portable, %d %s", n, i, a.idx[i], b.idx[i], k)
 		}
 	}
 	if !sameBits(a.x[out0:g[0]], b.x[out0:g[1]]) || !sameBits(a.y[out0:g[0]], b.y[out0:g[1]]) ||
@@ -144,13 +162,13 @@ func checkKernelsAgree(t *testing.T, seed uint64, n int, special []byte, p vec.V
 	}
 }
 
-// TestNeighborKernelsAgree compares the kernels over every length 0–67,
-// so each tail length 0–3 meets every group count, with and without
-// special coordinates.
+// vectorTiers are the tiers compared against the portable loops.
+var vectorTiers = []tier{tierAVX2, tierAVX512}
+
+// TestNeighborKernelsAgree compares every vector tier's loops with the
+// portable ones over every length 0–67, so each tail length meets every
+// group count, with and without special coordinates.
 func TestNeighborKernelsAgree(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("CPU without AVX2")
-	}
 	patterns := [][]byte{
 		nil,
 		{0, 0, 4, 1, 8, 2},   // NaN, +Inf, -Inf
@@ -158,17 +176,25 @@ func TestNeighborKernelsAgree(t *testing.T) {
 		{5, 8, 6, 9, 7, 10},  // ±1e300, a cutoff-sized coordinate
 		{0, 6, 1, 7, 11, 11}, // subnormals, -cutoff
 	}
-	for n := 0; n <= 67; n++ {
-		for i, special := range patterns {
-			p := vec.New(float64(i), -2.5, 0.125*float64(n))
-			checkKernelsAgree(t, uint64(n*len(patterns)+i+1), n, special, p, float64(i))
-		}
+	for _, k := range vectorTiers {
+		t.Run(k.String(), func(t *testing.T) {
+			if k > hostTier {
+				t.Skipf("CPU runs %s, not %s", hostTier, k)
+			}
+			for n := 0; n <= 67; n++ {
+				for i, special := range patterns {
+					p := vec.New(float64(i), -2.5, 0.125*float64(n))
+					checkKernelsAgree(t, k, uint64(n*len(patterns)+i+1), n, special, p, float64(i))
+				}
+			}
+		})
 	}
 }
 
-// FuzzNeighborKernels is the differential fuzz target of the two kernels
-// over raw candidate arrays: fuzzed length, special coordinates, ligand
-// atom and pose-box size.
+// FuzzNeighborKernels is the differential fuzz target of every vector tier
+// the CPU runs against the portable loops over raw candidate arrays:
+// fuzzed length, special coordinates, ligand atom and pose-box size.
+// TestNeighborKernelsAgree names the tiers the CPU lacks as skips.
 func FuzzNeighborKernels(f *testing.F) {
 	f.Add(uint64(1), uint8(0), []byte{}, 0.0, 0.0, 0.0, 0.0)
 	f.Add(uint64(2), uint8(7), []byte{0, 0}, 1.0, 2.0, 3.0, 1.5)
@@ -177,11 +203,80 @@ func FuzzNeighborKernels(f *testing.F) {
 	f.Add(uint64(5), uint8(64), []byte{}, math.NaN(), 0.0, 0.0, 2.0)
 	f.Add(uint64(6), uint8(12), []byte{3, 6}, 0.0, math.Inf(1), 0.0, math.Inf(1))
 	f.Fuzz(func(t *testing.T, seed uint64, n uint8, special []byte, px, py, pz, half float64) {
-		if !haveAVX2 {
-			t.Skip("CPU without AVX2")
+		for _, k := range vectorTiers {
+			if k <= hostTier {
+				checkKernelsAgree(t, k, seed, int(n%68), special, vec.New(px, py, pz), half)
+			}
 		}
-		checkKernelsAgree(t, seed, int(n%68), special, vec.New(px, py, pz), half)
 	})
+}
+
+// energyR2s are squared distances the energy kernels must treat exactly as
+// the portable loop does: infinities, zeros, subnormals, the neighbours of
+// minDist2 and cutoff², and last NaN, which poisons every sum after it.
+var energyR2s = []float64{
+	math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324, 0x1p-1022 / 3,
+	math.Nextafter(minDist2, 0), minDist2, math.Nextafter(minDist2, 1),
+	math.Nextafter(Cutoff*Cutoff, 0), Cutoff * Cutoff, math.Nextafter(Cutoff*Cutoff, math.Inf(1)),
+	1, 7.3, 55.5, math.NaN(),
+}
+
+// checkEnergy runs the energy pass of tier k and the portable one over
+// the hits of a and b from accumulators ea and eb and requires the same
+// bits.
+func checkEnergy(t *testing.T, k tier, row *ljRow, lq float64, coulomb bool, a, b *poseScratch, ma, mb int, ea, eb float64) {
+	t.Helper()
+	wa, wb := energyPassGo(row, lq, coulomb, a, b, ma, mb, ea, eb)
+	ga, gb := tierKernels(k).energyPass(row, lq, coulomb, a, b, ma, mb, ea, eb)
+	if !sameBits([]float64{wa, wb}, []float64{ga, gb}) {
+		t.Fatalf("coulomb=%v ma=%d mb=%d from (%v, %v): portable (%v, %v) %#x %#x, %s (%v, %v) %#x %#x",
+			coulomb, ma, mb, ea, eb, wa, wb, math.Float64bits(wa), math.Float64bits(wb),
+			k, ga, gb, math.Float64bits(ga), math.Float64bits(gb))
+	}
+}
+
+// TestEnergyKernelsSpecialValues compares every vector tier's energy pass
+// with the portable one, with and without the Coulomb term, for each of
+// the 36 type pairs: each special squared distance alone, then runs of
+// them of every length for two poses at once, the second pose's hits
+// those of the first rotated, NaN last in both.
+func TestEnergyKernelsSpecialValues(t *testing.T) {
+	nl := NewNeighborList(NewCellList(&Topology{}, &Topology{}, Options{}), &Topology{}, vec.AABB{})
+	for _, k := range vectorTiers {
+		t.Run(k.String(), func(t *testing.T) {
+			if k > hostTier {
+				t.Skipf("CPU runs %s, not %s", hostTier, k)
+			}
+			var a, b poseScratch
+			a.reserve(len(energyR2s))
+			b.reserve(len(energyR2s))
+			for _, coulomb := range []bool{false, true} {
+				for lt := range nl.rows {
+					row := &nl.rows[lt]
+					for col := range int32(numTypes) {
+						for _, r2 := range energyR2s {
+							a.r2[0], a.col[0], a.q[0] = r2, col, -0.37
+							checkEnergy(t, k, row, 0.61, coulomb, &a, &b, 1, 0, 0, 0)
+							checkEnergy(t, k, row, 0.61, coulomb, &a, &a, 1, 1, 1.5, -2.25)
+						}
+					}
+					n := len(energyR2s)
+					for i, r2 := range energyR2s {
+						a.r2[i], a.col[i], a.q[i] = r2, int32((i+lt)%numTypes), float64(i)/7-1
+						j := i
+						if i < n-1 {
+							j = (i + 5) % (n - 1)
+						}
+						b.r2[j], b.col[j], b.q[j] = r2, a.col[i], a.q[i]
+					}
+					for ma := 0; ma <= n; ma++ {
+						checkEnergy(t, k, row, -0.45, coulomb, &a, &b, ma, n-ma, 0, 0)
+						checkEnergy(t, k, row, -0.45, coulomb, &b, &a, ma, ma/2, 0, 0)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestNeighborListNaNPose scores a pose with a NaN coordinate: every
@@ -202,4 +297,38 @@ func TestNeighborListNaNPose(t *testing.T) {
 			t.Errorf("NaN pose: full scan %v", e)
 		}
 	})
+}
+
+// TestSelectTier is the tier choice as a function of the CPUID and XGETBV
+// words, including the states a hypervisor or an old OS leaves behind.
+func TestSelectTier(t *testing.T) {
+	const (
+		ecx1 = cpuPOPCNT | cpuOSXSAVE
+		ebx7 = cpuAVX2 | cpuAVX512F | cpuAVX512VL
+		xcr0 = 1 | xcrYMM | xcrZMM // x87 too, as every OS sets it
+	)
+	for _, c := range []struct {
+		name string
+		w    cpuWords
+		want tier
+	}{
+		{"all present", cpuWords{7, ecx1, ebx7, xcr0}, tierAVX512},
+		{"leaf 7 unsupported", cpuWords{6, ecx1, ebx7, xcr0}, tierPortable},
+		{"AVX2 without OS-saved YMM state", cpuWords{13, ecx1, cpuAVX2, 1 | 1<<1}, tierPortable},
+		{"no OSXSAVE", cpuWords{13, cpuPOPCNT, ebx7, 0}, tierPortable},
+		{"no POPCNT", cpuWords{13, cpuOSXSAVE, ebx7, xcr0}, tierPortable},
+		{"AVX-512 without AVX2", cpuWords{13, ecx1, cpuAVX512F | cpuAVX512VL, xcr0}, tierPortable},
+		{"AVX2 only", cpuWords{13, ecx1, cpuAVX2, 1 | xcrYMM}, tierAVX2},
+		{"AVX-512F/VL without opmask and ZMM state", cpuWords{13, ecx1, ebx7, 1 | xcrYMM}, tierAVX2},
+		{"AVX-512F/VL with opmask state only", cpuWords{13, ecx1, ebx7, 1 | xcrYMM | 1<<5}, tierAVX2},
+		{"AVX-512F without VL", cpuWords{13, ecx1, cpuAVX2 | cpuAVX512F, xcr0}, tierAVX2},
+	} {
+		if got := selectTier(c.w); got != c.want {
+			t.Errorf("%s: %+v selects %s, want %s", c.name, c.w, got, c.want)
+		}
+	}
+	if got := selectTier(readCPU()); got != hostTier {
+		t.Errorf("this CPU selects %s now, %s at init", got, hostTier)
+	}
+	t.Logf("this CPU runs the %s tier", hostTier)
 }

@@ -1,6 +1,7 @@
 package forcefield
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -27,6 +28,8 @@ type NeighborList struct {
 	table  *PairTable
 	opts   Options
 	region vec.AABB
+	// rows[lt] is ligand type lt's row of table, in the kernels' layout.
+	rows [numTypes]ljRow
 
 	// idx holds the original receptor atom indices, ascending.
 	idx []int32
@@ -54,22 +57,38 @@ const runLen = 32
 type runBox struct{ lo, hi [3]float64 }
 
 // NeighborScratch is the caller-owned workspace NeighborList.ScorePose
-// gathers a pose's candidates into. The zero value is ready to use; it
-// grows to the longest list it has served and is then reused without
-// allocating. A scratch must not be shared between concurrent calls.
+// and ScorePoses gather poses' candidates into. The zero value is ready to
+// use; it grows to the longest list it has served and is then reused
+// without allocating. A scratch must not be shared between concurrent
+// calls.
 type NeighborScratch struct {
-	// The pose's candidates, in list order, and their list indices.
-	x, y, z, chg []float64
-	typ          []uint8
-	idx          []int32
-	// The candidates in range of the current ligand atom: index into the
-	// arrays above and squared distance.
-	hit []int32
-	r2  []float64
+	// pose holds one workspace per pose of a lockstep pair; a single pose
+	// uses pose[0].
+	pose [2]poseScratch
 }
 
+// poseScratch is one pose's share of a NeighborScratch.
+type poseScratch struct {
+	// The pose's candidates, in list order: coordinates, pair-table
+	// column (the receptor atom's type), charge (Coulomb only) and list
+	// index.
+	x, y, z, chg []float64
+	typ, idx     []int32
+	// The hits of the current ligand atom, in candidate order: squared
+	// distance, pair-table column and charge (Coulomb only).
+	r2  []float64
+	col []int32
+	q   []float64
+}
+
+// slack is the room every scratch array keeps past the list length: the
+// vector kernels store whole groups of 8 lanes at the running count, and
+// those stores may reach 7 slots past it.
+const slack = 8
+
 // reserve makes room for n candidates.
-func (s *NeighborScratch) reserve(n int) {
+func (s *poseScratch) reserve(n int) {
+	n += slack
 	if cap(s.x) >= n {
 		return
 	}
@@ -77,10 +96,11 @@ func (s *NeighborScratch) reserve(n int) {
 	s.y = make([]float64, n)
 	s.z = make([]float64, n)
 	s.chg = make([]float64, n)
-	s.typ = make([]uint8, n)
+	s.typ = make([]int32, n)
 	s.idx = make([]int32, n)
-	s.hit = make([]int32, n)
 	s.r2 = make([]float64, n)
+	s.col = make([]int32, n)
+	s.q = make([]float64, n)
 }
 
 // NewNeighborList gathers the receptor atoms within Cutoff of region using
@@ -91,6 +111,11 @@ func (s *NeighborScratch) reserve(n int) {
 func NewNeighborList(cells *CellList, rec *Topology, region vec.AABB) *NeighborList {
 	nl := &NeighborList{
 		lig: cells.lig, table: cells.table, opts: cells.opts, region: region,
+	}
+	for lt := range nl.rows {
+		for t, p := range cells.table[lt*numTypes:][:numTypes] {
+			nl.rows[lt].a[t], nl.rows[lt].b[t] = p.A, p.B
+		}
 	}
 	if region.Empty() || rec.Len() == 0 {
 		return nl
@@ -191,11 +216,8 @@ func (nl *NeighborList) Score(ligPos []vec.V3) float64 {
 // ScoreBatch implements BatchScorer: one scratch serves the whole batch,
 // each pose scored exactly as Score would.
 func (nl *NeighborList) ScoreBatch(poses [][]vec.V3, out []float64) {
-	checkBatch(poses, out)
 	s := nl.takeScratch()
-	for i, pose := range poses {
-		out[i], _ = nl.ScorePose(pose, s)
-	}
+	nl.ScorePoses(poses, out, nil, s)
 	nl.spare.Store(s)
 }
 
@@ -210,63 +232,103 @@ func (nl *NeighborList) ScoreBatch(poses [][]vec.V3, out []float64) {
 // produces for any pose with finite coordinates.
 func (nl *NeighborList) ScorePose(ligPos []vec.V3, s *NeighborScratch) (e float64, covered bool) {
 	checkPose(ligPos, nl.lig)
-	n, covered := nl.gather(ligPos, s)
-	cx, cy, cz, ctyp, cchg := s.x[:n], s.y[:n], s.z[:n], s.typ[:n], s.chg[:n]
-	for j, lp := range ligPos {
-		// Range test first, energies after: the energy loop runs over the
-		// candidates in range alone.
-		m := rangePass(cx, cy, cz, lp, s.hit, s.r2)
-		hit, r2s := s.hit[:m], s.r2[:m]
-		// The ligand type's row of the table: NewPairTable's mixing
-		// commutes, so entry (lt, t) has the bits of entry (t, lt).
-		row := nl.table[int(nl.lig.Type[j])*numTypes:][:numTypes]
-		if !nl.opts.Coulomb {
-			for i, k := range hit {
-				lj, _ := pairLJ(r2s[i], row[ctyp[k]])
-				e += lj
-			}
-			continue
-		}
-		lq := nl.lig.Charge[j]
-		for i, k := range hit {
-			lj, inv2 := pairLJ(r2s[i], row[ctyp[k]])
-			e += lj
-			e += coulombK * cchg[k] * lq * inv2 / 4
-		}
-	}
+	e, _, covered, _ = nl.scorePair(ligPos, nil, s)
 	return e, covered
 }
 
+// ScorePoses stores the score ScorePose gives poses[i] into out[i] and,
+// when covered is non-nil, its coverage into covered[i]. It scores the
+// poses two at a time in lockstep, so the two energy sums overlap; each
+// keeps its own order of additions, so every score has ScorePose's bits.
+// It panics unless out, and covered when non-nil, have len(poses) entries.
+func (nl *NeighborList) ScorePoses(poses [][]vec.V3, out []float64, covered []bool, s *NeighborScratch) {
+	checkBatch(poses, out)
+	if covered != nil && len(covered) != len(poses) {
+		panic(fmt.Sprintf("forcefield: batch has %d poses but %d coverage slots", len(poses), len(covered)))
+	}
+	for i := 0; i < len(poses); i += 2 {
+		checkPose(poses[i], nl.lig)
+		var b []vec.V3
+		if i+1 < len(poses) {
+			b = poses[i+1]
+			checkPose(b, nl.lig)
+		}
+		ea, eb, ca, cb := nl.scorePair(poses[i], b, s)
+		out[i] = ea
+		if covered != nil {
+			covered[i] = ca
+		}
+		if b != nil {
+			out[i+1] = eb
+			if covered != nil {
+				covered[i+1] = cb
+			}
+		}
+	}
+}
+
+// scorePair scores pose a and, when b is non-nil, pose b of the same
+// length in lockstep: per ligand atom, the range pass of each pose, then
+// one energy pass over both hit lists.
+func (nl *NeighborList) scorePair(a, b []vec.V3, s *NeighborScratch) (ea, eb float64, ca, cb bool) {
+	pa, pb := &s.pose[0], &s.pose[1]
+	na, ca := nl.gather(a, pa)
+	nb := 0
+	if b != nil {
+		nb, cb = nl.gather(b, pb)
+	}
+	coulomb := nl.opts.Coulomb
+	for j, lp := range a {
+		// Range test first, energies after: the energy pass runs over
+		// the candidates in range alone.
+		ma := rangePass(pa, na, lp, coulomb)
+		mb := 0
+		if b != nil {
+			mb = rangePass(pb, nb, b[j], coulomb)
+		}
+		ea, eb = energyPass(&nl.rows[nl.lig.Type[j]], nl.lig.Charge[j], coulomb, pa, pb, ma, mb, ea, eb)
+	}
+	return ea, eb, ca, cb
+}
+
+// ljRow is one ligand type's row of the pair table: lane t of a and b
+// holds A and B of the pair with receptor type t. NewPairTable's mixing
+// commutes, so entry (lt, t) has the bits of entry (t, lt). The lanes are
+// padded to 8, so a vector kernel holds each in one register and looks a
+// hit's column up by permute.
+type ljRow struct{ a, b [8]float64 }
+
 // pairLJ returns the Lennard-Jones energy of a pair at squared distance r2,
 // clamped at minDist2, and the clamped 1/r2 the Coulomb term reuses.
-func pairLJ(r2 float64, p PairParam) (lj, inv2 float64) {
+func pairLJ(r2, a, b float64) (lj, inv2 float64) {
 	if r2 < minDist2 {
 		r2 = minDist2
 	}
 	inv2 = 1 / r2
 	inv6 := inv2 * inv2 * inv2
-	return inv6 * (p.A*inv6 - p.B), inv2
+	return inv6 * (a*inv6 - b), inv2
 }
 
-// rangePass stores the index k and squared distance r2 of every candidate
-// (cx[k], cy[k], cz[k]) in range of p into hit and r2s, in ascending k, and
-// returns their count. In range is !(r2 > cutoff²): the full scan's skip
-// test negated, so a NaN r2 counts. hit and r2s must hold len(cx) entries.
-// It is rangePassGo, or on a CPU that runs it the AVX2 kernel of
+// rangePass stores the hits of ligand atom p among the first n candidates
+// of s into s's hit arrays, in ascending candidate order, and returns their
+// count: per hit its squared distance r2, its pair-table column and, when
+// coulomb, its charge. A hit is !(r2 > cutoff²): the full scan's skip test
+// negated, so a NaN r2 counts. It is rangePassGo or a vector kernel of
 // kernel_amd64.s, which stores the same bits; init picks once.
 var rangePass = rangePassGo
 
 // rangePassGo is the portable rangePass.
-func rangePassGo(cx, cy, cz []float64, p vec.V3, hit []int32, r2s []float64) int {
-	return rangeFrom(cx, cy, cz, p, hit, r2s, 0, 0)
+func rangePassGo(s *poseScratch, n int, p vec.V3, coulomb bool) int {
+	return rangeFrom(s, n, p, coulomb, 0, 0)
 }
 
-// rangeFrom runs the portable range pass over candidates k0 onwards,
-// storing from slot m, and returns the new count.
-func rangeFrom(cx, cy, cz []float64, p vec.V3, hit []int32, r2s []float64, k0, m int) int {
+// rangeFrom runs the portable range pass over candidates k0 to n-1,
+// storing from hit slot m, and returns the new count.
+func rangeFrom(s *poseScratch, n int, p vec.V3, coulomb bool, k0, m int) int {
 	const cutoff2 = Cutoff * Cutoff
-	cy, cz = cy[:len(cx)], cz[:len(cx)]
-	for k := k0; k < len(cx); k++ {
+	cx, cy, cz, typ, chg := s.x[:n], s.y[:n], s.z[:n], s.typ[:n], s.chg[:n]
+	r2s, cols, qs := s.r2[:n], s.col[:n], s.q[:n]
+	for k := k0; k < n; k++ {
 		dx := cx[k] - p.X
 		dy := cy[k] - p.Y
 		dz := cz[k] - p.Z
@@ -274,7 +336,10 @@ func rangeFrom(cx, cy, cz []float64, p vec.V3, hit []int32, r2s []float64, k0, m
 		// Store every candidate at slot m, advance m only for a hit: this
 		// compiles to a conditional move, so the three-in-four candidates
 		// that miss cost no branch misprediction.
-		hit[m], r2s[m] = int32(k), r2
+		r2s[m], cols[m] = r2, typ[k]
+		if coulomb {
+			qs[m] = chg[k]
+		}
 		if !(r2 > cutoff2) {
 			m++
 		}
@@ -282,10 +347,44 @@ func rangeFrom(cx, cy, cz []float64, p vec.V3, hit []int32, r2s []float64, k0, m
 	return m
 }
 
+// energyPass adds the terms of ma hits of pose a's hit arrays to ea and of
+// mb hits of pose b's to eb, each in hit order — Lennard-Jones, then
+// Coulomb when coulomb is set — with row the ligand atom's row of the pair
+// table and lq its charge. It is energyPassGo or the AVX-512 kernel of
+// kernel_amd64.s, which returns the same bits; init picks once.
+var energyPass = energyPassGo
+
+// energyPassGo is the portable energyPass: one pose after the other.
+func energyPassGo(row *ljRow, lq float64, coulomb bool, a, b *poseScratch, ma, mb int, ea, eb float64) (float64, float64) {
+	return energyGo(row, lq, coulomb, a, ma, ea), energyGo(row, lq, coulomb, b, mb, eb)
+}
+
+// energyGo adds the terms of m hits of s to e. A column is below numTypes;
+// masking it with 7 only lets the compiler drop the row's bounds checks.
+func energyGo(row *ljRow, lq float64, coulomb bool, s *poseScratch, m int, e float64) float64 {
+	r2s, cols := s.r2[:m], s.col[:m]
+	if !coulomb {
+		for i, r2 := range r2s {
+			c := cols[i] & 7
+			lj, _ := pairLJ(r2, row.a[c], row.b[c])
+			e += lj
+		}
+		return e
+	}
+	qs := s.q[:m]
+	for i, r2 := range r2s {
+		c := cols[i] & 7
+		lj, inv2 := pairLJ(r2, row.a[c], row.b[c])
+		e += lj
+		e += coulombK * qs[i] * lq * inv2 / 4
+	}
+	return e
+}
+
 // gather copies the list atoms within the cutoff of the pose's bounding box
 // into s, in list order, and returns their count. The same pass over the
 // pose answers Covers.
-func (nl *NeighborList) gather(ligPos []vec.V3, s *NeighborScratch) (n int, covered bool) {
+func (nl *NeighborList) gather(ligPos []vec.V3, s *poseScratch) (n int, covered bool) {
 	if len(ligPos) == 0 {
 		return 0, true
 	}
@@ -326,8 +425,15 @@ func (nl *NeighborList) gather(ligPos []vec.V3, s *NeighborScratch) (n int, cove
 	}
 	// Types and charges follow by index, so the kernels move only the
 	// float64 coordinates and the int32 indices.
+	typ := s.typ[:n]
 	for i, k := range s.idx[:n] {
-		s.typ[i], s.chg[i] = nl.typ[k], nl.chg[k]
+		typ[i] = int32(nl.typ[k])
+	}
+	if nl.opts.Coulomb {
+		chg := s.chg[:n]
+		for i, k := range s.idx[:n] {
+			chg[i] = nl.chg[k]
+		}
 	}
 	return n, covered
 }
@@ -342,7 +448,7 @@ func (nl *NeighborList) gather(ligPos []vec.V3, s *NeighborScratch) (n int, cove
 var gatherSpan = gatherSpanGo
 
 // gatherSpanGo is the portable gatherSpan.
-func gatherSpanGo(x, y, z []float64, k0, k1 int, c, h [3]float64, s *NeighborScratch, n int) int {
+func gatherSpanGo(x, y, z []float64, k0, k1 int, c, h [3]float64, s *poseScratch, n int) int {
 	const cutoff2 = Cutoff * Cutoff
 	x, y, z = x[:k1], y[:k1], z[:k1]
 	for k := k0; k < k1; k++ {

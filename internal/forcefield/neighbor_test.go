@@ -280,9 +280,9 @@ func testNeighborScratchGrows(t *testing.T) {
 			t.Fatalf("pad %g: list of %d atoms does not outgrow %d", pad, nl.Len(), prev)
 		}
 		prev = nl.Len()
-		checkBits(t, nl, pose, &s, fmt.Sprintf("pad %g (%d atoms, scratch cap %d)", pad, nl.Len(), cap(s.x)))
-		if cap(s.x) < nl.Len() {
-			t.Errorf("pad %g: scratch capacity %d below list length %d", pad, cap(s.x), nl.Len())
+		checkBits(t, nl, pose, &s, fmt.Sprintf("pad %g (%d atoms, scratch cap %d)", pad, nl.Len(), cap(s.pose[0].x)))
+		if cap(s.pose[0].x) < nl.Len() {
+			t.Errorf("pad %g: scratch capacity %d below list length %d", pad, cap(s.pose[0].x), nl.Len())
 		}
 	}
 }
@@ -334,4 +334,51 @@ func testNeighborListSharedAcrossWorkers(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestScorePosesMatchesScorePose scores batches of 1, 2, 3 and 63 poses
+// two at a time in lockstep and requires each pose's score and coverage
+// to be ScorePose's. The batches mix poses of two spots against one
+// spot's list, and one pose of a pair is moved out of the region.
+func TestScorePosesMatchesScorePose(t *testing.T) { eachKernel(t, testScorePosesMatchesScorePose) }
+
+func testScorePosesMatchesScorePose(t *testing.T) {
+	for _, opts := range []Options{{}, {Coulomb: true}} {
+		f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 2, opts)
+		nl := f.spotList(f.spots[0], f.ligRadius)
+		r := rng.New(61)
+		mine := f.samplerPoses(f.spots[0], nil, r, 63)
+		other := f.samplerPoses(f.spots[1], nil, r, 63)
+		var s, one NeighborScratch
+		for _, n := range []int{1, 2, 3, 63} {
+			poses := make([][]vec.V3, n)
+			for i := range poses {
+				if i%3 == 2 {
+					poses[i] = other[i]
+				} else {
+					poses[i] = mine[i]
+				}
+			}
+			// The second pose of the first pair leaves the region.
+			if n > 1 {
+				out := make([]vec.V3, len(poses[1]))
+				for i, p := range poses[1] {
+					out[i] = p.Add(vec.New(0, 0, 3*Cutoff))
+				}
+				poses[1] = out
+			}
+			out, covered := make([]float64, n), make([]bool, n)
+			nl.ScorePoses(poses, out, covered, &s)
+			for i, pose := range poses {
+				want, wantCovered := nl.ScorePose(pose, &one)
+				if math.Float64bits(out[i]) != math.Float64bits(want) || covered[i] != wantCovered {
+					t.Errorf("coulomb=%v batch %d pose %d: lockstep %v covered=%v, alone %v covered=%v",
+						opts.Coulomb, n, i, out[i], covered[i], want, wantCovered)
+				}
+			}
+			if n > 1 && covered[1] {
+				t.Errorf("batch %d: pose moved out of the region reported covered", n)
+			}
+		}
+	}
 }

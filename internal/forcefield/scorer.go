@@ -22,14 +22,6 @@ type Options struct {
 	// Coulomb adds the electrostatic term with distance-dependent
 	// dielectric (the paper's future-work scoring extension).
 	Coulomb bool
-	// Lattice32 makes the grid scorer interpolate its tabulated lattice in
-	// float32 instead of float64. The lattice is stored in float32 either
-	// way; this flag moves the interpolation arithmetic to float32 too,
-	// halving the precision of the blend weights for a small speed gain.
-	// Scores differ from the float64 path in the low bits, so rankings are
-	// only guaranteed rank-concordant within tolerance, not byte-identical.
-	// Ignored by the exact (direct/tiled/celllist) scorers.
-	Lattice32 bool
 }
 
 // coulombK is the electrostatic constant in kcal*A/(mol*e^2).
