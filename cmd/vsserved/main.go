@@ -3,65 +3,44 @@
 // Prometheus metrics, structured logs and per-job execution traces — the
 // paper's virtual-screening funnel as a server.
 //
-// Usage:
-//
 //	vsserved -addr :8080 -workers 4 -queue 64
-//
-// Submit a screen, poll it, read the ranking, download its timeline:
-//
 //	curl -s -X POST localhost:8080/v1/screens \
 //	    -d '{"dataset":"2BSM","library":8,"metaheuristic":"M3","seed":7}'
 //	curl -s localhost:8080/v1/screens/job-000001
 //	curl -s localhost:8080/v1/screens/job-000001/trace > job.trace.json
-//	curl -s localhost:8080/metrics
 //
-// The trace payload is Chrome trace format; load it in Perfetto
-// (ui.perfetto.dev) or chrome://tracing. With -debug-addr set, a second
-// listener serves /debug/pprof/, /debug/vars and /debug/snapshot.
+// The trace payload is Chrome trace format (Perfetto, chrome://tracing).
+// -debug-addr serves /debug/pprof/, /debug/vars and /debug/snapshot on a
+// second listener. Overload protection (adaptive concurrency limiter,
+// weighted-fair priority queue, deadline shedding, device circuit breaker,
+// graceful degradation) and storage-degraded mode (507 + Retry-After
+// while the journal disk is full or failing, -on-full) are built in.
 //
-// Overload protection is built in: an adaptive concurrency limiter
-// (-target-latency, -limiter-min/-limiter-max), a weighted-fair priority
-// queue (requests carry "priority" and a client ID), deadline-aware
-// shedding ("deadline_seconds" requests are rejected with 429 +
-// Retry-After when unmeetable), a device-health circuit breaker
-// (-breaker-threshold, -breaker-cooldown) and graceful degradation
-// (-degrade-at, -degrade-factor).
+// One binary, three roles (-role), one job model:
 //
-// Scale-out runs the same binary in three roles (-role):
-//
-//	node         the default single-node service above
+//	node         the default single-node service
 //	worker       a node that also registers with and heartbeats to a
 //	             coordinator (-coordinator, -advertise, -heartbeat)
-//	coordinator  no local screening: the registered workers pull each
-//	             submitted screen in chunks, costliest ligands first and
-//	             shrinking toward the tail; the coordinator streams the
-//	             partial rankings back and merges them deterministically;
-//	             worker death returns unfinished ligands to the pool, and
-//	             -data-dir journals distributed state so a restarted
-//	             coordinator resumes mid-screen
+//	coordinator  a node whose runner is the chunk pool instead of the
+//	             local engine: registered workers pull each running
+//	             screen in chunks, costliest ligands first; the merged
+//	             ranking is byte-identical to one node's, a dead worker's
+//	             unfinished ligands go back to the pool, and -data-dir
+//	             lets a restarted coordinator resume mid-screen
 //
-// Coordinator→worker requests run under per-request timeouts with
-// bounded, jittered retries and epoch fencing against zombie workers
-// (-request-timeout, -worker-attempts, -worker-retry-delay,
-// -worker-fail-threshold, -worker-response-limit). A slow worker simply
-// pulls fewer chunks; once a screen's pool is dry, an idle worker backs up
-// a chunk that has run for -worker-timeout, first copy to complete wins.
-// A -chaos plan (with
-// -chaos-seed) injects deterministic network faults — partitions,
-// blackholes, latency, request duplication — into those requests for
-// replayable chaos drills; see internal/netsim.
-//
-// Storage faults get the same treatment: a -disk-chaos plan (with
-// -disk-chaos-seed) injects deterministic disk faults — EIO, ENOSPC,
-// fsync failures, torn writes, bit rot — into journal I/O; see
-// internal/fsim. When the disk fills or fail-stops, a node or a
-// coordinator degrades to read-only (submissions get 507 + Retry-After)
-// and recovers in place once space frees; -on-full stop drains and exits
-// non-zero instead, for supervised deployments that prefer rescheduling.
+// Every role reads the same service flags (-workers, -queue, -data-dir,
+// -fsync, the admission flags, ...); on a coordinator -workers bounds how
+// many screens are supervised at once and defaults to the queue bound.
+// The coordinator's worker requests run under timeouts, bounded retries
+// and epoch fencing (-request-timeout, -worker-attempts, ...); -chaos and
+// -disk-chaos inject deterministic network and disk faults for drills
+// (internal/netsim, internal/fsim).
 //
 // SIGINT/SIGTERM drain gracefully: intake stops, queued jobs are
 // cancelled, running jobs finish (up to -drain-timeout, then they are
-// force-cancelled between metaheuristic generations).
+// interrupted between metaheuristic generations). A coordinator interrupts
+// its screens at once and leaves their chunks running on the workers. With
+// -data-dir an interrupted job is not over: the next boot resumes it.
 package main
 
 import (
@@ -89,7 +68,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	debugAddr := flag.String("debug-addr", "", "debug listen address for pprof + snapshots (empty = disabled)")
-	workers := flag.Int("workers", 0, "concurrent screening workers (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "concurrent jobs: screening workers on a node (0 = all CPUs), supervised screens on a coordinator (0 = the queue bound)")
 	queue := flag.Int("queue", 64, "queue bound; submissions beyond it get HTTP 429")
 	screenWorkers := flag.Int("screen-workers", 0, "per-job ligand parallelism (0 = all CPUs)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs")
@@ -137,98 +116,21 @@ func main() {
 	if *onFull != "degrade" && *onFull != "stop" {
 		fatal(fmt.Errorf("unknown -on-full %q (want degrade or stop)", *onFull))
 	}
+	logf := func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) }
 	var diskFS fsim.FS
 	if *diskChaos != "" {
 		plan, perr := fsim.ParsePlan(*diskChaos)
 		if perr != nil {
 			fatal(perr)
 		}
-		diskFS = fsim.New(plan, fsim.Config{
-			Seed: *diskChaosSeed,
-			Logf: func(format string, args ...any) {
-				logger.Warn(fmt.Sprintf(format, args...))
-			},
-		})
+		diskFS = fsim.New(plan, fsim.Config{Seed: *diskChaosSeed, Logf: logf})
 		logger.Warn("disk chaos plan active on durability I/O", "plan", plan.String(), "seed", *diskChaosSeed)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The coordinator role runs no local screening engine: it is the
-	// dist.Coordinator behind the same API surface.
-	if *role == "coordinator" {
-		var transport http.RoundTripper
-		if *chaos != "" {
-			plan, perr := netsim.ParsePlan(*chaos)
-			if perr != nil {
-				fatal(perr)
-			}
-			transport = netsim.New(plan, netsim.Config{
-				Seed: *chaosSeed,
-				Logf: func(format string, args ...any) {
-					logger.Warn(fmt.Sprintf(format, args...))
-				},
-			})
-			logger.Warn("chaos plan active on worker requests", "plan", plan.String(), "seed", *chaosSeed)
-		}
-		coord, err := dist.New(dist.Config{
-			DataDir:          *dataDir,
-			FS:               diskFS,
-			SyncPolicy:       policy,
-			HeartbeatTimeout: *workerTimeout,
-			PollInterval:     *pollInterval,
-			RequestTimeout:   *requestTimeout,
-			RequestAttempts:  *workerAttempts,
-			RetryBaseDelay:   *workerRetryDelay,
-			FailThreshold:    *workerFailThreshold,
-			MaxResponseBytes: *workerResponseLimit,
-			Transport:        transport,
-			Logger:           logger,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		server := &http.Server{Addr: *addr, Handler: coord.Handler()}
-		stopDebug := serveDebug(*debugAddr, coord.DebugHandler(), logger)
-		errCh := make(chan error, 1)
-		go func() { errCh <- server.ListenAndServe() }()
-		logger.Info("coordinator listening", "addr", *addr)
-		stoppedOnFull := false
-		select {
-		case <-ctx.Done():
-			logger.Info("draining")
-		case <-fullStop(*onFull, coord.StorageFull()):
-			logger.Error("storage degraded and -on-full=stop, draining")
-			stoppedOnFull = true
-		case err := <-errCh:
-			fatal(err)
-		}
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := server.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			logger.Error("http shutdown failed", "err", err)
-		}
-		stopDebug()
-		if err := coord.Shutdown(drainCtx); err != nil {
-			logger.Error("coordinator drain deadline exceeded", "err", err)
-			os.Exit(1)
-		}
-		if stoppedOnFull {
-			logger.Info("drained after storage failure")
-			os.Exit(1)
-		}
-		logger.Info("drained cleanly")
-		return
-	}
-	if *role != "node" && *role != "worker" {
-		fatal(fmt.Errorf("unknown -role %q (want node, worker or coordinator)", *role))
-	}
-	if *role == "worker" && *coordinator == "" {
-		fatal(errors.New("-role worker requires -coordinator"))
-	}
-
-	svc, err := service.New(service.Config{
+	cfg := service.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		ScreenWorkers:   *screenWorkers,
@@ -249,7 +151,40 @@ func main() {
 			DegradeAt:        *degradeAt,
 			DegradeFactor:    *degradeFactor,
 		},
-	})
+	}
+	var svc server
+	switch *role {
+	case "coordinator":
+		var transport http.RoundTripper
+		if *chaos != "" {
+			plan, perr := netsim.ParsePlan(*chaos)
+			if perr != nil {
+				fatal(perr)
+			}
+			transport = netsim.New(plan, netsim.Config{Seed: *chaosSeed, Logf: logf})
+			logger.Warn("chaos plan active on worker requests", "plan", plan.String(), "seed", *chaosSeed)
+		}
+		svc, err = dist.New(dist.Config{
+			Service:          cfg,
+			HeartbeatTimeout: *workerTimeout,
+			PollInterval:     *pollInterval,
+			RequestTimeout:   *requestTimeout,
+			RequestAttempts:  *workerAttempts,
+			RetryBaseDelay:   *workerRetryDelay,
+			FailThreshold:    *workerFailThreshold,
+			MaxResponseBytes: *workerResponseLimit,
+			Transport:        transport,
+		})
+	case "worker":
+		if *coordinator == "" {
+			fatal(errors.New("-role worker requires -coordinator"))
+		}
+		fallthrough
+	case "node":
+		svc, err = service.New(cfg)
+	default:
+		fatal(fmt.Errorf("unknown -role %q (want node, worker or coordinator)", *role))
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -258,8 +193,8 @@ func main() {
 			"jobs", rec.RecoveredJobs, "records", rec.ReplayedRecords)
 	}
 	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
-	// A coordinator's held /partial poll must not stretch the HTTP
-	// shutdown by its wait: start the service drain with it.
+	// A held /partial poll must not stretch the HTTP shutdown by its wait:
+	// start the service drain with it.
 	server.RegisterOnShutdown(svc.Drain)
 
 	stopDebug := serveDebug(*debugAddr, svc.DebugHandler(), logger)
@@ -276,17 +211,22 @@ func main() {
 				fatal(err)
 			}
 		}
-		go dist.RegisterLoop(ctx, *coordinator, adv, *heartbeat, func(format string, args ...any) {
-			logger.Warn(fmt.Sprintf(format, args...))
-		})
+		go dist.RegisterLoop(ctx, *coordinator, adv, *heartbeat, logf)
 		logger.Info("registering with coordinator", "coordinator", *coordinator, "advertise", adv)
 	}
 
+	// Under -on-full stop a full or failing journal disk drains the process
+	// and exits non-zero, for supervisors that prefer rescheduling to a
+	// read-only node; under the default, degrade, full stays nil.
+	var full <-chan struct{}
+	if *onFull == "stop" {
+		full = svc.StorageFull()
+	}
 	stoppedOnFull := false
 	select {
 	case <-ctx.Done():
 		logger.Info("draining")
-	case <-fullStop(*onFull, svc.StorageFull()):
+	case <-full:
 		logger.Error("storage degraded and -on-full=stop, draining")
 		stoppedOnFull = true
 	case err := <-errCh:
@@ -301,7 +241,7 @@ func main() {
 	}
 	stopDebug()
 	if err := svc.Shutdown(drainCtx); err != nil {
-		logger.Error("drain deadline exceeded, running jobs force-cancelled", "err", err)
+		logger.Error("drain deadline exceeded, running jobs interrupted", "err", err)
 		os.Exit(1)
 	}
 	if stoppedOnFull {
@@ -312,16 +252,15 @@ func main() {
 	logger.Info("drained cleanly")
 }
 
-// fullStop is the channel a role's main loop drains on under -on-full
-// stop: its journal's StorageFull. Operators who prefer a stopped process
-// over a read-only one (e.g. under an external supervisor that reschedules
-// elsewhere) get a clean exit instead of 507s indefinitely. Under the
-// default, degrade, it is nil and never fires.
-func fullStop(onFull string, full <-chan struct{}) <-chan struct{} {
-	if onFull != "stop" {
-		return nil
-	}
-	return full
+// server is what every role runs: a service.Service, or a dist.Coordinator
+// built around one.
+type server interface {
+	Handler() http.Handler
+	DebugHandler() http.Handler
+	Drain()
+	Shutdown(context.Context) error
+	StorageFull() <-chan struct{}
+	Recovery() service.RecoveryStats
 }
 
 // serveDebug starts the debug listener (pprof, expvar, /debug/snapshot)

@@ -248,7 +248,7 @@ func TestDistributedScreening(t *testing.T) {
 		"metascreen_dist_workers_alive 3",
 		"metascreen_dist_shards_total",
 		"metascreen_dist_ligands_merged_total",
-		`metascreen_dist_jobs_finished_total{state="done"} 1`,
+		`metascreen_jobs_finished_total{state="done"} 1`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("coordinator metrics missing %q", want)
@@ -259,19 +259,22 @@ func TestDistributedScreening(t *testing.T) {
 	}
 
 	// -debug-addr works under -role coordinator too: pprof + expvar, and
-	// the coordinator's own snapshot on that listener.
+	// the node's snapshot plus the runner's workers on that listener.
 	checkProfiling(t, "http://"+coordDebug)
 	var snap struct {
-		Stats struct {
-			WorkersAlive int `json:"workers_alive"`
-		} `json:"stats"`
-		Workers []workerRow       `json:"workers"`
-		Jobs    []json.RawMessage `json:"jobs"`
+		Workers []workerRow `json:"workers"`
+		Jobs    int         `json:"jobs"`
 	}
 	getJSON(t, "http://"+coordDebug+"/debug/snapshot", &snap)
-	if snap.Stats.WorkersAlive != 3 || len(snap.Workers) != 3 || len(snap.Jobs) != 1 {
+	alive := 0
+	for _, w := range snap.Workers {
+		if w.Alive {
+			alive++
+		}
+	}
+	if alive != 3 || len(snap.Workers) != 3 || snap.Jobs != 1 {
 		t.Errorf("coordinator debug snapshot: %d alive, %d workers, %d jobs; want 3, 3, 1",
-			snap.Stats.WorkersAlive, len(snap.Workers), len(snap.Jobs))
+			alive, len(snap.Workers), snap.Jobs)
 	}
 }
 

@@ -229,19 +229,33 @@ func ScreenReceptorCtx(ctx context.Context, rec *PreparedReceptor, library []*mo
 		}
 	}
 
-	// Aggregate in library order so floating-point sums are deterministic
-	// and a resumed screen's equal an uninterrupted one's.
+	var recs map[string]LigandRecord
+	if cp != nil {
+		recs = cp.Ligands
+	}
+	return Aggregate(library, results, recs), nil
+}
+
+// Aggregate is every screen's last step: the library's results, in
+// library order so floating-point sums are deterministic, ranked by score
+// then name. A ligand results leaves nil takes its record from recs, so a
+// resumed screen, or one merged from records docked elsewhere, equals an
+// uninterrupted one bit for bit.
+func Aggregate(library []*molecule.Molecule, results []*Result, recs map[string]LigandRecord) *ScreenResult {
 	out := &ScreenResult{}
 	for i, lig := range library {
-		res := results[i]
+		var res *Result
+		if i < len(results) {
+			res = results[i]
+		}
 		if res == nil {
-			res = recordResult(cp.Ligands[lig.Name])
+			res = recordResult(recs[lig.Name])
 		}
 		out.Ranking = append(out.Ranking, ScreenEntry{Ligand: lig, Result: res})
 		out.addRun(res)
 	}
 	sortRanking(out)
-	return out, nil
+	return out
 }
 
 // screenLigand runs one ligand job against the screen's prepared receptor,

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -64,7 +65,7 @@ func TestChaosPartitionHealByteIdentical(t *testing.T) {
 	req := distRequest
 	req.Library = 24
 	req.Scale = 0.3
-	v, _, err := c.Submit(req, "")
+	v, _, err := c.SubmitIdem(req, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestZombieEpochFencing(t *testing.T) {
 	req := distRequest
 	req.Library = 24
 	req.Scale = 0.3
-	v, _, err := c.Submit(req, "")
+	v, _, err := c.SubmitIdem(req, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +147,13 @@ func TestZombieEpochFencing(t *testing.T) {
 	// transition would: the worker is alive the whole time as far as any
 	// supervisor step can observe, but under a newer epoch — the pure
 	// fencing case, with no dead-worker re-split mixed in.
-	c.mu.Lock()
+	c.h.Lock()
 	c.markWorkerDeadLocked(w.URL, "zombie drill")
 	wk := c.workers[w.URL]
 	wk.alive = true
 	c.nextEpoch++
 	wk.epoch = c.nextEpoch
-	c.mu.Unlock()
+	c.h.Unlock()
 
 	final := waitJob(t, c, v.ID, 90*time.Second, func(v JobView) bool { return v.State.Terminal() })
 	if final.State != service.StateDone {
@@ -195,7 +196,8 @@ func TestStalePartialRejected(t *testing.T) {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		jv, gerr := c.cl.get(context.Background(), w.URL, view.ID)
+		var jv service.JobView
+		gerr := c.cl.do(context.Background(), http.MethodGet, w.URL+"/v1/screens/"+view.ID, nil, "", 0, &jv)
 		if gerr == nil && jv.State == service.StateDone {
 			break
 		}
@@ -205,10 +207,10 @@ func TestStalePartialRejected(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	j := newJob("stale-test-job", req, "", time.Now())
+	j := newJob("stale-test-job", req, nil, nil)
 	sh := &shard{id: "s0", worker: w.URL, epoch: 99, ligands: j.names, remote: view.ID}
-	if msg, fatal := c.poll(j, sh); fatal {
-		t.Fatalf("stale poll reported fatal: %s", msg)
+	if err := c.poll(context.Background(), j, sh); err != nil {
+		t.Fatalf("stale poll failed the job: %v", err)
 	}
 	if len(j.merged) != 0 {
 		t.Fatalf("stale partial merged %d ligands", len(j.merged))
@@ -218,8 +220,8 @@ func TestStalePartialRejected(t *testing.T) {
 	}
 
 	sh.epoch = 1 // matches the worker's registration epoch
-	if msg, fatal := c.poll(j, sh); fatal {
-		t.Fatalf("valid poll reported fatal: %s", msg)
+	if err := c.poll(context.Background(), j, sh); err != nil {
+		t.Fatalf("valid poll failed the job: %v", err)
 	}
 	if len(j.merged) != len(j.names) {
 		t.Fatalf("valid poll merged %d/%d ligands", len(j.merged), len(j.names))
@@ -247,7 +249,7 @@ func TestBlackholeBoundedPoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, _, err := c.Submit(distRequest, ""); err != nil {
+	if _, _, err := c.SubmitIdem(distRequest, ""); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -280,9 +282,9 @@ func TestEpochSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One dead→alive cycle: epoch 2.
-	c1.mu.Lock()
+	c1.h.Lock()
 	c1.markWorkerDeadLocked(w.URL, "restart drill")
-	c1.mu.Unlock()
+	c1.h.Unlock()
 	if _, err := c1.Register(w.URL); err != nil {
 		t.Fatal(err)
 	}
@@ -300,9 +302,9 @@ func TestEpochSurvivesRestart(t *testing.T) {
 		t.Fatalf("replayed membership %+v, want the worker at epoch 2", ws)
 	}
 	// The next revival must advance past every journaled epoch.
-	c2.mu.Lock()
+	c2.h.Lock()
 	c2.markWorkerDeadLocked(w.URL, "restart drill")
-	c2.mu.Unlock()
+	c2.h.Unlock()
 	if _, err := c2.Register(w.URL); err != nil {
 		t.Fatal(err)
 	}

@@ -16,23 +16,15 @@ import (
 	"github.com/metascreen/metascreen/internal/service"
 )
 
-// client is the coordinator's HTTP client for worker nodes. Workers are
-// plain vsserved instances — the client speaks the same JSON API any
-// other consumer does, with two additions: shard submissions always
-// carry an Idempotency-Key derived from (distributed job, shard), so a
-// coordinator that restarts and re-dispatches maps onto the worker's
-// already-running job instead of starting a duplicate screen; and every
-// shard request is tagged with the owning worker's registration epoch
-// (service.EpochHeader), which the worker echoes back — the fencing
-// handshake that lets the coordinator reject responses from zombies.
-//
-// Every request runs under a per-request timeout derived from the
-// caller's context, so a blackholed worker can never wedge a supervision
-// loop: the worst case is timeout × attempts, then the failure counts
-// toward the worker's death threshold. Transient failures — transport
-// errors, timeouts, 408/429/5xx — are retried with exponential backoff
-// and deterministic jitter; anything else (other 4xx) is fatal and
-// surfaces immediately.
+// client is the coordinator's HTTP client for worker nodes, which speak
+// the plain vsserved API. Chunk submissions carry the Idempotency-Key
+// "<job>/<chunk>", so a re-dispatch maps onto the worker's running job,
+// and chunk requests carry the worker's registration epoch
+// (service.EpochHeader), which the worker echoes back: the fence against
+// zombies. Every request runs under a per-request timeout, so a
+// blackholed worker costs at most timeout × attempts; transient failures
+// (transport errors, timeouts, 408/429/5xx) are retried with jittered
+// exponential backoff, any other 4xx surfaces at once.
 type client struct {
 	hc        *http.Client
 	timeout   time.Duration // per-request deadline; 0 = no extra deadline
@@ -245,26 +237,16 @@ func (c *client) submit(ctx context.Context, base string, req service.ScreenRequ
 	return view, err
 }
 
-// partial long-polls a worker-side job: the worker holds the request up
-// to wait, answers the moment the job is complete or terminal, and sends
-// only the completed ligands past the since cursor ("" = from the start).
-// A worker that ignores both parameters answers at once with everything,
-// which the caller's merge absorbs. The limit is pinned to the service's
-// maximum so one poll always drains the shard (shards are bounded by the
-// library cap, which equals it).
+// partial long-polls a worker-side job for the completed ligands past the
+// since cursor ("" = from the start), held up to wait. A worker that
+// ignores both answers at once with everything, which the merge absorbs.
+// The limit is the service's maximum, so one poll drains a chunk.
 func (c *client) partial(ctx context.Context, base, id string, epoch uint64, since string, wait time.Duration) (service.PartialView, error) {
 	u := base + "/v1/screens/" + id + "/partial?limit=" + strconv.Itoa(service.MaxRankingLimit) +
 		"&since=" + url.QueryEscape(since) + "&wait=" + wait.String()
 	var pv service.PartialView
 	err := c.do(ctx, http.MethodGet, u, nil, "", epoch, &pv)
 	return pv, err
-}
-
-// get fetches a worker-side job view (used for terminal error detail).
-func (c *client) get(ctx context.Context, base, id string) (service.JobView, error) {
-	var view service.JobView
-	err := c.do(ctx, http.MethodGet, base+"/v1/screens/"+id, nil, "", 0, &view)
-	return view, err
 }
 
 // cancel asks a worker to cancel a job. Already-terminal (409) and
@@ -276,9 +258,4 @@ func (c *client) cancel(ctx context.Context, base, id string) error {
 		return nil
 	}
 	return err
-}
-
-// ready probes a worker's /readyz.
-func (c *client) ready(ctx context.Context, base string) bool {
-	return c.do(ctx, http.MethodGet, base+"/readyz", nil, "", 0, nil) == nil
 }

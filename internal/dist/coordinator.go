@@ -1,106 +1,79 @@
-// Package dist scales a screening service out across nodes: a
-// coordinator accepts ordinary screen requests, keeps each screen's
-// ligands in a pool, and lets registered worker replicas pull chunks of
-// it (pool.go), each dispatched over the normal HTTP JSON API as a
-// Ligands-restricted ScreenRequest. Per-ligand seed lanes are keyed by
-// ligand name, so placement never changes a ligand's result: the merged
-// ranking of a 3-node screen is byte-identical to the same screen run on
-// one node at equal seeds.
-//
-// Workers are stock vsserved nodes — registration and heartbeating are
-// the only coordinator-specific traffic they emit. The coordinator
-// streams each chunk's completed-ligand ranking from the worker's
-// /partial endpoint as the screen checkpoints, merging entries as they
-// arrive; when a worker dies (heartbeat timeout or repeated request
-// failures) only its unfinished ligands go back to the pool. All
-// distributed state — membership, chunk assignments, merged entries,
-// terminal results — is journaled through the WAL, so a restarted
-// coordinator resumes mid-screen and re-dispatches under the same
-// idempotency keys, mapping onto the workers' still-running jobs instead
-// of duplicating them.
+// Package dist scales a screening service out across nodes. A coordinator
+// is a service.Service whose runner is a chunk pool: screens are admitted,
+// journaled, cancelled and served exactly as on one node, while registered
+// workers — stock vsserved nodes — pull each running screen's ligands in
+// chunks (pool.go), each a Ligands-restricted ScreenRequest over the normal
+// HTTP API. Seed lanes are keyed by ligand name, so the merged ranking is
+// byte-identical to one node's at equal seeds. Merged ligands become the
+// job's checkpoint records, as a node's docked ones do, and membership and
+// chunk assignments are the runner's own records (journal.go), so a
+// restarted coordinator resumes mid-screen under the same idempotency keys.
 package dist
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/metascreen/metascreen/internal/core"
-	"github.com/metascreen/metascreen/internal/fsim"
+	"github.com/metascreen/metascreen/internal/molecule"
 	"github.com/metascreen/metascreen/internal/service"
 	"github.com/metascreen/metascreen/internal/trace"
-	"github.com/metascreen/metascreen/internal/wal"
 )
 
 // Config tunes a coordinator. Zero values mean the documented defaults.
 type Config struct {
-	// DataDir roots the coordinator's journal ("" = in-memory only: a
-	// restart forgets all distributed jobs).
+	// Service is the job model, as on a node. Its Workers bounds how many
+	// screens are supervised at once and defaults to the queue bound: a
+	// supervised screen costs the coordinator no CPU.
+	Service service.Config
+	// DataDir and Logger, when set, are Service's; the default logger is
+	// slog text to stderr.
 	DataDir string
-	// SyncPolicy is the journal's fsync policy (wal.SyncAlways default).
-	SyncPolicy wal.SyncPolicy
-	// FS is the filesystem the journal writes through; nil means the real
-	// one. Storage chaos plans (-disk-chaos) inject a fsim.Faulty here.
-	FS fsim.FS
-	// HeartbeatTimeout declares a worker dead when no heartbeat (or
-	// successful request) has been seen for this long; default 5s. It is
-	// also how long a chunk runs before the tail rule may back it up.
+	Logger  *slog.Logger
+	// HeartbeatTimeout declares a worker dead after this long without a
+	// heartbeat or a successful request, and is how long a chunk runs
+	// before the tail rule may back it up; default 5s.
 	HeartbeatTimeout time.Duration
-	// PollInterval is the longest one shard poll is held on its worker
-	// and the cadence of an idle supervision loop (dispatch, partial polls,
-	// merge, death checks); default 100ms. It is not a latency floor: a
-	// worker answers a held poll the moment its shard completes, and the
-	// loop steps again at once after a step that made progress.
+	// PollInterval is the longest one chunk poll is held on its worker and
+	// an idle supervision loop's cadence; default 100ms. It is no latency
+	// floor: a worker answers a held poll the moment its chunk completes.
 	PollInterval time.Duration
 	// RequestTimeout bounds each HTTP request to a worker; default 15s.
-	// With RequestAttempts retries, one logical call takes at most about
-	// RequestTimeout × RequestAttempts plus backoff.
 	RequestTimeout time.Duration
-	// RequestAttempts is the total number of tries per worker request;
-	// transient failures (transport errors, timeouts, 408/429/5xx) are
-	// retried with exponential backoff and jitter. 0 means 3; 1 disables
-	// retries.
+	// RequestAttempts is the tries per worker request; transient failures
+	// (transport errors, timeouts, 408/429/5xx) are retried with jittered
+	// exponential backoff from RetryBaseDelay. Defaults 3 and 50ms.
 	RequestAttempts int
-	// RetryBaseDelay seeds the retry backoff, doubled per retry and
-	// jittered; default 50ms.
-	RetryBaseDelay time.Duration
+	RetryBaseDelay  time.Duration
 	// FailThreshold is how many consecutive failed requests to one worker
-	// declare it dead, independent of its heartbeat age; default 2 — one
-	// transient refusal is forgiven, a flapping node is not waited out.
+	// declare it dead, whatever its heartbeat; default 2.
 	FailThreshold int
-	// MaxResponseBytes caps how much of a worker response is read; 0
-	// sizes the cap to the service's library limit (MaxRankingLimit
-	// entries plus headroom), the largest partial a shard can produce.
+	// MaxResponseBytes caps a worker response; 0 sizes it to the largest
+	// partial a chunk can produce (MaxRankingLimit entries).
 	MaxResponseBytes int64
-	// Transport overrides the HTTP transport for worker requests —
-	// netsim fault injection in tests and chaos drills, proxies in odd
-	// deployments. nil = a clone of http.DefaultTransport that keeps
+	// Transport carries worker requests (netsim faults in tests and
+	// drills); nil is a clone of http.DefaultTransport that keeps
 	// maxIdleConnsPerWorker idle connections per worker.
 	Transport http.RoundTripper
-	// CompactBytes is the journal's compaction floor, as on a node
-	// (service.Config.CompactBytes); default 4 MiB.
-	CompactBytes int64
-	// Logger receives coordinator events; default slog text to stderr.
-	Logger *slog.Logger
-
-	now func() time.Time // test hook; default time.Now
 }
 
-// maxPartialEntryBytes is the sizing assumption behind the default
-// response cap: one JSON partial entry with headroom for long ligand
-// names and large counters.
+// maxPartialEntryBytes bounds one JSON partial entry, for the default
+// response cap.
 const maxPartialEntryBytes = 512
 
 // maxIdleConnsPerWorker sizes the default transport's idle pool: every
-// running shard pins one connection to its worker for the length of a
-// held poll, with dispatches and cancels on top, and the stock two idle
-// connections per host would re-dial for most of them.
+// running chunk pins a connection for its held poll, and the stock two
+// idle connections per host would re-dial for most of them.
 const maxIdleConnsPerWorker = 64
 
 // validate rejects nonsensical tuning before any of it journals.
@@ -115,7 +88,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("dist: MaxResponseBytes %d must be >= 0", c.MaxResponseBytes)
 	}
 	if c.MaxResponseBytes > 0 && c.MaxResponseBytes < 64<<10 {
-		return fmt.Errorf("dist: MaxResponseBytes %d is below the 64 KiB floor (too small for a shard partial)", c.MaxResponseBytes)
+		return fmt.Errorf("dist: MaxResponseBytes %d is below the 64 KiB floor (too small for a chunk partial)", c.MaxResponseBytes)
 	}
 	if c.RetryBaseDelay < 0 {
 		return fmt.Errorf("dist: RetryBaseDelay %v must be >= 0", c.RetryBaseDelay)
@@ -124,38 +97,29 @@ func (c Config) validate() error {
 }
 
 func (c Config) withDefaults() Config {
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 5 * time.Second
+	if c.DataDir != "" {
+		c.Service.DataDir = c.DataDir
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 100 * time.Millisecond
+	c.Service.Journal = "dist-journal"
+	if c.Logger != nil {
+		c.Service.Logger = c.Logger
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 15 * time.Second
+	if c.Service.Logger == nil {
+		c.Service.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-	if c.RequestAttempts == 0 {
-		c.RequestAttempts = 3
-	}
-	if c.RetryBaseDelay == 0 {
-		c.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if c.FailThreshold == 0 {
-		c.FailThreshold = 2
-	}
-	if c.MaxResponseBytes == 0 {
-		// Sized to the library cap: the biggest partial one poll can see.
-		c.MaxResponseBytes = int64(service.MaxRankingLimit)*maxPartialEntryBytes + 64<<10
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-	if c.now == nil {
-		c.now = time.Now
-	}
+	c.Service.Workers = cmp.Or(max(c.Service.Workers, 0), max(c.Service.QueueDepth, 0), service.DefaultQueueDepth)
+	c.HeartbeatTimeout = cmp.Or(max(c.HeartbeatTimeout, 0), 5*time.Second)
+	c.PollInterval = cmp.Or(max(c.PollInterval, 0), 100*time.Millisecond)
+	c.RequestTimeout = cmp.Or(max(c.RequestTimeout, 0), 15*time.Second)
+	c.RequestAttempts = cmp.Or(c.RequestAttempts, 3)
+	c.RetryBaseDelay = cmp.Or(c.RetryBaseDelay, 50*time.Millisecond)
+	c.FailThreshold = cmp.Or(c.FailThreshold, 2)
+	// Sized to the library cap: the biggest partial one poll can see.
+	c.MaxResponseBytes = cmp.Or(c.MaxResponseBytes, int64(service.MaxRankingLimit)*maxPartialEntryBytes+64<<10)
 	return c
 }
 
-// worker is one registered node. Guarded by the coordinator's mutex.
+// worker is one registered node. Guarded by the service mutex.
 type worker struct {
 	url      string
 	alive    bool
@@ -166,7 +130,7 @@ type worker struct {
 }
 
 // shard is one chunk of a distributed job's ligands, owned by one worker
-// (pool.go sizes and hands them out). Guarded by the coordinator's mutex.
+// (pool.go sizes and hands them out). Guarded by the service mutex.
 type shard struct {
 	id      string   // "s0", "s1", ... unique within the job, stable across restarts
 	worker  string   // owning worker URL
@@ -176,84 +140,65 @@ type shard struct {
 	done    bool     // every assigned ligand merged
 	moved   bool     // fenced out: worker died or revived, or backup race lost
 
-	// Backup linkage: a backup carries hedgeOf = the chunk it backs; a
-	// backed-up chunk carries hedgedBy = its twin's ID. The two cover the
-	// same unfinished ligands — first complete wins, the loser is fenced
-	// (moved) and cancelled.
+	// A backup names the chunk it backs (hedgeOf), which names its twin
+	// (hedgedBy): the first to complete wins, the other is fenced.
 	hedgeOf  string
 	hedgedBy string
 
-	// cursor is the worker's position token from the last accepted poll,
-	// sent back so the next poll carries only newer entries. In-memory
-	// only and reset whenever remote is set: a cursor belongs to one
-	// worker-side job in one worker process.
-	cursor string
-
+	cursor     string // the last accepted poll's position; reset with remote
 	dispatched time.Time
 	errs       int // consecutive failed requests for this shard
 
-	// waitFrom and waitPolls describe the poll span in progress: where it
-	// starts on the job recorder's clock and how many polls it covers.
+	// The poll span in progress: its start on the job recorder's clock and
+	// how many polls it covers.
 	waitFrom  float64
 	waitPolls int
 }
 
-// job is one distributed screen. Guarded by the coordinator's mutex.
+// job is the runner's table row for one distributed screen: its chunks,
+// and while it runs its pool. Guarded by the service mutex.
 type job struct {
 	id        string
-	idemKey   string
-	req       service.ScreenRequest // normalized
-	state     service.JobState
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	errMsg    string
-
-	names     []string       // target ligand names, library order
-	atoms     map[string]int // membership of names, and each one's cost
-	merged    map[string]service.PartialEntry
+	req       service.ScreenRequest // as run: normalized, degradation applied
+	names     []string              // target ligand names, library order
+	atoms     map[string]int        // membership of names, and each one's cost
+	merged    map[string]core.LigandRecord
 	shards    []*shard
 	nextShard int
 	pool      []string   // ligands awaiting (re-)assignment, costliest first
 	ready     [][]string // the current factoring batch's chunks not yet handed out
 	resplits  int
-
-	cancelRequested bool
-	final           *JobView        // terminal snapshot (journal round-trip)
-	rec             *trace.Recorder // per-shard span timeline
+	final     bool            // Run ended it: its records leave the next compaction
+	rec       *trace.Recorder // the service's span recorder for the job
 }
 
-// Coordinator owns distributed-job state and the per-job supervisors.
+// Coordinator is a screening service whose service.Runner is itself, the
+// chunk pool. The service mutex (h.Lock) guards everything below Service.
 type Coordinator struct {
+	*service.Service
 	cfg     Config
 	log     *slog.Logger
 	cl      *client
 	metrics *Metrics
+	h       service.Host
 
-	mu        sync.Mutex
 	workers   map[string]*worker
 	jobs      map[string]*job
-	order     []string
-	idem      map[string]string // idempotency key -> job ID
-	nextID    uint64
-	nextEpoch uint64          // monotonic fencing-epoch counter, journaled
-	fenced    []remoteRef     // zombie worker-side jobs awaiting best-effort cancel
-	journal   *wal.Log[event] // nil without a DataDir
-	draining  bool
+	nextEpoch uint64      // monotonic fencing-epoch counter, journaled
+	fenced    []remoteRef // zombie worker-side jobs awaiting best-effort cancel
 
-	reqCtx    context.Context // lifetime of the supervisors and of all worker requests
+	reqCtx    context.Context // lifetime of every worker request; ends at Shutdown
 	reqCancel context.CancelFunc
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // best-effort cancels in flight
 }
 
-// New builds a coordinator, replaying its journal (when DataDir is set)
-// and resuming every non-terminal distributed job found there.
+// New builds a coordinator: the service replays its journal (when a data
+// dir is set) and resumes every screen that was queued or running.
 func New(cfg Config) (*Coordinator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	metrics := NewMetrics()
 	transport := cfg.Transport
 	if transport == nil {
 		t := http.DefaultTransport.(*http.Transport).Clone()
@@ -261,277 +206,124 @@ func New(cfg Config) (*Coordinator, error) {
 		transport = t
 	}
 	c := &Coordinator{
-		cfg: cfg,
-		log: cfg.Logger,
-		cl: &client{
-			hc:        &http.Client{Transport: transport},
-			timeout:   cfg.RequestTimeout,
-			attempts:  cfg.RequestAttempts,
-			backoff:   cfg.RetryBaseDelay,
-			respLimit: cfg.MaxResponseBytes,
-			onRetry:   metrics.retries.Inc,
-		},
-		metrics: metrics,
+		cfg:     cfg,
+		log:     cfg.Service.Logger,
 		workers: make(map[string]*worker),
 		jobs:    make(map[string]*job),
-		idem:    make(map[string]string),
+	}
+	c.cl = &client{
+		hc:        &http.Client{Transport: transport},
+		timeout:   cfg.RequestTimeout,
+		attempts:  cfg.RequestAttempts,
+		backoff:   cfg.RetryBaseDelay,
+		respLimit: cfg.MaxResponseBytes,
+		onRetry:   func() { c.metrics.retries.Inc() },
 	}
 	c.reqCtx, c.reqCancel = context.WithCancel(context.Background())
-	if cfg.DataDir != "" {
-		if err := c.openJournal(); err != nil {
-			return nil, err
-		}
+	sc := cfg.Service
+	sc.Runner = c
+	svc, err := service.New(sc)
+	if err != nil {
+		c.reqCancel()
+		return nil, err
 	}
-	c.mu.Lock()
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if !j.state.Terminal() {
-			c.superviseLocked(j)
-		}
-	}
-	c.mu.Unlock()
+	c.Service = svc
 	return c, nil
 }
 
-// Stats is the coordinator's /healthz snapshot.
-type Stats struct {
-	Workers      int  `json:"workers"`
-	WorkersAlive int  `json:"workers_alive"`
-	Jobs         int  `json:"jobs"`
-	Queued       int  `json:"queued"`
-	Running      int  `json:"running"`
-	Draining     bool `json:"draining"`
-	// Storage is the journal's degraded-mode state, as a node reports it.
-	Storage service.StorageStatus `json:"storage"`
+// Bind implements service.Runner.
+func (c *Coordinator) Bind(h service.Host) {
+	c.h = h
+	c.metrics = NewMetrics(h.Metrics())
 }
 
-// Stats snapshots coordinator-level gauges.
-func (c *Coordinator) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := Stats{Workers: len(c.workers), Jobs: len(c.jobs), Draining: c.draining, Storage: c.journal.Status()}
-	for _, w := range c.workers {
-		if w.alive {
-			st.WorkersAlive++
-		}
-	}
-	for _, j := range c.jobs {
-		switch j.state {
-		case service.StateQueued:
-			st.Queued++
-		case service.StateRunning:
-			st.Running++
-		}
-	}
-	return st
+// Shutdown interrupts every supervised screen at once (held polls and
+// retries included), leaving its worker-side jobs running for the next
+// boot over the same data dir to pick up, then drains the service.
+func (c *Coordinator) Shutdown(ctx context.Context) error {
+	c.reqCancel()
+	err := c.Service.Shutdown(ctx)
+	c.wg.Wait()
+	c.cl.hc.CloseIdleConnections()
+	return err
 }
 
-// Ready reports readiness: the journal has been replayed (guaranteed
-// once New returns) and the coordinator is not draining.
-func (c *Coordinator) Ready() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.draining
-}
-
-// Register upserts a worker by URL and counts as a heartbeat. A dead or
-// unknown worker becomes alive under a fresh fencing epoch; shards the
-// worker owned under its previous epoch are thereby invalidated — a node
-// that was declared dead and comes back (a zombie, in the partition
-// sense) cannot have its stale results merged, because every dispatch
-// and poll compares the chunk's epoch against this one. A new epoch is
-// used only once its record is journaled — else a crash could hand the
-// same epoch out twice — so a join the journal cannot take is refused
-// like a submit. Returns the current membership size.
-func (c *Coordinator) Register(rawURL string) (int, error) {
-	u, err := url.Parse(rawURL)
-	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return 0, fmt.Errorf("dist: worker url %q must be absolute http(s)", rawURL)
-	}
-	base := u.Scheme + "://" + u.Host
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	w, ok := c.workers[base]
-	if !ok {
-		w = &worker{url: base}
-		c.workers[base] = w
-	}
-	if !w.alive {
-		// Set before the append: a compaction it triggers must keep it.
-		prev := w.epoch
-		c.nextEpoch++
-		w.alive, w.epoch = true, c.nextEpoch
-		if !c.journal.Probe() || !c.journal.Append(event{Type: evWorker, Worker: base, Alive: true, Epoch: w.epoch}) {
-			w.alive, w.epoch = false, prev
-			c.nextEpoch--
-			if !ok {
-				delete(c.workers, base)
+// Run implements service.Runner: it steps one screen until every ligand
+// merged, then ranks the merged records as a node ranks its checkpointed
+// ones. A client cancel, timeout or deadline also cancels the worker-side
+// jobs; Shutdown interrupts (ErrInterrupted) and leaves them running. A
+// step that made no progress is followed by the rest of a PollInterval,
+// so a worker that does not hold polls is asked at most once per interval.
+func (c *Coordinator) Run(ctx context.Context, id string, req service.ScreenRequest) (*core.ScreenResult, error) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	defer context.AfterFunc(c.reqCtx, func() { cancel(service.ErrInterrupted) })()
+	c.h.Lock()
+	j := c.startLocked(id, req, trace.FromContext(ctx))
+	c.h.Unlock()
+	for ctx.Err() == nil {
+		start := time.Now()
+		done, progressed, err := c.step(ctx, j)
+		if done || err != nil {
+			var lib []*molecule.Molecule
+			if err == nil {
+				lib = service.LibraryOf(j.req)
 			}
-			return len(c.workers), errStorageFull
+			c.h.Lock()
+			defer c.h.Unlock()
+			j.final = true
+			if err != nil {
+				return nil, err
+			}
+			return core.Aggregate(lib, nil, j.merged), nil
 		}
-		c.metrics.workersJoined.Inc()
-		c.log.Info("worker joined", "worker", base, "epoch", w.epoch, "members", len(c.workers))
-	}
-	w.lastBeat = now
-	return len(c.workers), nil
-}
-
-// WorkerView is one membership row on the wire. Merged counts the
-// ligands this worker delivered first — under self-scheduling a slow
-// worker simply merges fewer, which makes this the first diagnostic
-// when a worker looks slow.
-type WorkerView struct {
-	URL                 string  `json:"url"`
-	Alive               bool    `json:"alive"`
-	Epoch               uint64  `json:"epoch,omitempty"`
-	HeartbeatAgeSeconds float64 `json:"heartbeat_age_seconds"`
-	Shards              int64   `json:"shards,omitempty"`
-	Merged              int64   `json:"merged"`
-}
-
-// Workers lists membership sorted by URL.
-func (c *Coordinator) Workers() []WorkerView {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	out := make([]WorkerView, 0, len(c.workers))
-	for _, w := range c.workers {
-		out = append(out, WorkerView{
-			URL:                 w.url,
-			Alive:               w.alive,
-			Epoch:               w.epoch,
-			HeartbeatAgeSeconds: now.Sub(w.lastBeat).Seconds(),
-			Shards:              w.shards,
-			Merged:              w.merged,
-		})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].URL < out[b].URL })
-	return out
-}
-
-// DebugSnapshot is the coordinator's one-call operational dump, served at
-// /debug/snapshot: membership with per-worker merged counts, coordinator
-// gauges (storage state included), and every job with its chunk table.
-type DebugSnapshot struct {
-	Stats   Stats        `json:"stats"`
-	Workers []WorkerView `json:"workers"`
-	Jobs    []JobView    `json:"jobs"`
-}
-
-// Snapshot assembles the debug dump.
-func (c *Coordinator) Snapshot() DebugSnapshot {
-	return DebugSnapshot{Stats: c.Stats(), Workers: c.Workers(), Jobs: c.List()}
-}
-
-// StorageFull is closed the first time the coordinator's journal enters
-// degraded read-only mode; vsserved -on-full stop drains on it.
-func (c *Coordinator) StorageFull() <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.journal.Full()
-}
-
-// errStorageFull refuses a submit or cancel the journal cannot take, as
-// on a node: 507 + Retry-After.
-var errStorageFull = &service.ShedError{
-	Err: service.ErrStorageFull, Reason: "storage_full", RetryAfter: service.StorageRetryAfter,
-}
-
-// ShardView is one chunk's status on the wire.
-type ShardView struct {
-	ID      string `json:"id"`
-	Worker  string `json:"worker"`
-	Epoch   uint64 `json:"epoch,omitempty"`
-	Ligands int    `json:"ligands"`
-	Merged  int    `json:"merged"`
-	Remote  string `json:"remote,omitempty"`
-	Done    bool   `json:"done,omitempty"`
-	Moved   bool   `json:"moved,omitempty"`
-	HedgeOf string `json:"hedge_of,omitempty"`
-}
-
-// JobView is a distributed screen on the wire (and in the journal's
-// terminal records, so every field must round-trip through JSON). Result
-// holds the merged ranking: partial while running, complete once done —
-// the same ResultView shape a single node serves, so clients and the
-// byte-identity checks need no distributed-specific decoding.
-type JobView struct {
-	ID          string                `json:"id"`
-	State       service.JobState      `json:"state"`
-	Request     service.ScreenRequest `json:"request"`
-	SubmittedAt time.Time             `json:"submitted_at"`
-	StartedAt   *time.Time            `json:"started_at,omitempty"`
-	FinishedAt  *time.Time            `json:"finished_at,omitempty"`
-	Error       string                `json:"error,omitempty"`
-	Completed   int                   `json:"completed"`
-	Total       int                   `json:"total"`
-	Resplits    int                   `json:"resplits,omitempty"`
-	Shards      []ShardView           `json:"shards,omitempty"`
-	Result      *service.ResultView   `json:"result,omitempty"`
-}
-
-// Submit admits a distributed screen. The request is validated exactly
-// like a single-node submission; chunks are handed out by the supervisor
-// as workers are available, so submitting before any worker registers is
-// legal — the job waits in queued.
-func (c *Coordinator) Submit(req service.ScreenRequest, idemKey string) (JobView, bool, error) {
-	req = req.Normalized()
-	if err := req.Validate(); err != nil {
-		return JobView{}, false, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return JobView{}, false, service.ErrDraining
-	}
-	if idemKey != "" {
-		if id, ok := c.idem[idemKey]; ok {
-			return c.viewLocked(c.jobs[id]), true, nil
+		if !progressed {
+			sleepCtx(ctx, c.cfg.PollInterval-time.Since(start))
 		}
 	}
-	// A 202 means journaled, which a degraded journal cannot promise; each
-	// refused submit is also a (rate-limited) recovery probe.
-	if !c.journal.Probe() {
-		return JobView{}, false, errStorageFull
+	cause := context.Cause(ctx)
+	c.h.Lock()
+	j.final = !errors.Is(cause, service.ErrInterrupted)
+	var refs []remoteRef
+	if j.final {
+		refs = j.remoteRefsLocked()
 	}
-	c.nextID++
-	j := newJob(fmt.Sprintf("dscreen-%06d", c.nextID), req, idemKey, c.cfg.now())
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	if idemKey != "" {
-		c.idem[idemKey] = j.id
-	}
-	if !c.journal.Append(event{Type: evJob, Job: j.id, IdemKey: idemKey, Request: &j.req, Time: j.submitted}) {
-		// Registered before the append only so that a compaction it
-		// triggered would keep it; none ran, and nothing was exposed.
-		delete(c.jobs, j.id)
-		delete(c.idem, idemKey)
-		c.order = c.order[:len(c.order)-1]
-		c.nextID--
-		return JobView{}, false, errStorageFull
-	}
-	c.metrics.submitted.Inc()
-	c.superviseLocked(j)
-	c.log.Info("distributed screen submitted", "job", j.id, "ligands", len(j.names))
-	return c.viewLocked(j), false, nil
+	c.h.Unlock()
+	c.cancelLater(refs)
+	return nil, cause
 }
 
-// newJob builds the in-memory job for a normalized request. Target
-// ligands are materialized in library order — the order every
-// deterministic aggregate sums in — and all of them start in the pool.
-func newJob(id string, req service.ScreenRequest, idemKey string, now time.Time) *job {
-	j := &job{
-		id:        id,
-		idemKey:   idemKey,
-		req:       req,
-		state:     service.StateQueued,
-		submitted: now,
-		merged:    make(map[string]service.PartialEntry),
-		atoms:     make(map[string]int),
-		rec:       &trace.Recorder{},
+// startLocked makes job id's table row ready to run req, keeping the
+// chunk table a replay rebuilt: ligands on its live chunks stay out of the
+// pool. Chunks of a worker whose death was journaled go back to the pool
+// in the first step. Caller holds the service mutex.
+func (c *Coordinator) startLocked(id string, req service.ScreenRequest, rec *trace.Recorder) *job {
+	j := newJob(id, req, c.h.CompletedLocked(id), rec)
+	if old := c.jobs[id]; old != nil {
+		j.shards, j.nextShard = old.shards, old.nextShard
+		live := map[string]bool{}
+		for _, sh := range j.shards {
+			for _, n := range sh.ligands {
+				live[n] = live[n] || !sh.moved
+			}
+		}
+		j.pool = slices.DeleteFunc(j.pool, func(n string) bool { return live[n] })
 	}
-	j.rec.SetEpoch(now)
+	c.jobs[id] = j
+	return j
+}
+
+// newJob builds a table row for req with its target ligands in library
+// order, all in the pool (carveBatch drops merged ones). merged is the
+// service job's completed set; nil starts an empty one.
+func newJob(id string, req service.ScreenRequest, merged map[string]core.LigandRecord, rec *trace.Recorder) *job {
+	if merged == nil {
+		merged = make(map[string]core.LigandRecord)
+	}
+	if rec == nil {
+		rec = &trace.Recorder{}
+	}
+	j := &job{id: id, req: req, merged: merged, atoms: make(map[string]int), rec: rec}
 	var want map[string]bool
 	if len(req.Ligands) > 0 {
 		want = make(map[string]bool, len(req.Ligands))
@@ -549,192 +341,158 @@ func newJob(id string, req service.ScreenRequest, idemKey string, now time.Time)
 	return j
 }
 
-// Get returns a job view; running jobs carry the merged partial ranking.
-func (c *Coordinator) Get(id string) (JobView, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return JobView{}, service.ErrNotFound
+// mergeLocked hands newly merged ligands to the service, which journals
+// them as one checkpoint record; a job the service does not hold (the
+// scheduler tests' bare jobs) keeps them itself. Caller holds the mutex.
+func (c *Coordinator) mergeLocked(j *job, recs []core.LigandRecord) {
+	if !c.h.CheckpointLocked(j.id, recs) {
+		for _, r := range recs {
+			j.merged[r.Name] = r
+		}
 	}
-	return c.viewLocked(j), nil
 }
 
-// List returns all jobs in submission order.
-func (c *Coordinator) List() []JobView {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]JobView, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.viewLocked(c.jobs[id]))
+// Register upserts a worker by URL and counts as a heartbeat. A dead or
+// unknown worker becomes alive under a fresh fencing epoch, so a zombie's
+// chunks from before fail every later epoch check and its stale results
+// never merge. A new epoch is used only once journaled — else a crash
+// could hand it out twice — so a join the journal cannot take is refused
+// like a submit. Returns the membership size.
+func (c *Coordinator) Register(rawURL string) (int, error) {
+	u, err := url.Parse(rawURL)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return 0, fmt.Errorf("dist: worker url %q must be absolute http(s)", rawURL)
 	}
+	base := u.Scheme + "://" + u.Host
+	c.h.Lock()
+	defer c.h.Unlock()
+	w, ok := c.workers[base]
+	if !ok {
+		w = &worker{url: base}
+		c.workers[base] = w
+	}
+	if !w.alive {
+		// Set before the append: a compaction it triggers must keep it.
+		prev := w.epoch
+		c.nextEpoch++
+		w.alive, w.epoch = true, c.nextEpoch
+		if !c.h.ProbeLocked() || !c.h.AppendLocked(event{Type: evWorker, Worker: base, Alive: true, Epoch: w.epoch}) {
+			w.alive, w.epoch = false, prev
+			c.nextEpoch--
+			if !ok {
+				delete(c.workers, base)
+			}
+			return len(c.workers), &service.ShedError{
+				Err: service.ErrStorageFull, Reason: "storage_full", RetryAfter: service.StorageRetryAfter,
+			}
+		}
+		c.metrics.workersJoined.Inc()
+		c.countMembersLocked()
+		c.log.Info("worker joined", "worker", base, "epoch", w.epoch, "members", len(c.workers))
+	}
+	w.lastBeat = c.h.Now()
+	return len(c.workers), nil
+}
+
+// countMembersLocked sets the membership gauges. Caller holds the mutex.
+func (c *Coordinator) countMembersLocked() {
+	alive := 0
+	for _, w := range c.workers {
+		if w.alive {
+			alive++
+		}
+	}
+	c.metrics.workers.Set(int64(len(c.workers)))
+	c.metrics.workersAlive.Set(int64(alive))
+}
+
+// WorkerView is one membership row on the wire. Merged counts the ligands
+// the worker delivered first: a slow worker simply merges fewer.
+type WorkerView struct {
+	URL                 string  `json:"url"`
+	Alive               bool    `json:"alive"`
+	Epoch               uint64  `json:"epoch,omitempty"`
+	HeartbeatAgeSeconds float64 `json:"heartbeat_age_seconds"`
+	Shards              int64   `json:"shards,omitempty"`
+	Merged              int64   `json:"merged"`
+}
+
+// Workers lists membership sorted by URL.
+func (c *Coordinator) Workers() []WorkerView {
+	c.h.Lock()
+	defer c.h.Unlock()
+	return c.workersLocked()
+}
+
+func (c *Coordinator) workersLocked() []WorkerView {
+	now := c.h.Now()
+	out := make([]WorkerView, 0, len(c.workers))
+	for _, w := range c.workers {
+		out = append(out, WorkerView{
+			URL:                 w.url,
+			Alive:               w.alive,
+			Epoch:               w.epoch,
+			HeartbeatAgeSeconds: now.Sub(w.lastBeat).Seconds(),
+			Shards:              w.shards,
+			Merged:              w.merged,
+		})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].URL < out[b].URL })
 	return out
 }
 
-// Trace returns a job's span recorder (chunk lifetimes, re-splits).
-func (c *Coordinator) Trace(id string) (*trace.Recorder, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, service.ErrNotFound
+// Detail implements service.Runner: a screen's view carries its chunk
+// table and re-split count.
+func (c *Coordinator) Detail(v *service.JobView) {
+	j := c.jobs[v.ID]
+	if j == nil {
+		return
 	}
-	return j.rec, nil
-}
-
-// Cancel requests cancellation. The supervisor propagates it to every
-// dispatched shard and finishes the job. A cancel is acknowledged only
-// once its record is journaled, so a restart cannot resurrect the screen.
-func (c *Coordinator) Cancel(id string) (JobView, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return JobView{}, service.ErrNotFound
+	merged := c.h.CompletedLocked(v.ID)
+	if merged == nil {
+		merged = j.merged
 	}
-	if j.state.Terminal() {
-		return c.viewLocked(j), service.ErrTerminal
-	}
-	if !j.cancelRequested {
-		// Set before the append: a compaction it triggers must keep it.
-		j.cancelRequested = true
-		if !c.journal.Probe() || !c.journal.Append(event{Type: evCancel, Job: j.id}) {
-			j.cancelRequested = false
-			return c.viewLocked(j), errStorageFull
-		}
-	}
-	return c.viewLocked(j), nil
-}
-
-// Shutdown drains: no new submissions, supervisors stop at their next
-// step (worker-side jobs keep running and are picked back up if the
-// coordinator restarts over the same journal).
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	// Stop the supervisors and cancel in-flight worker requests, so one
-	// blocked in a held poll, a retry or against a blackholed worker exits
-	// promptly.
-	c.reqCancel()
-	done := make(chan struct{})
-	go func() { c.wg.Wait(); close(done) }()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	c.mu.Lock()
-	c.journal.Close()
-	c.journal = nil
-	c.mu.Unlock()
-	// Held polls kept one connection per running shard warm; none is
-	// needed again.
-	c.cl.hc.CloseIdleConnections()
-	return err
-}
-
-// superviseLocked starts the job's supervision loop. The next step starts
-// at once when this one made progress (a dispatch was acknowledged, a
-// shard completed) or already lasted a PollInterval because its polls
-// were held; otherwise the loop sleeps out the rest of the interval, so a
-// worker that answers polls without holding them is asked no more often
-// than once per PollInterval. Caller holds c.mu.
-func (c *Coordinator) superviseLocked(j *job) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			start := time.Now()
-			finished, progressed := c.step(j)
-			if finished {
-				return
-			}
-			if c.reqCtx.Err() != nil {
-				return
-			}
-			if !progressed && !sleepCtx(c.reqCtx, c.cfg.PollInterval-time.Since(start)) {
-				return
-			}
-		}
-	}()
-}
-
-// pollWait is how long a worker is asked to hold a shard poll:
-// PollInterval, kept well inside RequestTimeout so a held poll is never
-// mistaken for a blackholed worker.
-func (c *Coordinator) pollWait() time.Duration {
-	return min(c.cfg.PollInterval, c.cfg.RequestTimeout/2)
-}
-
-// viewLocked snapshots a job. Caller holds c.mu.
-func (c *Coordinator) viewLocked(j *job) JobView {
-	if j.final != nil {
-		return *j.final
-	}
-	v := JobView{
-		ID:          j.id,
-		State:       j.state,
-		Request:     j.req,
-		SubmittedAt: j.submitted,
-		Error:       j.errMsg,
-		Completed:   len(j.merged),
-		Total:       len(j.names),
-		Resplits:    j.resplits,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.FinishedAt = &t
-	}
+	v.Resplits, v.Shards = j.resplits, nil
 	for _, sh := range j.shards {
 		mv := 0
 		for _, n := range sh.ligands {
-			if _, ok := j.merged[n]; ok {
+			if _, ok := merged[n]; ok {
 				mv++
 			}
 		}
-		v.Shards = append(v.Shards, ShardView{
+		v.Shards = append(v.Shards, service.ShardView{
 			ID: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: len(sh.ligands),
 			Merged: mv, Remote: sh.remote, Done: sh.done, Moved: sh.moved, HedgeOf: sh.hedgeOf,
 		})
 	}
-	if len(j.merged) > 0 {
-		v.Result = j.resultLocked()
-	}
-	return v
 }
 
-// resultLocked builds the merged ResultView from the entries merged so
-// far: ranking sorted score-then-name (the engine's exact tie-break),
-// totals summed in library order so the floating-point sums match a
-// single-node run bit for bit.
-func (j *job) resultLocked() *service.ResultView {
-	rv := &service.ResultView{RankingTotal: len(j.merged)}
-	entries := make([]service.PartialEntry, 0, len(j.merged))
-	for _, e := range j.merged {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].Score != entries[b].Score {
-			return entries[a].Score < entries[b].Score
+// Debug implements service.Runner: the snapshot lists membership with
+// per-worker merged counts.
+func (c *Coordinator) Debug(d *service.DebugSnapshot) { d.Workers = c.workersLocked() }
+
+// Mount implements service.Runner: membership routes.
+//
+//	POST   /v1/workers   register/heartbeat {"url": ...} -> 200 {"workers": n}
+//	                     (507 + Retry-After while the journal cannot take a
+//	                     revival)
+//	GET    /v1/workers   membership -> 200 [WorkerView]
+func (c *Coordinator) Mount(mux *http.ServeMux) {
+	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
+		var body struct {
+			URL string `json:"url"`
 		}
-		return entries[a].Ligand < entries[b].Ligand
+		if !service.DecodeJSON(w, r, &body) {
+			return
+		}
+		n, err := c.Register(body.URL)
+		if err != nil {
+			service.WriteError(w, service.SubmitStatus(err), err)
+			return
+		}
+		service.WriteJSON(w, http.StatusOK, map[string]int{"workers": n})
 	})
-	for i, e := range entries {
-		rv.Ranking = append(rv.Ranking, service.RankEntry{
-			Rank: i + 1, Ligand: e.Ligand, Atoms: e.Atoms, Score: e.Score, Spot: e.Spot,
-		})
-	}
-	for _, n := range j.names {
-		if e, ok := j.merged[n]; ok {
-			rv.SimulatedSeconds += e.SimSeconds
-			rv.Evaluations += e.Evaluations
-		}
-	}
-	return rv
+	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
+		service.WriteJSON(w, http.StatusOK, c.Workers())
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/metascreen/metascreen/internal/core"
 	"github.com/metascreen/metascreen/internal/fsim"
 	"github.com/metascreen/metascreen/internal/service"
 	"github.com/metascreen/metascreen/internal/wal"
@@ -88,13 +89,30 @@ func exploreEntry(name string) service.PartialEntry {
 }
 
 // exploreReference is the one-node ranking of exploreScreen: every
-// library ligand merged at once.
-func exploreReference() *service.ResultView {
-	j := newJob("reference", exploreScreen.Normalized(), "", time.Time{})
-	for _, n := range j.names {
-		j.merged[n] = exploreEntry(n)
+// library ligand's record ranked at once, as a node ranks its own.
+func exploreReference(t *testing.T) *service.ResultView {
+	req := exploreScreen.Normalized()
+	recs := map[string]core.LigandRecord{}
+	for i := 0; i < req.Library; i++ {
+		recs[core.SyntheticName(i)] = exploreEntry(core.SyntheticName(i)).Record()
 	}
-	return j.resultLocked()
+	s, err := service.New(service.Config{Logger: quiet, Runner: service.RunFunc(
+		func(context.Context, string, service.ScreenRequest) (*core.ScreenResult, error) {
+			return core.Aggregate(service.LibraryOf(req), nil, recs), nil
+		})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	v, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !v.State.Terminal() {
+		time.Sleep(time.Millisecond)
+		v, _ = s.Get(v.ID)
+	}
+	return v.Result
 }
 
 // fakeNet routes requests for the fake hosts straight to their handlers,
@@ -176,9 +194,10 @@ const exploreHeartbeat = 10 * time.Second
 // floor the workload's journal passes mid-screen.
 func (ec *explorerCluster) config(dir string, fs fsim.FS) Config {
 	return Config{
-		DataDir: dir, FS: fs, Transport: ec.net, Logger: quiet, now: ec.clock.now,
+		Service: service.Config{FS: fs, Clock: ec.clock.now, CompactBytes: 4 << 10},
+		DataDir: dir, Transport: ec.net, Logger: quiet,
 		PollInterval: 2 * time.Millisecond, HeartbeatTimeout: exploreHeartbeat,
-		RequestAttempts: 1, FailThreshold: 1, CompactBytes: 4 << 10,
+		RequestAttempts: 1, FailThreshold: 1,
 	}
 }
 
@@ -267,11 +286,14 @@ func waitView(t *testing.T, c *Coordinator, id, what string, pred func(JobView) 
 // terminal, or every live chunk acknowledged and every alive worker
 // holding chunksPerWorker of them unless nothing is left to hand out.
 func settled(c *Coordinator, id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.jobs[id]
-	if j.state.Terminal() {
+	if v, err := c.Get(id); err == nil && v.State.Terminal() {
 		return true
+	}
+	c.h.Lock()
+	defer c.h.Unlock()
+	j := c.jobs[id]
+	if j == nil || j.names == nil {
+		return false
 	}
 	held := map[string]int{}
 	for _, sh := range j.shards {
@@ -297,8 +319,8 @@ func settled(c *Coordinator, id string) bool {
 // liveChunks lists job id's live chunks, in assignment order, with their
 // ligands.
 func liveChunks(c *Coordinator, id string) (ids []string, ligands [][]string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.h.Lock()
+	defer c.h.Unlock()
 	for _, sh := range c.jobs[id].shards {
 		if !sh.done && !sh.moved {
 			ids = append(ids, sh.id)
@@ -317,7 +339,7 @@ func runExploreWorkload(t *testing.T, ec *explorerCluster, c *Coordinator, ops f
 	c.Register(explorerB)
 
 	out.marks["submit"] = ops()
-	v, _, err := c.Submit(exploreScreen, exploreScreenKey)
+	v, _, err := c.SubmitIdem(exploreScreen, exploreScreenKey)
 	if err != nil {
 		return out
 	}
@@ -353,7 +375,7 @@ func runExploreWorkload(t *testing.T, ec *explorerCluster, c *Coordinator, ops f
 
 	// A second screen is admitted, dispatched and cancelled.
 	out.marks["submit-cancelled"] = ops()
-	v2, _, err := c.Submit(exploreCancelled, exploreCancelledKey)
+	v2, _, err := c.SubmitIdem(exploreCancelled, exploreCancelledKey)
 	if err == nil {
 		out.acked[exploreCancelledKey] = v2.ID
 		waitView(t, c, v2.ID, "its chunks dispatched", func(JobView) bool { return settled(c, v2.ID) })
@@ -432,6 +454,7 @@ func runExploreWorkload(t *testing.T, ec *explorerCluster, c *Coordinator, ops f
 type journaled struct {
 	merged   map[string]bool // ligands held as merged
 	terminal bool            // the job's terminal record landed
+	cancel   bool            // a cancel record landed
 	fenced   []string        // chunks the journal holds as fenced
 }
 
@@ -461,7 +484,12 @@ func readJournal(t *testing.T, dir, id string) journaled {
 		}
 		recs, _ := wal.ScanRecords(data)
 		for _, rec := range recs {
-			var ev event
+			var ev struct {
+				event
+				Records []core.LigandRecord    `json:"records"`
+				Entries []service.PartialEntry `json:"entries"`
+				View    *service.JobView       `json:"view"`
+			}
 			if json.Unmarshal(rec, &ev) != nil {
 				continue
 			}
@@ -477,15 +505,22 @@ func readJournal(t *testing.T, dir, id string) journaled {
 				if _, ok := assigned[ev.Shard]; !ok {
 					order = append(order, ev.Shard)
 				}
-				assigned[ev.Shard] = ev
+				assigned[ev.Shard] = ev.event
 			case evMoved:
 				moved[ev.Shard] = true
-			case evEntries:
+			case "checkpoint", "entries":
+				for _, r := range ev.Records {
+					out.merged[r.Name] = true
+				}
 				for _, e := range ev.Entries {
 					out.merged[e.Ligand] = true
 				}
 			case evTerminal:
 				out.terminal = true
+			case "cancel":
+				out.cancel = true
+			case "snapshot":
+				out.terminal = out.terminal || (ev.View != nil && ev.View.State.Terminal())
 			}
 		}
 	}
@@ -599,7 +634,7 @@ func exploreCrashPoint(t *testing.T, k uint64, ref *service.ResultView) {
 }
 
 func TestCoordinatorCrashPointExplorer(t *testing.T) {
-	ref := exploreReference()
+	ref := exploreReference(t)
 	// Recording runs: a clean pass-through fsim counts the workload's
 	// mutating ops, twice, to prove crash@opK lands on the same boundary
 	// every run.

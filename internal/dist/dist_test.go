@@ -17,6 +17,12 @@ import (
 // partial polling, merging and fault recovery exercise the same HTTP
 // surface production uses — only the listener is in-process.
 
+// A coordinator's views are a node's.
+type (
+	JobView   = service.JobView
+	ShardView = service.ShardView
+)
+
 var quiet = slog.New(slog.NewTextHandler(discard{}, &slog.HandlerOptions{Level: slog.LevelError}))
 
 type discard struct{}
@@ -183,7 +189,7 @@ func TestDistributedByteIdenticalToSingleNode(t *testing.T) {
 		defer beat(t, c, startWorker(t).URL)()
 	}
 
-	v, existing, err := c.Submit(distRequest, "dist-vs-single")
+	v, existing, err := c.SubmitIdem(distRequest, "dist-vs-single")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +217,7 @@ func TestDistributedByteIdenticalToSingleNode(t *testing.T) {
 	}
 
 	// Idempotent resubmission maps onto the finished job.
-	again, existing, err := c.Submit(distRequest, "dist-vs-single")
+	again, existing, err := c.SubmitIdem(distRequest, "dist-vs-single")
 	if err != nil || !existing || again.ID != v.ID {
 		t.Fatalf("idempotent resubmit: existing=%v id=%s err=%v", existing, again.ID, err)
 	}
@@ -234,7 +240,7 @@ func TestWorkerDeathResharding(t *testing.T) {
 	killReq := distRequest
 	killReq.Library = 24
 	killReq.Scale = 0.35
-	v, _, err := c.Submit(killReq, "")
+	v, _, err := c.SubmitIdem(killReq, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +279,11 @@ func TestWorkerDeathResharding(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRestartResumes: a coordinator stopped mid-screen and
-// rebooted over the same journal resumes the job — re-dispatching under
-// the original idempotency keys so the still-running workers hand back
-// the same jobs — and finishes with the single-node ranking.
+// TestCoordinatorRestartResumes: a coordinator drained mid-screen does
+// not journal the screen terminal, and rebooted over the same journal
+// resumes it — re-dispatching under the original idempotency keys so the
+// still-running workers hand back the same jobs — and finishes with the
+// single-node ranking.
 func TestCoordinatorRestartResumes(t *testing.T) {
 	dir := t.TempDir()
 	w1, w2 := startWorker(t), startWorker(t)
@@ -288,7 +295,7 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 
 	c1 := startCoordinator(t, Config{DataDir: dir})
 	s1, s2 := beat(t, c1, w1.URL), beat(t, c1, w2.URL)
-	v, _, err := c1.Submit(slowReq, "restart-key")
+	v, _, err := c1.SubmitIdem(slowReq, "restart-key")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +318,8 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restarted coordinator forgot job %s: %v", v.ID, err)
 	}
-	if restored.Request.Seed != distRequest.Seed {
-		t.Fatalf("restored request seed %d, want %d", restored.Request.Seed, distRequest.Seed)
+	if restored.Request.Seed != distRequest.Seed || restored.State.Terminal() {
+		t.Fatalf("restored screen: seed %d (want %d), state %s", restored.Request.Seed, distRequest.Seed, restored.State)
 	}
 	final := waitJob(t, c2, v.ID, 90*time.Second, func(v JobView) bool { return v.State.Terminal() })
 	if final.State != service.StateDone {
@@ -325,23 +332,25 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	}
 
 	// The idempotency key survived the restart too.
-	again, existing, err := c2.Submit(distRequest, "restart-key")
+	again, existing, err := c2.SubmitIdem(distRequest, "restart-key")
 	if err != nil || !existing || again.ID != v.ID {
 		t.Fatalf("idempotency across restart: existing=%v id=%q err=%v", existing, again.ID, err)
 	}
 }
 
-// TestSubmitBeforeAnyWorker: a screen submitted to an empty cluster
-// waits in queued and runs as soon as the first worker registers.
+// TestSubmitBeforeAnyWorker: a screen submitted to an empty cluster is
+// running from the moment the pool takes it, holds no chunk until a worker
+// registers, and then runs to completion.
 func TestSubmitBeforeAnyWorker(t *testing.T) {
 	c := startCoordinator(t, Config{})
-	v, _, err := c.Submit(distRequest, "")
+	v, _, err := c.SubmitIdem(distRequest, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitJob(t, c, v.ID, 30*time.Second, func(v JobView) bool { return v.State == service.StateRunning })
 	time.Sleep(100 * time.Millisecond)
-	if got, _ := c.Get(v.ID); got.State != service.StateQueued {
-		t.Fatalf("job with no workers is %s, want queued", got.State)
+	if got, _ := c.Get(v.ID); got.State != service.StateRunning || len(got.Shards) != 0 {
+		t.Fatalf("job with no workers is %s with %d chunks, want running with none", got.State, len(got.Shards))
 	}
 	defer beat(t, c, startWorker(t).URL)()
 	final := waitJob(t, c, v.ID, 90*time.Second, func(v JobView) bool { return v.State.Terminal() })
@@ -358,7 +367,7 @@ func TestCancelDistributed(t *testing.T) {
 
 	big := distRequest
 	big.Library = 64
-	v, _, err := c.Submit(big, "")
+	v, _, err := c.SubmitIdem(big, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +391,7 @@ func TestViewsAndValidation(t *testing.T) {
 	c := startCoordinator(t, Config{})
 	bad := distRequest
 	bad.Metaheuristic = "M9"
-	if _, _, err := c.Submit(bad, ""); err == nil {
+	if _, _, err := c.SubmitIdem(bad, ""); err == nil {
 		t.Error("invalid metaheuristic admitted")
 	}
 	if _, err := c.Get("nope"); err != service.ErrNotFound {
@@ -415,7 +424,7 @@ func TestPaginationDoesNotCorruptTerminalView(t *testing.T) {
 	c := startCoordinator(t, Config{})
 	defer beat(t, c, w.URL)()
 
-	v, _, err := c.Submit(distRequest, "")
+	v, _, err := c.SubmitIdem(distRequest, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -12,16 +11,10 @@ import (
 
 // RegisterLoop is the worker side of membership: it POSTs the worker's
 // advertised URL to the coordinator's /v1/workers every interval until
-// ctx ends. Registration and heartbeat are the same request — an upsert
-// — so a worker that restarts, or a coordinator that restarts and
-// forgot everyone, converges on the next beat without a special rejoin
-// path. Failures are logged and retried on the normal cadence; the
-// worker keeps serving either way.
-//
-// Beats are jittered ±20% around the interval, deterministically from
-// the advertised URL and beat count, so a fleet of workers started
-// together (or revived together after a partition heals) doesn't
-// thunder the coordinator on synchronized ticks.
+// ctx ends. Registration and heartbeat are one upsert, so a restart on
+// either side converges on the next beat; failures are logged and
+// retried on the normal cadence. Beats are jittered ±20%, from the URL and
+// beat count, so workers started or revived together do not beat in step.
 func RegisterLoop(ctx context.Context, coordinator, advertise string, interval time.Duration, logf func(format string, args ...any)) {
 	if interval <= 0 {
 		interval = time.Second
@@ -29,24 +22,11 @@ func RegisterLoop(ctx context.Context, coordinator, advertise string, interval t
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	hc := &http.Client{Timeout: interval}
+	cl := &client{hc: &http.Client{}, timeout: interval, attempts: 1, respLimit: 64 << 10}
 	body, _ := json.Marshal(map[string]string{"url": advertise})
 	beat := func() {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			coordinator+"/v1/workers", bytes.NewReader(body))
-		if err != nil {
-			logf("dist: heartbeat request: %v", err)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := hc.Do(req)
-		if err != nil {
+		if err := cl.do(ctx, http.MethodPost, coordinator+"/v1/workers", body, "", 0, nil); err != nil {
 			logf("dist: heartbeat to %s failed: %v", coordinator, err)
-			return
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			logf("dist: heartbeat to %s: HTTP %d", coordinator, resp.StatusCode)
 		}
 	}
 	beat()

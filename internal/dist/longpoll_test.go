@@ -148,7 +148,7 @@ func TestNoSpinAgainstWorkerThatIgnoresWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, _, err := c.Submit(distRequest, ""); err != nil {
+	if _, _, err := c.SubmitIdem(distRequest, ""); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, "20 polls", func() bool { _, p := sw.counts(); return p >= 20 })
@@ -170,7 +170,7 @@ func TestNoSpinAgainstWorkerThatRefusesDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, _, err := c.Submit(distRequest, ""); err != nil {
+	if _, _, err := c.SubmitIdem(distRequest, ""); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, "20 dispatch attempts", func() bool { s, _ := sw.counts(); return s >= 20 })
@@ -218,7 +218,7 @@ func TestWorkerRestartMidShardMergesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One chunk holding the whole screen, polled by hand.
-	j := newJob("restart-job", distRequest.Normalized(), "", time.Now())
+	j := newJob("restart-job", distRequest.Normalized(), nil, nil)
 	names := j.names
 	sh := &shard{id: "s0", worker: sw.srv.URL, epoch: 1, ligands: names, remote: "script-1"}
 	sw.script(func(sw *scriptWorker) {
@@ -227,11 +227,11 @@ func TestWorkerRestartMidShardMergesOnce(t *testing.T) {
 	})
 	poll := func(wantMerged int) {
 		t.Helper()
-		if msg, fatal := c.poll(j, sh); fatal {
-			t.Fatal(msg)
+		if err := c.poll(context.Background(), j, sh); err != nil {
+			t.Fatal(err)
 		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
+		c.h.Lock()
+		defer c.h.Unlock()
 		if len(j.merged) != wantMerged {
 			t.Fatalf("%d ligands merged, want %d", len(j.merged), wantMerged)
 		}
@@ -299,7 +299,7 @@ func TestLateResponseAfterHoldDropped(t *testing.T) {
 	if _, err := c.Register(sw.srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	j := newJob("late-job", distRequest.Normalized(), "", time.Now())
+	j := newJob("late-job", distRequest.Normalized(), nil, nil)
 	sh := &shard{id: "s0", worker: sw.srv.URL, epoch: 1, ligands: j.names, remote: "script-1"}
 	sw.script(func(sw *scriptWorker) {
 		sw.partial = answer
@@ -308,19 +308,18 @@ func TestLateResponseAfterHoldDropped(t *testing.T) {
 
 	done := make(chan bool, 1)
 	go func() {
-		_, fatal := c.poll(j, sh)
-		done <- fatal
+		done <- c.poll(context.Background(), j, sh) != nil
 	}()
 	<-holding
-	c.mu.Lock()
+	c.h.Lock()
 	sh.moved = true
-	c.mu.Unlock()
+	c.h.Unlock()
 	close(release)
 	if fatal := <-done; fatal {
 		t.Fatal("late response for a moved shard failed the job")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.h.Lock()
+	defer c.h.Unlock()
 	if len(j.merged) != 0 || sh.done || sh.cursor != "" {
 		t.Fatalf("late response applied: %d ligands merged, done=%v cursor=%q", len(j.merged), sh.done, sh.cursor)
 	}
@@ -343,7 +342,7 @@ func TestRankingIndependentOfPollInterval(t *testing.T) {
 				defer beat(t, c, w.URL)()
 			}
 			start := time.Now()
-			v, _, err := c.Submit(distRequest, "")
+			v, _, err := c.SubmitIdem(distRequest, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,7 +408,7 @@ func TestHeldPollsReuseConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < jobs; i++ {
-		if _, _, err := c.Submit(distRequest, ""); err != nil {
+		if _, _, err := c.SubmitIdem(distRequest, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -448,7 +447,7 @@ func TestShutdownAbortsHeldPoll(t *testing.T) {
 	slow := distRequest
 	slow.Library = 24
 	slow.Scale = 0.35
-	if _, _, err := c.Submit(slow, ""); err != nil {
+	if _, _, err := c.SubmitIdem(slow, ""); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, "a held poll", func() bool { return held.Load() >= 1 })

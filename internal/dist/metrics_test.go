@@ -4,17 +4,22 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/metascreen/metascreen/internal/metrics"
 	"github.com/metascreen/metascreen/internal/metrics/metricstest"
-	"github.com/metascreen/metascreen/internal/service"
 )
 
-// TestDistMetricsExpositionGolden pins the coordinator's exposition byte
-// for byte. The want string was recorded from the hand-rolled
-// dist.Metrics.WriteTo this registry replaced, for the same event
-// sequence; it includes a counter past 2 000 000 (must stay digits — the
-// drill scripts and straggler tests Atoi it) and two state labels.
+// TestDistMetricsExpositionGolden pins the runner's families byte for
+// byte, which a coordinator's /metrics appends to the node's. The want
+// string was recorded from the hand-rolled dist.Metrics.WriteTo this
+// registry replaced, for the same event sequence, less the job and
+// journal families that are now the node's; it includes a counter past
+// 2 000 000 (must stay digits — the drill scripts and straggler tests
+// Atoi it).
 func TestDistMetricsExpositionGolden(t *testing.T) {
-	m := NewMetrics()
+	reg := metrics.New()
+	m := NewMetrics(reg)
+	m.workers.Set(3)
+	m.workersAlive.Set(2)
 	m.workersJoined.Add(3)
 	m.workerDeaths.Inc()
 	m.shards.Add(5)
@@ -27,14 +32,9 @@ func TestDistMetricsExpositionGolden(t *testing.T) {
 	m.shardsFenced.Inc()
 	m.hedgesIssued.Add(2)
 	m.hedgeWins.Inc()
-	m.journalErrors.Inc()
-	m.submitted.Add(4)
-	m.finished.With(string(service.StateDone)).Add(2)
-	m.finished.With(string(service.StateFailed)).Inc()
 
 	var b strings.Builder
-	st := Stats{Workers: 3, WorkersAlive: 2, Jobs: 4, Running: 1}
-	if err := m.WriteTo(&b, st); err != nil {
+	if err := reg.WriteTo(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := `# HELP metascreen_dist_workers Worker nodes ever registered.
@@ -76,21 +76,6 @@ metascreen_dist_hedges_issued_total 2
 # HELP metascreen_dist_hedge_wins_total Hedge twins that finished before their primary.
 # TYPE metascreen_dist_hedge_wins_total counter
 metascreen_dist_hedge_wins_total 1
-# HELP metascreen_dist_journal_errors_total Coordinator journal append/compact failures.
-# TYPE metascreen_dist_journal_errors_total counter
-metascreen_dist_journal_errors_total 1
-# HELP metascreen_dist_jobs_submitted_total Distributed screens admitted.
-# TYPE metascreen_dist_jobs_submitted_total counter
-metascreen_dist_jobs_submitted_total 4
-# HELP metascreen_dist_jobs_finished_total Distributed screens by terminal state.
-# TYPE metascreen_dist_jobs_finished_total counter
-metascreen_dist_jobs_finished_total{state="done"} 2
-metascreen_dist_jobs_finished_total{state="failed"} 1
-metascreen_dist_jobs_finished_total{state="cancelled"} 0
-metascreen_dist_jobs_finished_total{state="shed"} 0
-# HELP metascreen_dist_jobs_running Distributed screens currently executing.
-# TYPE metascreen_dist_jobs_running gauge
-metascreen_dist_jobs_running 1
 `
 	got := b.String()
 	if got != want {

@@ -4,30 +4,26 @@ import (
 	"sort"
 	"strconv"
 
-	"github.com/metascreen/metascreen/internal/service"
 	"github.com/metascreen/metascreen/internal/trace"
 )
 
-// Self-scheduling. A distributed job keeps the ligands no live chunk
-// covers in a pool, costliest first; a ligand's cost is its atom count
+// Self-scheduling. A job keeps the ligands no live chunk covers in a
+// pool, costliest first; a ligand's cost is its atom count
 // (core.SyntheticAtoms), which its docking time follows (EXPERIMENTS.md).
-// Workers are not handed a split. Each alive worker holds at most
-// chunksPerWorker live chunks of a job, and a completed chunk's poll
-// coming back is its worker's request for the next one (step).
+// Each alive worker holds at most chunksPerWorker live chunks of a job,
+// and a completed chunk's poll is its worker's request for the next.
 //
-// Chunks are sized by factoring (Hummel, Schonberg & Flynn 1992):
-// batches of P chunks for P alive workers, each about half the pool's
-// cost divided by P and never below minChunkAtoms, dealt costliest ligand
-// first into the lightest chunk of the batch. Early chunks are large, so
-// a few requests carry most of the work; late ones are small, so whoever
-// is free — fast or slow — balances the tail, with no rate estimate.
+// Chunks are sized by factoring (Hummel, Schonberg & Flynn 1992): batches
+// of P chunks for P alive workers, each about half the pool's cost over P
+// and never below minChunkAtoms, dealt costliest first into the lightest
+// chunk. Early chunks carry most of the work, small late ones let whoever
+// is free balance the tail, with no rate estimate.
 //
-// One tail rule is left. Once the pool is dry, a worker with no live
-// chunk of the job takes one backup of the oldest live chunk that has
-// run for HeartbeatTimeout: a twin holding the chunk's unmerged ligands.
-// The first copy to complete wins and the loser is fenced and cancelled.
-// A chunk gets one backup at most and a backup fences nothing, so a
-// stalled worker is rescued and no chain of re-dispatches can form.
+// One tail rule: once the pool is dry, a worker with no live chunk backs
+// up the oldest chunk that ran for HeartbeatTimeout, with a twin of its
+// unmerged ligands; the first to complete wins, the loser is fenced and
+// cancelled. One backup per chunk, and a backup fences nothing, so no
+// chain of re-dispatches can form.
 
 // chunksPerWorker is how many live chunks of one job a worker holds: the
 // one it docks and the next, queued on the worker, so it does not idle
@@ -92,7 +88,7 @@ func (j *job) carveBatch(p int) {
 // pullLocked answers one request for work on job j from worker w: the
 // next chunk while w holds fewer than chunksPerWorker live ones, or, once
 // nothing is left to hand out and w holds none, one backup. It returns
-// nil when there is nothing for w. Caller holds c.mu.
+// nil when there is nothing for w. Caller holds the service mutex.
 func (c *Coordinator) pullLocked(j *job, w *worker, alive int) *shard {
 	live := 0
 	for _, sh := range j.shards {
@@ -119,25 +115,27 @@ func (c *Coordinator) pullLocked(j *job, w *worker, alive int) *shard {
 
 // assignLocked hands out work to every alive worker, one chunk per
 // worker per pass, so a batch's chunks spread over the workers before
-// anyone takes a second. Caller holds c.mu.
+// anyone takes a second. Caller holds the service mutex.
 func (c *Coordinator) assignLocked(j *job) {
 	alive := c.aliveWorkersLocked()
+	var fresh []*shard
 	for more := true; more; {
 		more = false
 		for _, w := range alive {
-			if c.pullLocked(j, w, len(alive)) != nil {
-				more = true
+			if sh := c.pullLocked(j, w, len(alive)); sh != nil {
+				fresh, more = append(fresh, sh), true
 			}
 		}
 	}
+	c.journalLocked(j, fresh)
 }
 
 // refillLocked is a worker's request after one of its chunks completed:
 // it takes work until it holds chunksPerWorker chunks again. Caller
-// holds c.mu.
+// holds the service mutex.
 func (c *Coordinator) refillLocked(j *job, url string) []*shard {
 	w := c.workers[url]
-	if w == nil || !w.alive || j.state.Terminal() || j.cancelRequested {
+	if w == nil || !w.alive {
 		return nil
 	}
 	alive := len(c.aliveWorkersLocked())
@@ -145,13 +143,14 @@ func (c *Coordinator) refillLocked(j *job, url string) []*shard {
 	for sh := c.pullLocked(j, w, alive); sh != nil; sh = c.pullLocked(j, w, alive) {
 		out = append(out, sh)
 	}
+	c.journalLocked(j, out)
 	return out
 }
 
 // backupLocked is the tail rule: w backs up the oldest live chunk that
-// has run for HeartbeatTimeout and has no twin yet. Caller holds c.mu.
+// has run for HeartbeatTimeout and has no twin yet. Caller holds the service mutex.
 func (c *Coordinator) backupLocked(j *job, w *worker) *shard {
-	now := c.cfg.now()
+	now := c.h.Now()
 	var oldest *shard
 	for _, sh := range j.shards {
 		if sh.done || sh.moved || sh.remote == "" || sh.hedgeOf != "" || sh.hedgedBy != "" || !c.epochValidLocked(sh) {
@@ -191,23 +190,30 @@ func (c *Coordinator) backupLocked(j *job, w *worker) *shard {
 }
 
 // newShardLocked records a new chunk of j on w (a backup when hedgeOf is
-// set) and journals its assignment. Caller holds c.mu.
+// set); its caller journals it. Caller holds the service mutex.
 func (c *Coordinator) newShardLocked(j *job, w *worker, ligands []string, hedgeOf string) *shard {
 	sh := &shard{id: "s" + strconv.Itoa(j.nextShard), worker: w.url, epoch: w.epoch, ligands: ligands, hedgeOf: hedgeOf}
 	j.nextShard++
 	j.shards = append(j.shards, sh)
 	w.shards++
 	c.metrics.shards.Inc()
-	c.journal.Append(event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: ligands, HedgeOf: hedgeOf})
-	if j.state == service.StateQueued {
-		j.state = service.StateRunning
-		j.started = c.cfg.now()
-	}
 	return sh
 }
 
+// journalLocked journals one pass's new chunks in one append: one fsync
+// before any of them is dispatched. Caller holds the service mutex.
+func (c *Coordinator) journalLocked(j *job, shards []*shard) {
+	evs := make([]any, len(shards))
+	for i, sh := range shards {
+		evs[i] = event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: sh.ligands, HedgeOf: sh.hedgeOf}
+	}
+	if len(evs) > 0 {
+		c.h.AppendLocked(evs...)
+	}
+}
+
 // livePartnerLocked returns the other half of a backup pair if it is
-// still racing (not done, not moved), nil otherwise. Caller holds c.mu.
+// still racing (not done, not moved), nil otherwise. Caller holds the service mutex.
 func (j *job) livePartnerLocked(sh *shard) *shard {
 	id := sh.hedgeOf
 	if id == "" {
@@ -227,7 +233,7 @@ func (j *job) livePartnerLocked(sh *shard) *shard {
 // resolveHedgeLocked settles a backup race after winner completed: the
 // losing twin is fenced (late partials drop at the moved check) and its
 // worker-side job queued for cancel so the slower worker stops burning
-// time on ligands already merged. Caller holds c.mu.
+// time on ligands already merged. Caller holds the service mutex.
 func (c *Coordinator) resolveHedgeLocked(j *job, winner *shard) {
 	loser := j.livePartnerLocked(winner)
 	if winner.hedgeOf != "" {
@@ -241,7 +247,7 @@ func (c *Coordinator) resolveHedgeLocked(j *job, winner *shard) {
 	if loser.remote != "" {
 		c.fenced = append(c.fenced, remoteRef{worker: loser.worker, remote: loser.remote})
 	}
-	c.journal.Append(event{Type: evMoved, Job: j.id, Shard: loser.id})
+	c.h.AppendLocked(event{Type: evMoved, Job: j.id, Shard: loser.id})
 	t := j.rec.Now()
 	j.rec.AddSpan(trace.Span{
 		Track: "membership", Name: "backup race won by " + winner.id + " over " + loser.id,

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -139,7 +140,7 @@ const (
 // the first library ligands.
 func startSim(t *testing.T, clock *simClock, library int, workers ...*scriptWorker) *simCluster {
 	t.Helper()
-	c := startCoordinator(t, Config{now: clock.now, HeartbeatTimeout: simGrace, PollInterval: simTick})
+	c := startCoordinator(t, Config{Service: service.Config{Clock: clock.now}, HeartbeatTimeout: simGrace, PollInterval: simTick})
 	sc := &simCluster{t: t, c: c, clock: clock}
 	for _, w := range workers {
 		sc.workers = append(sc.workers, w.srv.URL)
@@ -150,11 +151,10 @@ func startSim(t *testing.T, clock *simClock, library int, workers ...*scriptWork
 	if err := req.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	sc.j = newJob("sim-job", req, "", clock.now())
+	c.h.Lock()
+	sc.j = newJob("sim-job", req, nil, nil)
 	c.jobs[sc.j.id] = sc.j
-	c.order = append(c.order, sc.j.id)
-	c.mu.Unlock()
+	c.h.Unlock()
 	return sc
 }
 
@@ -173,7 +173,10 @@ func (sc *simCluster) tick() bool {
 	sc.clock.advance(simTick)
 	sc.ticks++
 	sc.beat()
-	finished, _ := sc.c.step(sc.j)
+	finished, _, err := sc.c.step(context.Background(), sc.j)
+	if err != nil {
+		sc.t.Fatal(err)
+	}
 	return finished
 }
 
@@ -183,9 +186,9 @@ func (sc *simCluster) run(maxTicks int) time.Duration {
 	sc.t.Helper()
 	for !sc.tick() {
 		if sc.ticks >= maxTicks {
-			sc.c.mu.Lock()
+			sc.c.h.Lock()
 			merged, chunks := len(sc.j.merged), len(sc.j.shards)
-			sc.c.mu.Unlock()
+			sc.c.h.Unlock()
 			sc.t.Fatalf("job not done after %v of virtual time: %d/%d merged over %d chunks",
 				time.Duration(sc.ticks)*simTick, merged, len(sc.j.names), chunks)
 		}
@@ -195,10 +198,10 @@ func (sc *simCluster) run(maxTicks int) time.Duration {
 
 // chunks snapshots the job's chunk table.
 func (sc *simCluster) chunks() []ShardView {
-	v, err := sc.c.Get(sc.j.id)
-	if err != nil {
-		sc.t.Fatal(err)
-	}
+	v := JobView{ID: sc.j.id}
+	sc.c.h.Lock()
+	sc.c.Detail(&v)
+	sc.c.h.Unlock()
 	return v.Shards
 }
 
@@ -207,11 +210,9 @@ func (sc *simCluster) chunks() []ShardView {
 // names the runbooks grep for.
 func expositionCounter(t *testing.T, c *Coordinator, name string) int {
 	t.Helper()
-	var buf strings.Builder
-	if err := c.metrics.WriteTo(&buf, c.Stats()); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(buf.String(), "\n") {
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
 		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
 			n, err := strconv.Atoi(f[1])
 			if err != nil {
@@ -228,9 +229,11 @@ func expositionCounter(t *testing.T, c *Coordinator, name string) int {
 // exactly once.
 func (sc *simCluster) checkMergedLibrary() {
 	sc.t.Helper()
-	v, err := sc.c.Get(sc.j.id)
-	if err != nil || v.State != service.StateDone || v.Completed != len(sc.j.names) {
-		sc.t.Fatalf("job ended %s with %d/%d (%v)", v.State, v.Completed, len(sc.j.names), err)
+	sc.c.h.Lock()
+	merged := len(sc.j.merged)
+	sc.c.h.Unlock()
+	if merged != len(sc.j.names) {
+		sc.t.Fatalf("job ended with %d/%d merged", merged, len(sc.j.names))
 	}
 	if got := expositionCounter(sc.t, sc.c, "metascreen_dist_ligands_merged_total"); got != len(sc.j.names) {
 		sc.t.Errorf("ligands_merged_total = %d, want %d", got, len(sc.j.names))
@@ -246,8 +249,8 @@ func TestSmallScreenOneChunkPerWorker(t *testing.T) {
 	sc := startSim(t, clock, 4, startSimWorker(t, clock, time.Millisecond), startSimWorker(t, clock, time.Millisecond))
 	sc.run(100)
 	sc.checkMergedLibrary()
-	sc.c.mu.Lock()
-	defer sc.c.mu.Unlock()
+	sc.c.h.Lock()
+	defer sc.c.h.Unlock()
 	if len(sc.j.shards) != 2 || sc.j.shards[0].worker == sc.j.shards[1].worker {
 		t.Fatalf("4-ligand screen on 2 workers made %d chunks: %+v", len(sc.j.shards), sc.j.shards)
 	}
@@ -269,7 +272,7 @@ func TestSmallScreenOneChunkPerWorker(t *testing.T) {
 // once.
 func TestFactoringSizesShrinkToFloor(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 7} {
-		j := newJob("factoring", service.ScreenRequest{Library: 384}.Normalized(), "", time.Time{})
+		j := newJob("factoring", service.ScreenRequest{Library: 384}.Normalized(), nil, nil)
 		seen := map[string]bool{}
 		last := 1 << 30
 		for len(j.pool) > 0 {
@@ -409,7 +412,7 @@ func TestBackupGraceIsHeartbeatTimeout(t *testing.T) {
 	sc := startSim(t, clock, 4, fast, stalled)
 	for i := 0; i < 100; i++ {
 		sc.tick()
-		sc.c.mu.Lock()
+		sc.c.h.Lock()
 		var victim *shard
 		for _, sh := range sc.j.shards {
 			if sh.worker == stalled.srv.URL {
@@ -420,7 +423,7 @@ func TestBackupGraceIsHeartbeatTimeout(t *testing.T) {
 		if victim != nil && !victim.dispatched.IsZero() {
 			age = clock.now().Sub(victim.dispatched)
 		}
-		sc.c.mu.Unlock()
+		sc.c.h.Unlock()
 		if backedUp {
 			if age < simGrace || age > simGrace+2*simTick {
 				t.Fatalf("stalled chunk backed up at age %v, want the %v grace", age, simGrace)
@@ -474,13 +477,13 @@ func TestReshardMovesOnlyDeadNodesLigands(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		j := newJob("reshard", service.ScreenRequest{Library: 50 + rng.Intn(400)}.Normalized(), "", time.Time{})
-		c.mu.Lock()
+		j := newJob("reshard", service.ScreenRequest{Library: 50 + rng.Intn(400)}.Normalized(), nil, nil)
+		c.h.Lock()
 		c.assignLocked(j)
 		for _, sh := range j.shards {
 			for _, name := range sh.ligands {
 				if rng.Intn(3) == 0 {
-					j.merged[name] = exploreEntry(name)
+					j.merged[name] = exploreEntry(name).Record()
 				}
 			}
 		}
@@ -535,21 +538,22 @@ func TestReshardMovesOnlyDeadNodesLigands(t *testing.T) {
 				t.Fatalf("trial %d: pool not costliest first at %s, %s", trial, a, b)
 			}
 		}
-		c.mu.Unlock()
+		c.h.Unlock()
 	}
 }
 
-// TestSnapshotExposesWorkerMerged: /debug/snapshot bundles stats, the
-// per-worker merged counts and the job list in one GET — what an operator
-// (or the e2e straggler drill) reads to see who is slow.
+// TestSnapshotExposesWorkerMerged: /debug/snapshot, a node's snapshot
+// plus the runner's membership with per-worker merged counts, in one GET
+// — what an operator (or the e2e straggler drill) reads to see who is
+// slow.
 func TestSnapshotExposesWorkerMerged(t *testing.T) {
 	c := startCoordinator(t, Config{})
 	if _, err := c.Register("http://w:1"); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
+	c.h.Lock()
 	c.workers["http://w:1"].merged = 7
-	c.mu.Unlock()
+	c.h.Unlock()
 
 	api := httptest.NewServer(c.Handler())
 	defer api.Close()
@@ -561,12 +565,15 @@ func TestSnapshotExposesWorkerMerged(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/snapshot: status %d", resp.StatusCode)
 	}
-	var snap DebugSnapshot
+	var snap struct {
+		Stats   service.Stats `json:"stats"`
+		Workers []WorkerView  `json:"workers"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Stats.Workers != 1 {
-		t.Errorf("snapshot stats report %d workers, want 1", snap.Stats.Workers)
+	if snap.Stats.Workers != service.DefaultQueueDepth {
+		t.Errorf("snapshot stats report %d supervision slots, want the queue bound %d", snap.Stats.Workers, service.DefaultQueueDepth)
 	}
 	if len(snap.Workers) != 1 || snap.Workers[0].Merged != 7 {
 		t.Errorf("snapshot workers = %+v, want one with 7 ligands merged", snap.Workers)

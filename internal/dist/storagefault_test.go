@@ -33,7 +33,7 @@ func TestCoordinatorStorageFull(t *testing.T) {
 	sw.script(func(sw *scriptWorker) {
 		sw.partial = func(r *http.Request, sh scriptShard) service.PartialView {
 			pv := service.PartialView{ID: r.PathValue("id"), State: service.StateRunning, Total: len(sh.ligands)}
-			if strings.HasPrefix(sh.key, "dscreen-000001/") {
+			if strings.HasPrefix(sh.key, "job-000001/") {
 				return pv
 			}
 			pv.State, pv.Completed = service.StateDone, len(sh.ligands)
@@ -49,7 +49,7 @@ func TestCoordinatorStorageFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := fsim.New(plan, fsim.Config{Seed: 99})
-	c := startCoordinator(t, Config{DataDir: dir, FS: faulty, HeartbeatTimeout: time.Hour})
+	c := startCoordinator(t, Config{Service: service.Config{FS: faulty}, DataDir: dir, HeartbeatTimeout: time.Hour})
 	if _, err := c.Register(sw.srv.URL); err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestCoordinatorStorageFull(t *testing.T) {
 			t.Errorf("GET %s while degraded: %d, want 200", path, code)
 		}
 	}
-	if st := c.Stats().Storage; !st.Degraded || st.Reason != "disk_full" {
-		t.Errorf("Stats().Storage = %+v, want degraded with reason disk_full", st)
+	if st := c.Stats(); !st.StorageDegraded || st.StorageReason != "disk_full" {
+		t.Errorf("Stats() = %+v, want storage degraded with reason disk_full", st)
 	}
 	if _, _, body := do(http.MethodGet, "/debug/snapshot", ""); !strings.Contains(body, `"degraded": true`) {
 		t.Errorf("/debug/snapshot does not flag storage degradation: %s", body)
@@ -150,7 +150,7 @@ func TestCoordinatorStorageFull(t *testing.T) {
 		t.Fatalf("submit after FreeSpace: status %d (%s), want 202", code, body)
 	}
 	acked = append(acked, id)
-	if c.Stats().Storage.Degraded {
+	if c.Stats().StorageDegraded {
 		t.Error("coordinator still degraded after recovering")
 	}
 	if code, _, _ := do(http.MethodDelete, "/v1/screens/"+held, ""); code != http.StatusAccepted {

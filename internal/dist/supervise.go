@@ -1,66 +1,48 @@
 package dist
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
-	"github.com/metascreen/metascreen/internal/service"
+	"github.com/metascreen/metascreen/internal/core"
 	"github.com/metascreen/metascreen/internal/trace"
 )
 
-// The supervision loop. Each distributed job runs one supervisor
-// goroutine that repeats the same step — back to back while steps make
-// progress or spend a PollInterval in held polls, at most once per
-// PollInterval otherwise (superviseLocked):
+// The supervision step Run repeats for its screen:
 //
 //  1. reap workers whose heartbeat expired;
-//  2. under the lock — honour a pending cancel, return the unfinished
-//     ligands of chunks on dead or fenced workers to the pool, and let
-//     every alive worker pull chunks (pool.go);
-//  3. off the lock — cancel fenced zombie jobs (best effort), dispatch
-//     undispatched chunks and long-poll dispatched ones for the entries
-//     past their cursors (each worker holds the poll until its chunk is
-//     complete or PollInterval passed), all concurrently so one slow or
-//     blackholed worker never delays the others past its own request
-//     timeout; a poll that completes its chunk merges it (journaled) and
-//     at once pulls and dispatches the worker's next chunk;
-//  4. under the lock — finish the job when every target ligand has
-//     merged.
+//  2. under the lock — return the unfinished ligands of chunks on dead or
+//     fenced workers to the pool, and let every alive worker pull chunks
+//     (pool.go);
+//  3. off the lock, concurrently so one blackholed worker delays no other
+//     — cancel fenced zombie jobs, dispatch new chunks and long-poll
+//     dispatched ones for the entries past their cursors; a poll that
+//     completes its chunk merges it and at once pulls the worker's next;
+//  4. under the lock — report the screen done once every ligand merged.
 //
-// All HTTP happens between the two locked sections, so a slow worker
-// never stalls the coordinator's API; the locked re-checks — including
-// the epoch fence — make the HTTP results safe to apply even if the
-// worker died, revived or lost a backup race in the meantime.
+// No HTTP runs under the lock, so a slow worker never stalls the API; the
+// locked re-checks, the epoch fence among them, make a response safe to
+// apply even if its worker died, revived or lost a backup race meanwhile.
 
 // remoteRef names a worker-side job for cancellation fan-out.
 type remoteRef struct{ worker, remote string }
 
-// step runs one supervision round. finished means the job reached a
-// terminal state and the supervisor should exit; progressed means a
-// dispatch was acknowledged or a chunk completed, so the next step has
-// something to do right away. An attempted dispatch is not progress: a
-// worker that refuses them must not be asked in a loop.
-func (c *Coordinator) step(j *job) (finished, progressed bool) {
+// step runs one supervision round: done once every ligand merged, err for
+// a chunk that ended without its ligands, progressed when a dispatch was
+// acknowledged or a chunk completed (a refused dispatch is no progress).
+func (c *Coordinator) step(ctx context.Context, j *job) (done, progressed bool, err error) {
 	c.reapWorkers()
 
-	c.mu.Lock()
-	if j.state.Terminal() {
-		c.mu.Unlock()
-		return true, false
-	}
-	if j.cancelRequested {
-		refs := append(j.remoteRefsLocked(), c.fenced...)
-		c.fenced = nil
-		c.finishLocked(j, service.StateCancelled, "cancelled by client")
-		c.mu.Unlock()
-		c.cancelRemotes(refs)
-		return true, false
-	}
+	c.h.Lock()
 	c.reclaimLocked(j)
 	c.assignLocked(j)
 	var dispatches, polls []*shard
@@ -75,31 +57,21 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 			polls = append(polls, sh)
 		}
 	}
-	fenced := c.fenced
-	c.fenced = nil
-	c.mu.Unlock()
-
-	if len(fenced) > 0 {
-		// Zombie worker-side jobs: the worker revived under a new epoch
-		// while its old job kept running. Cancel them so revenants stop
-		// burning device time on ligands handed out again.
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.cancelRemotes(fenced)
-		}()
-	}
+	// Zombie worker-side jobs: the worker revived under a new epoch while
+	// its old job kept running. Cancel them so revenants stop burning
+	// device time on ligands handed out again.
+	c.cancelLater(c.takeFencedLocked())
+	c.h.Unlock()
 
 	// Dispatches and polls run concurrently: each request is bounded by
 	// the client's timeout × attempts, and no chunk waits behind another
 	// chunk's blackholed worker.
 	var wg sync.WaitGroup
 	var failMu sync.Mutex
-	var failMsg string
-	var failed bool
+	var failed error
 	var advanced atomic.Bool
 	dispatch := func(sh *shard) {
-		if c.dispatch(j, sh) {
+		if c.dispatch(ctx, j, sh) {
 			advanced.Store(true)
 		}
 	}
@@ -114,22 +86,20 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			if msg, fatal := c.poll(j, sh); fatal {
+			if err := c.poll(ctx, j, sh); err != nil {
 				failMu.Lock()
-				if !failed {
-					failed, failMsg = true, msg
-				}
+				failed = cmp.Or(failed, err)
 				failMu.Unlock()
 				return
 			}
 			// The poll that completed a chunk is its worker's request for
 			// the next one, dispatched now rather than next step.
 			var next []*shard
-			c.mu.Lock()
-			if sh.done {
+			c.h.Lock()
+			if sh.done && ctx.Err() == nil {
 				next = c.refillLocked(j, sh.worker)
 			}
-			c.mu.Unlock()
+			c.h.Unlock()
 			for _, n := range next {
 				dispatch(n)
 			}
@@ -137,34 +107,17 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 	}
 	wg.Wait()
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j.state.Terminal() {
-		return true, false
-	}
-	if failed {
-		refs := append(j.remoteRefsLocked(), c.fenced...)
-		c.fenced = nil
-		c.finishLocked(j, service.StateFailed, failMsg)
-		c.mu.Unlock()
-		c.cancelRemotes(refs)
-		c.mu.Lock()
-		return true, false
+	c.h.Lock()
+	defer c.h.Unlock()
+	if failed != nil {
+		c.cancelLater(append(j.remoteRefsLocked(), c.takeFencedLocked()...))
+		return false, false, failed
 	}
 	if len(j.merged) == len(j.names) {
-		c.finishLocked(j, service.StateDone, "")
 		// A backup race resolved by this very step's merge leaves its loser
-		// on the fenced queue — and no later step to drain it. Cancel now,
-		// off the lock, so the slow worker stops burning device time.
-		if fenced := c.fenced; len(fenced) > 0 {
-			c.fenced = nil
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				c.cancelRemotes(fenced)
-			}()
-		}
-		return true, false
+		// on the fenced queue — and no later step to drain it.
+		c.cancelLater(c.takeFencedLocked())
+		return true, false, nil
 	}
 	progressed = advanced.Load()
 	for _, sh := range polls {
@@ -172,15 +125,20 @@ func (c *Coordinator) step(j *job) (finished, progressed bool) {
 			progressed = true
 		}
 	}
-	return false, progressed
+	return false, progressed, nil
 }
 
-// epochValidLocked reports whether a chunk's owner is alive in the same
-// registration epoch the chunk was assigned under. A worker that was
-// declared dead and re-registered carries a newer epoch, so its old
-// chunks fail this fence even though the URL is reachable again — the
-// stale revenant's results are rejected and its ligands go back to the
-// pool, never double-merged. Caller holds c.mu.
+// takeFencedLocked empties the fenced queue. Caller holds the service
+// mutex.
+func (c *Coordinator) takeFencedLocked() []remoteRef {
+	refs := c.fenced
+	c.fenced = nil
+	return refs
+}
+
+// epochValidLocked reports whether a chunk's owner is alive in the epoch
+// the chunk was assigned under: a revived worker's old chunks fail this
+// fence, so their stale results never merge. Caller holds the mutex.
 func (c *Coordinator) epochValidLocked(sh *shard) bool {
 	w := c.workers[sh.worker]
 	return w != nil && w.alive && w.epoch == sh.epoch
@@ -190,9 +148,9 @@ func (c *Coordinator) epochValidLocked(sh *shard) bool {
 // timeout dead. Run by every supervisor step — membership is shared, so
 // whichever job steps first does the reaping for all of them.
 func (c *Coordinator) reapWorkers() {
-	now := c.cfg.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	now := c.h.Now()
+	c.h.Lock()
+	defer c.h.Unlock()
 	for _, w := range c.workers {
 		if w.alive && now.Sub(w.lastBeat) > c.cfg.HeartbeatTimeout {
 			c.markWorkerDeadLocked(w.url, "heartbeat timeout")
@@ -202,7 +160,7 @@ func (c *Coordinator) reapWorkers() {
 
 // markWorkerDeadLocked flips a worker to dead (idempotent). The actual
 // ligand movement happens in each job's next reclaimLocked pass. Caller
-// holds c.mu.
+// holds the service mutex.
 func (c *Coordinator) markWorkerDeadLocked(url, reason string) {
 	w := c.workers[url]
 	if w == nil || !w.alive {
@@ -210,13 +168,14 @@ func (c *Coordinator) markWorkerDeadLocked(url, reason string) {
 	}
 	w.alive = false
 	c.metrics.workerDeaths.Inc()
-	c.journal.Append(event{Type: evWorker, Worker: url})
+	c.countMembersLocked()
+	c.h.AppendLocked(event{Type: evWorker, Worker: url})
 	c.log.Warn("worker declared dead", "worker", url, "reason", reason)
 }
 
 // reclaimLocked returns the unmerged ligands of every live chunk whose
 // worker died, or revived under a newer epoch, to the pool; merged
-// ligands stay merged. Caller holds c.mu.
+// ligands stay merged. Caller holds the service mutex.
 func (c *Coordinator) reclaimLocked(j *job) {
 	for _, sh := range j.shards {
 		if sh.done || sh.moved || c.epochValidLocked(sh) {
@@ -270,7 +229,7 @@ func (c *Coordinator) reclaimLocked(j *job) {
 }
 
 // aliveWorkersLocked returns alive workers sorted by URL, the order they
-// pull chunks in. Caller holds c.mu.
+// pull chunks in. Caller holds the service mutex.
 func (c *Coordinator) aliveWorkersLocked() []*worker {
 	urls := make([]string, 0, len(c.workers))
 	for u, w := range c.workers {
@@ -291,15 +250,15 @@ func (c *Coordinator) aliveWorkersLocked() []*worker {
 // (after a coordinator restart or a lost response) maps onto the
 // worker's existing job. It reports whether the worker acknowledged the
 // chunk.
-func (c *Coordinator) dispatch(j *job, sh *shard) bool {
+func (c *Coordinator) dispatch(ctx context.Context, j *job, sh *shard) bool {
 	req := j.req
 	req.Ligands = sh.ligands
 	start := j.rec.Now()
-	view, err := c.cl.submit(c.reqCtx, sh.worker, req, j.id+"/"+sh.id, sh.epoch)
-	now := c.cfg.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh.moved || j.state.Terminal() || !c.epochValidLocked(sh) || c.reqCtx.Err() != nil {
+	view, err := c.cl.submit(ctx, sh.worker, req, j.id+"/"+sh.id, sh.epoch)
+	now := c.h.Now()
+	c.h.Lock()
+	defer c.h.Unlock()
+	if sh.moved || !c.epochValidLocked(sh) || ctx.Err() != nil {
 		return false
 	}
 	if err != nil {
@@ -332,43 +291,44 @@ func (c *Coordinator) dispatch(j *job, sh *shard) bool {
 
 // poll long-polls one chunk's worker for the entries past the chunk's
 // cursor and merges what's new, crediting the worker with the ligands it
-// delivered first. It returns fatal=true with a message when the
-// worker-side job reached a terminal state that cannot produce the
-// chunk's ligands (failed, shed, or cancelled out from under us) — a
-// deterministic failure re-running elsewhere would only repeat.
-func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
-	pv, err := c.cl.partial(c.reqCtx, sh.worker, sh.remote, sh.epoch, sh.cursor, c.pollWait())
+// delivered first. It returns an error when the worker-side job reached a
+// terminal state that cannot produce the chunk's ligands (failed, shed,
+// or cancelled out from under us) — a deterministic failure re-running
+// elsewhere would only repeat.
+func (c *Coordinator) poll(ctx context.Context, j *job, sh *shard) error {
+	pv, err := c.cl.partial(ctx, sh.worker, sh.remote, sh.epoch, sh.cursor, c.pollWait())
 	if err != nil {
-		if c.reqCtx.Err() != nil {
-			// Shutdown aborted the held poll: that says nothing about the
-			// worker, so it must not count toward its death threshold.
-			return "", false
+		if ctx.Err() != nil {
+			// A cancel or Shutdown aborted the held poll: that says nothing
+			// about the worker, so it must not count toward its death
+			// threshold.
+			return nil
 		}
 		var ae *apiError
 		if errors.As(err, &ae) && ae.status == http.StatusNotFound {
 			// The worker restarted without durability and forgot the job.
 			// Clearing remote re-dispatches under the same key next step.
-			c.mu.Lock()
+			c.h.Lock()
 			sh.remote = ""
-			c.mu.Unlock()
+			c.h.Unlock()
 			c.log.Warn("worker lost shard job; re-dispatching",
 				"job", j.id, "shard", sh.id, "worker", sh.worker)
-			return "", false
+			return nil
 		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
+		c.h.Lock()
+		defer c.h.Unlock()
 		c.metrics.pollErrors.Inc()
 		sh.errs++
 		if sh.errs >= c.cfg.FailThreshold {
 			c.markWorkerDeadLocked(sh.worker, "poll failures")
 		}
-		return "", false
+		return nil
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh.moved || j.state.Terminal() {
-		return "", false
+	c.h.Lock()
+	defer c.h.Unlock()
+	if sh.moved || ctx.Err() != nil {
+		return nil
 	}
 	if !c.epochValidLocked(sh) {
 		// The response is from a shard whose owner died or revived under a
@@ -379,29 +339,27 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 		c.metrics.staleRejected.Inc()
 		c.log.Warn("rejecting stale partial from fenced shard",
 			"job", j.id, "shard", sh.id, "worker", sh.worker, "shardEpoch", sh.epoch)
-		return "", false
+		return nil
 	}
 	sh.errs = 0
 	sh.cursor = pv.Cursor
 	w := c.workers[sh.worker]
-	w.lastBeat = c.cfg.now()
+	w.lastBeat = c.h.Now()
 
-	var fresh []service.PartialEntry
+	var fresh []core.LigandRecord
 	for _, e := range pv.Entries {
 		if _, ok := j.atoms[e.Ligand]; !ok {
 			continue
 		}
-		if _, ok := j.merged[e.Ligand]; ok {
+		if _, ok := j.merged[e.Ligand]; ok || slices.ContainsFunc(fresh, func(r core.LigandRecord) bool { return r.Name == e.Ligand }) {
 			continue
 		}
-		e.Rank = 0 // per-shard rank is meaningless after the merge
-		j.merged[e.Ligand] = e
-		fresh = append(fresh, e)
+		fresh = append(fresh, e.Record())
 	}
 	if len(fresh) > 0 {
 		w.merged += int64(len(fresh))
 		c.metrics.merged.Add(int64(len(fresh)))
-		c.journal.Append(event{Type: evEntries, Job: j.id, Entries: fresh})
+		c.mergeLocked(j, fresh)
 	}
 
 	completed := 0
@@ -436,7 +394,7 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 			},
 		})
 		c.resolveHedgeLocked(j, sh)
-		return "", false
+		return nil
 	}
 	if pv.State.Terminal() {
 		if partner := j.livePartnerLocked(sh); partner != nil {
@@ -445,42 +403,30 @@ func (c *Coordinator) poll(j *job, sh *shard) (msg string, fatal bool) {
 			// and let the race finish instead of failing the whole job.
 			sh.moved = true
 			partner.hedgeOf, partner.hedgedBy = "", ""
-			c.journal.Append(event{Type: evMoved, Job: j.id, Shard: sh.id})
+			c.h.AppendLocked(event{Type: evMoved, Job: j.id, Shard: sh.id})
 			c.log.Warn("backup leg ended terminally; twin carries on",
 				"job", j.id, "shard", sh.id, "state", pv.State, "twin", partner.id)
-			return "", false
+			return nil
 		}
 		// The worker-side job ended without producing every assigned
 		// ligand: a real failure (bad run, shed deadline, external
 		// cancel), not a liveness problem. Retrying the same request on
 		// another node would deterministically repeat it.
-		return fmt.Sprintf("dist: chunk %s on %s ended %s with %d/%d ligands",
-			sh.id, sh.worker, pv.State, completed, len(sh.ligands)), true
+		return fmt.Errorf("dist: chunk %s on %s ended %s with %d/%d ligands",
+			sh.id, sh.worker, pv.State, completed, len(sh.ligands))
 	}
-	return "", false
+	return nil
 }
 
-// finishLocked moves a job to a terminal state, freezes its view (the
-// journal's round-trip snapshot) and closes its trace. Caller holds c.mu.
-func (c *Coordinator) finishLocked(j *job, state service.JobState, errMsg string) {
-	j.state = state
-	j.errMsg = errMsg
-	j.finished = c.cfg.now()
-	v := c.viewLocked(j)
-	j.final = &v
-	c.metrics.finished.With(string(state)).Inc()
-	c.journal.Append(event{Type: evTerminal, Job: j.id, View: &v})
-	j.rec.AddSpan(trace.Span{
-		Track: "job", Name: j.id, Cat: trace.CatJob,
-		Start: 0, End: j.rec.Now(),
-		Args: map[string]string{"state": string(state), "resplits": strconv.Itoa(j.resplits)},
-	})
-	c.log.Info("distributed screen finished",
-		"job", j.id, "state", state, "ligands", len(j.merged), "resplits", j.resplits, "err", errMsg)
+// pollWait is how long a worker is asked to hold a chunk poll:
+// PollInterval, kept well inside RequestTimeout so a held poll is never
+// mistaken for a blackholed worker.
+func (c *Coordinator) pollWait() time.Duration {
+	return min(c.cfg.PollInterval, c.cfg.RequestTimeout/2)
 }
 
 // remoteRefsLocked lists the job's dispatched, unfinished worker-side
-// jobs. Caller holds c.mu.
+// jobs. Caller holds the service mutex.
 func (j *job) remoteRefsLocked() []remoteRef {
 	var refs []remoteRef
 	for _, sh := range j.shards {
@@ -491,12 +437,19 @@ func (j *job) remoteRefsLocked() []remoteRef {
 	return refs
 }
 
-// cancelRemotes best-effort cancels worker-side jobs (no lock held).
-// Runs under reqCtx so Shutdown can abort in-flight cancels.
-func (c *Coordinator) cancelRemotes(refs []remoteRef) {
-	for _, r := range refs {
-		if err := c.cl.cancel(c.reqCtx, r.worker, r.remote); err != nil {
-			c.log.Warn("remote cancel failed", "worker", r.worker, "remote", r.remote, "err", err)
-		}
+// cancelLater best-effort cancels worker-side jobs in the background,
+// under the coordinator's lifetime so Shutdown ends them.
+func (c *Coordinator) cancelLater(refs []remoteRef) {
+	if len(refs) == 0 {
+		return
 	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		for _, r := range refs {
+			if err := c.cl.cancel(c.reqCtx, r.worker, r.remote); err != nil {
+				c.log.Warn("remote cancel failed", "worker", r.worker, "remote", r.remote, "err", err)
+			}
+		}
+	}()
 }

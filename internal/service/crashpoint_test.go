@@ -23,7 +23,8 @@ import (
 //   - no acknowledged job is lost: every submission that returned nil
 //     error in the crashed run exists after recovery;
 //   - no terminal regression: after the recovered service drains, every
-//     acknowledged job is done (never failed, shed or vanished);
+//     acknowledged job is done (never failed, shed or vanished), except
+//     the one whose cancel was acknowledged, which is cancelled;
 //   - resumed rankings are byte-identical to the uninterrupted run's.
 
 // explorerSeed keys every fsim in the explorer; the decision log (and
@@ -58,20 +59,50 @@ func rankingBytes(t *testing.T, v JobView) []byte {
 	return b
 }
 
+// explorerCancelKey is the workload's last screen, cancelled from its
+// first journaled checkpoint record.
+const explorerCancelKey = "explore-cancel"
+
+// explorerOutcome is what one run of the workload was acknowledged.
+type explorerOutcome struct {
+	acked       map[string]string // idempotency key -> job ID
+	cancelAcked bool              // the cancel step got its 202
+	cancelMark  uint64            // mutating ops done before the cancel
+}
+
 // runExplorerWorkload submits the workload sequentially against s,
 // waiting for each acknowledged job to reach a terminal state before the
-// next submission. It returns the acknowledged job IDs by idempotency
-// key. Submissions shed after a simulated crash are not acknowledged and
-// not returned.
-func runExplorerWorkload(s *Service) map[string]string {
-	acked := make(map[string]string)
-	for i, req := range explorerRequests() {
+// next submission, then a last screen that a cancel ends after its first
+// checkpoint record. Submissions shed after a simulated crash are not
+// acknowledged and not returned; neither is a refused cancel. ops reads
+// the filesystem's mutating-op counter.
+func runExplorerWorkload(s *Service, ops func() uint64) explorerOutcome {
+	out := explorerOutcome{acked: make(map[string]string)}
+	reqs := explorerRequests()
+	cancelReq := recoveryRequest
+	cancelReq.Seed = 99
+	s.mu.Lock()
+	s.checkpointHook = func(id string, newly int) {
+		s.mu.Lock()
+		last := s.jobs[id].req.Seed == cancelReq.Seed
+		s.mu.Unlock()
+		if last && newly == 1 {
+			out.cancelMark = ops()
+			_, err := s.Cancel(id)
+			out.cancelAcked = err == nil
+		}
+	}
+	s.mu.Unlock()
+	for i, req := range append(reqs, cancelReq) {
 		key := fmt.Sprintf("explore-%d", i)
+		if i == len(reqs) {
+			key = explorerCancelKey
+		}
 		v, _, err := s.SubmitIdem(req, key)
 		if err != nil {
 			continue
 		}
-		acked[key] = v.ID
+		out.acked[key] = v.ID
 		deadline := time.Now().Add(20 * time.Second)
 		for time.Now().Before(deadline) {
 			got, gerr := s.Get(v.ID)
@@ -81,7 +112,7 @@ func runExplorerWorkload(s *Service) map[string]string {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	return acked
+	return out
 }
 
 func TestCrashPointExplorer(t *testing.T) {
@@ -95,13 +126,19 @@ func TestCrashPointExplorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acked := runExplorerWorkload(s)
-	if want := len(explorerRequests()); len(acked) != want {
-		t.Fatalf("clean run acknowledged %d jobs, want %d", len(acked), want)
+	clean := runExplorerWorkload(s, recorder.MutatingOps)
+	if want := len(explorerRequests()) + 1; len(clean.acked) != want || !clean.cancelAcked {
+		t.Fatalf("clean run acknowledged %d jobs (cancel %v), want %d and the cancel", len(clean.acked), clean.cancelAcked, want)
 	}
 	reference := make(map[string][]byte) // idempotency key -> ranking bytes
-	for key, id := range acked {
+	for key, id := range clean.acked {
 		v, err := s.Get(id)
+		if key == explorerCancelKey {
+			if err != nil || v.State != StateCancelled {
+				t.Fatalf("clean run's cancelled job %s: %+v (%v)", id, v, err)
+			}
+			continue
+		}
 		if err != nil || v.State != StateDone {
 			t.Fatalf("clean run job %s: %+v (%v)", id, v, err)
 		}
@@ -117,6 +154,10 @@ func TestCrashPointExplorer(t *testing.T) {
 	if total < 100 {
 		t.Fatalf("workload performs %d mutating ops; explorer needs >= 100 crash points", total)
 	}
+	// A regression case: a power loss at the fsync of the cancel's record
+	// must not leave a 202 behind that recovery forgets.
+	t.Run("unjournaled_cancel", func(t *testing.T) { exploreNodeCrash(t, int(clean.cancelMark)+2, reference) })
+
 	// Bound the sweep so the test stays proportionate: every point in
 	// -short mode would be excessive, every point above ~400 likewise.
 	stride := 1
@@ -126,67 +167,71 @@ func TestCrashPointExplorer(t *testing.T) {
 		stride = total / 400
 	}
 	t.Logf("exploring %d crash points (of %d mutating ops, stride %d)", (total+stride-1)/stride, total, stride)
-
-	explored := 0
 	for k := 1; k <= total; k += stride {
-		explored++
-		k := k
-		t.Run(fmt.Sprintf("op%03d", k), func(t *testing.T) {
-			dir := t.TempDir()
-
-			// Crashed run: identical workload, identical seed, power loss
-			// at mutating op k. Every filesystem mutation after the crash
-			// point fails, so the disk image is frozen mid-operation.
-			plan, err := fsim.ParsePlan(fmt.Sprintf("*:crash@op%d", k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			faulty := fsim.New(plan, fsim.Config{Seed: explorerSeed})
-			cfg := durableConfig(dir)
-			cfg.FS = faulty
-			var acked map[string]string
-			cs, err := New(cfg)
-			if err == nil {
-				acked = runExplorerWorkload(cs)
-				cs.crashForTest()
-			}
-			// A New that failed crashed during boot: nothing acknowledged.
-
-			// Recovery: a fresh Server over the frozen dir with a healthy
-			// disk must boot (quarantining damage, never failing) and
-			// finish every acknowledged job with the reference ranking.
-			rs, err := New(durableConfig(dir))
-			if err != nil {
-				t.Fatalf("recovery boot failed after crash at op %d: %v", k, err)
-			}
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				rs.Shutdown(ctx)
-			}()
-			for key, id := range acked {
-				if _, err := rs.Get(id); err != nil {
-					t.Fatalf("acknowledged job %s (%s) lost after crash at op %d: %v", id, key, k, err)
-				}
-			}
-			for key, id := range acked {
-				key, id := key, id
-				waitFor(t, func() bool {
-					v, err := rs.Get(id)
-					return err == nil && v.State.Terminal()
-				})
-				v, err := rs.Get(id)
-				if err != nil || v.State != StateDone {
-					t.Fatalf("job %s (%s) recovered into state %q (%v), want done", id, key, v.State, err)
-				}
-				if got := rankingBytes(t, v); string(got) != string(reference[key]) {
-					t.Fatalf("job %s (%s) ranking diverged after crash at op %d:\n got %s\nwant %s",
-						id, key, k, got, reference[key])
-				}
-			}
-		})
+		t.Run(fmt.Sprintf("op%03d", k), func(t *testing.T) { exploreNodeCrash(t, k, reference) })
 	}
-	t.Logf("explored %d crash points, all invariants held", explored)
+}
+
+// exploreNodeCrash runs the workload with a power loss at mutating op k,
+// recovers the frozen dir into a fresh Service and checks the invariants.
+func exploreNodeCrash(t *testing.T, k int, reference map[string][]byte) {
+	dir := t.TempDir()
+
+	// Crashed run: identical workload, identical seed, power loss at
+	// mutating op k. Every filesystem mutation after the crash point
+	// fails, so the disk image is frozen mid-operation.
+	plan, err := fsim.ParsePlan(fmt.Sprintf("*:crash@op%d", k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := fsim.New(plan, fsim.Config{Seed: explorerSeed})
+	cfg := durableConfig(dir)
+	cfg.FS = faulty
+	var out explorerOutcome
+	cs, err := New(cfg)
+	if err == nil {
+		out = runExplorerWorkload(cs, faulty.MutatingOps)
+		cs.crashForTest()
+	}
+	// A New that failed crashed during boot: nothing acknowledged.
+
+	// Recovery: a fresh Service over the frozen dir with a healthy disk
+	// must boot (quarantining damage, never failing) and finish every
+	// acknowledged job: done with the reference ranking, or cancelled if
+	// (and only if) its cancel was acknowledged.
+	rs, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("recovery boot failed after crash at op %d: %v", k, err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		rs.Shutdown(ctx)
+	}()
+	for key, id := range out.acked {
+		if _, err := rs.Get(id); err != nil {
+			t.Fatalf("acknowledged job %s (%s) lost after crash at op %d: %v", id, key, k, err)
+		}
+	}
+	for key, id := range out.acked {
+		waitFor(t, func() bool {
+			v, err := rs.Get(id)
+			return err == nil && v.State.Terminal()
+		})
+		v, err := rs.Get(id)
+		want := StateDone
+		if key == explorerCancelKey && out.cancelAcked {
+			want = StateCancelled
+		}
+		if err != nil || v.State != want {
+			t.Fatalf("job %s (%s) recovered into state %q (%v), want %s", id, key, v.State, err, want)
+		}
+		if ref, ok := reference[key]; ok {
+			if got := rankingBytes(t, v); string(got) != string(ref) {
+				t.Fatalf("job %s (%s) ranking diverged after crash at op %d:\n got %s\nwant %s", id, key, k, got, ref)
+			}
+		}
+	}
 }
 
 // TestExplorerWorkloadDeterministic guards the explorer's foundation: two
@@ -203,7 +248,7 @@ func TestExplorerWorkloadDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := len(runExplorerWorkload(s)), len(explorerRequests()); got != want {
+		if got, want := len(runExplorerWorkload(s, rec.MutatingOps).acked), len(explorerRequests())+1; got != want {
 			t.Fatalf("acknowledged %d jobs, want %d", got, want)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -12,24 +12,16 @@ import (
 	"github.com/metascreen/metascreen/internal/wal"
 )
 
-// The debug surface: profiling and operational introspection, served on a
-// separate listener (vsserved -debug-addr) so it is never exposed on the
-// public API port.
-//
-//	/debug/pprof/...   net/http/pprof profiles (heap, goroutine, CPU, ...)
-//	/debug/vars        expvar JSON (memstats, cmdline)
-//	/debug/snapshot    point-in-time service snapshot: queue depth, busy
-//	                   workers, per-device busy seconds aggregated over all
-//	                   job traces, and the latest warm-up Percent factors
+// The debug surface, on its own listener (vsserved -debug-addr):
+// /debug/pprof/..., /debug/vars (expvar) and /debug/snapshot — stats,
+// per-device busy seconds over all job traces, the latest warm-up factors
+// and the runner's part (a coordinator's workers); the snapshot is also on
+// the API port.
 
-// DebugHandler returns the node's debug mux.
-func (s *Service) DebugHandler() http.Handler { return DebugMux(s.handleDebugSnapshot) }
-
-// DebugMux builds the debug surface around one role's /debug/snapshot
-// handler (the coordinator mounts its own). Mount it on its own listener;
-// the pprof endpoints can stall a request for seconds (CPU profiles) and
-// must not share the API's connection budget.
-func DebugMux(snapshot http.HandlerFunc) http.Handler {
+// DebugHandler returns the debug mux. Mount it on its own listener; the
+// pprof endpoints can stall a request for seconds (CPU profiles) and must
+// not share the API's connection budget.
+func (s *Service) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -37,7 +29,7 @@ func DebugMux(snapshot http.HandlerFunc) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/snapshot", snapshot)
+	mux.HandleFunc("/debug/snapshot", s.handleDebugSnapshot)
 	return mux
 }
 
@@ -66,12 +58,10 @@ type DebugSnapshot struct {
 	// Shed counts overload rejections and culls by reason.
 	Shed map[string]int64 `json:"shed,omitempty"`
 	// Storage reports the durability layer's degraded-mode state.
-	Storage StorageStatus `json:"storage"`
+	Storage wal.Status `json:"storage"`
+	// Workers is a distributed runner's membership.
+	Workers any `json:"workers,omitempty"`
 }
-
-// StorageStatus is the /debug/snapshot view of storage-degraded mode, the
-// same on both roles.
-type StorageStatus = wal.Status
 
 // Snapshot builds the debug snapshot.
 func (s *Service) DebugSnapshot() DebugSnapshot {
@@ -87,6 +77,8 @@ func (s *Service) DebugSnapshot() DebugSnapshot {
 	started := s.started
 	jobs := len(s.jobs)
 	storage := s.journal.Status()
+	var snap DebugSnapshot
+	s.runner.Debug(&snap)
 	s.mu.Unlock()
 
 	busy := map[string]float64{}
@@ -95,16 +87,14 @@ func (s *Service) DebugSnapshot() DebugSnapshot {
 			busy[track] += b
 		}
 	}
-	snap := DebugSnapshot{
-		Stats:         st,
-		Jobs:          jobs,
-		Goroutines:    runtime.NumGoroutine(),
-		UptimeSeconds: s.now().Sub(started).Seconds(),
-		WarmupFactors: warm,
-		Admission:     s.ctrl.Snapshot(),
-		Shed:          s.metrics.ShedCounts(),
-		Storage:       storage,
-	}
+	snap.Stats = st
+	snap.Jobs = jobs
+	snap.Goroutines = runtime.NumGoroutine()
+	snap.UptimeSeconds = s.now().Sub(started).Seconds()
+	snap.WarmupFactors = warm
+	snap.Admission = s.ctrl.Snapshot()
+	snap.Shed = s.metrics.ShedCounts()
+	snap.Storage = storage
 	for track, b := range busy {
 		snap.DeviceBusy = append(snap.DeviceBusy, DeviceBusy{Track: track, BusySeconds: b})
 	}

@@ -23,7 +23,7 @@ func transientError() error {
 
 // flakyRunner fails with a transient error for the first failures calls,
 // then succeeds.
-func flakyRunner(failures int64) (runnerFunc, *atomic.Int64) {
+func flakyRunner(failures int64) (RunFunc, *atomic.Int64) {
 	var calls atomic.Int64
 	run := func(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
 		if calls.Add(1) <= failures {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -35,15 +36,6 @@ func (s JobState) Terminal() bool {
 
 // TerminalStates lists every terminal state in exposition order.
 var TerminalStates = []JobState{StateDone, StateFailed, StateCancelled, StateShed}
-
-// TerminalStateNames is TerminalStates as `state` label values.
-func TerminalStateNames() []string {
-	names := make([]string, len(TerminalStates))
-	for i, st := range TerminalStates {
-		names[i] = string(st)
-	}
-	return names
-}
 
 // ScreenRequest describes one screening job: which benchmark receptor,
 // how large a synthetic ligand library, which metaheuristic, and which
@@ -93,12 +85,9 @@ type ScreenRequest struct {
 	// cudasim.ParseFaultPlans. Chaos drills and the breaker e2e use it.
 	Faults string `json:"faults,omitempty"`
 	// Ligands restricts the screen to the named ligands of the synthetic
-	// library — a shard of the full Library. Empty screens everything.
-	// Per-ligand seed lanes are keyed by ligand name, so a shard's
-	// per-ligand results are byte-identical to the same ligands screened
-	// as part of the full library; the distributed coordinator relies on
-	// this to split one screen across worker nodes and merge the partial
-	// rankings back deterministically.
+	// library — a coordinator's chunk; empty screens everything. Seed lanes
+	// are keyed by ligand name, so a chunk's results are byte-identical to
+	// the same ligands screened within the full library.
 	Ligands []string `json:"ligands,omitempty"`
 }
 
@@ -253,12 +242,12 @@ type Job struct {
 	finished  time.Time
 	err       string
 	result    *core.ScreenResult
-	cancel    func()      // non-nil exactly while running
-	attempts  int         // executions so far, retries included
-	lastErr   string      // most recent attempt error; kept on eventual success
-	idemKey   string      // client idempotency key, "" when none was sent
-	cpLigands int         // log[:cpLigands] is in the job's checkpoint records
-	restored  *ResultView // result replayed from the journal after a restart
+	cancel    context.CancelCauseFunc // non-nil exactly while running
+	attempts  int                     // executions so far, retries included
+	lastErr   string                  // most recent attempt error; kept on eventual success
+	idemKey   string                  // client idempotency key, "" when none was sent
+	cpLigands int                     // log[:cpLigands] is in the job's checkpoint records
+	restored  *ResultView             // result replayed from the journal after a restart
 
 	// Admission state.
 	class           admission.Class // parsed from req.Priority
@@ -270,27 +259,39 @@ type Job struct {
 	effectiveScale  float64         // req.Scale after degradation
 	cancelRequested bool            // a cancel was issued while running (journaled)
 
+	// A replayed terminal job's runner detail, served as journaled.
+	resplits int
+	shards   []ShardView
+
 	// rec is the job's span recorder, epoch-pinned to submission time;
 	// the whole screening stack appends to it (the recorder has its own
 	// locks, so it is deliberately outside the service-mutex contract).
 	// Nil only for jobs restored from the journal, until first export.
 	rec *trace.Recorder
 
-	// partial accumulates per-ligand results as the running screen
-	// completes them (fed from the checkpoint callback, and at boot from
-	// the journaled checkpoint records), keyed by ligand name. The
-	// /partial endpoint serves it so the distributed coordinator can
-	// stream a shard's ranking before the shard is done.
+	// partial holds the completed ligands by name: from the runner as they
+	// complete, and at boot from the checkpoint records. /partial serves it.
 	partial map[string]core.LigandRecord
-	// log names the partial set's ligands in completion order — the order
-	// a cursored /partial request pages through and checkpoint records are
-	// cut from. A restart rebuilds it from the records, without the
-	// ligands completed after the last one, which is why cursors carry the
+	// log names them in completion order, the order a cursored /partial
+	// pages through and checkpoint records are cut from. A restart
+	// rebuilds it from the records only, which is why cursors carry the
 	// service's incarnation.
 	log []string
 	// wake is closed once the job is settled; non-nil only while a held
 	// /partial request waits on it.
 	wake chan struct{}
+}
+
+// recorder returns the job's span recorder, building it for a job
+// restored from the journal, whose recorder died with the old process.
+func (j *Job) recorder() *trace.Recorder {
+	if j.rec == nil {
+		j.rec = &trace.Recorder{}
+		if !j.submitted.IsZero() {
+			j.rec.SetEpoch(j.submitted)
+		}
+	}
+	return j.rec
 }
 
 // addPartial folds newly completed ligand records, in completion order,
@@ -401,14 +402,11 @@ func (rv *ResultView) Paged(p Page) *ResultView {
 	return &cp
 }
 
-// JobView is a consistent snapshot of a job for JSON responses. Attempts
-// and LastError let clients distinguish a retried-then-succeeded job from
-// a clean one: a done job with attempts > 1 recovered from transient
-// failures, and LastError names the most recent one. CheckpointLigands
-// reports resume progress for a durable job (how many ligands its last
-// checkpoint snapshot holds); IdempotencyKey echoes the key the job was
-// admitted under. The view is also the journal's snapshot record, so every
-// field must round-trip through JSON.
+// JobView is a consistent snapshot of a job for JSON responses, and the
+// journal's snapshot record, so every field must round-trip through JSON.
+// A done job with Attempts > 1 recovered from transient failures, the
+// latest named by LastError; CheckpointLigands counts the ligands its
+// checkpoint records hold.
 type JobView struct {
 	ID                string        `json:"id"`
 	State             JobState      `json:"state"`
@@ -421,18 +419,38 @@ type JobView struct {
 	LastError         string        `json:"last_error,omitempty"`
 	IdempotencyKey    string        `json:"idempotency_key,omitempty"`
 	CheckpointLigands int           `json:"checkpoint_ligands,omitempty"`
+	// Completed and Total count the job's completed and requested ligands.
+	Completed int `json:"completed"`
+	Total     int `json:"total"`
 	// DeadlineAt is the absolute deadline a deadline_seconds request was
 	// admitted against.
 	DeadlineAt *time.Time `json:"deadline_at,omitempty"`
 	// Degraded, EffortFactor and EffectiveScale record graceful
 	// degradation: the job ran with its search budget multiplied by
-	// EffortFactor (so results are comparable only at EffectiveScale, not
-	// the requested scale). Recording it here keeps degradation honest —
-	// the service never silently changes what a ranking means.
-	Degraded       bool        `json:"degraded,omitempty"`
-	EffortFactor   float64     `json:"effort_factor,omitempty"`
-	EffectiveScale float64     `json:"effective_scale,omitempty"`
-	Result         *ResultView `json:"result,omitempty"`
+	// EffortFactor, so a ranking never silently changes meaning.
+	Degraded       bool    `json:"degraded,omitempty"`
+	EffortFactor   float64 `json:"effort_factor,omitempty"`
+	EffectiveScale float64 `json:"effective_scale,omitempty"`
+	// Resplits and Shards are a distributed runner's detail: how often a
+	// dead worker's ligands went back to the pool, and the job's chunks.
+	Resplits int         `json:"resplits,omitempty"`
+	Shards   []ShardView `json:"shards,omitempty"`
+	Result   *ResultView `json:"result,omitempty"`
+}
+
+// ShardView is one chunk of a distributed job: the ligands one worker was
+// handed, how many of them merged, and whether the chunk is done or was
+// fenced (moved). A backup names the chunk it backs in HedgeOf.
+type ShardView struct {
+	ID      string `json:"id"`
+	Worker  string `json:"worker"`
+	Epoch   uint64 `json:"epoch,omitempty"`
+	Ligands int    `json:"ligands"`
+	Merged  int    `json:"merged"`
+	Remote  string `json:"remote,omitempty"`
+	Done    bool   `json:"done,omitempty"`
+	Moved   bool   `json:"moved,omitempty"`
+	HedgeOf string `json:"hedge_of,omitempty"`
 }
 
 // resultView renders an engine result for the wire.
@@ -469,21 +487,16 @@ func (j *Job) view() JobView {
 		LastError:         j.lastErr,
 		IdempotencyKey:    j.idemKey,
 		CheckpointLigands: j.cpLigands,
+		Completed:         len(j.log),
+		Total:             j.total(),
 		Degraded:          j.degraded,
 		EffortFactor:      j.effortFactor,
 		EffectiveScale:    j.effectiveScale,
-	}
-	if !j.deadline.IsZero() {
-		t := j.deadline
-		v.DeadlineAt = &t
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.FinishedAt = &t
+		Resplits:          j.resplits,
+		Shards:            j.shards,
+		DeadlineAt:        timeOrNil(j.deadline),
+		StartedAt:         timeOrNil(j.started),
+		FinishedAt:        timeOrNil(j.finished),
 	}
 	switch {
 	case j.result != nil:
@@ -494,4 +507,20 @@ func (j *Job) view() JobView {
 		v.Result = j.restored
 	}
 	return v
+}
+
+// timeOrNil is t on the wire: absent when zero.
+func timeOrNil(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
+	}
+	return &t
+}
+
+// timeOf reverses timeOrNil.
+func timeOf(t *time.Time) time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return *t
 }

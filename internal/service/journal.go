@@ -1,32 +1,30 @@
 package service
 
-// The node's role table over the shared event log (wal.Log, which owns
-// append, compaction, replay and degraded mode): when Config.DataDir is
-// set, every job lifecycle transition is journaled before the response
-// leaves the service, and every CheckpointEvery completed ligands a
-// running screen journals a checkpoint record carrying the ligands it
-// completed since its previous one. On the next boot over the same data
-// dir the journal is replayed: the job table is rebuilt, terminal jobs
-// keep their results, and jobs that were queued or running at the crash
-// are re-enqueued — a re-run resumes from its checkpoint records,
-// re-docking only the ligands after the last one, with a final ranking
-// byte-identical to an uninterrupted run.
+// The job table over the shared event log (wal.Log owns append,
+// compaction, replay and degraded mode). With Config.DataDir set, every
+// lifecycle transition is journaled before the response leaves, and every
+// CheckpointEvery completed ligands a checkpoint record carries the ones
+// completed since the last. A boot over the same dir replays the journal
+// (<DataDir>/journal/seg-%08d.wal) into the job table: terminal jobs keep
+// their results, interrupted ones are re-enqueued and re-dock only the
+// ligands after their last checkpoint record, with an unchanged ranking.
+// An older binary's checkpoints/ directory is ignored: its jobs re-dock
+// from scratch.
 //
-// Layout under DataDir:
+// The runner's records (a coordinator's membership and chunk assignments)
+// share the log: replay hands every record to the runner too, and a
+// compaction appends the runner's snapshot. A coordinator journal from
+// before the shared job model replays as well: its "job", "entries",
+// "cancel" and "terminal" records fold into the job table.
 //
-//	journal/seg-%08d.wal   framed JSONL job events (see jobEvent)
-//
-// A data dir written by an older binary may also hold checkpoints/: those
-// per-job snapshot files are ignored, so its interrupted jobs re-dock from
-// scratch (with unchanged rankings).
-//
-// Event records are last-write-wins per job, which is what makes journal
-// compaction (full-snapshot records replacing history) crash-safe: a
-// replay of old events followed by a snapshot converges on the snapshot. A
-// snapshot or terminal view drops the job's checkpoint records, so
-// compaction writes a non-terminal job's records again after its snapshot.
+// Records are last-write-wins per job, which makes compaction crash-safe:
+// old events followed by a snapshot converge on the snapshot. A snapshot
+// or terminal view drops the job's checkpoint records, so compaction
+// writes a live job's records again after its snapshot.
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -61,6 +59,29 @@ type jobEvent struct {
 	Error   string              `json:"error,omitempty"`
 	Records []core.LigandRecord `json:"records,omitempty"`
 	View    *JobView            `json:"view,omitempty"`
+	// Entries are a coordinator's merged ligands, in an "entries" record.
+	Entries []PartialEntry `json:"entries,omitempty"`
+
+	// raw is the record as journaled: what a runner's record is written
+	// as, and what replay hands the runner.
+	raw json.RawMessage
+}
+
+func (ev jobEvent) MarshalJSON() ([]byte, error) {
+	if ev.raw != nil {
+		return ev.raw, nil
+	}
+	type plain jobEvent
+	return json.Marshal(plain(ev))
+}
+
+func (ev *jobEvent) UnmarshalJSON(b []byte) error {
+	type plain jobEvent
+	if err := json.Unmarshal(b, (*plain)(ev)); err != nil {
+		return err
+	}
+	ev.raw = append(json.RawMessage(nil), b...)
+	return nil
 }
 
 // RecoveryStats reports what a boot over an existing data dir recovered.
@@ -73,13 +94,11 @@ type RecoveryStats struct {
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 }
 
-// openJournal opens the journal, replays it into the job table, and
-// re-enqueues every job that was queued or running when the previous
-// process died. Called from New before the workers start, so no lock is
-// needed.
+// openJournal opens and replays the journal and re-enqueues every job
+// that was queued or running. Called from New before the workers start.
 func (s *Service) openJournal() error {
 	m := s.metrics
-	l, info, err := wal.OpenLog(filepath.Join(s.cfg.DataDir, "journal"), wal.LogConfig[jobEvent]{
+	l, info, err := wal.OpenLog(filepath.Join(s.cfg.DataDir, cmp.Or(s.cfg.Journal, "journal")), wal.LogConfig[jobEvent]{
 		Options: wal.Options{
 			Policy:       s.cfg.Fsync,
 			SyncInterval: s.cfg.FsyncInterval,
@@ -132,7 +151,7 @@ func (s *Service) openJournal() error {
 			job.deadline = job.submitted.Add(
 				time.Duration(job.req.DeadlineSeconds * float64(time.Second)))
 		}
-		if err := s.queue.tryPush(job); err != nil {
+		if err := tryPush(s.queue, job); err != nil {
 			l.Close()
 			return fmt.Errorf("service: re-enqueue %s: %w", job.id, err)
 		}
@@ -150,11 +169,13 @@ func (s *Service) openJournal() error {
 	return nil
 }
 
-// applyEvent folds one journal record into the in-memory job table.
-// Events are last-write-wins per job; unknown types are ignored.
+// applyEvent folds one journal record into the in-memory job table and
+// hands it to the runner. Events are last-write-wins per job; types
+// neither knows are ignored.
 func (s *Service) applyEvent(ev jobEvent) {
+	defer s.runner.Apply(ev.raw)
 	switch ev.Type {
-	case evSubmitted:
+	case evSubmitted, "job": // "job", "entries": a coordinator's from before the shared job model
 		j := s.jobFor(ev.Job)
 		if ev.Request != nil {
 			j.req = *ev.Request
@@ -174,11 +195,14 @@ func (s *Service) applyEvent(ev jobEvent) {
 		j := s.jobFor(ev.Job)
 		j.attempts = ev.Attempt
 		j.lastErr = ev.Error
-	case evCheckpoint:
+	case evCheckpoint, "entries":
 		// A record from an older binary carries no ligands: its job
 		// re-docks from scratch.
 		j := s.jobFor(ev.Job)
 		j.addPartial(ev.Records...)
+		for _, e := range ev.Entries {
+			j.addPartial(e.Record())
+		}
 		j.cpLigands = len(j.log)
 	case evCancel:
 		// The cancel may not have produced a terminal record before the
@@ -213,15 +237,8 @@ func (s *Service) applyView(v *JobView) {
 	j := s.jobFor(v.ID)
 	j.state = v.State
 	j.req = v.Request
-	j.submitted = v.SubmittedAt
-	j.started = time.Time{}
-	if v.StartedAt != nil {
-		j.started = *v.StartedAt
-	}
-	j.finished = time.Time{}
-	if v.FinishedAt != nil {
-		j.finished = *v.FinishedAt
-	}
+	j.submitted, j.started, j.finished = v.SubmittedAt, timeOf(v.StartedAt), timeOf(v.FinishedAt)
+	j.deadline = timeOf(v.DeadlineAt)
 	j.err = v.Error
 	j.attempts = v.Attempts
 	j.lastErr = v.LastError
@@ -229,19 +246,25 @@ func (s *Service) applyView(v *JobView) {
 	if v.State.Terminal() {
 		j.cpLigands = v.CheckpointLigands // reported only; the job never runs again
 	}
-	j.idemKey = v.IdempotencyKey
+	if v.IdempotencyKey != "" {
+		// A coordinator's terminal view from before the shared job model
+		// carries no key: the admission record's stands.
+		j.idemKey = v.IdempotencyKey
+		s.idem[v.IdempotencyKey] = j.id
+	}
+	j.resplits, j.shards = v.Resplits, v.Shards
 	j.degraded = v.Degraded
 	j.effortFactor = v.EffortFactor
 	j.effectiveScale = v.EffectiveScale
-	j.deadline = time.Time{}
-	if v.DeadlineAt != nil {
-		j.deadline = *v.DeadlineAt
-	}
-	if v.IdempotencyKey != "" {
-		s.idem[v.IdempotencyKey] = j.id
-	}
 	j.result = nil
 	j.restored = v.Result
+	if v.State == StateDone && v.Result != nil {
+		// The per-ligand work counters died with the previous process; the
+		// ranking stands in for the completion log /partial serves.
+		for _, e := range v.Result.Ranking {
+			j.addPartial(core.LigandRecord{Name: e.Ligand, Atoms: e.Atoms, Best: core.PoseRecord{Spot: e.Spot, Score: e.Score}})
+		}
+	}
 }
 
 // bumpNextID keeps ID allocation monotonic across restarts.
@@ -254,41 +277,47 @@ func (s *Service) bumpNextID(id string) {
 
 // snapshot is the journal's compaction record set: one snapshot record
 // per job, followed for a job that is not terminal by one checkpoint
-// record holding its journaled ligands. It runs inside a journal append
-// or probe, under s.mu.
+// record holding its journaled ligands and its journaled cancel, then the
+// runner's records. It runs inside a journal append or probe, under s.mu.
 func (s *Service) snapshot() []jobEvent {
 	evs := make([]jobEvent, 0, len(s.order))
 	for _, id := range s.order {
 		j := s.jobs[id]
-		v := j.view()
+		v := s.viewLocked(j)
 		evs = append(evs, jobEvent{Type: evSnapshot, Job: id, View: &v})
-		if !j.state.Terminal() && j.cpLigands > 0 {
+		if j.state.Terminal() {
+			continue
+		}
+		if j.cpLigands > 0 {
 			evs = append(evs, jobEvent{Type: evCheckpoint, Job: id, Records: j.records(0, j.cpLigands)})
+		}
+		if j.cancelRequested {
+			evs = append(evs, jobEvent{Type: evCancel, Job: id})
+		}
+	}
+	for _, rec := range s.runner.Snapshot() {
+		b, err := json.Marshal(rec)
+		if err == nil {
+			evs = append(evs, jobEvent{raw: b})
 		}
 	}
 	return evs
 }
 
-// checkpointLigand folds one completed ligand into the job's partial set
+// checkpointLocked folds completed ligands into the job's partial set
 // and, when asked to, journals the ligands completed since the job's
 // previous checkpoint record as the next one, reporting whether it did.
 // A failed append does not abort the screen: the journal's failure policy
 // applies, the job keeps its previous records, and the next checkpoint
 // record carries the missed ligands too. Storage-degraded mode skips the
-// record.
-func (s *Service) checkpointLigand(id string, rec core.LigandRecord, checkpoint bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return false
-	}
-	j.addPartial(rec)
-	if !checkpoint || s.journal == nil {
+// record. Caller holds s.mu.
+func (s *Service) checkpointLocked(j *Job, checkpoint bool, recs ...core.LigandRecord) bool {
+	j.addPartial(recs...)
+	if !checkpoint || s.journal == nil || j.cpLigands == len(j.log) {
 		return false
 	}
 	degraded, prev := s.journal.Status().Degraded, j.cpLigands
-	ev := jobEvent{Type: evCheckpoint, Job: id, Records: j.records(prev, len(j.log))}
+	ev := jobEvent{Type: evCheckpoint, Job: j.id, Records: j.records(prev, len(j.log))}
 	// Advance before appending: a compaction this append triggers must
 	// rewrite the new records too.
 	j.cpLigands = len(j.log)
@@ -296,7 +325,7 @@ func (s *Service) checkpointLigand(id string, rec core.LigandRecord, checkpoint 
 		j.cpLigands = prev
 		if !degraded {
 			s.metrics.checkpointErrors.Inc()
-			s.log.Warn("checkpoint record append failed, screen continues", "job", id)
+			s.log.Warn("checkpoint record append failed, screen continues", "job", j.id)
 		}
 		return false
 	}

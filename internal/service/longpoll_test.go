@@ -43,12 +43,14 @@ const longWait = "8s"
 func startScripted(t *testing.T, library int) *scriptedJob {
 	t.Helper()
 	sj := &scriptedJob{t: t, ligand: make(chan string), done: make(chan struct{}), end: make(chan error)}
-	sj.s = newTestService(t, Config{Workers: 1, MaxAttempts: 1}, nil)
-	sj.s.run = func(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
+	sj.s = newTestService(t, Config{Workers: 1, MaxAttempts: 1}, func(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
 		for {
 			select {
 			case name := <-sj.ligand:
-				sj.s.checkpointLigand(id, core.LigandRecord{Name: name, Atoms: 3, Evaluations: 7}, false)
+				h := Host{sj.s}
+				h.Lock()
+				h.CheckpointLocked(id, []core.LigandRecord{{Name: name, Atoms: 3, Evaluations: 7}})
+				h.Unlock()
 				sj.done <- struct{}{}
 			case err := <-sj.end:
 				if err != nil {
@@ -59,7 +61,7 @@ func startScripted(t *testing.T, library int) *scriptedJob {
 				return nil, ctx.Err()
 			}
 		}
-	}
+	})
 	h := sj.s.Handler()
 	sj.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/partial") {

@@ -7,15 +7,11 @@ import (
 	"github.com/metascreen/metascreen/internal/metrics"
 )
 
-// Metrics is the node's metric set on an internal/metrics registry:
-// job-lifecycle counters, latency histograms (end-to-end, queue wait, run
-// time, per-generation simulated time), engine work counters aggregated
-// from every finished run, and the durability layer's counters. Call
-// sites use the handles directly (s.metrics.submitted.Inc()); gauges are
-// set from one Stats snapshot per scrape by WriteTo.
-//
-// Names, help text and family order are stable API (dashboards, the
-// benchmark and the drill scripts read them) — see the golden test.
+// Metrics is the service's metric set: job lifecycle, latency histograms,
+// engine work and the durability layer, plus a runner's families after
+// them. Call sites use the handles directly; gauges are set from one
+// Stats snapshot per scrape. Names, help and order are stable API (the
+// benchmark and drills read them) — see the golden test.
 type Metrics struct {
 	reg *metrics.Registry
 
@@ -62,15 +58,18 @@ var breakerGauge = map[string]int64{"half-open": 1, "open": 2}
 // pool of `workers` workers.
 func NewMetrics(workers int) *Metrics {
 	r := metrics.New()
-	var classes []string
+	var classes, states []string
 	for _, c := range admission.Classes() {
 		classes = append(classes, c.String())
+	}
+	for _, st := range TerminalStates {
+		states = append(states, string(st))
 	}
 	m := &Metrics{
 		reg:                r,
 		submitted:          r.Counter("metascreen_jobs_submitted_total", "Jobs admitted into the queue."),
 		rejected:           r.Counter("metascreen_jobs_rejected_total", "Submissions rejected because the queue was full."),
-		finished:           r.CounterVec("metascreen_jobs_finished_total", "Jobs by terminal state.", "state", TerminalStateNames()...),
+		finished:           r.CounterVec("metascreen_jobs_finished_total", "Jobs by terminal state.", "state", states...),
 		queueDepth:         r.Gauge("metascreen_queue_depth", "Jobs admitted but not yet claimed by a worker."),
 		running:            r.Gauge("metascreen_jobs_running", "Jobs currently executing."),
 		workers:            r.Gauge("metascreen_workers", "Size of the worker pool."),
@@ -121,10 +120,8 @@ func (m *Metrics) ShedCounts() map[string]int64 {
 	return out
 }
 
-// WriteTo writes the Prometheus text exposition. The gauges the Service
-// owns (queue depth, running jobs, admission and storage state) are set
-// from st under the registry's scrape lock, so concurrent scrapes each
-// render one consistent snapshot.
+// WriteTo writes the Prometheus text exposition, with the gauges set from
+// st under the scrape lock so every scrape is one consistent snapshot.
 func (m *Metrics) WriteTo(w io.Writer, st Stats) error {
 	return m.reg.WriteTo(w, func() {
 		m.queueDepth.Set(int64(st.QueueDepth))

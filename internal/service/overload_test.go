@@ -33,11 +33,10 @@ func TestOverloadBurst(t *testing.T) {
 	run := func(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
 		return stubResult(), nil
 	}
-	s, err := New(Config{Workers: 2, QueueDepth: 32, Admission: admission.Config{TargetLatency: 50 * time.Millisecond}})
+	s, err := New(Config{Workers: 2, QueueDepth: 32, Admission: admission.Config{TargetLatency: 50 * time.Millisecond}, Runner: RunFunc(run)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.run = run
 
 	priorities := []string{"high", "normal", "low"}
 	var (
@@ -363,11 +362,10 @@ func TestCancelSurvivesReplay(t *testing.T) {
 		<-gate       // ...then hold the terminal transition until "killed"
 		return nil, ctx.Err()
 	}
-	s, err := New(Config{Workers: 1, QueueDepth: 4, DataDir: dir, MaxAttempts: 1})
+	s, err := New(Config{Workers: 1, QueueDepth: 4, DataDir: dir, MaxAttempts: 1, Runner: RunFunc(run)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.run = run
 
 	v, err := s.Submit(ScreenRequest{Seed: 1})
 	if err != nil {

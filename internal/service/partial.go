@@ -8,13 +8,13 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/metascreen/metascreen/internal/core"
 )
 
-// Pagination and partial rankings. Both exist for the same consumer: a
-// ranking can be large (10k-ligand libraries), so GET responses window it
-// with limit/offset, and a running job exposes the ligands it has already
-// completed so the distributed coordinator can merge shard results as
-// they stream in instead of waiting for whole shards.
+// Pagination and partial rankings: GET responses window a large ranking
+// with limit/offset, and a running job exposes the ligands it completed so
+// far, which a coordinator merges as they stream in.
 
 // DefaultRankingLimit caps a ranking response when the client sends no
 // limit; MaxRankingLimit caps what a client may ask for. Both protect the
@@ -83,6 +83,15 @@ type PartialEntry struct {
 	Spot        int     `json:"spot"`
 	SimSeconds  float64 `json:"sim_seconds"`
 	Evaluations int64   `json:"evaluations"`
+}
+
+// Record is the entry as a checkpoint record: what ranking and totals
+// need, without the pose.
+func (e PartialEntry) Record() core.LigandRecord {
+	return core.LigandRecord{
+		Name: e.Ligand, Atoms: e.Atoms, Best: core.PoseRecord{Spot: e.Spot, Score: e.Score},
+		Evaluations: e.Evaluations, SimulatedSeconds: e.SimSeconds,
+	}
 }
 
 // PartialView is a point-in-time ranking of the ligands a job has
@@ -173,17 +182,11 @@ func ParsePartialQuery(q url.Values) (PartialQuery, error) {
 	return pq, nil
 }
 
-// Partial snapshots the per-ligand results a job has produced so far,
-// after holding for q.Wait if asked to. The entries come from the job's
-// partial set, so they exist for every running job (durable or not); a
-// job that finished in this process serves its full set.
-//
-// A cursor this process did not issue, or one past the end of the log, is
-// served from zero: the log it pointed into died with a previous process
-// (the new one was rebuilt from checkpoint records without the ligands
-// completed after the last one, or the job was restored from the journal
-// with its ranking only), and a caller that
-// merges by ligand name loses nothing by seeing entries twice.
+// Partial snapshots the ligands a job has completed so far, after holding
+// for q.Wait if asked to. A cursor this process did not issue, or one past
+// the end of the log, is served from zero: the log it pointed into died
+// with a previous process, and a caller that merges by ligand name loses
+// nothing by seeing entries twice.
 func (s *Service) Partial(ctx context.Context, id string, q PartialQuery) (PartialView, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -207,14 +210,7 @@ func (s *Service) Partial(ctx context.Context, id string, q PartialQuery) (Parti
 		t.Stop()
 		s.mu.Lock()
 	}
-	// A done job restored from the journal lost its per-ligand work
-	// counters with the previous process; the ranking itself is intact, so
-	// it stands in for the log with zero sim/evaluation detail.
-	restored := len(j.log) == 0 && j.state == StateDone && j.restored != nil
 	n := len(j.log)
-	if restored {
-		n = len(j.restored.Ranking)
-	}
 	lo, hi := 0, n
 	if q.Delta {
 		if q.Since.inc == s.incarnation && q.Since.off <= n {
@@ -230,13 +226,6 @@ func (s *Service) Partial(ctx context.Context, id string, q PartialQuery) (Parti
 		pv.Entries = make([]PartialEntry, 0, hi-lo)
 	}
 	for i := lo; i < hi; i++ {
-		if restored {
-			e := j.restored.Ranking[i]
-			pv.Entries = append(pv.Entries, PartialEntry{
-				Ligand: e.Ligand, Atoms: e.Atoms, Score: e.Score, Spot: e.Spot,
-			})
-			continue
-		}
 		rec := j.partial[j.log[i]]
 		pv.Entries = append(pv.Entries, PartialEntry{
 			Ligand:      rec.Name,
@@ -270,13 +259,4 @@ func (s *Service) Partial(ctx context.Context, id string, q PartialQuery) (Parti
 	pv.Entries = pv.Entries[lo:hi]
 	pv.EntriesOffset = lo
 	return pv, nil
-}
-
-// Ready reports readiness: the journal (if any) has been replayed, the
-// worker pool is up, and the service is not draining. Load balancers and
-// the distributed coordinator probe it via /readyz before routing work.
-func (s *Service) Ready() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ready && !s.draining
 }

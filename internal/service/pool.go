@@ -20,26 +20,21 @@ import (
 )
 
 // The worker pool: N goroutines drain the bounded queue, each running one
-// screen at a time through the core engine with a per-job context. The
-// pool exits when the queue closes (shutdown).
-//
-// Failure policy: a panicking runner is recovered (the worker survives to
-// serve the next job), transient failures retry with exponential backoff
-// and deterministic jitter up to Config.MaxAttempts, and permanent
-// failures fail the job immediately with the typed cause in its record.
+// job at a time through the runner with a per-job context, until the
+// queue closes. A panicking runner is recovered, transient failures retry
+// with jittered exponential backoff up to Config.MaxAttempts, and
+// permanent ones fail the job at once.
 
 // maxRetryDelay caps the exponential backoff between attempts.
 const maxRetryDelay = 5 * time.Second
 
 // worker is one pool goroutine's life: pop fairly, wait for a slot in
-// the adaptive concurrency window, run. When the AIMD limiter has shrunk
-// the window below the worker count, the surplus workers park in Acquire
-// — the backend sees at most Limit concurrent jobs even though the pool
-// has more goroutines.
+// the adaptive concurrency window (surplus workers park in Acquire while
+// the AIMD limiter is below the pool size), run.
 func (s *Service) worker() {
 	defer s.workers.Done()
 	for {
-		j, ok := s.queue.pop()
+		j, ok := s.queue.Pop()
 		if !ok {
 			return
 		}
@@ -70,8 +65,8 @@ func (s *Service) runJob(j *Job) {
 		return
 	}
 	// The base context lives for all attempts; Cancel aborts the current
-	// attempt and any backoff in between.
-	base, cancel := context.WithCancel(context.Background())
+	// attempt and any backoff in between, a drain with ErrInterrupted.
+	base, cancel := context.WithCancelCause(context.Background())
 	j.state = StateRunning
 	j.started = s.now()
 	j.cancel = cancel
@@ -80,11 +75,11 @@ func (s *Service) runJob(j *Job) {
 	// A job recovered from the journal resumes its attempt numbering where
 	// the dead process left off, with a fresh retry budget for this boot.
 	first := j.attempts + 1
-	id, req, run := j.id, j.req, s.run
+	id, req := j.id, j.req
 	// Graceful degradation: under queue pressure, shrink this job's search
 	// effort instead of failing outright. The reduced scale is recorded on
 	// the job so results are never silently rescaled.
-	fill := float64(s.queue.depth()) / float64(s.cfg.QueueDepth)
+	fill := float64(s.queue.Len()) / float64(s.cfg.QueueDepth)
 	if f := s.ctrl.EffortFactor(fill); f < 1 {
 		j.degraded = true
 		j.effortFactor = f
@@ -95,17 +90,10 @@ func (s *Service) runJob(j *Job) {
 			"fill", fill, "effort_factor", f, "effective_scale", req.Scale)
 	}
 	jobDeadline := j.deadline
-	if j.rec == nil {
-		// Recovered job: its recorder died with the previous process.
-		j.rec = &trace.Recorder{}
-		if !j.submitted.IsZero() {
-			j.rec.SetEpoch(j.submitted)
-		}
-	}
-	rec, submitted, startedAt := j.rec, j.submitted, j.started
+	rec, submitted, startedAt := j.recorder(), j.submitted, j.started
 	s.journal.Append(jobEvent{Type: evStarted, Job: id, Time: j.started, Attempt: first})
 	s.mu.Unlock()
-	defer cancel()
+	defer cancel(nil)
 
 	logger := s.log.With("job", id)
 	logger.Info("job started", "attempt", first,
@@ -118,8 +106,9 @@ func (s *Service) runJob(j *Job) {
 	defer s.metrics.busy.Add(-1)
 
 	var (
-		res *core.ScreenResult
-		err error
+		res         *core.ScreenResult
+		err         error
+		interrupted bool // by a drain: not the job's end, so not journaled
 	)
 	for attempt := first; ; attempt++ {
 		attemptCtx := base
@@ -133,7 +122,8 @@ func (s *Service) runJob(j *Job) {
 			attemptCtx, dcancel = context.WithDeadline(attemptCtx, jobDeadline)
 		}
 		attemptStart := s.now()
-		res, err = s.safeRun(run, attemptCtx, id, req)
+		res, err = s.safeRun(attemptCtx, id, req)
+		interrupted = errors.Is(err, ErrInterrupted) || errors.Is(context.Cause(base), ErrInterrupted)
 		dcancel()
 		acancel()
 		s.ctrl.ObserveAttempt(s.now().Sub(attemptStart))
@@ -148,7 +138,7 @@ func (s *Service) runJob(j *Job) {
 
 		s.mu.Lock()
 		j.attempts = attempt
-		if err != nil {
+		if err != nil && !interrupted {
 			j.lastErr = err.Error()
 			s.journal.Append(jobEvent{Type: evAttempt, Job: id, Attempt: attempt, Error: j.lastErr})
 		}
@@ -172,7 +162,7 @@ func (s *Service) runJob(j *Job) {
 		logger.Warn("attempt failed, retrying", "attempt", attempt, "err", err,
 			"backoff", delay)
 		if !s.sleepRetry(base, delay) {
-			err = context.Canceled
+			err, interrupted = context.Canceled, errors.Is(context.Cause(base), ErrInterrupted)
 			break
 		}
 	}
@@ -183,6 +173,16 @@ func (s *Service) runJob(j *Job) {
 		// Simulated process death: no terminal transition and no journal
 		// record, exactly as if the worker died mid-run. The next boot over
 		// the data dir re-enqueues the job.
+		return
+	}
+	if interrupted {
+		if s.journal != nil {
+			// A drain is not the job's end: like a crash, it leaves the job
+			// to resume on the next boot over the data dir.
+			logger.Info("job interrupted by drain, resumes on the next boot")
+			return
+		}
+		s.finishLocked(j, StateCancelled, nil, "cancelled at shutdown")
 		return
 	}
 	// The breaker's failure signal: this job's final attempt lost every
@@ -207,7 +207,7 @@ func (s *Service) runJob(j *Job) {
 
 // safeRun executes one attempt, converting a runner panic into an error
 // so a bad job cannot take the worker goroutine down with it.
-func (s *Service) safeRun(run runnerFunc, ctx context.Context, id string, req ScreenRequest) (res *core.ScreenResult, err error) {
+func (s *Service) safeRun(ctx context.Context, id string, req ScreenRequest) (res *core.ScreenResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.workerPanics.Inc()
@@ -215,7 +215,7 @@ func (s *Service) safeRun(run runnerFunc, ctx context.Context, id string, req Sc
 			err = fmt.Errorf("service: worker panic: %v", r)
 		}
 	}()
-	return run(ctx, id, req)
+	return s.runner.Run(ctx, id, req)
 }
 
 // transientErr classifies a failure as retryable: a transient simulated
@@ -231,11 +231,9 @@ func transientErr(err error) bool {
 	return false
 }
 
-// retryDelay computes the backoff before retry number `attempt`: the
-// base delay doubles per retry with a deterministic jitter derived from
-// the job ID (so test runs are reproducible without a global RNG). It is
-// computed separately from the sleep so the caller can compare it against
-// the job's deadline before committing to the wait.
+// retryDelay is the backoff before retry number attempt: the base delay
+// doubled per retry, jittered deterministically from the job ID, and
+// apart from the sleep so the caller can check it against the deadline.
 func (s *Service) retryDelay(jobID string, attempt int) time.Duration {
 	delay := s.cfg.RetryBaseDelay << (attempt - 1)
 	if delay > maxRetryDelay || delay <= 0 {
@@ -258,17 +256,13 @@ func (s *Service) sleepRetry(ctx context.Context, delay time.Duration) bool {
 	}
 }
 
-// runScreen is the production runner: it materializes the request into
-// the same core screen a library user would run, so a service job and a
-// library screen with equal parameters and seed return identical
-// rankings. A request naming specific Ligands screens just that shard of
-// the library, in library order, against the process's prepared receptor.
-// With durability enabled, the screen resumes from the job's checkpoint
-// records and journals a new one every CheckpointEvery completed ligands —
-// since seed lanes are keyed by ligand name, the resumed ranking is
-// byte-identical to an uninterrupted run. Every completed ligand also
-// lands in the job's partial set, which the /partial endpoint streams to
-// the distributed coordinator.
+// runScreen is the local runner: the same core screen a library user
+// would run, so equal parameters and seed give identical rankings. A
+// request naming Ligands screens just those, in library order. A durable
+// job resumes from its checkpoint records and journals one every
+// CheckpointEvery ligands; seed lanes are keyed by ligand name, so the
+// resumed ranking is byte-identical. Every completed ligand lands in the
+// job's partial set, which /partial streams to a coordinator.
 func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
 	rec, err := s.receptor(req.Dataset, req.Spots)
 	if err != nil {
@@ -281,7 +275,7 @@ func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (
 	algf := func() (metaheuristic.Algorithm, error) {
 		return metaheuristic.NewPaper(req.Metaheuristic, req.Scale)
 	}
-	lib := libraryOf(req)
+	lib := LibraryOf(req)
 
 	s.mu.Lock()
 	// A durable job resumes from its journaled checkpoint records,
@@ -295,13 +289,13 @@ func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (
 	}
 	s.mu.Unlock()
 	onLigand := func(_ *core.Checkpoint, lr core.LigandRecord, newly int) error {
-		if s.checkpointLigand(id, lr, newly%s.cfg.CheckpointEvery == 0) {
-			s.mu.Lock()
-			hook := s.checkpointHook
-			s.mu.Unlock()
-			if hook != nil {
-				hook(id, newly)
-			}
+		s.mu.Lock()
+		j, ok := s.jobs[id]
+		journaled := ok && s.checkpointLocked(j, newly%s.cfg.CheckpointEvery == 0, lr)
+		hook := s.checkpointHook
+		s.mu.Unlock()
+		if journaled && hook != nil {
+			hook(id, newly)
 		}
 		return nil
 	}
@@ -316,10 +310,9 @@ type receptorKey struct {
 }
 
 // receptor returns the prepared receptor for a dataset and spot cap,
-// preparing it on first use. The molecule, topology and cell list are
-// built once per dataset and shared by every spot count, so the cache
-// holds at most two receptors plus one small spot list per validated
-// (dataset, spots) pair and needs no eviction.
+// preparing it on first use. Molecule, topology and cell list are built
+// once per dataset and shared by every spot count, so the cache needs no
+// eviction.
 func (s *Service) receptor(dataset string, spots int) (*core.PreparedReceptor, error) {
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
@@ -348,12 +341,10 @@ func (s *Service) receptor(dataset string, spots int) (*core.PreparedReceptor, e
 	return r, nil
 }
 
-// libraryOf materializes a request's ligands: the whole synthetic
-// library, or only its named ligands, in library order so aggregate sums
-// stay deterministic. A distributed chunk names a few ligands of a large
-// library, and building the rest would cost it about one ligand's docking
-// time. Validation already guaranteed every name exists.
-func libraryOf(req ScreenRequest) []*molecule.Molecule {
+// LibraryOf materializes a request's ligands, in library order so sums
+// stay deterministic: the whole synthetic library, or only its named
+// ligands, which spares a chunk building the rest.
+func LibraryOf(req ScreenRequest) []*molecule.Molecule {
 	if len(req.Ligands) == 0 {
 		return core.SyntheticLibrary(req.Library)
 	}

@@ -7,10 +7,7 @@ import (
 	"github.com/metascreen/metascreen/internal/admission"
 )
 
-// Admission and lookup errors. Handlers map these to HTTP statuses
-// (ErrQueueFull / ErrDeadlineUnmeetable -> 429, ErrDraining /
-// ErrBreakerOpen -> 503, ErrNotFound -> 404, ErrTerminal -> 409), and
-// embedders of the Service API match them with errors.Is.
+// Admission and lookup errors; SubmitStatus maps them to HTTP statuses.
 var (
 	// ErrQueueFull is returned when admission would exceed the queue
 	// bound. Backpressure is the contract: the service never buffers an
@@ -53,23 +50,16 @@ func (e *ShedError) Error() string { return e.Err.Error() }
 func (e *ShedError) Unwrap() error { return e.Err }
 
 // jobQueue is the bounded priority/weighted-fair queue between admission
-// and the worker pool (admission.FairQueue under the service's
-// sentinels). Pushes happen under the Service mutex so tryPush never
-// races close; pops block in the workers.
-type jobQueue struct {
-	q *admission.FairQueue[*Job]
-}
+// and the worker pool. Pushes happen under the Service mutex so they never
+// race Close; pops block in the workers.
+type jobQueue = admission.FairQueue[*Job]
 
-func newJobQueue(depth int) *jobQueue {
-	return &jobQueue{q: admission.NewFairQueue[*Job](depth)}
-}
+func newJobQueue(depth int) *jobQueue { return admission.NewFairQueue[*Job](depth) }
 
 // tryPush enqueues without blocking under the job's priority class and
 // client; a full queue is an admission error.
-func (q *jobQueue) tryPush(j *Job) error {
-	switch err := q.q.Push(j, j.class, j.req.ClientID); err {
-	case nil:
-		return nil
+func tryPush(q *jobQueue, j *Job) error {
+	switch err := q.Push(j, j.class, j.req.ClientID); err {
 	case admission.ErrFull:
 		return ErrQueueFull
 	case admission.ErrClosed:
@@ -78,16 +68,3 @@ func (q *jobQueue) tryPush(j *Job) error {
 		return err
 	}
 }
-
-// pop blocks for the next job by fair order; ok=false means the queue
-// closed and drained.
-func (q *jobQueue) pop() (*Job, bool) { return q.q.Pop() }
-
-// depth is the number of queued jobs not yet claimed by a worker.
-func (q *jobQueue) depth() int { return q.q.Len() }
-
-// depthClass is one priority class's share of the depth.
-func (q *jobQueue) depthClass(c admission.Class) int { return q.q.LenClass(c) }
-
-// close ends intake; workers drain the remainder and exit.
-func (q *jobQueue) close() { q.q.Close() }

@@ -7,23 +7,23 @@ import (
 
 func TestJobQueueBound(t *testing.T) {
 	q := newJobQueue(2)
-	if err := q.tryPush(&Job{id: "a"}); err != nil {
+	if err := tryPush(q, &Job{id: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.tryPush(&Job{id: "b"}); err != nil {
+	if err := tryPush(q, &Job{id: "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.depth(); got != 2 {
+	if got := q.Len(); got != 2 {
 		t.Fatalf("depth %d, want 2", got)
 	}
-	if err := q.tryPush(&Job{id: "c"}); !errors.Is(err, ErrQueueFull) {
+	if err := tryPush(q, &Job{id: "c"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("got %v, want ErrQueueFull", err)
 	}
 	// Draining one slot re-opens admission.
-	if j, ok := q.pop(); !ok || j.id != "a" {
+	if j, ok := q.Pop(); !ok || j.id != "a" {
 		t.Fatalf("popped %v, want a (same class and client is FIFO)", j)
 	}
-	if err := q.tryPush(&Job{id: "c"}); err != nil {
+	if err := tryPush(q, &Job{id: "c"}); err != nil {
 		t.Fatalf("push after pop: %v", err)
 	}
 }

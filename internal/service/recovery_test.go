@@ -119,11 +119,11 @@ func (s *Service) crashForTest() {
 	s.crashed = true
 	s.journal = nil // drop without Close: no final sync, like SIGKILL
 	s.startDrainLocked()
-	s.queue.close()
+	s.queue.Close()
 	s.ctrl.Close()
 	for _, id := range s.order {
 		if j := s.jobs[id]; j.state == StateRunning && j.cancel != nil {
-			j.cancel()
+			j.cancel(nil)
 		}
 	}
 	s.mu.Unlock()
@@ -251,12 +251,12 @@ func TestRecoveryPreservesTerminalJobs(t *testing.T) {
 func TestIdempotencyAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
+	cfg.Runner = RunFunc(func(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
+		return stubResult(), nil
+	})
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	s.run = func(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
-		return stubResult(), nil
 	}
 
 	srv := httptest.NewServer(s.Handler())

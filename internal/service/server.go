@@ -10,46 +10,33 @@ import (
 
 // The HTTP layer: a stdlib-only JSON API over the Service.
 //
-//	POST   /v1/screens            submit a ScreenRequest     -> 202 JobView
-//	                              (Idempotency-Key header: resubmitting an
-//	                              admitted key returns the original job, 200)
-//	GET    /v1/screens            list jobs                  -> 200 [JobView]
-//	GET    /v1/screens/{id}       job status + ranking       -> 200 JobView
-//	                              (?limit=&offset= window the ranking;
-//	                              no limit caps it at DefaultRankingLimit,
-//	                              ranking_total reports the full length)
-//	GET    /v1/screens/{id}/partial  completed-ligand ranking so far
-//	                              -> 200 PartialView (same limit/offset
-//	                              params; ?since=<cursor> returns only the
-//	                              entries past the cursor, in completion
-//	                              order, with the next cursor; ?wait=<dur>
-//	                              holds the request until the job is
-//	                              complete or terminal — the distributed
-//	                              coordinator streams shard merges from it)
-//	GET    /v1/screens/{id}/trace Chrome-trace-format job timeline -> 200
-//	                              (also served as GET /jobs/{id}/trace;
-//	                              load the payload in Perfetto or
-//	                              chrome://tracing)
-//	DELETE /v1/screens/{id}       cancel                     -> 202 JobView
-//	                              (also served as DELETE /jobs/{id})
-//	GET    /healthz               liveness                   -> 200 Stats
-//	GET    /readyz                readiness (journal replayed, pool up,
-//	                              not draining) -> 200 / 503
-//	GET    /metrics               Prometheus text exposition -> 200
+//	POST   /v1/screens               submit -> 202 JobView (an admitted
+//	                                 Idempotency-Key answers its job, 200)
+//	GET    /v1/screens               list -> 200 [JobView]
+//	GET    /v1/screens/{id}          status + ranking -> 200 JobView
+//	                                 (?limit=&offset=, default
+//	                                 DefaultRankingLimit)
+//	GET    /v1/screens/{id}/partial  completed ligands so far -> 200
+//	                                 PartialView (?since=<cursor> for the
+//	                                 entries past it, ?wait=<dur> to hold
+//	                                 until complete or terminal)
+//	GET    /v1/screens/{id}/trace    Chrome-trace timeline (also
+//	                                 /jobs/{id}/trace)
+//	DELETE /v1/screens/{id}          cancel -> 202 (also /jobs/{id})
+//	GET    /healthz, /readyz         liveness -> Stats; readiness -> 200/503
+//	GET    /metrics                  Prometheus text exposition
+//	GET    /debug/snapshot           the debug snapshot (also -debug-addr)
 //
-// Errors are {"error": "..."} with ErrQueueFull / ErrDeadlineUnmeetable
-// -> 429, ErrDraining / ErrBreakerOpen -> 503, ErrStorageFull -> 507,
-// ErrNotFound -> 404, ErrTerminal -> 409, bad requests -> 400, a body over
-// MaxBodyBytes -> 413.
-// Overload rejections (ShedError) additionally carry a Retry-After header
-// and a structured body with reason, retry_after_seconds, queue_depth and
+// The runner mounts its own routes too: a coordinator's /v1/workers.
+// Errors are {"error": "..."}: ErrQueueFull, ErrDeadlineUnmeetable -> 429;
+// ErrDraining, ErrBreakerOpen -> 503; ErrStorageFull -> 507; ErrNotFound
+// -> 404; ErrTerminal -> 409; a body over MaxBodyBytes -> 413; else 400.
+// A ShedError also carries Retry-After and its reason, queue depth and
 // limit.
 
-// EpochHeader carries the distributed coordinator's fencing epoch on
-// shard requests. Workers echo it verbatim so the coordinator's client
-// can verify a response answers the epoch it asked under — a stale or
-// replayed response from before a worker was declared dead and revived
-// fails the echo check and is never merged.
+// EpochHeader carries a coordinator's fencing epoch on chunk requests.
+// Workers echo it, so a response from before the worker was declared dead
+// and revived fails the echo check and is never merged.
 const EpochHeader = "X-Metascreen-Epoch"
 
 // Handler returns the service's HTTP API.
@@ -66,6 +53,8 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /debug/snapshot", s.handleDebugSnapshot)
+	s.runner.Mount(mux)
 	return echoEpoch(mux)
 }
 
@@ -165,10 +154,8 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, view)
 }
 
-// handlePartial serves the ranking of the ligands a job has completed so
-// far — the coordinator's streaming-merge source. Terminal jobs serve
-// their full set, so one polling loop covers a shard's whole lifecycle.
-// The query is validated before the job is looked at.
+// handlePartial serves the ligands a job completed so far, a terminal
+// job's full set included; the query is validated first.
 func (s *Service) handlePartial(w http.ResponseWriter, r *http.Request) {
 	q, err := ParsePartialQuery(r.URL.Query())
 	if err != nil {
@@ -220,7 +207,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 // and the worker pool is up, 503 before that and while draining. The
 // coordinator and CI poll it instead of sleeping.
 func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
-	ready := s.Ready()
+	ready := !s.Stats().Draining
 	code := http.StatusOK
 	if !ready {
 		code = http.StatusServiceUnavailable

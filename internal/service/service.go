@@ -1,27 +1,21 @@
 // Package service turns the metascreen engine into a long-running
 // screening service: submitted screens become queued jobs, a bounded
-// worker pool drains them through internal/core, and an HTTP JSON API
-// (plus a Prometheus-text /metrics endpoint) exposes the whole lifecycle.
+// worker pool runs them through a Runner — the local engine, or a
+// coordinator's chunk pool (internal/dist) — and an HTTP JSON API plus
+// Prometheus /metrics expose the whole lifecycle. Its contracts:
 //
-// The package is the chassis for production deployment of the paper's
-// engine — the drug-discovery funnel as a server rather than a library
-// call. Its contracts:
-//
-//   - Admission control: the queue is bounded; a full queue rejects with
-//     ErrQueueFull (HTTP 429) instead of buffering unbounded memory.
-//   - Cancellation: every running job has its own context.Context; DELETE
-//     aborts it between metaheuristic generations via core.RunCtx.
+//   - Admission control: a full queue rejects with 429 instead of
+//     buffering unbounded memory.
+//   - Durability: with a data dir every 202 — submit or cancel — is
+//     journaled first, and interrupted jobs resume on the next boot.
 //   - Determinism: a job's ranking is byte-identical to the same screen
 //     run through the library API with the same request and seed.
-//   - Graceful drain: Shutdown stops intake, cancels still-queued jobs,
-//     and lets running jobs finish (until the shutdown context expires,
-//     at which point they are force-cancelled).
-//
-// The worker pool and the metrics counters are shared mutable state; run
-// the package tests with -race (see the repo's CI workflow).
+//   - Graceful drain: Shutdown stops intake, cancels queued jobs and lets
+//     running ones finish until its context expires.
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -60,10 +54,13 @@ type Config struct {
 	RetryBaseDelay time.Duration
 
 	// DataDir enables durability: job lifecycle events and per-job
-	// checkpoint records are journaled to <DataDir>/journal, so a crashed
+	// checkpoint records are journaled to <DataDir>/<Journal>, so a crashed
 	// process resumes its jobs on the next boot over the same directory.
 	// Empty keeps everything in memory (the pre-durability behaviour).
 	DataDir string
+	// Journal names the journal's directory under DataDir; empty means
+	// "journal". A coordinator's is "dist-journal".
+	Journal string
 	// Fsync is the journal's fsync policy; the zero value is
 	// wal.SyncAlways. Only meaningful with DataDir.
 	Fsync wal.SyncPolicy
@@ -93,35 +90,27 @@ type Config struct {
 	// it so admission decisions and timestamps are deterministic.
 	Clock func() time.Time
 
+	// Runner runs the jobs; nil means the local runner, which docks them
+	// in this process. A distributed coordinator supplies its chunk pool.
+	Runner Runner
+
 	// Logger receives the service's structured logs; every job-scoped
 	// record carries a "job" attribute for correlation. Nil discards.
 	Logger *slog.Logger
 }
 
+// DefaultQueueDepth is the queue bound when Config.QueueDepth is unset.
+const DefaultQueueDepth = 64
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 100 * time.Millisecond
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
-	}
+	c.Workers = cmp.Or(max(c.Workers, 0), runtime.GOMAXPROCS(0))
+	c.QueueDepth = cmp.Or(max(c.QueueDepth, 0), DefaultQueueDepth)
+	c.MaxAttempts = cmp.Or(max(c.MaxAttempts, 0), 3)
+	c.RetryBaseDelay = cmp.Or(max(c.RetryBaseDelay, 0), 100*time.Millisecond)
+	c.CheckpointEvery = cmp.Or(max(c.CheckpointEvery, 0), 1)
 	return c
 }
-
-// runnerFunc executes one screen; tests substitute a controllable stub.
-// The job ID keys the durable checkpoint the production runner resumes
-// from.
-type runnerFunc func(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error)
 
 // Service is the screening service: job registry, bounded queue, worker
 // pool and metrics. Create it with New, serve its Handler, stop it with
@@ -147,7 +136,7 @@ type Service struct {
 	queue   *jobQueue
 	ctrl    *admission.Controller
 	workers sync.WaitGroup
-	run     runnerFunc
+	runner  Runner
 
 	// Durability (nil journal when DataDir is unset).
 	journal  *wal.Log[jobEvent]
@@ -170,10 +159,6 @@ type Service struct {
 	// lastWarmup holds the most recent warm-up Percent factors reported
 	// by a finished job's backend, for the debug snapshot.
 	lastWarmup map[string][]float64
-
-	// ready flips once New finished booting: journal replayed, worker
-	// pool started. /readyz reports it (false again while draining).
-	ready bool
 
 	// now is the clock; tests pin it for stable timestamps.
 	now func() time.Time
@@ -216,7 +201,11 @@ func New(cfg Config) (*Service, error) {
 	if s.log == nil {
 		s.log = obs.Nop()
 	}
-	s.run = s.runScreen
+	s.runner = cfg.Runner
+	if s.runner == nil {
+		s.runner = RunFunc(s.runScreen)
+	}
+	s.runner.Bind(Host{s})
 	if cfg.DataDir != "" {
 		if err := s.openJournal(); err != nil {
 			return nil, err
@@ -226,9 +215,6 @@ func New(cfg Config) (*Service, error) {
 		s.workers.Add(1)
 		go s.worker()
 	}
-	s.mu.Lock()
-	s.ready = true
-	s.mu.Unlock()
 	return s, nil
 }
 
@@ -240,14 +226,12 @@ func (s *Service) Recovery() RecoveryStats {
 	return s.recovery
 }
 
-// StorageRetryAfter is the Retry-After handed to submissions shed in
-// storage-degraded mode, on either role: long enough that clients do not
-// hammer a full disk, short enough to notice space being freed promptly.
+// StorageRetryAfter is the Retry-After of a 507: long enough not to
+// hammer a full disk, short enough to notice freed space promptly.
 const StorageRetryAfter = 5 * time.Second
 
-// StorageFull is closed the first time the service enters
-// storage-degraded mode. vsserved's -on-full=stop policy drains on it;
-// the default -on-full=degrade keeps serving reads.
+// StorageFull is closed the first time the journal degrades (vsserved
+// -on-full stop drains on it).
 func (s *Service) StorageFull() <-chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -261,11 +245,9 @@ func (s *Service) Submit(req ScreenRequest) (JobView, error) {
 	return v, err
 }
 
-// SubmitIdem is Submit with an idempotency key: when key is non-empty and
-// a job — live or journaled before a crash — was already admitted under
-// it, that job's snapshot is returned with existing=true instead of
-// double-submitting. Clients that retry submissions across timeouts and
-// server restarts should always send a key.
+// SubmitIdem is Submit with an idempotency key: a key a job was already
+// admitted under — in this process or journaled before a restart, and
+// while draining too — answers that job with existing=true.
 func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing bool, err error) {
 	req = req.withDefaults()
 	if err := req.Validate(); err != nil {
@@ -275,7 +257,7 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 	defer s.mu.Unlock()
 	if key != "" {
 		if id, ok := s.idem[key]; ok {
-			return s.jobs[id].view(), true, nil
+			return s.viewLocked(s.jobs[id]), true, nil
 		}
 	}
 	if s.draining {
@@ -326,7 +308,7 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 		rec:       &trace.Recorder{},
 	}
 	j.rec.SetEpoch(j.submitted)
-	if err := s.queue.tryPush(j); err != nil {
+	if err := tryPush(s.queue, j); err != nil {
 		s.nextID-- // the ID was never exposed
 		if probe {
 			s.ctrl.Breaker.ReleaseProbe()
@@ -357,14 +339,14 @@ func (s *Service) SubmitIdem(req ScreenRequest, key string) (v JobView, existing
 	s.log.Info("job submitted", "job", j.id,
 		"dataset", req.Dataset, "library", req.Library,
 		"metaheuristic", req.Metaheuristic, "machine", req.Machine)
-	return j.view(), false, nil
+	return s.viewLocked(j), false, nil
 }
 
 // shedLocked counts and logs one overload rejection and wraps it as a
 // ShedError carrying the Retry-After and queue state. Caller holds s.mu.
 func (s *Service) shedLocked(err error, reason string, retryAfter time.Duration) error {
 	s.metrics.shed.With(reason).Inc()
-	depth := s.queue.depth()
+	depth := s.queue.Len()
 	s.log.Warn("request shed", "reason", reason, "err", err,
 		"retry_after_seconds", retryAfter.Seconds(), "queue_depth", depth)
 	return &ShedError{
@@ -384,7 +366,7 @@ func (s *Service) Get(id string) (JobView, error) {
 	if !ok {
 		return JobView{}, ErrNotFound
 	}
-	return j.view(), nil
+	return s.viewLocked(j), nil
 }
 
 // Trace returns a job's span recorder for timeline export. A job restored
@@ -398,16 +380,12 @@ func (s *Service) Trace(id string) (*trace.Recorder, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if j.rec == nil {
-		j.rec = &trace.Recorder{}
-		if !j.submitted.IsZero() {
-			j.rec.SetEpoch(j.submitted)
-		}
-		if j.state.Terminal() && !j.finished.IsZero() {
-			s.recordJobSpans(j)
-		}
+	restored := j.rec == nil
+	rec := j.recorder()
+	if restored && j.state.Terminal() && !j.finished.IsZero() {
+		s.recordJobSpans(j)
 	}
-	return j.rec, nil
+	return rec, nil
 }
 
 // List returns every job in submission order.
@@ -416,15 +394,16 @@ func (s *Service) List() []JobView {
 	defer s.mu.Unlock()
 	out := make([]JobView, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.jobs[id].view())
+		out = append(out, s.viewLocked(s.jobs[id]))
 	}
 	return out
 }
 
-// Cancel aborts a job: a queued job is marked cancelled immediately (the
-// worker that later pops it skips it), a running job has its context
-// cancelled and finishes as cancelled once the engine notices, between
-// generations. Cancelling a terminal job returns ErrTerminal.
+// Cancel aborts a job: a queued one at once, a running one once its
+// runner notices the cancelled context. Like a submit, a cancel is
+// acknowledged only once journaled, so replay never resurrects the job;
+// one the journal cannot take is refused with ErrStorageFull and the job
+// carries on. A terminal job returns ErrTerminal.
 func (s *Service) Cancel(id string) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -432,20 +411,30 @@ func (s *Service) Cancel(id string) (JobView, error) {
 	if !ok {
 		return JobView{}, ErrNotFound
 	}
-	switch j.state {
-	case StateQueued:
-		s.finishLocked(j, StateCancelled, nil, "cancelled while queued")
-	case StateRunning:
-		// Journal the intent before signalling: if the process dies before
-		// the job finishes, replay sees the cancel and does not resurrect
-		// the job.
-		j.cancelRequested = true
-		s.journal.Append(jobEvent{Type: evCancel, Job: j.id, Time: s.now()})
-		j.cancel()
-	default:
-		return j.view(), ErrTerminal
+	if j.state.Terminal() {
+		return s.viewLocked(j), ErrTerminal
 	}
-	return j.view(), nil
+	if !j.cancelRequested {
+		// Set before the append: a compaction it triggers must keep it.
+		j.cancelRequested = true
+		if !s.journal.Probe() || !s.journal.Append(jobEvent{Type: evCancel, Job: j.id, Time: s.now()}) {
+			j.cancelRequested = false
+			return s.viewLocked(j), s.shedLocked(ErrStorageFull, "storage_full", StorageRetryAfter)
+		}
+	}
+	if j.state == StateQueued {
+		s.finishLocked(j, StateCancelled, nil, "cancelled while queued")
+	} else {
+		j.cancel(nil)
+	}
+	return s.viewLocked(j), nil
+}
+
+// viewLocked snapshots a job with its runner's detail. Caller holds s.mu.
+func (s *Service) viewLocked(j *Job) JobView {
+	v := j.view()
+	s.runner.Detail(&v)
+	return v
 }
 
 // finishLocked moves a job to a terminal state, records it in the metrics
@@ -491,7 +480,7 @@ func (s *Service) finishLocked(j *Job, state JobState, res *core.ScreenResult, e
 	}
 	s.recordJobSpans(j)
 	if s.journal != nil {
-		v := j.view()
+		v := s.viewLocked(j)
 		s.journal.Append(jobEvent{Type: evTerminal, Job: j.id, Time: j.finished, View: &v})
 	}
 	s.log.Info("job finished", "job", j.id, "state", string(state),
@@ -534,9 +523,8 @@ func (s *Service) recordJobSpans(j *Job) {
 }
 
 // Drain starts the drain without waiting for it: intake stops, queued
-// jobs are cancelled and held /partial requests are answered. Shutdown
-// calls it first; a server registers it with http.Server.RegisterOnShutdown
-// so that closing the listener does not wait out a held poll. Idempotent.
+// jobs are cancelled and held /partial requests are answered, so closing
+// the HTTP listener (RegisterOnShutdown) does not wait out a held poll.
 func (s *Service) Drain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -548,7 +536,7 @@ func (s *Service) Drain() {
 			s.finishLocked(j, StateCancelled, nil, "cancelled at shutdown")
 		}
 	}
-	s.queue.close()
+	s.queue.Close()
 	// Wake workers blocked in the concurrency limiter; their remaining
 	// queued jobs were just cancelled above.
 	s.ctrl.Close()
@@ -565,11 +553,10 @@ func (s *Service) startDrainLocked() bool {
 	return true
 }
 
-// Shutdown drains the service: intake stops (further Submits return
-// ErrDraining), still-queued jobs are cancelled, and running jobs get to
-// finish. When ctx expires first, running jobs are force-cancelled and
-// Shutdown still waits for the workers to wind down before returning
-// ctx's error. Shutdown is idempotent.
+// Shutdown drains the service (Drain) and lets running jobs finish. When
+// ctx expires first they are interrupted (ErrInterrupted) — with a data
+// dir to resume on the next boot — and Shutdown returns ctx's error once
+// the workers wound down. Idempotent.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.Drain()
 
@@ -585,7 +572,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		s.mu.Lock()
 		for _, id := range s.order {
 			if j := s.jobs[id]; j.state == StateRunning {
-				j.cancel()
+				j.cancel(ErrInterrupted)
 			}
 		}
 		s.mu.Unlock()
@@ -626,7 +613,7 @@ func (s *Service) Stats() Stats {
 	defer s.mu.Unlock()
 	snap, storage := s.ctrl.Snapshot(), s.journal.Status()
 	st := Stats{
-		QueueDepth:      s.queue.depth(),
+		QueueDepth:      s.queue.Len(),
 		Workers:         s.cfg.Workers,
 		Draining:        s.draining,
 		QueueByClass:    make(map[string]int),
@@ -637,7 +624,7 @@ func (s *Service) Stats() Stats {
 		StorageReason:   storage.Reason,
 	}
 	for _, c := range admission.Classes() {
-		st.QueueByClass[c.String()] = s.queue.depthClass(c)
+		st.QueueByClass[c.String()] = s.queue.LenClass(c)
 	}
 	for _, j := range s.jobs {
 		if j.state == StateRunning {

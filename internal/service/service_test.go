@@ -19,17 +19,16 @@ import (
 	"github.com/metascreen/metascreen/internal/surface"
 )
 
-// newTestService builds a service whose runner is replaced by stub. The
-// override happens before any job is submitted, so workers (which read
-// the runner under the service mutex) never observe it mid-change.
-func newTestService(t *testing.T, cfg Config, stub runnerFunc) *Service {
+// newTestService builds a service whose runner is stub (nil keeps the
+// local one).
+func newTestService(t *testing.T, cfg Config, stub RunFunc) *Service {
 	t.Helper()
+	if stub != nil {
+		cfg.Runner = stub
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stub != nil {
-		s.run = stub
 	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -41,7 +40,7 @@ func newTestService(t *testing.T, cfg Config, stub runnerFunc) *Service {
 
 // blockingRunner returns a runner that blocks until released (or its job
 // is cancelled), plus the release function.
-func blockingRunner() (runnerFunc, func()) {
+func blockingRunner() (RunFunc, func()) {
 	release := make(chan struct{})
 	run := func(ctx context.Context, id string, req ScreenRequest) (*core.ScreenResult, error) {
 		select {
@@ -343,6 +342,41 @@ func TestShutdownDeadlineForceCancels(t *testing.T) {
 	got, err := s.Get(v.ID)
 	if err != nil || got.State != StateCancelled {
 		t.Fatalf("job after forced drain: %+v %v", got, err)
+	}
+}
+
+// TestDrainLeavesDurableJobToResume: with a data dir, a running job the
+// drain deadline interrupts is not journaled terminal. Like a crash, it
+// resumes on the next boot over the same dir and runs to completion.
+func TestDrainLeavesDurableJobToResume(t *testing.T) {
+	dir := t.TempDir()
+	run, release := blockingRunner()
+	defer release()
+	cfg := durableConfig(dir)
+	cfg.Runner = run
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.Submit(ScreenRequest{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { got, _ := s.Get(v.ID); return got.State == StateRunning })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown returned %v, want deadline exceeded", err)
+	}
+	if got, _ := s.Get(v.ID); got.State.Terminal() {
+		t.Fatalf("an interrupted durable job ended %s", got.State)
+	}
+
+	cfg.Runner = RunFunc(func(context.Context, string, ScreenRequest) (*core.ScreenResult, error) { return stubResult(), nil })
+	rs := newTestService(t, cfg, nil)
+	waitFor(t, func() bool { got, _ := rs.Get(v.ID); return got.State.Terminal() })
+	if got, _ := rs.Get(v.ID); got.State != StateDone || got.Attempts != 2 {
+		t.Fatalf("resumed job: %s after %d attempts, want done after 2", got.State, got.Attempts)
 	}
 }
 

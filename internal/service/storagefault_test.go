@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -237,5 +238,71 @@ func TestStorageFullDegradedMode(t *testing.T) {
 		if _, err := s2.Get(id); err != nil {
 			t.Errorf("acknowledged job %s lost across restart: %v", id, err)
 		}
+	}
+}
+
+// TestCancelRefusedWhileStorageDegraded: a cancel is acknowledged only
+// once its record is journaled, like a submit. With the journal disk full,
+// DELETE on a running job answers 507 + Retry-After and the job carries
+// on; a restart over the same dir still holds the job, which runs to
+// completion instead of coming back cancelled or not at all.
+func TestCancelRefusedWhileStorageDegraded(t *testing.T) {
+	dir := t.TempDir()
+	plan, err := fsim.ParsePlan("*:enospc@8192")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := fsim.New(plan, fsim.Config{Seed: 5})
+	cfg := durableConfig(dir)
+	cfg.FS = faulty
+	run, release := blockingRunner()
+	defer release()
+	cfg.Runner = run
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	v, err := s.Submit(recoveryRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { got, _ := s.Get(v.ID); return got.State == StateRunning })
+	for i := 0; ; i++ {
+		if i == 200 {
+			t.Fatal("disk never filled")
+		}
+		if _, err := s.Submit(recoveryRequest); errors.Is(err, ErrStorageFull) {
+			break
+		}
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/screens/"+v.ID, nil)
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInsufficientStorage || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("DELETE with a full journal: status %d, Retry-After %q; want 507 + Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if got, _ := s.Get(v.ID); got.State != StateRunning {
+		t.Fatalf("a refused cancel ended the job: %s", got.State)
+	}
+
+	// Stop without waiting for the job: the drain interrupts it.
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Shutdown(expired)
+	rs, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Shutdown(context.Background())
+	waitFor(t, func() bool { got, err := rs.Get(v.ID); return err == nil && got.State.Terminal() })
+	if got, _ := rs.Get(v.ID); got.State != StateDone {
+		t.Fatalf("job after restart: %s (%s), want done", got.State, got.Error)
 	}
 }

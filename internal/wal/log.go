@@ -117,15 +117,24 @@ func OpenLog[E any](dir string, cfg LogConfig[E]) (*Log[E], RecoveryInfo, error)
 	return &Log[E]{cfg: cfg, j: j, full: make(chan struct{})}, info, nil
 }
 
-// Append journals one record and reports whether it landed. A degraded
-// log skips it. A failed append is retried once after a Recover unless
-// the disk is full; a full disk or a second failure degrades the log. A
-// landed record may trigger a compaction, which includes it.
-func (l *Log[E]) Append(ev E) bool {
+// Append journals records, several under one fsync, and reports whether
+// they landed. A degraded log skips them. A failed append is retried once
+// after a Recover unless the disk is full; a full disk or a second
+// failure degrades the log. Landed records may trigger a compaction,
+// which includes them.
+func (l *Log[E]) Append(evs ...E) bool {
 	if l == nil {
 		return true
 	}
-	b, err := json.Marshal(ev)
+	bs := make([][]byte, len(evs))
+	var err error
+	for i, ev := range evs {
+		if b, merr := marshal(ev); merr != nil {
+			err = merr
+		} else {
+			bs[i] = b
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.degraded {
@@ -137,23 +146,34 @@ func (l *Log[E]) Append(ev E) bool {
 		l.cfg.Logf("wal: encoding a record failed: %v", err)
 		return false
 	}
-	if err := l.j.Append(b); err != nil {
+	if err := l.j.Append(bs...); err != nil {
 		l.cfg.OnError()
 		l.cfg.Logf("wal: append failed: %v", err)
 		// One shot at recovery for transient I/O faults. A full disk is not
 		// transient — retrying the same bytes cannot help.
-		if errors.Is(err, syscall.ENOSPC) || l.j.Recover() != nil || l.j.Append(b) != nil {
+		if errors.Is(err, syscall.ENOSPC) || l.j.Recover() != nil || l.j.Append(bs...) != nil {
 			l.degradeLocked(err)
 			return false
 		}
 		l.cfg.OnRecover()
 		l.cfg.Logf("wal: append recovered after a transient failure")
 	}
-	l.cfg.OnAppend(len(b))
+	for _, b := range bs {
+		l.cfg.OnAppend(len(b))
+	}
 	if l.j.Size() > max(l.cfg.CompactBytes, 2*l.last) {
 		l.compactLocked()
 	}
 	return true
+}
+
+// marshal encodes one record. A record type that encodes itself is not
+// put through encoding/json's second, validating pass over its bytes.
+func marshal[E any](ev E) ([]byte, error) {
+	if m, ok := any(ev).(json.Marshaler); ok {
+		return m.MarshalJSON()
+	}
+	return json.Marshal(ev)
 }
 
 // degradeLocked enters degraded read-only mode. Caller holds l.mu.
@@ -172,7 +192,7 @@ func (l *Log[E]) compactLocked() bool {
 	evs := l.cfg.Snapshot()
 	live := make([][]byte, 0, len(evs))
 	for _, ev := range evs {
-		b, err := json.Marshal(ev)
+		b, err := marshal(ev)
 		if err != nil {
 			l.cfg.OnError()
 			return false

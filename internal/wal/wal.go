@@ -383,15 +383,18 @@ func AppendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// Append journals one record, rotating the segment and syncing per the
-// configured policy. After a write or sync failure the journal is
-// fail-stopped: every further Append returns the sticky error until
-// Recover succeeds.
-func (j *Journal) Append(payload []byte) error {
-	if int64(len(payload)) > MaxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), int64(MaxRecordBytes))
+// Append journals records in one write, rotating the segment first and
+// syncing once per the configured policy. After a write or sync failure
+// the journal is fail-stopped: every further Append returns the sticky
+// error until Recover succeeds.
+func (j *Journal) Append(payloads ...[]byte) error {
+	var frame []byte
+	for _, payload := range payloads {
+		if int64(len(payload)) > MaxRecordBytes {
+			return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), int64(MaxRecordBytes))
+		}
+		frame = AppendFrame(frame, payload)
 	}
-	frame := AppendFrame(nil, payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
