@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/metascreen/metascreen/internal/core"
-	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
 	"github.com/metascreen/metascreen/internal/sched"
 )
@@ -40,52 +39,42 @@ type DeadlineReport struct {
 // The budget should be a fraction of the full run time so the deadline
 // binds; scale shrinks the workload as in Run.
 func RunDeadline(m Machine, dataset string, budget float64, cfg Config) (*DeadlineReport, error) {
+	return runDeadline(m, dataset, budget, cfg, 0)
+}
+
+// runDeadline replays the experiment's dockings, one per (metaheuristic,
+// split), on the same pool as runTable.
+func runDeadline(m Machine, dataset string, budget float64, cfg Config, workers int) (*DeadlineReport, error) {
 	cfg = cfg.withDefaults()
 	if budget <= 0 {
 		return nil, fmt.Errorf("tables: deadline budget %g", budget)
 	}
-	ds, err := core.DatasetByName(dataset)
-	if err != nil {
-		return nil, err
-	}
-	problem, err := core.NewProblemFromDataset(ds, forcefield.Options{})
+	problem, err := newProblem(dataset)
 	if err != nil {
 		return nil, err
 	}
 	rep := &DeadlineReport{Machine: m, Dataset: dataset, BudgetSeconds: budget}
 	for _, mh := range metaheuristic.PaperNames() {
-		if mh == "M4" {
-			// M4 is a single step; deadlines act between generations and
-			// cannot split it.
-			continue
+		// M4 is a single step; deadlines act between generations and
+		// cannot split it.
+		if mh != "M4" {
+			rep.Rows = append(rep.Rows, DeadlineRow{Metaheuristic: mh})
 		}
-		row := DeadlineRow{Metaheuristic: mh}
-		for _, mode := range []sched.Mode{sched.Homogeneous, sched.Heterogeneous} {
-			alg, err := metaheuristic.NewPaper(mh, cfg.Scale)
-			if err != nil {
-				return nil, err
-			}
-			backend, err := core.NewPoolBackend(problem, core.PoolConfig{
-				Specs:         m.GPUs,
-				Mode:          mode,
-				NoiseAmp:      cfg.NoiseAmp,
-				WarpsPerBlock: cfg.WarpsPerBlock,
-				Seed:          cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.RunBudget(problem, alg, backend, cfg.Seed, budget)
-			if err != nil {
-				return nil, err
-			}
-			if mode == sched.Homogeneous {
+	}
+	var ds []docking
+	for i := range rep.Rows {
+		row := &rep.Rows[i]
+		ds = append(ds,
+			docking{mh: row.Metaheuristic, setup: setup{allGPUs, sched.Homogeneous}, store: func(res *core.Result) {
 				row.GenHomog, row.BestHomog = res.Generations, res.Best.Score
-			} else {
+			}},
+			docking{mh: row.Metaheuristic, setup: setup{allGPUs, sched.Heterogeneous}, store: func(res *core.Result) {
 				row.GenHeter, row.BestHeter = res.Generations, res.Best.Score
-			}
-		}
-		rep.Rows = append(rep.Rows, row)
+			}})
+	}
+	label := fmt.Sprintf("deadline %s %s", m.Name, dataset)
+	if err := replay(problem, m, cfg, budget, label, ds, workers); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

@@ -3,9 +3,12 @@ package tables
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"github.com/metascreen/metascreen/internal/core"
+	"github.com/metascreen/metascreen/internal/cudasim"
 	"github.com/metascreen/metascreen/internal/forcefield"
+	"github.com/metascreen/metascreen/internal/hostpar"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
 	"github.com/metascreen/metascreen/internal/sched"
 )
@@ -113,120 +116,173 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Run regenerates one of the paper's result tables.
+// Run regenerates one of the paper's result tables. Its dockings run
+// concurrently on up to GOMAXPROCS goroutines; the table is bit-identical
+// to a serial replay.
 func Run(exp Experiment, cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	ds, err := core.DatasetByName(exp.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	problem, err := core.NewProblemFromDataset(ds, forcefield.Options{})
-	if err != nil {
-		return nil, err
-	}
-	table := &Table{Number: exp.Number, Machine: exp.Machine, Dataset: exp.Dataset}
-	for _, name := range metaheuristic.PaperNames() {
-		row, err := runRow(problem, exp.Machine, name, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("tables: table %d %s: %w", exp.Number, name, err)
-		}
-		table.Rows = append(table.Rows, row)
-	}
-	return table, nil
+	return runTable(exp, metaheuristic.PaperNames(), cfg, 0)
 }
 
 // RunRow regenerates a single metaheuristic's row of an experiment's
 // table, for benchmarks that want one row at a time.
 func RunRow(exp Experiment, mh string, cfg Config) (Row, error) {
-	cfg = cfg.withDefaults()
-	ds, err := core.DatasetByName(exp.Dataset)
+	t, err := runTable(exp, []string{mh}, cfg, 0)
 	if err != nil {
 		return Row{}, err
 	}
-	problem, err := core.NewProblemFromDataset(ds, forcefield.Options{})
-	if err != nil {
-		return Row{}, err
-	}
-	return runRow(problem, exp.Machine, mh, cfg)
+	return t.Rows[0], nil
 }
 
-// runRow executes the row's four configurations.
-func runRow(problem *core.Problem, m Machine, mh string, cfg Config) (Row, error) {
-	row := Row{Metaheuristic: mh, HomogeneousSystem: math.NaN()}
+// setup is one machine configuration a docking runs on: the OpenMP
+// baseline on the host's cores, or a set of the machine's GPUs under a
+// split mode.
+type setup struct {
+	// gpus picks the devices; nil means the OpenMP baseline.
+	gpus func(Machine) []cudasim.DeviceSpec
+	mode sched.Mode
+}
 
-	runOne := func(backend core.Backend) (*core.Result, error) {
-		alg, err := metaheuristic.NewPaper(mh, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		return core.Run(problem, alg, backend, cfg.Seed)
-	}
+func allGPUs(m Machine) []cudasim.DeviceSpec { return m.GPUs }
 
-	// OpenMP baseline.
-	hb, err := core.NewHostBackend(problem, core.HostConfig{
-		ModelCores:    m.CPUCores,
-		ModelClockMHz: m.CPUClockMHz,
-	})
-	if err != nil {
-		return row, err
-	}
-	hostRes, err := runOne(hb)
-	if err != nil {
-		return row, err
-	}
-	row.OpenMP = hostRes.SimulatedSeconds
-	row.EnergyOpenMP = hostRes.EnergyJoules
+// columns are a row's machine configurations in the paper's column order,
+// each with the cell its docking fills.
+var columns = [...]struct {
+	setup setup
+	store func(*Row, *core.Result)
+}{
+	{setup{}, func(r *Row, res *core.Result) {
+		r.OpenMP, r.EnergyOpenMP = res.SimulatedSeconds, res.EnergyJoules
+	}},
+	{setup{Machine.HomogeneousGPUs, sched.Homogeneous}, func(r *Row, res *core.Result) {
+		r.HomogeneousSystem = res.SimulatedSeconds
+	}},
+	{setup{allGPUs, sched.Homogeneous}, func(r *Row, res *core.Result) {
+		r.HetHomogComputation = res.SimulatedSeconds
+	}},
+	{setup{allGPUs, sched.Heterogeneous}, func(r *Row, res *core.Result) {
+		r.HetHetComputation, r.EnergyHetHet = res.SimulatedSeconds, res.EnergyJoules
+	}},
+}
 
-	// Homogeneous system (subset of identical GPUs), where defined.
-	if subset := m.HomogeneousGPUs(); len(subset) > 0 {
-		pb, err := core.NewPoolBackend(problem, core.PoolConfig{
-			Specs:         subset,
-			Mode:          sched.Homogeneous,
-			WarpsPerBlock: cfg.WarpsPerBlock,
-			Seed:          cfg.Seed,
+// on reports whether machine m has this configuration (Hertz has no
+// homogeneous subset).
+func (s setup) on(m Machine) bool { return s.gpus == nil || len(s.gpus(m)) > 0 }
+
+// backend builds the configuration's backend on machine m.
+func (s setup) backend(p *core.Problem, m Machine, cfg Config) (core.Backend, error) {
+	if s.gpus == nil {
+		return core.NewHostBackend(p, core.HostConfig{
+			ModelCores:    m.CPUCores,
+			ModelClockMHz: m.CPUClockMHz,
 		})
-		if err != nil {
-			return row, err
-		}
-		res, err := runOne(pb)
-		if err != nil {
-			return row, err
-		}
-		row.HomogeneousSystem = res.SimulatedSeconds
 	}
-
-	// Heterogeneous system, homogeneous computation (equal split).
-	pbHom, err := core.NewPoolBackend(problem, core.PoolConfig{
-		Specs:         m.GPUs,
-		Mode:          sched.Homogeneous,
-		WarpsPerBlock: cfg.WarpsPerBlock,
-		Seed:          cfg.Seed,
-	})
-	if err != nil {
-		return row, err
-	}
-	homRes, err := runOne(pbHom)
-	if err != nil {
-		return row, err
-	}
-	row.HetHomogComputation = homRes.SimulatedSeconds
-
-	// Heterogeneous system, heterogeneous computation (warm-up balanced).
-	pbHet, err := core.NewPoolBackend(problem, core.PoolConfig{
-		Specs:         m.GPUs,
-		Mode:          sched.Heterogeneous,
+	return core.NewPoolBackend(p, core.PoolConfig{
+		Specs:         s.gpus(m),
+		Mode:          s.mode,
 		NoiseAmp:      cfg.NoiseAmp,
 		WarpsPerBlock: cfg.WarpsPerBlock,
 		Seed:          cfg.Seed,
 	})
+}
+
+// runTable replays the rows of mhs, one docking per (row, configuration),
+// on a pool of at most workers goroutines (GOMAXPROCS when workers <= 0).
+func runTable(exp Experiment, mhs []string, cfg Config, workers int) (*Table, error) {
+	cfg = cfg.withDefaults()
+	problem, err := newProblem(exp.Dataset)
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	hetRes, err := runOne(pbHet)
+	t := &Table{Number: exp.Number, Machine: exp.Machine, Dataset: exp.Dataset, Rows: make([]Row, len(mhs))}
+	var ds []docking
+	for i, mh := range mhs {
+		row := &t.Rows[i]
+		*row = Row{Metaheuristic: mh, HomogeneousSystem: math.NaN()}
+		for _, c := range columns {
+			if !c.setup.on(exp.Machine) {
+				continue
+			}
+			ds = append(ds, docking{mh: mh, setup: c.setup, store: func(res *core.Result) { c.store(row, res) }})
+		}
+	}
+	if err := replay(problem, exp.Machine, cfg, 0, fmt.Sprintf("table %d", exp.Number), ds, workers); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// newProblem builds a dataset's problem. A replay's dockings share it: its
+// only lazy state, the receptor's cell list, is built under a sync.Once.
+func newProblem(dataset string) (*core.Problem, error) {
+	ds, err := core.DatasetByName(dataset)
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	row.HetHetComputation = hetRes.SimulatedSeconds
-	row.EnergyHetHet = hetRes.EnergyJoules
-	return row, nil
+	return core.NewProblemFromDataset(ds, forcefield.Options{})
+}
+
+// docking is one independent modeled run of a replay: one metaheuristic on
+// one machine configuration, with its own backend and simulated clock.
+type docking struct {
+	mh    string
+	setup setup
+	// store writes the result into the docking's fixed slot.
+	store func(*core.Result)
+}
+
+// replay runs the dockings, which share problem p, on the docking pool;
+// callers list the costliest first. Each docking writes only its own slot,
+// so the output is bit-identical to a serial replay. A positive budget
+// runs each docking under that simulated deadline. A failure is wrapped as
+// "tables: <label> <MH>: ...".
+func replay(p *core.Problem, m Machine, cfg Config, budget float64, label string, ds []docking, workers int) error {
+	return dockAll(len(ds), workers, func(i int) error {
+		d := ds[i]
+		res, err := d.run(p, m, cfg, budget)
+		if err != nil {
+			return fmt.Errorf("tables: %s %s: %w", label, d.mh, err)
+		}
+		d.store(res)
+		return nil
+	})
+}
+
+// dockAll is the docking pool: it runs job(0) .. job(n-1) on at most
+// workers goroutines (GOMAXPROCS when workers <= 0), each claiming the next
+// index in order. Once a job fails no new one starts; dockAll returns when
+// every started job has finished, with the error of the lowest failed
+// index (a job skipped after a failure comes later in the order than it).
+func dockAll(n, workers int, job func(i int) error) error {
+	errs := make([]error, n)
+	var failed atomic.Bool
+	hostpar.NewTeam(workers).ForChunk(n, hostpar.Dynamic, 1, func(i, _, _ int) {
+		if failed.Load() {
+			return
+		}
+		if errs[i] = job(i); errs[i] != nil {
+			failed.Store(true)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run builds the docking's metaheuristic and backend and executes it.
+func (d docking) run(p *core.Problem, m Machine, cfg Config, budget float64) (*core.Result, error) {
+	alg, err := metaheuristic.NewPaper(d.mh, cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
+	backend, err := d.setup.backend(p, m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if budget > 0 {
+		return core.RunBudget(p, alg, backend, cfg.Seed, budget)
+	}
+	return core.Run(p, alg, backend, cfg.Seed)
 }

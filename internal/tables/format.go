@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"github.com/metascreen/metascreen/internal/metaheuristic"
 )
 
 // Write renders the table in the paper's column layout, appending the two
@@ -105,6 +107,21 @@ func WriteConfig(w io.Writer) error {
 	return err
 }
 
+// complete reports whether every time the row has on machine m is finite
+// and positive.
+func (r Row) complete(m Machine) bool {
+	times := []float64{r.OpenMP, r.HetHomogComputation, r.HetHetComputation}
+	if len(m.HomogeneousSubset) > 0 {
+		times = append(times, r.HomogeneousSystem)
+	}
+	for _, v := range times {
+		if !(v > 0) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // ShapeReport summarizes whether a regenerated table preserves the paper's
 // qualitative findings; each check is a named pass/fail.
 type ShapeReport struct {
@@ -138,6 +155,10 @@ func (r ShapeReport) Pass() bool {
 //     substantial (>= 1.2x); on near-uniform nodes (Jupiter) it is small
 //     (< 1.2x);
 //   - M4 is the most expensive metaheuristic and M3 the cheapest.
+//
+// A metaheuristic whose row is missing, or holds a non-finite or
+// non-positive time, enters every check as NaN and fails them, and
+// gpu-dominates names it.
 func CheckShape(t *Table) ShapeReport {
 	var rep ShapeReport
 	add := func(name string, pass bool, format string, args ...any) {
@@ -146,23 +167,38 @@ func CheckShape(t *Table) ShapeReport {
 		})
 	}
 	byName := map[string]Row{}
-	minOpenMPSpeedup := math.Inf(1)
-	minGain, maxGain := math.Inf(1), math.Inf(-1)
 	for _, r := range t.Rows {
 		byName[r.Metaheuristic] = r
-		if s := r.SpeedupOpenMPVsHet(); s < minOpenMPSpeedup {
+	}
+	var bad []string
+	minOpenMPSpeedup := math.Inf(1)
+	minGain, maxGain := math.Inf(1), math.Inf(-1)
+	for _, mh := range metaheuristic.PaperNames() {
+		r, ok := byName[mh]
+		if !ok || !r.complete(t.Machine) {
+			bad = append(bad, mh)
+			nan := math.NaN()
+			r = Row{Metaheuristic: mh, OpenMP: nan, HomogeneousSystem: nan, HetHomogComputation: nan, HetHetComputation: nan}
+			byName[mh] = r
+		}
+		// A NaN sticks: no comparison with it is true.
+		if s := r.SpeedupOpenMPVsHet(); s < minOpenMPSpeedup || math.IsNaN(s) {
 			minOpenMPSpeedup = s
 		}
 		g := r.SpeedupHetVsHomog()
-		if g < minGain {
+		if g < minGain || math.IsNaN(g) {
 			minGain = g
 		}
-		if g > maxGain {
+		if g > maxGain || math.IsNaN(g) {
 			maxGain = g
 		}
 	}
+	badInfo := ""
+	if len(bad) > 0 {
+		badInfo = fmt.Sprintf("; rows missing or with a non-finite or non-positive time: %s", strings.Join(bad, ", "))
+	}
 	add("gpu-dominates", minOpenMPSpeedup >= 10,
-		"min OpenMP/het speed-up %.1f (want >= 10)", minOpenMPSpeedup)
+		"min OpenMP/het speed-up %.1f (want >= 10)%s", minOpenMPSpeedup, badInfo)
 	add("het-never-loses", minGain >= 0.99,
 		"min heterogeneous gain %.3f (want >= 0.99)", minGain)
 	mixedArch := t.Machine.Name == "Hertz"

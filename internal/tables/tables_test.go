@@ -1,9 +1,16 @@
 package tables
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/metascreen/metascreen/internal/metaheuristic"
 )
 
 func TestMachinesMatchPaper(t *testing.T) {
@@ -347,5 +354,181 @@ func TestShapeReportPass(t *testing.T) {
 	bad := ShapeReport{Checks: []ShapeCheck{{Pass: true}, {Pass: false}}}
 	if bad.Pass() {
 		t.Error("failing report passes")
+	}
+}
+
+// sameBits fails t unless a and b agree in every field, floats to the bit
+// (so NaN columns must match too).
+func sameBits(t *testing.T, what string, a, b any) {
+	t.Helper()
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		same := fa.Interface() == fb.Interface()
+		if fa.Kind() == reflect.Float64 {
+			same = math.Float64bits(fa.Float()) == math.Float64bits(fb.Float())
+		}
+		if !same {
+			t.Errorf("%s: %s differs: %v vs %v", what, va.Type().Field(i).Name, fa.Interface(), fb.Interface())
+		}
+	}
+}
+
+func TestPoolEqualsSerial(t *testing.T) {
+	cfg := Config{Scale: 0.1, Seed: 5}
+	for _, n := range []int{6, 8} {
+		exp, err := ExperimentByNumber(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := runTable(exp, metaheuristic.PaperNames(), cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := runTable(exp, metaheuristic.PaperNames(), cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(serial.Rows) != 4 || len(pooled.Rows) != 4 {
+			t.Fatalf("table %d: %d and %d rows", n, len(serial.Rows), len(pooled.Rows))
+		}
+		for i := range serial.Rows {
+			sameBits(t, fmt.Sprintf("table %d row %d", n, i), serial.Rows[i], pooled.Rows[i])
+		}
+		row, err := RunRow(exp, "M2", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("table %d RunRow M2", n), serial.Rows[1], row)
+	}
+	for _, m := range []Machine{Jupiter(), Hertz()} {
+		serial, err := runDeadline(m, "2BSM", 0.02, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := runDeadline(m, "2BSM", 0.02, cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(serial.Rows) != 3 || len(pooled.Rows) != 3 {
+			t.Fatalf("%s: %d and %d deadline rows", m.Name, len(serial.Rows), len(pooled.Rows))
+		}
+		for i := range serial.Rows {
+			sameBits(t, fmt.Sprintf("%s deadline row %d", m.Name, i), serial.Rows[i], pooled.Rows[i])
+		}
+	}
+}
+
+func TestErrorsWrappedOnEveryEntryPoint(t *testing.T) {
+	// NewPaper rejects the scale, so every docking fails; each entry point
+	// reports its first docking in table order, wrapped the same way.
+	bad := Config{Scale: 1.5}
+	exp, err := ExperimentByNumber(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(err error, prefix string) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("scale 1.5 accepted (want %q...)", prefix)
+		}
+		if !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), "scale 1.5") {
+			t.Errorf("error %q, want prefix %q and the cause", err, prefix)
+		}
+	}
+	_, err = Run(exp, bad)
+	check(err, "tables: table 8 M1: ")
+	_, err = runTable(exp, metaheuristic.PaperNames(), bad, 4)
+	check(err, "tables: table 8 M1: ")
+	_, err = RunRow(exp, "M3", bad)
+	check(err, "tables: table 8 M3: ")
+	_, err = RunDeadline(Hertz(), "2BSM", 0.4, bad)
+	check(err, "tables: deadline Hertz 2BSM M1: ")
+	_, err = RunRow(exp, "M9", Config{Scale: 0.1})
+	if err == nil || !strings.HasPrefix(err.Error(), "tables: table 8 M9: ") {
+		t.Errorf("unknown metaheuristic: %v", err)
+	}
+}
+
+func TestDockAllFirstErrorNoStragglers(t *testing.T) {
+	// Job 1 fails first while job 0 is still running; job 0 then fails
+	// too. The lower index's error wins, no job starts after the first
+	// failure, and dockAll waits for job 0 before it returns.
+	var started, finished atomic.Int32
+	oneFailed := make(chan struct{})
+	err := dockAll(8, 2, func(i int) error {
+		started.Add(1)
+		defer finished.Add(1)
+		switch i {
+		case 0:
+			<-oneFailed
+			time.Sleep(20 * time.Millisecond)
+			return errors.New("job 0")
+		case 1:
+			close(oneFailed)
+			return errors.New("job 1")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "job 0" {
+		t.Errorf("err = %v, want job 0's", err)
+	}
+	if s, f := started.Load(), finished.Load(); s != 2 || f != 2 {
+		t.Errorf("started %d, finished %d at return; want 2 and 2", s, f)
+	}
+	if err := dockAll(0, 0, func(int) error { return errors.New("ran") }); err != nil {
+		t.Errorf("empty pool: %v", err)
+	}
+}
+
+// paperTable is table n built from the paper's own numbers, which keep
+// the shape.
+func paperTable(t *testing.T, n int) *Table {
+	t.Helper()
+	exp, err := ExperimentByNumber(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := &Table{Number: n, Machine: exp.Machine, Dataset: exp.Dataset}
+	paper := PaperResults(n)
+	for _, mh := range metaheuristic.PaperNames() {
+		p := paper[mh]
+		tab.Rows = append(tab.Rows, Row{Metaheuristic: mh, OpenMP: p.OpenMP, HomogeneousSystem: p.HomogeneousSystem,
+			HetHomogComputation: p.HetHomogComputation, HetHetComputation: p.HetHetComputation})
+	}
+	return tab
+}
+
+func TestCheckShapeFailsIncompleteRow(t *testing.T) {
+	for _, n := range []int{6, 8} {
+		if rep := CheckShape(paperTable(t, n)); !rep.Pass() {
+			t.Fatalf("table %d from the paper's numbers fails: %+v", n, rep.Checks)
+		}
+	}
+	cases := []struct {
+		name  string
+		table int
+		edit  func(tab *Table)
+	}{
+		// An unwritten result slot: every time of the M3 row is zero.
+		{"zeroed M3", 8, func(tab *Table) { tab.Rows[2] = Row{Metaheuristic: "M3"} }},
+		{"missing M3", 8, func(tab *Table) { tab.Rows = append(tab.Rows[:2], tab.Rows[3]) }},
+		{"zero het/het", 8, func(tab *Table) { tab.Rows[0].HetHetComputation = 0 }},
+		{"negative OpenMP", 8, func(tab *Table) { tab.Rows[1].OpenMP = -1 }},
+		{"infinite het/homog", 6, func(tab *Table) { tab.Rows[3].HetHomogComputation = math.Inf(1) }},
+		{"NaN homogeneous system", 6, func(tab *Table) { tab.Rows[0].HomogeneousSystem = math.NaN() }},
+	}
+	for _, c := range cases {
+		tab := paperTable(t, c.table)
+		c.edit(tab)
+		rep := CheckShape(tab)
+		if rep.Pass() {
+			t.Errorf("%s: table %d passes every check", c.name, c.table)
+			continue
+		}
+		first := rep.Checks[0]
+		if first.Name != "gpu-dominates" || first.Pass || !strings.Contains(first.Info, "non-positive time") {
+			t.Errorf("%s: first check %+v, want a failing gpu-dominates naming the row", c.name, first)
+		}
 	}
 }
