@@ -32,9 +32,10 @@
 // -fsync, the admission flags, ...); on a coordinator -workers bounds how
 // many screens are supervised at once and defaults to the queue bound.
 // The coordinator's worker requests run under timeouts, bounded retries
-// and epoch fencing (-request-timeout, -worker-attempts, ...); -chaos and
-// -disk-chaos inject deterministic network and disk faults for drills
-// (internal/netsim, internal/fsim).
+// and epoch fencing (-request-timeout, -worker-attempts, ...). -chaos
+// injects deterministic faults for drills from one plan and one
+// -chaos-seed: each clause goes by its kind to the network (netsim, a
+// coordinator's worker requests) or to the disk (fsim, the journal).
 //
 // SIGINT/SIGTERM drain gracefully: intake stops, queued jobs are
 // cancelled, running jobs finish (up to -drain-timeout, then they are
@@ -58,6 +59,7 @@ import (
 
 	"github.com/metascreen/metascreen/internal/admission"
 	"github.com/metascreen/metascreen/internal/dist"
+	"github.com/metascreen/metascreen/internal/faultplan"
 	"github.com/metascreen/metascreen/internal/fsim"
 	"github.com/metascreen/metascreen/internal/netsim"
 	"github.com/metascreen/metascreen/internal/obs"
@@ -98,10 +100,8 @@ func main() {
 	workerRetryDelay := flag.Duration("worker-retry-delay", 0, "base backoff between coordinator request retries, doubled and jittered (0 = 50ms)")
 	workerFailThreshold := flag.Int("worker-fail-threshold", 0, "consecutive failed requests before a worker is declared dead (0 = 2)")
 	workerResponseLimit := flag.Int64("worker-response-limit", 0, "byte cap on worker responses (0 = sized to the library limit)")
-	chaos := flag.String("chaos", "", "netsim fault plan injected into coordinator->worker requests, e.g. '127.0.0.1:8081:partition@3s+4s' (empty = disabled)")
+	chaos := flag.String("chaos", "", "fault plan: network clauses hit coordinator->worker requests (coordinator only), disk clauses hit journal I/O, e.g. '127.0.0.1:8081:partition@3s+4s,*.wal:fsync-fail@0.01' (empty = disabled)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the -chaos plan's probabilistic faults")
-	diskChaos := flag.String("disk-chaos", "", "fsim fault plan injected into journal I/O (checkpoint records included), e.g. '*.wal:fsync-fail@0.01,*:enospc@1048576' (empty = disabled)")
-	diskChaosSeed := flag.Uint64("disk-chaos-seed", 1, "seed for the -disk-chaos plan's probabilistic faults")
 	onFull := flag.String("on-full", "degrade", "reaction to a full or failing journal disk, on every role: degrade (serve reads, 507 submissions) or stop (drain and exit 1)")
 	flag.Parse()
 
@@ -117,14 +117,25 @@ func main() {
 		fatal(fmt.Errorf("unknown -on-full %q (want degrade or stop)", *onFull))
 	}
 	logf := func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) }
+	chaosSpecs, err := faultplan.Route(*chaos, netsim.Kinds, fsim.Kinds)
+	if err != nil {
+		fatal(err)
+	}
+	netPlan, err := netsim.ParsePlan(chaosSpecs[0])
+	if err != nil {
+		fatal(err)
+	}
+	diskPlan, err := fsim.ParsePlan(chaosSpecs[1])
+	if err != nil {
+		fatal(err)
+	}
+	if len(netPlan.Rules) > 0 && *role != "coordinator" {
+		fatal(fmt.Errorf("-chaos network clauses %q need -role coordinator (only a coordinator sends worker requests)", netPlan))
+	}
 	var diskFS fsim.FS
-	if *diskChaos != "" {
-		plan, perr := fsim.ParsePlan(*diskChaos)
-		if perr != nil {
-			fatal(perr)
-		}
-		diskFS = fsim.New(plan, fsim.Config{Seed: *diskChaosSeed, Logf: logf})
-		logger.Warn("disk chaos plan active on durability I/O", "plan", plan.String(), "seed", *diskChaosSeed)
+	if len(diskPlan.Rules) > 0 {
+		diskFS = fsim.New(diskPlan, fsim.Config{Seed: *chaosSeed, Logf: logf})
+		logger.Warn("disk chaos plan active on durability I/O", "plan", diskPlan.String(), "seed", *chaosSeed)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -156,13 +167,9 @@ func main() {
 	switch *role {
 	case "coordinator":
 		var transport http.RoundTripper
-		if *chaos != "" {
-			plan, perr := netsim.ParsePlan(*chaos)
-			if perr != nil {
-				fatal(perr)
-			}
-			transport = netsim.New(plan, netsim.Config{Seed: *chaosSeed, Logf: logf})
-			logger.Warn("chaos plan active on worker requests", "plan", plan.String(), "seed", *chaosSeed)
+		if len(netPlan.Rules) > 0 {
+			transport = netsim.New(netPlan, netsim.Config{Seed: *chaosSeed, Logf: logf})
+			logger.Warn("chaos plan active on worker requests", "plan", netPlan.String(), "seed", *chaosSeed)
 		}
 		svc, err = dist.New(dist.Config{
 			Service:          cfg,

@@ -9,7 +9,11 @@ package e2e
 // merged exactly once.
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 )
@@ -118,4 +122,34 @@ func TestDistributedChaos(t *testing.T) {
 
 	// The healed victim rejoins under a fresh epoch.
 	waitAlive(2, 30*time.Second, "after heal")
+}
+
+// TestChaosPlanChecked: every role parses -chaos at startup, so a bad
+// plan, or network clauses on a role that sends no worker requests, is a
+// startup error rather than a process that silently injects nothing. A
+// disk-only plan boots on a node.
+func TestChaosPlanChecked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and launches real server binaries")
+	}
+	bin := buildServer(t)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-role", "node", "-chaos", "garbage"}, "bad fault clause"},
+		{[]string{"-role", "node", "-chaos", "*:eio@NaN"}, "not a finite number"},
+		{[]string{"-role", "node", "-chaos", "*:melt@1"}, "unknown fault kind"},
+		{[]string{"-role", "node", "-chaos", "127.0.0.1:8081:error@0.5"}, "need -role coordinator"},
+		{[]string{"-role", "worker", "-coordinator", "http://127.0.0.1:1", "-chaos", "*.wal:eio@0.1,*:latency@5ms"}, "need -role coordinator"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", freeAddr(t)}, c.args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), c.want) {
+			t.Errorf("vsserved %q: %v, output %q; want exit 1 naming %q", c.args, err, out, c.want)
+		}
+	}
+	startServer(t, bin, "-chaos", "*.wal:fsync-fail@0.001", "-chaos-seed", "3")
 }

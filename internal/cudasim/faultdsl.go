@@ -2,72 +2,76 @@ package cudasim
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+
+	"github.com/metascreen/metascreen/internal/faultplan"
 )
 
-// ParseFaultPlans parses the fault-injection DSL shared by the vsrun
-// -faults flag and the service's ScreenRequest.Faults field:
-// comma-separated "dev<i>:<kind>@<value>" clauses, where kind is fail@T
-// (permanent loss at simulated second T), hang@T (operations starting at
-// or after T never complete), transient@R (per-operation error rate R) or
-// throttle@Fx (throughput multiplier F). Multiple clauses for the same
-// device merge into one plan. An empty spec returns nil. The seed derives
-// each device's transient-error RNG so faulted runs stay reproducible.
+// FaultKinds is the device-fault kind table: fail@T (permanent loss at
+// simulated second T), hang@T (operations starting at or after T never
+// complete), transient@R (per-operation error rate R) and throttle@Fx
+// (throughput multiplier F; the x is optional).
+var FaultKinds = faultplan.Table[float64]{
+	Layer: "cudasim",
+	Kinds: []faultplan.Kind[float64]{
+		deviceKind("fail", math.Inf(1)),
+		deviceKind("hang", math.Inf(1)),
+		deviceKind("transient", 1),
+		deviceKind("throttle", 1),
+	},
+}
+
+// deviceKind is a kind whose value is a finite number in (0, below).
+func deviceKind(name string, below float64) faultplan.Kind[float64] {
+	return faultplan.Kind[float64]{
+		Name: name,
+		Parse: func(s string) (float64, error) {
+			if name == "throttle" {
+				s = strings.TrimSuffix(s, "x")
+			}
+			v, err := faultplan.Finite(s)
+			if err == nil && (v <= 0 || v >= below) {
+				err = fmt.Errorf("%s %v must be in (0,%v)", name, v, below)
+			}
+			return v, err
+		},
+		Format: faultplan.FormatFloat,
+	}
+}
+
+// ParseFaultPlans parses a device fault plan — the vsrun -faults flag
+// and the service's ScreenRequest.Faults field — in FaultKinds, with
+// "dev<i>" targets. Multiple clauses for the same device merge into one
+// plan. An empty spec returns nil. The seed derives each device's
+// transient-error RNG so faulted runs stay reproducible.
 func ParseFaultPlans(spec string, devices int, seed uint64) ([]FaultPlan, error) {
 	if spec == "" {
 		return nil, nil
 	}
+	rules, err := FaultKinds.Parse(spec)
+	if err != nil {
+		return nil, err
+	}
 	plans := make([]FaultPlan, devices)
-	for _, clause := range strings.Split(spec, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		devPart, rest, ok := strings.Cut(clause, ":")
-		if !ok || !strings.HasPrefix(devPart, "dev") {
-			return nil, fmt.Errorf("cudasim: bad fault clause %q (want dev<i>:<kind>@<value>)", clause)
-		}
-		idx, err := strconv.Atoi(strings.TrimPrefix(devPart, "dev"))
-		if err != nil || idx < 0 || idx >= devices {
-			return nil, fmt.Errorf("cudasim: bad device in fault clause %q (machine has %d devices)", clause, devices)
-		}
-		kind, valPart, ok := strings.Cut(rest, "@")
-		if !ok {
-			return nil, fmt.Errorf("cudasim: bad fault clause %q (missing @value)", clause)
-		}
-		if kind == "throttle" {
-			valPart = strings.TrimSuffix(valPart, "x")
-		}
-		val, err := strconv.ParseFloat(valPart, 64)
-		if err != nil {
-			return nil, fmt.Errorf("cudasim: bad value in fault clause %q: %v", clause, err)
+	for _, r := range rules {
+		num, ok := strings.CutPrefix(r.Target, "dev")
+		idx, err := strconv.Atoi(num)
+		if !ok || err != nil || idx < 0 || idx >= devices {
+			return nil, fmt.Errorf("cudasim: bad device in fault clause %q (want dev<i> on a machine with %d devices)", FaultKinds.Clause(r), devices)
 		}
 		p := &plans[idx]
-		switch kind {
+		switch r.Kind {
 		case "fail":
-			if val <= 0 {
-				return nil, fmt.Errorf("cudasim: fail time must be positive in %q", clause)
-			}
-			p.FailAt = val
+			p.FailAt = r.Value
 		case "hang":
-			if val <= 0 {
-				return nil, fmt.Errorf("cudasim: hang time must be positive in %q", clause)
-			}
-			p.HangAt = val
+			p.HangAt = r.Value
 		case "transient":
-			if val <= 0 || val >= 1 {
-				return nil, fmt.Errorf("cudasim: transient rate must be in (0,1) in %q", clause)
-			}
-			p.TransientRate = val
+			p.TransientRate = r.Value
 			p.Seed = seed + uint64(idx)
 		case "throttle":
-			if val <= 0 || val >= 1 {
-				return nil, fmt.Errorf("cudasim: throttle factor must be in (0,1) in %q", clause)
-			}
-			p.ThrottleFactor = val
-		default:
-			return nil, fmt.Errorf("cudasim: unknown fault kind %q in %q (want fail, hang, transient or throttle)", kind, clause)
+			p.ThrottleFactor = r.Value
 		}
 	}
 	return plans, nil

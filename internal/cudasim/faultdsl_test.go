@@ -33,6 +33,9 @@ func TestParseFaultPlans(t *testing.T) {
 		"dev0:fail@0",      // non-positive time
 		"dev0:transient@1", // rate out of (0,1)
 		"dev0:melt@1",      // unknown kind
+		"dev0:fail@Inf",    // non-finite values
+		"dev0:hang@NaN",
+		"dev0:throttle@NaNx",
 	}
 	for _, spec := range bad {
 		if _, err := ParseFaultPlans(spec, 2, 0); err == nil {

@@ -2,12 +2,11 @@ package fsim
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"sync"
 	"syscall"
 
+	"github.com/metascreen/metascreen/internal/faultplan"
 	"github.com/metascreen/metascreen/internal/rng"
 )
 
@@ -22,7 +21,7 @@ var ErrCrashed = fmt.Errorf("fsim: simulated power loss (writes halted)")
 // (syscall.EIO, syscall.ENOSPC or ErrCrashed) so errors.Is-based
 // classification treats injected faults exactly like real ones.
 type InjectedError struct {
-	Kind Kind
+	Kind string
 	Op   string // operation that faulted: "write", "sync", "rename", ...
 	Path string
 	Err  error
@@ -41,13 +40,14 @@ func (e *InjectedError) Unwrap() error { return e.Err }
 type Decision struct {
 	Op   string
 	Path string
-	Kind Kind
+	Kind string
 	Seq  uint64 // per-path operation ordinal (crash: global op index)
 }
 
-// maxDecisions bounds the in-memory decision log on long-running
-// processes; past it, new decisions are counted but not stored.
-const maxDecisions = 65536
+// String is the decision's log line.
+func (d Decision) String() string {
+	return fmt.Sprintf("fsim: %s on %s %s (op %d)", d.Kind, d.Op, d.Path, d.Seq)
+}
 
 // Config tunes a Faulty filesystem.
 type Config struct {
@@ -70,13 +70,12 @@ type Faulty struct {
 	cfg  Config
 	base FS
 
-	mu        sync.Mutex
-	ord       map[string]uint64 // per-path operation ordinal, starting at 0
-	ops       uint64            // global mutating-op counter, 1-based
-	written   map[int]int64     // bytes consumed per enospc rule (plan index)
-	crashed   bool              // a crash rule fired; all mutation halted
-	decisions []Decision
-	dropped   int64
+	mu      sync.Mutex
+	ord     map[string]uint64 // per-path operation ordinal, starting at 0
+	ops     uint64            // global mutating-op counter, 1-based
+	written map[int]int64     // bytes consumed per enospc rule (plan index)
+	crashed bool              // a crash rule fired; all mutation halted
+	log     faultplan.Log[Decision]
 	// synced is, per file opened for writing, its length at its last
 	// successful Sync (at open, until then): what a crash keeps. It
 	// follows the file across a Rename.
@@ -96,15 +95,12 @@ func New(plan Plan, cfg Config) *Faulty {
 		ord:     make(map[string]uint64),
 		written: make(map[int]int64),
 		synced:  make(map[string]int64),
+		log:     faultplan.Log[Decision]{Logf: cfg.Logf},
 	}
 }
 
 // Decisions returns a copy of the fault log so far.
-func (f *Faulty) Decisions() []Decision {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]Decision(nil), f.decisions...)
-}
+func (f *Faulty) Decisions() []Decision { return f.log.Decisions() }
 
 // MutatingOps reports how many mutating operations (writes, syncs,
 // renames, removes, truncates, creates, dir syncs) have been admitted.
@@ -132,31 +128,9 @@ func (f *Faulty) FreeSpace() {
 	f.written = make(map[int]int64)
 }
 
-// record logs one injected fault. Caller holds f.mu.
-func (f *Faulty) record(d Decision) {
-	if len(f.decisions) < maxDecisions {
-		f.decisions = append(f.decisions, d)
-	} else {
-		f.dropped++
-	}
-	if f.cfg.Logf != nil {
-		f.cfg.Logf("fsim: %s on %s %s (op %d)", d.Kind, d.Op, d.Path, d.Seq)
-	}
-}
-
-// lane derives the deterministic random source for one decision: a pure
-// function of seed, path, per-path op ordinal and rule position, so
-// concurrent operations on different paths cannot perturb each other's
-// fault sequences.
-func (f *Faulty) lane(path string, ord, ruleIdx uint64) *rng.Source {
-	h := fnv.New64a()
-	io.WriteString(h, path)
-	return rng.New(f.cfg.Seed ^ h.Sum64()).Split(ord).Split(ruleIdx)
-}
-
 // inject builds and records one fault. Caller holds f.mu.
-func (f *Faulty) inject(kind Kind, op, path string, seq uint64, errno error) error {
-	f.record(Decision{Op: op, Path: path, Kind: kind, Seq: seq})
+func (f *Faulty) inject(kind, op, path string, seq uint64, errno error) error {
+	f.log.Record(Decision{Op: op, Path: path, Kind: kind, Seq: seq})
 	return &InjectedError{Kind: kind, Op: op, Path: path, Err: errno}
 }
 
@@ -174,13 +148,25 @@ func (f *Faulty) admit(op, path string, mutating bool) (ord uint64, err error) {
 		return ord, f.inject(KindCrash, op, path, f.ops, ErrCrashed)
 	}
 	for _, r := range f.plan.Rules {
-		if r.Kind == KindCrash && r.matches(path) && f.ops >= r.Op {
+		if r.Kind == KindCrash && matches(r.Target, path) && f.ops >= r.Value.Op {
 			f.crashed = true
 			f.dropUnsyncedLocked()
 			return ord, f.inject(KindCrash, op, path, f.ops, ErrCrashed)
 		}
 	}
 	return ord, nil
+}
+
+// mutate admits a mutating operation and rolls its kind's rules on it,
+// failing it with EIO on a hit. Caller holds f.mu.
+func (f *Faulty) mutate(op, path, kind string) error {
+	ord, err := f.admit(op, path, true)
+	if err == nil {
+		if _, hit := f.roll(kind, path, ord); hit {
+			err = f.inject(kind, op, path, ord, syscall.EIO)
+		}
+	}
+	return err
 }
 
 // dropUnsyncedLocked is the power loss itself: every file loses the bytes
@@ -212,13 +198,13 @@ func (f *Faulty) syncedShrinkLocked(path string, size int64) {
 // the decision draw, so faults needing extra randomness — a torn write's
 // cut, a bitrot position — continue the same deterministic stream) and
 // true. Caller holds f.mu.
-func (f *Faulty) roll(kind Kind, path string, ord uint64) (*rng.Source, bool) {
+func (f *Faulty) roll(kind, path string, ord uint64) (*rng.Source, bool) {
 	for i, r := range f.plan.Rules {
-		if r.Kind != kind || !r.matches(path) {
+		if r.Kind != kind || !matches(r.Target, path) {
 			continue
 		}
-		lane := f.lane(path, ord, uint64(i))
-		if lane.Float64() < r.Rate {
+		lane := faultplan.Lane(f.cfg.Seed, path, ord, uint64(i))
+		if lane.Float64() < r.Value.Rate {
 			return lane, true
 		}
 	}
@@ -229,10 +215,10 @@ func (f *Faulty) roll(kind Kind, path string, ord uint64) (*rng.Source, bool) {
 // any is exhausted the write fails disk-full. Caller holds f.mu.
 func (f *Faulty) chargeENOSPC(op, path string, ord uint64, n int) error {
 	for i, r := range f.plan.Rules {
-		if r.Kind != KindENOSPC || !r.matches(path) {
+		if r.Kind != KindENOSPC || !matches(r.Target, path) {
 			continue
 		}
-		if f.written[i]+int64(n) > r.After {
+		if f.written[i]+int64(n) > r.Value.After {
 			return f.inject(KindENOSPC, op, path, ord, syscall.ENOSPC)
 		}
 		f.written[i] += int64(n)
@@ -291,7 +277,7 @@ func (f *Faulty) ReadFile(path string) ([]byte, error) {
 	if lane, hit := f.roll(KindBitrot, path, ord); hit && len(data) > 0 {
 		bit := lane.Uint64() % uint64(len(data)*8)
 		data[bit/8] ^= 1 << (bit % 8)
-		f.record(Decision{Op: "read", Path: path, Kind: KindBitrot, Seq: ord})
+		f.log.Record(Decision{Op: "read", Path: path, Kind: KindBitrot, Seq: ord})
 	}
 	return data, nil
 }
@@ -302,12 +288,7 @@ func (f *Faulty) Glob(pattern string) ([]string, error)      { return f.base.Glo
 func (f *Faulty) Rename(oldpath, newpath string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ord, err := f.admit("rename", newpath, true)
-	if err == nil {
-		if _, hit := f.roll(KindEIO, newpath, ord); hit {
-			err = f.inject(KindEIO, "rename", newpath, ord, syscall.EIO)
-		}
-	}
+	err := f.mutate("rename", newpath, KindEIO)
 	if err == nil {
 		err = f.base.Rename(oldpath, newpath)
 	}
@@ -326,12 +307,7 @@ func (f *Faulty) Rename(oldpath, newpath string) error {
 func (f *Faulty) Remove(path string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ord, err := f.admit("remove", path, true)
-	if err == nil {
-		if _, hit := f.roll(KindEIO, path, ord); hit {
-			err = f.inject(KindEIO, "remove", path, ord, syscall.EIO)
-		}
-	}
+	err := f.mutate("remove", path, KindEIO)
 	if err == nil {
 		err = f.base.Remove(path)
 	}
@@ -345,12 +321,7 @@ func (f *Faulty) Remove(path string) error {
 func (f *Faulty) Truncate(path string, size int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ord, err := f.admit("truncate", path, true)
-	if err == nil {
-		if _, hit := f.roll(KindEIO, path, ord); hit {
-			err = f.inject(KindEIO, "truncate", path, ord, syscall.EIO)
-		}
-	}
+	err := f.mutate("truncate", path, KindEIO)
 	if err == nil {
 		err = f.base.Truncate(path, size)
 	}
@@ -363,12 +334,7 @@ func (f *Faulty) Truncate(path string, size int64) error {
 
 func (f *Faulty) SyncDir(dir string) error {
 	f.mu.Lock()
-	ord, err := f.admit("dirsync", dir, true)
-	if err == nil {
-		if _, hit := f.roll(KindFsyncFail, dir, ord); hit {
-			err = f.inject(KindFsyncFail, "dirsync", dir, ord, syscall.EIO)
-		}
-	}
+	err := f.mutate("dirsync", dir, KindFsyncFail)
 	f.mu.Unlock()
 	if err != nil {
 		return err
@@ -401,7 +367,7 @@ func (ff *faultyFile) Write(p []byte) (int, error) {
 		// Persist a deterministic prefix — the on-disk tail a real torn
 		// write leaves — and report the write failed.
 		torn := int(lane.Uint64() % uint64(len(p)))
-		fs.record(Decision{Op: "write", Path: ff.path, Kind: KindTornWrite, Seq: ord})
+		fs.log.Record(Decision{Op: "write", Path: ff.path, Kind: KindTornWrite, Seq: ord})
 		n, _ := ff.f.Write(p[:torn])
 		return n, &InjectedError{Kind: KindTornWrite, Op: "write", Path: ff.path, Err: syscall.EIO}
 	}
@@ -415,12 +381,7 @@ func (ff *faultyFile) Sync() error {
 	fs := ff.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	ord, err := fs.admit("sync", ff.path, true)
-	if err == nil {
-		if _, hit := fs.roll(KindFsyncFail, ff.path, ord); hit {
-			err = fs.inject(KindFsyncFail, "sync", ff.path, ord, syscall.EIO)
-		}
-	}
+	err := fs.mutate("sync", ff.path, KindFsyncFail)
 	if err == nil {
 		err = ff.f.Sync()
 	}
@@ -437,12 +398,7 @@ func (ff *faultyFile) Truncate(size int64) error {
 	fs := ff.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	ord, err := fs.admit("truncate", ff.path, true)
-	if err == nil {
-		if _, hit := fs.roll(KindEIO, ff.path, ord); hit {
-			err = fs.inject(KindEIO, "truncate", ff.path, ord, syscall.EIO)
-		}
-	}
+	err := fs.mutate("truncate", ff.path, KindEIO)
 	if err == nil {
 		err = ff.f.Truncate(size)
 	}

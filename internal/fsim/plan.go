@@ -7,8 +7,8 @@
 // way real disks do — fsync errors, disk-full, torn writes, bit rot and
 // power loss — on a replayable schedule, from a seed and a one-line plan.
 //
-// A plan is a comma-separated list of per-path clauses in the same
-// spirit as the -faults and -chaos DSLs:
+// A plan is a comma-separated list of per-path clauses in the one
+// fault-plan grammar (internal/faultplan):
 //
 //	<path-glob>:<kind>@<value>
 //
@@ -46,52 +46,51 @@ package fsim
 
 import (
 	"fmt"
-	"math"
 	"path"
 	"path/filepath"
 	"strconv"
 	"strings"
-)
 
-// Kind is a fault clause's kind.
-type Kind string
+	"github.com/metascreen/metascreen/internal/faultplan"
+)
 
 // The six fault kinds.
 const (
-	KindEIO       Kind = "eio"
-	KindENOSPC    Kind = "enospc"
-	KindFsyncFail Kind = "fsync-fail"
-	KindTornWrite Kind = "torn-write"
-	KindBitrot    Kind = "bitrot"
-	KindCrash     Kind = "crash"
+	KindEIO       = "eio"
+	KindENOSPC    = "enospc"
+	KindFsyncFail = "fsync-fail"
+	KindTornWrite = "torn-write"
+	KindBitrot    = "bitrot"
+	KindCrash     = "crash"
 )
 
-// Rule is one parsed fault clause. Which value fields are meaningful
-// depends on Kind.
-type Rule struct {
-	Glob string // path glob the rule applies to; "*" matches every path
-	Kind Kind
-
+// Value is a clause's parsed value; which fields are meaningful depends
+// on the rule's kind.
+type Value struct {
 	Rate  float64 // eio, fsync-fail, torn-write, bitrot: probability in (0,1]
 	After int64   // enospc: byte budget before writes start failing
 	Op    uint64  // crash: first mutating-op index (1-based) that fails
 }
 
-// matches reports whether the rule applies to a path. The glob is tried
-// against the whole slash-normalized path and against every suffix that
-// starts at a path component, so relative globs like "journal/*" or
+// Rule is one parsed fault clause; its target is the path glob the rule
+// applies to, "*" matching every path.
+type Rule = faultplan.Rule[Value]
+
+// matches reports whether a path glob applies to a path. The glob is
+// tried against the whole slash-normalized path and against every suffix
+// that starts at a path component, so relative globs like "journal/*" or
 // "*.json" apply no matter where the data dir lives.
-func (r Rule) matches(p string) bool {
-	if r.Glob == "*" {
+func matches(glob, p string) bool {
+	if glob == "*" {
 		return true
 	}
 	s := filepath.ToSlash(p)
-	if ok, _ := path.Match(r.Glob, s); ok {
+	if ok, _ := path.Match(glob, s); ok {
 		return true
 	}
 	for i := 0; i < len(s); i++ {
 		if s[i] == '/' {
-			if ok, _ := path.Match(r.Glob, s[i+1:]); ok {
+			if ok, _ := path.Match(glob, s[i+1:]); ok {
 				return true
 			}
 		}
@@ -99,23 +98,21 @@ func (r Rule) matches(p string) bool {
 	return false
 }
 
-// value renders the clause's value part in canonical form.
-func (r Rule) value() string {
-	switch r.Kind {
-	case KindEIO, KindFsyncFail, KindTornWrite, KindBitrot:
-		return strconv.FormatFloat(r.Rate, 'g', -1, 64)
-	case KindENOSPC:
-		return strconv.FormatInt(r.After, 10)
-	case KindCrash:
-		return "op" + strconv.FormatUint(r.Op, 10)
-	}
-	return ""
+// Kinds is fsim's kind table.
+var Kinds = faultplan.Table[Value]{
+	Layer: "fsim",
+	Kinds: []faultplan.Kind[Value]{
+		faultplan.RateKind(KindEIO, rate),
+		{Name: KindENOSPC, Parse: parseBytes, Format: func(v Value) string { return strconv.FormatInt(v.After, 10) }},
+		faultplan.RateKind(KindFsyncFail, rate),
+		faultplan.RateKind(KindTornWrite, rate),
+		faultplan.RateKind(KindBitrot, rate),
+		{Name: KindCrash, Parse: parseOp, Format: func(v Value) string { return "op" + strconv.FormatUint(v.Op, 10) }},
+	},
 }
 
-// String renders the clause in the canonical form ParsePlan accepts.
-func (r Rule) String() string {
-	return r.Glob + ":" + string(r.Kind) + "@" + r.value()
-}
+// rate is the field a rate kind fills.
+func rate(v *Value) *float64 { return &v.Rate }
 
 // Plan is an ordered set of fault rules. Order is preserved: rules apply
 // in plan order within each kind, and String round-trips through
@@ -124,88 +121,35 @@ type Plan struct {
 	Rules []Rule
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool { return len(p.Rules) == 0 }
-
 // String renders the plan in the canonical comma-separated clause form;
 // ParsePlan(p.String()) reproduces p exactly.
-func (p Plan) String() string {
-	parts := make([]string, len(p.Rules))
-	for i, r := range p.Rules {
-		parts[i] = r.String()
-	}
-	return strings.Join(parts, ",")
-}
+func (p Plan) String() string { return Kinds.String(p.Rules) }
 
-// ParsePlan parses the disk-fault DSL. An empty spec is an empty plan.
-// Globs may contain colons, so each clause is split at its LAST colon:
-// everything before it is the glob, everything after is kind@value.
+// ParsePlan parses a disk fault plan. An empty spec is an empty plan.
 func ParsePlan(spec string) (Plan, error) {
-	var p Plan
-	for _, clause := range strings.Split(spec, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		cut := strings.LastIndex(clause, ":")
-		if cut <= 0 {
-			return Plan{}, fmt.Errorf("fsim: bad fault clause %q (want path-glob:kind@value)", clause)
-		}
-		glob, rest := clause[:cut], clause[cut+1:]
-		kindPart, valPart, ok := strings.Cut(rest, "@")
-		if !ok {
-			return Plan{}, fmt.Errorf("fsim: bad fault clause %q (missing @value)", clause)
-		}
-		r := Rule{Glob: glob, Kind: Kind(kindPart)}
-		var err error
-		switch r.Kind {
-		case KindEIO, KindFsyncFail, KindTornWrite, KindBitrot:
-			r.Rate, err = parseRate(valPart)
-		case KindENOSPC:
-			r.After, err = parseBytes(valPart)
-		case KindCrash:
-			r.Op, err = parseOp(valPart)
-		default:
-			err = fmt.Errorf("unknown fault kind %q (want eio, enospc, fsync-fail, torn-write, bitrot or crash)", kindPart)
-		}
-		if err != nil {
-			return Plan{}, fmt.Errorf("fsim: bad fault clause %q: %v", clause, err)
-		}
-		p.Rules = append(p.Rules, r)
-	}
-	return p, nil
+	rules, err := Kinds.Parse(spec)
+	return Plan{Rules: rules}, err
 }
 
-func parseRate(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
+func parseBytes(s string) (v Value, err error) {
+	v.After, err = strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("rate %q is not a number", s)
+		return v, fmt.Errorf("byte budget %q is not an integer", s)
 	}
-	if math.IsNaN(v) || v <= 0 || v > 1 {
-		return 0, fmt.Errorf("rate %v must be in (0,1]", v)
+	if v.After < 0 {
+		return v, fmt.Errorf("byte budget %d must be non-negative", v.After)
 	}
 	return v, nil
 }
 
-func parseBytes(s string) (int64, error) {
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("byte budget %q is not an integer", s)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("byte budget %d must be non-negative", v)
-	}
-	return v, nil
-}
-
-func parseOp(s string) (uint64, error) {
+func parseOp(s string) (v Value, err error) {
 	s = strings.TrimPrefix(s, "op")
-	v, err := strconv.ParseUint(s, 10, 64)
+	v.Op, err = strconv.ParseUint(s, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("op index %q is not opN", s)
+		return v, fmt.Errorf("op index %q is not opN", s)
 	}
-	if v == 0 {
-		return 0, fmt.Errorf("op index must be >= 1 (ops are 1-based)")
+	if v.Op == 0 {
+		return v, fmt.Errorf("op index must be >= 1 (ops are 1-based)")
 	}
 	return v, nil
 }

@@ -60,7 +60,7 @@ func TestParsePlanRejects(t *testing.T) {
 func TestParsePlanEmpty(t *testing.T) {
 	for _, spec := range []string{"", " ", ",", " , "} {
 		p, err := ParsePlan(spec)
-		if err != nil || !p.Empty() {
+		if err != nil || len(p.Rules) != 0 {
 			t.Fatalf("ParsePlan(%q) = %+v, %v; want empty plan", spec, p, err)
 		}
 	}
@@ -81,9 +81,8 @@ func TestRuleMatches(t *testing.T) {
 		{"*.json", "/data/journal/seg-00000001.wal", false},
 	}
 	for _, c := range cases {
-		r := Rule{Glob: c.glob}
-		if got := r.matches(c.path); got != c.want {
-			t.Errorf("Rule{Glob: %q}.matches(%q) = %v, want %v", c.glob, c.path, got, c.want)
+		if got := matches(c.glob, c.path); got != c.want {
+			t.Errorf("matches(%q, %q) = %v, want %v", c.glob, c.path, got, c.want)
 		}
 	}
 }

@@ -7,8 +7,8 @@
 // partitions, stale revenants) can be reproduced exactly, in unit tests,
 // the e2e suite and live chaos drills, from a seed and a one-line plan.
 //
-// A plan is a comma-separated list of per-target clauses in the same
-// spirit as the -faults DSL:
+// A plan is a comma-separated list of per-target clauses in the one
+// fault-plan grammar (internal/faultplan):
 //
 //	<target>:<kind>@<value>
 //
@@ -31,30 +31,24 @@ package netsim
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
 	"time"
-)
 
-// Kind is a fault clause's kind.
-type Kind string
+	"github.com/metascreen/metascreen/internal/faultplan"
+)
 
 // The five fault kinds, in the order the transport applies them.
 const (
-	KindPartition Kind = "partition"
-	KindHang      Kind = "hang"
-	KindError     Kind = "error"
-	KindLatency   Kind = "latency"
-	KindDup       Kind = "dup"
+	KindPartition = "partition"
+	KindHang      = "hang"
+	KindError     = "error"
+	KindLatency   = "latency"
+	KindDup       = "dup"
 )
 
-// Rule is one parsed fault clause. Which value fields are meaningful
-// depends on Kind.
-type Rule struct {
-	Target string // host:port the rule applies to; "*" matches every target
-	Kind   Kind
-
+// Value is a clause's parsed value; which fields are meaningful depends
+// on the rule's kind.
+type Value struct {
 	Rate   float64       // error, dup: per-request probability in (0,1]
 	Base   time.Duration // latency: injected delay
 	Jitter time.Duration // latency: uniform jitter, applied in [-Jitter, +Jitter]
@@ -62,36 +56,33 @@ type Rule struct {
 	Dur    time.Duration // partition: window length; 0 = open-ended
 }
 
-// matches reports whether the rule applies to a request host.
-func (r Rule) matches(host string) bool {
-	return r.Target == "*" || r.Target == host
+// Rule is one parsed fault clause; its target is the host:port the rule
+// applies to, "*" matching every target.
+type Rule = faultplan.Rule[Value]
+
+// Kinds is netsim's kind table.
+var Kinds = faultplan.Table[Value]{
+	Layer: "netsim",
+	Kinds: []faultplan.Kind[Value]{
+		faultplan.RateKind(KindError, rate),
+		{Name: KindLatency, Parse: func(s string) (v Value, err error) {
+			v.Base, v.Jitter, err = durations(s, "±", true, false)
+			return v, err
+		}, Format: func(v Value) string { return pair(v.Base, "±", v.Jitter) }},
+		{Name: KindHang, Parse: func(s string) (v Value, err error) {
+			v.At, err = duration(s, false)
+			return v, err
+		}, Format: func(v Value) string { return v.At.String() }},
+		{Name: KindPartition, Parse: func(s string) (v Value, err error) {
+			v.At, v.Dur, err = durations(s, "+", false, true)
+			return v, err
+		}, Format: func(v Value) string { return pair(v.At, "+", v.Dur) }},
+		faultplan.RateKind(KindDup, rate),
+	},
 }
 
-// value renders the clause's value part in canonical form.
-func (r Rule) value() string {
-	switch r.Kind {
-	case KindError, KindDup:
-		return strconv.FormatFloat(r.Rate, 'g', -1, 64)
-	case KindLatency:
-		if r.Jitter > 0 {
-			return r.Base.String() + "±" + r.Jitter.String()
-		}
-		return r.Base.String()
-	case KindHang:
-		return r.At.String()
-	case KindPartition:
-		if r.Dur > 0 {
-			return r.At.String() + "+" + r.Dur.String()
-		}
-		return r.At.String()
-	}
-	return ""
-}
-
-// String renders the clause in the canonical form ParsePlan accepts.
-func (r Rule) String() string {
-	return r.Target + ":" + string(r.Kind) + "@" + r.value()
-}
+// rate is the field a rate kind fills.
+func rate(v *Value) *float64 { return &v.Rate }
 
 // Plan is an ordered set of fault rules. Order is preserved: rules apply
 // in plan order within each kind, and String round-trips through
@@ -100,118 +91,44 @@ type Plan struct {
 	Rules []Rule
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool { return len(p.Rules) == 0 }
-
 // String renders the plan in the canonical comma-separated clause form;
 // ParsePlan(p.String()) reproduces p exactly.
-func (p Plan) String() string {
-	parts := make([]string, len(p.Rules))
-	for i, r := range p.Rules {
-		parts[i] = r.String()
-	}
-	return strings.Join(parts, ",")
-}
+func (p Plan) String() string { return Kinds.String(p.Rules) }
 
-// ParsePlan parses the fault-plan DSL. An empty spec is an empty plan.
-// Targets may contain colons (host:port), so each clause is split at its
-// LAST colon: everything before it is the target, everything after is
-// kind@value.
+// ParsePlan parses a network fault plan. An empty spec is an empty plan.
 func ParsePlan(spec string) (Plan, error) {
-	var p Plan
-	for _, clause := range strings.Split(spec, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		cut := strings.LastIndex(clause, ":")
-		if cut <= 0 {
-			return Plan{}, fmt.Errorf("netsim: bad fault clause %q (want target:kind@value)", clause)
-		}
-		target, rest := clause[:cut], clause[cut+1:]
-		kindPart, valPart, ok := strings.Cut(rest, "@")
-		if !ok {
-			return Plan{}, fmt.Errorf("netsim: bad fault clause %q (missing @value)", clause)
-		}
-		r := Rule{Target: target, Kind: Kind(kindPart)}
-		var err error
-		switch r.Kind {
-		case KindError, KindDup:
-			r.Rate, err = parseRate(valPart)
-		case KindLatency:
-			r.Base, r.Jitter, err = parseLatency(valPart)
-		case KindHang:
-			r.At, err = parseAt(valPart)
-		case KindPartition:
-			r.At, r.Dur, err = parsePartition(valPart)
-		default:
-			err = fmt.Errorf("unknown fault kind %q (want error, latency, hang, partition or dup)", kindPart)
-		}
-		if err != nil {
-			return Plan{}, fmt.Errorf("netsim: bad fault clause %q: %v", clause, err)
-		}
-		p.Rules = append(p.Rules, r)
-	}
-	return p, nil
+	rules, err := Kinds.Parse(spec)
+	return Plan{Rules: rules}, err
 }
 
-func parseRate(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
+// duration parses a Go duration that is non-negative, or positive.
+func duration(s string, positive bool) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
 	if err != nil {
-		return 0, fmt.Errorf("rate %q is not a number", s)
+		return 0, fmt.Errorf("%q is not a duration", s)
 	}
-	if math.IsNaN(v) || v <= 0 || v > 1 {
-		return 0, fmt.Errorf("rate %v must be in (0,1]", v)
+	if d < 0 {
+		return 0, fmt.Errorf("duration %v must be non-negative", d)
 	}
-	return v, nil
+	if positive && d == 0 {
+		return 0, fmt.Errorf("duration %v must be positive", d)
+	}
+	return d, nil
 }
 
-func parseLatency(s string) (base, jitter time.Duration, err error) {
-	basePart, jitPart, hasJitter := strings.Cut(s, "±")
-	base, err = time.ParseDuration(basePart)
-	if err != nil {
-		return 0, 0, fmt.Errorf("latency %q is not a duration", basePart)
+// durations parses "A" or "A<sep>B"; B is 0 when absent.
+func durations(s, sep string, positiveA, positiveB bool) (a, b time.Duration, err error) {
+	as, bs, hasB := strings.Cut(s, sep)
+	if a, err = duration(as, positiveA); err == nil && hasB {
+		b, err = duration(bs, positiveB)
 	}
-	if base <= 0 {
-		return 0, 0, fmt.Errorf("latency %v must be positive", base)
-	}
-	if hasJitter {
-		jitter, err = time.ParseDuration(jitPart)
-		if err != nil {
-			return 0, 0, fmt.Errorf("jitter %q is not a duration", jitPart)
-		}
-		if jitter < 0 {
-			return 0, 0, fmt.Errorf("jitter %v must be non-negative", jitter)
-		}
-	}
-	return base, jitter, nil
+	return a, b, err
 }
 
-func parseAt(s string) (time.Duration, error) {
-	at, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("start %q is not a duration", s)
+// pair renders "A" or, when B is set, "A<sep>B".
+func pair(a time.Duration, sep string, b time.Duration) string {
+	if b > 0 {
+		return a.String() + sep + b.String()
 	}
-	if at < 0 {
-		return 0, fmt.Errorf("start %v must be non-negative", at)
-	}
-	return at, nil
-}
-
-func parsePartition(s string) (at, dur time.Duration, err error) {
-	atPart, durPart, hasDur := strings.Cut(s, "+")
-	at, err = parseAt(atPart)
-	if err != nil {
-		return 0, 0, err
-	}
-	if hasDur {
-		dur, err = time.ParseDuration(durPart)
-		if err != nil {
-			return 0, 0, fmt.Errorf("duration %q is not a duration", durPart)
-		}
-		if dur <= 0 {
-			return 0, 0, fmt.Errorf("duration %v must be positive", dur)
-		}
-	}
-	return at, dur, nil
+	return a.String()
 }

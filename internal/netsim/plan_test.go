@@ -14,21 +14,21 @@ func TestParsePlanClauses(t *testing.T) {
 	}{
 		{"", nil},
 		{" , ", nil},
-		{"*:error@0.25", []Rule{{Target: "*", Kind: KindError, Rate: 0.25}}},
-		{"127.0.0.1:8081:error@1", []Rule{{Target: "127.0.0.1:8081", Kind: KindError, Rate: 1}}},
-		{"w1:latency@50ms", []Rule{{Target: "w1", Kind: KindLatency, Base: 50 * time.Millisecond}}},
-		{"w1:latency@50ms±20ms", []Rule{{Target: "w1", Kind: KindLatency, Base: 50 * time.Millisecond, Jitter: 20 * time.Millisecond}}},
+		{"*:error@0.25", []Rule{{Target: "*", Kind: KindError, Value: Value{Rate: 0.25}}}},
+		{"127.0.0.1:8081:error@1", []Rule{{Target: "127.0.0.1:8081", Kind: KindError, Value: Value{Rate: 1}}}},
+		{"w1:latency@50ms", []Rule{{Target: "w1", Kind: KindLatency, Value: Value{Base: 50 * time.Millisecond}}}},
+		{"w1:latency@50ms±20ms", []Rule{{Target: "w1", Kind: KindLatency, Value: Value{Base: 50 * time.Millisecond, Jitter: 20 * time.Millisecond}}}},
 		{"w1:hang@0s", []Rule{{Target: "w1", Kind: KindHang}}},
-		{"w1:hang@2s", []Rule{{Target: "w1", Kind: KindHang, At: 2 * time.Second}}},
-		{"w1:partition@3s", []Rule{{Target: "w1", Kind: KindPartition, At: 3 * time.Second}}},
-		{"w1:partition@3s+4s", []Rule{{Target: "w1", Kind: KindPartition, At: 3 * time.Second, Dur: 4 * time.Second}}},
-		{"w1:dup@0.5", []Rule{{Target: "w1", Kind: KindDup, Rate: 0.5}}},
+		{"w1:hang@2s", []Rule{{Target: "w1", Kind: KindHang, Value: Value{At: 2 * time.Second}}}},
+		{"w1:partition@3s", []Rule{{Target: "w1", Kind: KindPartition, Value: Value{At: 3 * time.Second}}}},
+		{"w1:partition@3s+4s", []Rule{{Target: "w1", Kind: KindPartition, Value: Value{At: 3 * time.Second, Dur: 4 * time.Second}}}},
+		{"w1:dup@0.5", []Rule{{Target: "w1", Kind: KindDup, Value: Value{Rate: 0.5}}}},
 		{
 			"a:1:error@0.1, b:2:partition@1s+2s ,*:dup@0.3",
 			[]Rule{
-				{Target: "a:1", Kind: KindError, Rate: 0.1},
-				{Target: "b:2", Kind: KindPartition, At: time.Second, Dur: 2 * time.Second},
-				{Target: "*", Kind: KindDup, Rate: 0.3},
+				{Target: "a:1", Kind: KindError, Value: Value{Rate: 0.1}},
+				{Target: "b:2", Kind: KindPartition, Value: Value{At: time.Second, Dur: 2 * time.Second}},
+				{Target: "*", Kind: KindDup, Value: Value{Rate: 0.3}},
 			},
 		},
 	}
@@ -86,21 +86,21 @@ func randomRule(r *rand.Rand) Rule {
 	ms := func(max int) time.Duration { return time.Duration(1+r.Intn(max)) * time.Millisecond }
 	switch r.Intn(5) {
 	case 0:
-		rule.Kind, rule.Rate = KindError, float64(1+r.Intn(1000))/1000
+		rule.Kind, rule.Value.Rate = KindError, float64(1+r.Intn(1000))/1000
 	case 1:
-		rule.Kind, rule.Base = KindLatency, ms(5000)
+		rule.Kind, rule.Value.Base = KindLatency, ms(5000)
 		if r.Intn(2) == 0 {
-			rule.Jitter = ms(1000)
+			rule.Value.Jitter = ms(1000)
 		}
 	case 2:
-		rule.Kind, rule.At = KindHang, time.Duration(r.Intn(10000))*time.Millisecond
+		rule.Kind, rule.Value.At = KindHang, time.Duration(r.Intn(10000))*time.Millisecond
 	case 3:
-		rule.Kind, rule.At = KindPartition, time.Duration(r.Intn(10000))*time.Millisecond
+		rule.Kind, rule.Value.At = KindPartition, time.Duration(r.Intn(10000))*time.Millisecond
 		if r.Intn(2) == 0 {
-			rule.Dur = ms(10000)
+			rule.Value.Dur = ms(10000)
 		}
 	default:
-		rule.Kind, rule.Rate = KindDup, float64(1+r.Intn(1000))/1000
+		rule.Kind, rule.Value.Rate = KindDup, float64(1+r.Intn(1000))/1000
 	}
 	return rule
 }

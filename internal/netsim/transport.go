@@ -2,13 +2,12 @@ package netsim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
 	"time"
 
-	"github.com/metascreen/metascreen/internal/rng"
+	"github.com/metascreen/metascreen/internal/faultplan"
 )
 
 // InjectedError is a fault delivered instead of a response. It satisfies
@@ -16,7 +15,7 @@ import (
 // treats injected faults like the real transport failures they model:
 // partitions look like refused connections, errors like flaky links.
 type InjectedError struct {
-	Kind   Kind
+	Kind   string
 	Target string
 	Seq    uint64 // per-target request ordinal the fault hit
 }
@@ -34,14 +33,15 @@ func (e *InjectedError) Temporary() bool { return true }
 // postmortems rely on.
 type Decision struct {
 	Target string
-	Kind   Kind
+	Kind   string
 	Seq    uint64        // per-target request ordinal, starting at 0
 	Delay  time.Duration // latency decisions: the injected delay
 }
 
-// maxDecisions bounds the in-memory decision log on long-running
-// processes; past it, new decisions are counted but not stored.
-const maxDecisions = 65536
+// String is the decision's log line.
+func (d Decision) String() string {
+	return fmt.Sprintf("netsim: %s on %s (request %d, delay %v)", d.Kind, d.Target, d.Seq, d.Delay)
+}
 
 // Config tunes a Transport.
 type Config struct {
@@ -70,10 +70,9 @@ type Transport struct {
 	startOnce sync.Once
 	start     time.Time
 
-	mu        sync.Mutex
-	seq       map[string]uint64
-	decisions []Decision
-	dropped   int64
+	mu  sync.Mutex
+	seq map[string]uint64
+	log faultplan.Log[Decision]
 }
 
 // New builds a Transport injecting plan over cfg.Base.
@@ -82,15 +81,12 @@ func New(plan Plan, cfg Config) *Transport {
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	return &Transport{plan: plan, cfg: cfg, base: base, seq: make(map[string]uint64)}
+	return &Transport{plan: plan, cfg: cfg, base: base, seq: make(map[string]uint64),
+		log: faultplan.Log[Decision]{Logf: cfg.Logf}}
 }
 
 // Decisions returns a copy of the fault log so far.
-func (t *Transport) Decisions() []Decision {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Decision(nil), t.decisions...)
-}
+func (t *Transport) Decisions() []Decision { return t.log.Decisions() }
 
 // elapsed is the plan clock: injected, or wall time since first request.
 func (t *Transport) elapsed() time.Duration {
@@ -110,27 +106,9 @@ func (t *Transport) next(target string) uint64 {
 	return n
 }
 
-func (t *Transport) record(d Decision) {
-	t.mu.Lock()
-	if len(t.decisions) < maxDecisions {
-		t.decisions = append(t.decisions, d)
-	} else {
-		t.dropped++
-	}
-	t.mu.Unlock()
-	if t.cfg.Logf != nil {
-		t.cfg.Logf("netsim: %s on %s (request %d, delay %v)", d.Kind, d.Target, d.Seq, d.Delay)
-	}
-}
-
-// lane derives the deterministic random source for one decision: a pure
-// function of seed, target, request ordinal and rule position, so
-// concurrent requests to different targets cannot perturb each other's
-// fault sequences.
-func (t *Transport) lane(target string, seq, ruleIdx uint64) *rng.Source {
-	h := fnv.New64a()
-	io.WriteString(h, target)
-	return rng.New(t.cfg.Seed ^ h.Sum64()).Split(seq).Split(ruleIdx)
+// draw is one rule's decision draw for one request, in [0,1).
+func (t *Transport) draw(target string, seq, rule uint64) float64 {
+	return faultplan.Lane(t.cfg.Seed, target, seq, rule).Float64()
 }
 
 // RoundTrip applies the plan's matching rules to one request.
@@ -139,7 +117,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	var rules []Rule
 	var idx []uint64 // plan positions, the per-rule decision lanes
 	for i, r := range t.plan.Rules {
-		if r.matches(target) {
+		if r.Target == "*" || r.Target == target {
 			rules = append(rules, r)
 			idx = append(idx, uint64(i))
 		}
@@ -152,8 +130,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	// Partition: fail fast inside the window, like a refused connection.
 	for _, r := range rules {
-		if r.Kind == KindPartition && now >= r.At && (r.Dur == 0 || now < r.At+r.Dur) {
-			t.record(Decision{Target: target, Kind: KindPartition, Seq: seq})
+		if r.Kind == KindPartition && now >= r.Value.At && (r.Value.Dur == 0 || now < r.Value.At+r.Value.Dur) {
+			t.log.Record(Decision{Target: target, Kind: KindPartition, Seq: seq})
 			return nil, &InjectedError{Kind: KindPartition, Target: target, Seq: seq}
 		}
 	}
@@ -161,16 +139,16 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	// context deadline gets it back. This is the fault that exposes
 	// clients built without per-request timeouts.
 	for _, r := range rules {
-		if r.Kind == KindHang && now >= r.At {
-			t.record(Decision{Target: target, Kind: KindHang, Seq: seq})
+		if r.Kind == KindHang && now >= r.Value.At {
+			t.log.Record(Decision{Target: target, Kind: KindHang, Seq: seq})
 			<-req.Context().Done()
 			return nil, req.Context().Err()
 		}
 	}
 	// Error: probabilistic transport failure.
 	for i, r := range rules {
-		if r.Kind == KindError && t.lane(target, seq, idx[i]).Float64() < r.Rate {
-			t.record(Decision{Target: target, Kind: KindError, Seq: seq})
+		if r.Kind == KindError && t.draw(target, seq, idx[i]) < r.Value.Rate {
+			t.log.Record(Decision{Target: target, Kind: KindError, Seq: seq})
 			return nil, &InjectedError{Kind: KindError, Target: target, Seq: seq}
 		}
 	}
@@ -179,15 +157,15 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if r.Kind != KindLatency {
 			continue
 		}
-		d := r.Base
-		if r.Jitter > 0 {
-			f := t.lane(target, seq, idx[i]).Float64() // [0,1)
-			d += time.Duration((2*f - 1) * float64(r.Jitter))
+		d := r.Value.Base
+		if r.Value.Jitter > 0 {
+			f := t.draw(target, seq, idx[i])
+			d += time.Duration((2*f - 1) * float64(r.Value.Jitter))
 		}
 		if d <= 0 {
 			continue
 		}
-		t.record(Decision{Target: target, Kind: KindLatency, Seq: seq, Delay: d})
+		t.log.Record(Decision{Target: target, Kind: KindLatency, Seq: seq, Delay: d})
 		timer := time.NewTimer(d)
 		select {
 		case <-timer.C:
@@ -201,7 +179,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	// that re-sends a request whose response was lost. Only requests
 	// whose body can be replayed (no body, or GetBody set) duplicate.
 	for i, r := range rules {
-		if r.Kind != KindDup || t.lane(target, seq, idx[i]).Float64() >= r.Rate {
+		if r.Kind != KindDup || t.draw(target, seq, idx[i]) >= r.Value.Rate {
 			continue
 		}
 		if req.Body != nil && req.GetBody == nil {
@@ -215,7 +193,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			}
 			first.Body = b
 		}
-		t.record(Decision{Target: target, Kind: KindDup, Seq: seq})
+		t.log.Record(Decision{Target: target, Kind: KindDup, Seq: seq})
 		if resp, err := t.base.RoundTrip(first); err == nil {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 			resp.Body.Close()

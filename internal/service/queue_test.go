@@ -58,9 +58,12 @@ func TestRequestValidation(t *testing.T) {
 		{TimeoutSeconds: -3},
 		{Priority: "urgent"},
 		{DeadlineSeconds: -1},
-		{Faults: "dev0:fail@1"},                   // faults require a machine
-		{Machine: "Hertz", Faults: "dev9:fail@1"}, // device index out of range
-		{Machine: "Hertz", Faults: "dev0:wobble"}, // unknown fault kind
+		{Faults: "dev0:fail@1"},                         // faults require a machine
+		{Machine: "Hertz", Faults: "dev9:fail@1"},       // device index out of range
+		{Machine: "Hertz", Faults: "dev0:wobble"},       // unknown fault kind
+		{Machine: "Hertz", Faults: "dev0:throttle@NaN"}, // non-finite values inject nothing
+		{Machine: "Hertz", Faults: "dev0:fail@Inf"},
+		{Machine: "Hertz", Faults: "dev0:transient@NaN"},
 	}
 	for _, r := range bad {
 		if err := r.withDefaults().Validate(); err == nil {

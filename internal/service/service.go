@@ -76,8 +76,8 @@ type Config struct {
 	// after the last compaction; 0 means 4 MiB.
 	CompactBytes int64
 	// FS is the filesystem the journal writes through; nil means the real
-	// one. The -disk-chaos flag and the crash-point explorer inject a
-	// fsim.Faulty here.
+	// one. The -chaos flag's disk clauses and the crash-point explorer
+	// inject a fsim.Faulty here.
 	FS fsim.FS
 
 	// Admission tunes overload protection (adaptive concurrency limiter,

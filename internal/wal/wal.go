@@ -26,9 +26,9 @@
 //     the sticky error until Recover reopens the segment from its last
 //     acknowledged size and proves a fresh fsync works.
 //
-// All file I/O goes through an injectable fsim.FS, so the storage chaos
-// plans (-disk-chaos) and the crash-point explorer exercise these paths
-// deterministically.
+// All file I/O goes through an injectable fsim.FS, so storage chaos
+// (-chaos disk clauses) and the crash-point explorer exercise these
+// paths deterministically.
 //
 // Records are opaque bytes to a Journal. Log (log.go) layers typed JSON
 // events over it, together with the durability policy both vsserved roles

@@ -4,7 +4,7 @@
 # pressure). Two legs:
 #
 #   1. torn-write + EIO chaos on the journal segments, where checkpoint
-#      records live (-disk-chaos, deterministic under -disk-chaos-seed):
+#      records live (-chaos, deterministic under -chaos-seed):
 #      the submission is acknowledged, checkpoint appends fault, then kill
 #      -9 mid-screen and a restart over the same data dir with a healthy
 #      disk: the acknowledged job must still exist and reach "done".
@@ -86,7 +86,7 @@ counter() {
 DATA1="$WORK/data1"
 # Seed 3 leaves the submitted record intact (the 202 is real) and tears
 # or fails a later append, i.e. a checkpoint record of the running screen.
-start "$DATA1" -disk-chaos 'journal/*.wal:torn-write@0.02,journal/*.wal:eio@0.02' -disk-chaos-seed 3
+start "$DATA1" -chaos 'journal/*.wal:torn-write@0.02,journal/*.wal:eio@0.02' -chaos-seed 3
 echo "disk_chaos: leg 1 up (torn-write + eio on journal segments)"
 
 curl -fsS -X POST "$BASE/v1/screens" -H 'Idempotency-Key: disk-1' -d "$LONGREQ" >"$WORK/submit.json"
@@ -128,7 +128,7 @@ stop
 # ---- Leg 2: disk fills; degrade to read-only, never fall over ----
 
 DATA2="$WORK/data2"
-start "$DATA2" -disk-chaos '*:enospc@65536' -disk-chaos-seed 7
+start "$DATA2" -chaos '*:enospc@65536' -chaos-seed 7
 echo "disk_chaos: leg 2 up (disk fills after 64 KiB)"
 
 ACKED=""
