@@ -12,11 +12,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
-	"github.com/metascreen/metascreen/internal/analysis"
-	"github.com/metascreen/metascreen/internal/conformation"
 	"github.com/metascreen/metascreen/internal/core"
 	"github.com/metascreen/metascreen/internal/cudasim"
 	"github.com/metascreen/metascreen/internal/forcefield"
@@ -48,12 +47,14 @@ func main() {
 	multistart := flag.Int("multistart", 1, "independent stochastic executions; the best wins")
 	flexible := flag.Bool("flexible", false, "dock the ligand flexibly (rotatable bonds become search dimensions)")
 	budget := flag.Float64("budget", 0, "simulated-time deadline in seconds (0 = run to the End condition)")
-	modes := flag.Float64("modes", 0, "cluster spot winners into binding modes at this RMSD cutoff in angstroms (0 = off)")
 	historyPath := flag.String("history", "", "write the convergence history (generation, sim time, best) to this CSV file")
 	traceOut := flag.String("trace-out", "", "write the run's span timeline as Chrome trace format to this file (load in Perfetto)")
 	logLevel := flag.String("log-level", "warn", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	flag.Parse()
+	if err := checkFlags(*spots, *top, *multistart, *mhScale, *budget); err != nil {
+		fatal(err)
+	}
 
 	logger, err := obs.NewLogger(*logLevel, *logFormat, os.Stderr)
 	if err != nil {
@@ -152,22 +153,6 @@ func main() {
 	}
 	fmt.Printf("overall best: spot %d, %.3f kcal/mol\n", res.Best.Spot, res.Best.Score)
 
-	if *modes > 0 {
-		poses := make([]conformation.Conformation, 0, len(res.Spots))
-		for _, sr := range res.Spots {
-			poses = append(poses, sr.Best)
-		}
-		clusters, err := analysis.ClusterModes(problem.TorsionSet(), problem.LigandPositions(), poses, *modes)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\n%d distinct binding modes at %.1f A RMSD:\n", len(clusters), *modes)
-		for i, m := range clusters {
-			fmt.Printf("  mode %d: %d poses, best %.3f kcal/mol (spot %d), mean %.3f\n",
-				i+1, m.Members, m.Representative.Score, m.Representative.Spot, m.MeanScore)
-		}
-	}
-
 	if res.EnergyJoules > 0 {
 		fmt.Printf("modeled energy: %.1f J\n", res.EnergyJoules)
 	}
@@ -213,6 +198,24 @@ func main() {
 			fmt.Printf("  device %d utilization: %.0f%%\n", i, 100*u)
 		}
 	}
+}
+
+// checkFlags rejects numeric flag values that a run would otherwise
+// ignore or misread, before any work starts.
+func checkFlags(spots, top, multistart int, mhScale, budget float64) error {
+	switch {
+	case spots < 0:
+		return fmt.Errorf("-spots %d: want 0 (receptorAtoms/100) or more", spots)
+	case top < 0:
+		return fmt.Errorf("-top %d: want 0 or more", top)
+	case multistart < 1:
+		return fmt.Errorf("-multistart %d: want 1 or more", multistart)
+	case !(mhScale > 0) || math.IsInf(mhScale, 1):
+		return fmt.Errorf("-mh-scale %g: want a finite number above 0", mhScale)
+	case !(budget >= 0) || math.IsInf(budget, 1):
+		return fmt.Errorf("-budget %g: want a finite number of seconds, 0 for none", budget)
+	}
+	return nil
 }
 
 func loadMolecules(dataset, receptorPath, ligandPath string) (*molecule.Molecule, *molecule.Molecule, error) {

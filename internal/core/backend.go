@@ -46,26 +46,19 @@ type Backend interface {
 
 // newCompute builds the scoring strategy for a backend: the modeled
 // surrogate, or a real scorer with stochastic or gradient local search.
-func newCompute(p *Problem, real bool, scorerKind, improver string) (compute, error) {
+func newCompute(p *Problem, real bool, improver string) (compute, error) {
 	if !real {
 		return newModeledCompute(p), nil
 	}
 	switch improver {
 	case "", "stochastic":
-		s, err := p.NewScorer(scorerKind)
-		if err != nil {
-			return nil, err
-		}
-		rc := &realCompute{scorer: s, ligand: p.LigandPositions(), ts: p.TorsionSet()}
-		if bs, ok := s.(forcefield.BatchScorer); ok {
-			rc.batch = bs
-		}
-		// The cell-list scorer additionally gets one neighbor list per
-		// spot: built once here, reused every generation.
-		if cl, ok := s.(*forcefield.CellList); ok {
-			rc.nl = p.SpotNeighborLists(cl)
-		}
-		return rc, nil
+		// One neighbor list per spot, built once here and reused every
+		// generation; the cell list scores the poses they do not cover.
+		cells := p.rec.CellList().ForLigand(p.ligTopo, p.FF)
+		return &realCompute{
+			cells: cells, nl: p.SpotNeighborLists(cells),
+			ligand: p.LigandPositions(), ts: p.TorsionSet(),
+		}, nil
 	case "gradient":
 		return &gradientCompute{scorer: p.NewGradientScorer(), ligand: p.LigandPositions(), ts: p.TorsionSet()}, nil
 	}
@@ -145,20 +138,20 @@ func scoreChunk(comp compute, confs []*conformation.Conformation, a *poseArena, 
 // makes posing flexible (ApplyFlex bends the ligand before the rigid
 // transform).
 type realCompute struct {
-	scorer forcefield.Scorer
-	// batch is scorer's batched entry point, nil if it has none.
-	batch forcefield.BatchScorer
-	// nl holds one precomputed candidate list per spot (cell-list scorer
-	// only): the receptor atoms within the cutoff of the spot's search
-	// region, gathered once and reused across all generations.
+	// cells scores the whole receptor: the fallback for poses the spot's
+	// neighbor list does not cover.
+	cells *forcefield.CellList
+	// nl holds one precomputed candidate list per spot: the receptor atoms
+	// within the cutoff of the spot's search region, gathered once and
+	// reused across all generations.
 	nl     []*forcefield.NeighborList
 	ligand []vec.V3
 	ts     *molecule.TorsionSet
 }
 
 // scorePose picks the cheapest exact scorer for a posed ligand: the spot's
-// neighbor list when the pose stays inside its covered region, the full
-// scorer otherwise (flexible poses can swing atoms out of the region).
+// neighbor list when the pose stays inside its covered region, the cell
+// list otherwise (flexible poses can swing atoms out of the region).
 // score, scoreBatch and improve all go through it, so batched and
 // unbatched runs produce byte-identical scores.
 func (rc *realCompute) scorePose(spot int, pose []vec.V3, s *forcefield.NeighborScratch) float64 {
@@ -167,7 +160,7 @@ func (rc *realCompute) scorePose(spot int, pose []vec.V3, s *forcefield.Neighbor
 			return e
 		}
 	}
-	return rc.scorer.Score(pose)
+	return rc.cells.Score(pose)
 }
 
 func (rc *realCompute) score(c *conformation.Conformation, a *poseArena) {
@@ -176,33 +169,16 @@ func (rc *realCompute) score(c *conformation.Conformation, a *poseArena) {
 	c.Score = rc.scorePose(c.Spot, buf, &a.nl)
 }
 
+// scoreBatch poses the batch into a's buffers and scores it through the
+// spots' neighbor lists: each run of consecutive conformations on one spot
+// goes to its list in one ScorePoses call, which scores the run two poses
+// at a time; a pose the list does not cover goes to the cell list, as in
+// scorePose. Engine batches are contiguous by spot, so the runs are long.
 func (rc *realCompute) scoreBatch(confs []*conformation.Conformation, a *poseArena) {
 	a.resize(len(confs), len(rc.ligand))
 	for i, c := range confs {
 		c.ApplyFlex(rc.ts, rc.ligand, a.poses[i])
 	}
-	if rc.nl != nil {
-		rc.scoreRuns(confs, a)
-		return
-	}
-	if rc.batch == nil {
-		for i, c := range confs {
-			c.Score = rc.scorer.Score(a.poses[i])
-		}
-		return
-	}
-	rc.batch.ScoreBatch(a.poses, a.out)
-	for i, c := range confs {
-		c.Score = a.out[i]
-	}
-}
-
-// scoreRuns scores a posed batch through the spots' neighbor lists: each
-// run of consecutive conformations on one spot goes to its list in one
-// ScorePoses call, which scores the run two poses at a time; a pose the
-// list does not cover goes to the full scorer, as in scorePose. Engine
-// batches are contiguous by spot, so the runs are long.
-func (rc *realCompute) scoreRuns(confs []*conformation.Conformation, a *poseArena) {
 	for lo := 0; lo < len(confs); {
 		spot, hi := confs[lo].Spot, lo+1
 		for hi < len(confs) && confs[hi].Spot == spot {
@@ -215,7 +191,7 @@ func (rc *realCompute) scoreRuns(confs []*conformation.Conformation, a *poseAren
 		}
 		for i := lo; i < hi; i++ {
 			if !a.covered[i] {
-				a.out[i] = rc.scorer.Score(a.poses[i])
+				a.out[i] = rc.cells.Score(a.poses[i])
 			}
 			confs[i].Score = a.out[i]
 		}

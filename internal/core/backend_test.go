@@ -13,19 +13,17 @@ import (
 func TestNewComputeKinds(t *testing.T) {
 	p := smallProblem(t)
 	for _, c := range []struct {
-		real             bool
-		scorer, improver string
-		ok               bool
+		real     bool
+		improver string
+		ok       bool
 	}{
-		{false, "", "", true},
-		{true, "", "", true},
-		{true, "tiled", "stochastic", true},
-		{true, "grid", "", true},
-		{true, "", "gradient", true},
-		{true, "bogus", "", false},
-		{true, "", "newton", false},
+		{false, "", true},
+		{true, "", true},
+		{true, "stochastic", true},
+		{true, "gradient", true},
+		{true, "newton", false},
 	} {
-		_, err := newCompute(p, c.real, c.scorer, c.improver)
+		_, err := newCompute(p, c.real, c.improver)
 		if c.ok && err != nil {
 			t.Errorf("newCompute(%+v): %v", c, err)
 		}
@@ -37,7 +35,7 @@ func TestNewComputeKinds(t *testing.T) {
 
 func TestGradientImproveLowersEnergy(t *testing.T) {
 	p := smallProblem(t)
-	comp, err := newCompute(p, true, "", "gradient")
+	comp, err := newCompute(p, true, "gradient")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +65,7 @@ func TestGradientImproveLowersEnergy(t *testing.T) {
 
 func TestGradientImproveDeterministic(t *testing.T) {
 	p := smallProblem(t)
-	comp, err := newCompute(p, true, "", "gradient")
+	comp, err := newCompute(p, true, "gradient")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,34 +116,6 @@ func TestGradientBackendEndToEnd(t *testing.T) {
 	}
 }
 
-func TestGridScorerBackendEndToEnd(t *testing.T) {
-	p := smallProblem(t)
-	b, err := NewHostBackend(p, HostConfig{Real: true, Scorer: "grid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(p, smallAlg(t), b, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Best.Evaluated() {
-		t.Fatal("no best with grid scorer")
-	}
-	// The grid approximates the exact field; best scores should be in the
-	// same energy regime as the cell-list backend's.
-	b2, err := NewHostBackend(p, HostConfig{Real: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := Run(p, smallAlg(t), b2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best.Score > 0 && res2.Best.Score < -1 {
-		t.Errorf("grid best %v vs exact best %v: wrong regime", res.Best.Score, res2.Best.Score)
-	}
-}
-
 func TestGradientImproveFlexible(t *testing.T) {
 	// Torsion-aware gradient descent: improving a flexible pose never
 	// worsens it, keeps torsion vectors intact and actually bends bonds.
@@ -154,7 +124,7 @@ func TestGradientImproveFlexible(t *testing.T) {
 	if dof == 0 {
 		t.Skip("ligand has no rotatable bonds")
 	}
-	comp, err := newCompute(p, true, "", "gradient")
+	comp, err := newCompute(p, true, "gradient")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +267,7 @@ func TestModeledComputeSurrogateProperties(t *testing.T) {
 // it.
 func TestScoreBatchLockstepMatchesSingle(t *testing.T) {
 	p := smallProblem(t)
-	comp, err := newCompute(p, true, "", "")
+	comp, err := newCompute(p, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}

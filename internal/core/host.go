@@ -15,16 +15,13 @@ type HostConfig struct {
 	// Real selects actual force-field evaluation; false selects the
 	// modeled surrogate.
 	Real bool
-	// Scorer picks the full-receptor force-field implementation for Real
-	// mode ("direct", "tiled", "celllist", "grid"); empty means "celllist".
-	// With "celllist" and the stochastic improver — the default — poses
-	// are scored against their spot's forcefield.NeighborList, one
-	// ScorePose call per pose in batched and single-pose paths alike, and
-	// the cell list only serves poses that leave the spot's region.
-	Scorer string
 	// Improver selects the local-search strategy for Real mode:
 	// "stochastic" (default, the paper's random perturbation moves) or
-	// "gradient" (rigid-body gradient descent on analytic forces).
+	// "gradient" (rigid-body gradient descent on analytic forces). With
+	// the stochastic improver poses are scored against their spot's
+	// forcefield.NeighborList, in batched and single-pose paths alike, and
+	// the receptor's cell list only serves poses that leave the spot's
+	// region; the gradient improver scores on the tiled kernel.
 	Improver string
 	// Workers is the number of goroutines used for Real evaluation;
 	// 0 means all CPUs.
@@ -85,7 +82,7 @@ func NewHostBackend(p *Problem, cfg HostConfig) (*HostBackend, error) {
 		team:  hostpar.NewTeam(cfg.Workers),
 		pairs: p.PairsPerConformation(),
 	}
-	comp, err := newCompute(p, cfg.Real, cfg.Scorer, cfg.Improver)
+	comp, err := newCompute(p, cfg.Real, cfg.Improver)
 	if err != nil {
 		return nil, err
 	}

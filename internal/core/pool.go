@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,8 +27,6 @@ type PoolConfig struct {
 	// Real selects actual force-field evaluation for the results (the
 	// timeline always comes from the simulator); false uses the surrogate.
 	Real bool
-	// Scorer picks the force-field implementation for Real mode.
-	Scorer string
 	// Improver selects the Real-mode local-search strategy ("stochastic"
 	// or "gradient").
 	Improver string
@@ -122,6 +121,9 @@ type PoolBackend struct {
 // measure). Warm-up cost is charged to the simulated timeline, as in the
 // real system.
 func NewPoolBackend(p *Problem, cfg PoolConfig) (*PoolBackend, error) {
+	if math.IsNaN(cfg.NoiseAmp) || math.IsInf(cfg.NoiseAmp, 0) {
+		return nil, fmt.Errorf("core: warm-up noise %g is not finite", cfg.NoiseAmp)
+	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("core: pool backend with no devices")
@@ -161,7 +163,7 @@ func NewPoolBackend(p *Problem, cfg PoolConfig) (*PoolBackend, error) {
 				d.Spec.Name, required, err)
 		}
 	}
-	comp, err := newCompute(p, cfg.Real, cfg.Scorer, cfg.Improver)
+	comp, err := newCompute(p, cfg.Real, cfg.Improver)
 	if err != nil {
 		return nil, err
 	}

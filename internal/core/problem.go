@@ -138,22 +138,18 @@ func (p *Problem) PairsPerConformation() int {
 // the conformation standoff.
 func (p *Problem) LigandRadius() float64 { return p.Ligand.Radius() }
 
-// NewScorer builds a fresh scorer of the given kind ("direct", "tiled",
-// "celllist" or "grid") over the problem's topologies. Scorers are safe
-// for concurrent Score calls. The grid scorer tabulates the receptor field
-// once at construction (BINDSURF-style precomputed potentials).
+// NewScorer builds a fresh full-receptor scorer over the problem's
+// topologies: "direct", the reference pair loop, or "celllist", the scorer
+// Real-mode runs fall back to off their spots' neighbor lists. Scorers are
+// safe for concurrent Score calls.
 func (p *Problem) NewScorer(kind string) (forcefield.Scorer, error) {
 	switch kind {
 	case "direct":
 		return forcefield.NewDirect(p.rec.topo, p.ligTopo, p.FF), nil
-	case "tiled":
-		return forcefield.NewTiled(p.rec.topo, p.ligTopo, p.FF), nil
-	case "celllist", "":
+	case "celllist":
 		return p.rec.CellList().ForLigand(p.ligTopo, p.FF), nil
-	case "grid":
-		return forcefield.NewGrid(p.rec.topo, p.ligTopo, p.FF, 0)
 	}
-	return nil, fmt.Errorf("core: unknown scorer %q", kind)
+	return nil, fmt.Errorf("core: unknown scorer %q (want direct or celllist)", kind)
 }
 
 // SpotNeighborLists gathers, for every spot, the receptor atoms within the

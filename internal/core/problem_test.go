@@ -46,7 +46,7 @@ func TestNewProblemRejectsInvalidMolecules(t *testing.T) {
 
 func TestNewScorerKinds(t *testing.T) {
 	p := smallProblem(t)
-	for _, kind := range []string{"direct", "tiled", "celllist", ""} {
+	for _, kind := range []string{"direct", "celllist"} {
 		s, err := p.NewScorer(kind)
 		if err != nil {
 			t.Errorf("scorer %q: %v", kind, err)
@@ -55,8 +55,10 @@ func TestNewScorerKinds(t *testing.T) {
 			t.Errorf("scorer %q is nil", kind)
 		}
 	}
-	if _, err := p.NewScorer("nope"); err == nil {
-		t.Error("unknown scorer accepted")
+	for _, kind := range []string{"", "tiled", "grid", "nope"} {
+		if _, err := p.NewScorer(kind); err == nil {
+			t.Errorf("scorer %q accepted", kind)
+		}
 	}
 }
 

@@ -51,29 +51,6 @@ func BenchmarkCellList2BSM(b *testing.B) {
 	}
 }
 
-func BenchmarkGrid2BSM(b *testing.B) {
-	rec, lig, pose := benchFixtures(b)
-	g, err := NewGrid(rec, lig, Options{}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Score(pose)
-	}
-}
-
-func BenchmarkGridBuild(b *testing.B) {
-	rec := NewTopology(molecule.SyntheticProtein("rec", 1000, 5))
-	lig := NewTopology(molecule.SyntheticLigand("lig", 20, 6))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewGrid(rec, lig, Options{}, 1.0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkScoreForces2BSM(b *testing.B) {
 	rec, lig, pose := benchFixtures(b)
 	s := NewTiled(rec, lig, Options{})

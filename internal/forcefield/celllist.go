@@ -31,7 +31,7 @@ type CellList struct {
 	typ        []uint8
 	chg        []float64
 	// atomIdx maps a cell-sorted slot back to the original receptor atom
-	// index (used by grid tabulation's visitNear).
+	// index (NewNeighborList keeps lists in original order).
 	atomIdx []int32
 }
 
@@ -162,17 +162,6 @@ func (c *CellList) Score(ligPos []vec.V3) float64 {
 		}
 	}
 	return e
-}
-
-// ScoreBatch implements BatchScorer. Each pose takes the same cell walk as
-// Score — per-pose results are bit-identical by construction — while the
-// batch amortizes the scorer's dispatch and keeps the receptor's cell
-// neighbourhood hot in cache across consecutive poses of the same spot.
-func (c *CellList) ScoreBatch(poses [][]vec.V3, out []float64) {
-	checkBatch(poses, out)
-	for i, pose := range poses {
-		out[i] = c.Score(pose)
-	}
 }
 
 // neighborRange returns the clamped [lo, hi] cell range around fractional

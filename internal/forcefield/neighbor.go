@@ -213,8 +213,9 @@ func (nl *NeighborList) Score(ligPos []vec.V3) float64 {
 	return e
 }
 
-// ScoreBatch implements BatchScorer: one scratch serves the whole batch,
-// each pose scored exactly as Score would.
+// ScoreBatch stores Score(poses[i]) into out[i] for every i: one scratch
+// serves the whole batch, each pose scored exactly as Score would. It
+// panics unless len(out) == len(poses).
 func (nl *NeighborList) ScoreBatch(poses [][]vec.V3, out []float64) {
 	s := nl.takeScratch()
 	nl.ScorePoses(poses, out, nil, s)

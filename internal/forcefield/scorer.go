@@ -65,21 +65,7 @@ type Scorer interface {
 	Name() string
 }
 
-// BatchScorer is a Scorer that can evaluate many poses per receptor pass —
-// the batched-kernel evaluation scheme every production docking engine uses
-// (and the paper's mapping of candidate solutions to CUDA warps), brought
-// to the host scorers. Implementations must make ScoreBatch bit-identical
-// to calling Score on each pose in order: batching is a throughput
-// optimization, never a semantic one.
-type BatchScorer interface {
-	Scorer
-	// ScoreBatch stores Score(poses[i]) into out[i] for every i. It panics
-	// unless len(out) == len(poses). Implementations allocate nothing, so
-	// steady-state batched scoring with reused pose buffers is alloc-free.
-	ScoreBatch(poses [][]vec.V3, out []float64)
-}
-
-// checkBatch validates a ScoreBatch call's buffer lengths.
+// checkBatch validates a batched call's buffer lengths.
 func checkBatch(poses [][]vec.V3, out []float64) {
 	if len(poses) != len(out) {
 		panic(fmt.Sprintf("forcefield: batch has %d poses but %d outputs", len(poses), len(out)))
@@ -139,13 +125,4 @@ func (d *Direct) Score(ligPos []vec.V3) float64 {
 		}
 	}
 	return e
-}
-
-// ScoreBatch implements BatchScorer by looping Score: the reference the
-// batched kernels are differentially tested against.
-func (d *Direct) ScoreBatch(poses [][]vec.V3, out []float64) {
-	checkBatch(poses, out)
-	for i, pose := range poses {
-		out[i] = d.Score(pose)
-	}
 }

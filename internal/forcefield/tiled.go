@@ -11,12 +11,9 @@ const TileSize = 32
 // Each tile's coordinates are contiguous, so the inner loop streams through
 // cache lines exactly the way the CUDA kernel streams shared memory; this is
 // the host analogue of the paper's "tilling implementation via shared
-// memory" and the kernel whose cost the GPU simulator models.
-//
-// ScoreBatch is the batched receptor pass: each tile is brought through the
-// cache once and applied against every pose of the batch, instead of once
-// per pose — the same reuse pattern that lets the paper's kernel amortize a
-// shared-memory stage over a whole grid of conformations.
+// memory" and the kernel whose cost the GPU simulator models. It backs
+// NewGradientScorer: ScoreForces (gradient.go) returns the analytic forces
+// the gradient improver descends along.
 type Tiled struct {
 	lig   *Topology
 	table *PairTable
@@ -54,8 +51,7 @@ func NewTiled(rec, lig *Topology, opts Options) *Tiled {
 func (t *Tiled) Name() string { return "tiled" }
 
 // tileEnergy accumulates the interaction of one pose with receptor atoms
-// [base, end) onto e, in the fixed (ligand atom, receptor atom) order that
-// both Score and ScoreBatch share — keeping the two bit-identical.
+// [base, end) onto e, in a fixed (ligand atom, receptor atom) order.
 func (t *Tiled) tileEnergy(e float64, ligPos []vec.V3, base, end int) float64 {
 	const cutoff2 = Cutoff * Cutoff
 	for j, lp := range ligPos {
@@ -95,25 +91,6 @@ func (t *Tiled) Score(ligPos []vec.V3) float64 {
 		e = t.tileEnergy(e, ligPos, base, end)
 	}
 	return e
-}
-
-// ScoreBatch implements BatchScorer: the tile loop moves outermost, so each
-// receptor tile is streamed from memory once per batch rather than once per
-// pose. Every out[i] accumulates in exactly Score's order.
-func (t *Tiled) ScoreBatch(poses [][]vec.V3, out []float64) {
-	checkBatch(poses, out)
-	for i := range out {
-		out[i] = 0
-	}
-	for base := 0; base < t.n; base += TileSize {
-		end := base + TileSize
-		if end > t.n {
-			end = t.n
-		}
-		for pi, pose := range poses {
-			out[pi] = t.tileEnergy(out[pi], pose, base, end)
-		}
-	}
 }
 
 // PairOps returns the number of atom-pair interactions one Score call

@@ -78,7 +78,7 @@ func M4Params(scale float64) Params {
 // NewPaper constructs one of the paper's four metaheuristics ("M1".."M4")
 // at the given scale (1 = paper scale).
 func NewPaper(name string, scale float64) (Algorithm, error) {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return nil, fmt.Errorf("metaheuristic: scale %g outside (0, 1]", scale)
 	}
 	switch name {

@@ -1,6 +1,9 @@
 package metaheuristic
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestPaperConfigsMatchTable4(t *testing.T) {
 	// Table 4 of the paper.
@@ -76,6 +79,9 @@ func TestNewPaperRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewPaper("M1", 1.5); err == nil {
 		t.Error("scale > 1 accepted")
+	}
+	if _, err := NewPaper("M3", math.NaN()); err == nil {
+		t.Error("NaN scale accepted")
 	}
 }
 

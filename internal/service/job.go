@@ -141,7 +141,7 @@ func (r ScreenRequest) Validate() error {
 	default:
 		return fmt.Errorf("service: unknown metaheuristic %q (want M1..M4)", r.Metaheuristic)
 	}
-	if r.Scale <= 0 || r.Scale > 1 {
+	if !(r.Scale > 0 && r.Scale <= 1) {
 		return fmt.Errorf("service: scale %g out of range (0,1]", r.Scale)
 	}
 	if r.Machine != "" {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -53,6 +54,7 @@ func TestRequestValidation(t *testing.T) {
 		{Spots: 500},
 		{Metaheuristic: "M9"},
 		{Scale: 2},
+		{Scale: math.NaN()},
 		{Machine: "Saturn"},
 		{Machine: "Jupiter", Mode: "round-robin"},
 		{TimeoutSeconds: -3},

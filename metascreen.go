@@ -23,14 +23,14 @@
 //	})
 //
 // The paper's result tables regenerate through RunTable; see also
-// cmd/vstables and EXPERIMENTS.md.
+// cmd/vstables and EXPERIMENTS.md. NewService runs screens as jobs behind
+// an HTTP API; multi-node screening is cmd/vsserved's coordinator and
+// worker roles (README, "Distributed screening"), not a library call.
 package metascreen
 
 import (
 	"context"
 
-	"github.com/metascreen/metascreen/internal/analysis"
-	"github.com/metascreen/metascreen/internal/cluster"
 	"github.com/metascreen/metascreen/internal/conformation"
 	"github.com/metascreen/metascreen/internal/core"
 	"github.com/metascreen/metascreen/internal/cudasim"
@@ -263,17 +263,6 @@ func RunTable(number int, cfg TableConfig) (*Table, error) {
 	return tables.Run(exp, cfg)
 }
 
-// --- analysis and clustering -------------------------------------------------
-
-// BindingMode is one cluster of poses.
-type BindingMode = analysis.Mode
-
-// ClusterModes groups poses into distinct binding modes by RMSD.
-var ClusterModes = analysis.ClusterModes
-
-// PoseRMSD is the RMSD between two poses of the same ligand.
-var PoseRMSD = analysis.PoseRMSD
-
 // --- screening service ------------------------------------------------------
 
 // ServiceConfig sizes the screening service (workers, queue bound,
@@ -304,17 +293,3 @@ func NewService(cfg ServiceConfig) (*ScreeningService, error) { return service.N
 // ErrQueueFull is the service's admission-control rejection (HTTP 429 on
 // the API).
 var ErrQueueFull = service.ErrQueueFull
-
-// --- multi-node -----------------------------------------------------------------
-
-// ClusterConfig describes a simulated multi-node cluster.
-type ClusterConfig = cluster.Config
-
-// ClusterResult is a whole-cluster run.
-type ClusterResult = cluster.Result
-
-// RunCluster distributes the screening over a simulated message-passing
-// cluster (the paper's future-work platform).
-func RunCluster(p *Problem, metaheuristicName string, scale float64, cfg ClusterConfig, seed uint64) (*ClusterResult, error) {
-	return cluster.Run(p, metaheuristicName, scale, cfg, seed)
-}

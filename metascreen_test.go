@@ -81,20 +81,3 @@ func TestFacadeCatalogueAndMachines(t *testing.T) {
 		t.Error("machines wrong")
 	}
 }
-
-func TestFacadeCluster(t *testing.T) {
-	problem, err := metascreen.NewProblemFromDataset(metascreen.Dataset2BSM(), metascreen.ForceFieldOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := metascreen.RunCluster(problem, "M3", 0.05, metascreen.ClusterConfig{
-		Nodes:       2,
-		GPUsPerNode: []metascreen.DeviceSpec{metascreen.GTX580},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes) != 2 || !res.Best.Evaluated() {
-		t.Errorf("cluster result: %d nodes, best %v", len(res.Nodes), res.Best)
-	}
-}
