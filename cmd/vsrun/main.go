@@ -52,7 +52,7 @@ func main() {
 	logLevel := flag.String("log-level", "warn", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	flag.Parse()
-	if err := checkFlags(*spots, *top, *multistart, *mhScale, *budget); err != nil {
+	if err := checkFlags(*spots, *top, *multistart, *mhScale, *budget, *gantt, *traceOut); err != nil {
 		fatal(err)
 	}
 
@@ -200,9 +200,10 @@ func main() {
 	}
 }
 
-// checkFlags rejects numeric flag values that a run would otherwise
-// ignore or misread, before any work starts.
-func checkFlags(spots, top, multistart int, mhScale, budget float64) error {
+// checkFlags rejects flag values that a run would otherwise ignore or
+// misread, before any work starts. A multi-start run has no deadline and
+// records no trace, so it refuses -budget, -gantt and -trace-out.
+func checkFlags(spots, top, multistart int, mhScale, budget float64, gantt bool, traceOut string) error {
 	switch {
 	case spots < 0:
 		return fmt.Errorf("-spots %d: want 0 (receptorAtoms/100) or more", spots)
@@ -214,6 +215,12 @@ func checkFlags(spots, top, multistart int, mhScale, budget float64) error {
 		return fmt.Errorf("-mh-scale %g: want a finite number above 0", mhScale)
 	case !(budget >= 0) || math.IsInf(budget, 1):
 		return fmt.Errorf("-budget %g: want a finite number of seconds, 0 for none", budget)
+	case multistart > 1 && budget > 0:
+		return fmt.Errorf("-multistart %d runs to the End condition: drop -budget", multistart)
+	case multistart > 1 && gantt:
+		return fmt.Errorf("-multistart %d records no device timeline: drop -gantt", multistart)
+	case multistart > 1 && traceOut != "":
+		return fmt.Errorf("-multistart %d records no trace: drop -trace-out", multistart)
 	}
 	return nil
 }

@@ -33,6 +33,9 @@ func main() {
 	seed := flag.Uint64("seed", 7, "random seed")
 	csvPath := flag.String("csv", "", "also write the ranking to this CSV file")
 	flag.Parse()
+	if err := checkFlags(*librarySize, *spots, *mhScale); err != nil {
+		fatal(err)
+	}
 
 	receptor, err := loadReceptor(*dataset, *receptorPath)
 	if err != nil {
@@ -75,6 +78,20 @@ func main() {
 	}
 }
 
+// checkFlags rejects numeric flag values that would otherwise pass the
+// banner and then fail every ligand.
+func checkFlags(library, spots int, mhScale float64) error {
+	switch {
+	case library < 1:
+		return fmt.Errorf("-library %d: want 1 or more", library)
+	case spots < 0:
+		return fmt.Errorf("-spots %d: want 0 (receptorAtoms/100) or more", spots)
+	case !(mhScale > 0 && mhScale <= 1):
+		return fmt.Errorf("-mh-scale %g: want a number in (0, 1]", mhScale)
+	}
+	return nil
+}
+
 func loadReceptor(dataset, path string) (*molecule.Molecule, error) {
 	if dataset != "" {
 		ds, err := core.DatasetByName(dataset)
@@ -96,9 +113,6 @@ func loadReceptor(dataset, path string) (*molecule.Molecule, error) {
 
 func loadLibrary(paths string, synthetic int) ([]*molecule.Molecule, error) {
 	if paths == "" {
-		if synthetic <= 0 {
-			return nil, fmt.Errorf("library size must be positive")
-		}
 		return core.SyntheticLibrary(synthetic), nil
 	}
 	var lib []*molecule.Molecule

@@ -14,7 +14,7 @@
 // second listener. Overload protection (adaptive concurrency limiter,
 // weighted-fair priority queue, deadline shedding, device circuit breaker,
 // graceful degradation) and storage-degraded mode (507 + Retry-After
-// while the journal disk is full or failing, -on-full) are built in.
+// while the journal disk is full or failing) are built in.
 //
 // One binary, three roles (-role), one job model:
 //
@@ -36,6 +36,9 @@
 // injects deterministic faults for drills from one plan and one
 // -chaos-seed: each clause goes by its kind to the network (netsim, a
 // coordinator's worker requests) or to the disk (fsim, the journal).
+// Every flag is checked before the journal opens: a negative count or
+// duration, an unknown role or fsync policy, or a malformed -chaos plan
+// exits 1.
 //
 // SIGINT/SIGTERM drain gracefully: intake stops, queued jobs are
 // cancelled, running jobs finish (up to -drain-timeout, then they are
@@ -57,7 +60,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/metascreen/metascreen/internal/admission"
 	"github.com/metascreen/metascreen/internal/dist"
 	"github.com/metascreen/metascreen/internal/faultplan"
 	"github.com/metascreen/metascreen/internal/fsim"
@@ -68,129 +70,30 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	debugAddr := flag.String("debug-addr", "", "debug listen address for pprof + snapshots (empty = disabled)")
-	workers := flag.Int("workers", 0, "concurrent jobs: screening workers on a node (0 = all CPUs), supervised screens on a coordinator (0 = the queue bound)")
-	queue := flag.Int("queue", 64, "queue bound; submissions beyond it get HTTP 429")
-	screenWorkers := flag.Int("screen-workers", 0, "per-job ligand parallelism (0 = all CPUs)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs")
-	maxAttempts := flag.Int("max-attempts", 0, "executions per job with transient failures (0 = 3, 1 disables retries)")
-	retryDelay := flag.Duration("retry-delay", 0, "base backoff before the first retry, doubled per retry (0 = 100ms)")
-	dataDir := flag.String("data-dir", "", "durability directory (the journal); empty = in-memory only")
-	fsync := flag.String("fsync", "always", "journal fsync policy: always, interval or never")
-	fsyncInterval := flag.Duration("fsync-interval", 0, "under -fsync interval, the longest a journal record stays unsynced: appends sync past it and an idle journal is flushed in the background (0 = 100ms)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "journal a running job's completed ligands as one checkpoint record every N ligands; a crash re-docks up to N-1 already completed ligands (0 = 1)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
-	logFormat := flag.String("log-format", "text", "log format: text or json")
-	targetLatency := flag.Duration("target-latency", 0, "attempt latency the adaptive concurrency limiter steers toward (0 = disabled)")
-	limiterMin := flag.Int("limiter-min", 0, "adaptive concurrency floor (0 = 1)")
-	limiterMax := flag.Int("limiter-max", 0, "adaptive concurrency ceiling (0 = worker count)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive all-device losses before the circuit opens (0 = 3)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long the open circuit rejects machine jobs before probing (0 = 5s)")
-	degradeAt := flag.Float64("degrade-at", 0, "queue fill fraction above which jobs run with reduced effort (0 = 0.75)")
-	degradeFactor := flag.Float64("degrade-factor", 0, "search-scale multiplier applied to degraded jobs (0 = 0.5)")
-	role := flag.String("role", "node", "process role: node, worker or coordinator")
-	coordinator := flag.String("coordinator", "", "coordinator base URL a worker registers with (worker role)")
-	advertise := flag.String("advertise", "", "URL the coordinator should reach this worker at (default derived from -addr)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "worker registration/heartbeat cadence")
-	workerTimeout := flag.Duration("worker-timeout", 5*time.Second, "coordinator declares a worker dead after this heartbeat silence")
-	pollInterval := flag.Duration("poll-interval", 100*time.Millisecond, "longest the coordinator holds one chunk poll on a worker, and its idle supervision cadence (not a latency floor: a finished chunk answers at once)")
-	requestTimeout := flag.Duration("request-timeout", 0, "coordinator per-request deadline against a worker (0 = 15s)")
-	workerAttempts := flag.Int("worker-attempts", 0, "tries per coordinator->worker request (0 = 3, 1 disables retries)")
-	workerRetryDelay := flag.Duration("worker-retry-delay", 0, "base backoff between coordinator request retries, doubled and jittered (0 = 50ms)")
-	workerFailThreshold := flag.Int("worker-fail-threshold", 0, "consecutive failed requests before a worker is declared dead (0 = 2)")
-	workerResponseLimit := flag.Int64("worker-response-limit", 0, "byte cap on worker responses (0 = sized to the library limit)")
-	chaos := flag.String("chaos", "", "fault plan: network clauses hit coordinator->worker requests (coordinator only), disk clauses hit journal I/O, e.g. '127.0.0.1:8081:partition@3s+4s,*.wal:fsync-fail@0.01' (empty = disabled)")
-	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the -chaos plan's probabilistic faults")
-	onFull := flag.String("on-full", "degrade", "reaction to a full or failing journal disk, on every role: degrade (serve reads, 507 submissions) or stop (drain and exit 1)")
-	flag.Parse()
-
-	logger, err := obs.NewLogger(*logLevel, *logFormat, os.Stderr)
+	o, err := parseFlags(os.Args[1:])
 	if err != nil {
 		fatal(err)
 	}
-	policy, err := wal.ParseSyncPolicy(*fsync)
-	if err != nil {
-		fatal(err)
-	}
-	if *onFull != "degrade" && *onFull != "stop" {
-		fatal(fmt.Errorf("unknown -on-full %q (want degrade or stop)", *onFull))
-	}
+	logger := o.service.Logger
 	logf := func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) }
-	chaosSpecs, err := faultplan.Route(*chaos, netsim.Kinds, fsim.Kinds)
-	if err != nil {
-		fatal(err)
-	}
-	netPlan, err := netsim.ParsePlan(chaosSpecs[0])
-	if err != nil {
-		fatal(err)
-	}
-	diskPlan, err := fsim.ParsePlan(chaosSpecs[1])
-	if err != nil {
-		fatal(err)
-	}
-	if len(netPlan.Rules) > 0 && *role != "coordinator" {
-		fatal(fmt.Errorf("-chaos network clauses %q need -role coordinator (only a coordinator sends worker requests)", netPlan))
-	}
-	var diskFS fsim.FS
-	if len(diskPlan.Rules) > 0 {
-		diskFS = fsim.New(diskPlan, fsim.Config{Seed: *chaosSeed, Logf: logf})
-		logger.Warn("disk chaos plan active on durability I/O", "plan", diskPlan.String(), "seed", *chaosSeed)
+	if len(o.diskPlan.Rules) > 0 {
+		o.service.FS = fsim.New(o.diskPlan, fsim.Config{Seed: o.chaosSeed, Logf: logf})
+		logger.Warn("disk chaos plan active on durability I/O", "plan", o.diskPlan.String(), "seed", o.chaosSeed)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := service.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		ScreenWorkers:   *screenWorkers,
-		MaxAttempts:     *maxAttempts,
-		RetryBaseDelay:  *retryDelay,
-		DataDir:         *dataDir,
-		FS:              diskFS,
-		Fsync:           policy,
-		FsyncInterval:   *fsyncInterval,
-		CheckpointEvery: *checkpointEvery,
-		Logger:          logger,
-		Admission: admission.Config{
-			TargetLatency:    *targetLatency,
-			LimiterMin:       *limiterMin,
-			LimiterMax:       *limiterMax,
-			BreakerThreshold: *breakerThreshold,
-			BreakerCooldown:  *breakerCooldown,
-			DegradeAt:        *degradeAt,
-			DegradeFactor:    *degradeFactor,
-		},
-	}
 	var svc server
-	switch *role {
-	case "coordinator":
-		var transport http.RoundTripper
-		if len(netPlan.Rules) > 0 {
-			transport = netsim.New(netPlan, netsim.Config{Seed: *chaosSeed, Logf: logf})
-			logger.Warn("chaos plan active on worker requests", "plan", netPlan.String(), "seed", *chaosSeed)
+	if o.role == "coordinator" {
+		if len(o.netPlan.Rules) > 0 {
+			o.dist.Transport = netsim.New(o.netPlan, netsim.Config{Seed: o.chaosSeed, Logf: logf})
+			logger.Warn("chaos plan active on worker requests", "plan", o.netPlan.String(), "seed", o.chaosSeed)
 		}
-		svc, err = dist.New(dist.Config{
-			Service:          cfg,
-			HeartbeatTimeout: *workerTimeout,
-			PollInterval:     *pollInterval,
-			RequestTimeout:   *requestTimeout,
-			RequestAttempts:  *workerAttempts,
-			RetryBaseDelay:   *workerRetryDelay,
-			FailThreshold:    *workerFailThreshold,
-			MaxResponseBytes: *workerResponseLimit,
-			Transport:        transport,
-		})
-	case "worker":
-		if *coordinator == "" {
-			fatal(errors.New("-role worker requires -coordinator"))
-		}
-		fallthrough
-	case "node":
-		svc, err = service.New(cfg)
-	default:
-		fatal(fmt.Errorf("unknown -role %q (want node, worker or coordinator)", *role))
+		o.dist.Service = o.service
+		svc, err = dist.New(o.dist)
+	} else {
+		svc, err = service.New(o.service)
 	}
 	if err != nil {
 		fatal(err)
@@ -199,48 +102,30 @@ func main() {
 		logger.Info("recovered jobs from journal",
 			"jobs", rec.RecoveredJobs, "records", rec.ReplayedRecords)
 	}
-	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	server := &http.Server{Addr: o.addr, Handler: svc.Handler()}
 	// A held /partial poll must not stretch the HTTP shutdown by its wait:
 	// start the service drain with it.
 	server.RegisterOnShutdown(svc.Drain)
 
-	stopDebug := serveDebug(*debugAddr, svc.DebugHandler(), logger)
+	stopDebug := serveDebug(o.debugAddr, svc.DebugHandler(), logger)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr, "role", *role)
+	logger.Info("listening", "addr", o.addr, "role", o.role)
 
-	if *role == "worker" {
-		adv := *advertise
-		if adv == "" {
-			adv, err = advertiseFromAddr(*addr)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		go dist.RegisterLoop(ctx, *coordinator, adv, *heartbeat, logf)
-		logger.Info("registering with coordinator", "coordinator", *coordinator, "advertise", adv)
+	if o.role == "worker" {
+		go dist.RegisterLoop(ctx, o.coordinator, o.advertise, o.heartbeat, logf)
+		logger.Info("registering with coordinator", "coordinator", o.coordinator, "advertise", o.advertise)
 	}
 
-	// Under -on-full stop a full or failing journal disk drains the process
-	// and exits non-zero, for supervisors that prefer rescheduling to a
-	// read-only node; under the default, degrade, full stays nil.
-	var full <-chan struct{}
-	if *onFull == "stop" {
-		full = svc.StorageFull()
-	}
-	stoppedOnFull := false
 	select {
 	case <-ctx.Done():
 		logger.Info("draining")
-	case <-full:
-		logger.Error("storage degraded and -on-full=stop, draining")
-		stoppedOnFull = true
 	case err := <-errCh:
 		fatal(err)
 	}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	// Stop taking connections first, then drain the job pool.
 	if err := server.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
@@ -251,12 +136,115 @@ func main() {
 		logger.Error("drain deadline exceeded, running jobs interrupted", "err", err)
 		os.Exit(1)
 	}
-	if stoppedOnFull {
-		// Non-zero so a restart=on-failure supervisor reschedules the node.
-		logger.Info("drained after storage failure")
-		os.Exit(1)
-	}
 	logger.Info("drained cleanly")
+}
+
+// options is a process's checked startup configuration: the service
+// config every role runs, the coordinator's own settings and a worker's
+// registration.
+type options struct {
+	addr, debugAddr, role      string
+	coordinator, advertise     string
+	heartbeat, drainTimeout    time.Duration
+	fsync, logLevel, logFormat string
+	chaos                      string
+	chaosSeed                  uint64
+	netPlan                    netsim.Plan
+	diskPlan                   fsim.Plan
+	service                    service.Config
+	dist                       dist.Config // Service and Transport are set by main
+}
+
+// flagSet defines every vsserved flag, bound to o's fields.
+func (o *options) flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("vsserved", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug listen address for pprof + snapshots (empty = disabled)")
+	fs.IntVar(&o.service.Workers, "workers", 0, "concurrent jobs: screening workers on a node (0 = all CPUs), supervised screens on a coordinator (0 = the queue bound)")
+	fs.IntVar(&o.service.QueueDepth, "queue", service.DefaultQueueDepth, "queue bound; submissions beyond it get HTTP 429")
+	fs.IntVar(&o.service.ScreenWorkers, "screen-workers", 0, "per-job ligand parallelism (0 = all CPUs)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for running jobs")
+	fs.StringVar(&o.service.DataDir, "data-dir", "", "durability directory (the journal); empty = in-memory only")
+	fs.StringVar(&o.fsync, "fsync", "always", "journal fsync policy: always, interval or never")
+	fs.IntVar(&o.service.CheckpointEvery, "checkpoint-every", 0, "journal a running job's completed ligands as one checkpoint record every N ligands; a crash re-docks up to N-1 already completed ligands (0 = 1)")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn or error")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
+	fs.DurationVar(&o.service.Admission.TargetLatency, "target-latency", 0, "attempt latency the adaptive concurrency limiter steers toward (0 = disabled)")
+	fs.IntVar(&o.service.Admission.BreakerThreshold, "breaker-threshold", 0, "consecutive all-device losses before the circuit opens (0 = 3)")
+	fs.DurationVar(&o.service.Admission.BreakerCooldown, "breaker-cooldown", 0, "how long the open circuit rejects machine jobs before probing (0 = 5s)")
+	fs.StringVar(&o.role, "role", "node", "process role: node, worker or coordinator")
+	fs.StringVar(&o.coordinator, "coordinator", "", "coordinator base URL a worker registers with (worker role)")
+	fs.StringVar(&o.advertise, "advertise", "", "URL the coordinator should reach this worker at (default derived from -addr)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", time.Second, "worker registration/heartbeat cadence")
+	fs.DurationVar(&o.dist.HeartbeatTimeout, "worker-timeout", 5*time.Second, "coordinator declares a worker dead after this heartbeat silence")
+	fs.DurationVar(&o.dist.PollInterval, "poll-interval", 100*time.Millisecond, "longest the coordinator holds one chunk poll on a worker, and its idle supervision cadence (not a latency floor: a finished chunk answers at once)")
+	fs.DurationVar(&o.dist.RequestTimeout, "request-timeout", 0, "coordinator per-request deadline against a worker (0 = 15s)")
+	fs.IntVar(&o.dist.RequestAttempts, "worker-attempts", 0, "tries per coordinator->worker request (0 = 3, 1 disables retries)")
+	fs.DurationVar(&o.dist.RetryBaseDelay, "worker-retry-delay", 0, "base backoff between coordinator request retries, doubled and jittered (0 = 50ms)")
+	fs.StringVar(&o.chaos, "chaos", "", "fault plan: network clauses hit coordinator->worker requests (coordinator only), disk clauses hit journal I/O, e.g. '127.0.0.1:8081:partition@3s+4s,*.wal:fsync-fail@0.01' (empty = disabled)")
+	fs.Uint64Var(&o.chaosSeed, "chaos-seed", 1, "seed for the -chaos plan's probabilistic faults")
+	return fs
+}
+
+// parseFlags reads the command line and runs every startup check, so a
+// bad value exits before the journal opens or a port is bound.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := o.flagSet()
+	fs.Parse(args)
+
+	// Every count and duration means "the default" at 0; a negative one
+	// is a mistake, not a request for the default.
+	var err error
+	fs.VisitAll(func(f *flag.Flag) {
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			if v < 0 && err == nil {
+				err = fmt.Errorf("-%s %d: want 0 or more", f.Name, v)
+			}
+		case time.Duration:
+			if v < 0 && err == nil {
+				err = fmt.Errorf("-%s %v: want 0 or more", f.Name, v)
+			}
+		}
+	})
+	if err != nil {
+		return o, err
+	}
+	switch o.role {
+	case "node", "coordinator":
+	case "worker":
+		if o.coordinator == "" {
+			return o, errors.New("-role worker requires -coordinator")
+		}
+		if o.advertise == "" {
+			if o.advertise, err = advertiseFromAddr(o.addr); err != nil {
+				return o, err
+			}
+		}
+	default:
+		return o, fmt.Errorf("unknown -role %q (want node, worker or coordinator)", o.role)
+	}
+	if o.service.Fsync, err = wal.ParseSyncPolicy(o.fsync); err != nil {
+		return o, err
+	}
+	if o.service.Logger, err = obs.NewLogger(o.logLevel, o.logFormat, os.Stderr); err != nil {
+		return o, err
+	}
+	chaosSpecs, err := faultplan.Route(o.chaos, netsim.Kinds, fsim.Kinds)
+	if err != nil {
+		return o, err
+	}
+	if o.netPlan, err = netsim.ParsePlan(chaosSpecs[0]); err != nil {
+		return o, err
+	}
+	if o.diskPlan, err = fsim.ParsePlan(chaosSpecs[1]); err != nil {
+		return o, err
+	}
+	if len(o.netPlan.Rules) > 0 && o.role != "coordinator" {
+		return o, fmt.Errorf("-chaos network clauses %q need -role coordinator (only a coordinator sends worker requests)", o.netPlan)
+	}
+	return o, nil
 }
 
 // server is what every role runs: a service.Service, or a dist.Coordinator
@@ -266,7 +254,6 @@ type server interface {
 	DebugHandler() http.Handler
 	Drain()
 	Shutdown(context.Context) error
-	StorageFull() <-chan struct{}
 	Recovery() service.RecoveryStats
 }
 

@@ -127,7 +127,8 @@ func TestDistributedChaos(t *testing.T) {
 // TestChaosPlanChecked: every role parses -chaos at startup, so a bad
 // plan, or network clauses on a role that sends no worker requests, is a
 // startup error rather than a process that silently injects nothing. A
-// disk-only plan boots on a node.
+// negative count or duration is a startup error too, not a silent
+// default. A disk-only plan boots on a node.
 func TestChaosPlanChecked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and launches real server binaries")
@@ -142,6 +143,11 @@ func TestChaosPlanChecked(t *testing.T) {
 		{[]string{"-role", "node", "-chaos", "*:melt@1"}, "unknown fault kind"},
 		{[]string{"-role", "node", "-chaos", "127.0.0.1:8081:error@0.5"}, "need -role coordinator"},
 		{[]string{"-role", "worker", "-coordinator", "http://127.0.0.1:1", "-chaos", "*.wal:eio@0.1,*:latency@5ms"}, "need -role coordinator"},
+		{[]string{"-workers", "-2"}, "-workers -2: want 0 or more"},
+		{[]string{"-queue", "-5"}, "-queue -5: want 0 or more"},
+		{[]string{"-checkpoint-every", "-3"}, "-checkpoint-every -3: want 0 or more"},
+		{[]string{"-role", "worker", "-coordinator", "http://127.0.0.1:1", "-heartbeat", "-1s"}, "-heartbeat -1s: want 0 or more"},
+		{[]string{"-target-latency", "-1s"}, "-target-latency -1s: want 0 or more"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", freeAddr(t)}, c.args...)...).CombinedOutput()

@@ -35,73 +35,42 @@ import (
 // Config tunes the admission controller. The zero value of every field
 // means its documented default; Workers is the only required field.
 type Config struct {
-	// Workers seeds the concurrency limiter (its initial and default
-	// maximum window).
+	// Workers seeds the concurrency limiter: its initial and maximum
+	// window.
 	Workers int
 	// TargetLatency is the AIMD target for per-attempt latency; attempts
 	// slower than this shrink the concurrency window. 0 disables
 	// adaptation (the window stays at Workers).
 	TargetLatency time.Duration
-	// LimiterMin / LimiterMax bound the adaptive window; 0 means 1 and
-	// Workers respectively.
-	LimiterMin, LimiterMax int
-	// LimiterBackoff is the multiplicative decrease factor in (0,1);
-	// 0 means 0.75.
-	LimiterBackoff float64
 	// BreakerThreshold is the consecutive device-loss failures that open
 	// the breaker; 0 means 3.
 	BreakerThreshold int
 	// BreakerCooldown is the open -> half-open delay; 0 means 5s.
 	BreakerCooldown time.Duration
-	// DegradeAt is the queue-fill fraction at or above which new jobs run
-	// with degraded effort; 0 means 0.75.
-	DegradeAt float64
-	// DegradeFactor is the search-effort multiplier applied to degraded
-	// jobs; 0 means 0.5, and 1 disables degradation entirely.
-	DegradeFactor float64
-	// EWMAAlpha is the smoothing factor of the queue-wait and run-time
-	// estimators; 0 means 0.3.
-	EWMAAlpha float64
-	// MinRetryAfter floors every computed Retry-After; 0 means 1s.
-	MinRetryAfter time.Duration
 	// Now is the clock; nil means time.Now. Tests pin it.
 	Now func() time.Time
 }
 
-// withDefaults fills zero fields.
+const (
+	// degradeAt is the queue-fill fraction at or above which new jobs run
+	// with degraded effort, and degradeFactor their search-effort
+	// multiplier.
+	degradeAt     = 0.75
+	degradeFactor = 0.5
+	// ewmaAlpha smooths the queue-wait and run-time estimators.
+	ewmaAlpha = 0.3
+	// minRetryAfter floors every computed Retry-After.
+	minRetryAfter = time.Second
+)
+
+// withDefaults fills zero fields; NewLimiter and NewBreaker default the
+// others.
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.LimiterMin <= 0 {
-		c.LimiterMin = 1
-	}
-	if c.LimiterMax <= 0 {
-		c.LimiterMax = c.Workers
-	}
-	if c.LimiterBackoff <= 0 || c.LimiterBackoff >= 1 {
-		c.LimiterBackoff = 0.75
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.DegradeAt <= 0 {
-		c.DegradeAt = 0.75
-	}
-	if c.DegradeFactor <= 0 {
-		c.DegradeFactor = 0.5
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.3
-	}
-	if c.MinRetryAfter <= 0 {
-		c.MinRetryAfter = time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -109,7 +78,6 @@ func (c Config) withDefaults() Config {
 // ewma is a single exponentially-weighted moving average. The zero value
 // is unobserved: Value returns 0 until the first Observe.
 type ewma struct {
-	alpha float64
 	value float64
 	seen  bool
 }
@@ -119,14 +87,13 @@ func (e *ewma) observe(v float64) {
 		e.value, e.seen = v, true
 		return
 	}
-	e.value = e.alpha*v + (1-e.alpha)*e.value
+	e.value = ewmaAlpha*v + (1-ewmaAlpha)*e.value
 }
 
 // Controller composes the limiter, breaker and latency estimators into
 // the service's admission policy. All methods are safe for concurrent
 // use.
 type Controller struct {
-	cfg     Config
 	Limiter *Limiter
 	Breaker *Breaker
 
@@ -138,20 +105,10 @@ type Controller struct {
 // NewController builds a controller from cfg.
 func NewController(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{
-		cfg: cfg,
-		Limiter: NewLimiter(LimiterConfig{
-			Initial: cfg.Workers,
-			Min:     cfg.LimiterMin,
-			Max:     cfg.LimiterMax,
-			Target:  cfg.TargetLatency,
-			Backoff: cfg.LimiterBackoff,
-		}),
+	return &Controller{
+		Limiter: NewLimiter(LimiterConfig{Initial: cfg.Workers, Target: cfg.TargetLatency}),
 		Breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
 	}
-	c.queueWait.alpha = cfg.EWMAAlpha
-	c.runTime.alpha = cfg.EWMAAlpha
-	return c
 }
 
 // ObserveQueueWait feeds one job's measured submission -> start wait.
@@ -206,7 +163,7 @@ func (c *Controller) ShouldCull(now, deadline time.Time) bool {
 
 // RetryAfterFull computes the Retry-After for a queue-full rejection: the
 // estimated time for the pool to drain one slot (run-time estimate divided
-// by the current concurrency window), floored at MinRetryAfter.
+// by the current concurrency window), floored at one second.
 func (c *Controller) RetryAfterFull() time.Duration {
 	limit := c.Limiter.Limit()
 	if limit < 1 {
@@ -216,27 +173,27 @@ func (c *Controller) RetryAfterFull() time.Duration {
 }
 
 // RetryAfterBreaker computes the Retry-After for a breaker-open
-// rejection: the time until the circuit half-opens, floored at
-// MinRetryAfter.
+// rejection: the time until the circuit half-opens, floored at one
+// second.
 func (c *Controller) RetryAfterBreaker() time.Duration {
 	return c.floorRetry(c.Breaker.RetryAfter())
 }
 
 func (c *Controller) floorRetry(d time.Duration) time.Duration {
-	if d < c.cfg.MinRetryAfter {
-		return c.cfg.MinRetryAfter
+	if d < minRetryAfter {
+		return minRetryAfter
 	}
 	return d
 }
 
 // EffortFactor returns the search-effort multiplier for a job starting
 // while the queue is fill full (fill in [0,1]): 1 under normal load, the
-// configured degradation factor at or above the pressure threshold.
+// degradation factor at or above the pressure threshold.
 func (c *Controller) EffortFactor(fill float64) float64 {
-	if c.cfg.DegradeFactor >= 1 || fill < c.cfg.DegradeAt {
+	if fill < degradeAt {
 		return 1
 	}
-	return c.cfg.DegradeFactor
+	return degradeFactor
 }
 
 // Close releases every goroutine blocked in the limiter.

@@ -7,7 +7,7 @@ import (
 
 func TestControllerDeadlineAdmission(t *testing.T) {
 	clk := newFakeClock()
-	c := NewController(Config{Workers: 2, EWMAAlpha: 0.5, Now: clk.now})
+	c := NewController(Config{Workers: 2, Now: clk.now})
 
 	// Unobserved estimators admit optimistically.
 	if ok, _ := c.CanMeetDeadline(clk.now(), clk.now().Add(time.Millisecond)); !ok {
@@ -38,17 +38,17 @@ func TestControllerDeadlineAdmission(t *testing.T) {
 }
 
 func TestControllerEWMADeterministic(t *testing.T) {
-	c := NewController(Config{Workers: 1, EWMAAlpha: 0.5})
+	c := NewController(Config{Workers: 1})
 	c.ObserveRun(4 * time.Second)
-	c.ObserveRun(2 * time.Second) // 0.5*2 + 0.5*4 = 3
-	if got := c.EstRun(); got != 3*time.Second {
-		t.Fatalf("EstRun() = %v, want 3s", got)
+	c.ObserveRun(2 * time.Second) // 0.3*2 + 0.7*4 = 3.4
+	if got := c.EstRun(); got != 3400*time.Millisecond {
+		t.Fatalf("EstRun() = %v, want 3.4s", got)
 	}
 }
 
 func TestControllerRetryAfterFull(t *testing.T) {
-	c := NewController(Config{Workers: 4, MinRetryAfter: time.Second})
-	// No history: floored at MinRetryAfter.
+	c := NewController(Config{Workers: 4})
+	// No history: floored at one second.
 	if got := c.RetryAfterFull(); got != time.Second {
 		t.Fatalf("RetryAfterFull() unobserved = %v, want 1s", got)
 	}
@@ -60,17 +60,12 @@ func TestControllerRetryAfterFull(t *testing.T) {
 }
 
 func TestControllerEffortFactor(t *testing.T) {
-	c := NewController(Config{Workers: 1, DegradeAt: 0.75, DegradeFactor: 0.5})
+	c := NewController(Config{Workers: 1})
 	if got := c.EffortFactor(0.5); got != 1 {
 		t.Fatalf("EffortFactor(0.5) = %v, want 1", got)
 	}
 	if got := c.EffortFactor(0.75); got != 0.5 {
 		t.Fatalf("EffortFactor(0.75) = %v, want 0.5", got)
-	}
-	// DegradeFactor 1 disables degradation entirely.
-	off := NewController(Config{Workers: 1, DegradeFactor: 1})
-	if got := off.EffortFactor(1); got != 1 {
-		t.Fatalf("EffortFactor with degradation disabled = %v, want 1", got)
 	}
 }
 

@@ -82,7 +82,7 @@ func (c *client) do(ctx context.Context, method, url string, body []byte, key st
 		if c.onRetry != nil {
 			c.onRetry()
 		}
-		if !sleepCtx(ctx, c.retryDelay(err, url, attempt)) {
+		if !rng.Sleep(ctx, c.retryDelay(err, url, attempt)) {
 			return err
 		}
 	}
@@ -183,7 +183,7 @@ func (c *client) retryDelay(err error, url string, attempt int) time.Duration {
 		}
 		return ae.retryAfter
 	}
-	return retryBackoff(c.backoff, url, attempt)
+	return rng.Backoff(c.backoff, maxClientBackoff, url, attempt)
 }
 
 // parseRetryAfter reads a Retry-After header in its delay-seconds form
@@ -198,30 +198,6 @@ func parseRetryAfter(v string) time.Duration {
 		return 0
 	}
 	return time.Duration(secs) * time.Second
-}
-
-// retryBackoff computes the sleep before retry `attempt`: the base delay
-// doubles per retry with a deterministic jitter factor in [0.5, 1.5)
-// hashed from the URL and attempt — reproducible without a global RNG,
-// and de-synchronized across workers.
-func retryBackoff(base time.Duration, url string, attempt int) time.Duration {
-	delay := base << (attempt - 1)
-	if delay <= 0 || delay > maxClientBackoff {
-		delay = maxClientBackoff
-	}
-	return rng.Jitter(delay, 0.5, url, uint64(attempt))
-}
-
-// sleepCtx waits out one backoff; false means the context ended first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // submit posts a shard screen to a worker under the given idempotency

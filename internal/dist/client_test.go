@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/metascreen/metascreen/internal/rng"
 	"github.com/metascreen/metascreen/internal/service"
 )
 
@@ -185,8 +186,8 @@ func TestServiceEchoesEpoch(t *testing.T) {
 func TestRetryBackoffShape(t *testing.T) {
 	base := 50 * time.Millisecond
 	for attempt := 1; attempt <= 8; attempt++ {
-		d := retryBackoff(base, "http://w:1", attempt)
-		if d != retryBackoff(base, "http://w:1", attempt) {
+		d := rng.Backoff(base, maxClientBackoff, "http://w:1", attempt)
+		if d != rng.Backoff(base, maxClientBackoff, "http://w:1", attempt) {
 			t.Fatal("backoff not deterministic")
 		}
 		nominal := base << (attempt - 1)
@@ -236,7 +237,7 @@ func TestRetryDelayHonorsRetryAfter(t *testing.T) {
 		t.Errorf("Retry-After 1m produced delay %v, want the %v clamp", got, maxClientBackoff)
 	}
 	plain := &retriableError{&apiError{status: http.StatusInternalServerError}}
-	if got, want := cl.retryDelay(plain, "http://w:1", 2), retryBackoff(cl.backoff, "http://w:1", 2); got != want {
+	if got, want := cl.retryDelay(plain, "http://w:1", 2), rng.Backoff(cl.backoff, maxClientBackoff, "http://w:1", 2); got != want {
 		t.Errorf("no Retry-After: delay %v, want the computed backoff %v", got, want)
 	}
 }
@@ -293,8 +294,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{RequestAttempts: -1},
 		{FailThreshold: -2},
-		{MaxResponseBytes: -5},
-		{MaxResponseBytes: 1024}, // below the 64 KiB floor
 		{RetryBaseDelay: -time.Second},
 	}
 	for i, cfg := range bad {

@@ -26,6 +26,7 @@ import (
 
 	"github.com/metascreen/metascreen/internal/core"
 	"github.com/metascreen/metascreen/internal/molecule"
+	"github.com/metascreen/metascreen/internal/rng"
 	"github.com/metascreen/metascreen/internal/service"
 	"github.com/metascreen/metascreen/internal/trace"
 )
@@ -58,18 +59,15 @@ type Config struct {
 	// FailThreshold is how many consecutive failed requests to one worker
 	// declare it dead, whatever its heartbeat; default 2.
 	FailThreshold int
-	// MaxResponseBytes caps a worker response; 0 sizes it to the largest
-	// partial a chunk can produce (MaxRankingLimit entries).
-	MaxResponseBytes int64
 	// Transport carries worker requests (netsim faults in tests and
 	// drills); nil is a clone of http.DefaultTransport that keeps
 	// maxIdleConnsPerWorker idle connections per worker.
 	Transport http.RoundTripper
 }
 
-// maxPartialEntryBytes bounds one JSON partial entry, for the default
-// response cap.
-const maxPartialEntryBytes = 512
+// maxResponseBytes caps a worker response: the largest partial one poll
+// can see (MaxRankingLimit entries of at most 512 bytes) plus headroom.
+const maxResponseBytes = service.MaxRankingLimit*512 + 64<<10
 
 // maxIdleConnsPerWorker sizes the default transport's idle pool: every
 // running chunk pins a connection for its held poll, and the stock two
@@ -83,12 +81,6 @@ func (c Config) validate() error {
 	}
 	if c.FailThreshold < 0 {
 		return fmt.Errorf("dist: FailThreshold %d must be >= 0", c.FailThreshold)
-	}
-	if c.MaxResponseBytes < 0 {
-		return fmt.Errorf("dist: MaxResponseBytes %d must be >= 0", c.MaxResponseBytes)
-	}
-	if c.MaxResponseBytes > 0 && c.MaxResponseBytes < 64<<10 {
-		return fmt.Errorf("dist: MaxResponseBytes %d is below the 64 KiB floor (too small for a chunk partial)", c.MaxResponseBytes)
 	}
 	if c.RetryBaseDelay < 0 {
 		return fmt.Errorf("dist: RetryBaseDelay %v must be >= 0", c.RetryBaseDelay)
@@ -114,8 +106,6 @@ func (c Config) withDefaults() Config {
 	c.RequestAttempts = cmp.Or(c.RequestAttempts, 3)
 	c.RetryBaseDelay = cmp.Or(c.RetryBaseDelay, 50*time.Millisecond)
 	c.FailThreshold = cmp.Or(c.FailThreshold, 2)
-	// Sized to the library cap: the biggest partial one poll can see.
-	c.MaxResponseBytes = cmp.Or(c.MaxResponseBytes, int64(service.MaxRankingLimit)*maxPartialEntryBytes+64<<10)
 	return c
 }
 
@@ -216,7 +206,7 @@ func New(cfg Config) (*Coordinator, error) {
 		timeout:   cfg.RequestTimeout,
 		attempts:  cfg.RequestAttempts,
 		backoff:   cfg.RetryBaseDelay,
-		respLimit: cfg.MaxResponseBytes,
+		respLimit: maxResponseBytes,
 		onRetry:   func() { c.metrics.retries.Inc() },
 	}
 	c.reqCtx, c.reqCancel = context.WithCancel(context.Background())
@@ -278,7 +268,7 @@ func (c *Coordinator) Run(ctx context.Context, id string, req service.ScreenRequ
 			return core.Aggregate(lib, nil, j.merged), nil
 		}
 		if !progressed {
-			sleepCtx(ctx, c.cfg.PollInterval-time.Since(start))
+			rng.Sleep(ctx, c.cfg.PollInterval-time.Since(start))
 		}
 	}
 	cause := context.Cause(ctx)

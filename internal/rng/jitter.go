@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -28,4 +29,28 @@ func JitterFactor(spread float64, key string, seq uint64) float64 {
 // band heartbeat senders use.
 func Jitter(d time.Duration, spread float64, key string, seq uint64) time.Duration {
 	return time.Duration(float64(d) * JitterFactor(spread, key, seq))
+}
+
+// Backoff is the wait before retry number attempt (1-based): base doubled
+// per retry, capped at ceiling (an overflowed shift is capped too), then
+// spread by Jitter over [d/2, 3d/2) from key and attempt. The service's
+// job retries and the coordinator's worker requests both use it.
+func Backoff(base, ceiling time.Duration, key string, attempt int) time.Duration {
+	d := base << (attempt - 1)
+	if d <= 0 || d > ceiling {
+		d = ceiling
+	}
+	return Jitter(d, 0.5, key, uint64(attempt))
+}
+
+// Sleep waits out d; false means ctx ended first.
+func Sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }

@@ -69,3 +69,33 @@ func TestJitterKeySeparation(t *testing.T) {
 		t.Fatalf("keys collide on %d/100 seqs — factors are not key-separated", same)
 	}
 }
+
+// TestBackoff pins the delays of both callers' schedules: the service's
+// job retries (100ms base, 5s cap) and the coordinator's worker requests
+// (50ms base, 2s cap), through doubling, the cap and an overflowed shift.
+func TestBackoff(t *testing.T) {
+	const job, url = "job-000001", "http://127.0.0.1:8081/v1/screens"
+	for _, c := range []struct {
+		base, ceiling time.Duration
+		key           string
+		attempt       int
+		want          time.Duration
+	}{
+		{100 * time.Millisecond, 5 * time.Second, job, 1, 141796875},
+		{100 * time.Millisecond, 5 * time.Second, job, 2, 138476562},
+		{100 * time.Millisecond, 5 * time.Second, job, 3, 507031250},
+		{100 * time.Millisecond, 5 * time.Second, job, 5, 1150000000},
+		{100 * time.Millisecond, 5 * time.Second, job, 7, 2841796875},
+		{100 * time.Millisecond, 5 * time.Second, job, 64, 6674804687},
+		{50 * time.Millisecond, 2 * time.Second, url, 1, 46923828},
+		{50 * time.Millisecond, 2 * time.Second, url, 2, 66406250},
+		{50 * time.Millisecond, 2 * time.Second, url, 3, 217773437},
+		{50 * time.Millisecond, 2 * time.Second, url, 5, 510156250},
+		{50 * time.Millisecond, 2 * time.Second, url, 7, 1576171875},
+		{50 * time.Millisecond, 2 * time.Second, url, 64, 1875000000},
+	} {
+		if got := Backoff(c.base, c.ceiling, c.key, c.attempt); got != c.want {
+			t.Errorf("Backoff(%v, %v, %q, %d) = %d, want %d", c.base, c.ceiling, c.key, c.attempt, got, c.want)
+		}
+	}
+}

@@ -261,10 +261,7 @@ func TestDegradationRecordedOnView(t *testing.T) {
 		gotScale.Store(req.Scale)
 		return run(ctx, id, req)
 	}
-	s := newTestService(t, Config{
-		Workers: 1, QueueDepth: 4,
-		Admission: admission.Config{DegradeAt: 0.5, DegradeFactor: 0.5},
-	}, wrapped)
+	s := newTestService(t, Config{Workers: 1, QueueDepth: 4}, wrapped)
 
 	blocker, err := s.Submit(ScreenRequest{Seed: 1})
 	if err != nil {
@@ -275,7 +272,7 @@ func TestDegradationRecordedOnView(t *testing.T) {
 		return v.State == StateRunning
 	})
 	var queued []JobView
-	for i := uint64(2); i <= 4; i++ {
+	for i := uint64(2); i <= 5; i++ {
 		v, err := s.Submit(ScreenRequest{Seed: i})
 		if err != nil {
 			t.Fatal(err)
@@ -288,8 +285,9 @@ func TestDegradationRecordedOnView(t *testing.T) {
 		return v.State.Terminal()
 	})
 
-	// The first queued job popped with 2 of 4 slots still full: fill 0.5
-	// crosses DegradeAt, so it ran at half scale and says so.
+	// The first queued job popped with 3 of 4 slots still full: fill 0.75
+	// reaches the degradation threshold, so it ran at half scale and says
+	// so.
 	v, _ := s.Get(queued[0].ID)
 	if !v.Degraded || v.EffortFactor != 0.5 {
 		t.Fatalf("view %+v: want degraded at factor 0.5", v)

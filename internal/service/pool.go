@@ -149,7 +149,7 @@ func (s *Service) runJob(j *Job) {
 			!transientErr(err) || attempt-first+1 >= s.cfg.MaxAttempts {
 			break
 		}
-		delay := s.retryDelay(id, attempt)
+		delay := rng.Backoff(s.cfg.RetryBaseDelay, maxRetryDelay, id, attempt)
 		if !jobDeadline.IsZero() && s.now().Add(delay).After(jobDeadline) {
 			// The backoff would outlive the job's deadline; failing now is
 			// strictly better than sleeping only to fail on wake.
@@ -161,7 +161,7 @@ func (s *Service) runJob(j *Job) {
 		s.metrics.jobRetries.Inc()
 		logger.Warn("attempt failed, retrying", "attempt", attempt, "err", err,
 			"backoff", delay)
-		if !s.sleepRetry(base, delay) {
+		if !rng.Sleep(base, delay) {
 			err, interrupted = context.Canceled, errors.Is(context.Cause(base), ErrInterrupted)
 			break
 		}
@@ -229,31 +229,6 @@ func transientErr(err error) bool {
 		return t.Transient()
 	}
 	return false
-}
-
-// retryDelay is the backoff before retry number attempt: the base delay
-// doubled per retry, jittered deterministically from the job ID, and
-// apart from the sleep so the caller can check it against the deadline.
-func (s *Service) retryDelay(jobID string, attempt int) time.Duration {
-	delay := s.cfg.RetryBaseDelay << (attempt - 1)
-	if delay > maxRetryDelay || delay <= 0 {
-		delay = maxRetryDelay
-	}
-	// Jitter factor in [0.5, 1.5), hashed from the job and attempt.
-	return rng.Jitter(delay, 0.5, jobID, uint64(attempt))
-}
-
-// sleepRetry waits out one retry backoff; false means the job was
-// cancelled during the wait.
-func (s *Service) sleepRetry(ctx context.Context, delay time.Duration) bool {
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // runScreen is the local runner: the same core screen a library user

@@ -230,14 +230,6 @@ func (s *Service) Recovery() RecoveryStats {
 // hammer a full disk, short enough to notice freed space promptly.
 const StorageRetryAfter = 5 * time.Second
 
-// StorageFull is closed the first time the journal degrades (vsserved
-// -on-full stop drains on it).
-func (s *Service) StorageFull() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journal.Full()
-}
-
 // Submit validates and enqueues a screen, returning the queued job's
 // snapshot. It fails fast with ErrQueueFull or ErrDraining.
 func (s *Service) Submit(req ScreenRequest) (JobView, error) {

@@ -78,9 +78,7 @@ type Status struct {
 // lock held, which keeps the snapshot consistent. A nil *Log is the log of
 // a role without a data dir: every record lands and it never degrades.
 type Log[E any] struct {
-	cfg      LogConfig[E]
-	full     chan struct{} // closed the first time the log degrades
-	fullOnce sync.Once
+	cfg LogConfig[E]
 
 	mu        sync.Mutex
 	j         *Journal
@@ -114,7 +112,7 @@ func OpenLog[E any](dir string, cfg LogConfig[E]) (*Log[E], RecoveryInfo, error)
 		j.Close()
 		return nil, info, err
 	}
-	return &Log[E]{cfg: cfg, j: j, full: make(chan struct{})}, info, nil
+	return &Log[E]{cfg: cfg, j: j}, info, nil
 }
 
 // Append journals records, several under one fsync, and reports whether
@@ -182,7 +180,6 @@ func (l *Log[E]) degradeLocked(cause error) {
 	if errors.Is(cause, syscall.ENOSPC) {
 		l.reason = "disk_full"
 	}
-	l.fullOnce.Do(func() { close(l.full) })
 	l.cfg.Logf("wal: entering degraded read-only mode (%s): %v", l.reason, cause)
 }
 
@@ -246,15 +243,6 @@ func (l *Log[E]) Status() Status {
 		return Status{}
 	}
 	return Status{Degraded: true, Reason: l.reason, SinceSeconds: l.cfg.Now().Sub(l.since).Seconds()}
-}
-
-// Full is closed the first time the log degrades; vsserved -on-full stop
-// drains on it. A nil log's channel is nil and never fires.
-func (l *Log[E]) Full() <-chan struct{} {
-	if l == nil {
-		return nil
-	}
-	return l.full
 }
 
 // Close syncs and closes the journal.
