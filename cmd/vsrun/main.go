@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/metascreen/metascreen/internal/core"
 	"github.com/metascreen/metascreen/internal/cudasim"
@@ -33,8 +35,8 @@ func main() {
 	dataset := flag.String("dataset", "", "benchmark dataset (2BSM or 2BXG)")
 	receptorPath := flag.String("receptor", "", "receptor PDB file (alternative to -dataset)")
 	ligandPath := flag.String("ligand", "", "ligand PDB file (alternative to -dataset)")
-	mh := flag.String("mh", "M3", "metaheuristic: M1..M4, or sa/tabu/pso extensions")
-	mhScale := flag.Float64("mh-scale", 0.05, "budget scale for the paper metaheuristics (full scale is hours of real compute)")
+	mh := flag.String("mh", "M3", "metaheuristic: M1..M4 (the paper's Table 4)")
+	mhScale := flag.Float64("mh-scale", 0.05, "budget scale in (0, 1] for the metaheuristic (full scale is hours of real compute)")
 	spots := flag.Int("spots", 0, "number of surface spots (0 = receptorAtoms/100)")
 	backendKind := flag.String("backend", "host", "backend: host or pool")
 	machine := flag.String("machine", "Hertz", "pool backend: platform (Jupiter or Hertz)")
@@ -52,7 +54,7 @@ func main() {
 	logLevel := flag.String("log-level", "warn", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	flag.Parse()
-	if err := checkFlags(*spots, *top, *multistart, *mhScale, *budget, *gantt, *traceOut); err != nil {
+	if err := checkFlags(*mh, *spots, *top, *multistart, *mhScale, *budget, *gantt, *traceOut); err != nil {
 		fatal(err)
 	}
 
@@ -78,7 +80,7 @@ func main() {
 		fmt.Printf("flexible docking: %d rotatable bonds\n", dof)
 	}
 
-	alg, err := pickAlgorithm(*mh, *mhScale)
+	alg, err := metaheuristic.NewPaper(*mh, *mhScale)
 	if err != nil {
 		fatal(err)
 	}
@@ -100,7 +102,7 @@ func main() {
 	var res *core.Result
 	if *multistart > 1 {
 		ms, err := core.RunMultiStartCtx(ctx, problem,
-			func() (metaheuristic.Algorithm, error) { return pickAlgorithm(*mh, *mhScale) },
+			func() (metaheuristic.Algorithm, error) { return metaheuristic.NewPaper(*mh, *mhScale) },
 			func(p *core.Problem) (core.Backend, error) {
 				return pickBackend(p, *backendKind, *machine, *mode, *seed, *faults, nil)
 			},
@@ -203,16 +205,18 @@ func main() {
 // checkFlags rejects flag values that a run would otherwise ignore or
 // misread, before any work starts. A multi-start run has no deadline and
 // records no trace, so it refuses -budget, -gantt and -trace-out.
-func checkFlags(spots, top, multistart int, mhScale, budget float64, gantt bool, traceOut string) error {
+func checkFlags(mh string, spots, top, multistart int, mhScale, budget float64, gantt bool, traceOut string) error {
 	switch {
+	case !slices.Contains(metaheuristic.PaperNames(), mh):
+		return fmt.Errorf("-mh %q: want one of %s", mh, strings.Join(metaheuristic.PaperNames(), ", "))
 	case spots < 0:
 		return fmt.Errorf("-spots %d: want 0 (receptorAtoms/100) or more", spots)
 	case top < 0:
 		return fmt.Errorf("-top %d: want 0 or more", top)
 	case multistart < 1:
 		return fmt.Errorf("-multistart %d: want 1 or more", multistart)
-	case !(mhScale > 0) || math.IsInf(mhScale, 1):
-		return fmt.Errorf("-mh-scale %g: want a finite number above 0", mhScale)
+	case !(mhScale > 0 && mhScale <= 1):
+		return fmt.Errorf("-mh-scale %g: want a number in (0, 1]", mhScale)
 	case !(budget >= 0) || math.IsInf(budget, 1):
 		return fmt.Errorf("-budget %g: want a finite number of seconds, 0 for none", budget)
 	case multistart > 1 && budget > 0:
@@ -254,32 +258,6 @@ func readPDB(path string) (*molecule.Molecule, error) {
 	}
 	defer f.Close()
 	return molecule.ReadPDB(f)
-}
-
-func pickAlgorithm(name string, scale float64) (metaheuristic.Algorithm, error) {
-	switch name {
-	case "M1", "M2", "M3", "M4":
-		return metaheuristic.NewPaper(name, scale)
-	case "sa":
-		return metaheuristic.NewSimulatedAnnealing("sa", extensionParams(scale))
-	case "tabu":
-		return metaheuristic.NewTabuSearch("tabu", extensionParams(scale))
-	case "pso":
-		return metaheuristic.NewParticleSwarm("pso", extensionParams(scale))
-	}
-	return nil, fmt.Errorf("unknown metaheuristic %q", name)
-}
-
-func extensionParams(scale float64) metaheuristic.Params {
-	gens := int(200*scale + 0.5)
-	if gens < 5 {
-		gens = 5
-	}
-	return metaheuristic.Params{
-		PopulationPerSpot: 32,
-		SelectFraction:    1,
-		Generations:       gens,
-	}
 }
 
 func pickBackend(p *core.Problem, kind, machineName, modeName string, seed uint64, faultSpec string, rec *trace.Recorder) (core.Backend, error) {

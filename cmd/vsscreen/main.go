@@ -9,9 +9,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/metascreen/metascreen/internal/core"
@@ -33,11 +35,15 @@ func main() {
 	seed := flag.Uint64("seed", 7, "random seed")
 	csvPath := flag.String("csv", "", "also write the ranking to this CSV file")
 	flag.Parse()
-	if err := checkFlags(*librarySize, *spots, *mhScale); err != nil {
+	if err := checkFlags(*mh, *librarySize, *spots, *mhScale); err != nil {
 		fatal(err)
 	}
 
 	receptor, err := loadReceptor(*dataset, *receptorPath)
+	if err != nil {
+		fatal(err)
+	}
+	rec, err := core.PrepareReceptor(receptor, surface.Options{MaxSpots: *spots})
 	if err != nil {
 		fatal(err)
 	}
@@ -50,11 +56,10 @@ func main() {
 		return metaheuristic.NewPaper(*mh, *mhScale)
 	}
 	fmt.Printf("screening %d ligands against %s (%d atoms) over %d spots with %s\n",
-		len(library), receptor.Name, receptor.NumAtoms(), *spots, *mh)
+		len(library), receptor.Name, receptor.NumAtoms(), len(rec.Spots()), *mh)
 
-	res, err := core.Screen(receptor, library,
-		surface.Options{MaxSpots: *spots}, forcefield.Options{},
-		algf, core.HostBackendFactory(core.HostConfig{Real: true}), *seed)
+	res, err := core.ScreenReceptorCtx(context.Background(), rec, library, forcefield.Options{},
+		algf, core.HostBackendFactory(core.HostConfig{Real: true}), *seed, 0, nil, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -78,10 +83,12 @@ func main() {
 	}
 }
 
-// checkFlags rejects numeric flag values that would otherwise pass the
-// banner and then fail every ligand.
-func checkFlags(library, spots int, mhScale float64) error {
+// checkFlags rejects flag values that would otherwise pass the banner and
+// then fail every ligand.
+func checkFlags(mh string, library, spots int, mhScale float64) error {
 	switch {
+	case !slices.Contains(metaheuristic.PaperNames(), mh):
+		return fmt.Errorf("-mh %q: want one of %s", mh, strings.Join(metaheuristic.PaperNames(), ", "))
 	case library < 1:
 		return fmt.Errorf("-library %d: want 1 or more", library)
 	case spots < 0:

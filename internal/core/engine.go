@@ -165,7 +165,7 @@ func run(ctx context.Context, p *Problem, alg metaheuristic.Algorithm, backend B
 	ligandRadius := p.LigandRadius()
 
 	// Per-spot state with order-independent random streams.
-	states := make([]metaheuristic.SpotState, len(p.Spots))
+	states := make([]*metaheuristic.SpotState, len(p.Spots))
 	samplers := make([]*conformation.Sampler, len(p.Spots))
 	improveRNGs := make([]*rng.Source, len(p.Spots))
 	for i, s := range p.Spots {

@@ -56,12 +56,6 @@ type PoolConfig struct {
 	// Faults holds one fault plan per device (missing entries inject
 	// nothing); see cudasim.FaultPlan.
 	Faults []cudasim.FaultPlan
-	// MaxRetries bounds per-operation transient retries; 0 means
-	// sched.DefaultMaxRetries, negative disables retries.
-	MaxRetries int
-	// Watchdog is the per-operation hang deadline in simulated seconds;
-	// 0 means cudasim.DefaultWatchdog.
-	Watchdog float64
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -141,15 +135,16 @@ func NewPoolBackend(p *Problem, cfg PoolConfig) (*PoolBackend, error) {
 	if cfg.Trace != nil {
 		b.pool.SetRecorder(cfg.Trace)
 	}
-	// Arm fault injection and the recovery policy before any operation
-	// (including warm-up) touches the devices.
+	// Arm fault injection before any operation (including warm-up) touches
+	// the devices. The recovery policy is sched's default: a fresh pool's
+	// zero FaultPolicy (sched.DefaultMaxRetries retries, the devices'
+	// cudasim.DefaultWatchdog).
 	for i, plan := range cfg.Faults {
 		if i >= ctx.DeviceCount() {
 			break
 		}
 		ctx.Device(i).SetFaultPlan(plan)
 	}
-	b.pool.SetFaultPolicy(sched.FaultPolicy{MaxRetries: cfg.MaxRetries, Watchdog: cfg.Watchdog})
 	// Memory gate: every device must hold the receptor, the ligand and the
 	// conformation buffers (the paper's motivation for scaling out: "for
 	// the simulation of large molecules, it is necessary to scale to large

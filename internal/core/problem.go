@@ -92,6 +92,9 @@ func (r *PreparedReceptor) WithSpots(spotOpts surface.Options) (*PreparedRecepto
 	return &out, nil
 }
 
+// Spots returns the receptor's detected surface spots.
+func (r *PreparedReceptor) Spots() []surface.Spot { return r.spots }
+
 // CellList returns the receptor's cell binning, built on first use.
 func (r *PreparedReceptor) CellList() *forcefield.CellList {
 	r.cells.once.Do(func() {

@@ -295,9 +295,15 @@ func TestConfigValidate(t *testing.T) {
 		{RequestAttempts: -1},
 		{FailThreshold: -2},
 		{RetryBaseDelay: -time.Second},
+		{PollInterval: -time.Second},
+		{HeartbeatTimeout: -time.Second},
+		{RequestTimeout: -time.Millisecond},
+		{Service: service.Config{QueueDepth: -5}},
+		{Service: service.Config{Workers: -1}},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if c, err := New(cfg); err == nil {
+			c.Shutdown(context.Background())
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}

@@ -74,16 +74,18 @@ const maxResponseBytes = service.MaxRankingLimit*512 + 64<<10
 // idle connections per host would re-dial for most of them.
 const maxIdleConnsPerWorker = 64
 
-// validate rejects nonsensical tuning before any of it journals.
+// validate rejects negative counts and durations before any of them is
+// defaulted or journaled; service.New checks Service's the same way.
 func (c Config) validate() error {
-	if c.RequestAttempts < 0 {
-		return fmt.Errorf("dist: RequestAttempts %d must be >= 0", c.RequestAttempts)
-	}
-	if c.FailThreshold < 0 {
-		return fmt.Errorf("dist: FailThreshold %d must be >= 0", c.FailThreshold)
-	}
-	if c.RetryBaseDelay < 0 {
-		return fmt.Errorf("dist: RetryBaseDelay %v must be >= 0", c.RetryBaseDelay)
+	if err := errors.Join(
+		service.NonNegative("HeartbeatTimeout", c.HeartbeatTimeout),
+		service.NonNegative("PollInterval", c.PollInterval),
+		service.NonNegative("RequestTimeout", c.RequestTimeout),
+		service.NonNegative("RequestAttempts", c.RequestAttempts),
+		service.NonNegative("RetryBaseDelay", c.RetryBaseDelay),
+		service.NonNegative("FailThreshold", c.FailThreshold),
+	); err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
 	return nil
 }
@@ -99,10 +101,10 @@ func (c Config) withDefaults() Config {
 	if c.Service.Logger == nil {
 		c.Service.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-	c.Service.Workers = cmp.Or(max(c.Service.Workers, 0), max(c.Service.QueueDepth, 0), service.DefaultQueueDepth)
-	c.HeartbeatTimeout = cmp.Or(max(c.HeartbeatTimeout, 0), 5*time.Second)
-	c.PollInterval = cmp.Or(max(c.PollInterval, 0), 100*time.Millisecond)
-	c.RequestTimeout = cmp.Or(max(c.RequestTimeout, 0), 15*time.Second)
+	c.Service.Workers = cmp.Or(c.Service.Workers, c.Service.QueueDepth, service.DefaultQueueDepth)
+	c.HeartbeatTimeout = cmp.Or(c.HeartbeatTimeout, 5*time.Second)
+	c.PollInterval = cmp.Or(c.PollInterval, 100*time.Millisecond)
+	c.RequestTimeout = cmp.Or(c.RequestTimeout, 15*time.Second)
 	c.RequestAttempts = cmp.Or(c.RequestAttempts, 3)
 	c.RetryBaseDelay = cmp.Or(c.RetryBaseDelay, 50*time.Millisecond)
 	c.FailThreshold = cmp.Or(c.FailThreshold, 2)

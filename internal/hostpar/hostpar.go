@@ -1,7 +1,8 @@
 // Package hostpar is the host-side parallel runtime of metascreen, the Go
 // analogue of the OpenMP constructs the paper uses: a parallel-for over a
-// fixed thread team with static or dynamic scheduling, and reductions over
-// per-thread results (the paper reduces warm-up timings with omp reduction).
+// fixed thread team with static or dynamic scheduling, and a bare parallel
+// region whose per-thread results the caller reduces (the paper reduces
+// warm-up timings with omp reduction; sched takes that max in a loop).
 package hostpar
 
 import (
@@ -20,11 +21,6 @@ const (
 	// Dynamic hands out fixed-size chunks from a shared counter as threads
 	// finish, like OpenMP schedule(dynamic, chunk).
 	Dynamic
-	// Guided hands out shrinking chunks — each claim takes half the
-	// remaining work divided by the thread count, floored at the chunk
-	// parameter — like OpenMP schedule(guided, chunk). Large chunks early
-	// amortize claiming overhead; small chunks late smooth the tail.
-	Guided
 )
 
 // DefaultThreads is the thread-team size used when a Team is created with
@@ -47,16 +43,6 @@ func NewTeam(n int) *Team {
 
 // Size returns the number of threads in the team.
 func (t *Team) Size() int { return t.n }
-
-// For runs body(i) for every i in [0, n) across the team with static
-// scheduling. It returns when all iterations complete.
-func (t *Team) For(n int, body func(i int)) {
-	t.ForChunk(n, Static, 0, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
 
 // ForThread runs body(tid) once on each of the team's threads, the analogue
 // of a bare omp parallel region. tid ranges over [0, Size()).
@@ -84,11 +70,11 @@ func (t *Team) ForChunk(n int, sched Schedule, chunkParam int, body func(lo, hi,
 	// the goroutine closures below capture them, and a reassigned captured
 	// variable is captured by reference, which would heap-allocate it on
 	// every call — including the sequential fast path.
-	threads := minInt(t.n, n)
+	threads := min(t.n, n)
 	// A one-thread Static team runs inline: no goroutine spawn, no
 	// WaitGroup, zero allocations — the sequential scoring hot loop relies
-	// on this. Dynamic and Guided keep their chunked claiming even with one
-	// thread, so the schedule's chunk-size sequence stays observable.
+	// on this. Dynamic keeps its chunked claiming even with one thread, so
+	// the schedule's chunk-size sequence stays observable.
 	if threads == 1 && sched == Static {
 		body(0, n, 0)
 		return
@@ -130,91 +116,17 @@ func (t *Team) ForChunk(n int, sched Schedule, chunkParam int, body func(lo, hi,
 			}(tid)
 		}
 		wg.Wait()
-	case Guided:
-		var mu sync.Mutex
-		next := 0
-		claim := func() (lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if next >= n {
-				return n, n
-			}
-			size := (n - next) / (2 * threads)
-			if size < chunk {
-				size = chunk
-			}
-			lo = next
-			hi = lo + size
-			if hi > n {
-				hi = n
-			}
-			next = hi
-			return lo, hi
-		}
-		var wg sync.WaitGroup
-		wg.Add(threads)
-		for tid := 0; tid < threads; tid++ {
-			go func(tid int) {
-				defer wg.Done()
-				for {
-					lo, hi := claim()
-					if lo >= hi {
-						return
-					}
-					body(lo, hi, tid)
-				}
-			}(tid)
-		}
-		wg.Wait()
 	default:
 		panic("hostpar: unknown schedule")
 	}
 }
 
-// minInt returns the smaller of a and b.
-func minInt(a, b int) int {
-	if b < a {
-		return b
-	}
-	return a
-}
-
 // effectiveChunk resolves the chunk parameter for a schedule: Dynamic's
-// zero value means the n/(8*threads) heuristic, Guided's floor is 1, and
-// Static ignores it.
+// zero value means the n/(8*threads) heuristic, floored at 1, and Static
+// ignores it.
 func effectiveChunk(chunk, n, threads int, sched Schedule) int {
-	switch sched {
-	case Dynamic:
-		if chunk <= 0 {
-			chunk = n / (8 * threads)
-		}
+	if sched == Dynamic && chunk <= 0 {
+		chunk = n / (8 * threads)
 	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	return chunk
+	return max(chunk, 1)
 }
-
-// ReduceFloat64 runs produce(tid) on every thread and combines the results
-// with combine, starting from init. It is the analogue of omp reduction over
-// a parallel region. The combination order is deterministic (by tid).
-func (t *Team) ReduceFloat64(init float64, produce func(tid int) float64, combine func(a, b float64) float64) float64 {
-	results := make([]float64, t.n)
-	t.ForThread(func(tid int) { results[tid] = produce(tid) })
-	acc := init
-	for _, v := range results {
-		acc = combine(acc, v)
-	}
-	return acc
-}
-
-// MaxFloat64 is a combine function for ReduceFloat64 computing the maximum.
-func MaxFloat64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// SumFloat64 is a combine function for ReduceFloat64 computing the sum.
-func SumFloat64(a, b float64) float64 { return a + b }

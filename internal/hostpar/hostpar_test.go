@@ -12,7 +12,11 @@ func TestForCoversAllIndices(t *testing.T) {
 		team := NewTeam(threads)
 		const n = 1000
 		var hits [n]atomic.Int32
-		team.For(n, func(i int) { hits[i].Add(1) })
+		team.ForChunk(n, Static, 0, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				hits[i].Add(1)
+			}
+		})
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("threads=%d: index %d visited %d times", threads, i, got)
@@ -59,48 +63,13 @@ func TestForChunkMoreThreadsThanWork(t *testing.T) {
 	}
 }
 
-func TestForChunkGuidedCoversAllIndices(t *testing.T) {
-	team := NewTeam(4)
-	const n = 1009 // prime
-	var hits [n]atomic.Int32
-	team.ForChunk(n, Guided, 4, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			hits[i].Add(1)
-		}
-	})
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("index %d visited %d times", i, got)
-		}
-	}
-}
-
-func TestForChunkGuidedShrinkingChunks(t *testing.T) {
-	// A single thread observes the guided schedule exactly: chunk sizes
-	// never grow and end at the floor.
-	team := NewTeam(1)
-	var sizes []int
-	team.ForChunk(1000, Guided, 8, func(lo, hi, _ int) {
-		sizes = append(sizes, hi-lo)
-	})
-	if len(sizes) < 3 {
-		t.Fatalf("only %d chunks", len(sizes))
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] > sizes[i-1] {
-			t.Fatalf("chunk grew: %v", sizes)
-		}
-	}
-	if sizes[0] <= sizes[len(sizes)-1] {
-		t.Errorf("no shrinkage: first %d, last %d", sizes[0], sizes[len(sizes)-1])
-	}
-}
-
 func TestForZeroAndNegative(t *testing.T) {
 	team := NewTeam(4)
 	called := false
-	team.For(0, func(int) { called = true })
-	team.For(-5, func(int) { called = true })
+	for _, sched := range []Schedule{Static, Dynamic} {
+		team.ForChunk(0, sched, 0, func(int, int, int) { called = true })
+		team.ForChunk(-5, sched, 0, func(int, int, int) { called = true })
+	}
 	if called {
 		t.Error("body called for empty range")
 	}
@@ -126,24 +95,6 @@ func TestNewTeamDefaults(t *testing.T) {
 	}
 	if NewTeam(5).Size() != 5 {
 		t.Error("NewTeam(5) size wrong")
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	team := NewTeam(8)
-	got := team.ReduceFloat64(math.Inf(-1), func(tid int) float64 {
-		return float64(tid * tid)
-	}, MaxFloat64)
-	if got != 49 {
-		t.Errorf("max = %v, want 49", got)
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	team := NewTeam(5)
-	got := team.ReduceFloat64(0, func(tid int) float64 { return float64(tid) }, SumFloat64)
-	if got != 10 {
-		t.Errorf("sum = %v, want 10", got)
 	}
 }
 

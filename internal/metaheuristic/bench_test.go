@@ -55,19 +55,3 @@ func BenchmarkScatterGeneration(b *testing.B) {
 	}
 	benchPropose(b, alg)
 }
-
-func BenchmarkAnnealingGeneration(b *testing.B) {
-	alg, err := NewSimulatedAnnealing("sa", extParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPropose(b, alg)
-}
-
-func BenchmarkPSOGeneration(b *testing.B) {
-	alg, err := NewParticleSwarm("pso", extParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPropose(b, alg)
-}

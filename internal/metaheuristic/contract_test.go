@@ -6,8 +6,8 @@ import (
 	"github.com/metascreen/metascreen/internal/vec"
 )
 
-// allContractAlgorithms builds every algorithm family with comparable
-// parameters for the protocol contract test.
+// allContractAlgorithms builds each of the template's Combine steps with
+// comparable parameters for the protocol contract test.
 func allContractAlgorithms(t *testing.T) []Algorithm {
 	t.Helper()
 	p := Params{
@@ -29,16 +29,10 @@ func allContractAlgorithms(t *testing.T) []Algorithm {
 	lsP := p
 	lsP.ImproveMoves = 6
 	add(NewLocalSearch("ls", lsP))
-	add(NewSimulatedAnnealing("sa", p))
-	add(NewTabuSearch("tabu", p))
-	add(NewParticleSwarm("pso", p))
-	add(NewVariableNeighborhood("vns", p))
-	add(NewGRASP("grasp", p))
-	add(NewAnnealedGenetic("ga-sa", p))
 	return algs
 }
 
-// TestSpotStateContract drives every algorithm through the full driver
+// TestSpotStateContract drives each algorithm through the full driver
 // protocol and checks the invariants the engine relies on:
 //
 //  1. Seed returns exactly PopulationPerSpot unscored individuals.

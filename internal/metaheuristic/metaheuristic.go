@@ -8,13 +8,14 @@
 //	M4 — a pure neighbourhood method: one step of intensive local search
 //	     over a large (1024 per spot) initial set.
 //
-// Simulated annealing, tabu search and particle swarm optimization are
-// provided as the extensions the paper's section 2.2 enumerates.
+// The four are one Template whose constructor picks the Combine step
+// (NewGenetic, NewScatterSearch, NewLocalSearch); Initialize, End, Select,
+// Improve and Include are written once, in SpotState.
 //
 // The package deliberately separates the *algorithmic* state from
-// *evaluation*: implementations never score conformations themselves.
-// Instead they expose unscored candidates through the SpotState protocol
-// and the driver (internal/core) batches evaluation and local search across
+// *evaluation*: the template never scores conformations itself. Instead
+// it exposes unscored candidates through the SpotState protocol and the
+// driver (internal/core) batches evaluation and local search across
 // all spots onto the compute backend — this batching is exactly what maps
 // candidate solutions to CUDA warps in the paper's parallelization.
 package metaheuristic
@@ -141,113 +142,13 @@ type SpotContext struct {
 }
 
 // Algorithm is a metaheuristic: a named parameter set plus a factory for
-// per-spot optimization state. Implementations correspond to fillings of
-// the paper's Algorithm 1 template.
+// per-spot optimization state. Template, one row of Table 4 filled into the
+// paper's Algorithm 1, is the implementation.
 type Algorithm interface {
 	// Name identifies the metaheuristic, e.g. "M2".
 	Name() string
 	// Params returns the template parameters.
 	Params() Params
 	// NewSpotState creates the optimization state for one spot.
-	NewSpotState(ctx *SpotContext) SpotState
-}
-
-// SpotState is the per-spot optimization protocol the driver speaks. One
-// generation is:
-//
-//	scom := state.Propose()            // Select + Combine (host side)
-//	<driver evaluates unscored scom>   // scoring kernel
-//	idx := state.ImproveTargets(scom)  // which offspring get local search
-//	<driver runs local search>         // improve kernel, updates scom
-//	state.Integrate(scom)              // Include (host side)
-//
-// before which the driver evaluates Seed() and installs it with Begin().
-type SpotState interface {
-	// Seed returns the unscored initial population (Initialize). Called
-	// exactly once, before Begin.
-	Seed() Population
-	// Begin installs the evaluated initial population.
-	Begin(pop Population)
-	// Propose returns Scom: the offspring for this generation. Elements
-	// may be unscored (the driver will evaluate them) or carry scores
-	// (e.g. M4 re-proposes its scored population for pure local search).
-	Propose() Population
-	// ImproveTargets returns the indices in scom to run local search on.
-	ImproveTargets(scom Population) []int
-	// Integrate merges the evaluated (and possibly improved) offspring
-	// into the population (Include).
-	Integrate(scom Population)
-	// Population returns the current population S.
-	Population() Population
-	// Done reports whether the End condition holds after gen completed
-	// generations.
-	Done(gen int) bool
-	// Best returns the best individual found so far.
-	Best() conformation.Conformation
-}
-
-// bestOf returns the better of two conformations.
-func bestOf(a, b conformation.Conformation) conformation.Conformation {
-	if b.Better(a) {
-		return b
-	}
-	return a
-}
-
-// elitist returns the best n individuals of the union of a and b: the
-// first n elements of a stable best-first sort of a followed by b.
-func elitist(a, b Population, n int) Population {
-	return elitistInto(nil, a, b, n)
-}
-
-// elitistInto is elitist writing into dst's backing array (grown as
-// needed), the form per-spot states use so the per-generation Include
-// phase reuses one buffer instead of reallocating.
-//
-// It requires a to already be sorted best-first — every caller maintains
-// that invariant between generations — so b is sorted through an index
-// permutation (16-byte key moves instead of whole-conformation moves) and
-// the two halves are merged, ties taking a's element first: exactly the
-// order a full stable sort of the concatenation would produce, at a
-// fraction of the copying. dst must not alias a or b.
-func elitistInto(dst, a, b Population, n int) Population {
-	ord := make([]int32, len(b))
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	// Best-first; the index tie-break reproduces a stable sort of b.
-	slices.SortFunc(ord, func(x, y int32) int {
-		switch {
-		case b[x].Score < b[y].Score:
-			return -1
-		case b[y].Score < b[x].Score:
-			return 1
-		}
-		return int(x - y)
-	})
-	if total := len(a) + len(b); n > total {
-		n = total
-	}
-	if cap(dst) < n {
-		dst = make(Population, 0, n)
-	}
-	dst = dst[:0]
-	i, j := 0, 0
-	for len(dst) < n {
-		switch {
-		case i >= len(a):
-			dst = append(dst, b[ord[j]])
-			j++
-		case j >= len(b):
-			dst = append(dst, a[i])
-			i++
-		case b[ord[j]].Score < a[i].Score:
-			dst = append(dst, b[ord[j]])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-		}
-	}
-	return dst
+	NewSpotState(ctx *SpotContext) *SpotState
 }

@@ -108,19 +108,7 @@ func allAlgorithms(t *testing.T) []Algorithm {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := NewSimulatedAnnealing("sa", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := NewTabuSearch("tabu", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pso, err := NewParticleSwarm("pso", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Algorithm{ga, ss, ls, sa, tb, pso}
+	return []Algorithm{ga, ss, ls}
 }
 
 func TestAlgorithmsOptimize(t *testing.T) {

@@ -17,6 +17,7 @@ package service
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
@@ -102,13 +103,43 @@ type Config struct {
 // DefaultQueueDepth is the queue bound when Config.QueueDepth is unset.
 const DefaultQueueDepth = 64
 
+// NonNegative returns an error naming field when v is negative. Every
+// count and duration of a Config means its default at 0; a negative one is
+// a mistake, not a request for the default.
+func NonNegative[T ~int | ~int64](field string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("%s %v: want 0 (the default) or more", field, v)
+	}
+	return nil
+}
+
+// validate rejects negative counts and durations before any of them is
+// defaulted or journaled.
+func (c Config) validate() error {
+	a := c.Admission
+	return errors.Join(
+		NonNegative("Workers", c.Workers),
+		NonNegative("QueueDepth", c.QueueDepth),
+		NonNegative("ScreenWorkers", c.ScreenWorkers),
+		NonNegative("MaxAttempts", c.MaxAttempts),
+		NonNegative("RetryBaseDelay", c.RetryBaseDelay),
+		NonNegative("FsyncInterval", c.FsyncInterval),
+		NonNegative("CheckpointEvery", c.CheckpointEvery),
+		NonNegative("CompactBytes", c.CompactBytes),
+		NonNegative("Admission.Workers", a.Workers),
+		NonNegative("Admission.TargetLatency", a.TargetLatency),
+		NonNegative("Admission.BreakerThreshold", a.BreakerThreshold),
+		NonNegative("Admission.BreakerCooldown", a.BreakerCooldown),
+	)
+}
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	c.Workers = cmp.Or(max(c.Workers, 0), runtime.GOMAXPROCS(0))
-	c.QueueDepth = cmp.Or(max(c.QueueDepth, 0), DefaultQueueDepth)
-	c.MaxAttempts = cmp.Or(max(c.MaxAttempts, 0), 3)
-	c.RetryBaseDelay = cmp.Or(max(c.RetryBaseDelay, 0), 100*time.Millisecond)
-	c.CheckpointEvery = cmp.Or(max(c.CheckpointEvery, 0), 1)
+	c.Workers = cmp.Or(c.Workers, runtime.GOMAXPROCS(0))
+	c.QueueDepth = cmp.Or(c.QueueDepth, DefaultQueueDepth)
+	c.MaxAttempts = cmp.Or(c.MaxAttempts, 3)
+	c.RetryBaseDelay = cmp.Or(c.RetryBaseDelay, 100*time.Millisecond)
+	c.CheckpointEvery = cmp.Or(c.CheckpointEvery, 1)
 	return c
 }
 
@@ -169,6 +200,9 @@ type Service struct {
 // finished jobs keep their rankings, and interrupted jobs are re-enqueued
 // to resume from their checkpoints.
 func New(cfg Config) (*Service, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	now := time.Now
 	if cfg.Clock != nil {

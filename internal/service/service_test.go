@@ -9,10 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/metascreen/metascreen/internal/admission"
 	"github.com/metascreen/metascreen/internal/core"
 	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
@@ -36,6 +38,42 @@ func newTestService(t *testing.T, cfg Config, stub RunFunc) *Service {
 		s.Shutdown(ctx)
 	})
 	return s
+}
+
+// TestNewRejectsNegativeConfig: zero means a field's default, negative is
+// an error naming the field and its value, returned before the journal
+// directory is touched.
+func TestNewRejectsNegativeConfig(t *testing.T) {
+	for _, c := range []struct {
+		want string
+		cfg  Config
+	}{
+		{"Workers -1", Config{Workers: -1}},
+		{"QueueDepth -5", Config{QueueDepth: -5}},
+		{"ScreenWorkers -2", Config{ScreenWorkers: -2}},
+		{"MaxAttempts -1", Config{MaxAttempts: -1}},
+		{"RetryBaseDelay -1s", Config{RetryBaseDelay: -time.Second}},
+		{"FsyncInterval -1ms", Config{FsyncInterval: -time.Millisecond}},
+		{"CheckpointEvery -3", Config{CheckpointEvery: -3}},
+		{"CompactBytes -1", Config{CompactBytes: -1}},
+		{"Admission.TargetLatency -1s", Config{Admission: admission.Config{TargetLatency: -time.Second}}},
+		{"Admission.BreakerThreshold -2", Config{Admission: admission.Config{BreakerThreshold: -2}}},
+	} {
+		dir := t.TempDir()
+		c.cfg.DataDir = dir
+		s, err := New(c.cfg)
+		if err == nil {
+			s.Shutdown(context.Background())
+			t.Errorf("%s accepted", c.want)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name it", c.want, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%s: data dir written before the config was checked", c.want)
+		}
+	}
 }
 
 // blockingRunner returns a runner that blocks until released (or its job

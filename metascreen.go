@@ -101,19 +101,13 @@ func NewPaperMetaheuristic(name string, scale float64) (Metaheuristic, error) {
 	return metaheuristic.NewPaper(name, scale)
 }
 
-// NewGenetic, NewScatterSearch, NewLocalSearch, NewSimulatedAnnealing,
-// NewTabuSearch, NewParticleSwarm, NewVariableNeighborhood, NewGRASP and
-// NewAnnealedGenetic build the individual algorithm families.
+// NewGenetic (M1), NewScatterSearch (M2/M3) and NewLocalSearch (M4) fill
+// the template with the Combine step of one row of the paper's Table 4 and
+// caller-chosen parameters.
 var (
-	NewGenetic              = metaheuristic.NewGenetic
-	NewScatterSearch        = metaheuristic.NewScatterSearch
-	NewLocalSearch          = metaheuristic.NewLocalSearch
-	NewSimulatedAnnealing   = metaheuristic.NewSimulatedAnnealing
-	NewTabuSearch           = metaheuristic.NewTabuSearch
-	NewParticleSwarm        = metaheuristic.NewParticleSwarm
-	NewVariableNeighborhood = metaheuristic.NewVariableNeighborhood
-	NewGRASP                = metaheuristic.NewGRASP
-	NewAnnealedGenetic      = metaheuristic.NewAnnealedGenetic
+	NewGenetic       = metaheuristic.NewGenetic
+	NewScatterSearch = metaheuristic.NewScatterSearch
+	NewLocalSearch   = metaheuristic.NewLocalSearch
 )
 
 // --- backends and execution ----------------------------------------------
