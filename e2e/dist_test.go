@@ -50,9 +50,16 @@ type workerRow struct {
 	Alive bool   `json:"alive"`
 }
 
+// teardownDrain is the -drain-timeout of processes whose drain is not under
+// test: at cleanup they interrupt running jobs after this long instead of
+// finishing screens nobody reads. TestEndToEnd's server keeps the default
+// and is the real-process drain drill (see startServer).
+const teardownDrain = "1s"
+
 // startProc launches a vsserved with explicit args, waits for /healthz,
 // and returns the base URL plus the process handle (so tests can
-// SIGKILL it). Cleanup terminates it if still running.
+// SIGKILL it). Cleanup terminates it if still running, with a drain of
+// teardownDrain unless args set -drain-timeout.
 func startProc(t *testing.T, bin, api string, args ...string) (string, *exec.Cmd) {
 	t.Helper()
 	logPath := filepath.Join(t.TempDir(), "vsserved.log")
@@ -60,7 +67,7 @@ func startProc(t *testing.T, bin, api string, args ...string) (string, *exec.Cmd
 	if err != nil {
 		t.Fatalf("create log: %v", err)
 	}
-	cmd := exec.Command(bin, append([]string{"-addr", api, "-log-format", "json"}, args...)...)
+	cmd := exec.Command(bin, append([]string{"-addr", api, "-log-format", "json", "-drain-timeout", teardownDrain}, args...)...)
 	cmd.Stdout = logFile
 	cmd.Stderr = logFile
 	if err := cmd.Start(); err != nil {

@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -92,6 +93,9 @@ func freeAddr(t *testing.T) string {
 
 // startServer launches vsserved and waits for /healthz. The process is
 // SIGTERM'd and reaped at cleanup; its stderr log is dumped on failure.
+// Unless extra sets -drain-timeout, the teardown is a real-process drain
+// drill: with the default drain, the SIGTERM'd server must log "drained
+// cleanly" and exit 0 on its own.
 func startServer(t *testing.T, bin string, extra ...string) (apiURL, debugURL string) {
 	t.Helper()
 	api := freeAddr(t)
@@ -114,10 +118,12 @@ func startServer(t *testing.T, bin string, extra ...string) (apiURL, debugURL st
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start vsserved: %v", err)
 	}
+	drill := !slices.Contains(extra, "-drain-timeout")
 	t.Cleanup(func() {
 		cmd.Process.Signal(syscall.SIGTERM)
 		done := make(chan struct{})
-		go func() { cmd.Wait(); close(done) }()
+		var waitErr error
+		go func() { waitErr = cmd.Wait(); close(done) }()
 		select {
 		case <-done:
 		case <-time.After(20 * time.Second):
@@ -125,6 +131,12 @@ func startServer(t *testing.T, bin string, extra ...string) (apiURL, debugURL st
 			<-done
 		}
 		logFile.Close()
+		if drill {
+			b, _ := os.ReadFile(logPath)
+			if waitErr != nil || !strings.Contains(string(b), "drained cleanly") {
+				t.Errorf("SIGTERM did not drain vsserved cleanly: %v", waitErr)
+			}
+		}
 		if t.Failed() {
 			if b, err := os.ReadFile(logPath); err == nil {
 				t.Logf("vsserved log:\n%s", b)

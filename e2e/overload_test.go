@@ -110,6 +110,7 @@ func TestOverloadProtection(t *testing.T) {
 	}
 	bin := buildServer(t)
 	apiURL, debugURL := startServer(t, bin,
+		"-drain-timeout", teardownDrain,
 		"-queue", "32",
 		"-breaker-threshold", "2",
 		"-breaker-cooldown", "2s",

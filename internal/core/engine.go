@@ -204,14 +204,18 @@ func run(ctx context.Context, p *Problem, alg metaheuristic.Algorithm, backend B
 	}
 
 	// bestSoFar tracks convergence across generations.
-	bestSoFar := func() float64 {
+	bestSoFar := func() conformation.Conformation {
 		best := conformation.Conformation{Score: conformation.Unscored}
 		for _, st := range states {
 			if b := st.Best(); b.Better(best) {
 				best = b
 			}
 		}
-		return best.Score
+		return best
+	}
+	sr, recording := backend.(*searchBackend)
+	if recording {
+		sr.endGeneration(bestSoFar())
 	}
 
 	var history []GenPoint
@@ -288,10 +292,14 @@ func run(ctx context.Context, p *Problem, alg metaheuristic.Algorithm, backend B
 		if err := backendErr(backend); err != nil {
 			return nil, fmt.Errorf("core: backend failed at generation %d: %w", gens, err)
 		}
+		best := bestSoFar()
+		if recording {
+			sr.endGeneration(best)
+		}
 		history = append(history, GenPoint{
 			Generation: gens,
 			SimSeconds: backend.SimTime(),
-			Best:       bestSoFar(),
+			Best:       best.Score,
 		})
 		if rec != nil {
 			rec.AddSpan(trace.Span{

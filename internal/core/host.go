@@ -105,6 +105,7 @@ func (b *HostBackend) ScoreBatch(confs []*conformation.Conformation) {
 	if len(confs) == 0 {
 		return
 	}
+	b.charge(cudasim.KernelScoring, len(confs), 1)
 	if b.cfg.DisableBatch {
 		b.runParallel(len(confs), func(i int, a *poseArena) {
 			b.comp.score(confs[i], a)
@@ -114,12 +115,6 @@ func (b *HostBackend) ScoreBatch(confs []*conformation.Conformation) {
 			scoreChunk(b.comp, confs[lo:hi], &b.scratch[tid], b.cfg.BatchChunk)
 		})
 	}
-	b.evals.Add(int64(len(confs)))
-	b.simTime += b.cfg.Model.CPUTime(b.cfg.ModelCores, b.cfg.ModelClockMHz, cudasim.ScoringLaunch{
-		Kind:                 cudasim.KernelScoring,
-		Conformations:        len(confs),
-		PairsPerConformation: b.pairs,
-	})
 }
 
 // ImproveBatch implements Backend.
@@ -127,17 +122,28 @@ func (b *HostBackend) ImproveBatch(items []ImproveItem, moves int, scale conform
 	if len(items) == 0 || moves <= 0 {
 		return
 	}
+	b.charge(cudasim.KernelImprove, len(items), moves)
 	b.runParallel(len(items), func(i int, a *poseArena) {
 		b.comp.improve(items[i], moves, scale, a)
 	})
-	b.evals.Add(int64(len(items)) * int64(moves))
+}
+
+// charge is the accounting of one kernel launch over n conformations,
+// evals scoring evaluations each: the evaluation count and the modeled
+// CPU time. ScoreBatch and ImproveBatch call it before they compute; a
+// Modeled-mode timeline calls it alone.
+func (b *HostBackend) charge(kind cudasim.KernelKind, n, evals int) {
+	b.evals.Add(int64(n) * int64(evals))
 	b.simTime += b.cfg.Model.CPUTime(b.cfg.ModelCores, b.cfg.ModelClockMHz, cudasim.ScoringLaunch{
-		Kind:                 cudasim.KernelImprove,
-		Conformations:        len(items),
+		Kind:                 kind,
+		Conformations:        n,
 		PairsPerConformation: b.pairs,
-		EvalsPerConformation: moves,
+		EvalsPerConformation: evals,
 	})
 }
+
+// modeled reports whether scores come from the surrogate.
+func (b *HostBackend) modeled() bool { return !b.cfg.Real }
 
 // HostOps implements Backend.
 func (b *HostBackend) HostOps(count int) {

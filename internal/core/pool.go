@@ -258,11 +258,16 @@ func (b *PoolBackend) Weights(kind cudasim.KernelKind) []float64 { return b.weig
 // Pool exposes the scheduling pool, mainly for tracing and tests.
 func (b *PoolBackend) Pool() *sched.Pool { return b.pool }
 
-// dispatch advances the simulated timeline for one generation batch.
-// Device faults are absorbed by the pool's recovery (retries, re-splits);
-// only an unrecoverable failure — every device lost — is latched and
-// surfaced through Err.
-func (b *PoolBackend) dispatch(n int, kind cudasim.KernelKind, evals int) {
+// charge is the accounting of one kernel launch over n conformations,
+// evals scoring evaluations each: the evaluation count and the simulated
+// timeline of the generation batch (warm-up on the kind's first launch,
+// split, transfers, kernels). ScoreBatch and ImproveBatch call it before
+// they compute; a Modeled-mode timeline calls it alone. Device faults are
+// absorbed by the pool's recovery (retries, re-splits); only an
+// unrecoverable failure — every device lost — is latched and surfaced
+// through Err.
+func (b *PoolBackend) charge(kind cudasim.KernelKind, n, evals int) {
+	b.evals.Add(int64(n) * int64(evals))
 	if b.Err() != nil {
 		return
 	}
@@ -328,11 +333,10 @@ func (b *PoolBackend) ScoreBatch(confs []*conformation.Conformation) {
 	if len(confs) == 0 {
 		return
 	}
-	b.dispatch(len(confs), cudasim.KernelScoring, 1)
+	b.charge(cudasim.KernelScoring, len(confs), 1)
 	b.team.ForChunk(len(confs), hostpar.Static, 0, func(lo, hi, tid int) {
 		scoreChunk(b.comp, confs[lo:hi], &b.scratch[tid], 0)
 	})
-	b.evals.Add(int64(len(confs)))
 }
 
 // ImproveBatch implements Backend.
@@ -340,14 +344,16 @@ func (b *PoolBackend) ImproveBatch(items []ImproveItem, moves int, scale conform
 	if len(items) == 0 || moves <= 0 {
 		return
 	}
-	b.dispatch(len(items), cudasim.KernelImprove, moves)
+	b.charge(cudasim.KernelImprove, len(items), moves)
 	b.team.ForChunk(len(items), hostpar.Static, 0, func(lo, hi, tid int) {
 		for i := lo; i < hi; i++ {
 			b.comp.improve(items[i], moves, scale, &b.scratch[tid])
 		}
 	})
-	b.evals.Add(int64(len(items)) * int64(moves))
 }
+
+// modeled reports whether scores come from the surrogate.
+func (b *PoolBackend) modeled() bool { return !b.cfg.Real }
 
 // HostOps implements Backend: the serial host phases stall every device.
 func (b *PoolBackend) HostOps(count int) {

@@ -55,3 +55,37 @@ func BenchmarkScatterGeneration(b *testing.B) {
 	}
 	benchPropose(b, alg)
 }
+
+// TestGenerationZeroAlloc pins a steady-state generation's host phases,
+// Propose + ImproveTargets + Integrate, at zero allocations for M1–M4:
+// offspring, Include output and index buffers are the SpotState's, reused.
+func TestGenerationZeroAlloc(t *testing.T) {
+	for _, mh := range PaperNames() {
+		alg, err := NewPaper(mh, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := alg.NewSpotState(benchCtx())
+		seed := state.Seed()
+		for i := range seed {
+			seed[i].Score = float64(i)
+		}
+		state.Begin(seed)
+		gen := func() {
+			scom := state.Propose()
+			for j := range scom {
+				if !scom[j].Evaluated() {
+					scom[j].Score = float64(j % 7)
+				}
+			}
+			for _, ti := range state.ImproveTargets(scom) {
+				scom[ti].Score--
+			}
+			state.Integrate(scom)
+		}
+		gen() // the first generation sizes the buffers
+		if allocs := testing.AllocsPerRun(20, gen); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per generation, want 0", mh, allocs)
+		}
+	}
+}

@@ -227,18 +227,18 @@ func TestImproveFractionSelection(t *testing.T) {
 		return c
 	}
 	scom := Population{mk(5), mk(1), mk(3), mk(2)}
-	got := improveFraction(scom, 0.5)
+	got := improveFraction(nil, scom, 0.5)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("improveFraction(0.5) = %v, want [1 3]", got)
 	}
-	if improveFraction(scom, 0) != nil {
+	if improveFraction(nil, scom, 0) != nil {
 		t.Error("improveFraction(0) != nil")
 	}
-	if got := improveFraction(scom, 1); len(got) != 4 {
+	if got := improveFraction(nil, scom, 1); len(got) != 4 {
 		t.Errorf("improveFraction(1) = %v", got)
 	}
 	// Tiny positive fraction still improves at least one element.
-	if got := improveFraction(scom, 0.01); len(got) != 1 {
+	if got := improveFraction(nil, scom, 0.01); len(got) != 1 {
 		t.Errorf("improveFraction(0.01) = %v", got)
 	}
 }

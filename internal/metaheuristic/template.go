@@ -106,9 +106,14 @@ type SpotState struct {
 	ctx *SpotContext
 	pop Population
 	// scom and spare are per-generation buffers reused across generations
-	// (offspring and elitist output respectively).
-	scom  Population
-	spare Population
+	// (offspring and elitist output respectively), as are the index
+	// buffers ord (Include's permutation of the offspring) and targets
+	// (the improve ranking ImproveTargets returns), so a steady-state
+	// generation allocates nothing.
+	scom    Population
+	spare   Population
+	ord     []int32
+	targets []int
 }
 
 // Seed returns the unscored initial population (Initialize). Called
@@ -193,16 +198,15 @@ func (s *SpotState) Propose() Population {
 }
 
 // ImproveTargets returns the indices in scom to run local search on: the
-// best ImproveFraction of the offspring, or all of M4's set in order.
+// best ImproveFraction of the offspring, or all of M4's set in order. The
+// slice is the state's buffer, valid until the next call.
 func (s *SpotState) ImproveTargets(scom Population) []int {
 	if s.alg.combine == neighbourhood {
-		idx := make([]int, len(scom))
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
+		s.targets = indices(s.targets, len(scom))
+		return s.targets
 	}
-	return improveFraction(scom, s.alg.params.ImproveFraction)
+	s.targets = improveFraction(s.targets, scom, s.alg.params.ImproveFraction)
+	return s.targets
 }
 
 // Integrate merges the evaluated (and possibly improved) offspring into
@@ -218,7 +222,10 @@ func (s *SpotState) Integrate(scom Population) {
 		}
 		return
 	}
-	s.spare = elitistInto(s.spare, s.pop, scom, s.alg.params.PopulationPerSpot)
+	if cap(s.ord) < len(scom) {
+		s.ord = make([]int32, len(scom))
+	}
+	s.spare = elitistInto(s.spare, s.pop, scom, s.ord[:len(scom)], s.alg.params.PopulationPerSpot)
 	s.pop, s.spare = s.spare, s.pop
 }
 
@@ -237,9 +244,22 @@ func (s *SpotState) Best() conformation.Conformation {
 	return conformation.Conformation{Score: conformation.Unscored}
 }
 
+// indices returns 0, 1, ..., n-1 in buf's backing array (grown as needed).
+func indices(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = i
+	}
+	return buf
+}
+
 // improveFraction returns the indices of the best frac*len(scom) evaluated
-// individuals (rounded to nearest, deterministic order).
-func improveFraction(scom Population, frac float64) []int {
+// individuals (rounded to nearest, deterministic order), written into
+// buf's backing array.
+func improveFraction(buf []int, scom Population, frac float64) []int {
 	if frac <= 0 || len(scom) == 0 {
 		return nil
 	}
@@ -250,10 +270,7 @@ func improveFraction(scom Population, frac float64) []int {
 	if n > len(scom) {
 		n = len(scom)
 	}
-	order := make([]int, len(scom))
-	for i := range order {
-		order[i] = i
-	}
+	order := indices(buf, len(scom))
 	// Best-first by score; unevaluated last; ties by index. The index
 	// tie-break makes the order total, so the non-stable generic sort
 	// reproduces the stable one without reflection overhead.
@@ -279,9 +296,9 @@ func improveFraction(scom Population, frac float64) []int {
 // index permutation (16-byte key moves instead of whole-conformation
 // moves) and the two halves are merged, ties taking a's element first:
 // exactly the order a full stable sort of the concatenation would produce,
-// at a fraction of the copying. dst must not alias a or b.
-func elitistInto(dst, a, b Population, n int) Population {
-	ord := make([]int32, len(b))
+// at a fraction of the copying. ord is scratch of len(b) for the
+// permutation. dst must not alias a or b.
+func elitistInto(dst, a, b Population, ord []int32, n int) Population {
 	for i := range ord {
 		ord[i] = int32(i)
 	}

@@ -42,8 +42,9 @@ func RunDeadline(m Machine, dataset string, budget float64, cfg Config) (*Deadli
 	return runDeadline(m, dataset, budget, cfg, 0)
 }
 
-// runDeadline replays the experiment's dockings, one per (metaheuristic,
-// split), on the same pool as runTable.
+// runDeadline replays the experiment on the same pool as runTable: one
+// job per metaheuristic, its search replayed under the budget on each
+// split.
 func runDeadline(m Machine, dataset string, budget float64, cfg Config, workers int) (*DeadlineReport, error) {
 	cfg = cfg.withDefaults()
 	if budget <= 0 {
@@ -61,19 +62,20 @@ func runDeadline(m Machine, dataset string, budget float64, cfg Config, workers 
 			rep.Rows = append(rep.Rows, DeadlineRow{Metaheuristic: mh})
 		}
 	}
-	var ds []docking
+	jobs := make([]job, len(rep.Rows))
 	for i := range rep.Rows {
 		row := &rep.Rows[i]
-		ds = append(ds,
-			docking{mh: row.Metaheuristic, setup: setup{allGPUs, sched.Homogeneous}, store: func(res *core.Result) {
+		jobs[i] = job{mh: row.Metaheuristic, timelines: []timeline{
+			{setup{allGPUs, sched.Homogeneous}, func(res *core.Result) {
 				row.GenHomog, row.BestHomog = res.Generations, res.Best.Score
 			}},
-			docking{mh: row.Metaheuristic, setup: setup{allGPUs, sched.Heterogeneous}, store: func(res *core.Result) {
+			{setup{allGPUs, sched.Heterogeneous}, func(res *core.Result) {
 				row.GenHeter, row.BestHeter = res.Generations, res.Best.Score
-			}})
+			}},
+		}}
 	}
 	label := fmt.Sprintf("deadline %s %s", m.Name, dataset)
-	if err := replay(problem, m, cfg, budget, label, ds, workers); err != nil {
+	if err := replay(problem, m, cfg, budget, label, jobs, workers); err != nil {
 		return nil, err
 	}
 	return rep, nil

@@ -116,9 +116,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Run regenerates one of the paper's result tables. Its dockings run
-// concurrently on up to GOMAXPROCS goroutines; the table is bit-identical
-// to a serial replay.
+// Run regenerates one of the paper's result tables. Each row runs its
+// metaheuristic's search once and replays it on every column's clock; the
+// rows run concurrently on up to GOMAXPROCS goroutines, and the table is
+// bit-identical to a serial replay.
 func Run(exp Experiment, cfg Config) (*Table, error) {
 	return runTable(exp, metaheuristic.PaperNames(), cfg, 0)
 }
@@ -133,7 +134,7 @@ func RunRow(exp Experiment, mh string, cfg Config) (Row, error) {
 	return t.Rows[0], nil
 }
 
-// setup is one machine configuration a docking runs on: the OpenMP
+// setup is one machine configuration a search is replayed on: the OpenMP
 // baseline on the host's cores, or a set of the machine's GPUs under a
 // split mode.
 type setup struct {
@@ -145,7 +146,7 @@ type setup struct {
 func allGPUs(m Machine) []cudasim.DeviceSpec { return m.GPUs }
 
 // columns are a row's machine configurations in the paper's column order,
-// each with the cell its docking fills.
+// each with the cells its timeline fills.
 var columns = [...]struct {
 	setup setup
 	store func(*Row, *core.Result)
@@ -185,8 +186,9 @@ func (s setup) backend(p *core.Problem, m Machine, cfg Config) (core.Backend, er
 	})
 }
 
-// runTable replays the rows of mhs, one docking per (row, configuration),
-// on a pool of at most workers goroutines (GOMAXPROCS when workers <= 0).
+// runTable replays the rows of mhs, one job per row: the row's search,
+// then one timeline per column. The jobs run on a pool of at most workers
+// goroutines (GOMAXPROCS when workers <= 0).
 func runTable(exp Experiment, mhs []string, cfg Config, workers int) (*Table, error) {
 	cfg = cfg.withDefaults()
 	problem, err := newProblem(exp.Dataset)
@@ -194,24 +196,24 @@ func runTable(exp Experiment, mhs []string, cfg Config, workers int) (*Table, er
 		return nil, err
 	}
 	t := &Table{Number: exp.Number, Machine: exp.Machine, Dataset: exp.Dataset, Rows: make([]Row, len(mhs))}
-	var ds []docking
+	jobs := make([]job, len(mhs))
 	for i, mh := range mhs {
 		row := &t.Rows[i]
 		*row = Row{Metaheuristic: mh, HomogeneousSystem: math.NaN()}
+		jobs[i].mh = mh
 		for _, c := range columns {
-			if !c.setup.on(exp.Machine) {
-				continue
+			if c.setup.on(exp.Machine) {
+				jobs[i].timelines = append(jobs[i].timelines, timeline{c.setup, func(res *core.Result) { c.store(row, res) }})
 			}
-			ds = append(ds, docking{mh: mh, setup: c.setup, store: func(res *core.Result) { c.store(row, res) }})
 		}
 	}
-	if err := replay(problem, exp.Machine, cfg, 0, fmt.Sprintf("table %d", exp.Number), ds, workers); err != nil {
+	if err := replay(problem, exp.Machine, cfg, 0, fmt.Sprintf("table %d", exp.Number), jobs, workers); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// newProblem builds a dataset's problem. A replay's dockings share it: its
+// newProblem builds a dataset's problem. A replay's jobs share it: its
 // only lazy state, the receptor's cell list, is built under a sync.Once.
 func newProblem(dataset string) (*core.Problem, error) {
 	ds, err := core.DatasetByName(dataset)
@@ -221,28 +223,31 @@ func newProblem(dataset string) (*core.Problem, error) {
 	return core.NewProblemFromDataset(ds, forcefield.Options{})
 }
 
-// docking is one independent modeled run of a replay: one metaheuristic on
-// one machine configuration, with its own backend and simulated clock.
-type docking struct {
-	mh    string
+// timeline is one machine configuration a search is replayed on, with
+// the slot its result fills.
+type timeline struct {
 	setup setup
-	// store writes the result into the docking's fixed slot.
 	store func(*core.Result)
 }
 
-// replay runs the dockings, which share problem p, on the docking pool;
-// callers list the costliest first. Each docking writes only its own slot,
-// so the output is bit-identical to a serial replay. A positive budget
-// runs each docking under that simulated deadline. A failure is wrapped as
-// "tables: <label> <MH>: ...".
-func replay(p *core.Problem, m Machine, cfg Config, budget float64, label string, ds []docking, workers int) error {
-	return dockAll(len(ds), workers, func(i int) error {
-		d := ds[i]
-		res, err := d.run(p, m, cfg, budget)
-		if err != nil {
-			return fmt.Errorf("tables: %s %s: %w", label, d.mh, err)
+// job is one metaheuristic's share of a replay: its Modeled search, run
+// once, then its timelines in order, each on its own fresh backend. Where
+// a docking runs never changes its search, so every timeline shares it.
+type job struct {
+	mh        string
+	timelines []timeline
+}
+
+// replay runs the jobs, which share problem p, on the docking pool;
+// callers list the costliest first (M1, the longest search, is). Each
+// timeline writes only its own slot, so the output is bit-identical to a
+// serial replay. A positive budget cuts each timeline at that simulated
+// deadline. A failure is wrapped as "tables: <label> <MH>: ...".
+func replay(p *core.Problem, m Machine, cfg Config, budget float64, label string, jobs []job, workers int) error {
+	return dockAll(len(jobs), workers, func(i int) error {
+		if err := jobs[i].run(p, m, cfg, budget); err != nil {
+			return fmt.Errorf("tables: %s %s: %w", label, jobs[i].mh, err)
 		}
-		d.store(res)
 		return nil
 	})
 }
@@ -271,18 +276,27 @@ func dockAll(n, workers int, job func(i int) error) error {
 	return nil
 }
 
-// run builds the docking's metaheuristic and backend and executes it.
-func (d docking) run(p *core.Problem, m Machine, cfg Config, budget float64) (*core.Result, error) {
-	alg, err := metaheuristic.NewPaper(d.mh, cfg.Scale)
+// run builds the job's metaheuristic, runs its search, and replays the
+// search on each timeline's backend.
+func (j job) run(p *core.Problem, m Machine, cfg Config, budget float64) error {
+	alg, err := metaheuristic.NewPaper(j.mh, cfg.Scale)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	backend, err := d.setup.backend(p, m, cfg)
+	search, err := core.RunSearch(p, alg, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if budget > 0 {
-		return core.RunBudget(p, alg, backend, cfg.Seed, budget)
+	for _, tl := range j.timelines {
+		backend, err := tl.setup.backend(p, m, cfg)
+		if err != nil {
+			return err
+		}
+		res, err := search.Timeline(backend, budget)
+		if err != nil {
+			return err
+		}
+		tl.store(res)
 	}
-	return core.Run(p, alg, backend, cfg.Seed)
+	return nil
 }
