@@ -118,14 +118,6 @@ func BenchmarkScorerDirect(b *testing.B) {
 	})
 }
 
-// BenchmarkScorerTiled measures the cache-blocked SoA kernel, the host
-// analogue of the paper's shared-memory tiling.
-func BenchmarkScorerTiled(b *testing.B) {
-	benchScorer(b, func(rec, lig *forcefield.Topology) forcefield.Scorer {
-		return forcefield.NewTiled(rec, lig, forcefield.Options{})
-	})
-}
-
 // BenchmarkScorerCellList measures the cutoff-exploiting neighbour-grid
 // scorer.
 func BenchmarkScorerCellList(b *testing.B) {
@@ -134,11 +126,11 @@ func BenchmarkScorerCellList(b *testing.B) {
 	})
 }
 
-// BenchmarkScorerCoulomb measures the tiled kernel with the electrostatic
-// extension enabled.
+// BenchmarkScorerCoulomb measures the cell-list scorer, Real mode's
+// fallback kernel, with the electrostatic extension enabled.
 func BenchmarkScorerCoulomb(b *testing.B) {
 	benchScorer(b, func(rec, lig *forcefield.Topology) forcefield.Scorer {
-		return forcefield.NewTiled(rec, lig, forcefield.Options{Coulomb: true})
+		return forcefield.NewCellList(rec, lig, forcefield.Options{Coulomb: true})
 	})
 }
 

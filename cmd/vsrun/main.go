@@ -46,15 +46,13 @@ func main() {
 	top := flag.Int("top", 5, "number of best spots to print")
 	gantt := flag.Bool("gantt", false, "pool backend: print a device timeline chart after the run")
 	faults := flag.String("faults", "", `pool backend: inject device faults, e.g. "dev1:fail@0.5,dev0:throttle@0.2x" (fail@T / hang@T in simulated seconds, transient@RATE, throttle@Fx)`)
-	multistart := flag.Int("multistart", 1, "independent stochastic executions; the best wins")
-	flexible := flag.Bool("flexible", false, "dock the ligand flexibly (rotatable bonds become search dimensions)")
 	budget := flag.Float64("budget", 0, "simulated-time deadline in seconds (0 = run to the End condition)")
 	historyPath := flag.String("history", "", "write the convergence history (generation, sim time, best) to this CSV file")
 	traceOut := flag.String("trace-out", "", "write the run's span timeline as Chrome trace format to this file (load in Perfetto)")
 	logLevel := flag.String("log-level", "warn", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	flag.Parse()
-	if err := checkFlags(*mh, *spots, *top, *multistart, *mhScale, *budget, *gantt, *traceOut); err != nil {
+	if err := checkFlags(*mh, *spots, *top, *mhScale, *budget); err != nil {
 		fatal(err)
 	}
 
@@ -73,11 +71,6 @@ func main() {
 		forcefield.Options{Coulomb: *coulomb})
 	if err != nil {
 		fatal(err)
-	}
-
-	if *flexible {
-		dof := problem.EnableFlexibility()
-		fmt.Printf("flexible docking: %d rotatable bonds\n", dof)
 	}
 
 	alg, err := metaheuristic.NewPaper(*mh, *mhScale)
@@ -100,19 +93,7 @@ func main() {
 		len(problem.Spots), alg.Name(), backend.Name())
 
 	var res *core.Result
-	if *multistart > 1 {
-		ms, err := core.RunMultiStartCtx(ctx, problem,
-			func() (metaheuristic.Algorithm, error) { return metaheuristic.NewPaper(*mh, *mhScale) },
-			func(p *core.Problem) (core.Backend, error) {
-				return pickBackend(p, *backendKind, *machine, *mode, *seed, *faults, nil)
-			},
-			*multistart, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("multi-start: %d independent executions, winner below\n", len(ms.Runs))
-		res = ms.Best
-	} else if *budget > 0 {
+	if *budget > 0 {
 		res, err = core.RunBudgetCtx(ctx, problem, alg, backend, *seed, *budget)
 		if err != nil {
 			fatal(err)
@@ -203,9 +184,8 @@ func main() {
 }
 
 // checkFlags rejects flag values that a run would otherwise ignore or
-// misread, before any work starts. A multi-start run has no deadline and
-// records no trace, so it refuses -budget, -gantt and -trace-out.
-func checkFlags(mh string, spots, top, multistart int, mhScale, budget float64, gantt bool, traceOut string) error {
+// misread, before any work starts.
+func checkFlags(mh string, spots, top int, mhScale, budget float64) error {
 	switch {
 	case !slices.Contains(metaheuristic.PaperNames(), mh):
 		return fmt.Errorf("-mh %q: want one of %s", mh, strings.Join(metaheuristic.PaperNames(), ", "))
@@ -213,18 +193,10 @@ func checkFlags(mh string, spots, top, multistart int, mhScale, budget float64, 
 		return fmt.Errorf("-spots %d: want 0 (receptorAtoms/100) or more", spots)
 	case top < 0:
 		return fmt.Errorf("-top %d: want 0 or more", top)
-	case multistart < 1:
-		return fmt.Errorf("-multistart %d: want 1 or more", multistart)
 	case !(mhScale > 0 && mhScale <= 1):
 		return fmt.Errorf("-mh-scale %g: want a number in (0, 1]", mhScale)
 	case !(budget >= 0) || math.IsInf(budget, 1):
 		return fmt.Errorf("-budget %g: want a finite number of seconds, 0 for none", budget)
-	case multistart > 1 && budget > 0:
-		return fmt.Errorf("-multistart %d runs to the End condition: drop -budget", multistart)
-	case multistart > 1 && gantt:
-		return fmt.Errorf("-multistart %d records no device timeline: drop -gantt", multistart)
-	case multistart > 1 && traceOut != "":
-		return fmt.Errorf("-multistart %d records no trace: drop -trace-out", multistart)
 	}
 	return nil
 }

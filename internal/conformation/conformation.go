@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/metascreen/metascreen/internal/molecule"
 	"github.com/metascreen/metascreen/internal/rng"
 	"github.com/metascreen/metascreen/internal/surface"
 	"github.com/metascreen/metascreen/internal/vec"
@@ -25,9 +24,6 @@ type Conformation struct {
 	Translation vec.V3
 	// Orientation is the rigid-body rotation applied about the centroid.
 	Orientation vec.Quat
-	// Torsions holds one angle (radians) per rotatable bond when the
-	// ligand is docked flexibly; nil for rigid poses. See ApplyFlex.
-	Torsions []float64
 	// Score is the cached energy of this pose; math.MaxFloat64 marks an
 	// unevaluated conformation.
 	Score float64
@@ -84,9 +80,6 @@ type Sampler struct {
 	// along the outward normal, keeping new individuals clear of the
 	// surface before optimization pulls them in.
 	standoff float64
-	// torsions, when set, makes the sampler produce flexible poses (see
-	// SetTorsions in flex.go).
-	torsions *molecule.TorsionSet
 }
 
 // NewSampler returns a Sampler for the spot. ligandRadius sets the standoff
@@ -101,9 +94,7 @@ func NewSampler(spot surface.Spot, ligandRadius float64) *Sampler {
 func (s *Sampler) Random(r *rng.Source) Conformation {
 	base := s.spot.Center.Add(s.spot.Normal.Scale(s.standoff))
 	pos := base.Add(r.InSphere(s.spot.Radius))
-	c := New(s.spot.ID, s.clamp(pos), r.Quat())
-	c.Torsions = s.randomTorsions(r)
-	return c
+	return New(s.spot.ID, s.clamp(pos), r.Quat())
 }
 
 // Combine produces a child pose from two parents: the translation is a
@@ -113,30 +104,18 @@ func (s *Sampler) Combine(r *rng.Source, a, b Conformation) Conformation {
 	t := r.Float64()
 	pos := a.Translation.Lerp(b.Translation, t)
 	q := a.Orientation.Slerp(b.Orientation, t)
-	c := New(s.spot.ID, s.clamp(pos), q)
-	c.Torsions = s.combineTorsions(a.Torsions, b.Torsions, t)
-	return c
+	return New(s.spot.ID, s.clamp(pos), q)
 }
 
-// MoveScale bounds a local-search step: maximum translation in angstroms,
-// maximum rigid rotation in radians, and maximum per-bond torsion step in
-// radians (used only for flexible ligands; 0 falls back to MaxRotate).
+// MoveScale bounds a local-search step: maximum translation in angstroms
+// and maximum rigid rotation in radians.
 type MoveScale struct {
 	MaxTranslate float64
 	MaxRotate    float64
-	MaxTorsion   float64
-}
-
-// torsionStep returns the effective torsion jitter bound.
-func (s MoveScale) torsionStep() float64 {
-	if s.MaxTorsion > 0 {
-		return s.MaxTorsion
-	}
-	return s.MaxRotate
 }
 
 // DefaultMoveScale is the local-search step used by the Improve phase.
-var DefaultMoveScale = MoveScale{MaxTranslate: 1.0, MaxRotate: 0.35, MaxTorsion: 0.5}
+var DefaultMoveScale = MoveScale{MaxTranslate: 1.0, MaxRotate: 0.35}
 
 // Perturb returns a neighbour of c: translation jittered within
 // scale.MaxTranslate and orientation rotated by at most scale.MaxRotate,
@@ -144,9 +123,7 @@ var DefaultMoveScale = MoveScale{MaxTranslate: 1.0, MaxRotate: 0.35, MaxTorsion:
 func (s *Sampler) Perturb(r *rng.Source, c Conformation, scale MoveScale) Conformation {
 	pos := c.Translation.Add(r.InSphere(scale.MaxTranslate))
 	q := r.SmallQuat(scale.MaxRotate).Mul(c.Orientation)
-	out := New(s.spot.ID, s.clamp(pos), q)
-	out.Torsions = s.perturbTorsions(r, c.Torsions, scale.torsionStep())
-	return out
+	return New(s.spot.ID, s.clamp(pos), q)
 }
 
 // clamp projects pos back into the spot's search sphere (centered at the

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/metascreen/metascreen/internal/conformation"
 	"github.com/metascreen/metascreen/internal/forcefield"
-	"github.com/metascreen/metascreen/internal/molecule"
 	"github.com/metascreen/metascreen/internal/rng"
 	"github.com/metascreen/metascreen/internal/vec"
 )
@@ -45,24 +43,15 @@ type Backend interface {
 }
 
 // newCompute builds the scoring strategy for a backend: the modeled
-// surrogate, or a real scorer with stochastic or gradient local search.
-func newCompute(p *Problem, real bool, improver string) (compute, error) {
+// surrogate, or the real force field with stochastic local search.
+func newCompute(p *Problem, real bool) compute {
 	if !real {
-		return newModeledCompute(p), nil
+		return newModeledCompute(p)
 	}
-	switch improver {
-	case "", "stochastic":
-		// One neighbor list per spot, built once here and reused every
-		// generation; the cell list scores the poses they do not cover.
-		cells := p.rec.CellList().ForLigand(p.ligTopo, p.FF)
-		return &realCompute{
-			cells: cells, nl: p.SpotNeighborLists(cells),
-			ligand: p.LigandPositions(), ts: p.TorsionSet(),
-		}, nil
-	case "gradient":
-		return &gradientCompute{scorer: p.NewGradientScorer(), ligand: p.LigandPositions(), ts: p.TorsionSet()}, nil
-	}
-	return nil, fmt.Errorf("core: unknown improver %q (want stochastic or gradient)", improver)
+	// One neighbor list per spot, built once here and reused every
+	// generation; the cell list scores the poses they do not cover.
+	cells := p.rec.CellList().ForLigand(p.ligTopo, p.FF)
+	return &realCompute{cells: cells, nl: p.SpotNeighborLists(cells), ligand: p.LigandPositions()}
 }
 
 // poseArena is one worker goroutine's persistent scoring workspace: a flat
@@ -134,9 +123,7 @@ func scoreChunk(comp compute, confs []*conformation.Conformation, a *poseArena, 
 	}
 }
 
-// realCompute actually evaluates the force field. A non-nil torsion set
-// makes posing flexible (ApplyFlex bends the ligand before the rigid
-// transform).
+// realCompute actually evaluates the force field.
 type realCompute struct {
 	// cells scores the whole receptor: the fallback for poses the spot's
 	// neighbor list does not cover.
@@ -146,12 +133,13 @@ type realCompute struct {
 	// reused across all generations.
 	nl     []*forcefield.NeighborList
 	ligand []vec.V3
-	ts     *molecule.TorsionSet
 }
 
 // scorePose picks the cheapest exact scorer for a posed ligand: the spot's
 // neighbor list when the pose stays inside its covered region, the cell
-// list otherwise (flexible poses can swing atoms out of the region).
+// list otherwise. Every pose the spot's sampler produces stays inside; the
+// fallback serves poses it did not produce, such as TestEnergiesGolden's
+// poses shifted off their spot.
 // score, scoreBatch and improve all go through it, so batched and
 // unbatched runs produce byte-identical scores.
 func (rc *realCompute) scorePose(spot int, pose []vec.V3, s *forcefield.NeighborScratch) float64 {
@@ -165,7 +153,7 @@ func (rc *realCompute) scorePose(spot int, pose []vec.V3, s *forcefield.Neighbor
 
 func (rc *realCompute) score(c *conformation.Conformation, a *poseArena) {
 	buf := a.single(len(rc.ligand))
-	c.ApplyFlex(rc.ts, rc.ligand, buf)
+	c.Apply(rc.ligand, buf)
 	c.Score = rc.scorePose(c.Spot, buf, &a.nl)
 }
 
@@ -177,7 +165,7 @@ func (rc *realCompute) score(c *conformation.Conformation, a *poseArena) {
 func (rc *realCompute) scoreBatch(confs []*conformation.Conformation, a *poseArena) {
 	a.resize(len(confs), len(rc.ligand))
 	for i, c := range confs {
-		c.ApplyFlex(rc.ts, rc.ligand, a.poses[i])
+		c.Apply(rc.ligand, a.poses[i])
 	}
 	for lo := 0; lo < len(confs); {
 		spot, hi := confs[lo].Spot, lo+1
@@ -212,131 +200,6 @@ func (rc *realCompute) improve(it ImproveItem, moves int, scale conformation.Mov
 		}
 	}
 	*it.Conf = cur
-}
-
-// gradientCompute scores like realCompute but improves by rigid-body
-// gradient descent with backtracking line search instead of stochastic
-// perturbation: each step moves along the net force and rotates along the
-// torque, halving the step until the energy drops. Deterministic, and
-// often far more sample-efficient near a minimum — the kind of scoring-
-// function exploration the paper's conclusions call for.
-type gradientCompute struct {
-	scorer forcefield.GradientScorer
-	ligand []vec.V3
-	// ts bends poses before scoring. Descent covers all degrees of
-	// freedom: translation and rotation from the rigid-body gradient,
-	// and, when ts is set, each torsion from the generalized torque about
-	// its bond axis.
-	ts *molecule.TorsionSet
-}
-
-// torsionGradients returns the generalized force on each torsion angle:
-// the torque of the branch's atoms about the posed bond axis,
-// tau_k = sum_{i in moving} ((r_i - a) x F_i) . unit(b - a).
-func (gc *gradientCompute) torsionGradients(c conformation.Conformation, posed, forces []vec.V3) []float64 {
-	if gc.ts.Len() == 0 || len(c.Torsions) == 0 {
-		return nil
-	}
-	out := make([]float64, gc.ts.Len())
-	for k, tor := range gc.ts.Torsions {
-		a := posed[tor.Axis.I]
-		axis := posed[tor.Axis.J].Sub(a).Unit()
-		tau := 0.0
-		for _, idx := range tor.Moving {
-			tau += posed[idx].Sub(a).Cross(forces[idx]).Dot(axis)
-		}
-		out[k] = tau
-	}
-	return out
-}
-
-func (gc *gradientCompute) score(c *conformation.Conformation, a *poseArena) {
-	buf := a.single(len(gc.ligand))
-	c.ApplyFlex(gc.ts, gc.ligand, buf)
-	c.Score = gc.scorer.Score(buf)
-}
-
-func (gc *gradientCompute) scoreBatch(confs []*conformation.Conformation, a *poseArena) {
-	a.resize(len(confs), len(gc.ligand))
-	for i, c := range confs {
-		c.ApplyFlex(gc.ts, gc.ligand, a.poses[i])
-		c.Score = gc.scorer.Score(a.poses[i])
-	}
-}
-
-func (gc *gradientCompute) improve(it ImproveItem, moves int, _ conformation.MoveScale, a *poseArena) {
-	buf := a.single(len(gc.ligand))
-	cur := *it.Conf
-	forces := make([]vec.V3, len(gc.ligand))
-	step := 0.25 // angstroms along the unit force
-	for m := 0; m < moves; m++ {
-		cur.ApplyFlex(gc.ts, gc.ligand, buf)
-		e := gc.scorer.ScoreForces(buf, forces)
-		cur.Score = e
-		force, torque := forcefield.RigidGradient(buf, forces, cur.Translation)
-		torGrad := gc.torsionGradients(cur, buf, forces)
-		flat := force.Norm() < 1e-9 && torque.Norm() < 1e-9
-		for _, g := range torGrad {
-			if math.Abs(g) > 1e-9 {
-				flat = false
-			}
-		}
-		if flat {
-			break // flat region (clamp or beyond cutoff)
-		}
-		// Normalize the torsion gradient so the angle step is bounded.
-		maxTor := 0.0
-		for _, g := range torGrad {
-			if a := math.Abs(g); a > maxTor {
-				maxTor = a
-			}
-		}
-		// Backtracking: shrink until the move lowers the energy.
-		improved := false
-		for try := 0; try < 4; try++ {
-			cand := cur.CloneTorsions()
-			if force.Norm() > 0 {
-				cand.Translation = cand.Translation.Add(force.Unit().Scale(step))
-			}
-			if torque.Norm() > 0 {
-				rot := vec.QuatFromAxisAngle(torque, step*0.3)
-				cand.Orientation = rot.Mul(cand.Orientation).Unit()
-			}
-			if maxTor > 0 {
-				for k := range cand.Torsions {
-					cand.Torsions[k] = conformation.WrapAngle(
-						cand.Torsions[k] + step*0.3*torGrad[k]/maxTor)
-				}
-			}
-			// Keep the pose in its spot region.
-			cand = clampPose(it.Sampler, cand)
-			cand.ApplyFlex(gc.ts, gc.ligand, buf)
-			cand.Score = gc.scorer.Score(buf)
-			if cand.Score < cur.Score {
-				cur = cand
-				improved = true
-				break
-			}
-			step /= 2
-		}
-		if !improved {
-			break
-		}
-	}
-	if cur.Better(*it.Conf) || !it.Conf.Evaluated() {
-		*it.Conf = cur
-	}
-}
-
-// clampPose projects a pose back into its sampler's region using a
-// zero-length perturbation (which applies the sampler's clamp).
-func clampPose(s *conformation.Sampler, c conformation.Conformation) conformation.Conformation {
-	if s.Contains(c) {
-		return c
-	}
-	out := s.Perturb(rng.New(0), c, conformation.MoveScale{MaxTranslate: 1e-12, MaxRotate: 1e-12})
-	out.Score = conformation.Unscored
-	return out
 }
 
 // modeledCompute synthesizes scores from a smooth deterministic surrogate:

@@ -16,12 +16,12 @@ import (
 // each ligand"); the checkpoint records every completed ligand so an
 // interrupted screen resumes where it stopped instead of re-docking.
 
-// PoseRecord is a serializable conformation.
+// PoseRecord is a serializable conformation. Records written by older
+// builds may carry a "torsions" field; decoding ignores it.
 type PoseRecord struct {
 	Spot        int        `json:"spot"`
 	Translation vec.V3     `json:"translation"`
 	Orientation [4]float64 `json:"orientation"` // w, x, y, z
-	Torsions    []float64  `json:"torsions,omitempty"`
 	Score       float64    `json:"score"`
 }
 
@@ -31,7 +31,6 @@ func poseRecord(c conformation.Conformation) PoseRecord {
 		Spot:        c.Spot,
 		Translation: c.Translation,
 		Orientation: [4]float64{c.Orientation.W, c.Orientation.X, c.Orientation.Y, c.Orientation.Z},
-		Torsions:    c.Torsions,
 		Score:       c.Score,
 	}
 }
@@ -41,7 +40,6 @@ func (p PoseRecord) Conformation() conformation.Conformation {
 	c := conformation.New(p.Spot, p.Translation, vec.Quat{
 		W: p.Orientation[0], X: p.Orientation[1], Y: p.Orientation[2], Z: p.Orientation[3],
 	})
-	c.Torsions = p.Torsions
 	c.Score = p.Score
 	return c
 }

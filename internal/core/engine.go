@@ -170,7 +170,6 @@ func run(ctx context.Context, p *Problem, alg metaheuristic.Algorithm, backend B
 	improveRNGs := make([]*rng.Source, len(p.Spots))
 	for i, s := range p.Spots {
 		samplers[i] = conformation.NewSampler(s, ligandRadius)
-		samplers[i].SetTorsions(p.TorsionSet())
 		ctx := &metaheuristic.SpotContext{
 			Spot:    s,
 			Sampler: samplers[i],

@@ -374,11 +374,6 @@ func TestNewPoolBackendErrors(t *testing.T) {
 		t.Error("no error for empty device list")
 	}
 	if _, err := NewPoolBackend(p, PoolConfig{
-		Specs: []cudasim.DeviceSpec{cudasim.GTX580}, Real: true, Improver: "bogus",
-	}); err == nil {
-		t.Error("no error for unknown improver")
-	}
-	if _, err := NewPoolBackend(p, PoolConfig{
 		Specs: []cudasim.DeviceSpec{cudasim.GTX580}, NoiseAmp: math.NaN(),
 	}); err == nil {
 		t.Error("no error for NaN warm-up noise")

@@ -22,9 +22,9 @@ import (
 var updateEnergies = flag.Bool("update", false, "rewrite testdata/energies.golden from this build")
 
 // TestEnergiesGolden pins Real-mode energies, as hex float64 bits, to bytes
-// recorded by an earlier build: a rigid library screen, a flexible run, a
-// multi-GPU pool run, a gradient-improver run, and poses outside a spot's
-// neighbour-list region, which the full-receptor fallback scores. The
+// recorded by an earlier build: a rigid library screen, a multi-GPU pool
+// run, and poses outside a spot's neighbour-list region, which the
+// full-receptor fallback scores. The
 // batching goldens compare two runs of one build; this one shows that a
 // change to the scoring path kept every bit. Regenerate with -update only
 // when an energy change is intended.
@@ -54,24 +54,6 @@ func TestEnergiesGolden(t *testing.T) {
 		fmt.Fprintf(&b, "rigid %s %s evals %d\n", e.Ligand.Name, bits(e.Result.Best.Score), e.Result.Evaluations)
 	}
 
-	flex, err := NewProblem(molecule.SyntheticProtein("rec", 600, 31),
-		molecule.SyntheticLigand("flex", 24, 5), surface.Options{MaxSpots: 4}, forcefield.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flex.EnableFlexibility() == 0 {
-		t.Fatal("flexible fixture has no rotatable bonds")
-	}
-	hb, err := NewHostBackend(flex, HostConfig{Real: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunCtx(context.Background(), flex, smallAlg(t), hb, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spots("flexible", res)
-
 	p := smallProblem(t)
 	pb, err := NewPoolBackend(p, PoolConfig{
 		Real: true, Specs: []cudasim.DeviceSpec{cudasim.GTX580, cudasim.TeslaK40c},
@@ -80,19 +62,11 @@ func TestEnergiesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err = RunCtx(context.Background(), p, smallAlg(t), pb, 13); err != nil {
-		t.Fatal(err)
-	}
-	spots("pool", res)
-
-	gb, err := NewHostBackend(p, HostConfig{Real: true, Improver: "gradient", Workers: 2})
+	res, err := RunCtx(context.Background(), p, smallAlg(t), pb, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err = RunCtx(context.Background(), p, smallAlg(t), gb, 17); err != nil {
-		t.Fatal(err)
-	}
-	spots("gradient", res)
+	spots("pool", res)
 
 	// Poses pushed into the receptor, out of the spot's region: the
 	// neighbour list cannot cover them, so the batched and the one-pose
@@ -104,7 +78,7 @@ func TestEnergiesGolden(t *testing.T) {
 	uncovered := 0
 	for _, c := range confs {
 		c.Translation = c.Translation.Add(shift)
-		c.ApplyFlex(p.TorsionSet(), p.LigandPositions(), buf)
+		c.Apply(p.LigandPositions(), buf)
 		if !nl.Covers(buf) {
 			uncovered++
 		}

@@ -13,16 +13,11 @@ import (
 // "OpenMP" column).
 type HostConfig struct {
 	// Real selects actual force-field evaluation; false selects the
-	// modeled surrogate.
+	// modeled surrogate. Real mode improves by the paper's random
+	// perturbation moves and scores poses against their spot's
+	// forcefield.NeighborList, in batched and single-pose paths alike; the
+	// receptor's cell list only serves poses that leave the spot's region.
 	Real bool
-	// Improver selects the local-search strategy for Real mode:
-	// "stochastic" (default, the paper's random perturbation moves) or
-	// "gradient" (rigid-body gradient descent on analytic forces). With
-	// the stochastic improver poses are scored against their spot's
-	// forcefield.NeighborList, in batched and single-pose paths alike, and
-	// the receptor's cell list only serves poses that leave the spot's
-	// region; the gradient improver scores on the tiled kernel.
-	Improver string
 	// Workers is the number of goroutines used for Real evaluation;
 	// 0 means all CPUs.
 	Workers int
@@ -79,14 +74,10 @@ func NewHostBackend(p *Problem, cfg HostConfig) (*HostBackend, error) {
 	cfg = cfg.withDefaults()
 	b := &HostBackend{
 		cfg:   cfg,
+		comp:  newCompute(p, cfg.Real),
 		team:  hostpar.NewTeam(cfg.Workers),
 		pairs: p.PairsPerConformation(),
 	}
-	comp, err := newCompute(p, cfg.Real, cfg.Improver)
-	if err != nil {
-		return nil, err
-	}
-	b.comp = comp
 	b.scratch = make([]poseArena, b.team.Size())
 	return b, nil
 }

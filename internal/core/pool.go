@@ -27,9 +27,6 @@ type PoolConfig struct {
 	// Real selects actual force-field evaluation for the results (the
 	// timeline always comes from the simulator); false uses the surrogate.
 	Real bool
-	// Improver selects the Real-mode local-search strategy ("stochastic"
-	// or "gradient").
-	Improver string
 	// Workers bounds the goroutines used for Real evaluation; 0 = all CPUs.
 	Workers int
 	// WarmupIters is the number of warm-up iterations for Heterogeneous
@@ -158,11 +155,7 @@ func NewPoolBackend(p *Problem, cfg PoolConfig) (*PoolBackend, error) {
 				d.Spec.Name, required, err)
 		}
 	}
-	comp, err := newCompute(p, cfg.Real, cfg.Improver)
-	if err != nil {
-		return nil, err
-	}
-	b.comp = comp
+	b.comp = newCompute(p, cfg.Real)
 	b.scratch = make([]poseArena, b.team.Size())
 	if cfg.Mode == sched.Heterogeneous {
 		b.weights = make(map[cudasim.KernelKind][]float64)

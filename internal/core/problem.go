@@ -43,10 +43,9 @@ type Problem struct {
 	// FF selects the scoring terms.
 	FF forcefield.Options
 
-	rec      *PreparedReceptor
-	ligTopo  *forcefield.Topology
-	ligPos   []vec.V3
-	torsions *molecule.TorsionSet
+	rec     *PreparedReceptor
+	ligTopo *forcefield.Topology
+	ligPos  []vec.V3
 }
 
 // PreparedReceptor is the ligand-independent half of a problem: the
@@ -160,14 +159,10 @@ func (p *Problem) NewScorer(kind string) (forcefield.Scorer, error) {
 // neighborhood a whole run's worth of poses at that spot is scored
 // against. The region bounds every pose the spot's sampler can produce:
 // translations stay inside the spot sphere, and atoms extend at most the
-// ligand's reach beyond the translation (doubled for flexible ligands,
-// whose torsioned branches can swing past the rigid bounding radius; the
+// ligand's reach, its bounding radius, beyond the translation (the
 // neighbor list's Covers check catches any pose that still escapes).
 func (p *Problem) SpotNeighborLists(cells *forcefield.CellList) []*forcefield.NeighborList {
 	reach := p.LigandRadius()
-	if p.torsions != nil && p.torsions.Len() > 0 {
-		reach *= 2
-	}
 	standoff := p.LigandRadius() + 1.5
 	out := make([]*forcefield.NeighborList, len(p.Spots))
 	for i, s := range p.Spots {
@@ -179,28 +174,9 @@ func (p *Problem) SpotNeighborLists(cells *forcefield.CellList) []*forcefield.Ne
 	return out
 }
 
-// NewGradientScorer builds a scorer with analytic forces (the tiled
-// kernel), for gradient-descent local search.
-func (p *Problem) NewGradientScorer() forcefield.GradientScorer {
-	return forcefield.NewTiled(p.rec.topo, p.ligTopo, p.FF)
-}
-
 // LigandPositions returns the centered ligand coordinates the scorers and
 // conformations operate on. Callers must not mutate the slice.
 func (p *Problem) LigandPositions() []vec.V3 { return p.ligPos }
-
-// EnableFlexibility switches the problem to flexible-ligand docking: the
-// ligand's rotatable bonds are detected and every conformation gains one
-// torsion angle per bond. It returns the number of torsional degrees of
-// freedom (possibly 0 for rigid ligands). Call before building backends
-// and before Run.
-func (p *Problem) EnableFlexibility() int {
-	p.torsions = molecule.NewTorsionSet(p.Ligand)
-	return p.torsions.Len()
-}
-
-// TorsionSet returns the ligand's torsional topology, nil for rigid runs.
-func (p *Problem) TorsionSet() *molecule.TorsionSet { return p.torsions }
 
 // SubsetSpots returns a problem over a subset of the receptor's spots,
 // re-identified densely from 0. The prepared receptor and the ligand
@@ -227,7 +203,6 @@ func (p *Problem) SubsetSpots(indices []int) (*Problem, error) {
 		rec:      p.rec,
 		ligTopo:  p.ligTopo,
 		ligPos:   p.ligPos,
-		torsions: p.torsions,
 	}, nil
 }
 

@@ -21,13 +21,10 @@ import (
 
 // This file is the library-screening layer: the drug-discovery workload
 // the paper motivates ("large libraries of small molecules are explored to
-// search for the structures which best bind to the receptor"), plus
-// multi-start execution ("parallel runs do not incur any communication
-// overhead, and the final solution is chosen from all independent
-// executions, given the stochastic nature of metaheuristics").
+// search for the structures which best bind to the receptor").
 
 // AlgorithmFactory builds a fresh metaheuristic per run. Runs must not
-// share algorithm state, so Screen and RunMultiStart take factories.
+// share algorithm state, so Screen takes factories.
 type AlgorithmFactory func() (metaheuristic.Algorithm, error)
 
 // BackendFactory builds a backend for a problem.
@@ -379,53 +376,3 @@ func SyntheticName(i int) string { return fmt.Sprintf("LIG-%03d", i) }
 // SyntheticLibrary (18–44), the cost the distributed coordinator sizes
 // chunks by.
 func SyntheticAtoms(i int) int { return 18 + (i*5)%27 }
-
-// MultiStartResult aggregates independent executions of the same problem.
-type MultiStartResult struct {
-	// Runs holds every execution's result, in start order.
-	Runs []*Result
-	// Best is the winning run (lowest best energy).
-	Best *Result
-	// SimulatedSeconds models the executions running concurrently on
-	// independent resources (the paper's scheme): the slowest run.
-	SimulatedSeconds float64
-}
-
-// RunMultiStart executes n independent stochastic runs of the same
-// problem/algorithm and picks the winner, the paper's independent-
-// executions scheme. Each run gets its own backend (its own simulated
-// node) and a distinct seed lane.
-func RunMultiStart(p *Problem, algf AlgorithmFactory, backf BackendFactory, n int, seed uint64) (*MultiStartResult, error) {
-	return RunMultiStartCtx(context.Background(), p, algf, backf, n, seed)
-}
-
-// RunMultiStartCtx is RunMultiStart with cancellation between and within
-// runs.
-func RunMultiStartCtx(ctx context.Context, p *Problem, algf AlgorithmFactory, backf BackendFactory, n int, seed uint64) (*MultiStartResult, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: %d multi-start runs", n)
-	}
-	out := &MultiStartResult{}
-	for i := 0; i < n; i++ {
-		alg, err := algf()
-		if err != nil {
-			return nil, err
-		}
-		backend, err := backf(p)
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunCtx(ctx, p, alg, backend, seed+uint64(i)*0x51f1)
-		if err != nil {
-			return nil, err
-		}
-		out.Runs = append(out.Runs, res)
-		if out.Best == nil || res.Best.Better(out.Best.Best) {
-			out.Best = res
-		}
-		if res.SimulatedSeconds > out.SimulatedSeconds {
-			out.SimulatedSeconds = res.SimulatedSeconds
-		}
-	}
-	return out, nil
-}

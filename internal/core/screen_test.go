@@ -90,42 +90,6 @@ func TestScreenEmptyLibrary(t *testing.T) {
 	}
 }
 
-func TestRunMultiStartPicksWinner(t *testing.T) {
-	p := smallProblem(t)
-	res, err := RunMultiStart(p, screenAlgFactory(),
-		HostBackendFactory(HostConfig{Real: true}), 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 4 {
-		t.Fatalf("%d runs", len(res.Runs))
-	}
-	for _, r := range res.Runs {
-		if r.Best.Better(res.Best.Best) {
-			t.Error("winner is not the best run")
-		}
-		if r.SimulatedSeconds > res.SimulatedSeconds {
-			t.Error("makespan below a run's time")
-		}
-	}
-	// Independent runs differ (stochastic restarts).
-	if res.Runs[0].Best.Translation == res.Runs[1].Best.Translation {
-		t.Error("independent runs produced identical poses")
-	}
-	// Multi-start is at least as good as the first run alone.
-	if res.Best.Best.Score > res.Runs[0].Best.Score {
-		t.Error("multi-start worse than its own first run")
-	}
-}
-
-func TestRunMultiStartErrors(t *testing.T) {
-	p := smallProblem(t)
-	if _, err := RunMultiStart(p, screenAlgFactory(),
-		HostBackendFactory(HostConfig{Real: true}), 0, 1); err == nil {
-		t.Error("zero runs accepted")
-	}
-}
-
 func TestSortRankingTieBreak(t *testing.T) {
 	mk := func(name string, score float64) ScreenEntry {
 		return ScreenEntry{
@@ -204,17 +168,6 @@ func TestRunCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunCtx(ctx, p, alg, backend, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-func TestRunMultiStartCtxCancelled(t *testing.T) {
-	p := smallProblem(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunMultiStartCtx(ctx, p, screenAlgFactory(),
-		HostBackendFactory(HostConfig{Real: true}), 2, 1)
-	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }

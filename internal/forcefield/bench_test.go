@@ -33,31 +33,12 @@ func BenchmarkDirect2BSM(b *testing.B) {
 	}
 }
 
-func BenchmarkTiled2BSM(b *testing.B) {
-	rec, lig, pose := benchFixtures(b)
-	s := NewTiled(rec, lig, Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Score(pose)
-	}
-}
-
 func BenchmarkCellList2BSM(b *testing.B) {
 	rec, lig, pose := benchFixtures(b)
 	s := NewCellList(rec, lig, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Score(pose)
-	}
-}
-
-func BenchmarkScoreForces2BSM(b *testing.B) {
-	rec, lig, pose := benchFixtures(b)
-	s := NewTiled(rec, lig, Options{})
-	forces := make([]vec.V3, lig.Len())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ScoreForces(pose, forces)
 	}
 }
 
@@ -71,8 +52,8 @@ func nlBenchFixtures(b *testing.B) (nl *NeighborList, poses [][]vec.V3, scanned,
 	b.Helper()
 	f := newSpotFixture(b, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 4, Options{})
 	spot := f.spots[0]
-	nl = f.spotList(spot, f.ligRadius)
-	poses = f.samplerPoses(spot, nil, rng.New(1), 64)
+	nl = f.spotList(spot)
+	poses = f.samplerPoses(spot, rng.New(1), 64)
 	var s poseScratch
 	for _, pose := range poses {
 		n, _ := nl.gather(pose, &s)

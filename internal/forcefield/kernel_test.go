@@ -286,8 +286,8 @@ func TestNeighborListNaNPose(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1, Options{Coulomb: true})
 		spot := f.spots[0]
-		nl := f.spotList(spot, f.ligRadius)
-		pose := f.samplerPoses(spot, nil, rng.New(3), 1)[0]
+		nl := f.spotList(spot)
+		pose := f.samplerPoses(spot, rng.New(3), 1)[0]
 		pose[len(pose)/2].Y = math.NaN()
 		var s NeighborScratch
 		if e, _ := nl.ScorePose(pose, &s); !math.IsNaN(e) {

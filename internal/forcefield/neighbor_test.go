@@ -67,7 +67,6 @@ func (nl *NeighborList) pairsInRange(ligPos []vec.V3) int {
 // receptor topology and spots, centered ligand, receptor cell list.
 type spotFixture struct {
 	rec, lig  *Topology
-	ligMol    *molecule.Molecule
 	ligRadius float64
 	cells     *CellList
 	spots     []surface.Spot
@@ -81,7 +80,7 @@ func newSpotFixture(tb testing.TB, recM, ligM *molecule.Molecule, maxSpots int, 
 	}
 	ligM = ligM.Centered()
 	f := &spotFixture{
-		rec: NewTopology(recM), lig: NewTopology(ligM), ligMol: ligM,
+		rec: NewTopology(recM), lig: NewTopology(ligM),
 		ligRadius: ligM.Radius(), spots: spots,
 	}
 	f.cells = NewCellList(f.rec, f.lig, opts)
@@ -90,19 +89,18 @@ func newSpotFixture(tb testing.TB, recM, ligM *molecule.Molecule, maxSpots int, 
 
 // spotList builds a spot's neighbour list over the region
 // core.Problem.SpotNeighborLists gives it: the sampler's sphere padded by
-// the ligand's reach.
-func (f *spotFixture) spotList(s surface.Spot, reach float64) *NeighborList {
+// the ligand's radius.
+func (f *spotFixture) spotList(s surface.Spot) *NeighborList {
 	base := s.Center.Add(s.Normal.Scale(f.ligRadius + 1.5))
-	half := vec.V3{X: 1, Y: 1, Z: 1}.Scale(s.Radius + reach + 1e-6)
+	half := vec.V3{X: 1, Y: 1, Z: 1}.Scale(s.Radius + f.ligRadius + 1e-6)
 	return NewNeighborList(f.cells, f.rec, vec.NewAABB(base.Sub(half), base.Add(half)))
 }
 
 // samplerPoses returns n poses the spot's sampler produces — fresh random
-// individuals and local-search perturbations of them, flexible when ts is
-// set — which are the poses the engine scores.
-func (f *spotFixture) samplerPoses(s surface.Spot, ts *molecule.TorsionSet, r *rng.Source, n int) [][]vec.V3 {
+// individuals and local-search perturbations of them — which are the poses
+// the engine scores.
+func (f *spotFixture) samplerPoses(s surface.Spot, r *rng.Source, n int) [][]vec.V3 {
 	sampler := conformation.NewSampler(s, f.ligRadius)
-	sampler.SetTorsions(ts)
 	poses := make([][]vec.V3, n)
 	var c conformation.Conformation
 	for i := range poses {
@@ -112,7 +110,7 @@ func (f *spotFixture) samplerPoses(s surface.Spot, ts *molecule.TorsionSet, r *r
 			c = sampler.Perturb(r, c, conformation.DefaultMoveScale)
 		}
 		poses[i] = make([]vec.V3, f.lig.Len())
-		c.ApplyFlex(ts, f.lig.Pos, poses[i])
+		c.Apply(f.lig.Pos, poses[i])
 	}
 	return poses
 }
@@ -154,8 +152,8 @@ func testNeighborListBitIdenticalOnDatasets(t *testing.T) {
 			r := rng.New(17)
 			var s NeighborScratch
 			for _, spot := range f.spots {
-				nl := f.spotList(spot, f.ligRadius)
-				for i, pose := range f.samplerPoses(spot, nil, r, 4) {
+				nl := f.spotList(spot)
+				for i, pose := range f.samplerPoses(spot, r, 4) {
 					what := fmt.Sprintf("%s coulomb=%v spot %d pose %d", ds.name, opts.Coulomb, spot.ID, i)
 					if !checkBits(t, nl, pose, &s, what) {
 						t.Errorf("%s: rigid sampler pose not covered", what)
@@ -166,29 +164,6 @@ func testNeighborListBitIdenticalOnDatasets(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestNeighborListBitIdenticalFlexible covers flexible-ligand poses, whose
-// lists are built with doubled reach and whose torsioned branches stretch
-// the pose box.
-func TestNeighborListBitIdenticalFlexible(t *testing.T) {
-	eachKernel(t, testNeighborListBitIdenticalFlexible)
-}
-
-func testNeighborListBitIdenticalFlexible(t *testing.T) {
-	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 8, Options{Coulomb: true})
-	ts := molecule.NewTorsionSet(f.ligMol)
-	if ts.Len() == 0 {
-		t.Skip("ligand has no rotatable bonds")
-	}
-	r := rng.New(23)
-	var s NeighborScratch
-	for _, spot := range f.spots {
-		nl := f.spotList(spot, 2*f.ligRadius)
-		for i, pose := range f.samplerPoses(spot, ts, r, 8) {
-			checkBits(t, nl, pose, &s, fmt.Sprintf("spot %d flexible pose %d", spot.ID, i))
 		}
 	}
 }
@@ -205,9 +180,9 @@ func testNeighborListBoundaryAndOutside(t *testing.T) {
 	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 4, Options{})
 	var s NeighborScratch
 	for _, spot := range f.spots {
-		nl := f.spotList(spot, f.ligRadius)
+		nl := f.spotList(spot)
 		region := nl.Region()
-		pose := f.samplerPoses(spot, nil, rng.New(5), 1)[0]
+		pose := f.samplerPoses(spot, rng.New(5), 1)[0]
 		box := vec.BoundPoints(pose)
 
 		// Slide the pose until its box touches the region's upper corner.
@@ -270,7 +245,7 @@ func TestNeighborScratchGrows(t *testing.T) { eachKernel(t, testNeighborScratchG
 func testNeighborScratchGrows(t *testing.T) {
 	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1, Options{})
 	spot := f.spots[0]
-	pose := f.samplerPoses(spot, nil, rng.New(9), 1)[0]
+	pose := f.samplerPoses(spot, rng.New(9), 1)[0]
 	box := vec.BoundPoints(pose)
 	var s NeighborScratch
 	prev := -1
@@ -298,8 +273,8 @@ func TestNeighborListSharedAcrossWorkers(t *testing.T) {
 func testNeighborListSharedAcrossWorkers(t *testing.T) {
 	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1, Options{Coulomb: true})
 	spot := f.spots[0]
-	nl := f.spotList(spot, f.ligRadius)
-	poses := f.samplerPoses(spot, nil, rng.New(41), 32)
+	nl := f.spotList(spot)
+	poses := f.samplerPoses(spot, rng.New(41), 32)
 	want := make([]float64, len(poses))
 	for i, pose := range poses {
 		want[i] = nl.referenceScan(pose)
@@ -345,10 +320,10 @@ func TestScorePosesMatchesScorePose(t *testing.T) { eachKernel(t, testScorePoses
 func testScorePosesMatchesScorePose(t *testing.T) {
 	for _, opts := range []Options{{}, {Coulomb: true}} {
 		f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 2, opts)
-		nl := f.spotList(f.spots[0], f.ligRadius)
+		nl := f.spotList(f.spots[0])
 		r := rng.New(61)
-		mine := f.samplerPoses(f.spots[0], nil, r, 63)
-		other := f.samplerPoses(f.spots[1], nil, r, 63)
+		mine := f.samplerPoses(f.spots[0], r, 63)
+		other := f.samplerPoses(f.spots[1], r, 63)
 		var s, one NeighborScratch
 		for _, n := range []int{1, 2, 3, 63} {
 			poses := make([][]vec.V3, n)

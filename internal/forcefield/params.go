@@ -7,11 +7,9 @@
 // Three scorer implementations share one semantics:
 //
 //   - Direct: the reference O(R*L) double loop.
-//   - Tiled: the same loop cache-blocked over receptor tiles in
-//     structure-of-arrays form; this mirrors the CUDA shared-memory tiling
-//     described in the paper's section 5 and is the kernel the GPU
-//     simulator models.
 //   - CellList: a neighbour-grid scorer exploiting the interaction cutoff.
+//   - NeighborList: one spot's precomputed receptor neighbourhood, the
+//     Real-mode hot path (the cell list scores the poses it misses).
 package forcefield
 
 import (

@@ -139,7 +139,6 @@ func testScorerAgreement(t *testing.T, opts Options) {
 	rec := NewTopology(molecule.SyntheticProtein("rec", 700, 5))
 	lig := NewTopology(molecule.SyntheticLigand("lig", 20, 6))
 	direct := NewDirect(rec, lig, opts)
-	tiled := NewTiled(rec, lig, opts)
 	cells := NewCellList(rec, lig, opts)
 
 	r := rng.New(77)
@@ -149,12 +148,8 @@ func testScorerAgreement(t *testing.T, opts Options) {
 		center := recCenter.Add(r.InSphere(40))
 		pose := randomPose(r, lig.Len(), center, 4)
 		d := direct.Score(pose)
-		ti := tiled.Score(pose)
 		ce := cells.Score(pose)
 		tol := 1e-9 * (1 + math.Abs(d))
-		if math.Abs(d-ti) > tol {
-			t.Errorf("trial %d: tiled %v != direct %v", trial, ti, d)
-		}
 		if math.Abs(d-ce) > tol {
 			t.Errorf("trial %d: celllist %v != direct %v", trial, ce, d)
 		}
@@ -195,21 +190,11 @@ func TestCellListFarPoseIsZero(t *testing.T) {
 	}
 }
 
-func TestPairOps(t *testing.T) {
-	rec := NewTopology(molecule.SyntheticProtein("rec", 100, 14))
-	lig := NewTopology(molecule.SyntheticLigand("lig", 10, 15))
-	ti := NewTiled(rec, lig, Options{})
-	if got := ti.PairOps(); got != 1000 {
-		t.Errorf("PairOps = %d, want 1000", got)
-	}
-}
-
 func TestScorerNames(t *testing.T) {
 	rec := pairMolecule(molecule.Carbon, vec.Zero, 0)
 	lig := pairMolecule(molecule.Carbon, vec.Zero, 0)
 	for _, s := range []Scorer{
 		NewDirect(rec, lig, Options{}),
-		NewTiled(rec, lig, Options{}),
 		NewCellList(rec, lig, Options{}),
 	} {
 		if s.Name() == "" {
@@ -249,7 +234,6 @@ func TestGoldenEnergies(t *testing.T) {
 	}
 	for _, s := range []Scorer{
 		NewDirect(rec, lig, Options{}),
-		NewTiled(rec, lig, Options{}),
 		NewCellList(rec, lig, Options{}),
 	} {
 		if got := s.Score(pose); math.Abs(got-want) > 1e-12*math.Abs(want) {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/metascreen/metascreen/internal/conformation"
-	"github.com/metascreen/metascreen/internal/molecule"
 	"github.com/metascreen/metascreen/internal/vec"
 )
 
@@ -21,7 +20,7 @@ var updateGenerations = flag.Bool("update", false, "rewrite testdata/generations
 // of the template's edge cases on a synthetic objective: GA mutation and a
 // partial selection pool, scatter search cycling its pairs and falling back
 // to random diversification when the reference subset is a single
-// individual, M4's unsorted population, and a flexible ligand's torsions.
+// individual, and M4's unsorted population.
 // The driver mirrors the engine's (score the unscored offspring, hill-climb
 // the improve targets on a per-(generation, conformation) stream, Include),
 // so a change to any template step that moves an RNG draw or an operation
@@ -39,25 +38,23 @@ func TestGenerationsGolden(t *testing.T) {
 	cases := []struct {
 		label string
 		alg   Algorithm
-		flex  bool
 	}{
-		{"M1", paper("M1", 0.05), false},
-		{"M2", paper("M2", 0.1), false},
-		{"M3", paper("M3", 0.1), false},
-		{"M4", paper("M4", 0.02), false},
+		{"M1", paper("M1", 0.05)},
+		{"M2", paper("M2", 0.1)},
+		{"M3", paper("M3", 0.1)},
+		{"M4", paper("M4", 0.02)},
 		{"ga-select", must(NewGenetic("ga", Params{
 			PopulationPerSpot: 12, SelectFraction: 0.5, ImproveFraction: 0.25,
 			ImproveMoves: 3, Generations: 8,
-		})), false},
+		}))},
 		{"ss-cycle", must(NewScatterSearch("ss", Params{
 			PopulationPerSpot: 50, SelectFraction: 1, ImproveFraction: 0.2,
 			ImproveMoves: 2, Generations: 2,
-		})), false},
+		}))},
 		{"ss-fallback", must(NewScatterSearch("ss", Params{
 			PopulationPerSpot: 1, SelectFraction: 1, ImproveFraction: 1,
 			ImproveMoves: 2, Generations: 4,
-		})), false},
-		{"M3-flex", paper("M3", 0.1), true},
+		}))},
 	}
 
 	bits := func(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
@@ -67,26 +64,15 @@ func TestGenerationsGolden(t *testing.T) {
 			t, q := c.Translation, c.Orientation
 			fmt.Fprintf(&b, "%s g%d i%d s=%s t=%s,%s,%s q=%s,%s,%s,%s", label, gen, i,
 				bits(c.Score), bits(t.X), bits(t.Y), bits(t.Z), bits(q.W), bits(q.X), bits(q.Y), bits(q.Z))
-			for _, a := range c.Torsions {
-				fmt.Fprintf(&b, " %s", bits(a))
-			}
 			b.WriteByte('\n')
 		}
 	}
 
-	ligand := molecule.SyntheticLigand("flex", 24, 5)
 	for ci, c := range cases {
 		ctx := testCtx(uint64(1000 + ci))
-		if c.flex {
-			ctx.Sampler.SetTorsions(molecule.NewTorsionSet(ligand))
-		}
 		target := ctx.Spot.Center.Add(vec.New(3, -1, 2))
 		score := func(x conformation.Conformation) float64 {
-			s := x.Translation.Dist2(target) + 1 - x.Orientation.W*x.Orientation.W
-			for _, a := range x.Torsions {
-				s += 0.1 * math.Sin(a) * math.Sin(a)
-			}
-			return s
+			return x.Translation.Dist2(target) + 1 - x.Orientation.W*x.Orientation.W
 		}
 		p := c.alg.Params()
 		state := c.alg.NewSpotState(ctx)

@@ -78,36 +78,3 @@ func FuzzReadXYZ(f *testing.F) {
 		}
 	})
 }
-
-// FuzzInferBonds checks bond inference on arbitrary small geometries:
-// never panics, never produces out-of-range indices or duplicates.
-func FuzzInferBonds(f *testing.F) {
-	f.Add(3, int64(42))
-	f.Add(1, int64(7))
-	f.Fuzz(func(t *testing.T, n int, seed int64) {
-		if n < 1 || n > 64 {
-			return
-		}
-		m := SyntheticLigand("fuzz", n, uint64(seed))
-		bonds := InferBonds(m)
-		seen := map[Bond]bool{}
-		for _, b := range bonds {
-			if b.I < 0 || b.J >= n || b.I >= b.J {
-				t.Fatalf("bad bond %+v for %d atoms", b, n)
-			}
-			if seen[b] {
-				t.Fatalf("duplicate bond %+v", b)
-			}
-			seen[b] = true
-		}
-		// Components must partition the atoms.
-		comps := Components(n, bonds)
-		count := 0
-		for _, c := range comps {
-			count += len(c)
-		}
-		if count != n {
-			t.Fatalf("components cover %d of %d atoms", count, n)
-		}
-	})
-}

@@ -130,3 +130,60 @@ func TestSyntheticLigandPanicsOnBadSize(t *testing.T) {
 	}()
 	SyntheticLigand("bad", -1, 1)
 }
+
+// largestComponent returns the atom count of the largest set of atoms
+// joined by chains of pairs closer than bond angstroms.
+func largestComponent(m *Molecule, bond float64) int {
+	n := m.NumAtoms()
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	for i := range m.Atoms {
+		for j := i + 1; j < n; j++ {
+			if m.Atoms[i].Pos.Dist(m.Atoms[j].Pos) < bond {
+				parent[find(i)] = find(j)
+			}
+		}
+	}
+	size := make([]int, n)
+	largest := 0
+	for i := range parent {
+		root := find(i)
+		size[root]++
+		largest = max(largest, size[root])
+	}
+	return largest
+}
+
+// ccBond is a carbon-carbon single bond (2 x 0.76 A covalent radius) plus
+// the usual 0.45 A tolerance of geometric bond perception.
+const ccBond = 1.97
+
+func TestSyntheticLigandsAreConnected(t *testing.T) {
+	for _, m := range []*Molecule{
+		Synthetic2BSMLigand(),
+		Synthetic2BXGLigand(),
+		SyntheticLigand("x", 50, 77),
+	} {
+		if got := largestComponent(m, ccBond); got != m.NumAtoms() {
+			t.Errorf("%s: largest bonded component has %d of %d atoms", m.Name, got, m.NumAtoms())
+		}
+	}
+}
+
+func TestSyntheticProteinBackboneBonded(t *testing.T) {
+	// Protein backbones must form one dominant component containing the
+	// vast majority of atoms (side chains attach to it).
+	m := SyntheticProtein("p", 600, 55)
+	if largest := largestComponent(m, ccBond); largest < m.NumAtoms()*5/10 {
+		t.Errorf("largest component has %d of %d atoms", largest, m.NumAtoms())
+	}
+}

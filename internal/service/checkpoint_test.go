@@ -331,10 +331,12 @@ func TestDegradedModeSkipsCheckpointRecords(t *testing.T) {
 	}
 }
 
-// TestLegacyDataDirReDocksFromScratch: a data dir written by the previous
-// binary — count-only checkpoint records plus checkpoints/<id>.json
-// snapshot files — boots, ignores the files and finishes its interrupted
-// job from scratch with the reference ranking.
+// TestLegacyDataDirReDocksFromScratch: a data dir written by older
+// binaries — count-only checkpoint records plus checkpoints/<id>.json
+// snapshot files, then one checkpoint record holding LIG-000 whose pose
+// carries the "torsions" angles flexible docking used to journal — boots,
+// ignores the files and the angles, keeps LIG-000 and re-docks every other
+// ligand from scratch, finishing with the reference ranking.
 func TestLegacyDataDirReDocksFromScratch(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join("testdata", "legacy-checkpoints")
@@ -359,8 +361,11 @@ func TestLegacyDataDirReDocksFromScratch(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "checkpoints", id+".json")); err != nil {
 		t.Fatalf("fixture has no checkpoint file: %v", err)
 	}
-	// Its records carry no ligands, so resumeAndCheck expects the whole
-	// library re-docked.
+	// Only the last record carries a ligand, so resumeAndCheck expects the
+	// rest of the library re-docked.
+	if got := journaledCheckpoints(t, dir, id); len(got) != 3 || !slices.Equal(got[2], []string{"LIG-000"}) {
+		t.Fatalf("fixture holds checkpoint records %v, want two count-only ones and one of LIG-000", got)
+	}
 	s := resumeAndCheck(t, durableConfig(dir), id)
 	if rec := s.Recovery(); rec.RecoveredJobs != 1 {
 		t.Errorf("recovery stats %+v, want 1 recovered job", rec)

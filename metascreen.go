@@ -146,8 +146,8 @@ const (
 	Dynamic = sched.Dynamic
 )
 
-// Conformation is one candidate solution: a (possibly flexible) ligand
-// pose at a surface spot.
+// Conformation is one candidate solution: a rigid ligand pose at a surface
+// spot.
 type Conformation = conformation.Conformation
 
 // Result is the outcome of one screening run.
@@ -201,18 +201,10 @@ func ScreenCtx(ctx context.Context, receptor *Molecule, library []*Molecule, spo
 var SyntheticLibrary = core.SyntheticLibrary
 
 // HostBackendFactory and PoolBackendFactory adapt configurations to the
-// factory signature Screen and RunMultiStart take.
+// factory signature Screen takes.
 var (
 	HostBackendFactory = core.HostBackendFactory
 	PoolBackendFactory = core.PoolBackendFactory
-)
-
-// RunMultiStart executes independent stochastic runs and picks the winner
-// (the paper's independent-executions scheme); RunMultiStartCtx adds
-// cancellation.
-var (
-	RunMultiStart    = core.RunMultiStart
-	RunMultiStartCtx = core.RunMultiStartCtx
 )
 
 // --- simulated hardware ----------------------------------------------------
