@@ -114,7 +114,7 @@ func benchScorer(b *testing.B, mk func(rec, lig *forcefield.Topology) forcefield
 // 2BSM workload (146 880 atom pairs per evaluation).
 func BenchmarkScorerDirect(b *testing.B) {
 	benchScorer(b, func(rec, lig *forcefield.Topology) forcefield.Scorer {
-		return forcefield.NewDirect(rec, lig, forcefield.Options{})
+		return forcefield.NewDirect(rec, lig)
 	})
 }
 
@@ -122,15 +122,7 @@ func BenchmarkScorerDirect(b *testing.B) {
 // scorer.
 func BenchmarkScorerCellList(b *testing.B) {
 	benchScorer(b, func(rec, lig *forcefield.Topology) forcefield.Scorer {
-		return forcefield.NewCellList(rec, lig, forcefield.Options{})
-	})
-}
-
-// BenchmarkScorerCoulomb measures the cell-list scorer, Real mode's
-// fallback kernel, with the electrostatic extension enabled.
-func BenchmarkScorerCoulomb(b *testing.B) {
-	benchScorer(b, func(rec, lig *forcefield.Topology) forcefield.Scorer {
-		return forcefield.NewCellList(rec, lig, forcefield.Options{Coulomb: true})
+		return forcefield.NewCellList(rec, lig)
 	})
 }
 

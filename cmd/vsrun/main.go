@@ -41,7 +41,6 @@ func main() {
 	backendKind := flag.String("backend", "host", "backend: host or pool")
 	machine := flag.String("machine", "Hertz", "pool backend: platform (Jupiter or Hertz)")
 	mode := flag.String("mode", "heterogeneous", "pool backend: homogeneous, heterogeneous or dynamic")
-	coulomb := flag.Bool("coulomb", false, "add the Coulomb term to the scoring function")
 	seed := flag.Uint64("seed", 42, "random seed")
 	top := flag.Int("top", 5, "number of best spots to print")
 	gantt := flag.Bool("gantt", false, "pool backend: print a device timeline chart after the run")
@@ -66,9 +65,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	problem, err := core.NewProblem(rec, lig,
-		surface.Options{MaxSpots: *spots},
-		forcefield.Options{Coulomb: *coulomb})
+	problem, err := core.NewProblem(rec, lig, surface.Options{MaxSpots: *spots}, forcefield.Options{})
 	if err != nil {
 		fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"github.com/metascreen/metascreen/internal/core"
-	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
 	"github.com/metascreen/metascreen/internal/molecule"
 	"github.com/metascreen/metascreen/internal/report"
@@ -58,7 +57,7 @@ func main() {
 	fmt.Printf("screening %d ligands against %s (%d atoms) over %d spots with %s\n",
 		len(library), receptor.Name, receptor.NumAtoms(), len(rec.Spots()), *mh)
 
-	res, err := core.ScreenReceptorCtx(context.Background(), rec, library, forcefield.Options{},
+	res, err := core.ScreenReceptorCtx(context.Background(), rec, library,
 		algf, core.HostBackendFactory(core.HostConfig{Real: true}), *seed, 0, nil, nil)
 	if err != nil {
 		fatal(err)

@@ -21,10 +21,10 @@ func makeConfs(p *Problem, n int, seed uint64) []*conformation.Conformation {
 	return confs
 }
 
-// TestScoreChunkZeroAllocSteadyState is the allocation budget of the batched
+// TestScoreBatchZeroAllocSteadyState is the allocation budget of the batched
 // scoring hot path at the compute layer: once the pose arena is warmed, a
 // generation's worth of scoring performs zero heap allocations.
-func TestScoreChunkZeroAllocSteadyState(t *testing.T) {
+func TestScoreBatchZeroAllocSteadyState(t *testing.T) {
 	p := smallProblem(t)
 	b, err := NewHostBackend(p, HostConfig{Real: true, Workers: 1})
 	if err != nil {
@@ -32,13 +32,11 @@ func TestScoreChunkZeroAllocSteadyState(t *testing.T) {
 	}
 	confs := makeConfs(p, 64, 11)
 	var arena poseArena
-	scoreChunk(b.comp, confs, &arena, 0) // warm the arena
-	for _, chunk := range []int{0, 1, 7} {
-		if allocs := testing.AllocsPerRun(20, func() {
-			scoreChunk(b.comp, confs, &arena, chunk)
-		}); allocs != 0 {
-			t.Errorf("chunk=%d: %.1f allocs per batched call, want 0", chunk, allocs)
-		}
+	b.comp.scoreBatch(confs, &arena) // warm the arena
+	if allocs := testing.AllocsPerRun(20, func() {
+		b.comp.scoreBatch(confs, &arena)
+	}); allocs != 0 {
+		t.Errorf("%.1f allocs per batched call, want 0", allocs)
 	}
 }
 
@@ -53,7 +51,7 @@ func TestImproveZeroAllocSteadyState(t *testing.T) {
 	sampler := conformation.NewSampler(p.Spots[0], p.LigandRadius())
 	confs := makeConfs(p, 1, 12)
 	var arena poseArena
-	scoreChunk(b.comp, confs, &arena, 0)
+	b.comp.scoreBatch(confs, &arena)
 	var lane rng.Source
 	rng.New(3).SplitInto(1, &lane)
 	item := ImproveItem{Conf: confs[0], Sampler: sampler, RNG: &lane}

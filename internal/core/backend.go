@@ -50,7 +50,7 @@ func newCompute(p *Problem, real bool) compute {
 	}
 	// One neighbor list per spot, built once here and reused every
 	// generation; the cell list scores the poses they do not cover.
-	cells := p.rec.CellList().ForLigand(p.ligTopo, p.FF)
+	cells := p.rec.CellList().ForLigand(p.ligTopo)
 	return &realCompute{cells: cells, nl: p.SpotNeighborLists(cells), ligand: p.LigandPositions()}
 }
 
@@ -106,21 +106,6 @@ type compute interface {
 	scoreBatch(confs []*conformation.Conformation, a *poseArena)
 	// improve runs moves hill-climbing steps on c in place.
 	improve(it ImproveItem, moves int, scale conformation.MoveScale, a *poseArena)
-}
-
-// scoreChunk scores one worker's span of a generation batch, chunkSize
-// conformations per batched call (<= 0 means the whole span at once).
-func scoreChunk(comp compute, confs []*conformation.Conformation, a *poseArena, chunkSize int) {
-	if chunkSize <= 0 || chunkSize > len(confs) {
-		chunkSize = len(confs)
-	}
-	for lo := 0; lo < len(confs); lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > len(confs) {
-			hi = len(confs)
-		}
-		comp.scoreBatch(confs[lo:hi], a)
-	}
 }
 
 // realCompute actually evaluates the force field.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/metascreen/metascreen/internal/conformation"
-	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/molecule"
 	"github.com/metascreen/metascreen/internal/surface"
 	"github.com/metascreen/metascreen/internal/vec"
@@ -102,9 +101,9 @@ type CheckpointFunc func(cp *Checkpoint, rec LigandRecord, newlyCompleted int) e
 // it and resume later. It is ScreenResumableCtx without cancellation, with
 // one worker — ligands run sequentially in library order.
 func ScreenResumable(receptor *molecule.Molecule, library []*molecule.Molecule,
-	spotOpts surface.Options, ff forcefield.Options,
-	algf AlgorithmFactory, backf BackendFactory, seed uint64, cp *Checkpoint) (*ScreenResult, error) {
-	return ScreenResumableCtx(context.Background(), receptor, library, spotOpts, ff,
+	spotOpts surface.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64,
+	cp *Checkpoint) (*ScreenResult, error) {
+	return ScreenResumableCtx(context.Background(), receptor, library, spotOpts,
 		algf, backf, seed, 1, cp, nil)
 }
 
@@ -115,8 +114,7 @@ func ScreenResumable(receptor *molecule.Molecule, library []*molecule.Molecule,
 // with the same seed, for every worker count and every split of the
 // library across interrupted attempts.
 func ScreenResumableCtx(ctx context.Context, receptor *molecule.Molecule, library []*molecule.Molecule,
-	spotOpts surface.Options, ff forcefield.Options,
-	algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int,
+	spotOpts surface.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int,
 	cp *Checkpoint, onUpdate CheckpointFunc) (*ScreenResult, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("core: nil checkpoint (use Screen for one-shot runs)")
@@ -125,5 +123,5 @@ func ScreenResumableCtx(ctx context.Context, receptor *molecule.Molecule, librar
 	if err != nil {
 		return nil, err
 	}
-	return ScreenReceptorCtx(ctx, rec, library, ff, algf, backf, seed, workers, cp, onUpdate)
+	return ScreenReceptorCtx(ctx, rec, library, algf, backf, seed, workers, cp, onUpdate)
 }

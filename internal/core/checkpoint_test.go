@@ -30,7 +30,7 @@ func TestScreenResumableMatchesScreen(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := &Checkpoint{}
-	resumable, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2}, forcefield.Options{},
+	resumable, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
 		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestScreenResumableSkipsCompleted(t *testing.T) {
 	rec, lib := checkpointFixtures()
 	// First pass: only the first two ligands.
 	cp := &Checkpoint{}
-	if _, err := ScreenResumable(rec, lib[:2], surface.Options{MaxSpots: 2}, forcefield.Options{},
+	if _, err := ScreenResumable(rec, lib[:2], surface.Options{MaxSpots: 2},
 		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, cp); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestScreenResumableSkipsCompleted(t *testing.T) {
 
 	// Resume over the full library: the first two come from the
 	// checkpoint (identical results), only the third runs.
-	res, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2}, forcefield.Options{},
+	res, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
 		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, loaded)
 	if err != nil {
 		t.Fatal(err)
@@ -89,17 +89,17 @@ func TestScreenResumableSkipsCompleted(t *testing.T) {
 
 func TestScreenResumableValidation(t *testing.T) {
 	rec, lib := checkpointFixtures()
-	if _, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2}, forcefield.Options{},
+	if _, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
 		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, nil); err == nil {
 		t.Error("nil checkpoint accepted")
 	}
 	cp := &Checkpoint{Seed: 99, Ligands: map[string]LigandRecord{}}
-	if _, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2}, forcefield.Options{},
+	if _, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
 		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, cp); err == nil {
 		t.Error("seed mismatch accepted")
 	}
 	dup := []*molecule.Molecule{lib[0], lib[0]}
-	if _, err := ScreenResumable(rec, dup, surface.Options{MaxSpots: 2}, forcefield.Options{},
+	if _, err := ScreenResumable(rec, dup, surface.Options{MaxSpots: 2},
 		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, &Checkpoint{}); err == nil {
 		t.Error("duplicate ligand names accepted")
 	}
@@ -134,7 +134,7 @@ func TestScreenResumableCtxMatchesScreenCtx(t *testing.T) {
 	// Cold start, parallel.
 	cold := &Checkpoint{}
 	res, err := ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		forcefield.Options{}, screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 4, cold, nil)
+		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 4, cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestScreenResumableCtxMatchesScreenCtx(t *testing.T) {
 		half.Ligands[name] = cold.Ligands[name]
 	}
 	res, err = ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		forcefield.Options{}, screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2, half, nil)
+		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2, half, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestScreenResumableCtxMatchesScreenCtx(t *testing.T) {
 
 	// Fully checkpointed: nothing runs, the ranking is rebuilt from records.
 	res, err = ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		forcefield.Options{}, screenAlgFactory(),
+		screenAlgFactory(),
 		func(p *Problem) (Backend, error) { t.Fatal("backend built for a completed screen"); return nil, nil },
 		5, 2, cold, nil)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestScreenResumableCtxCallback(t *testing.T) {
 	var counts []int
 	cp := &Checkpoint{}
 	_, err := ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		forcefield.Options{}, screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2, cp,
+		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2, cp,
 		func(cp *Checkpoint, rec LigandRecord, newly int) error {
 			if len(cp.Ligands) != newly {
 				t.Errorf("hook sees %d recorded ligands at newly=%d", len(cp.Ligands), newly)
@@ -200,7 +200,7 @@ func TestScreenResumableCtxCallback(t *testing.T) {
 	// A failing hook aborts; completed work stays checkpointed.
 	cp2 := &Checkpoint{}
 	_, err = ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		forcefield.Options{}, screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 1, cp2,
+		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 1, cp2,
 		func(cp *Checkpoint, _ LigandRecord, newly int) error {
 			if newly == 2 {
 				return errors.New("disk full")
@@ -220,7 +220,7 @@ func TestScreenResumableCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := ScreenResumableCtx(ctx, rec, lib, surface.Options{MaxSpots: 2},
-		forcefield.Options{}, screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2,
+		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2,
 		&Checkpoint{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)

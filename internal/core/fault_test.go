@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/metascreen/metascreen/internal/cudasim"
-	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/sched"
 	"github.com/metascreen/metascreen/internal/surface"
 )
@@ -106,7 +105,7 @@ func TestCheckpointResumeAfterDeviceFault(t *testing.T) {
 
 	// Reference: the same screen with no fault anywhere.
 	reff, _ := countingFactory(0)
-	ref, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2}, forcefield.Options{},
+	ref, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
 		screenAlgFactory(), reff, 5, &Checkpoint{})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +114,7 @@ func TestCheckpointResumeAfterDeviceFault(t *testing.T) {
 	// Faulted pass: the backend for the third ligand loses both devices.
 	cp := &Checkpoint{}
 	faultf, _ := countingFactory(3)
-	_, err = ScreenResumable(rec, lib, surface.Options{MaxSpots: 2}, forcefield.Options{},
+	_, err = ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
 		screenAlgFactory(), faultf, 5, cp)
 	if !errors.Is(err, sched.ErrAllDevicesLost) {
 		t.Fatalf("faulted screen err = %v, want ErrAllDevicesLost", err)
@@ -126,7 +125,7 @@ func TestCheckpointResumeAfterDeviceFault(t *testing.T) {
 
 	// Resume with healthy hardware: only the unfinished ligand runs.
 	resumef, calls := countingFactory(0)
-	res, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2}, forcefield.Options{},
+	res, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
 		screenAlgFactory(), resumef, 5, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +152,7 @@ func TestScreenAggregatesFaultCounters(t *testing.T) {
 	rec, lib := checkpointFixtures()
 	// Fault only the GTX580, late enough that runs complete: measure one
 	// clean ligand run first to place the fault mid-run.
-	probe, err := ScreenResumable(rec, lib[:1], surface.Options{MaxSpots: 2}, forcefield.Options{},
+	probe, err := ScreenResumable(rec, lib[:1], surface.Options{MaxSpots: 2},
 		screenAlgFactory(), PoolBackendFactory(PoolConfig{
 			Real: true, Specs: hertzSpecs(), Mode: sched.Heterogeneous,
 		}), 5, &Checkpoint{})
@@ -169,7 +168,7 @@ func TestScreenAggregatesFaultCounters(t *testing.T) {
 			{FailAt: probe.SimulatedSeconds / 2},
 		},
 	}
-	res, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2}, forcefield.Options{},
+	res, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
 		screenAlgFactory(), PoolBackendFactory(cfg), 5, &Checkpoint{})
 	if err != nil {
 		t.Fatal(err)

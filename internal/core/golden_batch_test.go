@@ -11,9 +11,8 @@ import (
 
 // TestScreenRankingInvariantToBatching is the golden byte-identity guarantee
 // of the batched hot path: the full library ranking of core.Screen at a
-// fixed seed is bit-for-bit unchanged by the batch chunk size, by disabling
-// batching entirely, by the backend's worker count, and by the screen-level
-// worker count. Batching is a throughput knob, never a semantic one.
+// fixed seed is bit-for-bit unchanged by disabling batching, by the
+// backend's worker count, and by the screen-level worker count. Batching is a throughput knob, never a semantic one.
 func TestScreenRankingInvariantToBatching(t *testing.T) {
 	rec := molecule.SyntheticProtein("rec", 500, 41)
 	library := []*molecule.Molecule{
@@ -37,8 +36,6 @@ func TestScreenRankingInvariantToBatching(t *testing.T) {
 		cfg     HostConfig
 		workers int
 	}{
-		{"batch-chunk-1", HostConfig{Real: true, Workers: 1, BatchChunk: 1}, 1},
-		{"batch-chunk-7", HostConfig{Real: true, Workers: 1, BatchChunk: 7}, 1},
 		{"unbatched", HostConfig{Real: true, Workers: 1, DisableBatch: true}, 1},
 		{"backend-workers-4", HostConfig{Real: true, Workers: 4, ModelCores: 1}, 1},
 		{"screen-workers-3", HostConfig{Real: true, Workers: 1}, 3},

@@ -21,10 +21,6 @@ type HostConfig struct {
 	// Workers is the number of goroutines used for Real evaluation;
 	// 0 means all CPUs.
 	Workers int
-	// BatchChunk caps the number of conformations a worker scores per
-	// batched call; 0 means the worker's whole static chunk at once.
-	// Smaller chunks trade batching efficiency for smaller pose arenas.
-	BatchChunk int
 	// DisableBatch forces the one-pose-at-a-time scoring path. Rankings
 	// are byte-identical either way; this is a differential-testing and
 	// debugging knob.
@@ -103,7 +99,7 @@ func (b *HostBackend) ScoreBatch(confs []*conformation.Conformation) {
 		})
 	} else {
 		b.team.ForChunk(len(confs), hostpar.Static, 0, func(lo, hi, tid int) {
-			scoreChunk(b.comp, confs[lo:hi], &b.scratch[tid], b.cfg.BatchChunk)
+			b.comp.scoreBatch(confs[lo:hi], &b.scratch[tid])
 		})
 	}
 }

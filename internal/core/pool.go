@@ -328,7 +328,7 @@ func (b *PoolBackend) ScoreBatch(confs []*conformation.Conformation) {
 	}
 	b.charge(cudasim.KernelScoring, len(confs), 1)
 	b.team.ForChunk(len(confs), hostpar.Static, 0, func(lo, hi, tid int) {
-		scoreChunk(b.comp, confs[lo:hi], &b.scratch[tid], 0)
+		b.comp.scoreBatch(confs[lo:hi], &b.scratch[tid])
 	})
 }
 

@@ -40,8 +40,6 @@ type Problem struct {
 	Ligand *molecule.Molecule
 	// Spots are the independent surface regions.
 	Spots []surface.Spot
-	// FF selects the scoring terms.
-	FF forcefield.Options
 
 	rec     *PreparedReceptor
 	ligTopo *forcefield.Topology
@@ -97,23 +95,24 @@ func (r *PreparedReceptor) Spots() []surface.Spot { return r.spots }
 // CellList returns the receptor's cell binning, built on first use.
 func (r *PreparedReceptor) CellList() *forcefield.CellList {
 	r.cells.once.Do(func() {
-		r.cells.list = forcefield.NewCellList(r.topo, nil, forcefield.Options{})
+		r.cells.list = forcefield.NewCellList(r.topo, nil)
 	})
 	return r.cells.list
 }
 
 // NewProblem validates the molecules, detects surface spots and prepares
-// scoring topologies.
-func NewProblem(receptor, ligand *molecule.Molecule, spotOpts surface.Options, ff forcefield.Options) (*Problem, error) {
+// scoring topologies. The forcefield options select nothing (see
+// forcefield.Options).
+func NewProblem(receptor, ligand *molecule.Molecule, spotOpts surface.Options, _ forcefield.Options) (*Problem, error) {
 	rec, err := PrepareReceptor(receptor, spotOpts)
 	if err != nil {
 		return nil, err
 	}
-	return rec.newProblem(ligand, ff)
+	return rec.newProblem(ligand)
 }
 
 // newProblem pairs the prepared receptor with one ligand.
-func (r *PreparedReceptor) newProblem(ligand *molecule.Molecule, ff forcefield.Options) (*Problem, error) {
+func (r *PreparedReceptor) newProblem(ligand *molecule.Molecule) (*Problem, error) {
 	if err := ligand.Validate(); err != nil {
 		return nil, fmt.Errorf("core: ligand: %w", err)
 	}
@@ -122,7 +121,6 @@ func (r *PreparedReceptor) newProblem(ligand *molecule.Molecule, ff forcefield.O
 		Receptor: r.mol,
 		Ligand:   lig,
 		Spots:    r.spots,
-		FF:       ff,
 		rec:      r,
 		ligTopo:  forcefield.NewTopology(lig),
 	}
@@ -147,9 +145,9 @@ func (p *Problem) LigandRadius() float64 { return p.Ligand.Radius() }
 func (p *Problem) NewScorer(kind string) (forcefield.Scorer, error) {
 	switch kind {
 	case "direct":
-		return forcefield.NewDirect(p.rec.topo, p.ligTopo, p.FF), nil
+		return forcefield.NewDirect(p.rec.topo, p.ligTopo), nil
 	case "celllist":
-		return p.rec.CellList().ForLigand(p.ligTopo, p.FF), nil
+		return p.rec.CellList().ForLigand(p.ligTopo), nil
 	}
 	return nil, fmt.Errorf("core: unknown scorer %q (want direct or celllist)", kind)
 }
@@ -199,7 +197,6 @@ func (p *Problem) SubsetSpots(indices []int) (*Problem, error) {
 		Receptor: p.Receptor,
 		Ligand:   p.Ligand,
 		Spots:    spots,
-		FF:       p.FF,
 		rec:      p.rec,
 		ligTopo:  p.ligTopo,
 		ligPos:   p.ligPos,

@@ -95,15 +95,16 @@ func Screen(receptor *molecule.Molecule, library []*molecule.Molecule,
 
 // ScreenCtx prepares the receptor and docks every ligand of a library with
 // a bounded pool of `workers` goroutines (0 means runtime.GOMAXPROCS(0));
-// see ScreenReceptorCtx.
+// see ScreenReceptorCtx. The forcefield options select nothing (see
+// forcefield.Options).
 func ScreenCtx(ctx context.Context, receptor *molecule.Molecule, library []*molecule.Molecule,
-	spotOpts surface.Options, ff forcefield.Options,
+	spotOpts surface.Options, _ forcefield.Options,
 	algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int) (*ScreenResult, error) {
 	rec, err := PrepareReceptor(receptor, spotOpts)
 	if err != nil {
 		return nil, err
 	}
-	return ScreenReceptorCtx(ctx, rec, library, ff, algf, backf, seed, workers, nil, nil)
+	return ScreenReceptorCtx(ctx, rec, library, algf, backf, seed, workers, nil, nil)
 }
 
 // ScreenReceptorCtx is the one library-screening implementation behind
@@ -121,7 +122,7 @@ func ScreenCtx(ctx context.Context, receptor *molecule.Molecule, library []*mole
 // added to cp and reported to onUpdate before that worker's next ligand
 // starts; on error cp keeps everything completed so far.
 func ScreenReceptorCtx(ctx context.Context, rec *PreparedReceptor, library []*molecule.Molecule,
-	ff forcefield.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int,
+	algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int,
 	cp *Checkpoint, onUpdate CheckpointFunc) (*ScreenResult, error) {
 	if cp != nil {
 		if cp.Ligands == nil {
@@ -184,7 +185,7 @@ func ScreenReceptorCtx(ctx context.Context, rec *PreparedReceptor, library []*mo
 				defer wg.Done()
 				for i := range jobs {
 					lig := library[i]
-					res, err := screenLigand(ctx, rec, lig, ff, algf, backf, seed)
+					res, err := screenLigand(ctx, rec, lig, algf, backf, seed)
 					if err != nil {
 						fail(err)
 						return
@@ -267,8 +268,8 @@ func Aggregate(library []*molecule.Molecule, results []*Result, recs map[string]
 // simulated device timelines — which is merged into the parent afterwards
 // under the "lig:<name>/" track prefix, alongside a wall-clock ligand span.
 func screenLigand(ctx context.Context, rec *PreparedReceptor, lig *molecule.Molecule,
-	ff forcefield.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64) (*Result, error) {
-	problem, err := rec.newProblem(lig, ff)
+	algf AlgorithmFactory, backf BackendFactory, seed uint64) (*Result, error) {
+	problem, err := rec.newProblem(lig)
 	if err != nil {
 		return nil, fmt.Errorf("core: ligand %q: %w", lig.Name, err)
 	}

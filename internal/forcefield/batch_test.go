@@ -12,11 +12,11 @@ import (
 // batchList builds a neighbour list over one synthetic receptor/ligand
 // pair whose region is wide enough to cover every pose the tests generate,
 // so its Score is exact for all of them.
-func batchList(t *testing.T, opts Options) (rec, lig *Topology, nl *NeighborList) {
+func batchList(t *testing.T) (rec, lig *Topology, nl *NeighborList) {
 	t.Helper()
 	rec = NewTopology(molecule.SyntheticProtein("rec", 700, 5))
 	lig = NewTopology(molecule.SyntheticLigand("lig", 20, 6))
-	cells := NewCellList(rec, lig, opts)
+	cells := NewCellList(rec, lig)
 	center := vec.Centroid(rec.Pos)
 	half := vec.New(60, 60, 60)
 	return rec, lig, NewNeighborList(cells, rec, vec.NewAABB(center.Sub(half), center.Add(half)))
@@ -26,27 +26,24 @@ func batchList(t *testing.T, opts Options) (rec, lig *Topology, nl *NeighborList
 // batched hot path: ScoreBatch must assign exactly the float64 bits looped
 // Score would, for any batch size including the empty batch.
 func TestScoreBatchBitIdenticalToScore(t *testing.T) {
-	for _, opts := range []Options{{}, {Coulomb: true}} {
-		rec, lig, nl := batchList(t, opts)
-		r := rng.New(99)
-		center := vec.Centroid(rec.Pos)
-		pool := make([][]vec.V3, 16)
-		for i := range pool {
-			// Surface, buried, and clashing poses alike.
-			pool[i] = randomPose(r, lig.Len(), center.Add(r.InSphere(30)), 4)
+	rec, lig, nl := batchList(t)
+	r := rng.New(99)
+	center := vec.Centroid(rec.Pos)
+	pool := make([][]vec.V3, 16)
+	for i := range pool {
+		// Surface, buried, and clashing poses alike.
+		pool[i] = randomPose(r, lig.Len(), center.Add(r.InSphere(30)), 4)
+	}
+	for _, n := range []int{0, 1, 2, 3, 7, len(pool)} {
+		batch := pool[:n]
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = math.NaN() // catch unwritten outputs
 		}
-		for _, n := range []int{0, 1, 2, 3, 7, len(pool)} {
-			batch := pool[:n]
-			out := make([]float64, n)
-			for i := range out {
-				out[i] = math.NaN() // catch unwritten outputs
-			}
-			nl.ScoreBatch(batch, out)
-			for i := range batch {
-				if want := nl.Score(batch[i]); out[i] != want {
-					t.Errorf("coulomb=%v n=%d pose %d: batch %v != loop %v",
-						opts.Coulomb, n, i, out[i], want)
-				}
+		nl.ScoreBatch(batch, out)
+		for i := range batch {
+			if want := nl.Score(batch[i]); out[i] != want {
+				t.Errorf("n=%d pose %d: batch %v != loop %v", n, i, out[i], want)
 			}
 		}
 	}
@@ -56,10 +53,9 @@ func TestScoreBatchBitIdenticalToScore(t *testing.T) {
 // topologies: one receptor atom, one ligand atom, poses straddling the
 // clamp, the well, and the cutoff.
 func TestScoreBatchSingleAtomDegenerate(t *testing.T) {
-	rec := pairMolecule(molecule.Carbon, vec.Zero, 0.2)
-	lig := pairMolecule(molecule.Oxygen, vec.Zero, -0.1)
-	opts := Options{Coulomb: true}
-	cells := NewCellList(rec, lig, opts)
+	rec := pairMolecule(molecule.Carbon, vec.Zero)
+	lig := pairMolecule(molecule.Oxygen, vec.Zero)
+	cells := NewCellList(rec, lig)
 	half := vec.New(20, 20, 20)
 	nl := NewNeighborList(cells, rec, vec.NewAABB(half.Scale(-1), half))
 	poses := [][]vec.V3{
@@ -81,9 +77,9 @@ func TestScoreBatchSingleAtomDegenerate(t *testing.T) {
 // poses/outputs length mismatch is a programming error, not a silent
 // truncation.
 func TestScoreBatchPanicsOnLengthMismatch(t *testing.T) {
-	rec := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	lig := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	cells := NewCellList(rec, lig, Options{})
+	rec := pairMolecule(molecule.Carbon, vec.Zero)
+	lig := pairMolecule(molecule.Carbon, vec.Zero)
+	cells := NewCellList(rec, lig)
 	half := vec.New(15, 15, 15)
 	nl := NewNeighborList(cells, rec, vec.NewAABB(half.Scale(-1), half))
 	poses := [][]vec.V3{{vec.New(4, 0, 0)}, {vec.New(5, 0, 0)}}
@@ -101,7 +97,7 @@ func TestScoreBatchPanicsOnLengthMismatch(t *testing.T) {
 func TestScoreBatchAllocFree(t *testing.T) {
 	rec := NewTopology(molecule.SyntheticProtein("rec", 300, 7))
 	lig := NewTopology(molecule.SyntheticLigand("lig", 10, 8))
-	cells := NewCellList(rec, lig, Options{})
+	cells := NewCellList(rec, lig)
 	center := vec.Centroid(rec.Pos)
 	half := vec.New(40, 40, 40)
 	nl := NewNeighborList(cells, rec, vec.NewAABB(center.Sub(half), center.Add(half)))

@@ -26,7 +26,7 @@ func benchFixtures(b *testing.B) (rec, lig *Topology, pose []vec.V3) {
 
 func BenchmarkDirect2BSM(b *testing.B) {
 	rec, lig, pose := benchFixtures(b)
-	s := NewDirect(rec, lig, Options{})
+	s := NewDirect(rec, lig)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Score(pose)
@@ -35,7 +35,7 @@ func BenchmarkDirect2BSM(b *testing.B) {
 
 func BenchmarkCellList2BSM(b *testing.B) {
 	rec, lig, pose := benchFixtures(b)
-	s := NewCellList(rec, lig, Options{})
+	s := NewCellList(rec, lig)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Score(pose)
@@ -50,7 +50,7 @@ func BenchmarkCellList2BSM(b *testing.B) {
 // cutoff — their ratio is the pruning left on the table.
 func nlBenchFixtures(b *testing.B) (nl *NeighborList, poses [][]vec.V3, scanned, inRange float64) {
 	b.Helper()
-	f := newSpotFixture(b, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 4, Options{})
+	f := newSpotFixture(b, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 4)
 	spot := f.spots[0]
 	nl = f.spotList(spot)
 	poses = f.samplerPoses(spot, rng.New(1), 64)

@@ -17,7 +17,6 @@ import (
 type CellList struct {
 	lig   *Topology
 	table *PairTable
-	opts  Options
 
 	origin     vec.V3
 	cellSize   float64
@@ -29,18 +28,14 @@ type CellList struct {
 	// within each cell, so traversal order matches the old CSR layout).
 	px, py, pz []float64
 	typ        []uint8
-	chg        []float64
 	// atomIdx maps a cell-sorted slot back to the original receptor atom
 	// index (NewNeighborList keeps lists in original order).
 	atomIdx []int32
 }
 
 // NewCellList builds the neighbour grid with cell edge equal to the cutoff.
-func NewCellList(rec, lig *Topology, opts Options) *CellList {
-	c := &CellList{
-		lig: lig, table: NewPairTable(), opts: opts,
-		cellSize: Cutoff,
-	}
+func NewCellList(rec, lig *Topology) *CellList {
+	c := &CellList{lig: lig, table: NewPairTable(), cellSize: Cutoff}
 	b := vec.BoundPoints(rec.Pos)
 	if b.Empty() {
 		b = vec.NewAABB(vec.Zero, vec.Zero)
@@ -68,7 +63,6 @@ func NewCellList(rec, lig *Topology, opts Options) *CellList {
 	c.py = make([]float64, n)
 	c.pz = make([]float64, n)
 	c.typ = make([]uint8, n)
-	c.chg = make([]float64, n)
 	c.atomIdx = make([]int32, n)
 	cursor := make([]int32, nCells)
 	for i, p := range rec.Pos {
@@ -77,7 +71,6 @@ func NewCellList(rec, lig *Topology, opts Options) *CellList {
 		cursor[cell]++
 		c.px[k], c.py[k], c.pz[k] = p.X, p.Y, p.Z
 		c.typ[k] = rec.Type[i]
-		c.chg[k] = rec.Charge[i]
 		c.atomIdx[k] = int32(i)
 	}
 	return c
@@ -86,9 +79,9 @@ func NewCellList(rec, lig *Topology, opts Options) *CellList {
 // ForLigand returns a scorer for another ligand over the same receptor: the
 // binned receptor arrays are immutable and shared, so a screen bins its
 // receptor once and every ligand's scorer is a header copy.
-func (c *CellList) ForLigand(lig *Topology, opts Options) *CellList {
+func (c *CellList) ForLigand(lig *Topology) *CellList {
 	d := *c
-	d.lig, d.opts = lig, opts
+	d.lig = lig
 	return &d
 }
 
@@ -120,7 +113,6 @@ func (c *CellList) Score(ligPos []vec.V3) float64 {
 	e := 0.0
 	for j, lp := range ligPos {
 		lt := int32(c.lig.Type[j])
-		lq := c.lig.Charge[j]
 		// Cell coordinates of the ligand atom, unclamped so that atoms
 		// outside the receptor box still scan the correct border cells.
 		fx := (lp.X - c.origin.X) / c.cellSize
@@ -154,9 +146,6 @@ func (c *CellList) Score(ligPos []vec.V3) float64 {
 					inv2 := 1 / r2
 					inv6 := inv2 * inv2 * inv2
 					e += inv6 * (p.A*inv6 - p.B)
-					if c.opts.Coulomb {
-						e += coulombK * c.chg[k] * lq * inv2 / 4
-					}
 				}
 			}
 		}

@@ -40,9 +40,9 @@ func useTier(t tier) {
 
 // kernelSet is one tier's loops.
 type kernelSet struct {
-	rangePass  func(s *poseScratch, n int, p vec.V3, coulomb bool) int
+	rangePass  func(s *poseScratch, n int, p vec.V3) int
 	gatherSpan func(x, y, z []float64, k0, k1 int, c, h [3]float64, s *poseScratch, n int) int
-	energyPass func(row *ljRow, lq float64, coulomb bool, a, b *poseScratch, ma, mb int, ea, eb float64) (float64, float64)
+	energyPass func(row *ljRow, a, b *poseScratch, ma, mb int, ea, eb float64) (float64, float64)
 }
 
 // portableKernels are the loops of neighbor.go.

@@ -32,26 +32,22 @@ func tierKernels(t tier) kernelSet {
 // rangePassAVX2 is rangePass with four candidates per instruction: the
 // kernel takes the candidates in whole groups of four and rangeFrom the
 // rest.
-func rangePassAVX2(s *poseScratch, n int, p vec.V3, coulomb bool) int {
+func rangePassAVX2(s *poseScratch, n int, p vec.V3) int {
 	n4, m := n&^3, 0
 	if n4 > 0 {
 		// The kernel reads candidates 0..n4-1 and stores hit slots
 		// 0..n4-1 at most.
 		_, _, _, _, _ = s.x[n4-1], s.y[n4-1], s.z[n4-1], s.typ[n4-1], s.r2[n4-1]
 		_ = s.col[n4-1]
-		var chg, q *float64
-		if coulomb {
-			chg, q = &s.chg[:n4][0], &s.q[:n4][0]
-		}
-		m = rangeAVX2(&s.x[0], &s.y[0], &s.z[0], &s.typ[0], chg, n4, p.X, p.Y, p.Z, Cutoff*Cutoff,
-			&s.r2[0], &s.col[0], q)
+		m = rangeAVX2(&s.x[0], &s.y[0], &s.z[0], &s.typ[0], n4, p.X, p.Y, p.Z, Cutoff*Cutoff,
+			&s.r2[0], &s.col[0])
 	}
-	return rangeFrom(s, n, p, coulomb, n4, m)
+	return rangeFrom(s, n, p, n4, m)
 }
 
 // rangePassAVX512 is rangePass with eight candidates per instruction, the
 // last group masked.
-func rangePassAVX512(s *poseScratch, n int, p vec.V3, coulomb bool) int {
+func rangePassAVX512(s *poseScratch, n int, p vec.V3) int {
 	if n == 0 {
 		return 0
 	}
@@ -60,33 +56,25 @@ func rangePassAVX512(s *poseScratch, n int, p vec.V3, coulomb bool) int {
 	last := n + slack - 2
 	_, _, _, _, _ = s.x[n-1], s.y[n-1], s.z[n-1], s.typ[n-1], s.r2[last]
 	_ = s.col[last]
-	var chg, q *float64
-	if coulomb {
-		chg, q = &s.chg[:n][0], &s.q[:last+1][0]
-	}
-	return rangeAVX512(&s.x[0], &s.y[0], &s.z[0], &s.typ[0], chg, n, p.X, p.Y, p.Z, Cutoff*Cutoff,
-		&s.r2[0], &s.col[0], q)
+	return rangeAVX512(&s.x[0], &s.y[0], &s.z[0], &s.typ[0], n, p.X, p.Y, p.Z, Cutoff*Cutoff,
+		&s.r2[0], &s.col[0])
 }
 
 // energyPassAVX512 is energyPass with eight hits per instruction and the
 // two poses' sums interleaved.
-func energyPassAVX512(row *ljRow, lq float64, coulomb bool, a, b *poseScratch, ma, mb int, ea, eb float64) (float64, float64) {
-	ra, ca, qa := hitPtrs(a, ma, coulomb)
-	rb, cb, qb := hitPtrs(b, mb, coulomb)
-	return energyAVX512(row, lq, ra, ca, qa, ma, rb, cb, qb, mb, ea, eb)
+func energyPassAVX512(row *ljRow, a, b *poseScratch, ma, mb int, ea, eb float64) (float64, float64) {
+	ra, ca := hitPtrs(a, ma)
+	rb, cb := hitPtrs(b, mb)
+	return energyAVX512(row, ra, ca, ma, rb, cb, mb, ea, eb)
 }
 
-// hitPtrs returns the first of m hits of s, the charge nil unless coulomb,
-// and all nil when m is 0.
-func hitPtrs(s *poseScratch, m int, coulomb bool) (r2 *float64, col *int32, q *float64) {
+// hitPtrs returns the first of m hits of s, both nil when m is 0.
+func hitPtrs(s *poseScratch, m int) (r2 *float64, col *int32) {
 	if m == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	_, _ = s.r2[m-1], s.col[m-1]
-	if coulomb {
-		q = &s.q[:m][0]
-	}
-	return &s.r2[0], &s.col[0], q
+	return &s.r2[0], &s.col[0]
 }
 
 // gatherSpanAVX2 is gatherSpan with four atoms per instruction: the kernel
@@ -154,7 +142,7 @@ var (
 )
 
 // energyConst holds the energy kernel's broadcast constants.
-var energyConst = [4]float64{minDist2, 1, coulombK, 1.0 / 4}
+var energyConst = [2]float64{minDist2, 1}
 
 // Implemented in kernel_amd64.s.
 
@@ -163,27 +151,24 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 // rangeAVX2 runs the range pass over the first n candidates, n a multiple
-// of 4, storing from slot 0, and returns the count. chg and q are nil
-// unless the Coulomb term is on. Its stores may reach 3 slots past the
-// count, never past slot n-1.
+// of 4, storing from slot 0, and returns the count. Its stores may reach 3
+// slots past the count, never past slot n-1.
 //
 //go:noescape
-func rangeAVX2(cx, cy, cz *float64, typ *int32, chg *float64, n int, px, py, pz, cutoff2 float64, r2 *float64, col *int32, q *float64) (m int)
+func rangeAVX2(cx, cy, cz *float64, typ *int32, n int, px, py, pz, cutoff2 float64, r2 *float64, col *int32) (m int)
 
 // rangeAVX512 runs the range pass over n > 0 candidates, storing from slot
-// 0, and returns the count. chg and q are nil unless the Coulomb term is
-// on. Its loads stop at candidate n-1; its stores may reach 7 slots past
-// the count, never past slot n+6.
+// 0, and returns the count. Its loads stop at candidate n-1; its stores may
+// reach 7 slots past the count, never past slot n+6.
 //
 //go:noescape
-func rangeAVX512(cx, cy, cz *float64, typ *int32, chg *float64, n int, px, py, pz, cutoff2 float64, r2 *float64, col *int32, q *float64) (m int)
+func rangeAVX512(cx, cy, cz *float64, typ *int32, n int, px, py, pz, cutoff2 float64, r2 *float64, col *int32) (m int)
 
-// energyAVX512 adds the terms of ma hits at ra, ca (and qa) to ea and of mb
-// hits at rb, cb (and qb) to eb. qa and qb are nil unless the Coulomb term
-// is on. Its loads stop at hit m-1 of each pose.
+// energyAVX512 adds the terms of ma hits at ra, ca to ea and of mb hits at
+// rb, cb to eb. Its loads stop at hit m-1 of each pose.
 //
 //go:noescape
-func energyAVX512(row *ljRow, lq float64, ra *float64, ca *int32, qa *float64, ma int, rb *float64, cb *int32, qb *float64, mb int, ea, eb float64) (sa, sb float64)
+func energyAVX512(row *ljRow, ra *float64, ca *int32, ma int, rb *float64, cb *int32, mb int, ea, eb float64) (sa, sb float64)
 
 // gatherAVX512 runs the gather over n > 0 atoms, the first of which is
 // list atom k0, storing from the output pointers, and returns the count.

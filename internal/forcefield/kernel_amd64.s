@@ -38,21 +38,19 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	MOVL AX, eax+0(FP)
 	RET
 
-// func rangeAVX2(cx, cy, cz *float64, typ *int32, chg *float64, n int, px, py, pz, cutoff2 float64, r2 *float64, col *int32, q *float64) (m int)
-TEXT ·rangeAVX2(SB), NOSPLIT, $0-112
+// func rangeAVX2(cx, cy, cz *float64, typ *int32, n int, px, py, pz, cutoff2 float64, r2 *float64, col *int32) (m int)
+TEXT ·rangeAVX2(SB), NOSPLIT, $0-96
 	MOVQ cx+0(FP), SI
 	MOVQ cy+8(FP), DI
 	MOVQ cz+16(FP), R8
 	MOVQ typ+24(FP), R13
-	MOVQ chg+32(FP), R14
-	MOVQ n+40(FP), CX
-	VBROADCASTSD px+48(FP), Y0
-	VBROADCASTSD py+56(FP), Y1
-	VBROADCASTSD pz+64(FP), Y2
-	VBROADCASTSD cutoff2+72(FP), Y3
-	MOVQ r2+80(FP), R10
-	MOVQ col+88(FP), R9
-	MOVQ q+96(FP), R12
+	MOVQ n+32(FP), CX
+	VBROADCASTSD px+40(FP), Y0
+	VBROADCASTSD py+48(FP), Y1
+	VBROADCASTSD pz+56(FP), Y2
+	VBROADCASTSD cutoff2+64(FP), Y3
+	MOVQ r2+72(FP), R10
+	MOVQ col+80(FP), R9
 	LEAQ ·compact(SB), R11
 	XORQ BX, BX // count
 	TESTQ CX, CX
@@ -80,14 +78,6 @@ rangeLoop:
 	VMOVDQU (R13), X8
 	VPERMILPS 32(R11)(AX*1), X8, X8 // compact[mask].lane
 	VMOVDQU X8, (R9)(BX*4)
-	TESTQ R14, R14
-	JZ rangeNoCharge
-	VMOVUPD (R14), Y8
-	VPERMD Y8, Y7, Y8
-	VMOVUPD Y8, (R12)(BX*8)
-	ADDQ $32, R14
-
-rangeNoCharge:
 	POPCNTQ DX, DX
 	ADDQ DX, BX
 	ADDQ $32, SI
@@ -99,7 +89,7 @@ rangeNoCharge:
 
 rangeDone:
 	VZEROUPPER
-	MOVQ BX, m+104(FP)
+	MOVQ BX, m+88(FP)
 	RET
 
 // RANGE8 finishes a group of eight candidates whose x, y, z are in Z6, Z7,
@@ -123,21 +113,19 @@ rangeDone:
 	VADDPD Z7, Z6, Z6; \
 	VADDPD Z8, Z6, Z6
 
-// func rangeAVX512(cx, cy, cz *float64, typ *int32, chg *float64, n int, px, py, pz, cutoff2 float64, r2 *float64, col *int32, q *float64) (m int)
-TEXT ·rangeAVX512(SB), NOSPLIT, $0-112
+// func rangeAVX512(cx, cy, cz *float64, typ *int32, n int, px, py, pz, cutoff2 float64, r2 *float64, col *int32) (m int)
+TEXT ·rangeAVX512(SB), NOSPLIT, $0-96
 	MOVQ cx+0(FP), SI
 	MOVQ cy+8(FP), DI
 	MOVQ cz+16(FP), R8
 	MOVQ typ+24(FP), R13
-	MOVQ chg+32(FP), R14
-	MOVQ n+40(FP), CX
-	VBROADCASTSD px+48(FP), Z0
-	VBROADCASTSD py+56(FP), Z1
-	VBROADCASTSD pz+64(FP), Z2
-	VBROADCASTSD cutoff2+72(FP), Z3
-	MOVQ r2+80(FP), R10
-	MOVQ col+88(FP), R9
-	MOVQ q+96(FP), R12
+	MOVQ n+32(FP), CX
+	VBROADCASTSD px+40(FP), Z0
+	VBROADCASTSD py+48(FP), Z1
+	VBROADCASTSD pz+56(FP), Z2
+	VBROADCASTSD cutoff2+64(FP), Z3
+	MOVQ r2+72(FP), R10
+	MOVQ col+80(FP), R9
 	XORQ AX, AX // candidate index
 	XORQ BX, BX // count
 	MOVQ CX, R11
@@ -155,13 +143,6 @@ range512Loop:
 	R2
 	VCMPPD $0x1a, Z3, Z6, K2 // NGT_UQ: !(r2 > cutoff2), true for NaN
 	RANGE8
-	TESTQ R14, R14
-	JZ range512NoCharge
-	VMOVUPD (R14)(AX*8), Z8
-	VCOMPRESSPD.Z Z8, K2, Z8
-	VMOVUPD Z8, (R12)(BX*8)
-
-range512NoCharge:
 	KMOVW K2, DX
 	POPCNTL DX, DX
 	ADDQ DX, BX
@@ -183,31 +164,22 @@ range512Tail:
 	R2
 	VCMPPD $0x1a, Z3, Z6, K1, K2
 	RANGE8
-	TESTQ R14, R14
-	JZ range512TailCount
-	VMOVUPD.Z (R14)(AX*8), K1, Z8
-	VCOMPRESSPD.Z Z8, K2, Z8
-	VMOVUPD Z8, (R12)(BX*8)
-
-range512TailCount:
 	KMOVW K2, DX
 	POPCNTL DX, DX
 	ADDQ DX, BX
 
 range512Done:
 	VZEROUPPER
-	MOVQ BX, m+104(FP)
+	MOVQ BX, m+88(FP)
 	RET
 
 // The energy pass, eight hits per instruction. Registers: Z0 and Z1 the
-// row's A and B lanes, Z2 minDist2, Z3 1, Z4 coulombK, Z5 the ligand
-// atom's charge, Z6 1/4 — all broadcast — and X7 and X8 the two poses'
-// accumulators.
+// row's A and B lanes, Z2 minDist2, Z3 1 — all broadcast — and X7 and X8
+// the two poses' accumulators.
 //
 // LJ computes a group's Lennard-Jones terms into Z12 under opmask k, the
-// lanes outside k +0, and leaves the clamped 1/r2 in Z9: the zero-masked
-// loads make an idle lane's r2 0, clamped like any other, and its term is
-// zeroed at the end. VMAXPD with minDist2 first returns r2 unless
+// lanes outside k +0: the zero-masked loads make an idle lane's r2 0,
+// clamped like any other, and its term is zeroed at the end. VMAXPD with minDist2 first returns r2 unless
 // minDist2 > r2, as the Go clamp does, NaN included.
 #define LJ(r2p, colp, k) \
 	VMOVUPD.Z (r2p), k, Z9; \
@@ -221,16 +193,6 @@ range512Done:
 	VMULPD Z10, Z11, Z11; \
 	VSUBPD Z12, Z11, Z11; \
 	VMULPD.Z Z11, Z10, k, Z12
-
-// COUL computes a group's Coulomb terms, ((coulombK*q)*lq)*inv2 * 1/4, into
-// Z13 under opmask k, the lanes outside k +0. Go compiles the portable
-// loop's /4 to the same exact *1/4.
-#define COUL(qp, k) \
-	VMOVUPD.Z (qp), k, Z13; \
-	VMULPD Z13, Z4, Z13; \
-	VMULPD Z5, Z13, Z13; \
-	VMULPD Z9, Z13, Z13; \
-	VMULPD.Z Z6, Z13, k, Z13
 
 // SUM8 adds the eight float64s at buf to acc, in order. buf holds a group's
 // terms, stored there so the adds read them with a load instead of a
@@ -247,26 +209,6 @@ range512Done:
 	VADDSD 48(buf), acc, acc; \
 	VADDSD 56(buf), acc, acc
 
-// SUM8C adds the eight Lennard-Jones terms at buf and the eight Coulomb
-// terms at 128(buf) to acc, per hit its LJ term, then its Coulomb term.
-#define SUM8C(buf, acc) \
-	VADDSD (buf), acc, acc; \
-	VADDSD 128(buf), acc, acc; \
-	VADDSD 8(buf), acc, acc; \
-	VADDSD 136(buf), acc, acc; \
-	VADDSD 16(buf), acc, acc; \
-	VADDSD 144(buf), acc, acc; \
-	VADDSD 24(buf), acc, acc; \
-	VADDSD 152(buf), acc, acc; \
-	VADDSD 32(buf), acc, acc; \
-	VADDSD 160(buf), acc, acc; \
-	VADDSD 40(buf), acc, acc; \
-	VADDSD 168(buf), acc, acc; \
-	VADDSD 48(buf), acc, acc; \
-	VADDSD 176(buf), acc, acc; \
-	VADDSD 56(buf), acc, acc; \
-	VADDSD 184(buf), acc, acc
-
 // GROUPMASK loads into k the opmask of the first min(rem, 8) lanes.
 #define GROUPMASK(rem, k) \
 	MOVL $8, AX; \
@@ -274,10 +216,10 @@ range512Done:
 	CMOVQLT rem, AX; \
 	KMOVW (R12)(AX*2), k
 
-// func energyAVX512(row *ljRow, lq float64, ra *float64, ca *int32, qa *float64, ma int, rb *float64, cb *int32, qb *float64, mb int, ea, eb float64) (sa, sb float64)
-TEXT ·energyAVX512(SB), NOSPLIT, $320-112
+// func energyAVX512(row *ljRow, ra *float64, ca *int32, ma int, rb *float64, cb *int32, mb int, ea, eb float64) (sa, sb float64)
+TEXT ·energyAVX512(SB), NOSPLIT, $192-88
 	// R13 and R14 = R13+64: each pose's term buffer, 64-byte aligned in
-	// the frame, the LJ terms at 0 and the Coulomb terms at 128.
+	// the frame.
 	LEAQ 63(SP), R13
 	ANDQ $-64, R13
 	LEAQ 64(R13), R14
@@ -287,26 +229,17 @@ TEXT ·energyAVX512(SB), NOSPLIT, $320-112
 	LEAQ ·energyConst(SB), AX
 	VBROADCASTSD (AX), Z2
 	VBROADCASTSD 8(AX), Z3
-	VBROADCASTSD 16(AX), Z4
-	VBROADCASTSD 24(AX), Z6
-	VBROADCASTSD lq+8(FP), Z5
-	MOVQ ra+16(FP), SI
-	MOVQ ca+24(FP), DI
-	MOVQ qa+32(FP), R8
-	MOVQ ma+40(FP), CX
-	MOVQ rb+48(FP), R9
-	MOVQ cb+56(FP), R10
-	MOVQ qb+64(FP), R11
-	MOVQ mb+72(FP), DX
-	VMOVSD ea+80(FP), X7
-	VMOVSD eb+88(FP), X8
+	MOVQ ra+8(FP), SI
+	MOVQ ca+16(FP), DI
+	MOVQ ma+24(FP), CX
+	MOVQ rb+32(FP), R9
+	MOVQ cb+40(FP), R10
+	MOVQ mb+48(FP), DX
+	VMOVSD ea+56(FP), X7
+	VMOVSD eb+64(FP), X8
 	LEAQ ·laneMask(SB), R12
-	MOVQ R8, AX
-	ORQ R11, AX
-	JNZ coulLoop
 
-	// Lennard-Jones only: each round scores a group of each pose that
-	// has hits left.
+	// Each round scores a group of each pose that has hits left.
 ljLoop:
 	CMPQ CX, $0
 	JLE ljB
@@ -334,48 +267,10 @@ ljNext:
 	JGT ljLoop
 	CMPQ DX, $0
 	JGT ljLoop
-	JMP energyDone
 
-	// Lennard-Jones and Coulomb: per hit, its LJ term, then its Coulomb
-	// term.
-coulLoop:
-	CMPQ CX, $0
-	JLE coulB
-	GROUPMASK(CX, K1)
-	LJ(SI, DI, K1)
-	COUL(R8, K1)
-	VMOVAPD Z12, (R13)
-	VMOVAPD Z13, 128(R13)
-	SUM8C(R13, X7)
-	ADDQ $64, SI
-	ADDQ $32, DI
-	ADDQ $64, R8
-	SUBQ $8, CX
-
-coulB:
-	CMPQ DX, $0
-	JLE coulNext
-	GROUPMASK(DX, K2)
-	LJ(R9, R10, K2)
-	COUL(R11, K2)
-	VMOVAPD Z12, (R14)
-	VMOVAPD Z13, 128(R14)
-	SUM8C(R14, X8)
-	ADDQ $64, R9
-	ADDQ $32, R10
-	ADDQ $64, R11
-	SUBQ $8, DX
-
-coulNext:
-	CMPQ CX, $0
-	JGT coulLoop
-	CMPQ DX, $0
-	JGT coulLoop
-
-energyDone:
 	VZEROUPPER
-	VMOVSD X7, sa+96(FP)
-	VMOVSD X8, sb+104(FP)
+	VMOVSD X7, sa+72(FP)
+	VMOVSD X8, sb+80(FP)
 	RET
 
 // GATHER8 finishes a group of eight list atoms whose x, y, z are in Z10,

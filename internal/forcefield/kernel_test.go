@@ -38,7 +38,7 @@ var specials = []float64{
 }
 
 // kernelInput builds n candidates around p, within twice the cutoff,
-// with seeded types and charges, then overwrites coordinates with
+// with seeded types, then overwrites coordinates with
 // specials: each byte pair of special picks a coordinate slot and a
 // special. One candidate sits at exactly r2 == cutoff² from p when p is
 // finite and small.
@@ -50,7 +50,6 @@ func kernelInput(seed uint64, n int, special []byte, p vec.V3) *poseScratch {
 		d := r.InSphere(2 * Cutoff)
 		s.x[k], s.y[k], s.z[k] = p.X+d.X, p.Y+d.Y, p.Z+d.Z
 		s.typ[k] = int32(r.Intn(numTypes))
-		s.chg[k] = r.Float64() - 0.5
 	}
 	if n == 0 {
 		return s
@@ -78,47 +77,41 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// checkKernelsAgree runs the range pass, with and without charges, and the
-// gather of tier k and of the portable loops over the same raw candidates
-// and requires equal counts, bitwise-equal (r2, column, charge) and
-// (x, y, z, index) sequences, and no store past the slack a kernel may
-// use.
+// checkKernelsAgree runs the range pass and the gather of tier k and of
+// the portable loops over the same raw candidates and requires equal
+// counts, bitwise-equal (r2, column) and (x, y, z, index) sequences, and
+// no store past the slack a kernel may use.
 func checkKernelsAgree(t *testing.T, k tier, seed uint64, n int, special []byte, p vec.V3, half float64) {
 	t.Helper()
 	in := kernelInput(seed, n, special, p)
 	tiers := [2]tier{tierPortable, k}
 	const guard = -7 // in slots the kernels may not store to
-	for _, coulomb := range []bool{false, true} {
-		var out [2]poseScratch
-		var m [2]int
-		for i, kt := range tiers {
-			out[i] = *in
-			out[i].r2, out[i].col, out[i].q = make([]float64, n+2*slack), make([]int32, n+2*slack), make([]float64, n+2*slack)
-			for h := n + slack - 1; h < n+2*slack; h++ {
-				out[i].r2[h], out[i].col[h], out[i].q[h] = guard, guard, guard
-			}
-			m[i] = tierKernels(kt).rangePass(&out[i], n, p, coulomb)
-			for h := n + slack - 1; h < n+2*slack; h++ {
-				if out[i].r2[h] != guard || out[i].col[h] != guard || out[i].q[h] != guard {
-					t.Fatalf("n=%d coulomb=%v: %s range pass stored hit slot %d", n, coulomb, kt, h)
-				}
+	var out [2]poseScratch
+	var m [2]int
+	for i, kt := range tiers {
+		out[i] = *in
+		out[i].r2, out[i].col = make([]float64, n+2*slack), make([]int32, n+2*slack)
+		for h := n + slack - 1; h < n+2*slack; h++ {
+			out[i].r2[h], out[i].col[h] = guard, guard
+		}
+		m[i] = tierKernels(kt).rangePass(&out[i], n, p)
+		for h := n + slack - 1; h < n+2*slack; h++ {
+			if out[i].r2[h] != guard || out[i].col[h] != guard {
+				t.Fatalf("n=%d: %s range pass stored hit slot %d", n, kt, h)
 			}
 		}
-		if m[0] != m[1] {
-			t.Fatalf("n=%d coulomb=%v: range pass counts %d portable, %d %s", n, coulomb, m[0], m[1], k)
+	}
+	if m[0] != m[1] {
+		t.Fatalf("n=%d: range pass counts %d portable, %d %s", n, m[0], m[1], k)
+	}
+	ra, rb := &out[0], &out[1]
+	for h := 0; h < m[0]; h++ {
+		if ra.col[h] != rb.col[h] {
+			t.Fatalf("n=%d: hit %d has column %d portable, %d %s", n, h, ra.col[h], rb.col[h], k)
 		}
-		a, b := &out[0], &out[1]
-		for h := 0; h < m[0]; h++ {
-			if a.col[h] != b.col[h] {
-				t.Fatalf("n=%d: hit %d has column %d portable, %d %s", n, h, a.col[h], b.col[h], k)
-			}
-		}
-		if !sameBits(a.r2[:m[0]], b.r2[:m[0]]) {
-			t.Fatalf("n=%d: r2 portable %v, %s %v", n, a.r2[:m[0]], k, b.r2[:m[0]])
-		}
-		if coulomb && !sameBits(a.q[:m[0]], b.q[:m[0]]) {
-			t.Fatalf("n=%d: charges portable %v, %s %v", n, a.q[:m[0]], k, b.q[:m[0]])
-		}
+	}
+	if !sameBits(ra.r2[:m[0]], rb.r2[:m[0]]) {
+		t.Fatalf("n=%d: r2 portable %v, %s %v", n, ra.r2[:m[0]], k, rb.r2[:m[0]])
 	}
 
 	// The pose box is centered at p; the span starts at list atom k0 and
@@ -224,24 +217,23 @@ var energyR2s = []float64{
 // checkEnergy runs the energy pass of tier k and the portable one over
 // the hits of a and b from accumulators ea and eb and requires the same
 // bits.
-func checkEnergy(t *testing.T, k tier, row *ljRow, lq float64, coulomb bool, a, b *poseScratch, ma, mb int, ea, eb float64) {
+func checkEnergy(t *testing.T, k tier, row *ljRow, a, b *poseScratch, ma, mb int, ea, eb float64) {
 	t.Helper()
-	wa, wb := energyPassGo(row, lq, coulomb, a, b, ma, mb, ea, eb)
-	ga, gb := tierKernels(k).energyPass(row, lq, coulomb, a, b, ma, mb, ea, eb)
+	wa, wb := energyPassGo(row, a, b, ma, mb, ea, eb)
+	ga, gb := tierKernels(k).energyPass(row, a, b, ma, mb, ea, eb)
 	if !sameBits([]float64{wa, wb}, []float64{ga, gb}) {
-		t.Fatalf("coulomb=%v ma=%d mb=%d from (%v, %v): portable (%v, %v) %#x %#x, %s (%v, %v) %#x %#x",
-			coulomb, ma, mb, ea, eb, wa, wb, math.Float64bits(wa), math.Float64bits(wb),
+		t.Fatalf("ma=%d mb=%d from (%v, %v): portable (%v, %v) %#x %#x, %s (%v, %v) %#x %#x",
+			ma, mb, ea, eb, wa, wb, math.Float64bits(wa), math.Float64bits(wb),
 			k, ga, gb, math.Float64bits(ga), math.Float64bits(gb))
 	}
 }
 
 // TestEnergyKernelsSpecialValues compares every vector tier's energy pass
-// with the portable one, with and without the Coulomb term, for each of
-// the 36 type pairs: each special squared distance alone, then runs of
+// with the portable one for each of the 36 type pairs: each special squared distance alone, then runs of
 // them of every length for two poses at once, the second pose's hits
 // those of the first rotated, NaN last in both.
 func TestEnergyKernelsSpecialValues(t *testing.T) {
-	nl := NewNeighborList(NewCellList(&Topology{}, &Topology{}, Options{}), &Topology{}, vec.AABB{})
+	nl := NewNeighborList(NewCellList(&Topology{}, &Topology{}), &Topology{}, vec.AABB{})
 	for _, k := range vectorTiers {
 		t.Run(k.String(), func(t *testing.T) {
 			if k > hostTier {
@@ -250,29 +242,27 @@ func TestEnergyKernelsSpecialValues(t *testing.T) {
 			var a, b poseScratch
 			a.reserve(len(energyR2s))
 			b.reserve(len(energyR2s))
-			for _, coulomb := range []bool{false, true} {
-				for lt := range nl.rows {
-					row := &nl.rows[lt]
-					for col := range int32(numTypes) {
-						for _, r2 := range energyR2s {
-							a.r2[0], a.col[0], a.q[0] = r2, col, -0.37
-							checkEnergy(t, k, row, 0.61, coulomb, &a, &b, 1, 0, 0, 0)
-							checkEnergy(t, k, row, 0.61, coulomb, &a, &a, 1, 1, 1.5, -2.25)
-						}
+			for lt := range nl.rows {
+				row := &nl.rows[lt]
+				for col := range int32(numTypes) {
+					for _, r2 := range energyR2s {
+						a.r2[0], a.col[0] = r2, col
+						checkEnergy(t, k, row, &a, &b, 1, 0, 0, 0)
+						checkEnergy(t, k, row, &a, &a, 1, 1, 1.5, -2.25)
 					}
-					n := len(energyR2s)
-					for i, r2 := range energyR2s {
-						a.r2[i], a.col[i], a.q[i] = r2, int32((i+lt)%numTypes), float64(i)/7-1
-						j := i
-						if i < n-1 {
-							j = (i + 5) % (n - 1)
-						}
-						b.r2[j], b.col[j], b.q[j] = r2, a.col[i], a.q[i]
+				}
+				n := len(energyR2s)
+				for i, r2 := range energyR2s {
+					a.r2[i], a.col[i] = r2, int32((i+lt)%numTypes)
+					j := i
+					if i < n-1 {
+						j = (i + 5) % (n - 1)
 					}
-					for ma := 0; ma <= n; ma++ {
-						checkEnergy(t, k, row, -0.45, coulomb, &a, &b, ma, n-ma, 0, 0)
-						checkEnergy(t, k, row, -0.45, coulomb, &b, &a, ma, ma/2, 0, 0)
-					}
+					b.r2[j], b.col[j] = r2, a.col[i]
+				}
+				for ma := 0; ma <= n; ma++ {
+					checkEnergy(t, k, row, &a, &b, ma, n-ma, 0, 0)
+					checkEnergy(t, k, row, &b, &a, ma, ma/2, 0, 0)
 				}
 			}
 		})
@@ -284,7 +274,7 @@ func TestEnergyKernelsSpecialValues(t *testing.T) {
 // dropped the atom.
 func TestNeighborListNaNPose(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
-		f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1, Options{Coulomb: true})
+		f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1)
 		spot := f.spots[0]
 		nl := f.spotList(spot)
 		pose := f.samplerPoses(spot, rng.New(3), 1)[0]

@@ -26,7 +26,6 @@ import (
 type NeighborList struct {
 	lig    *Topology
 	table  *PairTable
-	opts   Options
 	region vec.AABB
 	// rows[lt] is ligand type lt's row of table, in the kernels' layout.
 	rows [numTypes]ljRow
@@ -36,7 +35,6 @@ type NeighborList struct {
 	// Atom data in idx order.
 	x, y, z []float64
 	typ     []uint8
-	chg     []float64
 	// runs[r] bounds list atoms [r*runLen, (r+1)*runLen): consecutive
 	// receptor atoms follow the chain, so a run is spatially compact and a
 	// pose rejects most of the list one box test per run.
@@ -70,15 +68,13 @@ type NeighborScratch struct {
 // poseScratch is one pose's share of a NeighborScratch.
 type poseScratch struct {
 	// The pose's candidates, in list order: coordinates, pair-table
-	// column (the receptor atom's type), charge (Coulomb only) and list
-	// index.
-	x, y, z, chg []float64
-	typ, idx     []int32
+	// column (the receptor atom's type) and list index.
+	x, y, z  []float64
+	typ, idx []int32
 	// The hits of the current ligand atom, in candidate order: squared
-	// distance, pair-table column and charge (Coulomb only).
+	// distance and pair-table column.
 	r2  []float64
 	col []int32
-	q   []float64
 }
 
 // slack is the room every scratch array keeps past the list length: the
@@ -95,12 +91,10 @@ func (s *poseScratch) reserve(n int) {
 	s.x = make([]float64, n)
 	s.y = make([]float64, n)
 	s.z = make([]float64, n)
-	s.chg = make([]float64, n)
 	s.typ = make([]int32, n)
 	s.idx = make([]int32, n)
 	s.r2 = make([]float64, n)
 	s.col = make([]int32, n)
-	s.q = make([]float64, n)
 }
 
 // NewNeighborList gathers the receptor atoms within Cutoff of region using
@@ -110,7 +104,7 @@ func (s *poseScratch) reserve(n int) {
 // out-of-region poses.
 func NewNeighborList(cells *CellList, rec *Topology, region vec.AABB) *NeighborList {
 	nl := &NeighborList{
-		lig: cells.lig, table: cells.table, opts: cells.opts, region: region,
+		lig: cells.lig, table: cells.table, region: region,
 	}
 	for lt := range nl.rows {
 		for t, p := range cells.table[lt*numTypes:][:numTypes] {
@@ -151,13 +145,11 @@ func NewNeighborList(cells *CellList, rec *Topology, region vec.AABB) *NeighborL
 	nl.y = make([]float64, n)
 	nl.z = make([]float64, n)
 	nl.typ = make([]uint8, n)
-	nl.chg = make([]float64, n)
 	nl.runs = make([]runBox, (n+runLen-1)/runLen)
 	for i, ai := range nl.idx {
 		p := rec.Pos[ai]
 		nl.x[i], nl.y[i], nl.z[i] = p.X, p.Y, p.Z
 		nl.typ[i] = rec.Type[ai]
-		nl.chg[i] = rec.Charge[ai]
 		c := [3]float64{p.X, p.Y, p.Z}
 		b := &nl.runs[i/runLen]
 		if i%runLen == 0 {
@@ -278,16 +270,15 @@ func (nl *NeighborList) scorePair(a, b []vec.V3, s *NeighborScratch) (ea, eb flo
 	if b != nil {
 		nb, cb = nl.gather(b, pb)
 	}
-	coulomb := nl.opts.Coulomb
 	for j, lp := range a {
 		// Range test first, energies after: the energy pass runs over
 		// the candidates in range alone.
-		ma := rangePass(pa, na, lp, coulomb)
+		ma := rangePass(pa, na, lp)
 		mb := 0
 		if b != nil {
-			mb = rangePass(pb, nb, b[j], coulomb)
+			mb = rangePass(pb, nb, b[j])
 		}
-		ea, eb = energyPass(&nl.rows[nl.lig.Type[j]], nl.lig.Charge[j], coulomb, pa, pb, ma, mb, ea, eb)
+		ea, eb = energyPass(&nl.rows[nl.lig.Type[j]], pa, pb, ma, mb, ea, eb)
 	}
 	return ea, eb, ca, cb
 }
@@ -300,35 +291,35 @@ func (nl *NeighborList) scorePair(a, b []vec.V3, s *NeighborScratch) (ea, eb flo
 type ljRow struct{ a, b [8]float64 }
 
 // pairLJ returns the Lennard-Jones energy of a pair at squared distance r2,
-// clamped at minDist2, and the clamped 1/r2 the Coulomb term reuses.
-func pairLJ(r2, a, b float64) (lj, inv2 float64) {
+// clamped at minDist2.
+func pairLJ(r2, a, b float64) float64 {
 	if r2 < minDist2 {
 		r2 = minDist2
 	}
-	inv2 = 1 / r2
+	inv2 := 1 / r2
 	inv6 := inv2 * inv2 * inv2
-	return inv6 * (a*inv6 - b), inv2
+	return inv6 * (a*inv6 - b)
 }
 
 // rangePass stores the hits of ligand atom p among the first n candidates
 // of s into s's hit arrays, in ascending candidate order, and returns their
-// count: per hit its squared distance r2, its pair-table column and, when
-// coulomb, its charge. A hit is !(r2 > cutoff²): the full scan's skip test
-// negated, so a NaN r2 counts. It is rangePassGo or a vector kernel of
-// kernel_amd64.s, which stores the same bits; init picks once.
+// count: per hit its squared distance r2 and its pair-table column. A hit
+// is !(r2 > cutoff²): the full scan's skip test negated, so a NaN r2
+// counts. It is rangePassGo or a vector kernel of kernel_amd64.s, which
+// stores the same bits; init picks once.
 var rangePass = rangePassGo
 
 // rangePassGo is the portable rangePass.
-func rangePassGo(s *poseScratch, n int, p vec.V3, coulomb bool) int {
-	return rangeFrom(s, n, p, coulomb, 0, 0)
+func rangePassGo(s *poseScratch, n int, p vec.V3) int {
+	return rangeFrom(s, n, p, 0, 0)
 }
 
 // rangeFrom runs the portable range pass over candidates k0 to n-1,
 // storing from hit slot m, and returns the new count.
-func rangeFrom(s *poseScratch, n int, p vec.V3, coulomb bool, k0, m int) int {
+func rangeFrom(s *poseScratch, n int, p vec.V3, k0, m int) int {
 	const cutoff2 = Cutoff * Cutoff
-	cx, cy, cz, typ, chg := s.x[:n], s.y[:n], s.z[:n], s.typ[:n], s.chg[:n]
-	r2s, cols, qs := s.r2[:n], s.col[:n], s.q[:n]
+	cx, cy, cz, typ := s.x[:n], s.y[:n], s.z[:n], s.typ[:n]
+	r2s, cols := s.r2[:n], s.col[:n]
 	for k := k0; k < n; k++ {
 		dx := cx[k] - p.X
 		dy := cy[k] - p.Y
@@ -338,9 +329,6 @@ func rangeFrom(s *poseScratch, n int, p vec.V3, coulomb bool, k0, m int) int {
 		// compiles to a conditional move, so the three-in-four candidates
 		// that miss cost no branch misprediction.
 		r2s[m], cols[m] = r2, typ[k]
-		if coulomb {
-			qs[m] = chg[k]
-		}
 		if !(r2 > cutoff2) {
 			m++
 		}
@@ -348,36 +336,25 @@ func rangeFrom(s *poseScratch, n int, p vec.V3, coulomb bool, k0, m int) int {
 	return m
 }
 
-// energyPass adds the terms of ma hits of pose a's hit arrays to ea and of
-// mb hits of pose b's to eb, each in hit order — Lennard-Jones, then
-// Coulomb when coulomb is set — with row the ligand atom's row of the pair
-// table and lq its charge. It is energyPassGo or the AVX-512 kernel of
-// kernel_amd64.s, which returns the same bits; init picks once.
+// energyPass adds the Lennard-Jones terms of ma hits of pose a's hit
+// arrays to ea and of mb hits of pose b's to eb, each in hit order, with
+// row the ligand atom's row of the pair table. It is energyPassGo or the
+// AVX-512 kernel of kernel_amd64.s, which returns the same bits; init
+// picks once.
 var energyPass = energyPassGo
 
 // energyPassGo is the portable energyPass: one pose after the other.
-func energyPassGo(row *ljRow, lq float64, coulomb bool, a, b *poseScratch, ma, mb int, ea, eb float64) (float64, float64) {
-	return energyGo(row, lq, coulomb, a, ma, ea), energyGo(row, lq, coulomb, b, mb, eb)
+func energyPassGo(row *ljRow, a, b *poseScratch, ma, mb int, ea, eb float64) (float64, float64) {
+	return energyGo(row, a, ma, ea), energyGo(row, b, mb, eb)
 }
 
 // energyGo adds the terms of m hits of s to e. A column is below numTypes;
 // masking it with 7 only lets the compiler drop the row's bounds checks.
-func energyGo(row *ljRow, lq float64, coulomb bool, s *poseScratch, m int, e float64) float64 {
+func energyGo(row *ljRow, s *poseScratch, m int, e float64) float64 {
 	r2s, cols := s.r2[:m], s.col[:m]
-	if !coulomb {
-		for i, r2 := range r2s {
-			c := cols[i] & 7
-			lj, _ := pairLJ(r2, row.a[c], row.b[c])
-			e += lj
-		}
-		return e
-	}
-	qs := s.q[:m]
 	for i, r2 := range r2s {
 		c := cols[i] & 7
-		lj, inv2 := pairLJ(r2, row.a[c], row.b[c])
-		e += lj
-		e += coulombK * qs[i] * lq * inv2 / 4
+		e += pairLJ(r2, row.a[c], row.b[c])
 	}
 	return e
 }
@@ -424,17 +401,11 @@ func (nl *NeighborList) gather(ligPos []vec.V3, s *poseScratch) (n int, covered 
 		}
 		n = gatherSpan(nl.x, nl.y, nl.z, r*runLen, min((r+1)*runLen, len(nl.x)), c, h, s, n)
 	}
-	// Types and charges follow by index, so the kernels move only the
-	// float64 coordinates and the int32 indices.
+	// Types follow by index, so the kernels move only the float64
+	// coordinates and the int32 indices.
 	typ := s.typ[:n]
 	for i, k := range s.idx[:n] {
 		typ[i] = int32(nl.typ[k])
-	}
-	if nl.opts.Coulomb {
-		chg := s.chg[:n]
-		for i, k := range s.idx[:n] {
-			chg[i] = nl.chg[k]
-		}
 	}
 	return n, covered
 }

@@ -38,7 +38,7 @@ func FuzzNeighborListGather(f *testing.F) {
 		)
 		rec := NewTopology(molecule.SyntheticProtein("rec", 250, seed%1024+1))
 		lig := NewTopology(molecule.SyntheticLigand("lig", 4, 2))
-		cells := NewCellList(rec, lig, Options{})
+		cells := NewCellList(rec, lig)
 		region := vec.NewAABB(center.Sub(half), center.Add(half))
 		nl := NewNeighborList(cells, rec, region)
 
@@ -96,7 +96,7 @@ func FuzzNeighborListScore(f *testing.F) {
 		)
 		rec := NewTopology(molecule.SyntheticProtein("rec", 250, seed%1024+1))
 		lig := NewTopology(molecule.SyntheticLigand("lig", 6, seed%7+2))
-		cells := NewCellList(rec, lig, Options{Coulomb: seed%2 == 0})
+		cells := NewCellList(rec, lig)
 		nl := NewNeighborList(cells, rec, vec.NewAABB(center.Sub(half), center.Add(half)))
 
 		// The pose sits at a fraction of the region's half-extent from its

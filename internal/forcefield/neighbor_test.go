@@ -21,7 +21,6 @@ func (nl *NeighborList) referenceScan(ligPos []vec.V3) float64 {
 	e := 0.0
 	for j, lp := range ligPos {
 		lt := int32(nl.lig.Type[j])
-		lq := nl.lig.Charge[j]
 		for k := range nl.x {
 			dx := nl.x[k] - lp.X
 			dy := nl.y[k] - lp.Y
@@ -37,9 +36,6 @@ func (nl *NeighborList) referenceScan(ligPos []vec.V3) float64 {
 			inv2 := 1 / r2
 			inv6 := inv2 * inv2 * inv2
 			e += inv6 * (p.A*inv6 - p.B)
-			if nl.opts.Coulomb {
-				e += coulombK * nl.chg[k] * lq * inv2 / 4
-			}
 		}
 	}
 	return e
@@ -72,7 +68,7 @@ type spotFixture struct {
 	spots     []surface.Spot
 }
 
-func newSpotFixture(tb testing.TB, recM, ligM *molecule.Molecule, maxSpots int, opts Options) *spotFixture {
+func newSpotFixture(tb testing.TB, recM, ligM *molecule.Molecule, maxSpots int) *spotFixture {
 	tb.Helper()
 	spots, err := surface.FindSpots(recM, surface.Options{MaxSpots: maxSpots})
 	if err != nil {
@@ -83,7 +79,7 @@ func newSpotFixture(tb testing.TB, recM, ligM *molecule.Molecule, maxSpots int, 
 		rec: NewTopology(recM), lig: NewTopology(ligM),
 		ligRadius: ligM.Radius(), spots: spots,
 	}
-	f.cells = NewCellList(f.rec, f.lig, opts)
+	f.cells = NewCellList(f.rec, f.lig)
 	return f
 }
 
@@ -132,9 +128,9 @@ func checkBits(t *testing.T, nl *NeighborList, pose []vec.V3, s *NeighborScratch
 }
 
 // TestNeighborListBitIdenticalOnDatasets is the differential test of the
-// pose-local gather: at every spot of both paper datasets, with and without
-// the Coulomb term, sampler-produced poses score to exactly the bits of the
-// full ascending scan, and agree with the cell-list scorer.
+// pose-local gather: at every spot of both paper datasets, sampler-produced
+// poses score to exactly the bits of the full ascending scan, and agree
+// with the cell-list scorer.
 func TestNeighborListBitIdenticalOnDatasets(t *testing.T) {
 	eachKernel(t, testNeighborListBitIdenticalOnDatasets)
 }
@@ -147,21 +143,19 @@ func testNeighborListBitIdenticalOnDatasets(t *testing.T) {
 		{"2BSM", molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand()},
 		{"2BXG", molecule.Synthetic2BXGReceptor(), molecule.Synthetic2BXGLigand()},
 	} {
-		for _, opts := range []Options{{}, {Coulomb: true}} {
-			f := newSpotFixture(t, ds.rec, ds.lig, 0, opts)
-			r := rng.New(17)
-			var s NeighborScratch
-			for _, spot := range f.spots {
-				nl := f.spotList(spot)
-				for i, pose := range f.samplerPoses(spot, r, 4) {
-					what := fmt.Sprintf("%s coulomb=%v spot %d pose %d", ds.name, opts.Coulomb, spot.ID, i)
-					if !checkBits(t, nl, pose, &s, what) {
-						t.Errorf("%s: rigid sampler pose not covered", what)
-					}
-					got, _ := nl.ScorePose(pose, &s)
-					if full := f.cells.Score(pose); math.Abs(got-full) > 1e-9*(1+math.Abs(full)) {
-						t.Errorf("%s: list %v vs cell list %v", what, got, full)
-					}
+		f := newSpotFixture(t, ds.rec, ds.lig, 0)
+		r := rng.New(17)
+		var s NeighborScratch
+		for _, spot := range f.spots {
+			nl := f.spotList(spot)
+			for i, pose := range f.samplerPoses(spot, r, 4) {
+				what := fmt.Sprintf("%s spot %d pose %d", ds.name, spot.ID, i)
+				if !checkBits(t, nl, pose, &s, what) {
+					t.Errorf("%s: rigid sampler pose not covered", what)
+				}
+				got, _ := nl.ScorePose(pose, &s)
+				if full := f.cells.Score(pose); math.Abs(got-full) > 1e-9*(1+math.Abs(full)) {
+					t.Errorf("%s: list %v vs cell list %v", what, got, full)
 				}
 			}
 		}
@@ -177,7 +171,7 @@ func TestNeighborListBoundaryAndOutside(t *testing.T) {
 }
 
 func testNeighborListBoundaryAndOutside(t *testing.T) {
-	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 4, Options{})
+	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 4)
 	var s NeighborScratch
 	for _, spot := range f.spots {
 		nl := f.spotList(spot)
@@ -215,7 +209,7 @@ func TestNeighborListEmpty(t *testing.T) { eachKernel(t, testNeighborListEmpty) 
 func testNeighborListEmpty(t *testing.T) {
 	rec := NewTopology(molecule.SyntheticProtein("rec", 200, 3))
 	lig := NewTopology(molecule.SyntheticLigand("lig", 6, 4))
-	cells := NewCellList(rec, lig, Options{Coulomb: true})
+	cells := NewCellList(rec, lig)
 	far := vec.BoundPoints(rec.Pos).Hi.Add(vec.New(100, 100, 100))
 	pose := randomPose(rng.New(1), lig.Len(), far, 2)
 	var s NeighborScratch
@@ -243,7 +237,7 @@ func testNeighborListEmpty(t *testing.T) {
 func TestNeighborScratchGrows(t *testing.T) { eachKernel(t, testNeighborScratchGrows) }
 
 func testNeighborScratchGrows(t *testing.T) {
-	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1, Options{})
+	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1)
 	spot := f.spots[0]
 	pose := f.samplerPoses(spot, rng.New(9), 1)[0]
 	box := vec.BoundPoints(pose)
@@ -271,7 +265,7 @@ func TestNeighborListSharedAcrossWorkers(t *testing.T) {
 }
 
 func testNeighborListSharedAcrossWorkers(t *testing.T) {
-	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1, Options{Coulomb: true})
+	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 1)
 	spot := f.spots[0]
 	nl := f.spotList(spot)
 	poses := f.samplerPoses(spot, rng.New(41), 32)
@@ -318,42 +312,40 @@ func testNeighborListSharedAcrossWorkers(t *testing.T) {
 func TestScorePosesMatchesScorePose(t *testing.T) { eachKernel(t, testScorePosesMatchesScorePose) }
 
 func testScorePosesMatchesScorePose(t *testing.T) {
-	for _, opts := range []Options{{}, {Coulomb: true}} {
-		f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 2, opts)
-		nl := f.spotList(f.spots[0])
-		r := rng.New(61)
-		mine := f.samplerPoses(f.spots[0], r, 63)
-		other := f.samplerPoses(f.spots[1], r, 63)
-		var s, one NeighborScratch
-		for _, n := range []int{1, 2, 3, 63} {
-			poses := make([][]vec.V3, n)
-			for i := range poses {
-				if i%3 == 2 {
-					poses[i] = other[i]
-				} else {
-					poses[i] = mine[i]
-				}
+	f := newSpotFixture(t, molecule.Synthetic2BSMReceptor(), molecule.Synthetic2BSMLigand(), 2)
+	nl := f.spotList(f.spots[0])
+	r := rng.New(61)
+	mine := f.samplerPoses(f.spots[0], r, 63)
+	other := f.samplerPoses(f.spots[1], r, 63)
+	var s, one NeighborScratch
+	for _, n := range []int{1, 2, 3, 63} {
+		poses := make([][]vec.V3, n)
+		for i := range poses {
+			if i%3 == 2 {
+				poses[i] = other[i]
+			} else {
+				poses[i] = mine[i]
 			}
-			// The second pose of the first pair leaves the region.
-			if n > 1 {
-				out := make([]vec.V3, len(poses[1]))
-				for i, p := range poses[1] {
-					out[i] = p.Add(vec.New(0, 0, 3*Cutoff))
-				}
-				poses[1] = out
+		}
+		// The second pose of the first pair leaves the region.
+		if n > 1 {
+			out := make([]vec.V3, len(poses[1]))
+			for i, p := range poses[1] {
+				out[i] = p.Add(vec.New(0, 0, 3*Cutoff))
 			}
-			out, covered := make([]float64, n), make([]bool, n)
-			nl.ScorePoses(poses, out, covered, &s)
-			for i, pose := range poses {
-				want, wantCovered := nl.ScorePose(pose, &one)
-				if math.Float64bits(out[i]) != math.Float64bits(want) || covered[i] != wantCovered {
-					t.Errorf("coulomb=%v batch %d pose %d: lockstep %v covered=%v, alone %v covered=%v",
-						opts.Coulomb, n, i, out[i], covered[i], want, wantCovered)
-				}
+			poses[1] = out
+		}
+		out, covered := make([]float64, n), make([]bool, n)
+		nl.ScorePoses(poses, out, covered, &s)
+		for i, pose := range poses {
+			want, wantCovered := nl.ScorePose(pose, &one)
+			if math.Float64bits(out[i]) != math.Float64bits(want) || covered[i] != wantCovered {
+				t.Errorf("batch %d pose %d: lockstep %v covered=%v, alone %v covered=%v",
+					n, i, out[i], covered[i], want, wantCovered)
 			}
-			if n > 1 && covered[1] {
-				t.Errorf("batch %d: pose moved out of the region reported covered", n)
-			}
+		}
+		if n > 1 && covered[1] {
+			t.Errorf("batch %d: pose moved out of the region reported covered", n)
 		}
 	}
 }

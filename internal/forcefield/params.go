@@ -1,8 +1,7 @@
-// Package forcefield implements the scoring functions used to evaluate
-// protein-ligand conformations. Following the paper (section 3.1), the
-// primary score is the Lennard-Jones 12-6 potential; an optional Coulomb
-// (electrostatic) term is provided as the extension the paper's conclusions
-// anticipate ("many other types of scoring functions still to be explored").
+// Package forcefield implements the scoring function used to evaluate
+// protein-ligand conformations: following the paper (section 3.1), the
+// Lennard-Jones 12-6 potential, summed over receptor-ligand atom pairs
+// within a cutoff.
 //
 // Three scorer implementations share one semantics:
 //

@@ -17,35 +17,27 @@ const Cutoff = 12.0
 // metaheuristic comparisons.
 const minDist2 = 0.25 // (0.5 A)^2
 
-// Options selects the scoring terms.
-type Options struct {
-	// Coulomb adds the electrostatic term with distance-dependent
-	// dielectric (the paper's future-work scoring extension).
-	Coulomb bool
-}
-
-// coulombK is the electrostatic constant in kcal*A/(mol*e^2).
-const coulombK = 332.0636
+// Options selects nothing: the Lennard-Jones term is the only score. The
+// empty struct stays because the problem and screen constructors take it,
+// and their callers, the benchmark harness among them, pass Options{}.
+type Options struct{}
 
 // Topology is a molecule flattened to the arrays the scoring kernels
-// consume: positions, force-field type indices, and partial charges.
+// consume: positions and force-field type indices.
 type Topology struct {
-	Pos    []vec.V3
-	Type   []uint8
-	Charge []float64
+	Pos  []vec.V3
+	Type []uint8
 }
 
 // NewTopology extracts the scoring topology of a molecule.
 func NewTopology(m *molecule.Molecule) *Topology {
 	t := &Topology{
-		Pos:    make([]vec.V3, m.NumAtoms()),
-		Type:   make([]uint8, m.NumAtoms()),
-		Charge: make([]float64, m.NumAtoms()),
+		Pos:  make([]vec.V3, m.NumAtoms()),
+		Type: make([]uint8, m.NumAtoms()),
 	}
 	for i, a := range m.Atoms {
 		t.Pos[i] = a.Pos
 		t.Type[i] = uint8(a.Element)
-		t.Charge[i] = a.Charge
 	}
 	return t
 }
@@ -85,13 +77,12 @@ type Direct struct {
 	rec   *Topology
 	lig   *Topology
 	table *PairTable
-	opts  Options
 }
 
 // NewDirect returns the reference scorer for the given receptor and ligand
 // topologies.
-func NewDirect(rec, lig *Topology, opts Options) *Direct {
-	return &Direct{rec: rec, lig: lig, table: NewPairTable(), opts: opts}
+func NewDirect(rec, lig *Topology) *Direct {
+	return &Direct{rec: rec, lig: lig, table: NewPairTable()}
 }
 
 // Name implements Scorer.
@@ -104,7 +95,6 @@ func (d *Direct) Score(ligPos []vec.V3) float64 {
 	e := 0.0
 	for i, rp := range d.rec.Pos {
 		rt := d.rec.Type[i]
-		rq := d.rec.Charge[i]
 		for j, lp := range ligPos {
 			r2 := rp.Dist2(lp)
 			if r2 > cutoff2 {
@@ -117,11 +107,6 @@ func (d *Direct) Score(ligPos []vec.V3) float64 {
 			inv2 := 1 / r2
 			inv6 := inv2 * inv2 * inv2
 			e += inv6 * (p.A*inv6 - p.B)
-			if d.opts.Coulomb {
-				// Distance-dependent dielectric eps(r) = 4r gives a
-				// 1/r^2 effective interaction.
-				e += coulombK * rq * d.lig.Charge[j] * inv2 / 4
-			}
 		}
 	}
 	return e

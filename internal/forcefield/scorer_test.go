@@ -10,10 +10,10 @@ import (
 	"github.com/metascreen/metascreen/internal/vec"
 )
 
-// pairMolecule builds a one-atom molecule of element e at p with charge q.
-func pairMolecule(e molecule.Element, p vec.V3, q float64) *Topology {
+// pairMolecule builds a one-atom molecule of element e at p.
+func pairMolecule(e molecule.Element, p vec.V3) *Topology {
 	return NewTopology(molecule.New("one", []molecule.Atom{
-		{Element: e, Pos: p, Charge: q},
+		{Element: e, Pos: p},
 	}))
 }
 
@@ -27,9 +27,9 @@ func ljPair(a, b molecule.Element, r float64) float64 {
 }
 
 func TestDirectMatchesAnalyticPair(t *testing.T) {
-	rec := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	lig := pairMolecule(molecule.Oxygen, vec.Zero, 0)
-	s := NewDirect(rec, lig, Options{})
+	rec := pairMolecule(molecule.Carbon, vec.Zero)
+	lig := pairMolecule(molecule.Oxygen, vec.Zero)
+	s := NewDirect(rec, lig)
 	for _, r := range []float64{2.5, 3.0, 3.5, 4.0, 6.0, 10.0} {
 		got := s.Score([]vec.V3{vec.New(r, 0, 0)})
 		want := ljPair(molecule.Carbon, molecule.Oxygen, r)
@@ -54,9 +54,9 @@ func TestLJMinimumAtTwoSixthSigma(t *testing.T) {
 }
 
 func TestCutoff(t *testing.T) {
-	rec := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	lig := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	s := NewDirect(rec, lig, Options{})
+	rec := pairMolecule(molecule.Carbon, vec.Zero)
+	lig := pairMolecule(molecule.Carbon, vec.Zero)
+	s := NewDirect(rec, lig)
 	if got := s.Score([]vec.V3{vec.New(Cutoff+0.01, 0, 0)}); got != 0 {
 		t.Errorf("beyond cutoff: %v, want 0", got)
 	}
@@ -66,9 +66,9 @@ func TestCutoff(t *testing.T) {
 }
 
 func TestClashClampFinite(t *testing.T) {
-	rec := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	lig := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	s := NewDirect(rec, lig, Options{})
+	rec := pairMolecule(molecule.Carbon, vec.Zero)
+	lig := pairMolecule(molecule.Carbon, vec.Zero)
+	s := NewDirect(rec, lig)
 	got := s.Score([]vec.V3{vec.Zero})
 	if math.IsInf(got, 0) || math.IsNaN(got) {
 		t.Fatalf("overlapping atoms scored %v", got)
@@ -83,22 +83,6 @@ func TestClashClampFinite(t *testing.T) {
 	}
 }
 
-func TestCoulombTermSigns(t *testing.T) {
-	rec := pairMolecule(molecule.Carbon, vec.Zero, 1)
-	lig := pairMolecule(molecule.Carbon, vec.Zero, -1)
-	withQ := NewDirect(rec, lig, Options{Coulomb: true})
-	noQ := NewDirect(rec, lig, Options{})
-	pose := []vec.V3{vec.New(8, 0, 0)}
-	diff := withQ.Score(pose) - noQ.Score(pose)
-	if diff >= 0 {
-		t.Errorf("opposite charges raised the energy by %v", diff)
-	}
-	want := -coulombK / (8 * 8 * 4)
-	if math.Abs(diff-want) > 1e-9 {
-		t.Errorf("coulomb term = %v, want %v", diff, want)
-	}
-}
-
 // TestScorePanicsOnWrongPoseLength pins the shared pose-length contract:
 // a pose that is not parallel to the ligand topology is a programming
 // error reported the same way by every exact scorer, never a partial score
@@ -106,11 +90,11 @@ func TestCoulombTermSigns(t *testing.T) {
 func TestScorePanicsOnWrongPoseLength(t *testing.T) {
 	rec := NewTopology(molecule.SyntheticProtein("rec", 100, 3))
 	lig := NewTopology(molecule.SyntheticLigand("lig", 5, 4))
-	cells := NewCellList(rec, lig, Options{})
+	cells := NewCellList(rec, lig)
 	center := vec.Centroid(rec.Pos)
 	half := vec.New(30, 30, 30)
 	nl := NewNeighborList(cells, rec, vec.NewAABB(center.Sub(half), center.Add(half)))
-	for _, s := range []Scorer{NewDirect(rec, lig, Options{}), cells, nl} {
+	for _, s := range []Scorer{NewDirect(rec, lig), cells, nl} {
 		for _, n := range []int{lig.Len() - 1, lig.Len() + 1} {
 			pose := randomPose(rng.New(2), n, center, 5)
 			want := fmt.Sprintf("forcefield: ligand pose has %d atoms, topology has %d", n, lig.Len())
@@ -134,12 +118,11 @@ func randomPose(r *rng.Source, n int, around vec.V3, spread float64) []vec.V3 {
 	return pose
 }
 
-func testScorerAgreement(t *testing.T, opts Options) {
-	t.Helper()
+func TestScorersAgreeLJ(t *testing.T) {
 	rec := NewTopology(molecule.SyntheticProtein("rec", 700, 5))
 	lig := NewTopology(molecule.SyntheticLigand("lig", 20, 6))
-	direct := NewDirect(rec, lig, opts)
-	cells := NewCellList(rec, lig, opts)
+	direct := NewDirect(rec, lig)
+	cells := NewCellList(rec, lig)
 
 	r := rng.New(77)
 	recCenter := vec.Centroid(rec.Pos)
@@ -156,16 +139,12 @@ func testScorerAgreement(t *testing.T, opts Options) {
 	}
 }
 
-func TestScorersAgreeLJ(t *testing.T) { testScorerAgreement(t, Options{}) }
-
-func TestScorersAgreeCoulomb(t *testing.T) { testScorerAgreement(t, Options{Coulomb: true}) }
-
 func TestScoreTranslationInvariance(t *testing.T) {
 	recMol := molecule.SyntheticProtein("rec", 300, 8)
 	lig := NewTopology(molecule.SyntheticLigand("lig", 12, 9))
 	shift := vec.New(13.5, -7, 2)
-	s1 := NewDirect(NewTopology(recMol), lig, Options{})
-	s2 := NewDirect(NewTopology(recMol.Translated(shift)), lig, Options{})
+	s1 := NewDirect(NewTopology(recMol), lig)
+	s2 := NewDirect(NewTopology(recMol.Translated(shift)), lig)
 
 	r := rng.New(10)
 	pose := randomPose(r, lig.Len(), recMol.Centroid(), 15)
@@ -182,7 +161,7 @@ func TestScoreTranslationInvariance(t *testing.T) {
 func TestCellListFarPoseIsZero(t *testing.T) {
 	rec := NewTopology(molecule.SyntheticProtein("rec", 300, 11))
 	lig := NewTopology(molecule.SyntheticLigand("lig", 10, 12))
-	cells := NewCellList(rec, lig, Options{})
+	cells := NewCellList(rec, lig)
 	far := vec.BoundPoints(rec.Pos).Hi.Add(vec.New(100, 100, 100))
 	pose := randomPose(rng.New(13), lig.Len(), far, 2)
 	if got := cells.Score(pose); got != 0 {
@@ -191,11 +170,11 @@ func TestCellListFarPoseIsZero(t *testing.T) {
 }
 
 func TestScorerNames(t *testing.T) {
-	rec := pairMolecule(molecule.Carbon, vec.Zero, 0)
-	lig := pairMolecule(molecule.Carbon, vec.Zero, 0)
+	rec := pairMolecule(molecule.Carbon, vec.Zero)
+	lig := pairMolecule(molecule.Carbon, vec.Zero)
 	for _, s := range []Scorer{
-		NewDirect(rec, lig, Options{}),
-		NewCellList(rec, lig, Options{}),
+		NewDirect(rec, lig),
+		NewCellList(rec, lig),
 	} {
 		if s.Name() == "" {
 			t.Error("scorer with empty name")
@@ -209,40 +188,34 @@ func TestGoldenEnergies(t *testing.T) {
 	// were computed by this implementation and cross-checked against the
 	// analytic pair formula.
 	rec := NewTopology(molecule.New("golden-rec", []molecule.Atom{
-		{Element: molecule.Carbon, Pos: vec.New(0, 0, 0), Charge: 0.1},
-		{Element: molecule.Oxygen, Pos: vec.New(3, 0, 0), Charge: -0.4},
-		{Element: molecule.Nitrogen, Pos: vec.New(0, 3, 0), Charge: -0.3},
+		{Element: molecule.Carbon, Pos: vec.New(0, 0, 0)},
+		{Element: molecule.Oxygen, Pos: vec.New(3, 0, 0)},
+		{Element: molecule.Nitrogen, Pos: vec.New(0, 3, 0)},
 	}))
 	lig := NewTopology(molecule.New("golden-lig", []molecule.Atom{
-		{Element: molecule.Carbon, Pos: vec.New(0, 0, 0), Charge: 0.2},
-		{Element: molecule.Sulfur, Pos: vec.New(1.8, 0, 0), Charge: -0.1},
+		{Element: molecule.Carbon, Pos: vec.New(0, 0, 0)},
+		{Element: molecule.Sulfur, Pos: vec.New(1.8, 0, 0)},
 	}))
 	pose := []vec.V3{vec.New(1.5, 1.5, 3.0), vec.New(3.3, 1.5, 3.0)}
 
 	// Golden value from the analytic per-pair sum.
 	table := NewPairTable()
 	want := 0.0
-	wantQ := 0.0
 	for i, rp := range rec.Pos {
 		for j, lp := range pose {
 			r2 := rp.Dist2(lp)
 			p := table.At(rec.Type[i], lig.Type[j])
 			inv6 := 1 / (r2 * r2 * r2)
 			want += inv6 * (p.A*inv6 - p.B)
-			wantQ += coulombK * rec.Charge[i] * lig.Charge[j] / (4 * r2)
 		}
 	}
 	for _, s := range []Scorer{
-		NewDirect(rec, lig, Options{}),
-		NewCellList(rec, lig, Options{}),
+		NewDirect(rec, lig),
+		NewCellList(rec, lig),
 	} {
 		if got := s.Score(pose); math.Abs(got-want) > 1e-12*math.Abs(want) {
 			t.Errorf("%s: %v, want %v", s.Name(), got, want)
 		}
-	}
-	withQ := NewDirect(rec, lig, Options{Coulomb: true})
-	if got := withQ.Score(pose); math.Abs(got-(want+wantQ)) > 1e-12*math.Abs(want+wantQ) {
-		t.Errorf("coulomb: %v, want %v", got, want+wantQ)
 	}
 	// Freeze the absolute number too: any change to LJ parameters or
 	// mixing rules must be deliberate.

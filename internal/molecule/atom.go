@@ -56,44 +56,6 @@ func ElementFromSymbol(sym string) (Element, bool) {
 	return Carbon, false
 }
 
-// VdwRadius returns the van der Waals radius of the element in angstroms.
-func (e Element) VdwRadius() float64 {
-	switch e {
-	case Hydrogen:
-		return 1.20
-	case Carbon:
-		return 1.70
-	case Nitrogen:
-		return 1.55
-	case Oxygen:
-		return 1.52
-	case Sulfur:
-		return 1.80
-	case Phosphorus:
-		return 1.80
-	}
-	return 1.70
-}
-
-// Mass returns the atomic mass in daltons.
-func (e Element) Mass() float64 {
-	switch e {
-	case Hydrogen:
-		return 1.008
-	case Carbon:
-		return 12.011
-	case Nitrogen:
-		return 14.007
-	case Oxygen:
-		return 15.999
-	case Sulfur:
-		return 32.06
-	case Phosphorus:
-		return 30.974
-	}
-	return 12.011
-}
-
 // Atom is a single atom of a receptor or ligand.
 type Atom struct {
 	// Serial is the 1-based atom index within its molecule.
@@ -104,9 +66,6 @@ type Atom struct {
 	Element Element
 	// Pos is the position in angstroms.
 	Pos vec.V3
-	// Charge is the partial charge in elementary charge units, used by the
-	// optional Coulomb term of the scoring function.
-	Charge float64
 	// Residue is the 1-based residue index the atom belongs to (0 for
 	// ligands and free atoms).
 	Residue int

@@ -43,38 +43,3 @@ func FuzzReadPDB(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadXYZ checks the XYZ parser never panics and accepted molecules
-// round-trip.
-func FuzzReadXYZ(f *testing.F) {
-	f.Add(sampleXYZ)
-	f.Add("1\n\nC 0 0 0\n")
-	f.Add("2\nname\nC 1 2 3\nO -1 -2 -3\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		m, err := ReadXYZ(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		if m.NumAtoms() == 0 {
-			t.Fatal("accepted an empty molecule")
-		}
-		for _, a := range m.Atoms {
-			if !a.Pos.IsFinite() {
-				return // Validate covers this; round trip of inf loses precision
-			}
-		}
-		var buf bytes.Buffer
-		if err := WriteXYZ(&buf, m); err != nil {
-			t.Fatalf("write-back failed: %v", err)
-		}
-		back, err := ReadXYZ(&buf)
-		if err != nil {
-			// Only rejectable if the name contained a newline-ish thing
-			// the writer cannot represent; tolerate.
-			return
-		}
-		if back.NumAtoms() != m.NumAtoms() {
-			t.Fatalf("round trip changed atom count %d -> %d", m.NumAtoms(), back.NumAtoms())
-		}
-	})
-}

@@ -45,21 +45,6 @@ func (m *Molecule) Centroid() vec.V3 {
 	return vec.Centroid(m.Positions())
 }
 
-// CenterOfMass returns the mass-weighted center of the molecule.
-func (m *Molecule) CenterOfMass() vec.V3 {
-	var c vec.V3
-	total := 0.0
-	for _, a := range m.Atoms {
-		w := a.Element.Mass()
-		c = c.Add(a.Pos.Scale(w))
-		total += w
-	}
-	if total == 0 {
-		return vec.Zero
-	}
-	return c.Scale(1 / total)
-}
-
 // Bounds returns the axis-aligned bounding box of the molecule.
 func (m *Molecule) Bounds() vec.AABB {
 	var b vec.AABB
@@ -122,7 +107,7 @@ func (m *Molecule) AlphaCarbons() []int {
 }
 
 // Validate checks structural invariants: at least one atom, finite
-// coordinates, dense 1-based serials, and bounded partial charges.
+// coordinates and dense 1-based serials.
 func (m *Molecule) Validate() error {
 	if len(m.Atoms) == 0 {
 		return fmt.Errorf("molecule %q has no atoms", m.Name)
@@ -133,9 +118,6 @@ func (m *Molecule) Validate() error {
 		}
 		if !a.Pos.IsFinite() {
 			return fmt.Errorf("molecule %q: atom %d has non-finite position", m.Name, i)
-		}
-		if a.Charge < -3 || a.Charge > 3 {
-			return fmt.Errorf("molecule %q: atom %d has implausible charge %g", m.Name, i, a.Charge)
 		}
 	}
 	return nil

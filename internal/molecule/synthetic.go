@@ -79,10 +79,10 @@ func SyntheticProtein(name string, numAtoms int, seed uint64) *Molecule {
 		c := ca.Add(dir.Scale(1.52).Add(r.InSphere(0.25)))
 		o := c.Add(r.UnitVector().Scale(1.23))
 		backbone := []Atom{
-			{Name: "N", Element: Nitrogen, Pos: n, Charge: -0.47, Residue: residue},
-			{Name: "CA", Element: Carbon, Pos: ca, Charge: 0.07, Residue: residue},
-			{Name: "C", Element: Carbon, Pos: c, Charge: 0.51, Residue: residue},
-			{Name: "O", Element: Oxygen, Pos: o, Charge: -0.51, Residue: residue},
+			{Name: "N", Element: Nitrogen, Pos: n, Residue: residue},
+			{Name: "CA", Element: Carbon, Pos: ca, Residue: residue},
+			{Name: "C", Element: Carbon, Pos: c, Residue: residue},
+			{Name: "O", Element: Oxygen, Pos: o, Residue: residue},
 		}
 		for _, a := range backbone {
 			if len(atoms) == numAtoms {
@@ -99,18 +99,17 @@ func SyntheticProtein(name string, numAtoms int, seed uint64) *Molecule {
 			branch = branch.Add(branchDir.Scale(1.53))
 			branchDir = branchDir.Add(r.InSphere(0.8)).Unit()
 			el := Carbon
-			chg := -0.05
 			switch {
 			case s == scLen-1 && r.Bool(0.30):
-				el, chg = Oxygen, -0.40
+				el = Oxygen
 			case s == scLen-1 && r.Bool(0.20):
-				el, chg = Nitrogen, -0.30
+				el = Nitrogen
 			case s >= 2 && r.Bool(0.03):
-				el, chg = Sulfur, -0.10
+				el = Sulfur
 			}
 			atoms = append(atoms, Atom{
 				Name:    fmt.Sprintf("S%d", s+1),
-				Element: el, Pos: branch, Charge: chg, Residue: residue,
+				Element: el, Pos: branch, Residue: residue,
 			})
 		}
 
@@ -142,20 +141,21 @@ func SyntheticLigand(name string, numAtoms int, seed uint64) *Molecule {
 
 	for i := 0; i < numAtoms; i++ {
 		el := Carbon
-		chg := 0.0
 		switch {
 		case r.Bool(0.15):
-			el, chg = Oxygen, -0.35
+			el = Oxygen
 		case r.Bool(0.12):
-			el, chg = Nitrogen, -0.25
+			el = Nitrogen
 		case r.Bool(0.03):
-			el, chg = Sulfur, -0.08
+			el = Sulfur
 		default:
-			chg = r.Range(-0.10, 0.12)
+			// A carbon's draw: its value is unused, but every later
+			// draw, and so every ligand's geometry, follows it.
+			r.Float64()
 		}
 		atoms = append(atoms, Atom{
 			Name:    fmt.Sprintf("L%d", i+1),
-			Element: el, Pos: pos, Charge: chg,
+			Element: el, Pos: pos,
 		})
 		if r.Bool(0.25) && len(branches) > 0 {
 			// Restart from a previous branch point.

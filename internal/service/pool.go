@@ -9,7 +9,6 @@ import (
 
 	"github.com/metascreen/metascreen/internal/core"
 	"github.com/metascreen/metascreen/internal/cudasim"
-	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
 	"github.com/metascreen/metascreen/internal/molecule"
 	"github.com/metascreen/metascreen/internal/obs"
@@ -274,7 +273,7 @@ func (s *Service) runScreen(ctx context.Context, id string, req ScreenRequest) (
 		}
 		return nil
 	}
-	return core.ScreenReceptorCtx(ctx, rec, lib, forcefield.Options{}, algf, backf, req.Seed,
+	return core.ScreenReceptorCtx(ctx, rec, lib, algf, backf, req.Seed,
 		s.cfg.ScreenWorkers, cp, onLigand)
 }
 

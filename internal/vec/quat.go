@@ -26,20 +26,6 @@ func QuatFromAxisAngle(axis V3, angle float64) Quat {
 	return Quat{W: c, X: u.X * s, Y: u.Y * s, Z: u.Z * s}
 }
 
-// QuatFromEuler returns the unit quaternion for intrinsic Z-Y-X Euler angles
-// (yaw, pitch, roll), in radians.
-func QuatFromEuler(yaw, pitch, roll float64) Quat {
-	sy, cy := math.Sincos(yaw / 2)
-	sp, cp := math.Sincos(pitch / 2)
-	sr, cr := math.Sincos(roll / 2)
-	return Quat{
-		W: cr*cp*cy + sr*sp*sy,
-		X: sr*cp*cy - cr*sp*sy,
-		Y: cr*sp*cy + sr*cp*sy,
-		Z: cr*cp*sy - sr*sp*cy,
-	}
-}
-
 // Mul returns the Hamilton product q*r, the rotation r followed by q.
 func (q Quat) Mul(r Quat) Quat {
 	return Quat{

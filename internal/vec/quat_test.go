@@ -60,18 +60,6 @@ func TestQuatMat3Agrees(t *testing.T) {
 	}
 }
 
-func TestQuatEuler(t *testing.T) {
-	// Pure yaw about Z.
-	q := QuatFromEuler(math.Pi/2, 0, 0)
-	got := q.Rotate(New(1, 0, 0))
-	if !got.ApproxEq(New(0, 1, 0), 1e-9) {
-		t.Errorf("yaw 90: %v", got)
-	}
-	if math.Abs(q.Norm()-1) > 1e-12 {
-		t.Errorf("euler quat norm = %v", q.Norm())
-	}
-}
-
 func TestQuatSlerpEndpoints(t *testing.T) {
 	qa := QuatFromAxisAngle(New(0, 0, 1), 0.2)
 	qb := QuatFromAxisAngle(New(0, 0, 1), 1.4)

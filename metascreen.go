@@ -7,7 +7,7 @@
 //
 //	ds := metascreen.Dataset2BSM()
 //	problem, _ := metascreen.NewProblem(ds.Receptor, ds.Ligand,
-//	        metascreen.SpotOptions{MaxSpots: 8}, metascreen.ForceFieldOptions{})
+//	        metascreen.SpotOptions{MaxSpots: 8}, metascreen.ForceFieldOptions{}) // LJ, the only score
 //	alg, _ := metascreen.NewPaperMetaheuristic("M3", 0.05)
 //	backend, _ := metascreen.NewHostBackend(problem, metascreen.HostConfig{Real: true})
 //	res, _ := metascreen.Run(problem, alg, backend, 42)
@@ -67,8 +67,9 @@ type SpotOptions = surface.Options
 // Spot is one independent docking region on the receptor surface.
 type Spot = surface.Spot
 
-// ForceFieldOptions selects scoring terms (Lennard-Jones always; Coulomb
-// optionally).
+// ForceFieldOptions selects nothing: the paper's Lennard-Jones term is the
+// only score. NewProblem, NewProblemFromDataset, Screen and ScreenCtx keep
+// taking it; pass ForceFieldOptions{}.
 type ForceFieldOptions = forcefield.Options
 
 // Problem is one docking problem: receptor, detected spots, and ligand.
@@ -189,7 +190,7 @@ func Screen(receptor *Molecule, library []*Molecule, spots SpotOptions, ff Force
 
 // ScreenCtx is Screen with cancellation and an explicit worker bound
 // (0 = one per CPU). Every worker count returns a byte-identical ranking:
-// each ligand runs on its own seed lane keyed by library index.
+// each ligand runs on its own seed lane keyed by its name.
 func ScreenCtx(ctx context.Context, receptor *Molecule, library []*Molecule, spots SpotOptions, ff ForceFieldOptions,
 	algf core.AlgorithmFactory, backf core.BackendFactory, seed uint64, workers int) (*ScreenResult, error) {
 	return core.ScreenCtx(ctx, receptor, library, spots, ff, algf, backf, seed, workers)
