@@ -133,9 +133,8 @@ func NewPoolBackend(p *Problem, cfg PoolConfig) (*PoolBackend, error) {
 		b.pool.SetRecorder(cfg.Trace)
 	}
 	// Arm fault injection before any operation (including warm-up) touches
-	// the devices. The recovery policy is sched's default: a fresh pool's
-	// zero FaultPolicy (sched.DefaultMaxRetries retries, the devices'
-	// cudasim.DefaultWatchdog).
+	// the devices. The recovery policy is sched's only one: 3 retries in
+	// place, and a hang charges cudasim.DefaultWatchdog.
 	for i, plan := range cfg.Faults {
 		if i >= ctx.DeviceCount() {
 			break

@@ -33,7 +33,6 @@ type Device struct {
 
 	plan     FaultPlan
 	faultRng *rng.Source // transient draws; nil when the plan injects none
-	watchdog float64     // hang detection deadline, simulated seconds
 	lost     bool
 	lostAt   float64
 }
@@ -60,8 +59,7 @@ const DefaultStream = 0
 func newDevice(id int, spec DeviceSpec, model CostModel) *Device {
 	return &Device{
 		ID: id, Spec: spec, model: model,
-		streams:  map[int]float64{DefaultStream: 0},
-		watchdog: DefaultWatchdog,
+		streams: map[int]float64{DefaultStream: 0},
 	}
 }
 
@@ -77,17 +75,6 @@ func (d *Device) SetFaultPlan(p FaultPlan) {
 	if p.TransientRate > 0 {
 		d.faultRng = rng.New(p.Seed)
 	}
-}
-
-// SetWatchdog sets the per-operation hang deadline in simulated seconds;
-// non-positive restores DefaultWatchdog.
-func (d *Device) SetWatchdog(seconds float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if seconds <= 0 {
-		seconds = DefaultWatchdog
-	}
-	d.watchdog = seconds
 }
 
 // Lost reports whether the device has been fenced by a permanent fault
@@ -111,7 +98,7 @@ func (d *Device) ConformationsCompleted() int64 {
 //
 //   - a fenced device fails immediately without advancing time;
 //   - an operation starting at or after HangAt never completes: the caller
-//     is charged the watchdog deadline and the device is fenced;
+//     is charged DefaultWatchdog and the device is fenced;
 //   - an operation starting inside the throttle window is slowed by
 //     1/ThrottleFactor;
 //   - an operation that would run past FailAt aborts at FailAt and fences
@@ -128,7 +115,7 @@ func (d *Device) advance(stream int, dur float64, label string) (Event, error) {
 	}
 	if d.plan.active() {
 		if d.plan.HangAt > 0 && start >= d.plan.HangAt {
-			end := start + d.watchdog
+			end := start + DefaultWatchdog
 			d.streams[stream] = end
 			d.lost = true
 			d.lostAt = end

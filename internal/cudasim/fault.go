@@ -92,7 +92,8 @@ func IsPermanent(err error) bool {
 }
 
 // DefaultWatchdog is the per-operation hang deadline, in simulated
-// seconds, used when no watchdog is configured.
+// seconds: a hung operation is charged this much before its device is
+// fenced.
 const DefaultWatchdog = 60.0
 
 // FaultPlan scripts the faults of one device. The zero value injects

@@ -71,7 +71,6 @@ func TestFaultPermanentClampsAndFences(t *testing.T) {
 func TestFaultHangChargesWatchdog(t *testing.T) {
 	d := testContext(t, GTX580).Device(0)
 	d.SetFaultPlan(FaultPlan{HangAt: 1e-12})
-	d.SetWatchdog(5)
 	// First op starts at t=0 < HangAt, so it completes; the next starts
 	// past HangAt and hangs.
 	first := mustOp(t)(d.Launch(DefaultStream, scoringProbe(64)))
@@ -79,8 +78,8 @@ func TestFaultHangChargesWatchdog(t *testing.T) {
 	if !errors.Is(err, ErrHang) {
 		t.Fatalf("second launch: %v, want hang", err)
 	}
-	if math.Abs(hev.Duration()-5) > 1e-12 {
-		t.Errorf("hang charged %v, want the 5s watchdog", hev.Duration())
+	if math.Abs(hev.Duration()-DefaultWatchdog) > 1e-12 {
+		t.Errorf("hang charged %v, want the %vs watchdog", hev.Duration(), DefaultWatchdog)
 	}
 	if hev.Start != first.End {
 		t.Errorf("hang started at %v, want %v", hev.Start, first.End)

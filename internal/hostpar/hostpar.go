@@ -1,8 +1,8 @@
 // Package hostpar is the host-side parallel runtime of metascreen, the Go
-// analogue of the OpenMP constructs the paper uses: a parallel-for over a
-// fixed thread team with static or dynamic scheduling, and a bare parallel
-// region whose per-thread results the caller reduces (the paper reduces
-// warm-up timings with omp reduction; sched takes that max in a loop).
+// analogue of the OpenMP parallel-for the paper uses: a loop over a fixed
+// thread team with static or dynamic scheduling. The paper's one host
+// thread per GPU has no counterpart here: the simulator (package sched)
+// steps its devices in a loop.
 package hostpar
 
 import (
@@ -44,20 +44,6 @@ func NewTeam(n int) *Team {
 // Size returns the number of threads in the team.
 func (t *Team) Size() int { return t.n }
 
-// ForThread runs body(tid) once on each of the team's threads, the analogue
-// of a bare omp parallel region. tid ranges over [0, Size()).
-func (t *Team) ForThread(body func(tid int)) {
-	var wg sync.WaitGroup
-	wg.Add(t.n)
-	for tid := 0; tid < t.n; tid++ {
-		go func(tid int) {
-			defer wg.Done()
-			body(tid)
-		}(tid)
-	}
-	wg.Wait()
-}
-
 // ForChunk runs body(lo, hi, tid) over contiguous chunks covering [0, n).
 // With Static scheduling each thread gets one balanced chunk; with Dynamic,
 // chunks of the given size (0 means a heuristic n/(8*threads), minimum 1)
@@ -67,7 +53,7 @@ func (t *Team) ForChunk(n int, sched Schedule, chunkParam int, body func(lo, hi,
 		return
 	}
 	// threads and chunk are initialized exactly once and never reassigned:
-	// the goroutine closures below capture them, and a reassigned captured
+	// the worker closures below capture them, and a reassigned captured
 	// variable is captured by reference, which would heap-allocate it on
 	// every call — including the sequential fast path.
 	threads := min(t.n, n)
@@ -80,45 +66,36 @@ func (t *Team) ForChunk(n int, sched Schedule, chunkParam int, body func(lo, hi,
 		return
 	}
 	chunk := effectiveChunk(chunkParam, n, threads, sched)
+	var wg sync.WaitGroup
+	var work func(tid int)
 	switch sched {
 	case Static:
-		var wg sync.WaitGroup
-		wg.Add(threads)
-		for tid := 0; tid < threads; tid++ {
-			go func(tid int) {
-				defer wg.Done()
-				lo := n * tid / threads
-				hi := n * (tid + 1) / threads
-				if lo < hi {
-					body(lo, hi, tid)
-				}
-			}(tid)
+		work = func(tid int) {
+			defer wg.Done()
+			if lo, hi := n*tid/threads, n*(tid+1)/threads; lo < hi {
+				body(lo, hi, tid)
+			}
 		}
-		wg.Wait()
 	case Dynamic:
 		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(threads)
-		for tid := 0; tid < threads; tid++ {
-			go func(tid int) {
-				defer wg.Done()
-				for {
-					lo := int(next.Add(int64(chunk))) - chunk
-					if lo >= n {
-						return
-					}
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					body(lo, hi, tid)
+		work = func(tid int) {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
 				}
-			}(tid)
+				body(lo, min(lo+chunk, n), tid)
+			}
 		}
-		wg.Wait()
 	default:
 		panic("hostpar: unknown schedule")
 	}
+	wg.Add(threads)
+	for tid := range threads {
+		go work(tid)
+	}
+	wg.Wait()
 }
 
 // effectiveChunk resolves the chunk parameter for a schedule: Dynamic's

@@ -75,17 +75,6 @@ func TestForZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestForThreadRunsEachTid(t *testing.T) {
-	team := NewTeam(6)
-	var seen [6]atomic.Int32
-	team.ForThread(func(tid int) { seen[tid].Add(1) })
-	for tid := range seen {
-		if seen[tid].Load() != 1 {
-			t.Errorf("tid %d ran %d times", tid, seen[tid].Load())
-		}
-	}
-}
-
 func TestNewTeamDefaults(t *testing.T) {
 	if NewTeam(0).Size() != DefaultThreads() {
 		t.Error("NewTeam(0) != default size")

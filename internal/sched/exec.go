@@ -25,13 +25,13 @@ type Batch struct {
 // the overall execution time"). It returns the simulated barrier completion
 // time.
 //
-// Device faults are handled by the pool's FaultPolicy: transient errors are
-// retried in place, and a device fenced mid-generation has its unfinished
-// share re-split across the survivors proportionally to their original
-// shares (renormalized warm-up weights), recorded as "resplit" in the
-// trace. The returned error is non-nil only when work remains and every
-// device has been lost; the completion time then covers what did run,
-// including time charged by hang watchdogs.
+// Device faults are handled by the pool's fault policy: transient errors
+// are retried in place up to maxRetries times, and a device fenced
+// mid-generation has its unfinished share re-split across the survivors
+// proportionally to their original shares (renormalized warm-up weights),
+// recorded as "resplit" in the trace. The returned error is non-nil only
+// when work remains and every device has been lost; the completion time
+// then covers what did run, including time charged by hang watchdogs.
 func (p *Pool) RunStatic(assign []int, b Batch) (float64, error) {
 	if len(assign) != p.Size() {
 		panic(fmt.Sprintf("sched: assignment for %d devices, pool has %d", len(assign), p.Size()))
@@ -58,16 +58,16 @@ func (p *Pool) RunStatic(assign []int, b Batch) (float64, error) {
 		// device's watchdog-advanced clock counts — that time was really
 		// spent waiting on it.
 		start := p.Now()
-		p.team.ForThread(func(tid int) {
-			if tid >= n || pending[tid] <= 0 || !p.aliveAt(tid) {
-				return
+		for tid := range n {
+			if pending[tid] <= 0 || !p.aliveAt(tid) {
+				continue
 			}
 			dev := p.ctx.Device(tid)
 			dev.Idle(cudasim.DefaultStream, start)
 			if err := p.deviceShare(tid, pending[tid], b); err == nil {
 				pending[tid] = 0
 			}
-		})
+		}
 	}
 	return p.barrierClose(), nil
 }

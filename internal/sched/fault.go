@@ -17,19 +17,9 @@ import (
 // been fenced.
 var ErrAllDevicesLost = errors.New("sched: all devices lost")
 
-// DefaultMaxRetries is the per-operation transient retry budget used when
-// FaultPolicy does not set one.
-const DefaultMaxRetries = 3
-
-// FaultPolicy configures the pool's recovery behaviour.
-type FaultPolicy struct {
-	// MaxRetries bounds immediate retries of a transiently-failing
-	// operation; 0 means DefaultMaxRetries, negative means none.
-	MaxRetries int
-	// Watchdog is the per-operation hang deadline in simulated seconds;
-	// 0 means cudasim.DefaultWatchdog.
-	Watchdog float64
-}
+// maxRetries is the per-operation transient retry budget. A hang is
+// charged cudasim.DefaultWatchdog by the device itself.
+const maxRetries = 3
 
 // FaultStats counts fault events observed by the pool.
 type FaultStats struct {
@@ -48,17 +38,6 @@ type FaultStats struct {
 
 // Faults returns the total number of device fault events.
 func (s FaultStats) Faults() int64 { return s.Transients + s.Permanents + s.Hangs }
-
-// SetFaultPolicy installs the recovery policy and propagates the watchdog
-// deadline to every device.
-func (p *Pool) SetFaultPolicy(fp FaultPolicy) {
-	p.fmu.Lock()
-	p.policy = fp
-	p.fmu.Unlock()
-	for _, d := range p.ctx.Devices() {
-		d.SetWatchdog(fp.Watchdog)
-	}
-}
 
 // FaultStats returns a snapshot of the fault counters.
 func (p *Pool) FaultStats() FaultStats {
@@ -89,55 +68,10 @@ func (p *Pool) AliveCount() int {
 	return n
 }
 
-// HealthSnapshot is the pool's exported health signal: the liveness
-// picture plus the fault counters that produced it. The service's
-// admission breaker consumes it (alongside ErrAllDevicesLost surfacing
-// through run errors) to decide when a simulated platform is too sick to
-// accept machine jobs.
-type HealthSnapshot struct {
-	// Devices is the pool size; Alive how many are not fenced.
-	Devices int `json:"devices"`
-	Alive   int `json:"alive"`
-	// Healthy reports whether at least one device can still take work.
-	Healthy bool `json:"healthy"`
-	// Stats are the cumulative fault counters.
-	Stats FaultStats `json:"stats"`
-}
-
-// Health snapshots the pool's device liveness and fault counters.
-func (p *Pool) Health() HealthSnapshot {
-	p.fmu.Lock()
-	defer p.fmu.Unlock()
-	alive := 0
-	for _, a := range p.alive {
-		if a {
-			alive++
-		}
-	}
-	return HealthSnapshot{
-		Devices: len(p.alive),
-		Alive:   alive,
-		Healthy: alive > 0,
-		Stats:   p.stats,
-	}
-}
-
 func (p *Pool) aliveAt(i int) bool {
 	p.fmu.Lock()
 	defer p.fmu.Unlock()
 	return i >= 0 && i < len(p.alive) && p.alive[i]
-}
-
-func (p *Pool) maxRetries() int {
-	p.fmu.Lock()
-	defer p.fmu.Unlock()
-	switch {
-	case p.policy.MaxRetries > 0:
-		return p.policy.MaxRetries
-	case p.policy.MaxRetries < 0:
-		return 0
-	}
-	return DefaultMaxRetries
 }
 
 func (p *Pool) noteTransient() {
@@ -201,7 +135,7 @@ func (p *Pool) runOp(tid int, label string, op func() (cudasim.Event, error)) (c
 		}
 		if cudasim.IsTransient(err) {
 			p.noteTransient()
-			if attempt < p.maxRetries() {
+			if attempt < maxRetries {
 				p.noteRetry()
 				continue
 			}

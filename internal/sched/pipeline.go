@@ -49,9 +49,9 @@ func (p *Pool) RunStaticPipelined(assign []int, b Batch, depth int) (float64, er
 			break
 		}
 		start := p.pipelineNow()
-		p.team.ForThread(func(tid int) {
-			if tid >= n || pending[tid] <= 0 || !p.aliveAt(tid) {
-				return
+		for tid := range n {
+			if pending[tid] <= 0 || !p.aliveAt(tid) {
+				continue
 			}
 			dev := p.ctx.Device(tid)
 			dev.Idle(computeStream, start)
@@ -59,7 +59,7 @@ func (p *Pool) RunStaticPipelined(assign []int, b Batch, depth int) (float64, er
 			if err := p.pipelinedShare(tid, pending[tid], b, depth); err == nil {
 				pending[tid] = 0
 			}
-		})
+		}
 	}
 	return p.pipelineClose(), nil
 }

@@ -1,8 +1,9 @@
 // Package sched implements the paper's heterogeneity-aware scheduling (its
-// sections 3.2-3.3): a device pool driven by one host worker per GPU, a
-// warm-up phase that measures per-device throughput at run time, the
-// Percent factor of the paper's equation 1, and three ways to split a batch
-// of conformations across devices:
+// sections 3.2-3.3) as a sequential discrete-event program: a device pool
+// that steps its simulated GPUs in a loop (where the paper runs one host
+// thread per GPU), a warm-up phase that measures per-device throughput at
+// run time, the Percent factor of the paper's equation 1, and three ways to
+// split a batch of conformations across devices:
 //
 //	Homogeneous   — equal split, the baseline "homogeneous computation";
 //	Heterogeneous — proportional to measured throughput (the contribution);
@@ -17,7 +18,6 @@ import (
 	"sync"
 
 	"github.com/metascreen/metascreen/internal/cudasim"
-	"github.com/metascreen/metascreen/internal/hostpar"
 	"github.com/metascreen/metascreen/internal/obs"
 	"github.com/metascreen/metascreen/internal/rng"
 	"github.com/metascreen/metascreen/internal/trace"
@@ -51,19 +51,18 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Pool drives the devices of one simulated node. Like the paper's
-// implementation, it creates one host worker per device (the paper uses
-// one OpenMP thread per GPU context).
+// Pool drives the devices of one simulated node. The paper binds one
+// OpenMP host thread to each GPU to feed it; here a device's share is only
+// clock arithmetic on its own streams, so the pool steps its devices in a
+// loop in device order, which also fixes the order of trace events.
 type Pool struct {
-	ctx  *cudasim.Context
-	team *hostpar.Team
-	rec  *trace.Recorder
-	log  *slog.Logger
+	ctx *cudasim.Context
+	rec *trace.Recorder
+	log *slog.Logger
 
-	fmu    sync.Mutex // guards the fault state below
-	policy FaultPolicy
-	alive  []bool
-	stats  FaultStats
+	fmu   sync.Mutex // guards the fault state below
+	alive []bool
+	stats FaultStats
 }
 
 // NewPool returns a pool over all devices of the context.
@@ -72,7 +71,7 @@ func NewPool(ctx *cudasim.Context) *Pool {
 	for i := range alive {
 		alive[i] = true
 	}
-	return &Pool{ctx: ctx, team: hostpar.NewTeam(ctx.DeviceCount()), alive: alive, log: obs.Nop()}
+	return &Pool{ctx: ctx, alive: alive, log: obs.Nop()}
 }
 
 // SetRecorder attaches a timeline recorder; every subsequent device
@@ -122,9 +121,10 @@ type WarmupResult struct {
 }
 
 // Warmup runs the paper's warm-up phase: every device executes iters
-// iterations of the probe launch concurrently (one host worker per device),
-// per-device times are gathered and reduced to the maximum, and Percent and
-// throughput weights are derived.
+// iterations of the probe launch on its own clock (the paper runs them
+// concurrently, one host thread per GPU; the simulator steps the devices in
+// turn), per-device times are gathered and reduced to the maximum, and
+// Percent and throughput weights are derived.
 //
 // Real measurements are noisy; noiseAmp injects a deterministic relative
 // perturbation in [-noiseAmp, +noiseAmp] per device, derived from seed, so
@@ -146,33 +146,14 @@ func (p *Pool) Warmup(probe cudasim.ScoringLaunch, iters int, noiseAmp float64, 
 		Weights: make([]float64, n),
 	}
 	base := rng.New(seed)
-	// One host worker per device, as in the paper's OpenMP scheme.
-	p.team.ForThread(func(tid int) {
-		if tid >= n {
-			return
+	for tid := range n {
+		t := p.warmupDevice(tid, probe, iters)
+		if !math.IsInf(t, 1) {
+			// Deterministic measurement noise, one stream per device.
+			t *= 1 + noiseAmp*(2*base.Split(uint64(tid)).Float64()-1)
 		}
-		if !p.aliveAt(tid) {
-			res.Times[tid] = math.Inf(1)
-			return
-		}
-		dev := p.ctx.Device(tid)
-		start := dev.StreamClock(cudasim.DefaultStream)
-		end := start
-		for it := 0; it < iters; it++ {
-			ev, err := p.runOp(tid, "warmup", func() (cudasim.Event, error) {
-				return dev.Launch(cudasim.DefaultStream, probe)
-			})
-			if err != nil {
-				res.Times[tid] = math.Inf(1)
-				return
-			}
-			end = ev.End
-		}
-		t := end - start
-		// Deterministic measurement noise, independent of worker order.
-		noise := 1 + noiseAmp*(2*base.Split(uint64(tid)).Float64()-1)
-		res.Times[tid] = t * noise
-	})
+		res.Times[tid] = t
+	}
 	// Reduce to the slowest device (the paper uses an OpenMP max
 	// reduction) and derive Percent and weights; fenced devices (infinite
 	// time) contribute nothing and get zero weight.
@@ -202,6 +183,28 @@ func (p *Pool) Warmup(probe cudasim.ScoringLaunch, iters int, noiseAmp float64, 
 		"weights", res.Weights,
 	)
 	return res
+}
+
+// warmupDevice runs iters probe launches on device tid's default stream
+// and returns their simulated time, or +Inf if the device is fenced before
+// or during the probe.
+func (p *Pool) warmupDevice(tid int, probe cudasim.ScoringLaunch, iters int) float64 {
+	if !p.aliveAt(tid) {
+		return math.Inf(1)
+	}
+	dev := p.ctx.Device(tid)
+	start := dev.StreamClock(cudasim.DefaultStream)
+	end := start
+	for range iters {
+		ev, err := p.runOp(tid, "warmup", func() (cudasim.Event, error) {
+			return dev.Launch(cudasim.DefaultStream, probe)
+		})
+		if err != nil {
+			return math.Inf(1)
+		}
+		end = ev.End
+	}
+	return end - start
 }
 
 // SplitEqual divides total items into n near-equal parts (the homogeneous
