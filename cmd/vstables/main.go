@@ -65,13 +65,14 @@ func main() {
 		exps = []tables.Experiment{exp}
 	}
 
-	cfg := tables.Config{Scale: *scale, Seed: *seed, NoiseAmp: *noise}
+	// One replay for every table: tables on the same dataset share each
+	// metaheuristic's search.
+	tabs, err := tables.RunTables(exps, tables.Config{Scale: *scale, Seed: *seed, NoiseAmp: *noise})
+	if err != nil {
+		fatal(err)
+	}
 	allPass := true
-	for _, exp := range exps {
-		tab, err := tables.Run(exp, cfg)
-		if err != nil {
-			fatal(err)
-		}
+	for _, tab := range tabs {
 		if err := report.WriteTable(os.Stdout, tab, report.Format(*format)); err != nil {
 			fatal(err)
 		}

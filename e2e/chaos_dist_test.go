@@ -25,12 +25,14 @@ func TestDistributedChaos(t *testing.T) {
 	bin := buildServer(t)
 
 	// The chaos plan targets a worker by host:port, so its address must be
-	// known before the coordinator starts: reserve both up front. Plan
+	// known before the coordinator starts: reserve the workers' and the
+	// coordinator's ports together, so none of the three collide. Plan
 	// time runs from the coordinator's first worker request — the first
 	// shard dispatch — so "partition@2s" means two seconds into the screen.
-	victimAddr, healthyAddr := freeAddr(t), freeAddr(t)
+	addrs := freeAddrs(t, 3)
+	victimAddr, healthyAddr, coordAddr := addrs[0], addrs[1], addrs[2]
 	plan := fmt.Sprintf("%s:partition@2s+5s,%s:latency@20ms±10ms", victimAddr, victimAddr)
-	coordURL, _ := startProc(t, bin, freeAddr(t),
+	coordURL, _ := startProc(t, bin, coordAddr,
 		"-role", "coordinator",
 		"-chaos", plan, "-chaos-seed", "7",
 		"-request-timeout", "750ms",
@@ -150,7 +152,7 @@ func TestChaosPlanChecked(t *testing.T) {
 		{[]string{"-target-latency", "-1s"}, "-target-latency -1s: want 0 or more"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", freeAddr(t)}, c.args...)...).CombinedOutput()
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", freeAddrs(t, 1)[0]}, c.args...)...).CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), c.want) {

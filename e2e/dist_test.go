@@ -110,12 +110,12 @@ func startProc(t *testing.T, bin, api string, args ...string) (string, *exec.Cmd
 // startCluster boots a coordinator plus n workers and waits until the
 // coordinator sees all of them alive. Worker processes are returned for
 // fault injection.
-func startCluster(t *testing.T, bin string, n int, coordArgs, workerArgs []string) (coordURL string, workers []*exec.Cmd, workerURLs []string) {
+func startCluster(t *testing.T, bin string, n int, coordAddr string, coordArgs, workerArgs []string) (coordURL string, workers []*exec.Cmd, workerURLs []string) {
 	t.Helper()
-	coordURL, _ = startProc(t, bin, freeAddr(t), append([]string{"-role", "coordinator"}, coordArgs...)...)
+	coordURL, _ = startProc(t, bin, coordAddr, append([]string{"-role", "coordinator"}, coordArgs...)...)
 	for i := 0; i < n; i++ {
 		args := append([]string{"-role", "worker", "-coordinator", coordURL, "-heartbeat", "200ms"}, workerArgs...)
-		u, cmd := startProc(t, bin, freeAddr(t), args...)
+		u, cmd := startProc(t, bin, freeAddrs(t, 1)[0], args...)
 		workers = append(workers, cmd)
 		workerURLs = append(workerURLs, u)
 	}
@@ -213,8 +213,9 @@ func TestDistributedScreening(t *testing.T) {
 		t.Skip("builds and launches real server binaries")
 	}
 	bin := buildServer(t)
-	coordDebug := freeAddr(t)
-	coordURL, _, workerURLs := startCluster(t, bin, 3,
+	addrs := freeAddrs(t, 2)
+	coordAddr, coordDebug := addrs[0], addrs[1]
+	coordURL, _, workerURLs := startCluster(t, bin, 3, coordAddr,
 		[]string{"-worker-timeout", "2s", "-poll-interval", "50ms", "-debug-addr", coordDebug},
 		[]string{"-workers", "1", "-screen-workers", "1"})
 
@@ -293,7 +294,7 @@ func TestDistributedWorkerLoss(t *testing.T) {
 		t.Skip("builds and launches real server binaries")
 	}
 	bin := buildServer(t)
-	coordURL, workers, workerURLs := startCluster(t, bin, 3,
+	coordURL, workers, workerURLs := startCluster(t, bin, 3, freeAddrs(t, 1)[0],
 		[]string{"-worker-timeout", "1s", "-poll-interval", "50ms"},
 		[]string{"-workers", "1", "-screen-workers", "1"})
 

@@ -77,18 +77,22 @@ func buildServer(t *testing.T) string {
 	return bin
 }
 
-// freeAddr reserves a localhost port by binding :0 and releasing it. The
-// tiny race with another process grabbing it between Close and the
-// server's bind is acceptable for CI.
-func freeAddr(t *testing.T) string {
+// freeAddrs reserves n distinct localhost ports: it binds :0 n times and
+// holds every listener until all n ports are picked, so no two addresses
+// collide. The tiny race with another process grabbing a port between
+// Close and the server's bind is acceptable for CI.
+func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("reserve port: %v", err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("reserve port: %v", err)
+		}
+		defer l.Close()
+		addrs[i] = l.Addr().String()
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
+	return addrs
 }
 
 // startServer launches vsserved and waits for /healthz. The process is
@@ -98,8 +102,8 @@ func freeAddr(t *testing.T) string {
 // cleanly" and exit 0 on its own.
 func startServer(t *testing.T, bin string, extra ...string) (apiURL, debugURL string) {
 	t.Helper()
-	api := freeAddr(t)
-	debug := freeAddr(t)
+	addrs := freeAddrs(t, 2)
+	api, debug := addrs[0], addrs[1]
 	logPath := filepath.Join(t.TempDir(), "vsserved.log")
 	logFile, err := os.Create(logPath)
 	if err != nil {

@@ -44,7 +44,7 @@ func TestDistributedStraggler(t *testing.T) {
 
 	// Healthy cluster: the single-node reference ranking and the makespan
 	// the chaos run is judged against.
-	coordURL, _, workerURLs := startCluster(t, bin, 3, stragglerArgs, workerArgs)
+	coordURL, _, workerURLs := startCluster(t, bin, 3, freeAddrs(t, 1)[0], stragglerArgs, workerArgs)
 	baseline := submitDist(t, workerURLs[0], distScreen)
 	ref := waitDist(t, workerURLs[0], baseline.ID, 120*time.Second, terminalDist)
 	if ref.State != "done" {
@@ -63,16 +63,17 @@ func TestDistributedStraggler(t *testing.T) {
 
 	// Chaos cluster: the victim's address must be known before the
 	// coordinator starts so the latency plan can target it.
-	victimAddr := freeAddr(t)
+	addrs := freeAddrs(t, 2)
+	victimAddr, coordAddr := addrs[0], addrs[1]
 	plan := fmt.Sprintf("%s:latency@500ms±100ms", victimAddr)
-	chaosCoord, _ := startProc(t, bin, freeAddr(t), append([]string{
+	chaosCoord, _ := startProc(t, bin, coordAddr, append([]string{
 		"-role", "coordinator", "-chaos", plan, "-chaos-seed", "7",
 	}, stragglerArgs...)...)
 	victimURL, _ := startProc(t, bin, victimAddr, append([]string{
 		"-role", "worker", "-coordinator", chaosCoord, "-heartbeat", "200ms",
 	}, workerArgs...)...)
 	for i := 0; i < 2; i++ {
-		startProc(t, bin, freeAddr(t), append([]string{
+		startProc(t, bin, freeAddrs(t, 1)[0], append([]string{
 			"-role", "worker", "-coordinator", chaosCoord, "-heartbeat", "200ms",
 		}, workerArgs...)...)
 	}

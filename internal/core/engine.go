@@ -118,7 +118,7 @@ func backendErr(backend Backend) error {
 // batched onto the backend. The same seed, problem, algorithm and backend
 // configuration always produce the same result.
 func Run(p *Problem, alg metaheuristic.Algorithm, backend Backend, seed uint64) (*Result, error) {
-	return run(context.Background(), p, alg, backend, seed, 0)
+	return run(context.Background(), p, alg, backend, seed, 0, 0)
 }
 
 // RunCtx is Run with cancellation: the run checks ctx between generations
@@ -126,7 +126,7 @@ func Run(p *Problem, alg metaheuristic.Algorithm, backend Backend, seed uint64) 
 // passes, so long screening runs abort promptly. A cancelled run returns
 // no partial Result.
 func RunCtx(ctx context.Context, p *Problem, alg metaheuristic.Algorithm, backend Backend, seed uint64) (*Result, error) {
-	return run(ctx, p, alg, backend, seed, 0)
+	return run(ctx, p, alg, backend, seed, 0, 0)
 }
 
 // RunBudget executes a run under a simulated-time deadline (the paper:
@@ -145,10 +145,14 @@ func RunBudgetCtx(ctx context.Context, p *Problem, alg metaheuristic.Algorithm, 
 	if budgetSeconds <= 0 {
 		return nil, fmt.Errorf("core: budget %g seconds", budgetSeconds)
 	}
-	return run(ctx, p, alg, backend, seed, budgetSeconds)
+	return run(ctx, p, alg, backend, seed, budgetSeconds, 0)
 }
 
-func run(ctx context.Context, p *Problem, alg metaheuristic.Algorithm, backend Backend, seed uint64, budget float64) (*Result, error) {
+// run is the engine. p's spots are spots first, first+1, ... of the
+// problem the seed's streams are drawn for: spot first+i draws from lanes
+// first+i and 1_000_000+first+i, so a search over a range of spots
+// (RunSearchSpots) makes the same draws as the whole search does there.
+func run(ctx context.Context, p *Problem, alg metaheuristic.Algorithm, backend Backend, seed uint64, budget float64, first int) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -173,10 +177,10 @@ func run(ctx context.Context, p *Problem, alg metaheuristic.Algorithm, backend B
 		ctx := &metaheuristic.SpotContext{
 			Spot:    s,
 			Sampler: samplers[i],
-			RNG:     root.Split(uint64(i)),
+			RNG:     root.Split(uint64(first + i)),
 		}
 		states[i] = alg.NewSpotState(ctx)
-		improveRNGs[i] = root.Split(1_000_000 + uint64(i))
+		improveRNGs[i] = root.Split(1_000_000 + uint64(first+i))
 	}
 
 	// Initialize: seed and evaluate the initial populations in one batch.

@@ -46,15 +46,76 @@ type Search struct {
 
 // RunSearch runs the metaheuristic once against the Modeled surrogate and
 // records its launches. The same problem, algorithm and seed give the
-// search that core.Run performs on any Modeled backend.
+// search that core.Run performs on any Modeled backend. It is the
+// one-range case of RunSearchSpots.
 func RunSearch(p *Problem, alg metaheuristic.Algorithm, seed uint64) (*Search, error) {
+	return RunSearchSpots(p, alg, seed, 0, len(p.Spots))
+}
+
+// RunSearchSpots runs the search on spots [lo, hi) of p alone. Nothing
+// couples spots in a Modeled search: each spot draws from its own streams,
+// the run's length is a fixed generation count, and the surrogate reads
+// only the conformation and its spot's target. So the searches of
+// contiguous ranges that cover p, merged in spot order by MergeSearches,
+// equal RunSearch's bit for bit. The spots keep their IDs, and the
+// surrogate's targets come from the whole problem, where they are keyed by
+// spot ID.
+func RunSearchSpots(p *Problem, alg metaheuristic.Algorithm, seed uint64, lo, hi int) (*Search, error) {
+	if lo < 0 || hi > len(p.Spots) || lo > hi {
+		return nil, fmt.Errorf("core: spot range [%d, %d) of %d spots", lo, hi, len(p.Spots))
+	}
+	sub := *p
+	sub.Spots = p.Spots[lo:hi]
 	b := &searchBackend{comp: newModeledCompute(p), s: &Search{algorithm: alg.Name()}}
-	res, err := run(context.Background(), p, alg, b, seed, 0)
+	res, err := run(context.Background(), &sub, alg, b, seed, 0, lo)
 	if err != nil {
 		return nil, err
 	}
 	b.s.spots = res.Spots
 	return b.s, nil
+}
+
+// MergeSearches combines the searches of contiguous spot ranges, given in
+// spot order, into the search of their union: per generation it sums the
+// launch counts and takes the best conformation first-wins, the engine's
+// own tie order across spots. Parts of different metaheuristics or
+// generation counts are an error.
+func MergeSearches(parts []*Search) (*Search, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("core: no searches to merge")
+	}
+	first := parts[0]
+	m := &Search{
+		algorithm: first.algorithm,
+		gens:      make([]launches, len(first.gens)),
+		best:      make([]conformation.Conformation, len(first.best)),
+	}
+	for g := range m.best {
+		m.best[g].Score = conformation.Unscored
+	}
+	for _, s := range parts {
+		if s.algorithm != first.algorithm || len(s.gens) != len(first.gens) {
+			return nil, fmt.Errorf("core: merging a %d-generation %s search into a %d-generation %s search",
+				len(s.gens), s.algorithm, len(first.gens), first.algorithm)
+		}
+		m.initial += s.initial
+		for g, l := range s.gens {
+			mg := &m.gens[g]
+			mg.score += l.score
+			mg.improve += l.improve
+			mg.hostOps += l.hostOps
+			if l.improve > 0 {
+				mg.moves = l.moves
+			}
+		}
+		for g, b := range s.best {
+			if b.Better(m.best[g]) {
+				m.best[g] = b
+			}
+		}
+		m.spots = append(m.spots, s.spots...)
+	}
+	return m, nil
 }
 
 // Timeline replays the search on backend's clock: the same kernel and

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/metascreen/metascreen/internal/cudasim"
+	"github.com/metascreen/metascreen/internal/forcefield"
 	"github.com/metascreen/metascreen/internal/metaheuristic"
 	"github.com/metascreen/metascreen/internal/sched"
 )
@@ -144,6 +145,86 @@ func TestTimelineEqualsRun(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSearchShardsEqualWhole: a Modeled search split into contiguous spot
+// ranges and merged equals the whole search bit for bit, and so does a
+// timeline of it, for every paper metaheuristic at 1, 2 and 7 ranges on
+// 2BSM (32 spots) and 2BXG (86 spots), spot counts 7 does not divide.
+func TestSearchShardsEqualWhole(t *testing.T) {
+	for _, ds := range []Dataset{Dataset2BSM(), Dataset2BXG()} {
+		p, err := NewProblemFromDataset(ds, forcefield.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(p.Spots)
+		for _, name := range metaheuristic.PaperNames() {
+			alg, err := metaheuristic.NewPaper(name, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const seed = 13
+			whole, err := RunSearch(p, alg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			timeline := func(s *Search) *Result {
+				t.Helper()
+				b, err := NewPoolBackend(p, PoolConfig{Specs: hertzSpecs(), Mode: sched.Heterogeneous, NoiseAmp: 0.05, Seed: 9})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Timeline(b, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			want := timeline(whole)
+			for _, k := range []int{1, 2, 7} {
+				what := fmt.Sprintf("%s %s in %d ranges", ds.Name, name, k)
+				parts := make([]*Search, k)
+				for r := range parts {
+					if parts[r], err = RunSearchSpots(p, alg, seed, n*r/k, n*(r+1)/k); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+				}
+				merged, err := MergeSearches(parts)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !reflect.DeepEqual(merged, whole) {
+					t.Errorf("%s: merged search differs from the whole search", what)
+				}
+				sameResult(t, what, timeline(merged), want)
+			}
+		}
+	}
+	p := smallProblem(t)
+	if _, err := RunSearchSpots(p, smallAlg(t), 1, 1, 0); err == nil {
+		t.Error("an inverted spot range was accepted")
+	}
+	if _, err := RunSearchSpots(p, smallAlg(t), 1, 0, len(p.Spots)+1); err == nil {
+		t.Error("a spot range past the last spot was accepted")
+	}
+	var mixed []*Search
+	for _, name := range []string{"M1", "M4"} {
+		alg, err := metaheuristic.NewPaper(name, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := RunSearchSpots(p, alg, 1, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed = append(mixed, s)
+	}
+	if _, err := MergeSearches(mixed); err == nil {
+		t.Error("searches of two metaheuristics were merged")
+	}
+	if _, err := MergeSearches(nil); err == nil {
+		t.Error("an empty merge was accepted")
 	}
 }
 

@@ -62,20 +62,20 @@ func runDeadline(m Machine, dataset string, budget float64, cfg Config, workers 
 			rep.Rows = append(rep.Rows, DeadlineRow{Metaheuristic: mh})
 		}
 	}
+	label := fmt.Sprintf("deadline %s %s", m.Name, dataset)
 	jobs := make([]job, len(rep.Rows))
 	for i := range rep.Rows {
 		row := &rep.Rows[i]
-		jobs[i] = job{mh: row.Metaheuristic, timelines: []timeline{
-			{setup{allGPUs, sched.Homogeneous}, func(res *core.Result) {
+		jobs[i] = job{label: label, mh: row.Metaheuristic, p: problem, timelines: []timeline{
+			{m, setup{allGPUs, sched.Homogeneous}, func(res *core.Result) {
 				row.GenHomog, row.BestHomog = res.Generations, res.Best.Score
 			}},
-			{setup{allGPUs, sched.Heterogeneous}, func(res *core.Result) {
+			{m, setup{allGPUs, sched.Heterogeneous}, func(res *core.Result) {
 				row.GenHeter, row.BestHeter = res.Generations, res.Best.Score
 			}},
 		}}
 	}
-	label := fmt.Sprintf("deadline %s %s", m.Name, dataset)
-	if err := replay(problem, m, cfg, budget, label, jobs, workers); err != nil {
+	if err := replay(cfg, budget, jobs, workers); err != nil {
 		return nil, err
 	}
 	return rep, nil

@@ -116,12 +116,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Run regenerates one of the paper's result tables. Each row runs its
-// metaheuristic's search once and replays it on every column's clock; the
-// rows run concurrently on up to GOMAXPROCS goroutines, and the table is
-// bit-identical to a serial replay.
+// Run regenerates one of the paper's result tables: RunTables with one
+// experiment.
 func Run(exp Experiment, cfg Config) (*Table, error) {
 	return runTable(exp, metaheuristic.PaperNames(), cfg, 0)
+}
+
+// RunTables regenerates the given result tables in one replay. Each
+// (dataset, metaheuristic) runs its search once, split by spot across the
+// docking pool's GOMAXPROCS goroutines, and replays it on every column of
+// every table on that dataset. The tables, in exps order, are
+// bit-identical to one serial Run per experiment.
+func RunTables(exps []Experiment, cfg Config) ([]*Table, error) {
+	return runTables(exps, metaheuristic.PaperNames(), cfg, 0)
 }
 
 // RunRow regenerates a single metaheuristic's row of an experiment's
@@ -186,31 +193,58 @@ func (s setup) backend(p *core.Problem, m Machine, cfg Config) (core.Backend, er
 	})
 }
 
-// runTable replays the rows of mhs, one job per row: the row's search,
-// then one timeline per column. The jobs run on a pool of at most workers
-// goroutines (GOMAXPROCS when workers <= 0).
+// runTable replays one experiment's rows of mhs; see runTables.
 func runTable(exp Experiment, mhs []string, cfg Config, workers int) (*Table, error) {
-	cfg = cfg.withDefaults()
-	problem, err := newProblem(exp.Dataset)
+	tabs, err := runTables([]Experiment{exp}, mhs, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Number: exp.Number, Machine: exp.Machine, Dataset: exp.Dataset, Rows: make([]Row, len(mhs))}
-	jobs := make([]job, len(mhs))
-	for i, mh := range mhs {
-		row := &t.Rows[i]
-		*row = Row{Metaheuristic: mh, HomogeneousSystem: math.NaN()}
-		jobs[i].mh = mh
-		for _, c := range columns {
-			if c.setup.on(exp.Machine) {
-				jobs[i].timelines = append(jobs[i].timelines, timeline{c.setup, func(res *core.Result) { c.store(row, res) }})
+	return tabs[0], nil
+}
+
+// runTables replays the rows of mhs of every experiment, one job per
+// (dataset, metaheuristic) in table order: the search once, then one
+// timeline per column of each table on that dataset. The jobs run on a pool
+// of at most workers goroutines (GOMAXPROCS when workers <= 0).
+func runTables(exps []Experiment, mhs []string, cfg Config, workers int) ([]*Table, error) {
+	cfg = cfg.withDefaults()
+	tabs := make([]*Table, len(exps))
+	var jobs []job
+	type key struct{ dataset, mh string }
+	jobOf := make(map[key]int)
+	problems := make(map[string]*core.Problem)
+	for e, exp := range exps {
+		problem, ok := problems[exp.Dataset]
+		if !ok {
+			var err error
+			if problem, err = newProblem(exp.Dataset); err != nil {
+				return nil, err
+			}
+			problems[exp.Dataset] = problem
+		}
+		t := &Table{Number: exp.Number, Machine: exp.Machine, Dataset: exp.Dataset, Rows: make([]Row, len(mhs))}
+		tabs[e] = t
+		for i, mh := range mhs {
+			row := &t.Rows[i]
+			*row = Row{Metaheuristic: mh, HomogeneousSystem: math.NaN()}
+			k, ok := jobOf[key{exp.Dataset, mh}]
+			if !ok {
+				k = len(jobs)
+				jobOf[key{exp.Dataset, mh}] = k
+				jobs = append(jobs, job{label: fmt.Sprintf("table %d", exp.Number), mh: mh, p: problem})
+			}
+			for _, c := range columns {
+				if c.setup.on(exp.Machine) {
+					jobs[k].timelines = append(jobs[k].timelines,
+						timeline{exp.Machine, c.setup, func(res *core.Result) { c.store(row, res) }})
+				}
 			}
 		}
 	}
-	if err := replay(problem, exp.Machine, cfg, 0, fmt.Sprintf("table %d", exp.Number), jobs, workers); err != nil {
+	if err := replay(cfg, 0, jobs, workers); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return tabs, nil
 }
 
 // newProblem builds a dataset's problem. A replay's jobs share it: its
@@ -226,27 +260,73 @@ func newProblem(dataset string) (*core.Problem, error) {
 // timeline is one machine configuration a search is replayed on, with
 // the slot its result fills.
 type timeline struct {
-	setup setup
-	store func(*core.Result)
+	machine Machine
+	setup   setup
+	store   func(*core.Result)
 }
 
-// job is one metaheuristic's share of a replay: its Modeled search, run
-// once, then its timelines in order, each on its own fresh backend. Where
-// a docking runs never changes its search, so every timeline shares it.
+// job is one (dataset, metaheuristic)'s share of a replay: its Modeled
+// search, run once, then its timelines in order, each on its own fresh
+// backend. Where a docking runs never changes its search, so every
+// timeline shares it. label names the job's first table in errors.
 type job struct {
+	label     string
 	mh        string
+	p         *core.Problem
 	timelines []timeline
 }
 
-// replay runs the jobs, which share problem p, on the docking pool;
-// callers list the costliest first (M1, the longest search, is). Each
-// timeline writes only its own slot, so the output is bit-identical to a
-// serial replay. A positive budget cuts each timeline at that simulated
-// deadline. A failure is wrapped as "tables: <label> <MH>: ...".
-func replay(p *core.Problem, m Machine, cfg Config, budget float64, label string, jobs []job, workers int) error {
-	return dockAll(len(jobs), workers, func(i int) error {
-		if err := jobs[i].run(p, m, cfg, budget); err != nil {
-			return fmt.Errorf("tables: %s %s: %w", label, jobs[i].mh, err)
+// replay runs the jobs on the docking pool. Each job's search is split
+// into one contiguous spot range per pool worker (at most one per spot),
+// and each (job, spot range) is a unit of the pool. Units are claimed in
+// job order, so callers list each dataset's costliest job first (M1, the
+// longest search, is). The unit that finishes a job's last range merges
+// the ranges and replays the merged search, which equals the whole search
+// bit for bit, on the job's timelines. Each timeline writes only its own
+// slot, so the output is bit-identical to a serial replay. A positive
+// budget cuts each timeline at that simulated deadline. A failure is
+// wrapped as "tables: <label> <MH>: ...".
+func replay(cfg Config, budget float64, jobs []job, workers int) error {
+	if workers <= 0 {
+		workers = hostpar.DefaultThreads()
+	}
+	type unit struct{ job, part, lo, hi int }
+	var units []unit
+	parts := make([][]*core.Search, len(jobs))
+	left := make([]atomic.Int32, len(jobs))
+	for j := range jobs {
+		n := len(jobs[j].p.Spots)
+		k := max(1, min(workers, n))
+		parts[j] = make([]*core.Search, k)
+		left[j].Store(int32(k))
+		for r := range k {
+			units = append(units, unit{j, r, n * r / k, n * (r + 1) / k})
+		}
+	}
+	return dockAll(len(units), workers, func(i int) error {
+		u := units[i]
+		j := &jobs[u.job]
+		err := func() error {
+			alg, err := metaheuristic.NewPaper(j.mh, cfg.Scale)
+			if err != nil {
+				return err
+			}
+			if parts[u.job][u.part], err = core.RunSearchSpots(j.p, alg, cfg.Seed, u.lo, u.hi); err != nil {
+				return err
+			}
+			// The last range to finish sees every other range's search:
+			// each stored its part before its own Add.
+			if left[u.job].Add(-1) > 0 {
+				return nil
+			}
+			search, err := core.MergeSearches(parts[u.job])
+			if err != nil {
+				return err
+			}
+			return j.replayOn(search, cfg, budget)
+		}()
+		if err != nil {
+			return fmt.Errorf("tables: %s %s: %w", j.label, j.mh, err)
 		}
 		return nil
 	})
@@ -276,19 +356,10 @@ func dockAll(n, workers int, job func(i int) error) error {
 	return nil
 }
 
-// run builds the job's metaheuristic, runs its search, and replays the
-// search on each timeline's backend.
-func (j job) run(p *core.Problem, m Machine, cfg Config, budget float64) error {
-	alg, err := metaheuristic.NewPaper(j.mh, cfg.Scale)
-	if err != nil {
-		return err
-	}
-	search, err := core.RunSearch(p, alg, cfg.Seed)
-	if err != nil {
-		return err
-	}
+// replayOn replays the job's search on each timeline's backend.
+func (j *job) replayOn(search *core.Search, cfg Config, budget float64) error {
 	for _, tl := range j.timelines {
-		backend, err := tl.setup.backend(p, m, cfg)
+		backend, err := tl.setup.backend(j.p, tl.machine, cfg)
 		if err != nil {
 			return err
 		}

@@ -419,6 +419,35 @@ func TestPoolEqualsSerial(t *testing.T) {
 	}
 }
 
+// TestRunTablesEqualsRun: one replay of all four tables, which searches
+// each (dataset, metaheuristic) once, equals one Run per table bit for bit.
+func TestRunTablesEqualsRun(t *testing.T) {
+	for _, seed := range []uint64{2016, 7} {
+		cfg := Config{Scale: 0.1, Seed: seed}
+		tabs, err := RunTables(Experiments(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tabs) != len(Experiments()) {
+			t.Fatalf("seed %d: %d tables", seed, len(tabs))
+		}
+		for i, exp := range Experiments() {
+			want, err := Run(exp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tabs[i]
+			if got.Number != want.Number || got.Dataset != want.Dataset || got.Machine.Name != want.Machine.Name || len(got.Rows) != len(want.Rows) {
+				t.Fatalf("seed %d: table %d on %s/%s with %d rows, want table %d on %s/%s with %d rows", seed,
+					got.Number, got.Machine.Name, got.Dataset, len(got.Rows), want.Number, want.Machine.Name, want.Dataset, len(want.Rows))
+			}
+			for r := range want.Rows {
+				sameBits(t, fmt.Sprintf("seed %d table %d row %d", seed, exp.Number, r), got.Rows[r], want.Rows[r])
+			}
+		}
+	}
+}
+
 func TestErrorsWrappedOnEveryEntryPoint(t *testing.T) {
 	// NewPaper rejects the scale, so every docking fails; each entry point
 	// reports its first docking in table order, wrapped the same way.
@@ -442,6 +471,8 @@ func TestErrorsWrappedOnEveryEntryPoint(t *testing.T) {
 	check(err, "tables: table 8 M1: ")
 	_, err = RunRow(exp, "M3", bad)
 	check(err, "tables: table 8 M3: ")
+	_, err = RunTables(Experiments(), bad)
+	check(err, "tables: table 6 M1: ")
 	_, err = RunDeadline(Hertz(), "2BSM", 0.4, bad)
 	check(err, "tables: deadline Hertz 2BSM M1: ")
 	_, err = RunRow(exp, "M9", Config{Scale: 0.1})
