@@ -19,7 +19,7 @@ import (
 	"github.com/metascreen/metascreen/internal/vec"
 )
 
-var updateEnergies = flag.Bool("update", false, "rewrite testdata/energies.golden from this build")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden of each test run from this build")
 
 // TestEnergiesGolden pins Real-mode energies, as hex float64 bits, to bytes
 // recorded by an earlier build: a rigid library screen, a multi-GPU pool
@@ -101,7 +101,7 @@ func TestEnergiesGolden(t *testing.T) {
 	}
 
 	golden := filepath.Join("testdata", "energies.golden")
-	if *updateEnergies {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
