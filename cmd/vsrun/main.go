@@ -169,7 +169,7 @@ func main() {
 		fmt.Printf("trace written to %s (load in Perfetto or chrome://tracing)\n", *traceOut)
 	}
 
-	if *gantt && recorder != nil && recorder.Len() > 0 {
+	if *gantt && *backendKind == "pool" {
 		fmt.Println("\ndevice timeline (w=warmup, s=scoring, i=improve, h/d=transfers):")
 		if err := recorder.WriteGantt(os.Stdout, 100); err != nil {
 			fatal(err)

@@ -97,21 +97,32 @@ func TestHeterogeneousSurvivesDeviceLoss(t *testing.T) {
 	if st.Resplits < 1 {
 		t.Errorf("Resplits = %d, want >= 1", st.Resplits)
 	}
-	if rec.CountLabel("resplit") < 1 {
+	if countNamed(rec, "resplit") < 1 {
 		t.Error("no resplit mark in the trace")
 	}
-	if rec.CountLabel("fault:permanent") < 1 {
-		t.Error("no fault:permanent event in the trace")
+	if countNamed(rec, "fault:permanent") < 1 {
+		t.Error("no fault:permanent span in the trace")
 	}
 }
 
+// countNamed returns the number of device spans named name.
+func countNamed(rec *trace.Recorder, name string) int {
+	n := 0
+	for _, s := range rec.Spans() {
+		if s.Cat == trace.CatDevice && s.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
 // TestFaultedRunDeterministic: the same seed and fault plan produce the
-// same timeline, event for event and in the same recorded order.
+// same timeline, span for span and in the same recorded order.
 func TestFaultedRunDeterministic(t *testing.T) {
 	pp := hertzPool(t)
 	pp.Warmup(probe(), 8, 0, 1)
 	plan := cudasim.FaultPlan{FailAt: pp.Now() * 1.1} // mid-generation
-	run := func() ([]trace.Event, float64) {
+	run := func() ([]trace.Span, float64) {
 		t.Helper()
 		p, rec, end, err := faultedHetRun(t, 2048, plan)
 		if err != nil {
@@ -120,7 +131,7 @@ func TestFaultedRunDeterministic(t *testing.T) {
 		if p.FaultStats().Permanents < 1 {
 			t.Fatal("fault plan did not fire; the test is vacuous")
 		}
-		return rec.Events(), end
+		return rec.Spans(), end
 	}
 	e1, t1 := run()
 	e2, t2 := run()
@@ -128,7 +139,7 @@ func TestFaultedRunDeterministic(t *testing.T) {
 		t.Errorf("makespans differ: %v vs %v", t1, t2)
 	}
 	if !reflect.DeepEqual(e1, e2) {
-		t.Errorf("traces differ: %d vs %d events", len(e1), len(e2))
+		t.Errorf("traces differ: %d vs %d spans", len(e1), len(e2))
 	}
 }
 

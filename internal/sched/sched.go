@@ -54,11 +54,12 @@ func (m Mode) String() string {
 // Pool drives the devices of one simulated node. The paper binds one
 // OpenMP host thread to each GPU to feed it; here a device's share is only
 // clock arithmetic on its own streams, so the pool steps its devices in a
-// loop in device order, which also fixes the order of trace events.
+// loop in device order, which also fixes the order of trace spans.
 type Pool struct {
-	ctx *cudasim.Context
-	rec *trace.Recorder
-	log *slog.Logger
+	ctx    *cudasim.Context
+	rec    *trace.Recorder
+	tracks []string // trace.DeviceTrack of each device
+	log    *slog.Logger
 
 	fmu   sync.Mutex // guards the fault state below
 	alive []bool
@@ -68,14 +69,17 @@ type Pool struct {
 // NewPool returns a pool over all devices of the context.
 func NewPool(ctx *cudasim.Context) *Pool {
 	alive := make([]bool, ctx.DeviceCount())
+	tracks := make([]string, len(alive))
 	for i := range alive {
 		alive[i] = true
+		tracks[i] = trace.DeviceTrack(i)
 	}
-	return &Pool{ctx: ctx, alive: alive, log: obs.Nop()}
+	return &Pool{ctx: ctx, tracks: tracks, alive: alive, log: obs.Nop()}
 }
 
-// SetRecorder attaches a timeline recorder; every subsequent device
-// operation is recorded. Pass nil to stop recording.
+// SetRecorder attaches a timeline recorder: every subsequent device
+// operation, and every fault mark, is recorded on it as a trace.CatDevice
+// span on the device's trace.DeviceTrack. Pass nil to stop recording.
 func (p *Pool) SetRecorder(r *trace.Recorder) { p.rec = r }
 
 // SetLogger routes the pool's structured logging — warm-up summaries,
@@ -88,16 +92,17 @@ func (p *Pool) SetLogger(l *slog.Logger) {
 	p.log = l
 }
 
-// record forwards a device event to the recorder, optionally overriding
-// its label.
-func (p *Pool) record(ev cudasim.Event, label string) {
+// record adds one simulated-time span named name on device's track, if a
+// recorder is attached: a device operation, or a fault mark when start ==
+// end.
+func (p *Pool) record(device int, name string, start, end float64) {
 	if p.rec == nil {
 		return
 	}
-	if label == "" {
-		label = ev.Label
-	}
-	p.rec.Add(trace.Event{Device: ev.Device, Label: label, Start: ev.Start, End: ev.End})
+	p.rec.AddSpan(trace.Span{
+		Track: p.tracks[device], Name: name, Cat: trace.CatDevice,
+		Clock: trace.ClockSim, Start: start, End: end,
+	})
 }
 
 // Size returns the number of devices.

@@ -18,22 +18,30 @@ func TestPoolRecordsTimeline(t *testing.T) {
 	}
 	p.RunStatic(Assign(Heterogeneous, 2048, 2, res.Weights, 8), batch())
 
-	if rec.Len() == 0 {
-		t.Fatal("nothing recorded")
-	}
-	stats := rec.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("stats for %d devices", len(stats))
-	}
-	for _, s := range stats {
-		if s.ByLabel["warmup"] <= 0 {
-			t.Errorf("device %d has no warm-up time", s.Device)
+	// Busy time per device track and operation name.
+	busy := map[string]map[string]float64{}
+	for _, s := range rec.Spans() {
+		if s.Cat != trace.CatDevice || s.Clock != trace.ClockSim {
+			t.Fatalf("span %+v is not a simulated device span", s)
 		}
-		if s.ByLabel["scoring"] <= 0 {
-			t.Errorf("device %d has no scoring time", s.Device)
+		if busy[s.Track] == nil {
+			busy[s.Track] = map[string]float64{}
 		}
-		if s.ByLabel["h2d"] <= 0 || s.ByLabel["d2h"] <= 0 {
-			t.Errorf("device %d missing transfer events", s.Device)
+		busy[s.Track][s.Name] += s.Duration()
+	}
+	if len(busy) != 2 {
+		t.Fatalf("spans on %d tracks, want the two device tracks", len(busy))
+	}
+	for i := range 2 {
+		ops := busy[trace.DeviceTrack(i)]
+		if ops["warmup"] <= 0 {
+			t.Errorf("device %d has no warm-up time", i)
+		}
+		if ops["scoring"] <= 0 {
+			t.Errorf("device %d has no scoring time", i)
+		}
+		if ops["h2d"] <= 0 || ops["d2h"] <= 0 {
+			t.Errorf("device %d missing transfer spans", i)
 		}
 	}
 
@@ -54,7 +62,7 @@ func TestHeterogeneousSplitBalancesUtilization(t *testing.T) {
 	balanced.SetRecorder(&recBal)
 	w := balanced.Warmup(probe(), 8, 0, 1)
 	balanced.Context().ResetAll()
-	recBal = trace.Recorder{} // drop warm-up events
+	recBal = trace.Recorder{} // drop warm-up spans
 	balanced.SetRecorder(&recBal)
 	balanced.RunStatic(Assign(Heterogeneous, 4096, 2, w.Weights, 8), batch())
 

@@ -2,15 +2,14 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
 
-// Chrome trace export. The recorder's spans and device events are written
-// in the Chrome trace "JSON Array Format": a JSON array with one trace
-// event per line (JSONL bracketed by [ ]), directly loadable in
-// chrome://tracing and Perfetto. The two clock domains export as two trace
+// Chrome trace export. The recorder's spans are written in the Chrome
+// trace "JSON Array Format": a JSON array with one trace event per line
+// (JSONL bracketed by [ ]), directly loadable in chrome://tracing and
+// Perfetto. The two clock domains export as two trace
 // processes — pid 1 "wall clock" and pid 2 "simulated device time" — so a
 // job's real-time lifecycle and its modeled device timelines stay on
 // separate, internally consistent axes.
@@ -50,8 +49,7 @@ func clockPid(clock string) int {
 
 // WriteChrome writes the recorder's timeline as a Chrome trace. Spans
 // export as complete events ("ph":"X") or instant events ("ph":"i") when
-// zero-length; legacy device events export on simulated "dev<N>" tracks
-// with category "device".
+// zero-length.
 func (r *Recorder) WriteChrome(w io.Writer) error {
 	type key struct {
 		pid   int
@@ -63,22 +61,16 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		ev chromeEvent
 	}
 	var items []item
-	add := func(pid int, track, name, cat string, start, end float64, args map[string]string) {
-		ev := chromeEvent{Name: name, Cat: cat, Pid: pid, Ts: start * 1e6}
-		if end > start {
-			d := (end - start) * 1e6
+	for _, s := range r.Spans() {
+		pid := clockPid(s.Clock)
+		ev := chromeEvent{Name: s.Name, Cat: s.Cat, Pid: pid, Ts: s.Start * 1e6, Args: s.Args}
+		if s.End > s.Start {
+			d := (s.End - s.Start) * 1e6
 			ev.Ph, ev.Dur = "X", &d
 		} else {
 			ev.Ph, ev.Scope = "i", "t"
 		}
-		ev.Args = args
-		items = append(items, item{k: key{pid, track}, ev: ev})
-	}
-	for _, e := range r.Events() {
-		add(chromePidSim, fmt.Sprintf("dev%d", e.Device), e.Label, CatDevice, e.Start, e.End, nil)
-	}
-	for _, s := range r.Spans() {
-		add(clockPid(s.Clock), s.Track, s.Name, s.Cat, s.Start, s.End, s.Args)
+		items = append(items, item{k: key{pid, s.Track}, ev: ev})
 	}
 
 	// Assign tids per process in sorted track order.

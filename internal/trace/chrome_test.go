@@ -12,13 +12,16 @@ import (
 var update = flag.Bool("update", false, "regenerate golden files")
 
 // goldenRecorder builds a fixed timeline exercising both clock domains,
-// both event kinds (complete and instant), args, and the legacy device
-// events.
+// both event kinds (complete and instant), args, and device spans as a
+// scheduling pool records them.
 func goldenRecorder() *Recorder {
 	r := &Recorder{}
-	r.Add(Event{Device: 0, Label: "warmup", Start: 0, End: 0.4})
-	r.Add(Event{Device: 1, Label: "scoring", Start: 0.4, End: 1.1})
-	r.AddMark(1, 1.1, "resplit")
+	device := func(i int, name string, start, end float64) {
+		r.AddSpan(Span{Track: DeviceTrack(i), Name: name, Cat: CatDevice, Clock: ClockSim, Start: start, End: end})
+	}
+	device(0, "warmup", 0, 0.4)
+	device(1, "scoring", 0.4, 1.1)
+	device(1, "resplit", 1.1, 1.1)
 	r.AddSpan(Span{
 		Track: "job", Name: "job job-000001", Cat: CatJob,
 		Start: 0, End: 2.5,
@@ -79,10 +82,6 @@ func TestWriteChromeStable(t *testing.T) {
 	spans := src.Spans()
 	for i := len(spans) - 1; i >= 0; i-- {
 		r.AddSpan(spans[i])
-	}
-	events := src.Events()
-	for i := len(events) - 1; i >= 0; i-- {
-		r.Add(events[i])
 	}
 	if err := r.WriteChrome(&b); err != nil {
 		t.Fatal(err)

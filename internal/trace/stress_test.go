@@ -2,16 +2,18 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestRecorderConcurrentStress hammers one recorder from 64 goroutines —
-// half writing device events, half writing spans — and asserts nothing is
-// lost and per-device event order stays monotone and non-overlapping.
-// Each goroutine plays one device (or one span track) appending strictly
-// increasing intervals; the recorder must preserve per-writer insertion
-// order, so any reordering or loss is a bug. Run with -race (CI does).
+// half writing device spans, half writing generation spans — and asserts
+// nothing is lost and each track's spans stay monotone and
+// non-overlapping. Each goroutine plays one device (or one span track)
+// appending strictly increasing intervals; the recorder must preserve
+// per-writer insertion order, so any reordering or loss is a bug. Run with
+// -race (CI does).
 func TestRecorderConcurrentStress(t *testing.T) {
 	const (
 		writers = 64
@@ -24,10 +26,9 @@ func TestRecorderConcurrentStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g%2 == 0 {
-				// Device-event writer: device g, back-to-back intervals.
+				// Device writer: device g, back-to-back intervals.
 				for i := 0; i < perG; i++ {
-					start := float64(i)
-					r.Add(Event{Device: g, Label: "op", Start: start, End: start + 1})
+					addDevice(r, g, "op", float64(i), float64(i)+1)
 				}
 				return
 			}
@@ -44,40 +45,23 @@ func TestRecorderConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got, want := r.Len(), writers/2*perG; got != want {
-		t.Fatalf("lost device events: got %d, want %d", got, want)
-	}
-	if got, want := r.SpanCount(), writers/2*perG; got != want {
+	all := r.Spans()
+	if got, want := len(all), writers*perG; got != want {
 		t.Fatalf("lost spans: got %d, want %d", got, want)
 	}
 
-	// Per-device: exactly perG events, in monotone non-overlapping order.
-	byDev := map[int][]Event{}
-	for _, e := range r.Events() {
-		byDev[e.Device] = append(byDev[e.Device], e)
-	}
-	if len(byDev) != writers/2 {
-		t.Fatalf("got %d devices, want %d", len(byDev), writers/2)
-	}
-	for dev, evs := range byDev {
-		if len(evs) != perG {
-			t.Fatalf("device %d: %d events, want %d", dev, len(evs), perG)
-		}
-		for i, e := range evs {
-			if e.Start != float64(i) || e.End != float64(i)+1 {
-				t.Fatalf("device %d: event %d out of order or overlapping: [%g, %g]",
-					dev, i, e.Start, e.End)
-			}
-		}
-	}
-
-	// Per-track spans likewise.
+	// Per track (a device or a generation writer): exactly perG spans, in
+	// monotone non-overlapping order.
 	byTrack := map[string][]Span{}
-	for _, s := range r.Spans() {
+	devices := 0
+	for _, s := range all {
+		if s.Cat == CatDevice && len(byTrack[s.Track]) == 0 {
+			devices++
+		}
 		byTrack[s.Track] = append(byTrack[s.Track], s)
 	}
-	if len(byTrack) != writers/2 {
-		t.Fatalf("got %d tracks, want %d", len(byTrack), writers/2)
+	if len(byTrack) != writers || devices != writers/2 {
+		t.Fatalf("got %d tracks (%d devices), want %d (%d)", len(byTrack), devices, writers, writers/2)
 	}
 	for track, spans := range byTrack {
 		if len(spans) != perG {
@@ -92,7 +76,8 @@ func TestRecorderConcurrentStress(t *testing.T) {
 		}
 	}
 
-	// The stats and export paths must also hold up after the stampede.
+	// The utilization and busy-time paths must also hold up after the
+	// stampede.
 	if u := r.Utilization(); len(u) != writers/2 {
 		t.Fatalf("utilization over %d devices, want %d", len(u), writers/2)
 	}
@@ -118,22 +103,27 @@ func TestRecorderConcurrentMerge(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			child := &Recorder{}
-			child.Add(Event{Device: 0, Label: "scoring", Start: 0, End: 1})
+			addDevice(child, 0, "scoring", 0, 1)
 			child.AddSpan(Span{Track: "generations", Name: "generation 1",
 				Cat: CatGeneration, Clock: ClockSim, Start: 0, End: 1})
 			parent.Merge(child, fmt.Sprintf("lig:%03d", c))
 		}(c)
 	}
 	wg.Wait()
-	if got, want := parent.SpanCount(), children*2; got != want {
+	spans := parent.Spans()
+	if got, want := len(spans), children*2; got != want {
 		t.Fatalf("merged %d spans, want %d", got, want)
 	}
-	if got, want := parent.CountCat(CatDevice), children; got != want {
-		t.Fatalf("%d device spans, want %d", got, want)
-	}
-	for _, s := range parent.Spans() {
-		if len(s.Track) < 8 || s.Track[:4] != "lig:" {
+	devices := 0
+	for _, s := range spans {
+		if prefix, _, ok := strings.Cut(s.Track, "/"); !ok || !strings.HasPrefix(prefix, "lig:") {
 			t.Fatalf("span track %q missing merge prefix", s.Track)
 		}
+		if s.Cat == CatDevice {
+			devices++
+		}
+	}
+	if devices != children {
+		t.Fatalf("%d device spans, want %d", devices, children)
 	}
 }
