@@ -87,9 +87,11 @@ func (p *Pool) barrierClose() float64 {
 
 // RunDynamic executes one generation of total conformations by cooperative
 // self-scheduling: work is cut into chunks of chunkSize conformations and
-// each chunk goes to the device that becomes free first (greedy
-// earliest-finish assignment, the discrete-event equivalent of a shared
-// work queue). Returns the simulated barrier completion time.
+// each chunk goes to the alive device predicted to finish it first — its
+// clock plus shareTime, ties to the lower index (greedy earliest-finish
+// assignment, the discrete-event equivalent of a shared work queue). The
+// prediction is the nominal cost model: fault plans stay invisible to the
+// choice. Returns the simulated barrier completion time.
 //
 // A chunk that fails on a fenced device goes back on the queue, so the
 // remaining devices naturally drain around a dead one; the error is
@@ -110,15 +112,13 @@ func (p *Pool) RunDynamic(total, chunkSize int, b Batch) (float64, error) {
 		if n > remaining {
 			n = remaining
 		}
-		// Pick the alive device that is free earliest.
-		devs := p.ctx.Devices()
-		best := -1
-		for i, d := range devs {
+		best, bestEnd := -1, 0.0
+		for i, d := range p.ctx.Devices() {
 			if !p.aliveAt(i) {
 				continue
 			}
-			if best == -1 || d.StreamClock(cudasim.DefaultStream) < devs[best].StreamClock(cudasim.DefaultStream) {
-				best = i
+			if end := d.StreamClock(cudasim.DefaultStream) + p.shareTime(i, n, b); best == -1 || end < bestEnd {
+				best, bestEnd = i, end
 			}
 		}
 		if best == -1 {
@@ -131,6 +131,15 @@ func (p *Pool) RunDynamic(total, chunkSize int, b Batch) (float64, error) {
 		remaining -= n
 	}
 	return p.barrierClose(), nil
+}
+
+// shareTime is the nominal time deviceShare takes on device tid for n
+// conformations: upload, kernel and download at the cost model's rates.
+func (p *Pool) shareTime(tid, n int, b Batch) float64 {
+	m := p.ctx.Model()
+	l := b.Proto
+	l.Conformations = n
+	return m.TransferTime(n*b.BytesPerConformation) + m.KernelTime(p.ctx.Properties(tid), l) + m.TransferTime(n*scoreBytes)
 }
 
 // Now returns the pool's barrier time: the latest default-stream clock

@@ -99,6 +99,35 @@ func TestRunDynamicCompletesAllWork(t *testing.T) {
 	}
 }
 
+// TestRunDynamicPicksEarliestFinish: a chunk goes to the alive device
+// predicted to finish it first, not to the one free first. A one-wave
+// chunk finishes sooner on the GTX580 (device 1, the higher clock) than
+// on the K40c, though both are free at the start; identical devices tie
+// to the lower index.
+func TestRunDynamicPicksEarliestFinish(t *testing.T) {
+	const chunk = 32
+	p := hertzPool(t)
+	m := p.Context().Model()
+	l := batch().Proto.WithConformations(chunk)
+	if k40, gtx := m.KernelTime(cudasim.TeslaK40c, l), m.KernelTime(cudasim.GTX580, l); gtx >= k40 {
+		t.Fatalf("GTX580 kernel %v not faster than K40c %v for one wave; the test is vacuous", gtx, k40)
+	}
+	mustRun(t)(p.RunDynamic(chunk, chunk, batch()))
+	if k0, k1 := p.Context().Device(0).Kernels(), p.Context().Device(1).Kernels(); k0 != 0 || k1 != 1 {
+		t.Errorf("kernels per device = [%d %d], want [0 1]", k0, k1)
+	}
+
+	ctx, err := cudasim.NewContext(cudasim.TeslaK40c, cudasim.TeslaK40c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twins := NewPool(ctx)
+	mustRun(t)(twins.RunDynamic(chunk, chunk, batch()))
+	if k0, k1 := ctx.Device(0).Kernels(), ctx.Device(1).Kernels(); k0 != 1 || k1 != 0 {
+		t.Errorf("identical devices: kernels per device = [%d %d], want [1 0]", k0, k1)
+	}
+}
+
 func TestRunDynamicNearHeterogeneousStatic(t *testing.T) {
 	// Cooperative chunking should approach the proportional split (within
 	// chunk-size slack) and clearly beat the equal split.

@@ -93,7 +93,7 @@ func (p *Pool) pipelinedShare(tid, n int, b Batch, depth int) error {
 	// Results come back once per generation, after the last kernel.
 	dev.Idle(copyStream, dev.StreamClock(computeStream))
 	_, err := p.runOp(tid, "", func() (cudasim.Event, error) {
-		return dev.CopyToHost(copyStream, n*8)
+		return dev.CopyToHost(copyStream, n*scoreBytes)
 	})
 	return err
 }
