@@ -12,6 +12,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -170,14 +171,25 @@ func main() {
 	}
 
 	if *gantt && *backendKind == "pool" {
-		fmt.Println("\ndevice timeline (w=warmup, s=scoring, i=improve, h/d=transfers):")
-		if err := recorder.WriteGantt(os.Stdout, 100); err != nil {
+		if err := writeTimeline(os.Stdout, recorder); err != nil {
 			fatal(err)
 		}
-		for i, u := range recorder.Utilization() {
-			fmt.Printf("  device %d utilization: %.0f%%\n", i, 100*u)
+	}
+}
+
+// writeTimeline prints the pool's device timeline chart and the
+// utilization of each device on it, labelled by device index.
+func writeTimeline(w io.Writer, r *trace.Recorder) error {
+	fmt.Fprintln(w, "\ndevice timeline (w=warmup, s=scoring, i=improve, h/d=transfers):")
+	if err := r.WriteGantt(w, 100); err != nil {
+		return err
+	}
+	for _, u := range r.Utilization() {
+		if _, err := fmt.Fprintf(w, "  device %d utilization: %.0f%%\n", u.Device, 100*u.Fraction); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // checkFlags rejects flag values that a run would otherwise ignore or

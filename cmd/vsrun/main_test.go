@@ -1,8 +1,16 @@
 package main
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
+
+	"github.com/metascreen/metascreen/internal/core"
+	"github.com/metascreen/metascreen/internal/forcefield"
+	"github.com/metascreen/metascreen/internal/metaheuristic"
+	"github.com/metascreen/metascreen/internal/surface"
+	"github.com/metascreen/metascreen/internal/trace"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -34,5 +42,42 @@ func TestCheckFlags(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// TestTimelineLabelsDevices: a dynamic run on Hertz at this scale docks on
+// the GTX580 alone, so the timeline's only row is dev1 — and the
+// utilization line under it must name device 1, not its row position.
+func TestTimelineLabelsDevices(t *testing.T) {
+	rec, lig, err := loadMolecules("2BSM", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProblem(rec, lig, surface.Options{}, forcefield.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := metaheuristic.NewPaper("M1", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorder := &trace.Recorder{}
+	backend, err := pickBackend(p, "pool", "Hertz", "dynamic", 42, "", recorder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.RunCtx(trace.NewContext(context.Background(), recorder), p, alg, backend, 42); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := writeTimeline(&b, recorder); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.Contains(out, "\ndev1 ") || strings.Contains(out, "\ndev0 ") {
+		t.Fatalf("want a timeline of dev1 alone:\n%s", out)
+	}
+	if !strings.Contains(out, "device 1 utilization") || strings.Contains(out, "device 0 utilization") {
+		t.Errorf("utilization not labelled by device:\n%s", out)
 	}
 }

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"github.com/metascreen/metascreen/internal/conformation"
 	"github.com/metascreen/metascreen/internal/molecule"
-	"github.com/metascreen/metascreen/internal/surface"
 	"github.com/metascreen/metascreen/internal/vec"
 )
 
@@ -93,35 +89,3 @@ func recordResult(rec LigandRecord) *Result {
 // calls. A non-nil error aborts the screen; the checkpoint keeps
 // everything completed so far.
 type CheckpointFunc func(cp *Checkpoint, rec LigandRecord, newlyCompleted int) error
-
-// ScreenResumable is Screen with checkpointing: ligands already present in
-// cp are skipped (their recorded results are used), and every newly
-// completed ligand is added to cp before the next job starts. On error the
-// checkpoint still holds everything completed so far, so callers can save
-// it and resume later. It is ScreenResumableCtx without cancellation, with
-// one worker — ligands run sequentially in library order.
-func ScreenResumable(receptor *molecule.Molecule, library []*molecule.Molecule,
-	spotOpts surface.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64,
-	cp *Checkpoint) (*ScreenResult, error) {
-	return ScreenResumableCtx(context.Background(), receptor, library, spotOpts,
-		algf, backf, seed, 1, cp, nil)
-}
-
-// ScreenResumableCtx is the context-aware, ligand-parallel resumable
-// screen (parity with ScreenCtx): it prepares the receptor and runs
-// ScreenReceptorCtx over cp. Seed lanes are keyed by ligand name, so the
-// final ranking is byte-identical to an uninterrupted Screen/ScreenCtx run
-// with the same seed, for every worker count and every split of the
-// library across interrupted attempts.
-func ScreenResumableCtx(ctx context.Context, receptor *molecule.Molecule, library []*molecule.Molecule,
-	spotOpts surface.Options, algf AlgorithmFactory, backf BackendFactory, seed uint64, workers int,
-	cp *Checkpoint, onUpdate CheckpointFunc) (*ScreenResult, error) {
-	if cp == nil {
-		return nil, fmt.Errorf("core: nil checkpoint (use Screen for one-shot runs)")
-	}
-	rec, err := PrepareReceptor(receptor, spotOpts)
-	if err != nil {
-		return nil, err
-	}
-	return ScreenReceptorCtx(ctx, rec, library, algf, backf, seed, workers, cp, onUpdate)
-}

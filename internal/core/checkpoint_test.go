@@ -22,6 +22,18 @@ func checkpointFixtures() (*molecule.Molecule, []*molecule.Molecule) {
 	return rec, lib
 }
 
+// screenResumable runs a checkpointed screen as the screening service
+// does: the receptor prepared once (two spots), then ScreenReceptorCtx
+// over cp at seed 5.
+func screenResumable(ctx context.Context, rec *molecule.Molecule, lib []*molecule.Molecule,
+	backf BackendFactory, workers int, cp *Checkpoint, onUpdate CheckpointFunc) (*ScreenResult, error) {
+	prepared, err := PrepareReceptor(rec, surface.Options{MaxSpots: 2})
+	if err != nil {
+		return nil, err
+	}
+	return ScreenReceptorCtx(ctx, prepared, lib, screenAlgFactory(), backf, 5, workers, cp, onUpdate)
+}
+
 func TestScreenResumableMatchesScreen(t *testing.T) {
 	rec, lib := checkpointFixtures()
 	plain, err := Screen(rec, lib, surface.Options{MaxSpots: 2}, forcefield.Options{},
@@ -30,15 +42,14 @@ func TestScreenResumableMatchesScreen(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := &Checkpoint{}
-	resumable, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, cp)
+	resumable, err := screenResumable(context.Background(), rec, lib, HostBackendFactory(HostConfig{Real: true}), 1, cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range plain.Ranking {
 		if plain.Ranking[i].Ligand.Name != resumable.Ranking[i].Ligand.Name ||
 			plain.Ranking[i].Result.Best.Score != resumable.Ranking[i].Result.Best.Score {
-			t.Errorf("rank %d differs between Screen and ScreenResumable", i)
+			t.Errorf("rank %d differs between Screen and the checkpointed screen", i)
 		}
 	}
 	if len(cp.Ligands) != 3 {
@@ -50,8 +61,7 @@ func TestScreenResumableSkipsCompleted(t *testing.T) {
 	rec, lib := checkpointFixtures()
 	// First pass: only the first two ligands.
 	cp := &Checkpoint{}
-	if _, err := ScreenResumable(rec, lib[:2], surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, cp); err != nil {
+	if _, err := screenResumable(context.Background(), rec, lib[:2], HostBackendFactory(HostConfig{Real: true}), 1, cp, nil); err != nil {
 		t.Fatal(err)
 	}
 	firstA := cp.Ligands["cp-a"]
@@ -71,8 +81,7 @@ func TestScreenResumableSkipsCompleted(t *testing.T) {
 
 	// Resume over the full library: the first two come from the
 	// checkpoint (identical results), only the third runs.
-	res, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, loaded)
+	res, err := screenResumable(context.Background(), rec, lib, HostBackendFactory(HostConfig{Real: true}), 1, loaded, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,18 +98,12 @@ func TestScreenResumableSkipsCompleted(t *testing.T) {
 
 func TestScreenResumableValidation(t *testing.T) {
 	rec, lib := checkpointFixtures()
-	if _, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, nil); err == nil {
-		t.Error("nil checkpoint accepted")
-	}
 	cp := &Checkpoint{Seed: 99, Ligands: map[string]LigandRecord{}}
-	if _, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, cp); err == nil {
+	if _, err := screenResumable(context.Background(), rec, lib, HostBackendFactory(HostConfig{Real: true}), 1, cp, nil); err == nil {
 		t.Error("seed mismatch accepted")
 	}
 	dup := []*molecule.Molecule{lib[0], lib[0]}
-	if _, err := ScreenResumable(rec, dup, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, &Checkpoint{}); err == nil {
+	if _, err := screenResumable(context.Background(), rec, dup, HostBackendFactory(HostConfig{Real: true}), 1, &Checkpoint{}, nil); err == nil {
 		t.Error("duplicate ligand names accepted")
 	}
 }
@@ -133,8 +136,7 @@ func TestScreenResumableCtxMatchesScreenCtx(t *testing.T) {
 
 	// Cold start, parallel.
 	cold := &Checkpoint{}
-	res, err := ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 4, cold, nil)
+	res, err := screenResumable(context.Background(), rec, lib, HostBackendFactory(HostConfig{Real: true}), 4, cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,18 +150,15 @@ func TestScreenResumableCtxMatchesScreenCtx(t *testing.T) {
 	for _, name := range []string{lib[1].Name, lib[4].Name, lib[5].Name} {
 		half.Ligands[name] = cold.Ligands[name]
 	}
-	res, err = ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2, half, nil)
+	res, err = screenResumable(context.Background(), rec, lib, HostBackendFactory(HostConfig{Real: true}), 2, half, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("resumed", res)
 
 	// Fully checkpointed: nothing runs, the ranking is rebuilt from records.
-	res, err = ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(),
-		func(p *Problem) (Backend, error) { t.Fatal("backend built for a completed screen"); return nil, nil },
-		5, 2, cold, nil)
+	res, err = screenResumable(context.Background(), rec, lib,
+		func(p *Problem) (Backend, error) { t.Fatal("backend built for a completed screen"); return nil, nil }, 2, cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +172,7 @@ func TestScreenResumableCtxCallback(t *testing.T) {
 	rec, lib := checkpointFixtures()
 	var counts []int
 	cp := &Checkpoint{}
-	_, err := ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2, cp,
+	_, err := screenResumable(context.Background(), rec, lib, HostBackendFactory(HostConfig{Real: true}), 2, cp,
 		func(cp *Checkpoint, rec LigandRecord, newly int) error {
 			if len(cp.Ligands) != newly {
 				t.Errorf("hook sees %d recorded ligands at newly=%d", len(cp.Ligands), newly)
@@ -199,8 +197,7 @@ func TestScreenResumableCtxCallback(t *testing.T) {
 
 	// A failing hook aborts; completed work stays checkpointed.
 	cp2 := &Checkpoint{}
-	_, err = ScreenResumableCtx(context.Background(), rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 1, cp2,
+	_, err = screenResumable(context.Background(), rec, lib, HostBackendFactory(HostConfig{Real: true}), 1, cp2,
 		func(cp *Checkpoint, _ LigandRecord, newly int) error {
 			if newly == 2 {
 				return errors.New("disk full")
@@ -219,8 +216,7 @@ func TestScreenResumableCtxCancelled(t *testing.T) {
 	rec, lib := checkpointFixtures()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ScreenResumableCtx(ctx, rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), HostBackendFactory(HostConfig{Real: true}), 5, 2,
+	_, err := screenResumable(ctx, rec, lib, HostBackendFactory(HostConfig{Real: true}), 2,
 		&Checkpoint{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)

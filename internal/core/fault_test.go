@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"github.com/metascreen/metascreen/internal/cudasim"
 	"github.com/metascreen/metascreen/internal/sched"
-	"github.com/metascreen/metascreen/internal/surface"
 )
 
 func hertzSpecs() []cudasim.DeviceSpec {
@@ -105,8 +105,7 @@ func TestCheckpointResumeAfterDeviceFault(t *testing.T) {
 
 	// Reference: the same screen with no fault anywhere.
 	reff, _ := countingFactory(0)
-	ref, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), reff, 5, &Checkpoint{})
+	ref, err := screenResumable(context.Background(), rec, lib, reff, 1, &Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +113,7 @@ func TestCheckpointResumeAfterDeviceFault(t *testing.T) {
 	// Faulted pass: the backend for the third ligand loses both devices.
 	cp := &Checkpoint{}
 	faultf, _ := countingFactory(3)
-	_, err = ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), faultf, 5, cp)
+	_, err = screenResumable(context.Background(), rec, lib, faultf, 1, cp, nil)
 	if !errors.Is(err, sched.ErrAllDevicesLost) {
 		t.Fatalf("faulted screen err = %v, want ErrAllDevicesLost", err)
 	}
@@ -125,8 +123,7 @@ func TestCheckpointResumeAfterDeviceFault(t *testing.T) {
 
 	// Resume with healthy hardware: only the unfinished ligand runs.
 	resumef, calls := countingFactory(0)
-	res, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), resumef, 5, cp)
+	res, err := screenResumable(context.Background(), rec, lib, resumef, 1, cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +149,9 @@ func TestScreenAggregatesFaultCounters(t *testing.T) {
 	rec, lib := checkpointFixtures()
 	// Fault only the GTX580, late enough that runs complete: measure one
 	// clean ligand run first to place the fault mid-run.
-	probe, err := ScreenResumable(rec, lib[:1], surface.Options{MaxSpots: 2},
-		screenAlgFactory(), PoolBackendFactory(PoolConfig{
-			Real: true, Specs: hertzSpecs(), Mode: sched.Heterogeneous,
-		}), 5, &Checkpoint{})
+	probe, err := screenResumable(context.Background(), rec, lib[:1], PoolBackendFactory(PoolConfig{
+		Real: true, Specs: hertzSpecs(), Mode: sched.Heterogeneous,
+	}), 1, &Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +164,7 @@ func TestScreenAggregatesFaultCounters(t *testing.T) {
 			{FailAt: probe.SimulatedSeconds / 2},
 		},
 	}
-	res, err := ScreenResumable(rec, lib, surface.Options{MaxSpots: 2},
-		screenAlgFactory(), PoolBackendFactory(cfg), 5, &Checkpoint{})
+	res, err := screenResumable(context.Background(), rec, lib, PoolBackendFactory(cfg), 1, &Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

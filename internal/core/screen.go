@@ -107,9 +107,10 @@ func ScreenCtx(ctx context.Context, receptor *molecule.Molecule, library []*mole
 	return ScreenReceptorCtx(ctx, rec, library, algf, backf, seed, workers, nil, nil)
 }
 
-// ScreenReceptorCtx is the one library-screening implementation behind
-// ScreenCtx and ScreenResumableCtx, against a receptor the caller prepared
-// — once per screen there, once per process in the screening service.
+// ScreenReceptorCtx is the one library-screening implementation, behind
+// ScreenCtx and the screening service's checkpointed screens, against a
+// receptor the caller prepared — once per screen in ScreenCtx, once per
+// process in the service.
 // Ligands run on a bounded pool of `workers` goroutines (0 means one per
 // CPU), each an independent job with its own problem, backend and seed
 // lane, so the ranking is byte-identical for every worker count and

@@ -62,8 +62,8 @@ func TestPoolTimelineGolden(t *testing.T) {
 	if err := tr.WriteGantt(&b, 100); err != nil {
 		t.Fatal(err)
 	}
-	for i, u := range tr.Utilization() {
-		fmt.Fprintf(&b, "device %d utilization %v\n", i, u)
+	for _, u := range tr.Utilization() {
+		fmt.Fprintf(&b, "device %d utilization %v\n", u.Device, u.Fraction)
 	}
 	if err := tr.WriteChrome(&b); err != nil {
 		t.Fatal(err)

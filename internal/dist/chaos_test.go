@@ -209,7 +209,7 @@ func TestStalePartialRejected(t *testing.T) {
 
 	j := newJob("stale-test-job", req, nil, nil)
 	sh := &shard{id: "s0", worker: w.URL, epoch: 99, ligands: j.names, remote: view.ID}
-	if err := c.poll(context.Background(), j, sh); err != nil {
+	if err := c.poll(context.Background(), j, sh, c.pollWait()); err != nil {
 		t.Fatalf("stale poll failed the job: %v", err)
 	}
 	if len(j.merged) != 0 {
@@ -220,7 +220,7 @@ func TestStalePartialRejected(t *testing.T) {
 	}
 
 	sh.epoch = 1 // matches the worker's registration epoch
-	if err := c.poll(context.Background(), j, sh); err != nil {
+	if err := c.poll(context.Background(), j, sh, c.pollWait()); err != nil {
 		t.Fatalf("valid poll failed the job: %v", err)
 	}
 	if len(j.merged) != len(j.names) {

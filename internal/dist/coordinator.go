@@ -119,6 +119,7 @@ type worker struct {
 	lastBeat time.Time
 	shards   int64 // chunks ever assigned here
 	merged   int64 // ligands merged first from this worker's polls
+	errs     int   // consecutive failed requests (FailThreshold)
 }
 
 // shard is one chunk of a distributed job's ligands, owned by one worker
@@ -139,7 +140,6 @@ type shard struct {
 
 	cursor     string // the last accepted poll's position; reset with remote
 	dispatched time.Time
-	errs       int // consecutive failed requests for this shard
 
 	// The poll span in progress: its start on the job recorder's clock and
 	// how many polls it covers.
@@ -162,6 +162,7 @@ type job struct {
 	resplits  int
 	final     bool            // Run ended it: its records leave the next compaction
 	rec       *trace.Recorder // the service's span recorder for the job
+	loops     map[string]bool // workers whose supervision loop runs, by URL
 }
 
 // Coordinator is a screening service whose service.Runner is itself, the
@@ -240,55 +241,58 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Run implements service.Runner: it steps one screen until every ligand
-// merged, then ranks the merged records as a node ranks its checkpointed
-// ones. A client cancel, timeout or deadline also cancels the worker-side
-// jobs; Shutdown interrupts (ErrInterrupted) and leaves them running. A
-// step that made no progress is followed by the rest of a PollInterval,
-// so a worker that does not hold polls is asked at most once per interval.
+// Run implements service.Runner: it supervises one screen (supervise.go)
+// until every ligand merged, then ranks the merged records as a node ranks
+// its checkpointed ones. A client cancel, timeout or deadline also cancels
+// the worker-side jobs; Shutdown interrupts (ErrInterrupted) and leaves
+// them running.
 func (c *Coordinator) Run(ctx context.Context, id string, req service.ScreenRequest) (*core.ScreenResult, error) {
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	defer context.AfterFunc(c.reqCtx, func() { cancel(service.ErrInterrupted) })()
+	ctx, end := context.WithCancelCause(ctx)
+	defer end(nil)
+	defer context.AfterFunc(c.reqCtx, func() { end(service.ErrInterrupted) })()
 	c.h.Lock()
 	j := c.startLocked(id, req, trace.FromContext(ctx))
 	c.h.Unlock()
-	for ctx.Err() == nil {
-		start := time.Now()
-		done, progressed, err := c.step(ctx, j)
-		if done || err != nil {
-			var lib []*molecule.Molecule
-			if err == nil {
-				lib = service.LibraryOf(j.req)
-			}
-			c.h.Lock()
-			defer c.h.Unlock()
-			j.final = true
-			if err != nil {
-				return nil, err
-			}
-			return core.Aggregate(lib, nil, j.merged), nil
+	var loops sync.WaitGroup
+	for {
+		start, err := c.supervise(j)
+		if err != nil {
+			end(err)
 		}
-		if !progressed {
-			rng.Sleep(ctx, c.cfg.PollInterval-time.Since(start))
+		for _, url := range start {
+			loops.Add(1)
+			go func() {
+				defer loops.Done()
+				c.loop(ctx, end, j, url)
+			}()
+		}
+		if !rng.Sleep(ctx, c.cfg.PollInterval) {
+			break
 		}
 	}
+	loops.Wait()
+
 	cause := context.Cause(ctx)
-	c.h.Lock()
-	j.final = !errors.Is(cause, service.ErrInterrupted)
-	var refs []remoteRef
-	if j.final {
-		refs = j.remoteRefsLocked()
+	var lib []*molecule.Molecule
+	if errors.Is(cause, errComplete) {
+		lib = service.LibraryOf(j.req)
 	}
-	c.h.Unlock()
-	c.cancelLater(refs)
+	c.h.Lock()
+	defer c.h.Unlock()
+	j.final = !errors.Is(cause, service.ErrInterrupted)
+	switch {
+	case errors.Is(cause, errComplete):
+		return core.Aggregate(lib, nil, j.merged), nil
+	case j.final:
+		c.cancelLater(append(j.remoteRefsLocked(), c.takeFencedLocked()...))
+	}
 	return nil, cause
 }
 
 // startLocked makes job id's table row ready to run req, keeping the
 // chunk table a replay rebuilt: ligands on its live chunks stay out of the
 // pool. Chunks of a worker whose death was journaled go back to the pool
-// in the first step. Caller holds the service mutex.
+// in the first supervise. Caller holds the service mutex.
 func (c *Coordinator) startLocked(id string, req service.ScreenRequest, rec *trace.Recorder) *job {
 	j := newJob(id, req, c.h.CompletedLocked(id), rec)
 	if old := c.jobs[id]; old != nil {
@@ -315,7 +319,7 @@ func newJob(id string, req service.ScreenRequest, merged map[string]core.LigandR
 	if rec == nil {
 		rec = &trace.Recorder{}
 	}
-	j := &job{id: id, req: req, merged: merged, atoms: make(map[string]int), rec: rec}
+	j := &job{id: id, req: req, merged: merged, atoms: make(map[string]int), rec: rec, loops: make(map[string]bool)}
 	var want map[string]bool
 	if len(req.Ligands) > 0 {
 		want = make(map[string]bool, len(req.Ligands))

@@ -358,11 +358,19 @@ func runExploreWorkload(t *testing.T, ec *explorerCluster, c *Coordinator, ops f
 		settle("the pulls a merge triggers")
 	}
 	// Held polls deliver entries one at a time: all of a's first chunk,
-	// whose last poll pulls a's next chunk, and part of b's.
+	// whose completion pulls a's next chunk, and part of b's. a's second
+	// chunk is withheld, to be backed up at the end.
 	ids, ligands := liveChunks(c, v.ID)
+	var withheld string
+	c.h.Lock()
+	for _, sh := range c.jobs[v.ID].shards {
+		if sh.worker == explorerA && sh.id != ids[0] {
+			withheld = sh.id
+		}
+	}
+	c.h.Unlock()
 	complete(ids[0], ligands[0])
 	complete(ids[1], ligands[1][:3])
-	withheld := ids[2] // a's second chunk, backed up at the end
 
 	// Worker b dies; its unmerged ligands go back to the pool.
 	out.marks["death"] = ops()

@@ -227,7 +227,7 @@ func TestWorkerRestartMidShardMergesOnce(t *testing.T) {
 	})
 	poll := func(wantMerged int) {
 		t.Helper()
-		if err := c.poll(context.Background(), j, sh); err != nil {
+		if err := c.poll(context.Background(), j, sh, c.pollWait()); err != nil {
 			t.Fatal(err)
 		}
 		c.h.Lock()
@@ -308,7 +308,7 @@ func TestLateResponseAfterHoldDropped(t *testing.T) {
 
 	done := make(chan bool, 1)
 	go func() {
-		done <- c.poll(context.Background(), j, sh) != nil
+		done <- c.poll(context.Background(), j, sh, c.pollWait()) != nil
 	}()
 	<-holding
 	c.h.Lock()

@@ -11,7 +11,7 @@ import (
 // pool, costliest first; a ligand's cost is its atom count
 // (core.SyntheticAtoms), which its docking time follows (EXPERIMENTS.md).
 // Each alive worker holds at most chunksPerWorker live chunks of a job,
-// and a completed chunk's poll is its worker's request for the next.
+// and every round of its supervision loop asks for more (supervise.go).
 //
 // Chunks are sized by factoring (Hummel, Schonberg & Flynn 1992): batches
 // of P chunks for P alive workers, each about half the pool's cost over P
@@ -85,75 +85,65 @@ func (j *job) carveBatch(p int) {
 	}
 }
 
-// pullLocked answers one request for work on job j from worker w: the
-// next chunk while w holds fewer than chunksPerWorker live ones, or, once
-// nothing is left to hand out and w holds none, one backup. It returns
-// nil when there is nothing for w. Caller holds the service mutex.
-func (c *Coordinator) pullLocked(j *job, w *worker, alive int) *shard {
-	live := 0
-	for _, sh := range j.shards {
-		if sh.worker == w.url && !sh.done && !sh.moved {
-			live++
-		}
-	}
-	if live >= chunksPerWorker {
-		return nil
-	}
-	if len(j.ready) == 0 && len(j.pool) > 0 {
-		j.carveBatch(alive)
-	}
-	if len(j.ready) > 0 {
-		chunk := j.ready[0]
-		j.ready = j.ready[1:]
-		return c.newShardLocked(j, w, chunk, "")
-	}
-	if live == 0 {
-		return c.backupLocked(j, w)
-	}
-	return nil
-}
-
-// assignLocked hands out work to every alive worker, one chunk per
-// worker per pass, so a batch's chunks spread over the workers before
-// anyone takes a second. Caller holds the service mutex.
-func (c *Coordinator) assignLocked(j *job) {
+// pullLocked answers the requests for work on job j of the workers in
+// urls, in order: each takes chunks while it holds fewer than
+// chunksPerWorker live ones, a second only once every alive worker holds
+// one, so a factoring batch spreads over the workers before anyone takes
+// a second; or, once nothing is left to hand out and it holds none, one
+// backup. The new chunks are journaled in one append: one fsync before
+// any of them is dispatched. Caller holds the service mutex.
+func (c *Coordinator) pullLocked(j *job, urls ...string) {
 	alive := c.aliveWorkersLocked()
-	var fresh []*shard
-	for more := true; more; {
-		more = false
-		for _, w := range alive {
-			if sh := c.pullLocked(j, w, len(alive)); sh != nil {
-				fresh, more = append(fresh, sh), true
-			}
+	held := map[string]int{}
+	for _, sh := range j.shards {
+		if !sh.done && !sh.moved {
+			held[sh.worker]++
 		}
 	}
-	c.journalLocked(j, fresh)
-}
-
-// refillLocked is a worker's request after one of its chunks completed:
-// it takes work until it holds chunksPerWorker chunks again. Caller
-// holds the service mutex.
-func (c *Coordinator) refillLocked(j *job, url string) []*shard {
-	w := c.workers[url]
-	if w == nil || !w.alive {
-		return nil
+	fewest := func() int {
+		n := chunksPerWorker
+		for _, a := range alive {
+			n = min(n, held[a.url])
+		}
+		return n
 	}
-	alive := len(c.aliveWorkersLocked())
-	var out []*shard
-	for sh := c.pullLocked(j, w, alive); sh != nil; sh = c.pullLocked(j, w, alive) {
-		out = append(out, sh)
+	var evs []any
+	for _, url := range urls {
+		w := c.workers[url]
+		for w != nil && w.alive && held[url] < chunksPerWorker && held[url] <= fewest() {
+			if len(j.ready) == 0 && len(j.pool) > 0 {
+				j.carveBatch(len(alive))
+			}
+			var sh *shard
+			switch {
+			case len(j.ready) > 0:
+				sh = c.newShardLocked(j, w, j.ready[0], "")
+				j.ready = j.ready[1:]
+			case held[url] == 0:
+				sh = c.backupLocked(j, w)
+			}
+			if sh == nil {
+				break
+			}
+			held[url]++
+			evs = append(evs, event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: sh.ligands, HedgeOf: sh.hedgeOf})
+		}
 	}
-	c.journalLocked(j, out)
-	return out
+	if len(evs) > 0 {
+		c.h.AppendLocked(evs...)
+	}
 }
 
 // backupLocked is the tail rule: w backs up the oldest live chunk that
-// has run for HeartbeatTimeout and has no twin yet. Caller holds the service mutex.
+// has run for HeartbeatTimeout and has no twin yet. A chunk whose worker's
+// last request failed is not backed up: that worker is on its way to
+// FailThreshold, whose death returns the chunk's ligands to the pool
+// without a duplicate. Caller holds the service mutex.
 func (c *Coordinator) backupLocked(j *job, w *worker) *shard {
 	now := c.h.Now()
 	var oldest *shard
 	for _, sh := range j.shards {
-		if sh.done || sh.moved || sh.remote == "" || sh.hedgeOf != "" || sh.hedgedBy != "" || !c.epochValidLocked(sh) {
+		if sh.done || sh.moved || sh.remote == "" || sh.hedgeOf != "" || sh.hedgedBy != "" || !c.epochValidLocked(sh) || c.workers[sh.worker].errs > 0 {
 			continue
 		}
 		if now.Sub(sh.dispatched) < c.cfg.HeartbeatTimeout {
@@ -190,7 +180,7 @@ func (c *Coordinator) backupLocked(j *job, w *worker) *shard {
 }
 
 // newShardLocked records a new chunk of j on w (a backup when hedgeOf is
-// set); its caller journals it. Caller holds the service mutex.
+// set); pullLocked journals it. Caller holds the service mutex.
 func (c *Coordinator) newShardLocked(j *job, w *worker, ligands []string, hedgeOf string) *shard {
 	sh := &shard{id: "s" + strconv.Itoa(j.nextShard), worker: w.url, epoch: w.epoch, ligands: ligands, hedgeOf: hedgeOf}
 	j.nextShard++
@@ -198,18 +188,6 @@ func (c *Coordinator) newShardLocked(j *job, w *worker, ligands []string, hedgeO
 	w.shards++
 	c.metrics.shards.Inc()
 	return sh
-}
-
-// journalLocked journals one pass's new chunks in one append: one fsync
-// before any of them is dispatched. Caller holds the service mutex.
-func (c *Coordinator) journalLocked(j *job, shards []*shard) {
-	evs := make([]any, len(shards))
-	for i, sh := range shards {
-		evs[i] = event{Type: evAssign, Job: j.id, Shard: sh.id, Worker: sh.worker, Epoch: sh.epoch, Ligands: sh.ligands, HedgeOf: sh.hedgeOf}
-	}
-	if len(evs) > 0 {
-		c.h.AppendLocked(evs...)
-	}
 }
 
 // livePartnerLocked returns the other half of a backup pair if it is

@@ -3,13 +3,16 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,9 +21,12 @@ import (
 )
 
 // Scheduler tests on a virtual clock: the coordinator runs on Config.now,
-// the test calls step() itself, and the workers are scriptWorker fakes
-// (longpoll_test.go) that dock like a one-slot node in scripted virtual
-// time. Nothing here sleeps or depends on how fast the box is.
+// the test runs supervision itself — on each tick the screen's part, then
+// one round per worker in URL order, the code Run and the worker loops
+// run — and the workers are scriptWorker fakes (longpoll_test.go) that
+// dock like a one-slot node in scripted virtual time. No tick-driven test
+// sleeps; TestHeldPollBlocksOnlyItsWorker runs Run's own loops and waits
+// on conditions, never on how fast the box is.
 
 // simClock is the virtual clock shared by the coordinator and the fakes.
 type simClock struct {
@@ -121,7 +127,7 @@ func (sw *scriptWorker) cancelCount() int {
 }
 
 // simCluster is a coordinator on the virtual clock with one unsupervised
-// job: the test advances time and calls step.
+// job: the test advances time and supervises it.
 type simCluster struct {
 	t       *testing.T
 	c       *Coordinator
@@ -133,7 +139,7 @@ type simCluster struct {
 
 const (
 	simGrace = time.Second            // HeartbeatTimeout = the backup grace
-	simTick  = 100 * time.Millisecond // PollInterval = virtual time per step
+	simTick  = 100 * time.Millisecond // PollInterval = virtual time per tick
 )
 
 // startSim registers the workers (in URL order) and installs a screen of
@@ -167,17 +173,24 @@ func (sc *simCluster) beat() {
 	}
 }
 
-// tick advances one PollInterval of virtual time and runs one supervision
-// step, reporting whether the job finished.
+// tick advances one PollInterval of virtual time, then runs the screen's
+// part of supervision and one round of each worker's loop, reporting
+// whether the job finished.
 func (sc *simCluster) tick() bool {
 	sc.clock.advance(simTick)
 	sc.ticks++
 	sc.beat()
-	finished, _, err := sc.c.step(context.Background(), sc.j)
-	if err != nil {
+	_, err := sc.c.supervise(sc.j)
+	for _, u := range sc.workers {
+		if err != nil {
+			break
+		}
+		_, err = sc.c.round(context.Background(), sc.j, u)
+	}
+	if err != nil && !errors.Is(err, errComplete) {
 		sc.t.Fatal(err)
 	}
-	return finished
+	return err != nil
 }
 
 // run ticks until the job finishes, failing past maxTicks, and returns the
@@ -479,7 +492,9 @@ func TestReshardMovesOnlyDeadNodesLigands(t *testing.T) {
 		}
 		j := newJob("reshard", service.ScreenRequest{Library: 50 + rng.Intn(400)}.Normalized(), nil, nil)
 		c.h.Lock()
-		c.assignLocked(j)
+		for range chunksPerWorker {
+			c.pullLocked(j, urls...)
+		}
 		for _, sh := range j.shards {
 			for _, name := range sh.ligands {
 				if rng.Intn(3) == 0 {
@@ -589,4 +604,86 @@ func workerView(t *testing.T, c *Coordinator, url string) WorkerView {
 	}
 	t.Fatalf("worker %s not in membership", url)
 	return WorkerView{}
+}
+
+// TestHeldPollBlocksOnlyItsWorker: one worker holds its chunk poll until
+// the test releases it. Each worker has its own supervision loop, so the
+// other worker's chunks keep being dispatched, completed and merged
+// meanwhile, until every ligand the blocked worker does not hold merged.
+// Once released the screen finishes, and every loop exits with Run.
+func TestHeldPollBlocksOnlyItsWorker(t *testing.T) {
+	clock := &simClock{t: time.Unix(1_000_000, 0)}
+	healthy := startSimWorker(t, clock, time.Millisecond)
+	blocked := startScriptWorker(t)
+	release := make(chan struct{})
+	var held atomic.Int32
+	blocked.script(func(sw *scriptWorker) {
+		sw.partial = func(r *http.Request, sh scriptShard) service.PartialView {
+			held.Add(1)
+			defer held.Add(-1)
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			pv := service.PartialView{ID: r.PathValue("id"), State: service.StateDone, Completed: len(sh.ligands), Total: len(sh.ligands)}
+			for _, name := range sh.ligands {
+				pv.Entries = append(pv.Entries, exploreEntry(name))
+			}
+			return pv
+		}
+	})
+	c := startCoordinator(t, Config{
+		Service:          service.Config{Clock: clock.now},
+		HeartbeatTimeout: time.Hour, RequestTimeout: time.Hour, PollInterval: 5 * time.Millisecond,
+	})
+	for _, u := range []string{healthy.srv.URL, blocked.srv.URL} {
+		if _, err := c.Register(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := distRequest
+	req.Library = 24
+	before := runtime.NumGoroutine()
+	v, _, err := c.SubmitIdem(req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "the blocked worker's held poll", func() bool { return held.Load() >= 1 })
+
+	onBlocked := func() (ligands, chunks int) {
+		c.h.Lock()
+		defer c.h.Unlock()
+		for _, sh := range c.jobs[v.ID].shards {
+			if sh.worker == blocked.srv.URL {
+				ligands += len(sh.ligands)
+				chunks++
+			}
+		}
+		return ligands, chunks
+	}
+	waitCond(t, "every ligand off the blocked worker merged", func() bool {
+		clock.advance(20 * time.Millisecond)
+		got, err := c.Get(v.ID)
+		n, _ := onBlocked()
+		return err == nil && got.Completed == req.Library-n
+	})
+	if held.Load() < 1 {
+		t.Fatal("the blocked poll returned before its release")
+	}
+	if _, chunks := onBlocked(); chunks != chunksPerWorker {
+		t.Fatalf("the blocked worker holds %d chunks, want %d", chunks, chunksPerWorker)
+	}
+	if submits, _ := healthy.counts(); submits <= chunksPerWorker {
+		t.Fatalf("the healthy worker was dispatched %d chunks while the other poll was held", submits)
+	}
+
+	close(release)
+	final := waitJob(t, c, v.ID, 30*time.Second, func(v JobView) bool { return v.State.Terminal() })
+	if final.State != service.StateDone || final.Completed != req.Library {
+		t.Fatalf("screen ended %s with %d/%d ligands: %s", final.State, final.Completed, req.Library, final.Error)
+	}
+	waitCond(t, "every supervision loop to exit", func() bool {
+		c.cl.hc.CloseIdleConnections()
+		return runtime.NumGoroutine() <= before
+	})
 }

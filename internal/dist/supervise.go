@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,123 +8,143 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/metascreen/metascreen/internal/core"
+	"github.com/metascreen/metascreen/internal/rng"
 	"github.com/metascreen/metascreen/internal/trace"
 )
 
-// The supervision step Run repeats for its screen:
+// Supervision runs at two levels. Run, every PollInterval, does the
+// screen's part (supervise): it reaps workers whose heartbeat expired,
+// returns the unfinished ligands of chunks on dead or fenced workers to
+// the pool, cancels fenced zombie jobs, and starts a loop for every alive
+// worker that has none — one that joins or revives mid-screen included.
+// Each worker's loop repeats round: pull chunks (pool.go), dispatch the
+// new ones, hold a poll of the oldest dispatched chunk and poll the
+// younger ones, merge what they deliver, pull again. A round that made no
+// progress sleeps out the rest of PollInterval.
 //
-//  1. reap workers whose heartbeat expired;
-//  2. under the lock — return the unfinished ligands of chunks on dead or
-//     fenced workers to the pool, and let every alive worker pull chunks
-//     (pool.go);
-//  3. off the lock, concurrently so one blackholed worker delays no other
-//     — cancel fenced zombie jobs, dispatch new chunks and long-poll
-//     dispatched ones for the entries past their cursors; a poll that
-//     completes its chunk merges it and at once pulls the worker's next;
-//  4. under the lock — report the screen done once every ligand merged.
-//
-// No HTTP runs under the lock, so a slow worker never stalls the API; the
-// locked re-checks, the epoch fence among them, make a response safe to
-// apply even if its worker died, revived or lost a backup race meanwhile.
+// No loop waits on another worker's request, so a slow or blackholed
+// worker delays only its own chunks. No HTTP runs under the lock, so a
+// slow worker never stalls the API; the locked re-checks, the epoch fence
+// among them, make a response safe to apply even if its worker died,
+// revived or lost a backup race meanwhile.
+
+// errComplete ends a screen's loops once every ligand merged.
+var errComplete = errors.New("dist: every ligand merged")
 
 // remoteRef names a worker-side job for cancellation fan-out.
 type remoteRef struct{ worker, remote string }
 
-// step runs one supervision round: done once every ligand merged, err for
-// a chunk that ended without its ligands, progressed when a dispatch was
-// acknowledged or a chunk completed (a refused dispatch is no progress).
-func (c *Coordinator) step(ctx context.Context, j *job) (done, progressed bool, err error) {
-	c.reapWorkers()
-
+// supervise is the screen's part of supervision. It returns the workers
+// whose loops the caller starts, each dealt its first chunks here, in URL
+// order, so loops started together split a batch the same way every run;
+// and errComplete once every ligand merged.
+func (c *Coordinator) supervise(j *job) ([]string, error) {
 	c.h.Lock()
-	c.reclaimLocked(j)
-	c.assignLocked(j)
-	var dispatches, polls []*shard
-	for _, sh := range j.shards {
-		switch {
-		case sh.done || sh.moved:
-		case sh.remote == "":
-			if c.epochValidLocked(sh) {
-				dispatches = append(dispatches, sh)
-			}
-		default:
-			polls = append(polls, sh)
+	defer c.h.Unlock()
+	// Membership is shared: whichever screen gets here first reaps for all.
+	now := c.h.Now()
+	for _, w := range c.workers {
+		if w.alive && now.Sub(w.lastBeat) > c.cfg.HeartbeatTimeout {
+			c.markWorkerDeadLocked(w.url, "heartbeat timeout")
 		}
 	}
+	c.reclaimLocked(j)
 	// Zombie worker-side jobs: the worker revived under a new epoch while
-	// its old job kept running. Cancel them so revenants stop burning
-	// device time on ligands handed out again.
+	// its old job kept running, or lost a backup race. Cancel them so
+	// revenants stop burning device time on ligands handed out again.
 	c.cancelLater(c.takeFencedLocked())
+	if len(j.merged) == len(j.names) {
+		return nil, errComplete
+	}
+	var start []string
+	for _, w := range c.aliveWorkersLocked() {
+		if !j.loops[w.url] {
+			j.loops[w.url] = true
+			start = append(start, w.url)
+		}
+	}
+	c.pullLocked(j, start...)
+	return start, nil
+}
+
+// loop supervises worker url's part of job j until the screen ends or the
+// worker dies; end ends the screen with errComplete or a chunk's failure.
+func (c *Coordinator) loop(ctx context.Context, end context.CancelCauseFunc, j *job, url string) {
+	for ctx.Err() == nil && c.keepLoop(j, url) {
+		start := time.Now()
+		progressed, err := c.round(ctx, j, url)
+		if err != nil {
+			end(err)
+			return
+		}
+		if !progressed {
+			rng.Sleep(ctx, c.cfg.PollInterval-time.Since(start))
+		}
+	}
+}
+
+// keepLoop reports whether worker url is still alive, and otherwise ends
+// its claim on j, so supervise starts a fresh loop if it revives.
+func (c *Coordinator) keepLoop(j *job, url string) bool {
+	c.h.Lock()
+	defer c.h.Unlock()
+	if w := c.workers[url]; w != nil && w.alive {
+		return true
+	}
+	delete(j.loops, url)
+	return false
+}
+
+// round is one pass of worker url's loop on job j. It reports progress —
+// a dispatch acknowledged or a chunk completed; a refused dispatch is
+// none — and returns errComplete once every ligand merged, or the error
+// of a chunk that ended without its ligands.
+func (c *Coordinator) round(ctx context.Context, j *job, url string) (progressed bool, err error) {
+	c.h.Lock()
+	c.pullLocked(j, url)
+	var mine []*shard
+	var sent []bool // acknowledged by the worker
+	for _, sh := range j.shards {
+		if sh.worker == url && !sh.done && !sh.moved && c.epochValidLocked(sh) {
+			mine, sent = append(mine, sh), append(sent, sh.remote != "")
+		}
+	}
 	c.h.Unlock()
 
-	// Dispatches and polls run concurrently: each request is bounded by
-	// the client's timeout × attempts, and no chunk waits behind another
-	// chunk's blackholed worker.
-	var wg sync.WaitGroup
-	var failMu sync.Mutex
-	var failed error
-	var advanced atomic.Bool
-	dispatch := func(sh *shard) {
-		if c.dispatch(ctx, j, sh) {
-			advanced.Store(true)
+	for i, sh := range mine {
+		if !sent[i] && c.dispatch(ctx, j, sh) {
+			sent[i], progressed = true, true
 		}
 	}
-	for _, sh := range dispatches {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			dispatch(sh)
-		}(sh)
+	// A worker docks its chunks in order, so the oldest is the one to
+	// hold; the younger ones are asked without a hold, so one the worker
+	// finished out of order still merges.
+	wait := c.pollWait()
+	for i, sh := range mine {
+		if !sent[i] {
+			continue
+		}
+		if err := c.poll(ctx, j, sh, wait); err != nil {
+			return false, err
+		}
+		wait = 0
 	}
-	for _, sh := range polls {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			if err := c.poll(ctx, j, sh); err != nil {
-				failMu.Lock()
-				failed = cmp.Or(failed, err)
-				failMu.Unlock()
-				return
-			}
-			// The poll that completed a chunk is its worker's request for
-			// the next one, dispatched now rather than next step.
-			var next []*shard
-			c.h.Lock()
-			if sh.done && ctx.Err() == nil {
-				next = c.refillLocked(j, sh.worker)
-			}
-			c.h.Unlock()
-			for _, n := range next {
-				dispatch(n)
-			}
-		}(sh)
-	}
-	wg.Wait()
 
 	c.h.Lock()
 	defer c.h.Unlock()
-	if failed != nil {
-		c.cancelLater(append(j.remoteRefsLocked(), c.takeFencedLocked()...))
-		return false, false, failed
-	}
 	if len(j.merged) == len(j.names) {
-		// A backup race resolved by this very step's merge leaves its loser
-		// on the fenced queue — and no later step to drain it.
+		// A backup race resolved by this round's merge leaves its loser on
+		// the fenced queue — and no later supervise to drain it.
 		c.cancelLater(c.takeFencedLocked())
-		return true, false, nil
+		return true, errComplete
 	}
-	progressed = advanced.Load()
-	for _, sh := range polls {
-		if sh.done {
-			progressed = true
-		}
+	for _, sh := range mine {
+		progressed = progressed || sh.done
 	}
-	return false, progressed, nil
+	return progressed, nil
 }
 
 // takeFencedLocked empties the fenced queue. Caller holds the service
@@ -144,17 +163,19 @@ func (c *Coordinator) epochValidLocked(sh *shard) bool {
 	return w != nil && w.alive && w.epoch == sh.epoch
 }
 
-// reapWorkers declares every worker whose heartbeat aged past the
-// timeout dead. Run by every supervisor step — membership is shared, so
-// whichever job steps first does the reaping for all of them.
-func (c *Coordinator) reapWorkers() {
-	now := c.h.Now()
-	c.h.Lock()
-	defer c.h.Unlock()
-	for _, w := range c.workers {
-		if w.alive && now.Sub(w.lastBeat) > c.cfg.HeartbeatTimeout {
-			c.markWorkerDeadLocked(w.url, "heartbeat timeout")
-		}
+// failedLocked counts a failed request for chunk sh against its worker:
+// FailThreshold consecutive ones, whichever chunks they were for, declare
+// it dead. A failure from an older epoch of the worker counts for nothing.
+// Caller holds the service mutex.
+func (c *Coordinator) failedLocked(sh *shard, reason string) {
+	c.metrics.pollErrors.Inc()
+	if !c.epochValidLocked(sh) {
+		return
+	}
+	w := c.workers[sh.worker]
+	w.errs++
+	if w.errs >= c.cfg.FailThreshold {
+		c.markWorkerDeadLocked(sh.worker, reason)
 	}
 }
 
@@ -166,7 +187,7 @@ func (c *Coordinator) markWorkerDeadLocked(url, reason string) {
 	if w == nil || !w.alive {
 		return
 	}
-	w.alive = false
+	w.alive, w.errs = false, 0
 	c.metrics.workerDeaths.Inc()
 	c.countMembersLocked()
 	c.h.AppendLocked(event{Type: evWorker, Worker: url})
@@ -262,22 +283,16 @@ func (c *Coordinator) dispatch(ctx context.Context, j *job, sh *shard) bool {
 		return false
 	}
 	if err != nil {
-		c.metrics.pollErrors.Inc()
-		sh.errs++
 		c.log.Warn("shard dispatch failed",
 			"job", j.id, "shard", sh.id, "worker", sh.worker, "err", err)
-		if sh.errs >= c.cfg.FailThreshold {
-			c.markWorkerDeadLocked(sh.worker, "dispatch failures")
-		}
+		c.failedLocked(sh, "dispatch failures")
 		return false
 	}
-	sh.errs = 0
 	sh.remote = view.ID
 	sh.cursor = ""
 	sh.dispatched = now
-	if w := c.workers[sh.worker]; w != nil {
-		w.lastBeat = now
-	}
+	w := c.workers[sh.worker]
+	w.errs, w.lastBeat = 0, now
 	sh.waitFrom, sh.waitPolls = j.rec.Now(), 0
 	j.rec.AddSpan(trace.Span{
 		Track: sh.worker, Name: "dispatch " + sh.id, Cat: trace.CatShard,
@@ -289,14 +304,14 @@ func (c *Coordinator) dispatch(ctx context.Context, j *job, sh *shard) bool {
 	return true
 }
 
-// poll long-polls one chunk's worker for the entries past the chunk's
-// cursor and merges what's new, crediting the worker with the ligands it
+// poll asks one chunk's worker for the entries past the chunk's cursor,
+// held up to wait, and merges what's new, crediting the worker with the ligands it
 // delivered first. It returns an error when the worker-side job reached a
 // terminal state that cannot produce the chunk's ligands (failed, shed,
 // or cancelled out from under us) — a deterministic failure re-running
 // elsewhere would only repeat.
-func (c *Coordinator) poll(ctx context.Context, j *job, sh *shard) error {
-	pv, err := c.cl.partial(ctx, sh.worker, sh.remote, sh.epoch, sh.cursor, c.pollWait())
+func (c *Coordinator) poll(ctx context.Context, j *job, sh *shard, wait time.Duration) error {
+	pv, err := c.cl.partial(ctx, sh.worker, sh.remote, sh.epoch, sh.cursor, wait)
 	if err != nil {
 		if ctx.Err() != nil {
 			// A cancel or Shutdown aborted the held poll: that says nothing
@@ -307,7 +322,7 @@ func (c *Coordinator) poll(ctx context.Context, j *job, sh *shard) error {
 		var ae *apiError
 		if errors.As(err, &ae) && ae.status == http.StatusNotFound {
 			// The worker restarted without durability and forgot the job.
-			// Clearing remote re-dispatches under the same key next step.
+			// Clearing remote re-dispatches under the same key next round.
 			c.h.Lock()
 			sh.remote = ""
 			c.h.Unlock()
@@ -317,11 +332,7 @@ func (c *Coordinator) poll(ctx context.Context, j *job, sh *shard) error {
 		}
 		c.h.Lock()
 		defer c.h.Unlock()
-		c.metrics.pollErrors.Inc()
-		sh.errs++
-		if sh.errs >= c.cfg.FailThreshold {
-			c.markWorkerDeadLocked(sh.worker, "poll failures")
-		}
+		c.failedLocked(sh, "poll failures")
 		return nil
 	}
 
@@ -341,10 +352,9 @@ func (c *Coordinator) poll(ctx context.Context, j *job, sh *shard) error {
 			"job", j.id, "shard", sh.id, "worker", sh.worker, "shardEpoch", sh.epoch)
 		return nil
 	}
-	sh.errs = 0
 	sh.cursor = pv.Cursor
 	w := c.workers[sh.worker]
-	w.lastBeat = c.h.Now()
+	w.errs, w.lastBeat = 0, c.h.Now()
 
 	var fresh []core.LigandRecord
 	for _, e := range pv.Entries {

@@ -33,6 +33,16 @@ type Batch struct {
 // when work remains and every device has been lost; the completion time
 // then covers what did run, including time charged by hang watchdogs.
 func (p *Pool) RunStatic(assign []int, b Batch) (float64, error) {
+	return p.RunStaticPipelined(assign, b, 1)
+}
+
+// RunStaticPipelined executes one generation like RunStatic but with each
+// device's work split into depth chunks whose transfers overlap the
+// previous chunk's kernel (pipeline.go); depth <= 1 is RunStatic. A device
+// fenced mid-generation has its whole share re-split across the survivors
+// (chunks already finished on the dead device are conservatively redone —
+// scores never came back).
+func (p *Pool) RunStaticPipelined(assign []int, b Batch, depth int) (float64, error) {
 	if len(assign) != p.Size() {
 		panic(fmt.Sprintf("sched: assignment for %d devices, pool has %d", len(assign), p.Size()))
 	}
@@ -41,11 +51,15 @@ func (p *Pool) RunStatic(assign []int, b Batch) (float64, error) {
 	copy(original, assign)
 	pending := make([]int, n)
 	copy(pending, assign)
+	share := p.deviceShare
+	if depth > 1 {
+		share = func(tid, n int, b Batch) error { return p.pipelinedShare(tid, n, b, depth) }
+	}
 	// Each failed round fences at least one device, so n+1 rounds always
 	// suffice to either finish or run out of devices.
 	for round := 0; round <= n; round++ {
 		if leftover := p.resplitPending(pending, original); leftover > 0 {
-			return p.barrierClose(), fmt.Errorf("sched: %d conformations unassigned: %w", leftover, ErrAllDevicesLost)
+			return p.pipelineClose(), fmt.Errorf("sched: %d conformations unassigned: %w", leftover, ErrAllDevicesLost)
 		}
 		work := 0
 		for _, c := range pending {
@@ -57,19 +71,20 @@ func (p *Pool) RunStatic(assign []int, b Batch) (float64, error) {
 		// Barrier start: no device may begin before all are free. A hung
 		// device's watchdog-advanced clock counts — that time was really
 		// spent waiting on it.
-		start := p.Now()
+		start := p.pipelineNow()
 		for tid := range n {
 			if pending[tid] <= 0 || !p.aliveAt(tid) {
 				continue
 			}
 			dev := p.ctx.Device(tid)
-			dev.Idle(cudasim.DefaultStream, start)
-			if err := p.deviceShare(tid, pending[tid], b); err == nil {
+			dev.Idle(computeStream, start)
+			dev.Idle(copyStream, start)
+			if err := share(tid, pending[tid], b); err == nil {
 				pending[tid] = 0
 			}
 		}
 	}
-	return p.barrierClose(), nil
+	return p.pipelineClose(), nil
 }
 
 // barrierClose aligns every surviving device on the latest clock across

@@ -1,68 +1,19 @@
 package sched
 
-import (
-	"fmt"
-
-	"github.com/metascreen/metascreen/internal/cudasim"
-)
+import "github.com/metascreen/metascreen/internal/cudasim"
 
 // Pipelined execution: CUDA programs hide transfer latency by splitting a
 // batch into chunks and overlapping chunk k's host-to-device copy (on a
 // copy stream) with chunk k-1's kernel (on a compute stream). This file
-// models that optimization; the gain over the plain barrier executor is
-// bounded by the transfer fraction of the generation, which the
-// block-granularity ablation quantifies.
+// models that optimization, which RunStaticPipelined runs at depth > 1;
+// the gain over the plain barrier executor is bounded by the transfer
+// fraction of the generation, which the block-granularity ablation
+// quantifies.
 
 const (
-	computeStream = 0
+	computeStream = cudasim.DefaultStream
 	copyStream    = 1
 )
-
-// RunStaticPipelined executes one generation like RunStatic but with each
-// device's work split into `depth` chunks whose transfers overlap the
-// previous chunk's kernel. depth <= 1 degenerates to RunStatic behaviour.
-//
-// Fault handling matches RunStatic: a device fenced mid-generation has its
-// whole share re-split across the survivors (chunks already finished on
-// the dead device are conservatively redone — scores never came back).
-func (p *Pool) RunStaticPipelined(assign []int, b Batch, depth int) (float64, error) {
-	if len(assign) != p.Size() {
-		panic(fmt.Sprintf("sched: assignment for %d devices, pool has %d", len(assign), p.Size()))
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	n := p.Size()
-	original := make([]int, n)
-	copy(original, assign)
-	pending := make([]int, n)
-	copy(pending, assign)
-	for round := 0; round <= n; round++ {
-		if leftover := p.resplitPending(pending, original); leftover > 0 {
-			return p.pipelineClose(), fmt.Errorf("sched: %d conformations unassigned: %w", leftover, ErrAllDevicesLost)
-		}
-		work := 0
-		for _, c := range pending {
-			work += c
-		}
-		if work == 0 {
-			break
-		}
-		start := p.pipelineNow()
-		for tid := range n {
-			if pending[tid] <= 0 || !p.aliveAt(tid) {
-				continue
-			}
-			dev := p.ctx.Device(tid)
-			dev.Idle(computeStream, start)
-			dev.Idle(copyStream, start)
-			if err := p.pipelinedShare(tid, pending[tid], b, depth); err == nil {
-				pending[tid] = 0
-			}
-		}
-	}
-	return p.pipelineClose(), nil
-}
 
 // pipelinedShare runs one device's share split into depth chunks with
 // copy/compute overlap, under the fault policy.

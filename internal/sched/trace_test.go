@@ -76,7 +76,7 @@ func TestHeterogeneousSplitBalancesUtilization(t *testing.T) {
 		if len(u) != 2 {
 			t.Fatalf("utilization for %d devices", len(u))
 		}
-		d := u[0] - u[1]
+		d := u[0].Fraction - u[1].Fraction
 		if d < 0 {
 			d = -d
 		}

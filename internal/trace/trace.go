@@ -185,17 +185,24 @@ func (r *Recorder) deviceRows() (rows []deviceRow, start, end float64) {
 	return rows, start, end
 }
 
-// Utilization returns each device's busy fraction of the device timeline's
-// window, in device-index order. A recorder without device spans yields
+// DeviceUtilization is one device's busy fraction of the device
+// timeline's window.
+type DeviceUtilization struct {
+	Device   int
+	Fraction float64
+}
+
+// Utilization returns the busy fraction of each device that recorded a
+// span, in device-index order. A recorder without device spans yields
 // nil.
-func (r *Recorder) Utilization() []float64 {
+func (r *Recorder) Utilization() []DeviceUtilization {
 	rows, start, end := r.deviceRows()
 	if end <= start {
 		return nil
 	}
-	out := make([]float64, len(rows))
+	out := make([]DeviceUtilization, len(rows))
 	for i, row := range rows {
-		out[i] = row.busy / (end - start)
+		out[i] = DeviceUtilization{Device: row.device, Fraction: row.busy / (end - start)}
 	}
 	return out
 }

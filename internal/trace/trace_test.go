@@ -60,8 +60,8 @@ func TestUtilizationDeviceOrder(t *testing.T) {
 	if len(u) != 2 {
 		t.Fatalf("utilization over %d devices, want 2", len(u))
 	}
-	if u[0] != 0.25 || u[1] != 1 {
-		t.Errorf("utilization = %v, want [0.25 1] (dev2, dev10)", u)
+	if u[0] != (DeviceUtilization{2, 0.25}) || u[1] != (DeviceUtilization{10, 1}) {
+		t.Errorf("utilization = %v, want [{2 0.25} {10 1}]", u)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestSpanAndUtilization(t *testing.T) {
 	addDevice(&r, 0, "scoring", 1, 5)
 	addDevice(&r, 1, "scoring", 1, 3)
 	u := r.Utilization()
-	if math.Abs(u[0]-1.0) > 1e-12 || math.Abs(u[1]-0.5) > 1e-12 {
+	if math.Abs(u[0].Fraction-1.0) > 1e-12 || math.Abs(u[1].Fraction-0.5) > 1e-12 {
 		t.Errorf("utilization = %v", u)
 	}
 }
